@@ -72,49 +72,34 @@ pub fn get_syscall_record(reader: &mut Reader<'_>) -> Result<SyscallRecord, Code
         *arg = reader.u64("syscall arg")?;
     }
     let ret = reader.u64("syscall ret")?;
-    let mem_count = reader.u32("mem_writes count")?;
-    let mut mem_writes = Vec::with_capacity(mem_count.min(1024) as usize);
-    for _ in 0..mem_count {
-        let addr = reader.u64("mem_write addr")?;
-        let bytes = reader.bytes("mem_write bytes")?;
-        mem_writes.push(MemDelta {
-            addr,
-            bytes: bytes.into(),
-        });
-    }
-    let map_count = reader.u32("map_ops count")?;
-    let mut map_ops = Vec::with_capacity(map_count.min(1024) as usize);
-    for _ in 0..map_count {
-        let op = match reader.u8("map_op tag")? {
-            0 => MapOp::Map {
-                addr: reader.u64("map addr")?,
-                len: reader.u64("map len")?,
-            },
-            1 => MapOp::Unmap {
-                addr: reader.u64("unmap addr")?,
-            },
-            2 => MapOp::Brk {
-                brk: reader.u64("brk")?,
-            },
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "map_op tag",
-                    tag: tag as u64,
-                })
-            }
-        };
-        map_ops.push(op);
-    }
-    let reg_count = reader.u32("reg_writes count")?;
-    let mut reg_writes = Vec::with_capacity(reg_count.min(1024) as usize);
-    for _ in 0..reg_count {
-        let index = reader.u8("reg index")?;
+    let mem_writes = reader.vec("mem_writes count", 8 + 4, |r| {
+        Ok(MemDelta {
+            addr: r.u64("mem_write addr")?,
+            bytes: r.bytes("mem_write bytes")?.into(),
+        })
+    })?;
+    let map_ops = reader.vec("map_ops count", 1 + 8, |r| match r.u8("map_op tag")? {
+        0 => Ok(MapOp::Map {
+            addr: r.u64("map addr")?,
+            len: r.u64("map len")?,
+        }),
+        1 => Ok(MapOp::Unmap {
+            addr: r.u64("unmap addr")?,
+        }),
+        2 => Ok(MapOp::Brk { brk: r.u64("brk")? }),
+        tag => Err(CodecError::BadTag {
+            what: "map_op tag",
+            tag: tag as u64,
+        }),
+    })?;
+    let reg_writes = reader.vec("reg_writes count", 1 + 8, |r| {
+        let index = r.u8("reg index")?;
         let reg = Reg::try_new(index).ok_or(CodecError::BadTag {
             what: "reg index",
             tag: index as u64,
         })?;
-        reg_writes.push((reg, reader.u64("reg value")?));
-    }
+        Ok((reg, r.u64("reg value")?))
+    })?;
     let pc_override = reader.opt_u64("pc_override")?;
     let exited = match reader.u8("exited flag")? {
         0 => None,
@@ -202,16 +187,8 @@ pub fn get_event(reader: &mut Reader<'_>) -> Result<NondetEvent, CodecError> {
                     })
                 }
             };
-            let dropped_count = reader.u32("dropped count")?;
-            let mut dropped = Vec::with_capacity(dropped_count.min(1024) as usize);
-            for _ in 0..dropped_count {
-                dropped.push(reader.u32("dropped slice")?);
-            }
-            let evicted_count = reader.u32("evicted count")?;
-            let mut evicted = Vec::with_capacity(evicted_count.min(1024) as usize);
-            for _ in 0..evicted_count {
-                evicted.push(reader.u32("evicted slice")?);
-            }
+            let dropped = reader.vec("dropped count", 4, |r| r.u32("dropped slice"))?;
+            let evicted = reader.vec("evicted count", 4, |r| r.u32("evicted slice"))?;
             Ok(NondetEvent::Admission {
                 decision,
                 dropped,
@@ -270,6 +247,10 @@ fn put_slice_report(out: &mut Vec<u8>, slice: &SliceReport) {
         put_u64(out, value);
     }
 }
+
+/// A slice report is fixed-width: num, three u64s either side of the
+/// end tag, and the 20 stats.
+const SLICE_REPORT_BYTES: usize = 4 + 1 + (2 + 3 + 20) * 8;
 
 fn get_slice_report(reader: &mut Reader<'_>) -> Result<SliceReport, CodecError> {
     let num = reader.u32("slice num")?;
@@ -374,11 +355,7 @@ pub fn get_report(reader: &mut Reader<'_>) -> Result<SuperPinReport, CodecError>
     for value in &mut values {
         *value = reader.u64("report field")?;
     }
-    let slice_count = reader.u32("slice count")?;
-    let mut slices = Vec::with_capacity(slice_count.min(4096) as usize);
-    for _ in 0..slice_count {
-        slices.push(get_slice_report(reader)?);
-    }
+    let slices = reader.vec("slice count", SLICE_REPORT_BYTES, get_slice_report)?;
     Ok(SuperPinReport {
         total_cycles: values[0],
         master_exit_cycles: values[1],
@@ -562,6 +539,69 @@ mod tests {
         let mut reader = Reader::new(&out);
         assert_eq!(get_report(&mut reader).unwrap(), report);
         assert!(reader.is_empty());
+    }
+
+    /// The 44 GB abort: a count of `0xFFFF_FFFF` is typed truncation,
+    /// not a reservation.
+    #[test]
+    fn huge_counts_are_truncation_not_allocation() {
+        let record = SyscallRecord {
+            mem_writes: vec![],
+            map_ops: vec![],
+            reg_writes: vec![],
+            ..sample_record()
+        };
+        let mut out = Vec::new();
+        put_syscall_record(&mut out, &record);
+        // number, five args, ret, then the three (empty) lists.
+        let counts = 1 + 5 * 8 + 8;
+        for (offset, what) in [
+            (counts, "mem_writes count"),
+            (counts + 4, "map_ops count"),
+            (counts + 8, "reg_writes count"),
+        ] {
+            let mut crafted = out.clone();
+            crafted[offset..offset + 4].fill(0xFF);
+            assert_eq!(
+                get_syscall_record(&mut Reader::new(&crafted)),
+                Err(CodecError::Truncated { what })
+            );
+        }
+
+        let mut out = Vec::new();
+        put_report(&mut out, &sample_report());
+        out[25 * 8..25 * 8 + 4].fill(0xFF);
+        assert_eq!(
+            get_report(&mut Reader::new(&out)),
+            Err(CodecError::Truncated {
+                what: "slice count"
+            })
+        );
+
+        let mut out = Vec::new();
+        put_event(
+            &mut out,
+            &NondetEvent::Admission {
+                decision: AdmissionDecision::Admit,
+                dropped: vec![],
+                evicted: vec![],
+            },
+        );
+        out[2..6].fill(0xFF);
+        assert_eq!(
+            get_event(&mut Reader::new(&out)),
+            Err(CodecError::Truncated {
+                what: "dropped count"
+            })
+        );
+    }
+
+    /// `SLICE_REPORT_BYTES` is what one slice really encodes to.
+    #[test]
+    fn slice_report_width_matches_the_encoder() {
+        let mut out = Vec::new();
+        put_slice_report(&mut out, &sample_report().slices[0]);
+        assert_eq!(out.len(), SLICE_REPORT_BYTES);
     }
 
     #[test]

@@ -13,19 +13,12 @@
 
 use superpin_fault::FailPlan;
 
-use crate::wal::{
-    salvage, FrameDamage, WalSalvage, WAL_FRAME_COMMIT, WAL_FRAME_END, WAL_FRAME_HEADER,
-    WAL_FRAME_OVERHEAD, WAL_FRAME_RECORD,
-};
-use crate::wire::{
-    put_bool, put_opt_u64, put_str, put_u16, put_u32, put_u64, put_u8, CodecError, Reader,
-};
+use crate::container::{encode_frame, walk, FrameDamage, KIND_HEADER, SPFL};
+use crate::wal::{salvage, WAL_FRAME_COMMIT, WAL_FRAME_END, WAL_FRAME_HEADER, WAL_FRAME_RECORD};
+use crate::wire::{put_bool, put_opt_u64, put_str, put_u32, put_u64, put_u8, CodecError, Reader};
 
-/// Magic prefix of an encoded fleet log.
-pub const FLEET_MAGIC: &[u8; 4] = b"SPFL";
-
-/// Fleet log format version.
-pub const FLEET_VERSION: u16 = 1;
+const FRAME_EVENT: u8 = 0x02;
+const FRAME_OUTCOME: u8 = 0x03;
 
 /// Everything needed to rebuild a fleet run's inputs: the job-spec
 /// text verbatim plus the CLI knobs that shape scheduling. The
@@ -48,8 +41,8 @@ pub struct FleetRecipe {
 }
 
 impl FleetRecipe {
-    /// Appends the recipe's wire form (shared by the flat SPFL log and
-    /// the WAL header frame).
+    /// Appends the recipe's wire form (the header frame of both the
+    /// SPFL log and the WAL).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         put_str(out, &self.spec_text);
         put_u32(out, self.threads);
@@ -138,8 +131,8 @@ pub enum FleetEvent {
     },
 }
 
-/// Appends one event's wire form (shared by the flat SPFL log and the
-/// WAL round frames).
+/// Appends one event's wire form (an SPFL event frame, or one entry
+/// of a WAL round frame).
 fn put_fleet_event(out: &mut Vec<u8>, event: &FleetEvent) {
     match *event {
         FleetEvent::Admit {
@@ -174,6 +167,9 @@ fn put_fleet_event(out: &mut Vec<u8>, event: &FleetEvent) {
         }
     }
 }
+
+/// The shortest event on the wire: tag, job, one timestamp.
+const MIN_EVENT_BYTES: usize = 1 + 4 + 8;
 
 /// Decodes one event written by [`put_fleet_event`].
 fn get_fleet_event(reader: &mut Reader) -> Result<FleetEvent, CodecError> {
@@ -219,61 +215,53 @@ pub struct FleetLog {
 }
 
 impl FleetLog {
-    /// Serializes the log to its wire form.
+    /// Serializes the log: a header frame (the recipe), one frame per
+    /// event, one per outcome line, and the end frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(FLEET_MAGIC);
-        put_u16(&mut out, FLEET_VERSION);
-        self.recipe.encode_into(&mut out);
-        put_u32(&mut out, self.events.len() as u32);
+        let mut out = SPFL.preamble();
+        let mut payload = Vec::new();
+        self.recipe.encode_into(&mut payload);
+        encode_frame(&mut out, KIND_HEADER, &payload);
         for event in &self.events {
-            put_fleet_event(&mut out, event);
+            payload.clear();
+            put_fleet_event(&mut payload, event);
+            encode_frame(&mut out, FRAME_EVENT, &payload);
         }
-        put_u32(&mut out, self.outcomes.len() as u32);
         for line in &self.outcomes {
-            put_str(&mut out, line);
+            encode_frame(&mut out, FRAME_OUTCOME, line.as_bytes());
         }
+        encode_frame(&mut out, SPFL.end, &[]);
         out
     }
 
-    /// Decodes a log, rejecting unknown magic/version, bad tags, and
-    /// truncation.
+    /// Decodes a log, rejecting unknown magic/version, torn or corrupt
+    /// frames, a missing header or end frame, and malformed payloads.
     ///
     /// # Errors
     ///
-    /// [`CodecError`] describing the first malformed field.
+    /// [`CodecError`] describing the first fault.
     pub fn decode(bytes: &[u8]) -> Result<FleetLog, CodecError> {
-        let mut reader = Reader::new(bytes);
-        let magic = [
-            reader.u8("magic")?,
-            reader.u8("magic")?,
-            reader.u8("magic")?,
-            reader.u8("magic")?,
-        ];
-        if &magic != FLEET_MAGIC {
-            return Err(CodecError::BadHeader {
-                detail: format!("magic {magic:?} is not a fleet log"),
-            });
-        }
-        let version = reader.u16("version")?;
-        if version != FLEET_VERSION {
-            return Err(CodecError::BadHeader {
-                detail: format!("fleet log version {version}, this build reads {FLEET_VERSION}"),
-            });
-        }
-        let recipe = FleetRecipe::decode_from(&mut reader)?;
-        let event_count = reader.u32("event count")?;
-        let mut events = Vec::with_capacity(event_count as usize);
-        for _ in 0..event_count {
-            events.push(get_fleet_event(&mut reader)?);
-        }
-        let outcome_count = reader.u32("outcome count")?;
-        let mut outcomes = Vec::with_capacity(outcome_count as usize);
-        for _ in 0..outcome_count {
-            outcomes.push(reader.str("outcome line")?);
+        let walked = walk(bytes, &SPFL)?;
+        walked.complete()?;
+        let mut recipe = None;
+        let mut events = Vec::new();
+        let mut outcomes = Vec::new();
+        for frame in &walked.frames {
+            let mut payload = Reader::new(frame.payload);
+            match frame.kind {
+                KIND_HEADER => recipe = Some(FleetRecipe::decode_from(&mut payload)?),
+                FRAME_EVENT => events.push(get_fleet_event(&mut payload)?),
+                FRAME_OUTCOME => {
+                    let line = std::str::from_utf8(frame.payload).map_err(|_| CodecError::BadUtf8);
+                    outcomes.push(line?.to_owned());
+                }
+                _ => {} // the end frame `complete` vouched for
+            }
         }
         Ok(FleetLog {
-            recipe,
+            recipe: recipe.ok_or(CodecError::BadHeader {
+                detail: "fleet log has no header frame".to_owned(),
+            })?,
             events,
             outcomes,
         })
@@ -385,26 +373,10 @@ impl RoundFrame {
         let mut reader = Reader::new(bytes);
         let round = reader.u64("round")?;
         let fleet_now = reader.u64("fleet time")?;
-        let selected_count = reader.u32("selection count")?;
-        let mut selected = Vec::with_capacity(selected_count as usize);
-        for _ in 0..selected_count {
-            selected.push(reader.u32("selected job")?);
-        }
-        let delta_count = reader.u32("delta count")?;
-        let mut deltas = Vec::with_capacity(delta_count as usize);
-        for _ in 0..delta_count {
-            deltas.push(reader.u64("delta")?);
-        }
-        let event_count = reader.u32("event count")?;
-        let mut events = Vec::with_capacity(event_count as usize);
-        for _ in 0..event_count {
-            events.push(get_fleet_event(&mut reader)?);
-        }
-        let usage_count = reader.u32("usage count")?;
-        let mut usages = Vec::with_capacity(usage_count as usize);
-        for _ in 0..usage_count {
-            usages.push(reader.u64("usage")?);
-        }
+        let selected = reader.vec("selection count", 4, |r| r.u32("selected job"))?;
+        let deltas = reader.vec("delta count", 8, |r| r.u64("delta"))?;
+        let events = reader.vec("event count", MIN_EVENT_BYTES, get_fleet_event)?;
+        let usages = reader.vec("usage count", 8, |r| r.u64("usage"))?;
         Ok(RoundFrame {
             round,
             fleet_now,
@@ -500,7 +472,7 @@ pub struct FleetRecovery {
 /// [`CodecError`] only when the preamble or the header frame is
 /// unusable: with no recipe there is nothing to resume.
 pub fn recover_fleet_wal(bytes: &[u8]) -> Result<FleetRecovery, CodecError> {
-    let salvaged: WalSalvage = salvage(bytes)?;
+    let salvaged = salvage(bytes)?;
     let mut frames = salvaged.frames.iter();
     let header = frames.next().ok_or(CodecError::BadHeader {
         detail: "WAL has no intact header frame".to_owned(),
@@ -513,13 +485,12 @@ pub fn recover_fleet_wal(bytes: &[u8]) -> Result<FleetRecovery, CodecError> {
             ),
         });
     }
-    let mut reader = Reader::new(&header.payload);
-    let recipe = FleetRecipe::decode_from(&mut reader)?;
+    let recipe = FleetRecipe::decode_from(&mut Reader::new(header.payload))?;
 
     let mut recovery = FleetRecovery {
         recipe,
         rounds: Vec::new(),
-        committed_len: header.offset + header.payload.len() + WAL_FRAME_OVERHEAD,
+        committed_len: header.end(),
         valid_len: salvaged.valid_len,
         damage: salvaged.damage.clone(),
         clean_end: salvaged.clean_end,
@@ -529,58 +500,42 @@ pub fn recover_fleet_wal(bytes: &[u8]) -> Result<FleetRecovery, CodecError> {
     for frame in frames {
         // Structural violations downgrade to damage at the offending
         // frame; everything committed before it still recovers.
-        let structural = |detail: String| FrameDamage::Corrupt {
-            offset: frame.offset,
-            detail,
-        };
-        match frame.kind {
-            WAL_FRAME_RECORD => {
-                if pending.is_some() {
-                    recovery.damage = Some(structural(
-                        "record frame follows an uncommitted record".to_owned(),
-                    ));
-                    break;
-                }
-                match RoundFrame::decode(&frame.payload) {
-                    Ok(round) => pending = Some(round),
-                    Err(err) => {
-                        recovery.damage = Some(structural(format!("round frame: {err}")));
-                        break;
-                    }
-                }
+        let verdict = match frame.kind {
+            WAL_FRAME_RECORD if pending.is_some() => {
+                Err("record frame follows an uncommitted record".to_owned())
             }
+            WAL_FRAME_RECORD => match RoundFrame::decode(frame.payload) {
+                Ok(round) => {
+                    pending = Some(round);
+                    Ok(())
+                }
+                Err(err) => Err(format!("round frame: {err}")),
+            },
             WAL_FRAME_COMMIT => {
-                let mut raw = [0u8; 8];
-                raw.copy_from_slice(&frame.payload);
-                let seq = u64::from_le_bytes(raw);
-                match pending.take() {
-                    Some(round) if round.round == seq => {
-                        recovery.committed_len =
-                            frame.offset + frame.payload.len() + WAL_FRAME_OVERHEAD;
+                let seq = Reader::new(frame.payload).u64("commit sequence");
+                match (seq, pending.take()) {
+                    (Ok(seq), Some(round)) if round.round == seq => {
+                        recovery.committed_len = frame.end();
                         recovery.rounds.push(round);
+                        Ok(())
                     }
-                    Some(round) => {
-                        recovery.damage = Some(structural(format!(
-                            "commit marker {seq} does not match round {}",
-                            round.round
-                        )));
-                        break;
-                    }
-                    None => {
-                        recovery.damage =
-                            Some(structural("commit marker with no record".to_owned()));
-                        break;
-                    }
+                    (Ok(seq), Some(round)) => Err(format!(
+                        "commit marker {seq} does not match round {}",
+                        round.round
+                    )),
+                    (Ok(_), None) => Err("commit marker with no record".to_owned()),
+                    (Err(err), _) => Err(err.to_string()),
                 }
             }
-            WAL_FRAME_END => {}
-            _ => {
-                recovery.damage = Some(structural(format!(
-                    "unexpected frame kind 0x{:02x}",
-                    frame.kind
-                )));
-                break;
-            }
+            WAL_FRAME_END => Ok(()),
+            kind => Err(format!("unexpected frame kind 0x{kind:02x}")),
+        };
+        if let Err(detail) = verdict {
+            recovery.damage = Some(FrameDamage::Corrupt {
+                offset: frame.offset,
+                detail,
+            });
+            break;
         }
     }
     recovery.discarded = salvaged
@@ -672,6 +627,73 @@ mod tests {
                 FleetLog::decode(&bytes[..len]).is_err(),
                 "prefix of {len} bytes decoded"
             );
+        }
+    }
+
+    /// The 44 GB abort: count and length fields of `0xFFFF_FFFF`,
+    /// under valid CRCs, are typed truncation — nothing is reserved.
+    #[test]
+    fn huge_counts_are_truncation_not_allocation() {
+        let truncated = |what| CodecError::Truncated { what };
+        let round = RoundFrame {
+            round: 1,
+            fleet_now: 10,
+            selected: vec![],
+            deltas: vec![],
+            events: vec![],
+            usages: vec![],
+        };
+        // round, fleet_now, then the four counts.
+        for (offset, what) in [
+            (16, "selection count"),
+            (20, "delta count"),
+            (24, "event count"),
+            (28, "usage count"),
+        ] {
+            let mut payload = round.encode();
+            payload[offset..offset + 4].fill(0xFF);
+            assert_eq!(RoundFrame::decode(&payload), Err(truncated(what)));
+        }
+
+        // An SPFL whose header claims a 4 GiB spec text.
+        let mut header = Vec::new();
+        sample().recipe.encode_into(&mut header);
+        header[..4].fill(0xFF);
+        let mut log = SPFL.preamble();
+        encode_frame(&mut log, KIND_HEADER, &header);
+        encode_frame(&mut log, SPFL.end, &[]);
+        assert_eq!(FleetLog::decode(&log), Err(truncated("spec text")));
+
+        // A journal whose committed record claims 4 Gi selections:
+        // damage at that frame, not a failed recovery.
+        let mut payload = round.encode();
+        payload[16..20].fill(0xFF);
+        let mut wal = crate::container::SPWAL.preamble();
+        header.clear();
+        sample().recipe.encode_into(&mut header);
+        encode_frame(&mut wal, WAL_FRAME_HEADER, &header);
+        let record_at = wal.len();
+        encode_frame(&mut wal, WAL_FRAME_RECORD, &payload);
+        encode_frame(&mut wal, WAL_FRAME_COMMIT, &1u64.to_le_bytes());
+        let recovery = recover_fleet_wal(&wal).expect("header intact");
+        assert!(recovery.rounds.is_empty());
+        assert_eq!(recovery.committed_len, record_at);
+        assert!(
+            matches!(recovery.damage, Some(FrameDamage::Corrupt { offset, .. }) if offset == record_at)
+        );
+    }
+
+    #[test]
+    fn a_flipped_bit_is_corruption_not_a_different_log() {
+        let bytes = sample().encode();
+        for index in crate::container::PREAMBLE_LEN..bytes.len() {
+            let mut flipped = bytes.clone();
+            flipped[index] ^= 0x10;
+            match FleetLog::decode(&flipped) {
+                Err(CodecError::Corrupt { offset, .. }) => assert!(offset <= index),
+                Err(CodecError::Truncated { .. }) => {} // a length field grew
+                other => panic!("byte {index}: {other:?}"),
+            }
         }
     }
 

@@ -1,28 +1,17 @@
-//! The crash-durable write-ahead log container (`SPWAL`).
+//! The crash-durable fleet journal (`SPWAL`): a streaming writer and
+//! commit markers over the shared framed container.
 //!
-//! The `.splog`/SPFL codecs assume a complete, well-formed file — fine
-//! for artifacts written in one shot at run end, useless for a journal
-//! that must survive being killed mid-write. This module is the
-//! durable counterpart: a streaming frame container where every frame
-//! carries its own CRC32 and an explicit commit marker, so a reader
-//! can always find the longest durable prefix of a torn file.
-//!
-//! Layout (all integers little-endian):
-//!
-//! ```text
-//! "SPWAL"              5-byte magic
-//! version: u16         = 1
-//! frame*               kind: u8, len: u32, payload[len], crc32: u32
-//! ```
-//!
-//! The CRC covers `kind`, `len`, and the payload. Frame kinds: `0x01`
-//! Header (format-specific, first), `0x02` Record (one journalled
-//! unit), `0x03` Commit (a `u64` sequence number; everything up to and
-//! including this frame is durable once it reaches disk), `0x04` End
-//! (empty; the writer completed cleanly). A Record is *not* durable
-//! until its Commit frame lands — the salvage reader discards a
-//! trailing Record with no Commit, exactly like a database WAL
-//! discards an unterminated transaction.
+//! `.splog` and `SPFL` files are written in one shot at run end; a
+//! journal must survive being killed mid-write. The bytes are
+//! [`crate::container`]'s — CRC frames a reader can walk up to the
+//! first tear — and this module adds what makes them a journal. Frame
+//! kinds: `0x01` Header (format-specific, first), `0x02` Record (one
+//! journalled unit), `0x03` Commit (a `u64` sequence number;
+//! everything up to and including this frame is durable once it
+//! reaches disk), `0x04` End (empty; the writer completed cleanly). A
+//! Record is *not* durable until its Commit frame lands — the salvage
+//! reader discards a trailing Record with no Commit, exactly like a
+//! database WAL discards an unterminated transaction.
 //!
 //! Writing goes through [`WalWriter`], which appends frames
 //! incrementally and applies the [`FsyncPolicy`] at commit markers.
@@ -32,81 +21,28 @@
 //! sink — so chaos runs exercise the exact failure the salvage reader
 //! exists for.
 //!
-//! Reading goes through [`salvage`], which never hard-fails past the
-//! preamble: it walks frames until the first torn or corrupt one and
-//! reports exactly what was recovered ([`WalSalvage`]) — intact
-//! frames, the last committed sequence number, the byte offset and
-//! nature of the damage.
+//! Reading goes through [`salvage`]: the container walk plus the
+//! commit markers' meaning — the last committed sequence number and
+//! the byte offset of the durable prefix ([`WalSalvage`]).
 
 use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use superpin_fault::{FailPlan, FailpointRegistry, Site};
 
-use crate::wire::{put_u32, put_u64, put_u8, CodecError};
-
-/// WAL magic bytes.
-pub const WAL_MAGIC: &[u8; 5] = b"SPWAL";
-/// Current WAL format version.
-pub const WAL_VERSION: u16 = 1;
+use crate::container::{
+    encode_frame, walk, Frame, FrameDamage, FRAME_OVERHEAD, PREAMBLE_LEN, SPWAL,
+};
+use crate::wire::{CodecError, Reader};
 
 /// Frame kind: format-specific header, must come first.
-pub const WAL_FRAME_HEADER: u8 = 0x01;
+pub const WAL_FRAME_HEADER: u8 = crate::container::KIND_HEADER;
 /// Frame kind: one journalled record.
 pub const WAL_FRAME_RECORD: u8 = 0x02;
 /// Frame kind: commit marker (`u64` sequence number payload).
 pub const WAL_FRAME_COMMIT: u8 = 0x03;
 /// Frame kind: clean end of log (empty payload).
-pub const WAL_FRAME_END: u8 = 0x04;
-
-/// Bytes before the first frame (magic + version).
-pub const WAL_PREAMBLE_LEN: usize = 7;
-
-/// Per-frame overhead: kind (1) + length (4) + CRC (4).
-pub const WAL_FRAME_OVERHEAD: usize = 9;
-
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
-    let mut index = 0;
-    while index < 256 {
-        let mut crc = index as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            crc = if crc & 1 != 0 {
-                (crc >> 1) ^ 0xEDB8_8320
-            } else {
-                crc >> 1
-            };
-            bit += 1;
-        }
-        table[index] = crc;
-        index += 1;
-    }
-    table
-};
-
-/// IEEE CRC-32 (the zlib/PNG polynomial) over `bytes`.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc = u32::MAX;
-    for &byte in bytes {
-        crc = (crc >> 8) ^ CRC_TABLE[((crc ^ u32::from(byte)) & 0xFF) as usize];
-    }
-    !crc
-}
-
-/// Appends one whole frame — kind, length, payload, CRC over the
-/// preceding three — to `out`.
-fn encode_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
-    let start = out.len();
-    put_u8(out, kind);
-    put_u32(
-        out,
-        u32::try_from(payload.len()).expect("frame under 4 GiB"),
-    );
-    out.extend_from_slice(payload);
-    let crc = crc32(&out[start..]);
-    put_u32(out, crc);
-}
+pub const WAL_FRAME_END: u8 = SPWAL.end;
 
 /// When the writer flushes commits to stable storage.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -277,9 +213,7 @@ impl WalWriter {
         chaos: Option<FailPlan>,
     ) -> Result<WalWriter, WalIoError> {
         let mut writer = WalWriter::resume(sink, policy, chaos, 0, 0);
-        let mut preamble = Vec::with_capacity(WAL_PREAMBLE_LEN);
-        preamble.extend_from_slice(WAL_MAGIC);
-        preamble.extend_from_slice(&WAL_VERSION.to_le_bytes());
+        let preamble = SPWAL.preamble();
         writer.sink.write_all(&preamble).map_err(|err| WalIoError {
             op: WalOp::Append,
             at: 0,
@@ -326,6 +260,47 @@ impl WalWriter {
         self.syncs
     }
 
+    /// Encodes `batch` and hands it to the sink in one write. Each
+    /// frame is keyed by its own frame number at the fault sites, in
+    /// order: a full disk stops the batch at that frame's boundary, a
+    /// torn append lets half of that frame through.
+    fn write_frames(&mut self, batch: &[(u8, &[u8])]) -> Result<(), WalIoError> {
+        let first = self.frames;
+        let len = batch.iter().map(|(_, p)| p.len() + FRAME_OVERHEAD).sum();
+        let mut bytes = Vec::with_capacity(len);
+        for (frame, &(kind, payload)) in (first..).zip(batch) {
+            let start = bytes.len();
+            encode_frame(&mut bytes, kind, payload);
+            let fault = self.chaos.as_ref().and_then(|registry| {
+                if registry.fire(Site::IoDiskFull, frame) {
+                    Some((Site::IoDiskFull, start))
+                } else if registry.fire(Site::IoWalAppend, frame) {
+                    Some((Site::IoWalAppend, start + (bytes.len() - start) / 2))
+                } else {
+                    None
+                }
+            });
+            if let Some((site, cut)) = fault {
+                if cut > 0 {
+                    let _ = self.sink.write_all(&bytes[..cut]);
+                }
+                self.frames = frame;
+                return Err(WalIoError {
+                    op: WalOp::Append,
+                    at: frame,
+                    cause: WalCause::Injected(site),
+                });
+            }
+        }
+        self.sink.write_all(&bytes).map_err(|err| WalIoError {
+            op: WalOp::Append,
+            at: first,
+            cause: WalCause::Io(err),
+        })?;
+        self.frames += batch.len() as u64;
+        Ok(())
+    }
+
     /// Appends one CRC-framed record.
     ///
     /// # Errors
@@ -334,128 +309,32 @@ impl WalWriter {
     /// `io.disk.full` (nothing written) / `io.wal.append` (a torn
     /// prefix of the frame reaches the sink) fault.
     pub fn append(&mut self, kind: u8, payload: &[u8]) -> Result<(), WalIoError> {
-        let frame = self.frames;
-        let mut bytes = Vec::with_capacity(payload.len() + WAL_FRAME_OVERHEAD);
-        encode_frame(&mut bytes, kind, payload);
-        if let Some(registry) = &self.chaos {
-            if registry.fire(Site::IoDiskFull, frame) {
-                return Err(WalIoError {
-                    op: WalOp::Append,
-                    at: frame,
-                    cause: WalCause::Injected(Site::IoDiskFull),
-                });
-            }
-            if registry.fire(Site::IoWalAppend, frame) {
-                // A torn write: only a strict prefix reaches the sink.
-                let _ = self.sink.write_all(&bytes[..bytes.len() / 2]);
-                return Err(WalIoError {
-                    op: WalOp::Append,
-                    at: frame,
-                    cause: WalCause::Injected(Site::IoWalAppend),
-                });
-            }
-        }
-        self.sink.write_all(&bytes).map_err(|err| WalIoError {
-            op: WalOp::Append,
-            at: frame,
-            cause: WalCause::Io(err),
-        })?;
-        self.frames += 1;
-        Ok(())
+        self.write_frames(&[(kind, payload)])
     }
 
-    /// Appends a commit marker for sequence number `seq` and applies
+    /// Appends one CRC-framed record *and* its commit marker for `seq`
+    /// in a single sink write — one syscall per round — then applies
     /// the fsync policy.
     ///
     /// # Errors
     ///
-    /// [`WalIoError`] if the append or the policy-due fsync fails.
-    pub fn commit(&mut self, seq: u64) -> Result<(), WalIoError> {
-        let mut payload = Vec::with_capacity(8);
-        put_u64(&mut payload, seq);
-        self.append(WAL_FRAME_COMMIT, &payload)?;
-        self.commits += 1;
-        self.after_commit()
-    }
-
-    /// Appends one CRC-framed record *and* its commit marker for `seq`
-    /// in a single sink write, then applies the fsync policy. Byte-for-
-    /// byte and fault-key-for-fault-key equivalent to [`Self::append`]
-    /// followed by [`Self::commit`] — the only difference is that the
-    /// happy path costs one syscall per round instead of two, which is
-    /// what keeps the bench's WAL-overhead guard comfortably slack.
-    ///
-    /// # Errors
-    ///
-    /// [`WalIoError`] exactly as the split calls would report it: an
-    /// injected fault on the record frame leaves the sink as `append`
-    /// would (nothing, or a torn record prefix); a fault on the commit
-    /// frame lands after the whole record frame is in the sink.
+    /// [`WalIoError`] if the write or the policy-due fsync fails. An
+    /// injected fault on the record frame leaves the sink as
+    /// [`Self::append`] would (nothing, or a torn record prefix); a
+    /// fault on the commit frame lands after the whole record frame is
+    /// in the sink.
     pub fn append_committed(
         &mut self,
         kind: u8,
         payload: &[u8],
         seq: u64,
     ) -> Result<(), WalIoError> {
-        let record_frame = self.frames;
-        let mut bytes = Vec::with_capacity(payload.len() + 8 + 2 * WAL_FRAME_OVERHEAD);
-        encode_frame(&mut bytes, kind, payload);
-        let record_len = bytes.len();
-        let mut commit_payload = Vec::with_capacity(8);
-        put_u64(&mut commit_payload, seq);
-        encode_frame(&mut bytes, WAL_FRAME_COMMIT, &commit_payload);
-        if let Some(registry) = &self.chaos {
-            // Evaluation order and keys mirror append(record) then
-            // append(commit): each frame checks disk-full then torn-
-            // append, keyed by its own frame number, so Nth and rate
-            // schedules are indistinguishable from the split path.
-            if registry.fire(Site::IoDiskFull, record_frame) {
-                return Err(WalIoError {
-                    op: WalOp::Append,
-                    at: record_frame,
-                    cause: WalCause::Injected(Site::IoDiskFull),
-                });
-            }
-            if registry.fire(Site::IoWalAppend, record_frame) {
-                let _ = self.sink.write_all(&bytes[..record_len / 2]);
-                return Err(WalIoError {
-                    op: WalOp::Append,
-                    at: record_frame,
-                    cause: WalCause::Injected(Site::IoWalAppend),
-                });
-            }
-            if registry.fire(Site::IoDiskFull, record_frame + 1) {
-                let _ = self.sink.write_all(&bytes[..record_len]);
-                self.frames += 1;
-                return Err(WalIoError {
-                    op: WalOp::Append,
-                    at: record_frame + 1,
-                    cause: WalCause::Injected(Site::IoDiskFull),
-                });
-            }
-            if registry.fire(Site::IoWalAppend, record_frame + 1) {
-                let torn = record_len + (bytes.len() - record_len) / 2;
-                let _ = self.sink.write_all(&bytes[..torn]);
-                self.frames += 1;
-                return Err(WalIoError {
-                    op: WalOp::Append,
-                    at: record_frame + 1,
-                    cause: WalCause::Injected(Site::IoWalAppend),
-                });
-            }
-        }
-        self.sink.write_all(&bytes).map_err(|err| WalIoError {
-            op: WalOp::Append,
-            at: record_frame,
-            cause: WalCause::Io(err),
-        })?;
-        self.frames += 2;
+        self.write_frames(&[(kind, payload), (WAL_FRAME_COMMIT, &seq.to_le_bytes())])?;
         self.commits += 1;
         self.after_commit()
     }
 
-    /// The fsync-policy step shared by [`Self::commit`] and
-    /// [`Self::append_committed`].
+    /// The fsync-policy step after a commit marker lands.
     fn after_commit(&mut self) -> Result<(), WalIoError> {
         let due = match self.policy {
             FsyncPolicy::EveryCommit => true,
@@ -507,53 +386,11 @@ impl WalWriter {
     }
 }
 
-/// Where and how a framed log stops being readable.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum FrameDamage {
-    /// The file ends mid-frame — the classic kill-mid-write tear.
-    Torn {
-        /// Byte offset of the torn frame's first byte.
-        offset: usize,
-    },
-    /// A frame is structurally wrong (CRC mismatch, unknown kind,
-    /// bytes after the end frame).
-    Corrupt {
-        /// Byte offset of the offending frame.
-        offset: usize,
-        /// Human-readable description.
-        detail: String,
-    },
-}
-
-impl std::fmt::Display for FrameDamage {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FrameDamage::Torn { offset } => {
-                write!(f, "torn frame at byte {offset} (file ends mid-frame)")
-            }
-            FrameDamage::Corrupt { offset, detail } => {
-                write!(f, "corrupt at byte {offset}: {detail}")
-            }
-        }
-    }
-}
-
-/// One intact frame the salvage walk recovered.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct WalFrame {
-    /// Frame kind byte.
-    pub kind: u8,
-    /// Frame payload.
-    pub payload: Vec<u8>,
-    /// Byte offset of the frame's first byte in the log.
-    pub offset: usize,
-}
-
 /// Everything a salvage walk recovered from a (possibly damaged) WAL.
 #[derive(Clone, Debug)]
-pub struct WalSalvage {
+pub struct WalSalvage<'a> {
     /// Every intact frame, in log order, up to the first damage.
-    pub frames: Vec<WalFrame>,
+    pub frames: Vec<Frame<'a>>,
     /// Sequence number of the last intact commit marker.
     pub last_committed: Option<u64>,
     /// Number of intact commit markers.
@@ -570,126 +407,52 @@ pub struct WalSalvage {
     pub clean_end: bool,
 }
 
-/// Walks a WAL byte stream frame by frame, stopping at the first torn
-/// or corrupt frame instead of hard-failing. Never panics on arbitrary
-/// input.
+/// Walks a WAL byte stream and reads its commit markers, stopping at
+/// the first torn, corrupt or malformed-commit frame instead of
+/// hard-failing. Never panics on arbitrary input.
 ///
 /// # Errors
 ///
 /// [`CodecError::BadHeader`] only when the preamble itself is unusable
 /// (wrong magic, unknown version, or shorter than the preamble) —
 /// there is nothing to salvage without it.
-pub fn salvage(bytes: &[u8]) -> Result<WalSalvage, CodecError> {
-    if bytes.len() < WAL_PREAMBLE_LEN {
-        return Err(CodecError::BadHeader {
-            detail: format!(
-                "{} bytes is shorter than the {WAL_PREAMBLE_LEN}-byte WAL preamble",
-                bytes.len()
-            ),
-        });
-    }
-    if &bytes[..5] != WAL_MAGIC {
-        return Err(CodecError::BadHeader {
-            detail: format!("magic {:?} is not SPWAL", &bytes[..5]),
-        });
-    }
-    let version = u16::from_le_bytes([bytes[5], bytes[6]]);
-    if version != WAL_VERSION {
-        return Err(CodecError::BadHeader {
-            detail: format!("WAL version {version}, this build reads {WAL_VERSION}"),
-        });
-    }
-
+pub fn salvage(bytes: &[u8]) -> Result<WalSalvage<'_>, CodecError> {
+    let walked = walk(bytes, &SPWAL)?;
     let mut out = WalSalvage {
-        frames: Vec::new(),
+        frames: walked.frames,
         last_committed: None,
         commits: 0,
-        committed_len: WAL_PREAMBLE_LEN,
-        valid_len: WAL_PREAMBLE_LEN,
-        damage: None,
-        clean_end: false,
+        committed_len: PREAMBLE_LEN,
+        valid_len: walked.valid_len,
+        damage: walked.damage,
+        clean_end: walked.clean_end,
     };
-    let mut pos = WAL_PREAMBLE_LEN;
-    let mut ended = false;
-    while pos < bytes.len() {
-        if ended {
-            out.damage = Some(FrameDamage::Corrupt {
-                offset: pos,
-                detail: "bytes after the end frame".to_owned(),
-            });
-            break;
+    for (index, frame) in out.frames.iter().enumerate() {
+        if frame.kind != WAL_FRAME_COMMIT {
+            continue;
         }
-        let remaining = bytes.len() - pos;
-        if remaining < WAL_FRAME_OVERHEAD {
-            out.damage = Some(FrameDamage::Torn { offset: pos });
-            break;
-        }
-        let kind = bytes[pos];
-        if !(WAL_FRAME_HEADER..=WAL_FRAME_END).contains(&kind) {
-            out.damage = Some(FrameDamage::Corrupt {
-                offset: pos,
-                detail: format!("unknown frame kind 0x{kind:02x}"),
-            });
-            break;
-        }
-        let len = u32::from_le_bytes([
-            bytes[pos + 1],
-            bytes[pos + 2],
-            bytes[pos + 3],
-            bytes[pos + 4],
-        ]) as usize;
-        let Some(total) = len.checked_add(WAL_FRAME_OVERHEAD) else {
-            out.damage = Some(FrameDamage::Corrupt {
-                offset: pos,
-                detail: format!("frame length {len} overflows"),
-            });
-            break;
-        };
-        if remaining < total {
-            out.damage = Some(FrameDamage::Torn { offset: pos });
-            break;
-        }
-        let body_end = pos + 5 + len;
-        let stored = u32::from_le_bytes([
-            bytes[body_end],
-            bytes[body_end + 1],
-            bytes[body_end + 2],
-            bytes[body_end + 3],
-        ]);
-        if crc32(&bytes[pos..body_end]) != stored {
-            out.damage = Some(FrameDamage::Corrupt {
-                offset: pos,
-                detail: "frame CRC mismatch".to_owned(),
-            });
-            break;
-        }
-        let payload = bytes[pos + 5..body_end].to_vec();
-        if kind == WAL_FRAME_COMMIT {
-            if payload.len() != 8 {
+        let mut payload = Reader::new(frame.payload);
+        match payload.u64("commit sequence") {
+            Ok(seq) if payload.is_empty() => {
+                out.last_committed = Some(seq);
+                out.commits += 1;
+                out.committed_len = frame.end();
+            }
+            _ => {
                 out.damage = Some(FrameDamage::Corrupt {
-                    offset: pos,
-                    detail: format!("commit frame payload is {} bytes, not 8", payload.len()),
+                    offset: frame.offset,
+                    detail: format!(
+                        "commit frame payload is {} bytes, not 8",
+                        frame.payload.len()
+                    ),
                 });
+                out.valid_len = frame.offset;
+                out.clean_end = false;
+                out.frames.truncate(index);
                 break;
             }
-            let mut raw = [0u8; 8];
-            raw.copy_from_slice(&payload);
-            out.last_committed = Some(u64::from_le_bytes(raw));
-            out.commits += 1;
-            out.committed_len = pos + total;
         }
-        if kind == WAL_FRAME_END {
-            ended = true;
-        }
-        out.frames.push(WalFrame {
-            kind,
-            payload,
-            offset: pos,
-        });
-        pos += total;
-        out.valid_len = pos;
     }
-    out.clean_end = ended && out.damage.is_none() && pos == bytes.len();
     Ok(out)
 }
 
@@ -726,13 +489,6 @@ mod tests {
     use superpin_fault::SiteMode;
 
     #[test]
-    fn crc32_matches_known_vectors() {
-        // The standard IEEE check value.
-        assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
-        assert_eq!(crc32(b""), 0);
-    }
-
-    #[test]
     fn fsync_policy_parses_and_renders() {
         assert_eq!(FsyncPolicy::parse("commit"), Some(FsyncPolicy::EveryCommit));
         assert_eq!(FsyncPolicy::parse("off"), Some(FsyncPolicy::Off));
@@ -755,9 +511,8 @@ mod tests {
         writer.append(WAL_FRAME_HEADER, b"recipe").expect("header");
         for round in 1..=3u64 {
             writer
-                .append(WAL_FRAME_RECORD, format!("round-{round}").as_bytes())
-                .expect("record");
-            writer.commit(round).expect("commit");
+                .append_committed(WAL_FRAME_RECORD, format!("round-{round}").as_bytes(), round)
+                .expect("record + commit");
         }
         (sink, writer)
     }
@@ -810,7 +565,7 @@ mod tests {
                         assert!(matches!(salvaged.damage, Some(FrameDamage::Torn { .. })));
                     }
                 }
-                Err(CodecError::BadHeader { .. }) => assert!(len < WAL_PREAMBLE_LEN),
+                Err(CodecError::BadHeader { .. }) => assert!(len < PREAMBLE_LEN),
                 Err(other) => panic!("unexpected error: {other}"),
             }
         }
@@ -820,27 +575,27 @@ mod tests {
     fn salvage_reports_corruption_offset() {
         let (sink, mut writer) = write_sample(FsyncPolicy::Off);
         writer.end().expect("end");
-        let full = salvage(&sink.bytes()).expect("clean");
+        let mut bytes = sink.bytes();
         // Flip one payload byte in the second record frame: everything
         // before it salvages, the damage names its offset.
-        let victim = full
+        let victim = salvage(&bytes)
+            .expect("clean")
             .frames
             .iter()
             .filter(|f| f.kind == WAL_FRAME_RECORD)
             .nth(1)
             .expect("two records")
-            .clone();
-        let mut bytes = sink.bytes();
-        bytes[victim.offset + 6] ^= 0xFF;
+            .offset;
+        bytes[victim + 6] ^= 0xFF;
         let salvaged = salvage(&bytes).expect("preamble ok");
         assert_eq!(
             salvaged.damage,
             Some(FrameDamage::Corrupt {
-                offset: victim.offset,
+                offset: victim,
                 detail: "frame CRC mismatch".to_owned(),
             })
         );
-        assert_eq!(salvaged.valid_len, victim.offset);
+        assert_eq!(salvaged.valid_len, victim);
         assert_eq!(salvaged.commits, 1);
         assert_eq!(salvaged.last_committed, Some(1));
     }
@@ -852,8 +607,9 @@ mod tests {
         let mut writer = WalWriter::create(Box::new(sink.clone()), FsyncPolicy::Off, Some(plan))
             .expect("create");
         writer.append(WAL_FRAME_HEADER, b"recipe").expect("header");
-        writer.append(WAL_FRAME_RECORD, b"round-1").expect("r1");
-        writer.commit(1).expect("c1");
+        writer
+            .append_committed(WAL_FRAME_RECORD, b"round-1", 1)
+            .expect("r1 + c1");
         let before = sink.bytes().len();
         let err = writer
             .append(WAL_FRAME_RECORD, b"round-2")
@@ -875,14 +631,22 @@ mod tests {
         let mut writer = WalWriter::create(Box::new(sink.clone()), FsyncPolicy::Off, Some(plan))
             .expect("create");
         writer.append(WAL_FRAME_HEADER, b"recipe").expect("header");
-        writer.append(WAL_FRAME_RECORD, b"round-1").expect("r1");
         let before = sink.bytes().len();
-        let err = writer.commit(1).expect_err("disk full on the third append");
+        let err = writer
+            .append_committed(WAL_FRAME_RECORD, b"round-1", 1)
+            .expect_err("disk full on the third frame, the commit marker");
         assert!(matches!(err.cause, WalCause::Injected(Site::IoDiskFull)));
+        assert_eq!((err.at, writer.frames(), writer.commits()), (2, 2, 0));
         let bytes = sink.bytes();
-        assert_eq!(bytes.len(), before, "nothing written on disk-full");
+        let record_frame = b"round-1".len() + FRAME_OVERHEAD;
+        assert_eq!(
+            bytes.len(),
+            before + record_frame,
+            "the batch stops at the full disk"
+        );
         let salvaged = salvage(&bytes).expect("preamble ok");
         assert_eq!(salvaged.damage, None, "disk-full leaves a clean boundary");
+        assert_eq!(salvaged.commits, 0);
     }
 
     #[test]
@@ -892,12 +656,12 @@ mod tests {
         let mut writer =
             WalWriter::create(Box::new(sink.clone()), FsyncPolicy::EveryCommit, Some(plan))
                 .expect("create");
-        writer.append(WAL_FRAME_RECORD, b"round-1").expect("r1");
-        let err = writer.commit(1).expect_err("fsync fails");
+        let err = writer
+            .append_committed(WAL_FRAME_RECORD, b"round-1", 1)
+            .expect_err("fsync fails");
         assert_eq!(err.op, WalOp::Fsync);
         // The frames themselves landed; only durability is in doubt.
-        let salvaged = salvage(&sink.bytes()).expect("preamble ok");
-        assert_eq!(salvaged.commits, 1);
+        assert_eq!(salvage(&sink.bytes()).expect("preamble ok").commits, 1);
     }
 
     #[test]

@@ -1,13 +1,16 @@
-//! Little-endian wire primitives for the `.splog` codec.
+//! Little-endian wire primitives shared by every codec in this crate.
 //!
 //! Deliberately minimal: fixed-width integers, length-prefixed byte
-//! strings, and a bounds-checked [`Reader`]. Every multi-byte integer
-//! is little-endian; every length prefix is a `u32`. Decoding never
-//! panics — truncated or malformed input surfaces as [`CodecError`].
+//! strings, count-prefixed lists, and a bounds-checked [`Reader`].
+//! Every multi-byte integer is little-endian; every length or count
+//! prefix is a `u32`. Decoding never panics and never reserves memory
+//! from a count it has not checked against the bytes left
+//! ([`Reader::vec`]) — truncated or malformed input surfaces as
+//! [`CodecError`].
 
 use std::fmt;
 
-/// A malformed or truncated `.splog` byte stream.
+/// A malformed or truncated byte stream.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum CodecError {
     /// The input ended before the value being decoded.
@@ -29,6 +32,14 @@ pub enum CodecError {
         /// Human-readable description.
         detail: String,
     },
+    /// A container frame is structurally wrong (CRC mismatch, unknown
+    /// kind, bytes after the end frame).
+    Corrupt {
+        /// Byte offset of the offending frame.
+        offset: usize,
+        /// Human-readable description.
+        detail: String,
+    },
 }
 
 impl fmt::Display for CodecError {
@@ -38,6 +49,9 @@ impl fmt::Display for CodecError {
             CodecError::BadTag { what, tag } => write!(f, "bad {what} tag {tag}"),
             CodecError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
             CodecError::BadHeader { detail } => write!(f, "bad log header: {detail}"),
+            CodecError::Corrupt { offset, detail } => {
+                write!(f, "corrupt at byte {offset}: {detail}")
+            }
         }
     }
 }
@@ -139,6 +153,11 @@ impl<'a> Reader<'a> {
         Ok(chunk)
     }
 
+    fn array<const N: usize>(&mut self, what: &'static str) -> Result<[u8; N], CodecError> {
+        let chunk = self.take(N, what)?;
+        Ok(chunk.try_into().expect("take returned N bytes"))
+    }
+
     /// Reads a `u8`.
     pub fn u8(&mut self, what: &'static str) -> Result<u8, CodecError> {
         Ok(self.take(1, what)?[0])
@@ -146,30 +165,22 @@ impl<'a> Reader<'a> {
 
     /// Reads a little-endian `u16`.
     pub fn u16(&mut self, what: &'static str) -> Result<u16, CodecError> {
-        let chunk = self.take(2, what)?;
-        Ok(u16::from_le_bytes([chunk[0], chunk[1]]))
+        self.array(what).map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
     pub fn u32(&mut self, what: &'static str) -> Result<u32, CodecError> {
-        let chunk = self.take(4, what)?;
-        Ok(u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]))
+        self.array(what).map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
     pub fn u64(&mut self, what: &'static str) -> Result<u64, CodecError> {
-        let chunk = self.take(8, what)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(chunk);
-        Ok(u64::from_le_bytes(raw))
+        self.array(what).map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `i64`.
     pub fn i64(&mut self, what: &'static str) -> Result<i64, CodecError> {
-        let chunk = self.take(8, what)?;
-        let mut raw = [0u8; 8];
-        raw.copy_from_slice(chunk);
-        Ok(i64::from_le_bytes(raw))
+        self.array(what).map(i64::from_le_bytes)
     }
 
     /// Reads a `bool` byte (0 or 1; anything else is a bad tag).
@@ -194,6 +205,33 @@ impl<'a> Reader<'a> {
     pub fn str(&mut self, what: &'static str) -> Result<String, CodecError> {
         let bytes = self.bytes(what)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| CodecError::BadUtf8)
+    }
+
+    /// Reads a `u32` count, then that many elements with `elem`.
+    ///
+    /// `min_elem_bytes` (at least 1) is the shortest encoding of one
+    /// element. A count that cannot fit in the bytes left is
+    /// [`CodecError::Truncated`] *before* anything is reserved, so the
+    /// allocation is bounded by the input's own length — a flipped bit
+    /// in a count field can never ask the allocator for gigabytes.
+    pub fn vec<T>(
+        &mut self,
+        what: &'static str,
+        min_elem_bytes: usize,
+        mut elem: impl FnMut(&mut Reader<'a>) -> Result<T, CodecError>,
+    ) -> Result<Vec<T>, CodecError> {
+        let count = self.u32(what)? as usize;
+        let fits = count
+            .checked_mul(min_elem_bytes.max(1))
+            .is_some_and(|need| need <= self.remaining());
+        if !fits {
+            return Err(CodecError::Truncated { what });
+        }
+        let mut out = Vec::with_capacity(count);
+        for _ in 0..count {
+            out.push(elem(self)?);
+        }
+        Ok(out)
     }
 
     /// Reads an `Option<u64>` written by [`put_opt_u64`].
@@ -262,6 +300,39 @@ mod tests {
         assert_eq!(
             reader.str("name"),
             Err(CodecError::Truncated { what: "name" })
+        );
+    }
+
+    fn counted(count: u32, body: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_u32(&mut out, count);
+        out.extend_from_slice(body);
+        out
+    }
+
+    #[test]
+    fn vec_checks_the_count_against_the_bytes_left_before_reserving() {
+        let truncated = Err(CodecError::Truncated { what: "list" });
+        let read =
+            |bytes: &[u8], min: usize| Reader::new(bytes).vec("list", min, |r| r.u16("item"));
+
+        // The 44 GB abort: a count the input cannot possibly hold.
+        assert_eq!(read(&counted(u32::MAX, &[1, 0, 2, 0]), 2), truncated);
+        // One element more than fits.
+        assert_eq!(read(&counted(3, &[1, 0, 2, 0]), 2), truncated);
+        // `count * min_elem_bytes` overflows usize.
+        assert_eq!(read(&counted(u32::MAX, &[0; 8]), usize::MAX / 2), truncated);
+        // Zero elements reads only the count.
+        assert_eq!(read(&counted(0, &[9, 9]), 2), Ok(vec![]));
+        // Exact fit consumes everything.
+        let bytes = counted(2, &[1, 0, 2, 0]);
+        let mut reader = Reader::new(&bytes);
+        assert_eq!(reader.vec("list", 2, |r| r.u16("item")), Ok(vec![1, 2]));
+        assert!(reader.is_empty());
+        // An understated minimum still fails typed, in the element.
+        assert_eq!(
+            read(&counted(3, &[1, 0, 2, 0]), 1),
+            Err(CodecError::Truncated { what: "item" })
         );
     }
 }

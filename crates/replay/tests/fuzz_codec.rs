@@ -1,20 +1,29 @@
-//! Adversarial-input suite for every on-disk container this crate
-//! reads: `SPWAL` fleet journals, `.splog` recordings, and `SPFL`
-//! fleet logs.
+//! Adversarial-input suite for the on-disk container, run over one
+//! sample of each kind of file written in it: a `.splog` recording, an
+//! `SPFL` fleet log and an `SPWAL` fleet journal.
 //!
-//! The contract under fuzz: arbitrary byte flips and truncations may
-//! make a file undecodable, but they must **never panic a reader** —
-//! every path returns a typed error or a salvage that stops at the
-//! damage. Plus the salvage invariants recovery leans on: the durable
-//! prefix is always structurally clean, and truncating a journal can
-//! only shorten (never change) the committed round sequence.
+//! One set of properties, checked by [`check_damaged`] for every
+//! mutation of every sample:
+//!
+//! * **never panic** — walk, typed reader, explanation, repair and
+//!   journal recovery all return typed results on arbitrary bytes;
+//! * **damage is located** — at or before the first mutated byte, and
+//!   no mutation reads back as a different whole file (CRC);
+//! * **salvage is idempotent** — the intact prefix re-walks clean, the
+//!   repaired copy re-walks clean, a journal's durable prefix salvages
+//!   to the same commits;
+//! * **truncation only shortens** — what survives is a prefix of the
+//!   original's frames (and of a journal's committed rounds), never
+//!   something else.
 
 use proptest::prelude::*;
 use superpin::FailPlan;
+use superpin_replay::container::{Format, SPFL, SPLOG, SPWAL};
 use superpin_replay::fleet::{recover_fleet_wal, FleetEvent, FleetLog, FleetRecipe, RoundFrame};
-use superpin_replay::log::{explain_decode_failure, scan};
+use superpin_replay::fsck::{decode_whole, is_journal, repair};
 use superpin_replay::wal::{salvage, FsyncPolicy, MemSink, WalWriter, WAL_FRAME_RECORD};
-use superpin_replay::{CodecError, ReplayLog, RunRecipe};
+use superpin_replay::{explain_decode_failure, walk, CodecError, FrameDamage};
+use superpin_replay::{ReplayLog, RunRecipe};
 use superpin_workloads::Scale;
 
 fn sample_recipe() -> FleetRecipe {
@@ -59,9 +68,8 @@ fn sample_wal() -> Vec<u8> {
     writer.append(0x01, &header).expect("header");
     for round in 1..=12u64 {
         writer
-            .append(WAL_FRAME_RECORD, &sample_round(round).encode())
-            .expect("record");
-        writer.commit(round).expect("commit");
+            .append_committed(WAL_FRAME_RECORD, &sample_round(round).encode(), round)
+            .expect("record + commit");
     }
     writer.end().expect("end");
     sink.bytes()
@@ -125,69 +133,111 @@ fn sample_fleet_log() -> Vec<u8> {
     .encode()
 }
 
-/// Exhaustive truncation: a WAL cut at *every* byte offset — every
-/// frame boundary and every mid-frame position — either salvages to a
-/// clean prefix of the original round sequence or reports a bad
-/// preamble; no cut panics.
-#[test]
-fn wal_truncated_at_every_offset_salvages_or_rejects() {
-    let wal = sample_wal();
-    let full = recover_fleet_wal(&wal).expect("intact wal recovers");
-    assert_eq!(full.rounds.len(), 12);
-    assert!(full.clean_end);
-    for cut in 0..=wal.len() {
-        let prefix = &wal[..cut];
-        match salvage(prefix) {
-            Err(CodecError::BadHeader { .. }) => {
-                assert!(cut < 7, "preamble rejection past the preamble (cut {cut})");
-                continue;
-            }
-            Err(other) => panic!("cut {cut}: unexpected error class {other}"),
-            Ok(scanned) => {
-                assert!(scanned.committed_len <= scanned.valid_len);
-                assert!(scanned.valid_len <= cut);
-                // The durable prefix must itself scan clean: salvage is
-                // idempotent, so resume never chases its own tail.
-                let again = salvage(&prefix[..scanned.committed_len]).expect("prefix scans");
-                assert!(again.damage.is_none(), "durable prefix damaged (cut {cut})");
-                assert_eq!(again.commits, scanned.commits);
-            }
+/// One whole file of each kind.
+fn samples() -> [(&'static Format, Vec<u8>); 3] {
+    [
+        (&SPLOG, sample_splog()),
+        (&SPFL, sample_fleet_log()),
+        (&SPWAL, sample_wal()),
+    ]
+}
+
+/// The shared properties of `damaged`, a mutation of the whole file
+/// `original`.
+fn check_damaged(format: &Format, original: &[u8], damaged: &[u8]) {
+    // For a pure truncation, the cut.
+    let first_mutated = std::iter::zip(original, damaged)
+        .position(|(a, b)| a != b)
+        .unwrap_or(damaged.len());
+    let whole = walk(original, format).expect("sample walks");
+    let typed = decode_whole(format, damaged);
+    let Ok(walked) = walk(damaged, format) else {
+        assert!(first_mutated < 7, "preamble rejected past the preamble");
+        assert!(matches!(typed, Err(CodecError::BadHeader { .. })));
+        return;
+    };
+
+    // Damage is located, and what survives is a prefix of the original.
+    assert!(walked.valid_len <= damaged.len());
+    if let Some(FrameDamage::Torn { offset } | FrameDamage::Corrupt { offset, .. }) = walked.damage
+    {
+        assert_eq!(offset, walked.valid_len);
+        assert!(offset <= first_mutated, "damage reported past the mutation");
+    }
+    assert!(walked.frames.len() <= whole.frames.len());
+    assert_eq!(walked.frames[..], whole.frames[..walked.frames.len()]);
+
+    // No mutation reads back as a different whole file.
+    match &typed {
+        // (A journal cut between transactions is a whole, shorter one.)
+        Ok(()) if is_journal(format) => assert!(original.starts_with(damaged)),
+        Ok(()) => assert_eq!(damaged, original, "a mutation decoded whole"),
+        Err(err) => {
+            let explained = explain_decode_failure(damaged, format, err);
+            let located = explained.contains("truncated") || explained.contains("corrupt");
+            assert!(located, "unhelpful explanation `{explained}`");
         }
-        match recover_fleet_wal(prefix) {
-            Err(_) => {} // no intact header frame yet — typed, not a panic
-            Ok(recovered) => {
-                assert!(
-                    recovered.rounds.len() <= full.rounds.len(),
-                    "cut {cut}: salvage invented rounds"
-                );
-                assert_eq!(
-                    recovered.rounds[..],
-                    full.rounds[..recovered.rounds.len()],
-                    "cut {cut}: salvage changed committed history"
-                );
-            }
+    }
+
+    // Salvage is idempotent: the intact prefix and the repaired copy
+    // both re-walk clean, and repairing changes nothing before them.
+    let prefix = walk(&damaged[..walked.valid_len], format).expect("prefix walks");
+    assert_eq!(prefix.damage, None);
+    assert_eq!(prefix.frames, walked.frames);
+    let repaired = repair(format, damaged, &walked);
+    assert_eq!(repaired[..walked.valid_len], damaged[..walked.valid_len]);
+    let rewalked = walk(&repaired, format).expect("repaired copy walks");
+    assert_eq!(rewalked.damage, None);
+    if rewalked.clean_end && !walked.clean_end {
+        assert_eq!(
+            decode_whole(format, &repaired),
+            Ok(()),
+            "sealed but not whole"
+        );
+    }
+
+    if is_journal(format) {
+        let full = recover_fleet_wal(original).expect("sample recovers");
+        let scanned = salvage(damaged).expect("preamble intact");
+        assert!(scanned.committed_len <= scanned.valid_len);
+        assert!(scanned.valid_len <= walked.valid_len);
+        // Resume never chases its own tail.
+        let again = salvage(&damaged[..scanned.committed_len]).expect("durable prefix scans");
+        assert_eq!(again.damage, None);
+        assert_eq!(again.commits, scanned.commits);
+        // No intact header frame yet is typed, not a panic.
+        if let Ok(recovered) = recover_fleet_wal(damaged) {
+            assert!(recovered.rounds.len() <= full.rounds.len());
+            assert_eq!(
+                recovered.rounds[..],
+                full.rounds[..recovered.rounds.len()],
+                "salvage changed committed history"
+            );
         }
     }
 }
 
-/// Exhaustive truncation of a `.splog`: every cut either decodes (only
-/// the full file) or yields a typed error whose explanation names
-/// truncation or corruption; `scan` stays within bounds.
 #[test]
-fn splog_truncated_at_every_offset_explains_itself() {
-    let log = sample_splog();
-    for cut in 0..log.len() {
-        let prefix = &log[..cut];
-        let err = ReplayLog::decode(prefix).expect_err("a cut log cannot decode whole");
-        let explained = explain_decode_failure(prefix, &err);
-        assert!(!explained.is_empty());
-        if cut >= 7 {
-            let scanned = scan(prefix).expect("preamble intact");
-            assert!(scanned.valid_len <= cut);
-            assert!(
-                explained.contains("truncated") || explained.contains("corrupt"),
-                "cut {cut}: unhelpful explanation `{explained}`"
-            );
+fn samples_are_whole() {
+    for (format, bytes) in samples() {
+        assert_eq!(decode_whole(format, &bytes), Ok(()), "{}", format.name);
+        let walked = walk(&bytes, format).expect("walks");
+        assert!(walked.clean_end && walked.damage.is_none());
+        assert_eq!(Format::sniff(&bytes), Some(format));
+    }
+    let recovered = recover_fleet_wal(&sample_wal()).expect("recovers");
+    assert_eq!(recovered.rounds.len(), 12);
+    assert!(recovered.clean_end);
+}
+
+/// Exhaustive truncation: every sample cut at *every* byte offset —
+/// every frame boundary and every mid-frame position.
+#[test]
+fn truncation_at_every_offset_only_shortens() {
+    for (format, bytes) in samples() {
+        for cut in 0..bytes.len() {
+            check_damaged(format, &bytes, &bytes[..cut]);
+            assert!(decode_whole(format, &bytes[..cut]).is_err() || is_journal(format));
         }
     }
 }
@@ -195,69 +245,48 @@ fn splog_truncated_at_every_offset_explains_itself() {
 proptest! {
     #![proptest_config(proptest::ProptestConfig::with_cases(256))]
 
-    /// Any single bit flip in a WAL: readers return typed results,
-    /// and whatever salvage reports committed is a clean prefix.
+    /// Any single bit flip, in each sample.
     #[test]
-    fn prop_wal_survives_bit_flips(pos in 0usize..8192, bit in 0u32..8) {
-        let mut wal = sample_wal();
-        let index = pos % wal.len();
-        wal[index] ^= 1 << bit;
-        if let Ok(scanned) = salvage(&wal) {
-            prop_assert!(scanned.committed_len <= scanned.valid_len);
-            prop_assert!(scanned.valid_len <= wal.len());
+    fn prop_survives_bit_flips(pos in 0usize..8192, bit in 0u32..8) {
+        for (format, bytes) in samples() {
+            let mut damaged = bytes.clone();
+            let index = pos % bytes.len();
+            damaged[index] ^= 1 << bit;
+            check_damaged(format, &bytes, &damaged);
         }
-        let _ = recover_fleet_wal(&wal); // must not panic
     }
 
-    /// Multi-byte stomp: overwrite a window with arbitrary bytes.
+    /// Multi-byte stomp: overwrite a window with one arbitrary byte.
     #[test]
-    fn prop_wal_survives_stomps(
-        pos in 0usize..8192,
-        len in 1usize..64,
-        fill in 0u32..256,
-    ) {
-        let mut wal = sample_wal();
-        let start = pos % wal.len();
-        let end = (start + len).min(wal.len());
-        for byte in &mut wal[start..end] {
-            *byte = fill as u8;
+    fn prop_survives_stomps(pos in 0usize..8192, len in 1usize..64, fill in 0u32..256) {
+        for (format, bytes) in samples() {
+            let mut damaged = bytes.clone();
+            let start = pos % bytes.len();
+            let end = (start + len).min(bytes.len());
+            damaged[start..end].fill(fill as u8);
+            check_damaged(format, &bytes, &damaged);
         }
-        let _ = salvage(&wal);
-        let _ = recover_fleet_wal(&wal);
     }
 
-    /// Any single bit flip in a `.splog`: decode returns Ok or a typed
-    /// error, and the error's explanation never panics either.
+    /// A flip and a cut together (the shape that used to abort the
+    /// SPFL reader with a 44 GB reservation).
     #[test]
-    fn prop_splog_survives_bit_flips(pos in 0usize..8192, bit in 0u32..8) {
-        let mut log = sample_splog();
-        let index = pos % log.len();
-        log[index] ^= 1 << bit;
-        if let Err(err) = ReplayLog::decode(&log) {
-            let explained = explain_decode_failure(&log, &err);
-            prop_assert!(!explained.is_empty());
-        }
-        let _ = scan(&log);
-    }
-
-    /// Any single bit flip or truncation of an `SPFL` fleet log:
-    /// typed error or success, never a panic.
-    #[test]
-    fn prop_fleet_log_survives_damage(
+    fn prop_survives_flip_then_truncation(
         pos in 0usize..8192,
         bit in 0u32..8,
         cut in 0usize..8192,
     ) {
-        let mut log = sample_fleet_log();
-        let index = pos % log.len();
-        log[index] ^= 1 << bit;
-        let _ = FleetLog::decode(&log);
-        let log = sample_fleet_log();
-        let _ = FleetLog::decode(&log[..cut % (log.len() + 1)]);
+        for (format, bytes) in samples() {
+            let mut damaged = bytes.clone();
+            let index = pos % bytes.len();
+            damaged[index] ^= 1 << bit;
+            let cut = cut % (bytes.len() + 1);
+            check_damaged(format, &bytes, &damaged[..cut]);
+        }
     }
 
-    /// WAL frame payloads of arbitrary junk round-trip through the
-    /// writer and salvage cleanly (the container is content-agnostic).
+    /// Frame payloads of arbitrary junk round-trip through the writer
+    /// and salvage cleanly (the container is content-agnostic).
     #[test]
     fn prop_wal_roundtrips_arbitrary_payloads(
         payloads in proptest::collection::vec(
@@ -265,28 +294,27 @@ proptest! {
             1..12,
         ),
     ) {
-        let sink = MemSink::new();
-        let mut writer = WalWriter::create(Box::new(sink.clone()), FsyncPolicy::Off, None)
-            .expect("wal opens");
-        for (seq, payload) in payloads.iter().enumerate() {
-            let bytes: Vec<u8> = payload.iter().map(|&b| b as u8).collect();
-            writer.append(WAL_FRAME_RECORD, &bytes).expect("append");
-            writer.commit(seq as u64 + 1).expect("commit");
-        }
-        writer.end().expect("end");
-        let scanned = salvage(&sink.bytes()).expect("scans");
-        prop_assert!(scanned.damage.is_none());
-        prop_assert!(scanned.clean_end);
-        prop_assert_eq!(scanned.commits, payloads.len() as u64);
-        let recovered: Vec<Vec<u8>> = scanned
-            .frames
-            .iter()
-            .filter(|frame| frame.kind == WAL_FRAME_RECORD)
-            .map(|frame| frame.payload.clone())
-            .collect();
         let expected: Vec<Vec<u8>> = payloads
             .iter()
             .map(|payload| payload.iter().map(|&b| b as u8).collect())
+            .collect();
+        let sink = MemSink::new();
+        let mut writer = WalWriter::create(Box::new(sink.clone()), FsyncPolicy::Off, None)
+            .expect("wal opens");
+        for (seq, payload) in (1u64..).zip(&expected) {
+            writer.append_committed(WAL_FRAME_RECORD, payload, seq).expect("append");
+        }
+        writer.end().expect("end");
+        let bytes = sink.bytes();
+        let scanned = salvage(&bytes).expect("scans");
+        prop_assert!(scanned.damage.is_none());
+        prop_assert!(scanned.clean_end);
+        prop_assert_eq!(scanned.commits, payloads.len() as u64);
+        let recovered: Vec<&[u8]> = scanned
+            .frames
+            .iter()
+            .filter(|frame| frame.kind == WAL_FRAME_RECORD)
+            .map(|frame| frame.payload)
             .collect();
         prop_assert_eq!(recovered, expected);
     }

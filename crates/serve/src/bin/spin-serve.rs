@@ -16,8 +16,9 @@
 
 use std::io::Read;
 
+use superpin_replay::container::{explain_decode_failure, FrameDamage, SPFL};
 use superpin_replay::fleet::{diff_fleet, recover_fleet_wal, FleetLog, FleetRecipe};
-use superpin_replay::wal::{atomic_write, FrameDamage, FsyncPolicy, WalCause, WalIoError, WalOp};
+use superpin_replay::wal::{atomic_write, FsyncPolicy, WalCause, WalIoError, WalOp};
 use superpin_serve::durable::{Durability, FleetWal};
 use superpin_serve::spec::parse_bytes;
 use superpin_serve::{parse_jobs, run_service, run_service_durable, FleetConfig, SpecError};
@@ -347,8 +348,13 @@ fn main() {
     if let Some(log_path) = &options.replay {
         let bytes = std::fs::read(log_path)
             .unwrap_or_else(|err| fail(format_args!("reading {log_path}: {err}")));
-        let log = FleetLog::decode(&bytes)
-            .unwrap_or_else(|err| fail(format_args!("decoding {log_path}: {err}")));
+        // A failed decode is explained by walking the same frames: a
+        // truncation (`spin-replay fsck --repair` can seal the intact
+        // prefix) reads very differently from a CRC mismatch.
+        let log = FleetLog::decode(&bytes).unwrap_or_else(|err| {
+            let why = explain_decode_failure(&bytes, &SPFL, &err);
+            fail(format_args!("decoding {log_path}: {why}"))
+        });
         let file = parse_jobs(&log.recipe.spec_text)
             .unwrap_or_else(|err| fail(format_args!("recorded spec: {err}")));
         let cfg = FleetConfig {

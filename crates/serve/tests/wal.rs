@@ -12,7 +12,7 @@ use std::collections::VecDeque;
 use superpin::{FailPlan, Site, SiteMode};
 use superpin_replay::fleet::{recover_fleet_wal, FleetRecipe};
 use superpin_replay::json::first_report_difference;
-use superpin_replay::wal::{salvage, FsyncPolicy, MemSink, WAL_FRAME_COMMIT, WAL_FRAME_OVERHEAD};
+use superpin_replay::wal::{salvage, FsyncPolicy, MemSink, WAL_FRAME_COMMIT};
 use superpin_serve::durable::{Durability, FleetWal};
 use superpin_serve::{
     parse_jobs, run_service, run_service_durable, FleetConfig, JobFile, ServiceReport,
@@ -143,7 +143,7 @@ fn commit_boundaries(wal: &[u8]) -> Vec<usize> {
         .frames
         .iter()
         .filter(|frame| frame.kind == WAL_FRAME_COMMIT)
-        .map(|frame| frame.offset + frame.payload.len() + WAL_FRAME_OVERHEAD)
+        .map(|frame| frame.end())
         .collect()
 }
 

@@ -13,27 +13,24 @@
 //! `--threads` count — and verifies the replayed report field for field
 //! against the recording. `diff` replays two logs in lockstep and
 //! bisects their first divergence to an epoch barrier, quantum window,
-//! and master instruction range. `fsck` scans any SuperPin container —
+//! and master instruction range. `fsck` walks any SuperPin container —
 //! `.splog` recording, `SPFL` fleet log, or `SPWAL` fleet journal — and
 //! prints a frame census plus an integrity verdict; `--repair`
 //! truncates to the last good frame into a `<file>.salvaged` quarantine
 //! copy, never touching the original.
 //!
 //! Exit status: 0 on success (`replay` verified / `diff` identical /
-//! `fsck` clean), 1 on divergence, damage, or simulator error, 2 on
-//! usage or I/O errors.
+//! `fsck` clean or in-progress journal), 1 on divergence, damage, or
+//! simulator error, 2 on usage or I/O errors and unreadable preambles.
 
 use std::process::ExitCode;
 use superpin::{FailPlan, PlanKnobs, SharedMem};
-use superpin_replay::fleet::{FleetLog, FLEET_MAGIC};
+use superpin_replay::container::SPLOG;
+use superpin_replay::fsck;
 use superpin_replay::json::report_to_json;
-use superpin_replay::log::{explain_decode_failure, scan};
-use superpin_replay::wal::{
-    atomic_write, salvage, FrameDamage, WAL_FRAME_COMMIT, WAL_FRAME_END, WAL_FRAME_HEADER,
-    WAL_FRAME_RECORD, WAL_MAGIC,
-};
 use superpin_replay::{
-    diff_logs, record_run, replay_run, verify_replay, DiffOutcome, ReplayLog, RunRecipe, MAGIC,
+    atomic_write, diff_logs, explain_decode_failure, record_run, replay_run, salvage,
+    verify_replay, walk, DiffOutcome, Format, ReplayLog, RunRecipe,
 };
 use superpin_tools::{ICount1, ICount2};
 use superpin_workloads::Scale;
@@ -92,10 +89,11 @@ fn parse_scale(text: &str) -> Option<Scale> {
 
 fn load_log(path: &str) -> Result<ReplayLog, String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    // On failure, re-scan the bytes to say *why*: a salvageable
+    // On failure, walk the bytes to say *why*: a salvageable
     // truncation (kill mid-write) reads very differently from
     // corruption, and `fsck --repair` can fix the former.
-    ReplayLog::decode(&bytes).map_err(|e| format!("{path}: {}", explain_decode_failure(&bytes, &e)))
+    ReplayLog::decode(&bytes)
+        .map_err(|e| format!("{path}: {}", explain_decode_failure(&bytes, &SPLOG, &e)))
 }
 
 fn write_file(path: &str, contents: &[u8]) -> Result<(), String> {
@@ -377,18 +375,9 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     }
 }
 
-/// Writes the salvaged prefix next to the original, never over it.
-fn write_quarantine(path: &str, bytes: &[u8]) -> ExitCode {
-    let out = format!("{path}.salvaged");
-    match atomic_write(&out, bytes) {
-        Ok(()) => {
-            println!("  repaired: {} byte(s) -> {out}", bytes.len());
-            ExitCode::FAILURE // the original is still damaged
-        }
-        Err(err) => fail(&format!("cannot write {out}: {err}")),
-    }
-}
-
+/// Walk, census by kind, verdict — the same for all three containers.
+/// `--repair` quarantines the intact prefix as `<file>.salvaged`,
+/// sealed with an end frame when that makes it a whole file again.
 fn cmd_fsck(args: &[String]) -> ExitCode {
     let mut repair = false;
     let mut path = None;
@@ -406,169 +395,74 @@ fn cmd_fsck(args: &[String]) -> ExitCode {
         Ok(bytes) => bytes,
         Err(err) => return fail(&format!("cannot read {path}: {err}")),
     };
-    if bytes.starts_with(WAL_MAGIC) {
-        fsck_wal(&path, &bytes, repair)
-    } else if bytes.starts_with(MAGIC) {
-        fsck_splog(&path, &bytes, repair)
-    } else if bytes.starts_with(FLEET_MAGIC) {
-        fsck_fleet(&path, &bytes, repair)
-    } else {
+    let Some(format) = Format::sniff(&bytes) else {
         eprintln!(
-            "spin-replay: {path}: unrecognized magic {:?} — not a .splog, SPFL, or SPWAL file",
-            &bytes[..bytes.len().min(5)]
+            "spin-replay: {path}: unrecognized magic \"{}\" — not a .splog, SPFL, or SPWAL file",
+            bytes[..bytes.len().min(5)].escape_ascii()
         );
-        ExitCode::from(2)
-    }
-}
-
-/// Census + verdict for an `SPWAL` fleet journal.
-fn fsck_wal(path: &str, bytes: &[u8], repair: bool) -> ExitCode {
-    let scanned = match salvage(bytes) {
-        Ok(scanned) => scanned,
-        Err(err) => {
-            eprintln!("spin-replay: {path}: {err}");
-            return ExitCode::from(2);
-        }
+        return ExitCode::from(2);
     };
-    let (mut headers, mut records, mut commits, mut ends) = (0usize, 0usize, 0usize, 0usize);
-    for frame in &scanned.frames {
-        match frame.kind {
-            WAL_FRAME_HEADER => headers += 1,
-            WAL_FRAME_RECORD => records += 1,
-            WAL_FRAME_COMMIT => commits += 1,
-            WAL_FRAME_END => ends += 1,
-            _ => {}
-        }
-    }
-    println!(
-        "{path}: SPWAL, {} intact frame(s): {headers} header, {records} record, \
-         {commits} commit, {ends} end",
-        scanned.frames.len()
-    );
-    println!(
-        "  durable prefix: {} of {} byte(s), last committed round: {}",
-        scanned.committed_len,
-        bytes.len(),
-        scanned
-            .last_committed
-            .map_or_else(|| "none".to_owned(), |round| round.to_string()),
-    );
-    match &scanned.damage {
-        None if scanned.clean_end => {
-            println!("  verdict: clean (complete run, sealed with an end frame)");
-            ExitCode::SUCCESS
-        }
-        None => {
-            println!("  verdict: in-progress (no end frame yet; resumable as-is)");
-            ExitCode::SUCCESS
-        }
-        Some(FrameDamage::Torn { offset }) => {
-            println!(
-                "  verdict: truncated (salvageable, last committed round {}); torn frame \
-                 at byte {offset}",
-                scanned
-                    .last_committed
-                    .map_or_else(|| "none".to_owned(), |round| round.to_string()),
-            );
-            if repair {
-                write_quarantine(path, &bytes[..scanned.valid_len])
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-        Some(FrameDamage::Corrupt { offset, detail }) => {
-            println!(
-                "  verdict: corrupt at offset {offset} ({detail}); {} byte(s) salvageable",
-                scanned.valid_len
-            );
-            if repair {
-                write_quarantine(path, &bytes[..scanned.valid_len])
-            } else {
-                ExitCode::FAILURE
-            }
-        }
-    }
-}
-
-/// Census + verdict for a `.splog` single-run recording.
-fn fsck_splog(path: &str, bytes: &[u8], repair: bool) -> ExitCode {
-    let scanned = match scan(bytes) {
-        Ok(scanned) => scanned,
+    let walked = match walk(&bytes, format) {
+        Ok(walked) => walked,
         Err(err) => {
             eprintln!("spin-replay: {path}: {err}");
             return ExitCode::from(2);
         }
     };
     println!(
-        "{path}: SPLOG, {} header, {} event, {} report frame(s), end frame {}",
-        scanned.header_frames,
-        scanned.event_frames,
-        scanned.report_frames,
-        if scanned.has_end {
-            "present"
-        } else {
-            "missing"
-        },
+        "{path}: {} v{}, {} intact frame(s): {}",
+        format.name,
+        format.version,
+        walked.frames.len(),
+        walked.census(format)
     );
-    let whole = scanned.header_frames == 1 && scanned.report_frames == 1;
-    match &scanned.damage {
-        None if scanned.has_end && whole => {
-            println!("  verdict: clean");
-            return ExitCode::SUCCESS;
-        }
-        None if scanned.has_end => {
-            println!("  verdict: structurally intact but not a whole recording");
-            return ExitCode::FAILURE;
-        }
-        None => println!(
-            "  verdict: truncated (salvageable: {} event frame(s) intact, end frame missing)",
-            scanned.event_frames
-        ),
-        Some(FrameDamage::Torn { offset }) => println!(
-            "  verdict: truncated mid-frame at byte {offset} (salvageable: {} event \
-             frame(s) intact, last good frame ends at byte {})",
-            scanned.event_frames, scanned.valid_len
-        ),
-        Some(FrameDamage::Corrupt { offset, detail }) => {
-            println!("  verdict: corrupt at offset {offset} ({detail})");
-        }
+    let journal = fsck::is_journal(format);
+    if let (true, Ok(salvaged)) = (journal, salvage(&bytes)) {
+        println!(
+            "  durable prefix: {} of {} byte(s), last committed round: {}",
+            salvaged.committed_len,
+            bytes.len(),
+            salvaged
+                .last_committed
+                .map_or_else(|| "none".to_owned(), |round| round.to_string()),
+        );
     }
-    if repair {
-        let mut salvaged = bytes[..scanned.valid_len].to_vec();
-        if whole && !scanned.has_end {
-            // Header and report both survived: sealing the prefix with
-            // an end frame (type 0x04, zero length) makes it decode.
-            salvaged.extend_from_slice(&[0x04, 0, 0, 0, 0]);
-        }
-        write_quarantine(path, &salvaged)
-    } else {
-        ExitCode::FAILURE
-    }
-}
-
-/// Verdict for an `SPFL` fleet log (written atomically in one shot, so
-/// damage means the write itself was interrupted).
-fn fsck_fleet(path: &str, bytes: &[u8], repair: bool) -> ExitCode {
-    match FleetLog::decode(bytes) {
-        Ok(log) => {
-            println!(
-                "{path}: SPFL, {} event(s), {} outcome line(s)",
-                log.events.len(),
-                log.outcomes.len()
-            );
-            println!("  verdict: clean");
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            println!("{path}: SPFL");
-            println!("  verdict: undecodable ({err})");
-            if repair {
+    let diagnosis = match walked.diagnosis() {
+        // A journal that merely lacks its end frame is still running.
+        Some(_) if journal && walked.damage.is_none() => None,
+        other => other,
+    };
+    let Some(diagnosis) = diagnosis else {
+        return match fsck::decode_whole(format, &bytes) {
+            Ok(()) if walked.clean_end => {
+                println!("  verdict: clean (sealed with an end frame)");
+                ExitCode::SUCCESS
+            }
+            Ok(()) => {
+                println!("  verdict: in-progress (no end frame yet; resumable as-is)");
+                ExitCode::SUCCESS
+            }
+            Err(err) => {
                 println!(
-                    "  repair: SPFL logs are monolithic — re-record with \
-                     `spin-serve --record` instead"
+                    "  verdict: frames intact but not a whole {}: {err}",
+                    format.name
                 );
+                ExitCode::FAILURE
             }
-            ExitCode::FAILURE
+        };
+    };
+    println!("  verdict: {diagnosis}");
+    if !repair {
+        return ExitCode::FAILURE;
+    }
+    let salvaged = fsck::repair(format, &bytes, &walked);
+    // Next to the original, never over it.
+    let out = format!("{path}.salvaged");
+    match atomic_write(&out, &salvaged) {
+        Ok(()) => {
+            println!("  repaired: {} byte(s) -> {out}", salvaged.len());
+            ExitCode::FAILURE // the original is still damaged
         }
+        Err(err) => fail(&format!("cannot write {out}: {err}")),
     }
 }
