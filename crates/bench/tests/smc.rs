@@ -1,9 +1,10 @@
 //! Decoded-page invalidation under self-modifying code.
 //!
 //! The fast interpreter core memoizes decoded instructions per code
-//! page ([`superpin_vm::decode::DecodeCache`]) and the engine fuses
-//! compiled traces — both caches must observe a guest that rewrites its
-//! own code page on the very next execution of the patched address.
+//! page ([`superpin_vm::decode::DecodeCache`]) and the engine keeps
+//! lowered, linked traces in its code cache — both caches must observe a
+//! guest that rewrites its own code page on the very next execution of
+//! the patched address.
 //! These property tests generate random self-patching countdown loops
 //! (random bound, patch iteration, and patched increment), then require
 //!

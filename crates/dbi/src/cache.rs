@@ -1,7 +1,7 @@
 //! The code cache: compiled, instrumented traces keyed by entry address.
 
 use crate::cost::CostModel;
-use crate::inserter::{Call, IArg, IPoint, Inserter};
+use crate::inserter::{AnalysisFn, Call, IArg, IPoint, Inserter, PredicateFn};
 use crate::spill::{required_saves, ClobberViolation};
 use crate::trace::Trace;
 use std::collections::HashMap;
@@ -46,11 +46,112 @@ type EntryMap<V> = HashMap<u64, V, BuildHasherDefault<EntryHasher>>;
 /// compilation overhead exactly as in the paper.
 pub const DEFAULT_CAPACITY_INSTS: usize = 65_536;
 
-/// One analysis call as compiled into the cache: the tool's routine plus
-/// the register save/restore plan the compiler chose for it.
+/// One argument of a lowered call: everything [`IArg`] can name that is
+/// fixed by the instruction and the insertion point is already a value.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum LoweredArg {
+    /// Known at compile time.
+    Value(u64),
+    /// Effective address of a load/store, from pre-execution registers.
+    MemAddr,
+    /// Whether the instruction transferred control (after-calls only).
+    BranchTaken,
+    /// Value of a register when the call runs.
+    Reg(Reg),
+    /// `mem[sp + 8·i]`, 0 if unmapped.
+    StackWord(u32),
+}
+
+/// How a call's argument vector is produced at each execution.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum ArgPlan {
+    /// Every argument is a compile-time value: the vector is built once.
+    Static(Box<[u64]>),
+    /// At least one argument reads execution state; the executor
+    /// evaluates the list into its scratch buffer.
+    Dynamic(Box<[LoweredArg]>),
+}
+
+impl ArgPlan {
+    fn lower<T>(args: &[IArg], slot: &CompiledInst<T>, point: IPoint) -> ArgPlan {
+        let is_mem = slot.inst.is_mem_read() || slot.inst.is_mem_write();
+        let lowered: Vec<LoweredArg> = args
+            .iter()
+            .map(|arg| match *arg {
+                IArg::InstPtr => LoweredArg::Value(slot.addr),
+                IArg::UInt(value) => LoweredArg::Value(value),
+                IArg::MemAddr if is_mem => LoweredArg::MemAddr,
+                // Non-memory instructions have no operand: address 0.
+                IArg::MemAddr => LoweredArg::Value(0),
+                IArg::MemSize => LoweredArg::Value(match slot.inst {
+                    Inst::Ld { width, .. } | Inst::St { width, .. } => width.bytes() as u64,
+                    _ => 0,
+                }),
+                IArg::IsMemWrite => LoweredArg::Value(u64::from(slot.inst.is_mem_write())),
+                // Nothing has been taken yet when a before-call runs.
+                IArg::BranchTaken if point == IPoint::Before => LoweredArg::Value(0),
+                IArg::BranchTaken => LoweredArg::BranchTaken,
+                IArg::RegValue(reg) => LoweredArg::Reg(reg),
+                IArg::StackWord(i) => LoweredArg::StackWord(i),
+                IArg::FallthroughAddr => LoweredArg::Value(slot.addr + slot.size),
+            })
+            .collect();
+        let values: Option<Vec<u64>> = lowered
+            .iter()
+            .map(|arg| match arg {
+                LoweredArg::Value(value) => Some(*value),
+                _ => None,
+            })
+            .collect();
+        match values {
+            Some(values) => ArgPlan::Static(values.into()),
+            None => ArgPlan::Dynamic(lowered.into()),
+        }
+    }
+
+    fn reads_mem_addr(&self) -> bool {
+        matches!(self, ArgPlan::Dynamic(args) if args.contains(&LoweredArg::MemAddr))
+    }
+}
+
+/// A tool's [`Call`] lowered for the executor: each routine with its
+/// argument plan and its static charge summed once, at compile time.
+pub enum LoweredCall<T> {
+    /// Unconditional analysis call.
+    Plain {
+        /// The analysis routine.
+        func: AnalysisFn<T>,
+        /// `analysis_call_base + |saves| · save_restore_per_reg +
+        /// |args| · analysis_arg`: the charge before tool-requested
+        /// extra cycles.
+        cost: u64,
+        /// Its arguments.
+        args: ArgPlan,
+    },
+    /// Inlined predicate guarding an analysis call.
+    IfThen {
+        /// The inlined quick predicate.
+        pred: PredicateFn<T>,
+        /// `inline_if_check + |pred_args| · analysis_arg`, charged on
+        /// every execution.
+        pred_cost: u64,
+        /// Predicate arguments.
+        pred_args: ArgPlan,
+        /// The guarded routine.
+        then: AnalysisFn<T>,
+        /// The plain-call charge of `then`, added when the predicate
+        /// holds.
+        then_cost: u64,
+        /// Then-call arguments.
+        then_args: ArgPlan,
+    },
+}
+
+/// One analysis call as compiled into the cache: the tool's routine,
+/// lowered, plus the register save/restore plan the compiler chose for it.
 pub struct InsertedCall<T> {
     /// The analysis call.
-    pub call: Call<T>,
+    pub call: LoweredCall<T>,
     /// Clobbered registers bracketed with a save/restore around this
     /// call. Without liveness information this is the full clobber set
     /// ([`crate::spill::analysis_clobbers`]); with a
@@ -67,8 +168,12 @@ pub struct InsertedCall<T> {
 
 impl<T> fmt::Debug for InsertedCall<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let kind = match self.call {
+            LoweredCall::Plain { .. } => "plain",
+            LoweredCall::IfThen { .. } => "if-then",
+        };
         f.debug_struct("InsertedCall")
-            .field("call", &self.call)
+            .field("call", &kind)
             .field("saves", &self.saves)
             .field("elided", &self.elided)
             .finish()
@@ -87,9 +192,9 @@ pub struct CompiledInst<T> {
     pub before: Vec<InsertedCall<T>>,
     /// Calls to run after the instruction.
     pub after: Vec<InsertedCall<T>>,
-    /// Whether any attached call takes [`IArg::MemAddr`] or
-    /// [`IArg::MemSize`] — precomputed so the executor only derives the
-    /// effective address for slots that can observe it.
+    /// Whether any attached call reads [`LoweredArg::MemAddr`] —
+    /// precomputed so the executor only derives the effective address
+    /// for slots that can observe it.
     pub needs_mem_ea: bool,
 }
 
@@ -104,7 +209,9 @@ impl<T> fmt::Debug for CompiledInst<T> {
     }
 }
 
-/// A compiled trace ready for execution.
+/// A compiled trace ready for execution: the trace's instructions, each
+/// with its calls already lowered ([`LoweredCall`]). Immutable once built,
+/// so engines share it behind an `Arc` (checkpoint clones, templates).
 pub struct CompiledTrace<T> {
     /// Entry address (cache key).
     pub entry: u64,
@@ -114,92 +221,6 @@ pub struct CompiledTrace<T> {
     pub fallthrough: u64,
     /// Number of basic blocks the source trace had.
     pub num_bbls: usize,
-    /// Superinstruction fusion metadata, present only when this trace
-    /// was compiled under a valid superblock plan that predicted it hot
-    /// *and* every attached call is fusible (see [`FusedMeta`]). Purely a
-    /// host-side accelerator: the fused executor charges exactly the
-    /// cycles the slow path would.
-    pub fused: Option<FusedMeta>,
-}
-
-/// One analysis call pre-lowered for the fused executor: its full static
-/// charge and its argument values, both computed once at fuse time
-/// instead of once per execution.
-#[derive(Clone, Debug)]
-pub struct FusedCall {
-    /// `analysis_call_base + |saves| · save_restore_per_reg +
-    /// |args| · analysis_arg` — the slow path's charge for this call
-    /// before any tool-requested extra cycles.
-    pub static_cost: u64,
-    /// Pre-evaluated argument values. Fusion requires every argument to
-    /// be static (known at compile time), so this is the exact vector
-    /// the slow path's `eval_args` would build.
-    pub args: Box<[u64]>,
-}
-
-/// One trace instruction's fused call lists (parallel to
-/// [`CompiledInst::before`] / [`CompiledInst::after`]).
-#[derive(Clone, Debug, Default)]
-pub struct FusedSlot {
-    /// Pre-lowered before-calls, in insertion order.
-    pub before: Box<[FusedCall]>,
-    /// Pre-lowered after-calls, in insertion order.
-    pub after: Box<[FusedCall]>,
-}
-
-/// Superinstruction fusion: per-instruction tool-callback costs and cost
-/// accounting batched into pre-computed per-slot constants, so a hot
-/// planned trace executes as one tight dispatch over pre-lowered slots
-/// (cycle charges and argument vectors summed/evaluated at fuse time)
-/// instead of re-deriving each call's cost and arguments per execution.
-///
-/// Fusion is only attempted for traces a [`SuperblockPlan`] predicted
-/// hot, and only succeeds when every call is `Plain` with all-static
-/// arguments; anything else (if-then calls, dynamic arguments such as
-/// `MemAddr` on a load/store or `BranchTaken` on an after-call) leaves
-/// `fused` as `None` and the trace on the slow path. The signature check
-/// at dispatch (`slots.len() == insts.len()` plus a still-valid plan)
-/// guards the fused executor; any mismatch falls back to the slow path.
-///
-/// [`SuperblockPlan`]: superpin_analysis::SuperblockPlan
-#[derive(Clone, Debug)]
-pub struct FusedMeta {
-    /// Per-instruction fused call lists, parallel to the trace's
-    /// `insts` — the length equality is the dispatch signature check.
-    pub slots: Box<[FusedSlot]>,
-    /// `cached_cpi` at fuse time (per retired instruction).
-    pub cached_cpi: u64,
-}
-
-/// The value of `arg` when it is statically known at `(addr, inst,
-/// size, point)`, mirroring the engine's dynamic `eval_args` exactly.
-/// `None` means the argument depends on execution state (registers,
-/// effective addresses, branch outcomes) and disqualifies fusion.
-fn static_arg_value(arg: &IArg, addr: u64, inst: Inst, size: u64, point: IPoint) -> Option<u64> {
-    match *arg {
-        IArg::InstPtr => Some(addr),
-        IArg::UInt(value) => Some(value),
-        // Non-memory instructions evaluate MemAddr/MemSize to 0.
-        IArg::MemAddr => {
-            if inst.is_mem_read() || inst.is_mem_write() {
-                None
-            } else {
-                Some(0)
-            }
-        }
-        IArg::MemSize => match inst {
-            Inst::Ld { width, .. } | Inst::St { width, .. } => Some(width.bytes() as u64),
-            _ => Some(0),
-        },
-        IArg::IsMemWrite => Some(u64::from(inst.is_mem_write())),
-        // Before-calls always observe `taken = false`.
-        IArg::BranchTaken => match point {
-            IPoint::Before => Some(0),
-            IPoint::After => None,
-        },
-        IArg::RegValue(_) | IArg::StackWord(_) => None,
-        IArg::FallthroughAddr => Some(addr + size),
-    }
 }
 
 impl<T> fmt::Debug for CompiledTrace<T> {
@@ -235,16 +256,23 @@ pub struct CacheStats {
 /// (§6.3: "each slice has its own copy of the code cache, and it starts
 /// in a clean state").
 ///
+/// Resident traces sit in a slab and are named by their slab id. Each
+/// remembers the last two `(entry pc, id)` pairs control left it for —
+/// its *links* — so the steady state of a loop resolves its next trace
+/// without hashing. A link is a memo of `index`, never more: every link
+/// `(pc, id)` in the slab satisfies `index[pc] == id`, because a slot is
+/// only ever re-used for the same entry (a recompile, which starts with
+/// no links of its own) and every flush — SMC, capacity, pressure —
+/// empties slab and index together. Links belong to this cache, not to
+/// the shared [`CompiledTrace`], so engines adopting one template link
+/// independently. A linked hit counts in [`CacheStats`] like any hit.
+///
 /// `Clone` shares the compiled traces (they are immutable behind `Arc`s)
-/// and copies the counters — exactly what a slice checkpoint needs.
+/// and copies links and counters — exactly what a slice checkpoint needs.
 #[derive(Clone)]
 pub struct CodeCache<T> {
-    traces: EntryMap<Arc<CompiledTrace<T>>>,
-    /// Memo of the most recent hit: hot loops re-enter the same trace
-    /// back to back, so this answers most lookups without touching the
-    /// map. Invalidated by every flush/evict/compile. The memoized hit
-    /// still counts in [`CacheStats`] exactly like a map hit.
-    last: Option<(u64, Arc<CompiledTrace<T>>)>,
+    index: EntryMap<u32>,
+    slab: Vec<Resident<T>>,
     resident_insts: usize,
     capacity_insts: usize,
     stats: CacheStats,
@@ -268,10 +296,17 @@ pub struct CodeCache<T> {
     violations: Vec<ClobberViolation>,
 }
 
+#[derive(Clone)]
+struct Resident<T> {
+    trace: Arc<CompiledTrace<T>>,
+    /// Most recent successor first.
+    links: [Option<(u64, u32)>; 2],
+}
+
 impl<T> fmt::Debug for CodeCache<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("CodeCache")
-            .field("traces", &self.traces.len())
+            .field("traces", &self.index.len())
             .field("resident_insts", &self.resident_insts)
             .field("capacity_insts", &self.capacity_insts)
             .finish()
@@ -293,8 +328,8 @@ impl<T> CodeCache<T> {
     /// An empty cache bounded at `capacity_insts` cached instructions.
     pub fn with_capacity(capacity_insts: usize) -> CodeCache<T> {
         CodeCache {
-            traces: EntryMap::default(),
-            last: None,
+            index: EntryMap::default(),
+            slab: Vec::new(),
             resident_insts: 0,
             capacity_insts: capacity_insts.max(1),
             stats: CacheStats::default(),
@@ -360,19 +395,25 @@ impl<T> CodeCache<T> {
 
     /// Number of cached traces.
     pub fn len(&self) -> usize {
-        self.traces.len()
+        self.index.len()
     }
 
     /// Whether the cache is empty.
     pub fn is_empty(&self) -> bool {
-        self.traces.is_empty()
+        self.index.is_empty()
+    }
+
+    /// Drops every trace and, with them, every link and every id handed
+    /// out so far.
+    fn clear(&mut self) {
+        self.index.clear();
+        self.slab.clear();
+        self.resident_insts = 0;
     }
 
     /// Drops every cached trace (self-modifying code detected).
     pub fn flush_for_smc(&mut self) {
-        self.traces.clear();
-        self.last = None;
-        self.resident_insts = 0;
+        self.clear();
         self.stats.smc_flushes += 1;
     }
 
@@ -391,42 +432,55 @@ impl<T> CodeCache<T> {
         if freed == 0 {
             return 0;
         }
-        self.traces.clear();
-        self.last = None;
-        self.resident_insts = 0;
+        self.clear();
         self.stats.flushes += 1;
         freed
     }
 
-    /// Looks up the compiled trace entered at `entry`.
+    /// Looks up the trace entered at `entry`, returning its slab id.
+    /// `from` names the trace control is leaving, if any: its links are
+    /// tried first and updated on a miss, so back-to-back transfers
+    /// between the same traces skip the hash. A stale `from` (an id from
+    /// before a flush) is harmless — see the type docs.
     #[inline]
-    pub fn lookup(&mut self, entry: u64) -> Option<Arc<CompiledTrace<T>>> {
+    pub fn lookup(&mut self, from: Option<u32>, entry: u64) -> Option<u32> {
         self.stats.lookups += 1;
-        if let Some((memo_entry, memo)) = &self.last {
-            if *memo_entry == entry {
-                self.stats.hits += 1;
-                return Some(Arc::clone(memo));
+        let from = from.and_then(|id| self.slab.get_mut(id as usize));
+        if let Some(resident) = &from {
+            for link in resident.links.iter().flatten() {
+                if link.0 == entry {
+                    self.stats.hits += 1;
+                    return Some(link.1);
+                }
             }
         }
-        let hit = self.traces.get(&entry).cloned();
-        if let Some(trace) = &hit {
-            self.stats.hits += 1;
-            self.last = Some((entry, Arc::clone(trace)));
+        let id = *self.index.get(&entry)?;
+        self.stats.hits += 1;
+        if let Some(resident) = from {
+            resident.links = [Some((entry, id)), resident.links[0]];
         }
-        hit
+        Some(id)
+    }
+
+    /// The resident trace with slab id `id`, as returned by
+    /// [`lookup`](CodeCache::lookup), [`compile`](CodeCache::compile) or
+    /// [`adopt`](CodeCache::adopt) since the last flush.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an id that no longer names a resident trace.
+    #[inline]
+    pub fn trace(&self, id: u32) -> &Arc<CompiledTrace<T>> {
+        &self.slab[id as usize].trace
     }
 
     /// Compiles a discovered trace plus the tool's collected
-    /// instrumentation and inserts it. Returns the compiled trace and the
-    /// number of instructions compiled (for JIT cost accounting).
+    /// instrumentation and inserts it. Returns the new trace's slab id
+    /// and the number of instructions compiled (for JIT cost accounting).
     ///
-    /// With `fuse` set (the engine passes its cost model for traces a
-    /// superblock plan predicted hot), the compiler additionally tries to
-    /// fuse the trace into a superinstruction ([`FusedMeta`]): per-call
-    /// charges and static argument vectors are pre-computed here so the
-    /// fused executor dispatches the whole trace without re-deriving
-    /// them. Ineligible traces (if-then calls, dynamic arguments) simply
-    /// get `fused: None`.
+    /// Every call is lowered against `cost` here ([`LoweredCall`]), so
+    /// the executor adds pre-summed charges and, for all-static argument
+    /// lists, passes a pre-built vector.
     ///
     /// If inserting would exceed capacity, the whole cache is flushed
     /// first (Pin's wholesale-flush policy).
@@ -434,8 +488,8 @@ impl<T> CodeCache<T> {
         &mut self,
         trace: &Trace,
         inserter: Inserter<T>,
-        fuse: Option<&CostModel>,
-    ) -> (Arc<CompiledTrace<T>>, usize)
+        cost: &CostModel,
+    ) -> (u32, usize)
     where
         T: 'static,
     {
@@ -480,7 +534,41 @@ impl<T> CodeCache<T> {
                     Some(refined) => saves.minus(required_saves(refined)),
                 };
                 self.elided_restores += elided.len() as u64;
-                slot.needs_mem_ea |= call_needs_mem_ea(&call);
+                // Invocation cost: call/return plus one save/restore per
+                // clobbered register the compiler decided to preserve.
+                // With no liveness installed the full clobber set is
+                // saved and this equals the flat `analysis_call`.
+                let invoke =
+                    cost.analysis_call_base + saves.len() as u64 * cost.save_restore_per_reg;
+                let arg_cost = |args: &[IArg]| args.len() as u64 * cost.analysis_arg;
+                let call = match call {
+                    Call::Plain { func, args } => LoweredCall::Plain {
+                        func,
+                        cost: invoke + arg_cost(&args),
+                        args: ArgPlan::lower(&args, slot, point),
+                    },
+                    Call::IfThen {
+                        pred,
+                        pred_args,
+                        then,
+                        then_args,
+                    } => LoweredCall::IfThen {
+                        pred,
+                        pred_cost: cost.inline_if_check + arg_cost(&pred_args),
+                        pred_args: ArgPlan::lower(&pred_args, slot, point),
+                        then,
+                        then_cost: invoke + arg_cost(&then_args),
+                        then_args: ArgPlan::lower(&then_args, slot, point),
+                    },
+                };
+                slot.needs_mem_ea |= match &call {
+                    LoweredCall::Plain { args, .. } => args.reads_mem_addr(),
+                    LoweredCall::IfThen {
+                        pred_args,
+                        then_args,
+                        ..
+                    } => pred_args.reads_mem_addr() || then_args.reads_mem_addr(),
+                };
                 let list = match point {
                     IPoint::Before => &mut slot.before,
                     IPoint::After => &mut slot.after,
@@ -525,130 +613,67 @@ impl<T> CodeCache<T> {
             // being compiled.
         }
 
-        let fused = fuse.and_then(|cost| {
-            let mut slots = Vec::with_capacity(insts.len());
-            for slot in &insts {
-                slots.push(FusedSlot {
-                    before: fuse_calls(&slot.before, slot, IPoint::Before, cost)?,
-                    after: fuse_calls(&slot.after, slot, IPoint::After, cost)?,
-                });
-            }
-            Some(FusedMeta {
-                slots: slots.into_boxed_slice(),
-                cached_cpi: cost.cached_cpi,
-            })
-        });
-
         let count = insts.len();
-        // Recompiling an entry (e.g. after a mid-trace resume) replaces
-        // the old trace; release its accounting first.
-        if let Some(old) = self.traces.remove(&trace.entry()) {
-            self.resident_insts -= old.insts.len();
-        }
-        if self.resident_insts + count > self.capacity_insts {
-            self.traces.clear();
-            self.last = None;
-            self.resident_insts = 0;
-            self.stats.flushes += 1;
-        }
-
-        let compiled = Arc::new(CompiledTrace {
+        let id = self.adopt(Arc::new(CompiledTrace {
             entry: trace.entry(),
             insts,
             fallthrough: trace.fallthrough(),
             num_bbls: trace.bbls().len(),
-            fused,
-        });
-        self.traces.insert(trace.entry(), Arc::clone(&compiled));
-        self.last = Some((trace.entry(), Arc::clone(&compiled)));
-        self.resident_insts += count;
-        self.stats.traces_compiled += 1;
-        self.stats.insts_compiled += count as u64;
-        (compiled, count)
+        }));
+        (id, count)
     }
 
-    /// Adopts a trace compiled by a peer engine (host-side template
-    /// sharing), skipping the instrument+build work but performing the
-    /// *same* cache bookkeeping as [`compile`](CodeCache::compile) —
-    /// capacity flush, residency, compile statistics — so every
-    /// simulated observable is identical to having compiled it here.
-    /// Returns the instruction count for JIT cost accounting.
+    /// Inserts a compiled trace — fresh out of
+    /// [`compile`](CodeCache::compile), or a peer engine's (host-side
+    /// template sharing, which skips the instrument+build work) — with
+    /// all of the cache bookkeeping: capacity flush, residency, compile
+    /// statistics. Every simulated observable is therefore identical
+    /// whichever engine built the trace. Returns its slab id.
     ///
     /// The caller must have verified that compiling locally would have
     /// produced this exact trace (same instructions, pure shareable
     /// instrumentation, no clobber bug armed).
-    pub fn adopt(&mut self, template: &Arc<CompiledTrace<T>>) -> usize {
-        let count = template.insts.len();
-        if let Some(old) = self.traces.remove(&template.entry) {
-            self.resident_insts -= old.insts.len();
+    pub fn adopt(&mut self, trace: Arc<CompiledTrace<T>>) -> u32 {
+        let count = trace.insts.len();
+        // Recompiling an entry replaces the old trace in its slot (so
+        // links to the entry stay true); release its accounting first.
+        let mut slot = self.index.get(&trace.entry).copied();
+        if let Some(id) = slot {
+            self.resident_insts -= self.slab[id as usize].trace.insts.len();
         }
         if self.resident_insts + count > self.capacity_insts {
-            self.traces.clear();
-            self.last = None;
-            self.resident_insts = 0;
+            self.clear();
             self.stats.flushes += 1;
+            slot = None;
         }
-        self.traces.insert(template.entry, Arc::clone(template));
-        self.last = Some((template.entry, Arc::clone(template)));
         self.resident_insts += count;
         self.stats.traces_compiled += 1;
         self.stats.insts_compiled += count as u64;
-        count
-    }
-}
-
-/// Whether a call requests the effective address or access size, i.e.
-/// whether the executor must derive `mem_ea` for the call's slot.
-fn call_needs_mem_ea<T>(call: &Call<T>) -> bool {
-    let wants = |args: &[IArg]| {
-        args.iter()
-            .any(|arg| matches!(arg, IArg::MemAddr | IArg::MemSize))
-    };
-    match call {
-        Call::Plain { args, .. } => wants(args),
-        Call::IfThen {
-            pred_args,
-            then_args,
-            ..
-        } => wants(pred_args) || wants(then_args),
-    }
-}
-
-/// Pre-lowers one call list for the fused executor, or `None` if any
-/// call is ineligible (non-`Plain`, or any dynamic argument).
-fn fuse_calls<T>(
-    calls: &[InsertedCall<T>],
-    slot: &CompiledInst<T>,
-    point: IPoint,
-    cost: &CostModel,
-) -> Option<Box<[FusedCall]>> {
-    let mut out = Vec::with_capacity(calls.len());
-    for inserted in calls {
-        let Call::Plain { args, .. } = &inserted.call else {
-            return None;
+        let entry = trace.entry;
+        let resident = Resident {
+            trace,
+            links: [None; 2],
         };
-        let mut values = Vec::with_capacity(args.len());
-        for arg in args {
-            values.push(static_arg_value(
-                arg, slot.addr, slot.inst, slot.size, point,
-            )?);
+        match slot {
+            Some(id) => {
+                self.slab[id as usize] = resident;
+                id
+            }
+            None => {
+                let id = u32::try_from(self.slab.len()).expect("capacity bounds the slab");
+                self.slab.push(resident);
+                self.index.insert(entry, id);
+                id
+            }
         }
-        let static_cost = cost.analysis_call_base
-            + inserted.saves.len() as u64 * cost.save_restore_per_reg
-            + args.len() as u64 * cost.analysis_arg;
-        out.push(FusedCall {
-            static_cost,
-            args: values.into_boxed_slice(),
-        });
     }
-    Some(out.into_boxed_slice())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::inserter::IPoint;
-    use crate::trace::discover_trace;
+    use crate::trace::{discover_trace, discover_trace_split};
     use superpin_isa::asm::assemble;
     use superpin_vm::process::Process;
 
@@ -656,6 +681,12 @@ mod tests {
         let program = assemble(src).expect("assemble");
         let process = Process::load(1, &program).expect("load");
         discover_trace(&process.mem, program.entry()).expect("trace")
+    }
+
+    fn compile_bare(cache: &mut CodeCache<u64>, trace: &Trace) -> u32 {
+        cache
+            .compile(trace, Inserter::new(), &CostModel::default())
+            .0
     }
 
     #[test]
@@ -669,7 +700,8 @@ mod tests {
         inserter.insert_call(0xdead, IPoint::Before, |t, _, _| *t += 1, vec![]);
 
         let mut cache: CodeCache<u64> = CodeCache::new();
-        let (compiled, count) = cache.compile(&trace, inserter, None);
+        let (id, count) = cache.compile(&trace, inserter, &CostModel::default());
+        let compiled = cache.trace(id);
         assert_eq!(count, 3);
         assert_eq!(compiled.insts[1].before.len(), 1);
         assert_eq!(compiled.insts[1].after.len(), 1);
@@ -677,49 +709,201 @@ mod tests {
     }
 
     #[test]
+    fn lowering_folds_what_the_instruction_fixes() {
+        let src = ".data\nbuf: .word 0\n.text\nmain:\n la r2, buf\n stw r3, 4(r2)\n jmp main\n";
+        let trace = trace_for(src);
+        let store = trace.insts().nth(1).expect("store").addr;
+        let mut inserter: Inserter<u64> = Inserter::new();
+        let every = vec![
+            IArg::InstPtr,
+            IArg::UInt(9),
+            IArg::MemSize,
+            IArg::IsMemWrite,
+            IArg::BranchTaken,
+            IArg::FallthroughAddr,
+        ];
+        inserter.insert_call(store, IPoint::Before, |_, _, _| {}, every.clone());
+        inserter.insert_call(store, IPoint::After, |_, _, _| {}, every);
+        let mem_addr = vec![IArg::MemAddr];
+        inserter.insert_call(
+            trace.entry(),
+            IPoint::Before,
+            |_, _, _| {},
+            mem_addr.clone(),
+        );
+        inserter.insert_call(store, IPoint::Before, |_, _, _| {}, mem_addr);
+
+        let cost = CostModel::default();
+        let mut cache: CodeCache<u64> = CodeCache::new();
+        let (id, _) = cache.compile(&trace, inserter, &cost);
+        let compiled = cache.trace(id);
+        let plan = |call: &InsertedCall<u64>| match &call.call {
+            LoweredCall::Plain { args, cost, .. } => (args.clone(), *cost),
+            LoweredCall::IfThen { .. } => unreachable!("only plain calls inserted"),
+        };
+        let slot = &compiled.insts[1];
+        let folded = vec![store, 9, 4, 1, 0, store + 8];
+        let (before, charge) = plan(&slot.before[0]);
+        assert_eq!(before, ArgPlan::Static(folded.into()));
+        assert_eq!(charge, cost.analysis_call + 6 * cost.analysis_arg);
+        // Only an after-call can see a taken transfer.
+        let (after, _) = plan(&slot.after[0]);
+        let ArgPlan::Dynamic(after) = after else {
+            panic!("BranchTaken after the instruction is dynamic")
+        };
+        assert_eq!(after[4], LoweredArg::BranchTaken);
+        assert_eq!(after[5], LoweredArg::Value(store + 8));
+        // MemAddr is an address only on a memory instruction.
+        assert_eq!(
+            plan(&compiled.insts[0].before[0]).0,
+            ArgPlan::Static([0].into())
+        );
+        assert!(!compiled.insts[0].needs_mem_ea);
+        assert_eq!(
+            plan(&slot.before[1]).0,
+            ArgPlan::Dynamic([LoweredArg::MemAddr].into())
+        );
+        assert!(slot.needs_mem_ea);
+    }
+
+    #[test]
     fn lookup_hits_after_compile() {
         let trace = trace_for("main:\n jmp main\n");
         let mut cache: CodeCache<u64> = CodeCache::new();
-        assert!(cache.lookup(trace.entry()).is_none());
-        cache.compile(&trace, Inserter::new(), None);
-        assert!(cache.lookup(trace.entry()).is_some());
+        assert!(cache.lookup(None, trace.entry()).is_none());
+        let id = compile_bare(&mut cache, &trace);
+        assert_eq!(cache.lookup(None, trace.entry()), Some(id));
         let stats = cache.stats();
         assert_eq!(stats.lookups, 2);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.traces_compiled, 1);
     }
 
-    #[test]
-    fn capacity_pressure_flushes_wholesale() {
-        // Two traces at distinct entries within one program.
+    /// `main` (4 insts), `second` (2 insts) and the 3-inst tail of `main`.
+    fn three_traces() -> (Process, [Trace; 3]) {
         let src = "main:\n nop\n nop\n nop\n jmp second\nsecond:\n nop\n jmp main\n";
         let program = assemble(src).expect("assemble");
         let process = Process::load(1, &program).expect("load");
-        let t1 = discover_trace(&process.mem, program.entry()).expect("t1"); // 4 insts
-        let t2 = discover_trace(&process.mem, program.entry() + 32).expect("t2"); // 2 insts
+        let at = |offset| discover_trace(&process.mem, program.entry() + offset).expect("trace");
+        let traces = [at(0), at(32), at(8)];
+        (process, traces)
+    }
 
+    #[test]
+    fn capacity_pressure_flushes_wholesale() {
+        let (_process, [t1, t2, t3]) = three_traces();
         let mut cache: CodeCache<u64> = CodeCache::with_capacity(6);
-        cache.compile(&t1, Inserter::new(), None); // 4 resident
-        cache.compile(&t2, Inserter::new(), None); // 6 resident
+        compile_bare(&mut cache, &t1); // 4 resident
+        compile_bare(&mut cache, &t2); // 6 resident
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.stats().flushes, 0);
         // Recompiling t1 releases its 4 first (6-4+4 = 6 fits, no flush)...
-        cache.compile(&t1, Inserter::new(), None);
+        compile_bare(&mut cache, &t1);
         assert_eq!(cache.stats().flushes, 0);
         assert_eq!(cache.len(), 2);
-        // ...but a brand-new 4-inst trace exceeds capacity → flush.
-        let t3 = discover_trace(&process.mem, program.entry() + 8).expect("t3");
+        // ...but a brand-new 3-inst trace exceeds capacity → flush.
         assert_eq!(t3.num_insts(), 3);
-        cache.compile(&t3, Inserter::new(), None);
+        compile_bare(&mut cache, &t3);
         assert_eq!(cache.stats().flushes, 1);
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn links_answer_like_the_index_and_count_like_it() {
+        let (_process, [t1, t2, t3]) = three_traces();
+        let mut cache: CodeCache<u64> = CodeCache::new();
+        let (a, b, c) = (
+            compile_bare(&mut cache, &t1),
+            compile_bare(&mut cache, &t2),
+            compile_bare(&mut cache, &t3),
+        );
+        let before = cache.stats();
+        // First transfer a→b resolves through the index and links; the
+        // second is answered by the link. Both are one lookup, one hit.
+        assert_eq!(cache.lookup(Some(a), t2.entry()), Some(b));
+        assert_eq!(cache.lookup(Some(a), t2.entry()), Some(b));
+        // Two successors are remembered, a third displaces the older.
+        assert_eq!(cache.lookup(Some(a), t3.entry()), Some(c));
+        assert_eq!(cache.lookup(Some(a), t1.entry()), Some(a));
+        assert_eq!(
+            cache.slab[a as usize].links,
+            [Some((t1.entry(), a)), Some((t3.entry(), c))]
+        );
+        assert_eq!(cache.lookup(Some(a), t2.entry()), Some(b));
+        // A miss from a linked trace is still a miss, and links nothing.
+        assert_eq!(cache.lookup(Some(a), 0xdead), None);
+        let after = cache.stats();
+        assert_eq!(after.lookups - before.lookups, 6);
+        assert_eq!(after.hits - before.hits, 5);
+    }
+
+    #[test]
+    fn recompiling_an_entry_keeps_links_to_it_true() {
+        let (process, [t1, t2, _]) = three_traces();
+        let mut cache: CodeCache<u64> = CodeCache::new();
+        let a = compile_bare(&mut cache, &t1);
+        let b = compile_bare(&mut cache, &t2);
+        assert_eq!(cache.lookup(Some(b), t1.entry()), Some(a));
+        assert_eq!(cache.lookup(Some(a), t2.entry()), Some(b));
+        // Same entry, different shape: split before the third nop.
+        let split = discover_trace_split(&process.mem, t1.entry(), Some(t1.entry() + 16))
+            .expect("split trace");
+        assert_eq!(split.num_insts(), 2);
+        let again = compile_bare(&mut cache, &split);
+        // The link b→main now reaches the new trace, which starts with no
+        // links of its own.
+        let linked = cache.lookup(Some(b), t1.entry()).expect("linked hit");
+        assert_eq!(linked, again);
+        assert_eq!(cache.trace(linked).insts.len(), 2);
+        assert_eq!(cache.slab[again as usize].links, [None, None]);
+        assert_eq!(cache.resident_insts(), 2 + 2);
+    }
+
+    #[test]
+    fn every_flush_drops_links_and_tolerates_stale_ids() {
+        let (_process, [t1, t2, _]) = three_traces();
+        type Flush = fn(&mut CodeCache<u64>);
+        let flushes: [Flush; 2] = [
+            |cache| cache.flush_for_smc(),
+            |cache| {
+                cache.evict_for_pressure();
+            },
+        ];
+        for flush in flushes {
+            let mut cache: CodeCache<u64> = CodeCache::new();
+            let a = compile_bare(&mut cache, &t1);
+            let b = compile_bare(&mut cache, &t2);
+            assert_eq!(cache.lookup(Some(a), t2.entry()), Some(b));
+            flush(&mut cache);
+            // `a` and `b` are stale now: nothing is resident, so a lookup
+            // from either must miss rather than follow the old link.
+            assert_eq!(cache.lookup(Some(a), t2.entry()), None);
+            assert_eq!(cache.lookup(Some(b), t1.entry()), None);
+            // Recompiled in the other order the ids swap; a stale `from`
+            // then names the wrong trace, and still every answer is the
+            // index's.
+            let b2 = compile_bare(&mut cache, &t2);
+            let a2 = compile_bare(&mut cache, &t1);
+            assert_eq!((b2, a2), (a, b));
+            assert_eq!(cache.lookup(Some(a), t2.entry()), Some(b2));
+            assert_eq!(cache.lookup(Some(a), t1.entry()), Some(a2));
+            assert_eq!(cache.trace(a2).entry, t1.entry());
+        }
+        // A capacity flush inside `compile` does the same.
+        let mut cache: CodeCache<u64> = CodeCache::with_capacity(5);
+        let a = compile_bare(&mut cache, &t1);
+        let b = compile_bare(&mut cache, &t2);
+        assert_eq!((cache.stats().flushes, cache.len()), (1, 1));
+        assert_eq!(b, 0, "the slab restarted");
+        assert_eq!(cache.lookup(Some(a), t1.entry()), None);
     }
 
     #[test]
     fn fallthrough_and_bbl_metadata() {
         let trace = trace_for("main:\n beq r1, r2, main\n nop\n jmp main\n");
         let mut cache: CodeCache<u64> = CodeCache::new();
-        let (compiled, _) = cache.compile(&trace, Inserter::new(), None);
+        let id = compile_bare(&mut cache, &trace);
+        let compiled = cache.trace(id);
         assert_eq!(compiled.num_bbls, 2);
         assert_eq!(compiled.fallthrough, trace.fallthrough());
     }

@@ -1,10 +1,11 @@
 //! The instrumentation engine: dispatcher + JIT loop over a guest process.
 
 use crate::cache::{
-    CodeCache, CompiledInst, CompiledTrace, FusedMeta, InsertedCall, DEFAULT_CAPACITY_INSTS,
+    ArgPlan, CodeCache, CompiledTrace, InsertedCall, LoweredArg, LoweredCall,
+    DEFAULT_CAPACITY_INSTS,
 };
 use crate::cost::CostModel;
-use crate::inserter::{Call, CallCtx, EngineCtl, IArg, Inserter};
+use crate::inserter::{CallCtx, EngineCtl, Inserter};
 use crate::shared_index::SharedTraceIndex;
 use crate::spill::ClobberViolation;
 use crate::tool::Pintool;
@@ -174,10 +175,11 @@ pub struct Engine<T: Pintool> {
     /// wrote into its code region (self-modifying code) and every
     /// translation must be discarded.
     code_version_seen: u64,
-    /// Whether the next trace entry goes through the dispatcher. Direct
-    /// branches between cached traces are *linked* (as in Pin) and skip
-    /// the dispatcher; indirect transfers and re-entries after
-    /// syscalls/stops pay [`CostModel::dispatch_per_trace`].
+    /// Whether the next trace entry is charged the simulated dispatcher.
+    /// Direct branches between cached traces are *linked* (as in Pin) and
+    /// skip it; indirect transfers and re-entries after syscalls/stops
+    /// pay [`CostModel::dispatch_per_trace`]. (How the host finds the
+    /// next trace is the cache's business: see [`CodeCache::lookup`].)
     pending_dispatch: bool,
     /// Armed chaos registry for the [`Site::DbiEngineDispatch`]
     /// failpoint. `None` (the default) costs nothing: the dispatch path
@@ -209,6 +211,9 @@ pub struct Engine<T: Pintool> {
     /// [`Engine::set_trace_templates`]). `None` keeps every compile
     /// private to this engine.
     templates: Option<TraceTemplates<T>>,
+    /// Where dynamic argument lists are evaluated: one buffer re-used by
+    /// every call, so no execution allocates.
+    scratch: Vec<u64>,
 }
 
 /// Host-side map of compiled-trace templates shared by every engine of a
@@ -242,6 +247,7 @@ impl<T: Pintool + Clone> Clone for Engine<T> {
             oracle: self.oracle.clone(),
             plan_stats: self.plan_stats,
             templates: self.templates.clone(),
+            scratch: Vec::new(),
         }
     }
 }
@@ -289,6 +295,7 @@ impl<T: Pintool + 'static> Engine<T> {
             oracle: None,
             plan_stats: PlanStats::default(),
             templates: None,
+            scratch: Vec::new(),
         }
     }
 
@@ -491,6 +498,10 @@ impl<T: Pintool + 'static> Engine<T> {
         let mut spent = 0u64;
         // Resuming after a stop always re-enters through the dispatcher.
         self.pending_dispatch = true;
+        // The trace control is leaving, whose links answer the next
+        // lookup. Never carried across `run` calls: the cache may have
+        // been evicted in between.
+        let mut from = None;
         loop {
             // Self-modifying code: any write into the code region since
             // the last dispatch invalidates every translation.
@@ -498,6 +509,7 @@ impl<T: Pintool + 'static> Engine<T> {
             if code_version != self.code_version_seen {
                 self.code_version_seen = code_version;
                 self.cache.flush_for_smc();
+                from = None;
                 self.pending_dispatch = true;
                 // The plan pre-decoded the original image; its stream is
                 // stale now. Fall back to live decode for good.
@@ -514,7 +526,11 @@ impl<T: Pintool + 'static> Engine<T> {
                 }
             }
             let pc = self.process.cpu.pc;
-            let trace = self.lookup_or_compile(pc, &mut spent)?;
+            let id = match self.cache.lookup(from, pc) {
+                Some(id) => id,
+                None => self.compile_miss(pc, &mut spent)?,
+            };
+            from = Some(id);
             if self.pending_dispatch {
                 if let Some(registry) = &self.fault {
                     // Key = pid, per-engine dispatch ordinal, retry salt:
@@ -536,18 +552,28 @@ impl<T: Pintool + 'static> Engine<T> {
             }
             self.stats.traces_executed += 1;
 
-            // Superinstruction dispatch: if this trace was fused at compile
-            // time and the signature check passes (slot count consistent
-            // with the compiled trace — SMC flushes already removed any
-            // stale trace), run the batched fast path; otherwise fall back
-            // to the generic per-call executor.
-            let exit = match &trace.fused {
-                Some(fused) if fused.slots.len() == trace.insts.len() => {
-                    self.exec_trace_fused(&trace, fused, &mut spent)?
-                }
-                _ => self.exec_trace(&trace, &mut spent)?,
+            // The trace stays borrowed from the cache while the executor
+            // works on the engine's other fields; whatever it tallied is
+            // booked on every exit path, a guest fault included.
+            let mut exec = Executor {
+                process: &mut self.process,
+                tool: &mut self.tool,
+                scratch: &mut self.scratch,
+                oracle: self.oracle.as_deref(),
+                tally: Tally::default(),
             };
-            match exit {
+            let exit = exec.run(self.cache.trace(id));
+            let tally = exec.tally;
+            let app = tally.insts * self.cost.cached_cpi;
+            self.stats.cycles.app += app;
+            self.stats.cycles.analysis += tally.analysis;
+            self.stats.insts_executed += tally.insts;
+            self.stats.analysis_calls += tally.calls;
+            self.stats.if_checks += tally.if_checks;
+            self.stats.then_calls += tally.then_calls;
+            spent += app + tally.analysis;
+            self.pending_dispatch |= tally.took_indirect;
+            match exit? {
                 TraceExit::Stop(stop) => {
                     if let EngineStop::Exited(_) = stop {
                         self.run_fini();
@@ -569,14 +595,9 @@ impl<T: Pintool + 'static> Engine<T> {
         }
     }
 
-    fn lookup_or_compile(
-        &mut self,
-        pc: u64,
-        spent: &mut u64,
-    ) -> Result<Arc<CompiledTrace<T>>, VmError> {
-        if let Some(compiled) = self.cache.lookup(pc) {
-            return Ok(compiled);
-        }
+    /// Forms, instruments (or adopts) and inserts the trace entered at
+    /// `pc` after a cache miss, returning its slab id.
+    fn compile_miss(&mut self, pc: u64, spent: &mut u64) -> Result<u32, VmError> {
         // A miss always routes through the dispatcher into the JIT.
         self.pending_dispatch = true;
         let plan = self
@@ -665,29 +686,26 @@ impl<T: Pintool + 'static> Engine<T> {
                 .cloned();
             if let Some(template) = template {
                 if template_matches(&template, &trace) {
-                    let count = self.cache.adopt(&template);
+                    let count = template.insts.len();
+                    let id = self.cache.adopt(template);
                     self.charge_jit(pc, count, spent);
-                    return Ok(template);
+                    return Ok(id);
                 }
             }
         }
         let mut inserter = Inserter::new();
         self.tool.instrument_trace(&trace, &mut inserter);
-        // Every compile attempts fusion: eligibility is per-call (plain
-        // call, fully static arguments) and the fused accounting is the
-        // slow path's accounting computed ahead of time, so fusing is
-        // sound with or without a plan installed.
-        let (compiled, count) = self.cache.compile(&trace, inserter, Some(&self.cost));
+        let (id, count) = self.cache.compile(&trace, inserter, &self.cost);
         if shareable {
             self.templates
                 .as_ref()
                 .expect("checked is_some")
                 .lock()
                 .expect("template lock")
-                .insert(pc, Arc::clone(&compiled));
+                .insert(pc, Arc::clone(self.cache.trace(id)));
         }
         self.charge_jit(pc, count, spent);
-        Ok(compiled)
+        Ok(id)
     }
 
     /// Charges the simulated JIT cost for compiling (or adopting) a
@@ -728,336 +746,6 @@ impl<T: Pintool + 'static> Engine<T> {
         let jit = count as u64 * per_inst;
         self.stats.cycles.jit += jit;
         *spent += jit;
-    }
-
-    fn exec_trace(
-        &mut self,
-        trace: &CompiledTrace<T>,
-        spent: &mut u64,
-    ) -> Result<TraceExit, VmError> {
-        let mut index = 0usize;
-        while index < trace.insts.len() {
-            let slot = &trace.insts[index];
-            debug_assert_eq!(slot.addr, self.process.cpu.pc, "trace desync");
-
-            // Effective address is computed from pre-execution registers
-            // for both before- and after-calls. Slots whose calls never
-            // ask for it skip the computation entirely — nothing can
-            // observe it.
-            let mem_ea = if slot.needs_mem_ea {
-                mem_effective_address(&self.process, slot.inst)
-            } else {
-                None
-            };
-
-            // Before-calls.
-            if !slot.before.is_empty() && self.run_calls(&slot.before, slot, mem_ea, None, spent)? {
-                // Stop requested before execution: the instruction is NOT
-                // executed; pc stays at the boundary (paper §4.4 — the
-                // boundary instruction belongs to the next slice).
-                return Ok(TraceExit::Stop(EngineStop::ToolStop));
-            }
-
-            // The guest instruction itself.
-            let outcome = self.process.exec_decoded(slot.inst, slot.size)?;
-            match outcome {
-                ExecOutcome::Syscall => {
-                    return Ok(TraceExit::Stop(EngineStop::SyscallEntry));
-                }
-                ExecOutcome::Halt => {
-                    return Ok(TraceExit::Stop(EngineStop::Halted));
-                }
-                ExecOutcome::Next | ExecOutcome::Jumped => {
-                    self.stats.cycles.app += self.cost.cached_cpi;
-                    *spent += self.cost.cached_cpi;
-                    self.stats.insts_executed += 1;
-                }
-            }
-            let taken = outcome == ExecOutcome::Jumped;
-
-            // After-calls.
-            if !slot.after.is_empty()
-                && self.run_calls(&slot.after, slot, mem_ea, Some(taken), spent)?
-            {
-                return Ok(TraceExit::Stop(EngineStop::ToolStop));
-            }
-
-            if taken {
-                // Indirect transfers cannot be trace-linked: they pay the
-                // dispatcher on re-entry. Direct branches are linked.
-                if matches!(slot.inst, Inst::Jalr { .. }) {
-                    self.pending_dispatch = true;
-                    if let Some(oracle) = &self.oracle {
-                        let dest = self.process.cpu.pc;
-                        let admitted = oracle.check_transfer(slot.addr, dest);
-                        debug_assert!(
-                            admitted,
-                            "soundness oracle: jalr at {:#x} reached {dest:#x} outside its \
-                             static target set",
-                            slot.addr
-                        );
-                    }
-                }
-                // Control left the straight line unless the target happens
-                // to be the next slot (branch to fall-through).
-                let next_matches = trace
-                    .insts
-                    .get(index + 1)
-                    .is_some_and(|next| next.addr == self.process.cpu.pc);
-                if !next_matches {
-                    return Ok(TraceExit::Continue);
-                }
-            }
-            index += 1;
-        }
-        // The budget is only checked *between* traces (see `run`): a
-        // trace always completes once entered. Preempting mid-trace would
-        // re-enter the block through a side trace and re-run its
-        // block-granularity instrumentation — real Pin never re-instruments
-        // on a context switch, and block-counting tools (icount2) rely on
-        // block entry firing exactly once per block execution.
-        Ok(TraceExit::Continue)
-    }
-
-    /// Superinstruction fast path: executes a fused trace as one batched
-    /// dispatch.
-    ///
-    /// Per-call invocation costs and argument values were lowered at
-    /// compile time into [`crate::cache::FusedCall`]s, so the hot loop
-    /// does no argument evaluation and no cost arithmetic beyond adding
-    /// pre-computed constants. Accounting accumulates in locals and is
-    /// flushed on *every* exit path — tool stop, syscall, halt, early
-    /// branch-out, and guest faults — so observable counters are
-    /// bit-identical to [`Self::exec_trace`] at any exit point.
-    fn exec_trace_fused(
-        &mut self,
-        trace: &CompiledTrace<T>,
-        fused: &FusedMeta,
-        spent: &mut u64,
-    ) -> Result<TraceExit, VmError> {
-        let mut app = 0u64;
-        let mut insts = 0u64;
-        let mut analysis = 0u64;
-        let mut calls = 0u64;
-        let mut acc = 0u64;
-        let result = 'body: {
-            let mut index = 0usize;
-            while index < trace.insts.len() {
-                let slot = &trace.insts[index];
-                let fslot = &fused.slots[index];
-                debug_assert_eq!(slot.addr, self.process.cpu.pc, "trace desync");
-                debug_assert_eq!(fslot.before.len(), slot.before.len());
-                debug_assert_eq!(fslot.after.len(), slot.after.len());
-
-                // Before-calls. A stop request short-circuits the rest of
-                // the list and leaves the instruction unexecuted, exactly
-                // like the slow path.
-                let mut stop = false;
-                for (fc, inserted) in fslot.before.iter().zip(slot.before.iter()) {
-                    if stop {
-                        break;
-                    }
-                    let Call::Plain { func, .. } = &inserted.call else {
-                        unreachable!("fusion only admits plain calls")
-                    };
-                    let mut ctl = EngineCtl::default();
-                    let ctx = CallCtx {
-                        pc: slot.addr,
-                        args: &fc.args,
-                    };
-                    func(&mut self.tool, &ctx, &mut ctl);
-                    let charged = fc.static_cost + ctl.extra_cycles();
-                    analysis += charged;
-                    acc += charged;
-                    calls += 1;
-                    stop |= ctl.stop_requested();
-                }
-                if stop {
-                    break 'body Ok(TraceExit::Stop(EngineStop::ToolStop));
-                }
-
-                // The guest instruction itself.
-                let outcome = match self.process.exec_decoded(slot.inst, slot.size) {
-                    Ok(outcome) => outcome,
-                    Err(err) => break 'body Err(err),
-                };
-                match outcome {
-                    ExecOutcome::Syscall => {
-                        break 'body Ok(TraceExit::Stop(EngineStop::SyscallEntry));
-                    }
-                    ExecOutcome::Halt => {
-                        break 'body Ok(TraceExit::Stop(EngineStop::Halted));
-                    }
-                    ExecOutcome::Next | ExecOutcome::Jumped => {
-                        app += fused.cached_cpi;
-                        acc += fused.cached_cpi;
-                        insts += 1;
-                    }
-                }
-                let taken = outcome == ExecOutcome::Jumped;
-
-                // After-calls.
-                let mut stop = false;
-                for (fc, inserted) in fslot.after.iter().zip(slot.after.iter()) {
-                    if stop {
-                        break;
-                    }
-                    let Call::Plain { func, .. } = &inserted.call else {
-                        unreachable!("fusion only admits plain calls")
-                    };
-                    let mut ctl = EngineCtl::default();
-                    let ctx = CallCtx {
-                        pc: slot.addr,
-                        args: &fc.args,
-                    };
-                    func(&mut self.tool, &ctx, &mut ctl);
-                    let charged = fc.static_cost + ctl.extra_cycles();
-                    analysis += charged;
-                    acc += charged;
-                    calls += 1;
-                    stop |= ctl.stop_requested();
-                }
-                if stop {
-                    break 'body Ok(TraceExit::Stop(EngineStop::ToolStop));
-                }
-
-                if taken {
-                    if matches!(slot.inst, Inst::Jalr { .. }) {
-                        self.pending_dispatch = true;
-                        if let Some(oracle) = &self.oracle {
-                            let dest = self.process.cpu.pc;
-                            let admitted = oracle.check_transfer(slot.addr, dest);
-                            debug_assert!(
-                                admitted,
-                                "soundness oracle: jalr at {:#x} reached {dest:#x} outside its \
-                                 static target set",
-                                slot.addr
-                            );
-                        }
-                    }
-                    let next_matches = trace
-                        .insts
-                        .get(index + 1)
-                        .is_some_and(|next| next.addr == self.process.cpu.pc);
-                    if !next_matches {
-                        break 'body Ok(TraceExit::Continue);
-                    }
-                }
-                index += 1;
-            }
-            Ok(TraceExit::Continue)
-        };
-        self.stats.cycles.app += app;
-        self.stats.cycles.analysis += analysis;
-        self.stats.insts_executed += insts;
-        self.stats.analysis_calls += calls;
-        *spent += acc;
-        result
-    }
-
-    /// Runs a call list; returns `true` if a stop was requested.
-    ///
-    /// A stop request short-circuits the remaining calls in the list:
-    /// when SuperPin's signature detector (inserted ahead of the user
-    /// tool's calls) fires at a slice boundary, the user tool must not
-    /// observe the boundary instruction — it belongs to the next slice.
-    fn run_calls(
-        &mut self,
-        calls: &[InsertedCall<T>],
-        slot: &CompiledInst<T>,
-        mem_ea: Option<(u64, u64)>,
-        taken: Option<bool>,
-        spent: &mut u64,
-    ) -> Result<bool, VmError> {
-        let mut stop = false;
-        for inserted in calls {
-            if stop {
-                break;
-            }
-            // Invocation cost: call/return plus one save/restore per
-            // clobbered register the compiler decided to preserve. With
-            // no liveness installed the full clobber set is saved and
-            // this equals the flat `analysis_call`.
-            let invoke_cost = self.cost.analysis_call_base
-                + inserted.saves.len() as u64 * self.cost.save_restore_per_reg;
-            match &inserted.call {
-                Call::Plain { func, args } => {
-                    let values = self.eval_args(args, slot, mem_ea, taken);
-                    let cost = invoke_cost + args.len() as u64 * self.cost.analysis_arg;
-                    let mut ctl = EngineCtl::default();
-                    let ctx = CallCtx {
-                        pc: slot.addr,
-                        args: &values,
-                    };
-                    func(&mut self.tool, &ctx, &mut ctl);
-                    let charged = cost + ctl.extra_cycles();
-                    self.stats.cycles.analysis += charged;
-                    *spent += charged;
-                    self.stats.analysis_calls += 1;
-                    stop |= ctl.stop_requested();
-                }
-                Call::IfThen {
-                    pred,
-                    pred_args,
-                    then,
-                    then_args,
-                } => {
-                    let pred_values = self.eval_args(pred_args, slot, mem_ea, taken);
-                    let mut charged =
-                        self.cost.inline_if_check + pred_args.len() as u64 * self.cost.analysis_arg;
-                    self.stats.if_checks += 1;
-                    let ctx = CallCtx {
-                        pc: slot.addr,
-                        args: &pred_values,
-                    };
-                    if pred(&mut self.tool, &ctx) {
-                        let then_values = self.eval_args(then_args, slot, mem_ea, taken);
-                        let mut ctl = EngineCtl::default();
-                        let then_ctx = CallCtx {
-                            pc: slot.addr,
-                            args: &then_values,
-                        };
-                        then(&mut self.tool, &then_ctx, &mut ctl);
-                        charged += invoke_cost
-                            + then_args.len() as u64 * self.cost.analysis_arg
-                            + ctl.extra_cycles();
-                        self.stats.then_calls += 1;
-                        stop |= ctl.stop_requested();
-                    }
-                    self.stats.cycles.analysis += charged;
-                    *spent += charged;
-                }
-            }
-        }
-        Ok(stop)
-    }
-
-    fn eval_args(
-        &self,
-        args: &[IArg],
-        slot: &CompiledInst<T>,
-        mem_ea: Option<(u64, u64)>,
-        taken: Option<bool>,
-    ) -> Vec<u64> {
-        args.iter()
-            .map(|arg| match *arg {
-                IArg::InstPtr => slot.addr,
-                IArg::UInt(value) => value,
-                IArg::MemAddr => mem_ea.map(|(ea, _)| ea).unwrap_or(0),
-                IArg::MemSize => mem_ea.map(|(_, size)| size).unwrap_or(0),
-                IArg::IsMemWrite => u64::from(slot.inst.is_mem_write()),
-                IArg::BranchTaken => u64::from(taken.unwrap_or(false)),
-                IArg::RegValue(reg) => self.process.cpu.regs.get(reg),
-                IArg::StackWord(i) => {
-                    let sp = self.process.cpu.regs.get(superpin_isa::Reg::SP);
-                    self.process
-                        .mem
-                        .read_u64(sp.wrapping_add(8 * i as u64))
-                        .unwrap_or(0)
-                }
-                IArg::FallthroughAddr => slot.addr + slot.size,
-            })
-            .collect()
     }
 
     /// Services the syscall the guest is parked at, charging syscall cost
@@ -1139,6 +827,176 @@ impl<T: Pintool + 'static> Engine<T> {
     }
 }
 
+/// What one trace execution adds to [`EngineStats`], accumulated in
+/// registers and booked once per trace.
+#[derive(Clone, Copy, Default)]
+struct Tally {
+    analysis: u64,
+    insts: u64,
+    calls: u64,
+    if_checks: u64,
+    then_calls: u64,
+    /// A `jalr` was taken: indirect transfers cannot be trace-linked, so
+    /// the next entry pays the dispatcher. Direct branches are linked.
+    took_indirect: bool,
+}
+
+/// The one trace executor: the engine's fields a running trace touches,
+/// borrowed apart from the code cache that lends the trace.
+struct Executor<'a, T> {
+    process: &'a mut Process,
+    tool: &'a mut T,
+    scratch: &'a mut Vec<u64>,
+    oracle: Option<&'a SoundnessOracle>,
+    tally: Tally,
+}
+
+impl<T> Executor<'_, T> {
+    fn run(&mut self, trace: &CompiledTrace<T>) -> Result<TraceExit, VmError> {
+        for (index, slot) in trace.insts.iter().enumerate() {
+            debug_assert_eq!(slot.addr, self.process.cpu.pc, "trace desync");
+
+            // Effective address is computed from pre-execution registers
+            // for both before- and after-calls, and only for slots with
+            // a call that asks for it — nothing else can observe it.
+            let mem_ea = if slot.needs_mem_ea {
+                mem_effective_address(self.process, slot.inst)
+            } else {
+                0
+            };
+
+            if !slot.before.is_empty() && self.run_calls(&slot.before, slot.addr, mem_ea, false) {
+                // Stop requested before execution: the instruction is NOT
+                // executed; pc stays at the boundary (paper §4.4 — the
+                // boundary instruction belongs to the next slice).
+                return Ok(TraceExit::Stop(EngineStop::ToolStop));
+            }
+
+            let taken = match self.process.exec_decoded(slot.inst, slot.size)? {
+                ExecOutcome::Syscall => return Ok(TraceExit::Stop(EngineStop::SyscallEntry)),
+                ExecOutcome::Halt => return Ok(TraceExit::Stop(EngineStop::Halted)),
+                ExecOutcome::Next => false,
+                ExecOutcome::Jumped => true,
+            };
+            self.tally.insts += 1;
+
+            if !slot.after.is_empty() && self.run_calls(&slot.after, slot.addr, mem_ea, taken) {
+                return Ok(TraceExit::Stop(EngineStop::ToolStop));
+            }
+
+            if taken {
+                if matches!(slot.inst, Inst::Jalr { .. }) {
+                    self.tally.took_indirect = true;
+                    if let Some(oracle) = self.oracle {
+                        let dest = self.process.cpu.pc;
+                        let admitted = oracle.check_transfer(slot.addr, dest);
+                        debug_assert!(
+                            admitted,
+                            "soundness oracle: jalr at {:#x} reached {dest:#x} outside its \
+                             static target set",
+                            slot.addr
+                        );
+                    }
+                }
+                // Control left the straight line unless the target happens
+                // to be the next slot (branch to fall-through).
+                let next_matches = trace
+                    .insts
+                    .get(index + 1)
+                    .is_some_and(|next| next.addr == self.process.cpu.pc);
+                if !next_matches {
+                    return Ok(TraceExit::Continue);
+                }
+            }
+        }
+        // The budget is only checked *between* traces (see `Engine::run`):
+        // a trace always completes once entered. Preempting mid-trace would
+        // re-enter the block through a side trace and re-run its
+        // block-granularity instrumentation — real Pin never re-instruments
+        // on a context switch, and block-counting tools (icount2) rely on
+        // block entry firing exactly once per block execution.
+        Ok(TraceExit::Continue)
+    }
+
+    /// Runs a call list; returns `true` if a stop was requested.
+    ///
+    /// A stop request short-circuits the remaining calls in the list:
+    /// when SuperPin's signature detector (inserted ahead of the user
+    /// tool's calls) fires at a slice boundary, the user tool must not
+    /// observe the boundary instruction — it belongs to the next slice.
+    ///
+    /// Forced inline: out of line, the call and the tally it then keeps
+    /// in memory cost a tenth of `dbi.pin_minst_per_s` under `icount1`.
+    #[inline(always)]
+    fn run_calls(&mut self, calls: &[InsertedCall<T>], pc: u64, mem_ea: u64, taken: bool) -> bool {
+        for inserted in calls {
+            let mut ctl = EngineCtl::default();
+            match &inserted.call {
+                LoweredCall::Plain { func, cost, args } => {
+                    let args = eval_args(args, self.scratch, self.process, mem_ea, taken);
+                    func(self.tool, &CallCtx { pc, args }, &mut ctl);
+                    self.tally.analysis += cost + ctl.extra_cycles();
+                    self.tally.calls += 1;
+                }
+                LoweredCall::IfThen {
+                    pred,
+                    pred_cost,
+                    pred_args,
+                    then,
+                    then_cost,
+                    then_args,
+                } => {
+                    self.tally.if_checks += 1;
+                    self.tally.analysis += pred_cost;
+                    let args = eval_args(pred_args, self.scratch, self.process, mem_ea, taken);
+                    if pred(self.tool, &CallCtx { pc, args }) {
+                        let args = eval_args(then_args, self.scratch, self.process, mem_ea, taken);
+                        then(self.tool, &CallCtx { pc, args }, &mut ctl);
+                        self.tally.analysis += then_cost + ctl.extra_cycles();
+                        self.tally.then_calls += 1;
+                    }
+                }
+            }
+            if ctl.stop_requested() {
+                return true;
+            }
+        }
+        false
+    }
+}
+
+/// The argument vector `plan` denotes right now: the pre-built one, or
+/// the dynamic list evaluated into `scratch`.
+#[inline]
+fn eval_args<'a>(
+    plan: &'a ArgPlan,
+    scratch: &'a mut Vec<u64>,
+    process: &Process,
+    mem_ea: u64,
+    taken: bool,
+) -> &'a [u64] {
+    match plan {
+        ArgPlan::Static(values) => values,
+        ArgPlan::Dynamic(args) => {
+            scratch.clear();
+            scratch.extend(args.iter().map(|arg| match *arg {
+                LoweredArg::Value(value) => value,
+                LoweredArg::MemAddr => mem_ea,
+                LoweredArg::BranchTaken => u64::from(taken),
+                LoweredArg::Reg(reg) => process.cpu.regs.get(reg),
+                LoweredArg::StackWord(i) => {
+                    let sp = process.cpu.regs.get(superpin_isa::Reg::SP);
+                    process
+                        .mem
+                        .read_u64(sp.wrapping_add(8 * i as u64))
+                        .unwrap_or(0)
+                }
+            }));
+            scratch
+        }
+    }
+}
+
 // The parallel runner moves engines into scoped worker threads, so
 // `Engine<T>: Send` for any `Send` tool is a load-bearing property:
 // losing it (say, by caching an `Rc` somewhere) must fail compilation
@@ -1171,35 +1029,22 @@ fn template_matches<T>(template: &CompiledTrace<T>, trace: &crate::trace::Trace)
             })
 }
 
-fn mem_effective_address(process: &Process, inst: Inst) -> Option<(u64, u64)> {
+/// Effective address of a load/store (0 for anything else).
+fn mem_effective_address(process: &Process, inst: Inst) -> u64 {
     match inst {
-        Inst::Ld {
-            base,
-            offset,
-            width,
-            ..
-        }
-        | Inst::St {
-            base,
-            offset,
-            width,
-            ..
-        } => {
-            let ea = process
-                .cpu
-                .regs
-                .get(base)
-                .wrapping_add(offset as i64 as u64);
-            Some((ea, width.bytes() as u64))
-        }
-        _ => None,
+        Inst::Ld { base, offset, .. } | Inst::St { base, offset, .. } => process
+            .cpu
+            .regs
+            .get(base)
+            .wrapping_add(offset as i64 as u64),
+        _ => 0,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inserter::IPoint;
+    use crate::inserter::{IArg, IPoint};
     use crate::tool::NullTool;
     use crate::trace::Trace;
     use superpin_isa::asm::assemble;

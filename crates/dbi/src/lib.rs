@@ -11,8 +11,10 @@
 //! code, lets the registered [`Pintool`] insert analysis calls through a
 //! Pin-style API ([`Inserter::insert_call`], [`Inserter::insert_if_then_call`],
 //! [`IArg`] argument descriptors), compiles the result into a [`cache`]
-//! (the *code cache*), and executes it while accounting virtual cycles
-//! against a calibrated [`CostModel`].
+//! (the *code cache*: every call lowered to a [`LoweredCall`] with its
+//! charge pre-summed, resident traces linked to their successors), and
+//! executes it while accounting virtual cycles against a calibrated
+//! [`CostModel`].
 //!
 //! Each SuperPin slice instantiates its own `Engine` with a cold cache,
 //! which is exactly how the paper's per-slice "compilation slowdown"
@@ -58,7 +60,7 @@ pub mod spill;
 pub mod tool;
 pub mod trace;
 
-pub use cache::{CacheStats, CodeCache, InsertedCall};
+pub use cache::{ArgPlan, CacheStats, CodeCache, InsertedCall, LoweredArg, LoweredCall};
 pub use cost::{cycles_to_secs, secs_to_cycles, CostModel, CYCLES_PER_SEC};
 pub use engine::{
     cycles_to_ns, CycleBreakdown, Engine, EngineStats, EngineStop, PlanStats, RunResult,

@@ -9,8 +9,8 @@
 
 use std::sync::Arc;
 use superpin_dbi::{
-    analysis_clobbers, discover_trace, CodeCache, Engine, IPoint, Inserter, LiveMap, Pintool,
-    RegSet, Trace,
+    analysis_clobbers, discover_trace, CodeCache, CostModel, Engine, IPoint, Inserter, LiveMap,
+    Pintool, RegSet, Trace,
 };
 use superpin_isa::asm::assemble;
 use superpin_isa::Reg;
@@ -107,7 +107,8 @@ fn compile_plans_minimal_save_sets() {
     }
     let mut cache: CodeCache<u64> = CodeCache::new();
     cache.set_liveness(live);
-    let (compiled, _) = cache.compile(&trace, inserter, None);
+    let (id, _) = cache.compile(&trace, inserter, &CostModel::default());
+    let compiled = cache.trace(id);
 
     // Before `subi` (the loop head) live = {r8, r0}: only r0 of the
     // clobber set needs saving.
@@ -124,10 +125,15 @@ fn compile_plans_minimal_save_sets() {
     let mut conservative: CodeCache<u64> = CodeCache::new();
     let mut inserter: Inserter<u64> = Inserter::new();
     inserter.insert_call(program.entry(), IPoint::Before, |t, _, _| *t += 1, vec![]);
-    let (compiled, _) = conservative.compile(&trace, inserter, None);
+    let (id, _) = conservative.compile(&trace, inserter, &CostModel::default());
+    let compiled = conservative.trace(id);
     assert_eq!(compiled.insts[0].before[0].saves, analysis_clobbers());
 }
 
+// The verifier records only in builds with `debug_assertions` (see
+// `CodeCache::clobber_violations`), so there is nothing to catch in a
+// release-profile test run.
+#[cfg(debug_assertions)]
 #[test]
 fn verifier_catches_an_injected_clobber_bug() {
     let program = assemble(LOOP).expect("assemble");

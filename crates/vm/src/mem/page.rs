@@ -42,6 +42,7 @@ impl PageFrame {
     }
 
     /// Read-only view of the page contents.
+    #[inline]
     pub fn bytes(&self) -> &[u8; PAGE_SIZE] {
         &self.bytes
     }
@@ -50,6 +51,14 @@ impl PageFrame {
     /// mapping) and would need a copy before writing.
     pub fn is_shared(&self) -> bool {
         Arc::strong_count(&self.bytes) > 1
+    }
+
+    /// Mutable access to the page contents only if no other address space
+    /// holds this frame — the software TLB's write-hit check, which must
+    /// never copy.
+    #[inline]
+    pub fn get_mut(&mut self) -> Option<&mut [u8; PAGE_SIZE]> {
+        Arc::get_mut(&mut self.bytes)
     }
 
     /// Mutable access to the page contents, copying the frame first if it

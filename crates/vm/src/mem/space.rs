@@ -1,6 +1,7 @@
 //! Virtual address spaces.
 
 use super::page::{PageFrame, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
+use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -125,10 +126,24 @@ pub struct MemStats {
 /// Reads of never-touched pages observe zeroes without allocating.
 ///
 /// [`fork`]: AddressSpace::fork
+///
+/// Resident frames live in a slab (`frames`, indexed by the slot that
+/// `pages` maps a page index to) so that a small direct-mapped software
+/// TLB can remember `page → slot` and answer the common single-page
+/// access without the region search and the `BTreeMap` walk. The TLB is
+/// a pure host-side memo: every observable (bytes, [`MemStats`],
+/// [`code_version`](AddressSpace::code_version), the code-write log) is
+/// what the untranslated path would have produced. See [`Tlb`] for the
+/// hit and invalidation rules.
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
     regions: Vec<Region>,
-    pages: BTreeMap<u64, PageFrame>,
+    /// Page index → slot in `frames`, for every resident page.
+    pages: BTreeMap<u64, u32>,
+    /// Frame slab; `None` marks a slot on the `free_slots` list.
+    frames: Vec<Option<PageFrame>>,
+    free_slots: Vec<u32>,
+    tlb: Tlb,
     brk: u64,
     heap_base: u64,
     /// Next address tried for hint-less `mmap`.
@@ -167,6 +182,76 @@ pub struct AddressSpace {
 /// Base address for hint-less anonymous mappings.
 const MMAP_BASE: u64 = 0x2000_0000;
 
+/// Entries in the software TLB, direct-mapped by the low page-index bits.
+const TLB_ENTRIES: usize = 64;
+
+#[derive(Clone, Copy)]
+struct TlbEntry {
+    /// Page index this entry translates; `u64::MAX` (no address shifts
+    /// down to it) when empty.
+    page: u64,
+    /// The page's slot in the frame slab.
+    slot: u32,
+    /// Set only by a completed write to a non-code page: the page is then
+    /// resident and no longer COW-pending, so a later write owes no fault
+    /// and bumps no version. Exclusivity of the frame is *not* cached —
+    /// a write hit re-proves it with [`PageFrame::get_mut`], because
+    /// `fork(&self)` and `clone` share frames without touching this side.
+    write_ok: bool,
+}
+
+/// Direct-mapped `page → slot` memo over the frame slab.
+///
+/// An entry is valid as long as `pages[page] == slot`, which only page
+/// removal breaks; `write_ok` additionally needs the page to stay out of
+/// `cow_pending` and its region to stay non-code. So the whole table is
+/// flushed by what removes pages (`unmap`, a shrinking `set_brk`) and by
+/// both operations that refill `cow_pending` (`fork`, on the child, and
+/// `mark_cow_shared`). Mapping a region or growing the heap flushes
+/// nothing: a new region overlaps no old one, so it cannot change what
+/// any resident page is. Cells make the fill possible from
+/// `read(&self)`; an address space is owned by one thread at a time (it
+/// is `Send`, not `Sync`).
+#[derive(Clone)]
+struct Tlb([Cell<TlbEntry>; TLB_ENTRIES]);
+
+impl Tlb {
+    const EMPTY: TlbEntry = TlbEntry {
+        page: u64::MAX,
+        slot: 0,
+        write_ok: false,
+    };
+
+    fn new() -> Tlb {
+        Tlb(std::array::from_fn(|_| Cell::new(Tlb::EMPTY)))
+    }
+
+    #[inline]
+    fn cell(&self, page: u64) -> &Cell<TlbEntry> {
+        &self.0[page as usize % TLB_ENTRIES]
+    }
+
+    /// The entry translating `page`, if present.
+    #[inline]
+    fn get(&self, page: u64) -> Option<TlbEntry> {
+        let entry = self.cell(page).get();
+        (entry.page == page).then_some(entry)
+    }
+
+    fn flush(&self) {
+        for cell in &self.0 {
+            cell.set(Tlb::EMPTY);
+        }
+    }
+}
+
+impl fmt::Debug for Tlb {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let valid = self.0.iter().filter(|c| c.get().page != u64::MAX).count();
+        f.debug_struct("Tlb").field("valid", &valid).finish()
+    }
+}
+
 fn page_index(addr: u64) -> u64 {
     addr >> PAGE_SHIFT
 }
@@ -181,6 +266,9 @@ impl AddressSpace {
         AddressSpace {
             regions: Vec::new(),
             pages: BTreeMap::new(),
+            frames: Vec::new(),
+            free_slots: Vec::new(),
+            tlb: Tlb::new(),
             brk: heap_base,
             heap_base,
             mmap_cursor: MMAP_BASE,
@@ -286,6 +374,7 @@ impl AddressSpace {
         let mut child = self.clone();
         child.reset_stats();
         child.cow_pending = child.pages.keys().copied().collect();
+        child.tlb.flush();
         child
     }
 
@@ -296,6 +385,7 @@ impl AddressSpace {
     /// the child's — deterministically, whatever the sibling does.
     pub fn mark_cow_shared(&mut self) {
         self.cow_pending = self.pages.keys().copied().collect();
+        self.tlb.flush();
     }
 
     /// Rebuilds every resident page frame as an exclusive copy, dropping
@@ -305,7 +395,7 @@ impl AddressSpace {
     /// hygiene operation: guest-visible contents and all counters are
     /// unchanged.
     pub fn materialize(&mut self) {
-        for frame in self.pages.values_mut() {
+        for frame in self.frames.iter_mut().flatten() {
             *frame = PageFrame::from_bytes(frame.bytes());
         }
     }
@@ -400,18 +490,26 @@ impl AddressSpace {
         if region.kind == RegionKind::Code {
             self.code_version += 1;
         }
-        let first = page_index(region.start);
-        let last = page_index(region.end() - 1);
+        self.release_pages(region.start, region.end());
+        Ok(())
+    }
+
+    /// Discards the resident pages of the page-aligned range
+    /// `[start, end)` and every translation with them.
+    fn release_pages(&mut self, start: u64, end: u64) {
         let keys: Vec<u64> = self
             .pages
-            .range(first..=last)
+            .range(page_index(start)..page_index(end))
             .map(|(&index, _)| index)
             .collect();
         for key in keys {
-            self.pages.remove(&key);
+            if let Some(slot) = self.pages.remove(&key) {
+                self.frames[slot as usize] = None;
+                self.free_slots.push(slot);
+            }
             self.cow_pending.remove(&key);
         }
-        Ok(())
+        self.tlb.flush();
     }
 
     /// Budget-checked [`set_brk`](AddressSpace::set_brk): a grow past the
@@ -458,17 +556,7 @@ impl AddressSpace {
             self.regions.sort_by_key(|region| region.start);
         }
         if new_end < old_end {
-            let first = page_index(new_end);
-            let last = page_index(old_end - 1);
-            let keys: Vec<u64> = self
-                .pages
-                .range(first..=last)
-                .map(|(&index, _)| index)
-                .collect();
-            for key in keys {
-                self.pages.remove(&key);
-                self.cow_pending.remove(&key);
-            }
+            self.release_pages(new_end, old_end);
         }
         self.brk = new_brk;
         self.brk
@@ -492,17 +580,57 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`MemError::Unmapped`] if any byte is outside a region.
+    #[inline]
     pub fn read(&self, addr: u64, buf: &mut [u8]) -> Result<(), MemError> {
-        let mut addr = addr;
-        let mut buf = buf;
+        let offset = (addr & PAGE_MASK) as usize;
+        if let Some(bytes) = offset
+            .checked_add(buf.len())
+            .and_then(|end| self.tlb_frame(addr)?.bytes().get(offset..end))
+        {
+            buf.copy_from_slice(bytes);
+            return Ok(());
+        }
+        self.read_untranslated(addr, buf)
+    }
+
+    /// The frame in `slot`, for a slot `pages` maps some page to.
+    fn frame(&self, slot: u32) -> &PageFrame {
+        self.frames[slot as usize]
+            .as_ref()
+            .expect("a mapped page's slot holds its frame")
+    }
+
+    /// The resident frame the TLB translates `addr`'s page to.
+    #[inline]
+    fn tlb_frame(&self, addr: u64) -> Option<&PageFrame> {
+        let entry = self.tlb.get(page_index(addr))?;
+        self.frames.get(entry.slot as usize)?.as_ref()
+    }
+
+    /// [`read`](Self::read) without a translation: any length, any
+    /// residency. Leaves a (read-only) translation for each resident page
+    /// it touches.
+    fn read_untranslated(&self, mut addr: u64, mut buf: &mut [u8]) -> Result<(), MemError> {
         while !buf.is_empty() {
             if !self.is_mapped(addr) {
                 return Err(MemError::Unmapped(addr));
             }
             let offset = (addr & PAGE_MASK) as usize;
             let chunk = buf.len().min(PAGE_SIZE - offset);
-            match self.pages.get(&page_index(addr)) {
-                Some(frame) => buf[..chunk].copy_from_slice(&frame.bytes()[offset..offset + chunk]),
+            let page = page_index(addr);
+            match self.pages.get(&page) {
+                Some(&slot) => {
+                    let frame = self.frame(slot);
+                    buf[..chunk].copy_from_slice(&frame.bytes()[offset..offset + chunk]);
+                    // Keep a same-page write translation if there is one.
+                    if self.tlb.get(page).is_none() {
+                        self.tlb.cell(page).set(TlbEntry {
+                            page,
+                            slot,
+                            write_ok: false,
+                        });
+                    }
+                }
                 None => buf[..chunk].fill(0),
             }
             addr += chunk as u64;
@@ -516,41 +644,83 @@ impl AddressSpace {
     /// # Errors
     ///
     /// Returns [`MemError::Unmapped`] if any byte is outside a region.
+    #[inline]
     pub fn write(&mut self, addr: u64, data: &[u8]) -> Result<(), MemError> {
-        let mut addr = addr;
-        let mut data = data;
-        while !data.is_empty() {
-            match self.region_for(addr) {
-                None => return Err(MemError::Unmapped(addr)),
-                Some(region) if region.kind == RegionKind::Code => {
-                    self.code_version += 1;
-                    if let Some(log) = &mut self.code_write_log {
-                        let chunk = data.len().min(PAGE_SIZE - (addr & PAGE_MASK) as usize);
-                        log.push((addr, chunk));
-                    }
-                }
-                Some(_) => {}
+        // Hit: a page some earlier write left resident, fault-free and
+        // outside the code regions, in a frame nobody shares right now.
+        let offset = (addr & PAGE_MASK) as usize;
+        if let Some(entry) = self.tlb.get(page_index(addr)).filter(|e| e.write_ok) {
+            if let Some(bytes) = offset.checked_add(data.len()).and_then(|end| {
+                let frame = self.frames.get_mut(entry.slot as usize)?.as_mut()?;
+                frame.get_mut()?.get_mut(offset..end)
+            }) {
+                bytes.copy_from_slice(data);
+                return Ok(());
             }
+        }
+        self.write_untranslated(addr, data)
+    }
+
+    /// [`write`](Self::write) without a translation: takes the faults,
+    /// bumps the code version, and leaves a translation behind.
+    fn write_untranslated(&mut self, mut addr: u64, mut data: &[u8]) -> Result<(), MemError> {
+        while !data.is_empty() {
             let offset = (addr & PAGE_MASK) as usize;
             let chunk = data.len().min(PAGE_SIZE - offset);
-            let index = page_index(addr);
-            let minor_faults = &mut self.stats.minor_faults;
-            let frame = self.pages.entry(index).or_insert_with(|| {
-                *minor_faults += 1;
-                PageFrame::zeroed()
-            });
+            let is_code = match self.region_for(addr) {
+                None => return Err(MemError::Unmapped(addr)),
+                Some(region) => region.kind == RegionKind::Code,
+            };
+            if is_code {
+                self.code_version += 1;
+                if let Some(log) = &mut self.code_write_log {
+                    log.push((addr, chunk));
+                }
+            }
+            let page = page_index(addr);
+            let slot = match self.pages.get(&page) {
+                Some(&slot) => slot,
+                None => {
+                    self.stats.minor_faults += 1;
+                    let slot = self.alloc_slot(PageFrame::zeroed());
+                    self.pages.insert(page, slot);
+                    slot
+                }
+            };
             // `make_mut` still copies the frame when a sibling shares it
             // (memory isolation), but the *charge* comes from the
             // deterministic pending set, not the Arc refcount.
-            let (bytes, _copied) = frame.make_mut();
+            let (bytes, _copied) = self.frames[slot as usize]
+                .as_mut()
+                .expect("a mapped page's slot holds its frame")
+                .make_mut();
             bytes[offset..offset + chunk].copy_from_slice(&data[..chunk]);
-            if self.cow_pending.remove(&index) {
+            if self.cow_pending.remove(&page) {
                 self.stats.cow_copies += 1;
             }
+            self.tlb.cell(page).set(TlbEntry {
+                page,
+                slot,
+                write_ok: !is_code,
+            });
             addr += chunk as u64;
             data = &data[chunk..];
         }
         Ok(())
+    }
+
+    fn alloc_slot(&mut self, frame: PageFrame) -> u32 {
+        match self.free_slots.pop() {
+            Some(slot) => {
+                self.frames[slot as usize] = Some(frame);
+                slot
+            }
+            None => {
+                let slot = u32::try_from(self.frames.len()).expect("under 2^32 resident pages");
+                self.frames.push(Some(frame));
+                slot
+            }
+        }
     }
 
     /// Reads a little-endian u64.
@@ -602,7 +772,8 @@ impl AddressSpace {
                 mix(byte);
             }
         }
-        for (&index, frame) in &self.pages {
+        for (&index, &slot) in &self.pages {
+            let frame = self.frame(slot);
             // Skip pages that are all zero: a never-touched page and an
             // explicitly zeroed page must digest identically.
             if frame.bytes().iter().all(|&b| b == 0) {
@@ -903,5 +1074,204 @@ mod tests {
             .map_anonymous(Some(0x4000_0000), PAGE_SIZE as u64)
             .expect("remap");
         assert_eq!(addr, 0x4000_0000);
+    }
+
+    /// The TLB against the same space without one: each step applies one
+    /// random operation to a space and to its twin, whose translations
+    /// are flushed first so that it always takes the untranslated path.
+    mod tlb_model {
+        use super::*;
+        use proptest::prelude::*;
+
+        const HEAP: u64 = 0x0100_0000;
+        const CODE: u64 = 0x1000;
+        const DATA: u64 = 0x8000;
+
+        fn fresh() -> AddressSpace {
+            let mut space = AddressSpace::new(HEAP);
+            let pages = |n: u64| n * PAGE_SIZE as u64;
+            space
+                .map_region(CODE, pages(2), RegionKind::Code)
+                .expect("code");
+            space
+                .map_region(DATA, pages(3), RegionKind::Data)
+                .expect("data");
+            space.set_brk(HEAP + pages(2));
+            space.log_code_writes(true);
+            space
+        }
+
+        /// An address worth touching: in or just past a region of
+        /// `space` (or the fixed ones, mapped or not by now), at, near
+        /// or straddling a page boundary.
+        fn pick_addr(space: &AddressSpace, a: u64, b: u64) -> u64 {
+            let bases = [CODE, DATA, HEAP, MMAP_BASE, 0x5000];
+            let base = match space.regions().get((a % 8) as usize) {
+                Some(region) => region.start,
+                None => bases[(a >> 3) as usize % bases.len()],
+            };
+            let page = (a >> 8) % 4;
+            let offset = match (a >> 12) % 4 {
+                0 => 0,
+                1 => PAGE_SIZE as u64 - 1 - b % 12,
+                2 => b % 16,
+                _ => b % PAGE_SIZE as u64,
+            };
+            base + page * PAGE_SIZE as u64 + offset
+        }
+
+        /// Applies operation `(kind, a, b)` to `spaces[who]`, forking
+        /// into a new entry for `fork`. Returns what the caller could
+        /// observe of it.
+        fn apply(spaces: &mut Vec<AddressSpace>, kind: u8, a: u64, b: u64) -> String {
+            let who = (a >> 56) as usize % spaces.len();
+            let addr = pick_addr(&spaces[who], a, b);
+            let len = (b >> 16) as usize % 24;
+            let space = &mut spaces[who];
+            match kind {
+                0..=2 => {
+                    let mut buf = vec![0xAA; len];
+                    let result = space.read(addr, &mut buf);
+                    format!("read {addr:#x}+{len}: {result:?} {buf:?}")
+                }
+                3..=5 => {
+                    let data: Vec<u8> = (0..len).map(|i| (b >> 24) as u8 ^ i as u8).collect();
+                    format!("write {addr:#x}+{len}: {:?}", space.write(addr, &data))
+                }
+                6 => format!("read_u64 {addr:#x}: {:?}", space.read_u64(addr)),
+                7 => {
+                    if spaces.len() < 4 {
+                        let child = spaces[who].fork();
+                        spaces.push(child);
+                    }
+                    format!("fork of {who}")
+                }
+                8 => {
+                    space.mark_cow_shared();
+                    "mark_cow_shared".to_string()
+                }
+                9 => {
+                    space.materialize();
+                    "materialize".to_string()
+                }
+                10 => {
+                    let hint = b
+                        .is_multiple_of(2)
+                        .then_some(MMAP_BASE + (a >> 20) % 4 * PAGE_SIZE as u64);
+                    let len = (b >> 8) % 3 * PAGE_SIZE as u64 + 1;
+                    format!("map_anonymous: {:?}", space.map_anonymous(hint, len))
+                }
+                11 => {
+                    // Any region may go, the code region included.
+                    let start = space
+                        .regions()
+                        .get((b % 8) as usize)
+                        .map_or(addr, |r| r.start);
+                    format!("unmap {start:#x}: {:?}", space.unmap(start))
+                }
+                _ => {
+                    let brk = HEAP + (b >> 8) % (4 * PAGE_SIZE as u64);
+                    format!("set_brk: {:#x}", space.set_brk(brk))
+                }
+            }
+        }
+
+        fn observables(space: &mut AddressSpace) -> (MemStats, u64, Vec<(u64, usize)>, u64, usize) {
+            (
+                space.stats(),
+                space.code_version(),
+                space.take_code_writes(),
+                space.content_digest(),
+                space.resident_pages(),
+            )
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(96))]
+
+            #[test]
+            fn prop_tlb_is_unobservable(
+                ops in proptest::collection::vec((0u8..13, any::<u64>(), any::<u64>()), 40..400),
+            ) {
+                let mut spaces = vec![fresh()];
+                let mut twins = vec![fresh()];
+                for (step, (kind, a, b)) in ops.into_iter().enumerate() {
+                    for twin in &twins {
+                        twin.tlb.flush();
+                    }
+                    let got = apply(&mut spaces, kind, a, b);
+                    let want = apply(&mut twins, kind, a, b);
+                    prop_assert_eq!(&got, &want, "step {}", step);
+                    // Drain the write logs together now and then, compare
+                    // the rest every step.
+                    if step % 16 == 0 {
+                        for (space, twin) in spaces.iter_mut().zip(&mut twins) {
+                            prop_assert_eq!(observables(space), observables(twin), "step {}", step);
+                        }
+                    }
+                    for (space, twin) in spaces.iter().zip(&twins) {
+                        prop_assert_eq!(space.stats(), twin.stats(), "step {}: {}", step, got);
+                        prop_assert_eq!(space.code_version(), twin.code_version());
+                    }
+                }
+                for (space, twin) in spaces.iter_mut().zip(&mut twins) {
+                    prop_assert_eq!(observables(space), observables(twin));
+                    // Every mapped byte, read both ways.
+                    for region in space.regions().to_vec() {
+                        let len = region.len.min(8 * PAGE_SIZE as u64) as usize;
+                        twin.tlb.flush();
+                        prop_assert_eq!(
+                            space.read_bytes(region.start, len),
+                            twin.read_bytes(region.start, len)
+                        );
+                    }
+                }
+            }
+        }
+
+        /// The hits the model relies on really happen, and stop when
+        /// they must.
+        #[test]
+        fn hits_follow_the_rules() {
+            let mut space = fresh();
+            let hit = |space: &AddressSpace, addr: u64| space.tlb.get(page_index(addr));
+            // A read of a never-touched page leaves nothing to hit.
+            space.read_u64(DATA).expect("read");
+            assert!(hit(&space, DATA).is_none());
+            // A write leaves a write translation; a cross-page read next
+            // to it does not downgrade it.
+            space.write_u64(DATA, 1).expect("write");
+            assert!(hit(&space, DATA).expect("filled").write_ok);
+            space.write_u64(DATA + PAGE_SIZE as u64, 2).expect("write");
+            space
+                .read_u64(DATA + PAGE_SIZE as u64 - 4)
+                .expect("straddle");
+            assert!(hit(&space, DATA).expect("kept").write_ok);
+            // Code pages translate for reads only, so every write still
+            // bumps the version.
+            space.write_u64(CODE, 3).expect("code write");
+            assert!(!hit(&space, CODE).expect("filled").write_ok);
+            let version = space.code_version();
+            space.write_u64(CODE, 4).expect("code write");
+            assert_eq!(space.code_version(), version + 1);
+            // A fork shares every frame: the parent's write translation
+            // survives (`fork` takes `&self`) but cannot be used until
+            // the frame is private again, and the child starts empty.
+            let child = space.fork();
+            assert!(hit(&child, DATA).is_none());
+            assert!(hit(&space, DATA).expect("kept").write_ok);
+            space.write_u64(DATA, 5).expect("write");
+            assert_eq!(child.read_u64(DATA).expect("read"), 1);
+            assert_eq!(space.read_u64(DATA).expect("read"), 5);
+            // Everything that refills the pending set or moves regions
+            // empties the table.
+            space.mark_cow_shared();
+            assert!(hit(&space, DATA).is_none());
+            space.write_u64(DATA, 6).expect("write");
+            assert_eq!(space.stats().cow_copies, 1);
+            space.write_u64(DATA, 7).expect("write");
+            space.set_brk(HEAP);
+            assert!(hit(&space, DATA).is_none());
+        }
     }
 }

@@ -250,6 +250,7 @@ impl Process {
     /// # Errors
     ///
     /// Propagates memory errors; [`VmError::ProcessExited`] after exit.
+    #[inline]
     pub fn exec_decoded(
         &mut self,
         inst: superpin_isa::Inst,
