@@ -28,10 +28,12 @@ use superpin_dbi::Pintool;
 /// When SuperPin is disabled (`-sp 0`), the tool runs as a plain
 /// [`Pintool`] and the slice hooks never fire.
 ///
-/// `Send` is required because the parallel runner moves each slice —
-/// engine, tool clone and all — into a scoped worker thread. Tools share
-/// state through [`SharedMem`] (internally synchronized), not through
-/// their clones, so the bound costs nothing in practice.
+/// `Send + 'static` is required because the runner moves each running
+/// slice — engine, tool clone and all — by value onto a persistent pool
+/// worker for the epoch's slice phase and back at the barrier (and the
+/// service fleet moves whole runners the same way). Tools share state
+/// through [`SharedMem`] (internally synchronized), not through their
+/// clones, so the bound costs nothing in practice.
 pub trait SuperTool: Pintool + Clone + Send + 'static {
     /// Clears slice-local statistics (the `SP_Init` reset function).
     fn reset(&mut self, slice_num: u32);

@@ -81,8 +81,8 @@ pub struct SuperPinConfig {
     /// [`Engine::set_oracle`](superpin_dbi::Engine::set_oracle)).
     pub oracle: Option<Arc<SoundnessOracle>>,
     /// Host worker threads for slice execution (`--threads`). 1 runs
-    /// every slice inline on the supervisor thread; N > 1 fans slice
-    /// epochs out across a `std::thread::scope` pool. The report is
+    /// every slice in place on the calling thread; N > 1 moves slice
+    /// epochs onto the runner's persistent worker pool. The report is
     /// bit-identical either way — epoch batching fixes every scheduling
     /// decision before workers start.
     pub threads: usize,

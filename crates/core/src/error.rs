@@ -36,9 +36,10 @@ pub enum SpError {
     /// The simulation made no forward progress (internal scheduling bug
     /// guard).
     NoProgress,
-    /// A worker thread died (its channel disconnected). Recoverable: the
-    /// supervisor reruns the worker's batch inline and retires the
-    /// worker from future epochs.
+    /// A pool worker died holding its batch (its result channel
+    /// disconnected). Under supervision the runner rebuilds the lost
+    /// slices from their checkpoints and retires the worker; without
+    /// it, and for a fleet job, the loss is fatal to that run.
     WorkerLost {
         /// Index of the dead worker in the pool.
         worker: usize,
@@ -141,6 +142,14 @@ impl From<VmError> for SpError {
 impl From<MemError> for SpError {
     fn from(err: MemError) -> SpError {
         SpError::Mem(err)
+    }
+}
+
+impl From<superpin_sched::WorkerLost> for SpError {
+    fn from(lost: superpin_sched::WorkerLost) -> SpError {
+        SpError::WorkerLost {
+            worker: lost.worker,
+        }
     }
 }
 

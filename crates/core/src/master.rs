@@ -188,27 +188,19 @@ impl MasterRuntime {
         cfg: &SuperPinConfig,
         mode: &mut RunMode,
     ) -> Result<u64, SpError> {
-        let record = match mode {
-            RunMode::Replay(source) => {
-                let pc = self.process().cpu.pc;
-                let record = match source.next_event() {
-                    Some(NondetEvent::Syscall(record)) => record,
-                    Some(other) => {
-                        return Err(SpError::ReplayDivergence {
-                            context: "master syscall",
-                            detail: format!(
-                                "expected a syscall record at pc {pc:#x}, log has a {} event",
-                                other.kind()
-                            ),
-                        })
-                    }
-                    None => {
-                        return Err(SpError::ReplayDivergence {
-                            context: "master syscall",
-                            detail: format!("log exhausted at pc {pc:#x}"),
-                        })
-                    }
-                };
+        let pc = self.process().cpu.pc;
+        let replayed = mode.replayed(
+            "master syscall",
+            "a syscall",
+            &format_args!("pc {pc:#x}"),
+            |event| match event {
+                NondetEvent::Syscall(record) => Some(record),
+                _ => None,
+            },
+        );
+        let record = match replayed {
+            Some(record) => {
+                let record = record?;
                 let regs = &self.process().cpu.regs;
                 let live_number = regs.get(Reg::R0);
                 let live_args = [
@@ -231,13 +223,11 @@ impl MasterRuntime {
                 self.controller.playback_syscall(&record)?;
                 record
             }
-            _ => {
+            None => {
                 let record = self
                     .controller
                     .step_over_syscall(cycles_to_ns(now_cycles))?;
-                if let RunMode::Record(recorder) = mode {
-                    recorder.record(NondetEvent::Syscall(record.clone()));
-                }
+                mode.record(|| NondetEvent::Syscall(record.clone()));
                 record
             }
         };

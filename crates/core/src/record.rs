@@ -25,6 +25,7 @@
 //! under chaos replay bit-identically at `--threads 1`: worker-death
 //! firings are keyed on worker index and would not recur.
 
+use crate::error::SpError;
 use crate::report::SliceReport;
 use superpin_isa::NUM_REGS;
 use superpin_vm::kernel::SyscallRecord;
@@ -125,6 +126,46 @@ impl RunMode {
     /// Whether this run replays from a log.
     pub fn is_replay(&self) -> bool {
         matches!(self, RunMode::Replay(_))
+    }
+
+    /// The record side of a decision point: streams `event()` into the
+    /// recorder; free in every other mode (the event is never built).
+    pub fn record(&mut self, event: impl FnOnce() -> NondetEvent) {
+        if let RunMode::Record(recorder) = self {
+            recorder.record(event());
+        }
+    }
+
+    /// The replay side of a decision point: `None` unless replaying,
+    /// otherwise the next logged event as unwrapped by `pick`, which
+    /// answers `None` to any event but the `want`ed kind ("a syscall").
+    /// `at` says where the run stands, for the error.
+    ///
+    /// # Errors
+    ///
+    /// [`SpError::ReplayDivergence`] when the log holds another kind of
+    /// event here, or nothing more at all.
+    pub fn replayed<V>(
+        &mut self,
+        context: &'static str,
+        want: &str,
+        at: &dyn std::fmt::Display,
+        pick: impl FnOnce(NondetEvent) -> Option<V>,
+    ) -> Option<Result<V, SpError>> {
+        let RunMode::Replay(source) = self else {
+            return None;
+        };
+        let detail = match source.next_event() {
+            Some(event) => {
+                let kind = event.kind();
+                match pick(event) {
+                    Some(value) => return Some(Ok(value)),
+                    None => format!("expected {want} record at {at}, log has a {kind} event"),
+                }
+            }
+            None => format!("log exhausted at {at}"),
+        };
+        Some(Err(SpError::ReplayDivergence { context, detail }))
     }
 }
 

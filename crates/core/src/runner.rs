@@ -2,39 +2,70 @@
 //! process, and every instrumented slice on the machine model.
 //!
 //! This is the top of the system — the analogue of running
-//! `pin -sp 1 -t tool -- app` on the paper's 8-way Xeon. Virtual time
-//! advances in quanta; the runnable tasks (master + running slices)
-//! receive fair shares of the machine (`superpin-sched`), the master
-//! runs natively under ptrace-style control, slices execute instrumented
-//! code with record playback and signature detection, and completed
-//! slices merge **in slice order** (paper §4.5).
+//! `pin -sp 1 -t tool -- app` on the paper's 8-way Xeon. The paper's
+//! control process is one loop: fork a slice at each timeout or forced
+//! syscall while fewer than `-spmp` slices run, and merge finished
+//! slices strictly **in slice order** (§3, §4.5). Here that loop is one
+//! private function, `step_epoch`; [`run`](SuperPinRunner::run),
+//! [`run_profiled`](SuperPinRunner::run_profiled) and
+//! [`step_serial`](SuperPinRunner::step_serial) are
+//! [`start`](SuperPinRunner::start), calls to it, and the report.
 //!
-//! # Epochs and host parallelism
+//! # One epoch
 //!
-//! Quanta are batched into **epochs** planned by
+//! Virtual time advances in quanta, batched into **epochs** planned by
 //! [`EpochPlanner`](superpin_sched::EpochPlanner): spans of quanta over
 //! which the runnable set — and with it every per-quantum budget — is
-//! frozen. Each epoch runs in three strictly ordered phases:
+//! frozen. `step_epoch` takes the control step (fork triggers, governed
+//! admission), fixes the runnable set and its budgets in one scan of
+//! the slice queue, plans the epoch, and runs three strictly ordered
+//! phases:
 //!
 //! 1. **Master first, serially.** The master advances quantum by quantum
-//!    on the supervisor thread. A master event (forced syscall, exit)
+//!    on the calling thread. A master event (forced syscall, exit)
 //!    truncates the epoch at that quantum, so the following barrier
-//!    lands exactly where the classic per-quantum loop would have
-//!    reacted.
-//! 2. **Slices, in parallel.** Every running slice receives the whole
-//!    (possibly truncated) epoch's budget and advances independently —
-//!    inline when `threads == 1`, fanned out over a
-//!    `std::thread::scope` worker pool otherwise. Slices never touch
-//!    the scheduler, the master, or each other, and shared-cache
-//!    consistency uses per-epoch snapshots, so host interleaving cannot
-//!    leak into any simulated quantity.
-//! 3. **Barrier.** Virtual time jumps to the epoch end; freshly compiled
-//!    traces are published into the sharded shared index *in slice
-//!    order*; completed slices merge in slice order; forks happen.
+//!    lands exactly where a per-quantum loop would have reacted.
+//! 2. **Slices.** Every running slice receives the whole (possibly
+//!    truncated) epoch's budget and advances independently: where it
+//!    stands in the queue when `threads == 1`, otherwise moved by value
+//!    onto the runner's [`OrderedPool`] and back into its queue
+//!    position. Slices never touch the scheduler, the master, or each
+//!    other, and shared-cache consistency uses per-epoch snapshots, so
+//!    host interleaving cannot leak into any simulated quantity.
+//! 3. **Barrier.** Failed and lost slices are repaired, virtual time
+//!    jumps to the epoch end, freshly compiled traces are published into
+//!    the sharded shared index *in slice order*, the resident ledger is
+//!    settled, and completed slices merge in slice order.
 //!
-//! Because every scheduling decision is fixed before workers start and
-//! every cross-slice effect is applied in slice order at the barrier,
-//! the report is bit-identical for any `threads` value.
+//! Every scheduling decision is fixed before phase 2 starts and every
+//! cross-slice effect is applied in slice order at the barrier, so the
+//! report is bit-identical for any `threads` value — and between two
+//! `step_epoch` calls nothing outside the calling thread holds any
+//! runner state.
+//!
+//! # The pool
+//!
+//! The runner owns its pool, built the first time a slice phase runs
+//! and sized `threads.min(max_slices)` (more workers than the `-spmp`
+//! cap can never be fed); sized one it has no threads and is never
+//! handed a slice. A worker that dies holding its batch — a panic, or
+//! the `parallel.worker.channel` failpoint — comes back from the pool
+//! as a typed loss per slice: under supervision each lost slice is
+//! rebuilt from its checkpoint and journal at this barrier, without
+//! supervision the run ends with [`SpError::WorkerLost`]. Either way
+//! the pool never deals to that worker again.
+//!
+//! # Record, replay, and the pressure ladder
+//!
+//! The run's nondeterministic surface is three decision points — a
+//! master syscall, an epoch plan, a governed fork admission — plus the
+//! fault ledger at the end. Each is one `RunMode::replayed` /
+//! `RunMode::record` pair (see [`record`](crate::record)); nothing else
+//! in the loop knows the mode. The memory governor's ladder acts through
+//! two functions, `drop_checkpoint` and `evict_cache`, which carry every
+//! journal, governor and ledger posting; the live ladder, its replay and
+//! the fleet's [`fleet_evict_caches`](SuperPinRunner::fleet_evict_caches)
+//! differ only in which slices they name.
 
 use crate::api::SuperTool;
 use crate::bubble::Bubble;
@@ -54,42 +85,58 @@ use crate::signature::{Signature, SignatureStats};
 use crate::slice::{Boundary, SliceRuntime, SliceState, SpSliceTool};
 use crate::supervisor::{SliceSupervisor, Verdict};
 use std::collections::VecDeque;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::time::Instant;
 use superpin_dbi::SharedTraceIndex;
 use superpin_fault::{FailpointRegistry, Site};
-use superpin_sched::{EpochPlanner, QuantumScheduler, SliceEta, Timeline};
+use superpin_sched::{EpochPlanner, OrderedPool, QuantumScheduler, SliceEta, Timeline};
 use superpin_vm::process::Process;
 use superpin_vm::VmError;
 
-/// Why the runner wants to fork while no slot is free.
+/// Why the runner wants to fork.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum PendingFork {
     Timer,
     Syscall,
 }
 
-/// One epoch's worth of work for one **worker**: its whole share of the
-/// runnable slices, dispatched by value in a single message. Slices are
-/// moved out of the queue, advanced on the worker, and moved back into
-/// their original positions at the barrier. Each job's `usize` is the
-/// slice's position in the live queue, which both restores queue order
-/// and picks the deterministic first error. Batching per worker (rather
-/// than per slice) halves-to-quarters the channel traffic per epoch,
-/// which is the dominant synchronization cost at fine epoch grain.
-struct EpochBatch<T: SuperTool> {
-    /// `(queue position, slice, per-quantum budget)` for each slice.
-    jobs: Vec<(usize, SliceRuntime<T>, u64)>,
+/// What every slice of one epoch is told: run `quanta` quanta of
+/// `quantum` cycles from virtual time `epoch_start`. The pool's round
+/// context.
+#[derive(Clone, Copy)]
+struct EpochRound {
     quanta: u64,
     epoch_start: u64,
     quantum: u64,
-    /// Deterministic key the worker feeds its
-    /// [`Site::ParallelWorkerChannel`] failpoint before touching the
-    /// batch (chaos mode only; a firing worker drops the batch and dies).
-    chaos_key: u64,
 }
 
-type BatchDone<T> = Vec<(usize, SliceRuntime<T>, Result<(), SpError>)>;
+/// One running slice's place in an epoch — `(slice number, per-quantum
+/// budget, progress at the epoch's start)` — listed in queue order.
+type EpochWork = (u32, u64, SliceEta);
+
+/// A slice moved onto the pool with its per-quantum budget, and moved
+/// back with its outcome.
+type SliceJob<T> = (SliceRuntime<T>, u64);
+type SliceDone<T> = (SliceRuntime<T>, Result<(), SpError>);
+
+impl EpochRound {
+    /// Advances one slice through the epoch at `budget` cycles per
+    /// quantum — the one call behind both the in-place and the pooled
+    /// slice phase, so the two are bit-equivalent.
+    fn advance<T: SuperTool>(
+        &self,
+        slice: &mut SliceRuntime<T>,
+        budget: u64,
+    ) -> Result<(), SpError> {
+        slice.advance_epoch(budget, self.quanta, self.epoch_start, self.quantum)
+    }
+}
+
+/// The pool's work function.
+fn advance_job<T: SuperTool>(round: &EpochRound, (mut slice, budget): SliceJob<T>) -> SliceDone<T> {
+    let outcome = round.advance(&mut slice, budget);
+    (slice, outcome)
+}
 
 /// Host-side (wall-clock) phase timing of one run, from
 /// [`SuperPinRunner::run_profiled`].
@@ -127,29 +174,6 @@ impl HostProfile {
         let parallel = self.slice_ns as f64 / threads.max(1) as f64;
         self.total_ns() as f64 / (self.supervisor_ns as f64 + parallel).max(1.0)
     }
-}
-
-/// One persistent worker's endpoints. Each worker has its **own**
-/// result channel: a dead worker then surfaces as a deterministic
-/// `Disconnected` on its channel instead of a hang on a shared one, and
-/// the supervisor knows exactly whose batch was lost.
-struct WorkerLink<T: SuperTool> {
-    sender: mpsc::Sender<EpochBatch<T>>,
-    results: mpsc::Receiver<BatchDone<T>>,
-    /// Cleared when the worker dies (channel failpoint or genuine
-    /// panic); dead workers are skipped in all future epochs.
-    alive: bool,
-}
-
-/// The slice-execution backend for one run. The pool variant holds
-/// channels to workers spawned **once** for the whole run (inside
-/// `run`'s `thread::scope`); per-epoch cost is one channel round trip
-/// per busy worker, not a thread spawn.
-enum WorkerPool<T: SuperTool> {
-    /// `threads = 1`: advance slices inline on the supervisor thread.
-    Inline,
-    /// `threads > 1`: persistent scoped workers fed round-robin.
-    Pool { workers: Vec<WorkerLink<T>> },
 }
 
 /// Drives one complete SuperPin run. See the crate docs for an example.
@@ -210,6 +234,9 @@ pub struct SuperPinRunner<T: SuperTool> {
     /// Whether [`start`](SuperPinRunner::start) has forked the first
     /// slice yet (the steppable API is idempotent about it).
     started: bool,
+    /// The slice phase's worker pool, built on first use (see the
+    /// module docs). Empty of slices between epochs.
+    pool: Option<OrderedPool<EpochRound, SliceJob<T>, SliceDone<T>>>,
 }
 
 impl<T: SuperTool> SuperPinRunner<T> {
@@ -278,6 +305,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
             ledger: ResidentLedger::new(),
             mode: RunMode::Live,
             started: false,
+            pool: None,
         })
     }
 
@@ -296,17 +324,14 @@ impl<T: SuperTool> SuperPinRunner<T> {
         self.mode = RunMode::Replay(source);
     }
 
-    fn running_count(&self) -> usize {
-        self.live
-            .iter()
-            .filter(|slice| slice.state() == SliceState::Running)
-            .count()
-    }
-
     /// A fork wakes the previously sleeping slice, so the running count
     /// grows by one; the limit is the `-spmp` maximum of running slices.
     fn can_fork(&self) -> bool {
-        self.running_count() < self.cfg.max_slices
+        let running = self
+            .live
+            .iter()
+            .filter(|slice| slice.state() == SliceState::Running);
+        running.count() < self.cfg.max_slices
     }
 
     /// The governed resident-byte total: the master's full resident
@@ -354,25 +379,13 @@ impl<T: SuperTool> SuperPinRunner<T> {
         slice.private_resident_bytes() + slice.cache_resident_insts() as u64 * COMPILED_INST_BYTES
     }
 
-    /// Posts one slice's current footprint into the incremental ledger.
-    fn post_slice_footprint(&mut self, num: u32) {
-        if let Some(slice) = self.live.iter().find(|slice| slice.num() == num) {
-            let bytes = Self::slice_footprint(slice);
-            self.ledger.post_slice(num, bytes);
-        }
-    }
-
     /// Re-posts every live slice's footprint and the checkpoint term —
     /// the once-per-epoch settlement after the slice phase (footprints
     /// grow inside workers, where the ledger cannot be touched).
     fn settle_ledger(&mut self) {
-        let postings: Vec<(u32, u64)> = self
-            .live
-            .iter()
-            .map(|slice| (slice.num(), Self::slice_footprint(slice)))
-            .collect();
-        for (num, bytes) in postings {
-            self.ledger.post_slice(num, bytes);
+        for slice in &self.live {
+            self.ledger
+                .post_slice(slice.num(), Self::slice_footprint(slice));
         }
         self.post_checkpoint_bytes();
     }
@@ -413,90 +426,115 @@ impl<T: SuperTool> SuperPinRunner<T> {
         FORK_COST_BYTES + checkpoint
     }
 
-    /// Memory-governed admission check for one fork: dispatches on the
-    /// run mode. Without a governor every fork is a plain `Admit` and no
-    /// event is recorded (an ungoverned run has no admission
+    /// Whether forking now — `est` more bytes on top of `usage` — would
+    /// break the budget.
+    fn over_budget(&self, usage: u64, est: u64) -> bool {
+        self.governor
+            .as_ref()
+            .is_some_and(|gov| gov.over_budget(usage, est))
+    }
+
+    /// Ladder rung 1 on one slice: reclaims `num`'s retained checkpoint,
+    /// with the governor and ledger postings. Returns the simulated
+    /// bytes freed (0 when there was nothing to drop).
+    fn drop_checkpoint(&mut self, num: u32) -> u64 {
+        let freed = self
+            .supervisor
+            .as_mut()
+            .map_or(0, |sup| sup.drop_checkpoint(num));
+        if freed > 0 {
+            if let Some(gov) = &mut self.governor {
+                gov.note_checkpoint_dropped();
+            }
+            self.post_checkpoint_bytes();
+        }
+        freed
+    }
+
+    /// Ladder rung 2 on one slice: flushes `num`'s code cache. The
+    /// eviction is journaled, so a condemned slice's rebuild replays it
+    /// at the same point in its schedule, counted by the governor when
+    /// one is armed, and posted to the ledger. Returns the simulated
+    /// bytes freed (0 when the cache was already empty).
+    fn evict_cache(&mut self, num: u32) -> u64 {
+        let Some(slice) = self.live.iter_mut().find(|slice| slice.num() == num) else {
+            return 0;
+        };
+        let freed = slice.evict_code_cache() as u64 * COMPILED_INST_BYTES;
+        if freed > 0 {
+            self.ledger.post_slice(num, Self::slice_footprint(slice));
+            if let Some(sup) = &mut self.supervisor {
+                sup.journal_evict(num);
+            }
+            if let Some(gov) = &mut self.governor {
+                gov.note_cache_evicted();
+            }
+        }
+        freed
+    }
+
+    /// The live slices holding an evictable code cache, coldest first
+    /// (LRU by the slice's last-active virtual time; slice number breaks
+    /// ties).
+    fn coldest_caches(&self) -> Vec<u32> {
+        let mut cold: Vec<(u64, u32)> = self
+            .live
+            .iter()
+            .filter(|slice| slice.cache_resident_insts() > 0)
+            .map(|slice| (slice.last_active_cycles(), slice.num()))
+            .collect();
+        cold.sort_unstable();
+        cold.into_iter().map(|(_, num)| num).collect()
+    }
+
+    /// Memory-governed admission check for one fork, called only when a
+    /// slot is free. Without a governor every fork is a plain `Admit`
+    /// and no event is recorded (an ungoverned run has no admission
     /// nondeterminism, so record and replay streams stay aligned).
+    ///
+    /// A live run walks the eviction ladder and records the decision
+    /// with the ladder's actions; a replay takes the recorded decision
+    /// and re-applies the recorded actions — same two functions, same
+    /// postings — instead of re-walking the ladder.
     fn admission_check(&mut self) -> Result<Admission, SpError> {
         if self.governor.is_none() {
             return Ok(Admission::Admit);
         }
-        if self.mode.is_replay() {
-            return self.admission_replay();
-        }
-        let (decision, dropped, evicted) = self.admit_fork_live();
-        if let RunMode::Record(recorder) = &mut self.mode {
-            recorder.record(NondetEvent::Admission {
-                decision,
-                dropped,
-                evicted,
-            });
-        }
-        Ok(decision)
-    }
-
-    /// Replay-side admission: substitutes the recorded decision and
-    /// re-applies the recorded eviction-ladder actions (checkpoint drops
-    /// and cache flushes) with the same bookkeeping the live ladder
-    /// performs, instead of re-walking the ladder.
-    fn admission_replay(&mut self) -> Result<Admission, SpError> {
-        let event = match &mut self.mode {
-            RunMode::Replay(source) => source.next_event(),
-            _ => unreachable!("checked by caller"),
-        };
-        let (decision, dropped, evicted) = match event {
-            Some(NondetEvent::Admission {
-                decision,
-                dropped,
-                evicted,
-            }) => (decision, dropped, evicted),
-            Some(other) => {
-                return Err(SpError::ReplayDivergence {
-                    context: "fork admission",
-                    detail: format!(
-                        "expected an admission record for slice {}, log has a {} event",
-                        self.next_slice_num,
-                        other.kind()
-                    ),
-                })
+        self.observe_usage();
+        let replayed = self.mode.replayed(
+            "fork admission",
+            "an admission",
+            &format_args!("slice {}", self.next_slice_num),
+            |event| match event {
+                NondetEvent::Admission {
+                    decision,
+                    dropped,
+                    evicted,
+                } => Some((decision, dropped, evicted)),
+                _ => None,
+            },
+        );
+        let decision = match replayed {
+            Some(recorded) => {
+                let (decision, dropped, evicted) = recorded?;
+                for num in dropped {
+                    self.drop_checkpoint(num);
+                }
+                for num in evicted {
+                    self.evict_cache(num);
+                }
+                decision
             }
             None => {
-                return Err(SpError::ReplayDivergence {
-                    context: "fork admission",
-                    detail: format!("log exhausted at slice {} admission", self.next_slice_num),
-                })
+                let (decision, dropped, evicted) = self.admit_fork_live();
+                self.mode.record(|| NondetEvent::Admission {
+                    decision,
+                    dropped,
+                    evicted,
+                });
+                decision
             }
         };
-        let usage = self.resident_usage();
-        let gov = self.governor.as_mut().expect("governor present");
-        gov.observe(usage);
-        for num in dropped {
-            let Some(sup) = self.supervisor.as_mut() else {
-                break;
-            };
-            if sup.drop_checkpoint(num) > 0 {
-                self.governor
-                    .as_mut()
-                    .expect("governor present")
-                    .note_checkpoint_dropped();
-            }
-        }
-        self.post_checkpoint_bytes();
-        for num in evicted {
-            let Some(slice) = self.live.iter_mut().find(|slice| slice.num() == num) else {
-                continue;
-            };
-            if slice.evict_code_cache() > 0 {
-                if let Some(sup) = &mut self.supervisor {
-                    sup.journal_evict(num);
-                }
-                self.governor
-                    .as_mut()
-                    .expect("governor present")
-                    .note_cache_evicted();
-                self.post_slice_footprint(num);
-            }
-        }
         let gov = self.governor.as_mut().expect("governor present");
         if decision == Admission::Defer {
             gov.note_deferral();
@@ -506,123 +544,69 @@ impl<T: SuperTool> SuperPinRunner<T> {
         Ok(decision)
     }
 
-    /// Live memory-governed admission check for one fork, walking the
-    /// eviction ladder under pressure (see the `governor` module docs).
-    /// Called only when a slot is free and a governor is armed.
-    /// Deterministic: every input is simulated state and the check runs
-    /// at control steps on the supervisor thread. Returns the decision
-    /// plus the ladder's actions (checkpoints dropped, caches evicted)
-    /// so record mode can log them.
+    /// The live eviction ladder for one fork (see the `governor` module
+    /// docs). Deterministic: every input is simulated state and the walk
+    /// runs at control steps on the calling thread. Returns the decision
+    /// plus the ladder's actions (checkpoints dropped, caches evicted,
+    /// in ladder order) for the record.
     fn admit_fork_live(&mut self) -> (Admission, Vec<u32>, Vec<u32>) {
-        let mut dropped_log: Vec<u32> = Vec::new();
-        let mut evicted_log: Vec<u32> = Vec::new();
         let est = self.fork_estimate();
         let mut usage = self.resident_usage();
-        let gov = self.governor.as_mut().expect("governor present");
-        gov.observe(usage);
-        if !gov.over_budget(usage, est) {
-            gov.end_deferral();
-            return (Admission::Admit, dropped_log, evicted_log);
+        if !self.over_budget(usage, est) {
+            return (Admission::Admit, Vec::new(), Vec::new());
         }
         // Rung 1: drop retained checkpoints of committed slices. A
         // `Done` slice is never condemned, so its checkpoint is pure
         // insurance the run no longer needs.
-        let done: Vec<u32> = if self.supervisor.is_some() {
-            self.live
-                .iter()
-                .filter(|slice| slice.state() == SliceState::Done)
-                .map(SliceRuntime::num)
-                .collect()
-        } else {
-            Vec::new()
-        };
-        for num in done {
-            if !self
-                .governor
-                .as_ref()
-                .expect("governor present")
-                .over_budget(usage, est)
-            {
-                break;
-            }
-            let Some(sup) = self.supervisor.as_mut() else {
-                break;
-            };
-            let freed = sup.drop_checkpoint(num);
-            if freed > 0 {
-                usage = usage.saturating_sub(freed);
-                dropped_log.push(num);
-                self.governor
-                    .as_mut()
-                    .expect("governor present")
-                    .note_checkpoint_dropped();
-                self.post_checkpoint_bytes();
-            }
-        }
-        // Rung 2: flush cold code caches, coldest first (LRU by the
-        // slice's last-active virtual time; slice number breaks ties).
-        // Journaled so a condemned slice's rebuild replays the eviction
-        // at the same point in its schedule.
-        let mut cold: Vec<(u64, u32)> = self
+        let done: Vec<u32> = self
             .live
             .iter()
-            .filter(|slice| slice.cache_resident_insts() > 0)
-            .map(|slice| (slice.last_active_cycles(), slice.num()))
+            .filter(|slice| slice.state() == SliceState::Done)
+            .map(SliceRuntime::num)
             .collect();
-        cold.sort_unstable();
-        for (_, num) in cold {
-            if !self
-                .governor
-                .as_ref()
-                .expect("governor present")
-                .over_budget(usage, est)
-            {
+        let mut dropped = Vec::new();
+        for num in done {
+            if !self.over_budget(usage, est) {
                 break;
             }
-            let slice = self
-                .live
-                .iter_mut()
-                .find(|slice| slice.num() == num)
-                .expect("eviction candidate is live");
-            let freed_insts = slice.evict_code_cache();
-            if freed_insts > 0 {
-                usage = usage.saturating_sub(freed_insts as u64 * COMPILED_INST_BYTES);
-                evicted_log.push(num);
-                if let Some(sup) = &mut self.supervisor {
-                    sup.journal_evict(num);
-                }
-                self.governor
-                    .as_mut()
-                    .expect("governor present")
-                    .note_cache_evicted();
-                self.post_slice_footprint(num);
+            let freed = self.drop_checkpoint(num);
+            if freed > 0 {
+                usage = usage.saturating_sub(freed);
+                dropped.push(num);
             }
         }
-        let gov = self.governor.as_mut().expect("governor present");
-        if !gov.over_budget(usage, est) {
-            gov.end_deferral();
-            return (Admission::Admit, dropped_log, evicted_log);
+        // Rung 2: flush cold code caches, coldest first.
+        let mut evicted = Vec::new();
+        for num in self.coldest_caches() {
+            if !self.over_budget(usage, est) {
+                break;
+            }
+            let freed = self.evict_cache(num);
+            if freed > 0 {
+                usage = usage.saturating_sub(freed);
+                evicted.push(num);
+            }
         }
         // Rung 3: still over budget. Defer while anything non-sleeping
         // can free memory by completing; otherwise deferring deadlocks
         // (the back slice only wakes at the next fork), so admit the
         // fork degraded to inline serial execution.
-        let decision = if self
+        let decision = if !self.over_budget(usage, est) {
+            Admission::Admit
+        } else if self
             .live
             .iter()
             .any(|slice| slice.state() != SliceState::Sleeping)
         {
-            gov.note_deferral();
             Admission::Defer
         } else {
-            gov.end_deferral();
             Admission::AdmitDegraded
         };
-        (decision, dropped_log, evicted_log)
+        (decision, dropped, evicted)
     }
 
-    /// Forks a new slice from the master's current state and wakes the
-    /// previous slice with `boundary` + the span's records.
+    /// Forks a new slice from the master's current state and, with a
+    /// `boundary`, wakes the previous one (every fork but the first).
     ///
     /// With chaos armed, the fork consults the `vm.fork.cow` failpoint;
     /// an injected failure is retried with a fresh key (the retry budget
@@ -632,48 +616,26 @@ impl<T: SuperTool> SuperPinRunner<T> {
     /// attempt, so retries never perturb slice numbering.
     fn fork_slice(&mut self, boundary: Option<Boundary>) -> Result<(), SpError> {
         let num = self.next_slice_num;
-        let mut slice = if self.fault.is_some() {
-            let mut attempt: u64 = 0;
-            loop {
-                if attempt > self.cfg.max_slice_retries as u64 {
-                    break SliceRuntime::spawn(
-                        num,
-                        self.master.process(),
-                        &self.tool_template,
-                        &self.bubble,
-                        &self.cfg,
-                        self.now,
-                    )?;
-                }
-                let key = ((num as u64) << 16) | attempt;
-                match SliceRuntime::spawn_checked(
-                    num,
-                    self.master.process(),
-                    &self.tool_template,
-                    &self.bubble,
-                    &self.cfg,
-                    self.now,
-                    key,
-                ) {
-                    Ok(slice) => break slice,
-                    Err(SpError::Vm(VmError::FaultInjected { .. })) => {
-                        if let Some(sup) = &mut self.supervisor {
-                            sup.note_transient_retry();
-                        }
-                        attempt += 1;
-                    }
-                    Err(err) => return Err(err),
-                }
-            }
-        } else {
-            SliceRuntime::spawn(
+        let mut attempt: u64 = 0;
+        let mut slice = loop {
+            let checked = self.fault.is_some() && attempt <= self.cfg.max_slice_retries as u64;
+            match SliceRuntime::spawn_checked(
                 num,
                 self.master.process(),
                 &self.tool_template,
                 &self.bubble,
                 &self.cfg,
                 self.now,
-            )?
+                checked.then_some(((num as u64) << 16) | attempt),
+            ) {
+                Err(SpError::Vm(VmError::FaultInjected { .. })) => {
+                    if let Some(sup) = &mut self.supervisor {
+                        sup.note_transient_retry();
+                    }
+                    attempt += 1;
+                }
+                spawned => break spawned?,
+            }
         };
         self.next_slice_num += 1;
         if let Some(templates) = &self.trace_templates {
@@ -685,50 +647,39 @@ impl<T: SuperTool> SuperPinRunner<T> {
         if let Some(index) = &self.shared_traces {
             slice.enter_shared_epoch(index.snapshot());
         }
-        let records = self.master.take_span_records();
-        let span = self.master.process().inst_count() - self.master_insts_at_last_fork;
-        if let Some(prev) = self.live.back_mut() {
-            let boundary = boundary.expect("boundary required when a slice is sleeping");
-            prev.wake(boundary, records, self.now);
-            prev.set_span_insts(span);
-            if let Some(sup) = &mut self.supervisor {
-                sup.guard(prev);
-                if let Some(registry) = &self.fault {
-                    prev.arm_chaos(Some(Arc::clone(registry)), 0);
-                }
-            }
-        }
-        self.live.push_back(slice);
-        let newest = self
-            .live
-            .back()
-            .map(SliceRuntime::num)
-            .expect("just pushed");
-        self.post_slice_footprint(newest);
         // Waking the previous slice materializes its supervisor
-        // checkpoint; settle the checkpoint term immediately so the
-        // admission check that follows this fork sees it.
-        self.post_checkpoint_bytes();
+        // checkpoint, and `end_span` settles the checkpoint term, so
+        // the admission check that follows this fork sees it.
+        if let Some(boundary) = boundary {
+            self.end_span(boundary, self.now);
+        }
+        self.ledger.post_slice(num, Self::slice_footprint(&slice));
+        self.live.push_back(slice);
         self.last_fork = self.now;
         self.master_insts_at_last_fork = self.master.process().inst_count();
         self.master_debt += self.cfg.cost.fork_base;
         Ok(())
     }
 
-    /// Delivers the final boundary to the last sleeping slice when the
-    /// master exits at virtual time `now_cycles`.
-    fn deliver_final_boundary(&mut self, now_cycles: u64) {
+    /// Ends the master's current span at virtual time `now_cycles`: the
+    /// sleeping back slice wakes with `boundary` and the span's records,
+    /// and comes under supervision (checkpointed, and chaos-armed when a
+    /// plan is set). Called at every fork after the first, and with
+    /// [`Boundary::ProgramExit`] when the master exits.
+    fn end_span(&mut self, boundary: Boundary, now_cycles: u64) {
         let records = self.master.take_span_records();
         let span = self.master.process().inst_count() - self.master_insts_at_last_fork;
-        if let Some(last) = self.live.back_mut() {
-            if last.state() == SliceState::Sleeping {
-                last.wake(Boundary::ProgramExit, records, now_cycles);
-                last.set_span_insts(span);
-                if let Some(sup) = &mut self.supervisor {
-                    sup.guard(last);
-                    if let Some(registry) = &self.fault {
-                        last.arm_chaos(Some(Arc::clone(registry)), 0);
-                    }
+        let sleeping = self
+            .live
+            .back_mut()
+            .filter(|slice| slice.state() == SliceState::Sleeping);
+        if let Some(slice) = sleeping {
+            slice.wake(boundary, records, now_cycles);
+            slice.set_span_insts(span);
+            if let Some(sup) = &mut self.supervisor {
+                sup.guard(slice);
+                if let Some(registry) = &self.fault {
+                    slice.arm_chaos(Some(Arc::clone(registry)), 0);
                 }
             }
         }
@@ -771,84 +722,67 @@ impl<T: SuperTool> SuperPinRunner<T> {
         self.post_checkpoint_bytes();
     }
 
-    /// Stalls the master on a fork it cannot take yet (no free slot, or
-    /// the memory governor deferred admission), counting one stall
-    /// episode per continuous stretch.
-    fn stall_fork(&mut self, pending: PendingFork) {
-        if self.stalled.is_none() {
-            self.stall_events += 1;
-        }
-        self.stalled = Some(pending);
-    }
-
-    /// Marks the slice about to be forked as governor-degraded
-    /// (eviction-ladder rung 3): it will run pinned to the supervisor
-    /// thread for its whole life, like a supervisor-degraded slice.
-    fn pin_next_fork(&mut self) {
-        let num = self.next_slice_num;
-        if let Some(gov) = self.governor.as_mut() {
-            gov.degrade(num);
-        }
-    }
-
-    /// Handles fork triggers at an epoch barrier: resolves a pending
-    /// forced-fork syscall, or performs a timer fork, stalling the master
-    /// when no slot is free or the memory governor defers admission.
+    /// Handles fork triggers at an epoch barrier: a pending forced-fork
+    /// syscall, or a due timer fork. The master stalls — one stall
+    /// episode per continuous stretch — while no slot is free or the
+    /// memory governor defers admission.
     fn control_step(&mut self) -> Result<(), SpError> {
-        if self.master.exited() {
-            self.stalled = None;
-            return Ok(());
-        }
-        if self.master.pending_force() {
-            if !self.can_fork() {
-                self.stall_fork(PendingFork::Syscall);
-                return Ok(());
-            }
-            match self.admission_check()? {
-                Admission::Defer => self.stall_fork(PendingFork::Syscall),
-                admission => {
-                    self.stalled = None;
-                    if admission == Admission::AdmitDegraded {
-                        self.pin_next_fork();
-                    }
-                    let cycles =
-                        self.master
-                            .resolve_forced_syscall(self.now, &self.cfg, &mut self.mode)?;
-                    self.master_debt += cycles;
-                    self.forks_on_syscall += 1;
-                    self.fork_slice(Some(Boundary::SyscallEnd))?;
-                    if self.master.exited() {
-                        self.note_master_exit(self.now);
-                    }
-                }
-            }
-            return Ok(());
-        }
-        let timeslice = self.cfg.effective_timeslice(self.now);
-        // The timer only creates a slice once the master has made forward
-        // progress since the last fork — a zero-length slice would be
-        // pure overhead (and its boundary state would equal its start
-        // state).
-        let progressed = self.master.process().inst_count() > self.master_insts_at_last_fork;
-        if progressed && self.now.saturating_sub(self.last_fork) >= timeslice {
-            if !self.can_fork() {
-                self.stall_fork(PendingFork::Timer);
-                return Ok(());
-            }
-            match self.admission_check()? {
-                Admission::Defer => self.stall_fork(PendingFork::Timer),
-                admission => {
-                    self.stalled = None;
-                    if admission == Admission::AdmitDegraded {
-                        self.pin_next_fork();
-                    }
-                    let signature = Signature::capture(self.master.process());
-                    self.forks_on_timeout += 1;
-                    self.fork_slice(Some(Boundary::Signature(Box::new(signature))))?;
-                }
-            }
+        let trigger = if self.master.exited() {
+            None
+        } else if self.master.pending_force() {
+            Some(PendingFork::Syscall)
         } else {
+            // The timer only creates a slice once the master has made
+            // forward progress since the last fork — a zero-length slice
+            // would be pure overhead (and its boundary state would equal
+            // its start state).
+            let progressed = self.master.process().inst_count() > self.master_insts_at_last_fork;
+            let due =
+                self.now.saturating_sub(self.last_fork) >= self.cfg.effective_timeslice(self.now);
+            (progressed && due).then_some(PendingFork::Timer)
+        };
+        let Some(trigger) = trigger else {
             self.stalled = None;
+            return Ok(());
+        };
+        let admission = if self.can_fork() {
+            self.admission_check()?
+        } else {
+            Admission::Defer
+        };
+        if admission == Admission::Defer {
+            if self.stalled.is_none() {
+                self.stall_events += 1;
+            }
+            self.stalled = Some(trigger);
+            return Ok(());
+        }
+        self.stalled = None;
+        if admission == Admission::AdmitDegraded {
+            // Ladder rung 3: the slice about to be forked runs pinned to
+            // the calling thread for its whole life, like a
+            // supervisor-degraded slice.
+            if let Some(gov) = self.governor.as_mut() {
+                gov.degrade(self.next_slice_num);
+            }
+        }
+        match trigger {
+            PendingFork::Syscall => {
+                let cycles =
+                    self.master
+                        .resolve_forced_syscall(self.now, &self.cfg, &mut self.mode)?;
+                self.master_debt += cycles;
+                self.forks_on_syscall += 1;
+                self.fork_slice(Some(Boundary::SyscallEnd))?;
+                if self.master.exited() {
+                    self.note_master_exit(self.now);
+                }
+            }
+            PendingFork::Timer => {
+                let signature = Signature::capture(self.master.process());
+                self.forks_on_timeout += 1;
+                self.fork_slice(Some(Boundary::Signature(Box::new(signature))))?;
+            }
         }
         Ok(())
     }
@@ -858,7 +792,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
     fn note_master_exit(&mut self, quantum_start: u64) {
         if self.master_exit_cycles.is_none() {
             self.master_exit_cycles = Some(quantum_start + self.cfg.quantum_cycles.max(1));
-            self.deliver_final_boundary(quantum_start);
+            self.end_span(Boundary::ProgramExit, quantum_start);
         }
     }
 
@@ -914,26 +848,38 @@ impl<T: SuperTool> SuperPinRunner<T> {
         Ok((planned, planned))
     }
 
-    /// Advances every running slice through the epoch — inline on the
-    /// supervisor thread, or fanned out over the persistent worker pool.
-    /// Both paths drive the identical per-quantum
-    /// [`SliceRuntime::advance_epoch`] loop, so they are bit-equivalent.
+    /// Advances, where they stand, those of `slices` that `work` gives
+    /// a budget.
+    fn advance_in_place<'a>(
+        slices: impl Iterator<Item = &'a mut SliceRuntime<T>>,
+        work: &[EpochWork],
+        round: EpochRound,
+        failures: &mut Vec<(u32, SpError)>,
+    ) {
+        for slice in slices {
+            let num = slice.num();
+            if let Some(&(_, budget, _)) = work.iter().find(|job| job.0 == num) {
+                if let Err(err) = round.advance(slice, budget) {
+                    failures.push((num, err));
+                }
+            }
+        }
+    }
+
+    /// The slice phase: advances every slice in `work` through the
+    /// epoch — where it stands in the queue, or moved by value onto the
+    /// pool when at least two slices can go there.
     ///
-    /// Returns the failed slices (in queue order) when supervision is on
+    /// Returns the failed slices (in slice order) when supervision is on
     /// so the barrier can repair them; without supervision the first
-    /// failure by queue order — or a dead worker — is a run-fatal typed
+    /// failure in slice order, or a lost worker, is a run-fatal typed
     /// error ([`SpError::WorkerLost`], never a panic).
-    fn advance_slices_epoch(
+    fn advance_slices(
         &mut self,
-        pool: &mut WorkerPool<T>,
-        budgets: &[(u32, u64)],
-        quanta: u64,
-        epoch_start: u64,
-        quantum: u64,
+        work: &[EpochWork],
+        round: EpochRound,
     ) -> Result<Vec<(u32, SpError)>, SpError> {
-        let budget_of = |num: u32| budgets.iter().find(|&&(n, _)| n == num).map(|&(_, b)| b);
-        let supervising = self.supervisor.is_some();
-        // Degraded slices are pinned to the supervisor thread — both the
+        // Degraded slices are pinned to this thread — both the
         // supervisor's retry-exhausted slices and the governor's
         // pressure-degraded admissions.
         let mut pinned = self
@@ -944,166 +890,73 @@ impl<T: SuperTool> SuperPinRunner<T> {
         if let Some(gov) = &self.governor {
             pinned.extend(gov.degraded_set());
         }
-        let poolable = self
-            .live
-            .iter()
-            .filter(|slice| {
-                slice.state() == SliceState::Running
-                    && budget_of(slice.num()).is_some()
-                    && !pinned.contains(&slice.num())
-            })
-            .count();
-        let workers = match pool {
-            WorkerPool::Pool { workers }
-                if poolable >= 2 && workers.iter().any(|link| link.alive) =>
-            {
-                workers
-            }
-            // A single poolable slice gains nothing from a channel round
-            // trip; threads = 1 (and a fully dead pool) always land here.
-            _ => {
-                let mut failures = Vec::new();
-                for slice in self.live.iter_mut() {
-                    if slice.state() != SliceState::Running {
-                        continue;
-                    }
-                    let Some(budget) = budget_of(slice.num()) else {
-                        continue;
-                    };
-                    if let Err(err) = slice.advance_epoch(budget, quanta, epoch_start, quantum) {
-                        if supervising {
-                            failures.push((slice.num(), err));
-                        } else {
-                            return Err(err);
-                        }
+        let poolable = work.iter().filter(|job| !pinned.contains(&job.0)).count();
+        let workers = self.cfg.threads.min(self.cfg.max_slices);
+        let pool = self
+            .pool
+            .get_or_insert_with(|| OrderedPool::new(workers, advance_job::<T>));
+        let mut failures = Vec::new();
+        // A single poolable slice gains nothing from a channel round
+        // trip; `threads = 1` and a fully dead pool always land here.
+        if poolable < 2 || !pool.is_parallel() {
+            Self::advance_in_place(self.live.iter_mut(), work, round, &mut failures);
+        } else {
+            // Move each poolable slice out of its queue slot; the pinned
+            // ones stay behind and run here while the workers churn.
+            let mut slots: Vec<Option<SliceRuntime<T>>> = self.live.drain(..).map(Some).collect();
+            let mut sent: Vec<(usize, u32)> = Vec::new();
+            let mut jobs: Vec<SliceJob<T>> = Vec::new();
+            for (order, slot) in slots.iter_mut().enumerate() {
+                let num = slot.as_ref().expect("drained slot is full").num();
+                if let Some(&(_, budget, _)) = work.iter().find(|job| job.0 == num) {
+                    if !pinned.contains(&num) {
+                        jobs.push((slot.take().expect("drained slot is full"), budget));
+                        sent.push((order, num));
                     }
                 }
-                return Ok(failures);
             }
-        };
-        // Move each poolable slice out of the queue into a per-worker
-        // batch (round-robin over the *alive* workers, by value), leave a
-        // placeholder, and reassemble the queue in original order at the
-        // barrier. One message each way per busy worker.
-        let mut failures: Vec<(usize, u32, SpError)> = Vec::new();
-        let mut slots: Vec<Option<SliceRuntime<T>>> = self.live.drain(..).map(Some).collect();
-        let alive: Vec<usize> = workers
-            .iter()
-            .enumerate()
-            .filter(|(_, link)| link.alive)
-            .map(|(idx, _)| idx)
-            .collect();
-        let mut batches: Vec<Vec<(usize, SliceRuntime<T>, u64)>> =
-            alive.iter().map(|_| Vec::new()).collect();
-        let mut inline_orders: Vec<(usize, u64)> = Vec::new();
-        let mut sent = 0usize;
-        for (order, slot) in slots.iter_mut().enumerate() {
-            let eligible = slot
-                .as_ref()
-                .is_some_and(|slice| slice.state() == SliceState::Running);
-            if !eligible {
-                continue;
-            }
-            let num = slot.as_ref().map(SliceRuntime::num).expect("slot occupied");
-            let Some(budget) = budget_of(num) else {
-                continue;
+            // Failpoint: simulated worker death, keyed by worker and
+            // epoch. The doomed worker swallows its batch and both its
+            // channels drop.
+            let (fault, epochs) = (&self.fault, self.epochs);
+            let kill = |worker: usize| {
+                let key = ((worker as u64) << 32) ^ epochs;
+                fault
+                    .as_ref()
+                    .is_some_and(|registry| registry.fire(Site::ParallelWorkerChannel, key))
             };
-            if pinned.contains(&num) {
-                inline_orders.push((order, budget));
-                continue;
-            }
-            let slice = slot.take().expect("eligibility checked");
-            batches[sent % alive.len()].push((order, slice, budget));
-            sent += 1;
-        }
-        // Dispatch. A failed send returns the batch in the error — those
-        // slices never left this thread, so run them inline and retire
-        // the worker.
-        let mut busy: Vec<(usize, Vec<(usize, u32)>)> = Vec::new();
-        for (&widx, jobs) in alive.iter().zip(batches) {
-            if jobs.is_empty() {
-                continue;
-            }
-            let manifest: Vec<(usize, u32)> = jobs
-                .iter()
-                .map(|(order, slice, _)| (*order, slice.num()))
-                .collect();
-            let chaos_key = ((widx as u64) << 32) ^ self.epochs;
-            let batch = EpochBatch {
-                jobs,
-                quanta,
-                epoch_start,
-                quantum,
-                chaos_key,
-            };
-            match workers[widx].sender.send(batch) {
-                Ok(()) => busy.push((widx, manifest)),
-                Err(mpsc::SendError(returned)) => {
-                    workers[widx].alive = false;
-                    if !supervising {
-                        return Err(SpError::WorkerLost { worker: widx });
+            let done = pool.run(&round, jobs, kill, || {
+                let stayed = slots.iter_mut().flatten();
+                Self::advance_in_place(stayed, work, round, &mut failures);
+            });
+            for ((order, num), outcome) in sent.into_iter().zip(done) {
+                slots[order] = Some(match outcome {
+                    Ok((slice, Ok(()))) => slice,
+                    Ok((slice, Err(err))) => {
+                        failures.push((num, err));
+                        slice
                     }
-                    for (order, mut slice, budget) in returned.jobs {
-                        let outcome = slice.advance_epoch(budget, quanta, epoch_start, quantum);
-                        let num = slice.num();
-                        slots[order] = Some(slice);
-                        if let Err(err) = outcome {
-                            failures.push((order, num, err));
-                        }
+                    // The worker died holding this slice: rebuild it from
+                    // checkpoint + journal (which already includes this
+                    // epoch).
+                    Err(lost) if self.supervisor.is_some() => {
+                        self.repair_slice(num, lost.into())?
                     }
-                }
+                    Err(lost) => return Err(lost.into()),
+                });
             }
+            self.live.extend(
+                slots
+                    .into_iter()
+                    .map(|slot| slot.expect("every slice is back")),
+            );
+            failures.sort_by_key(|&(num, _)| num);
         }
-        // Degraded slices run on this thread while the workers churn.
-        for (order, budget) in inline_orders {
-            let slice = slots[order].as_mut().expect("pinned slice stays put");
-            if let Err(err) = slice.advance_epoch(budget, quanta, epoch_start, quantum) {
-                failures.push((order, slice.num(), err));
-            }
+        match failures.first() {
+            // Nothing can repair a failed slice: the first one ends the run.
+            Some(_) if self.supervisor.is_none() => Err(failures.swap_remove(0).1),
+            _ => Ok(failures),
         }
-        // Collect. A disconnected result channel means the worker died
-        // *holding* its batch: rebuild every slice in its manifest from
-        // checkpoint + journal (the journal already includes this epoch).
-        for (widx, manifest) in busy {
-            match workers[widx].results.recv() {
-                Ok(done) => {
-                    for (order, slice, outcome) in done {
-                        let num = slice.num();
-                        slots[order] = Some(slice);
-                        if let Err(err) = outcome {
-                            failures.push((order, num, err));
-                        }
-                    }
-                }
-                Err(mpsc::RecvError) => {
-                    workers[widx].alive = false;
-                    if !supervising {
-                        return Err(SpError::WorkerLost { worker: widx });
-                    }
-                    for (order, num) in manifest {
-                        let repaired =
-                            self.repair_slice(num, SpError::WorkerLost { worker: widx })?;
-                        slots[order] = Some(repaired);
-                    }
-                }
-            }
-        }
-        self.live.extend(
-            slots
-                .into_iter()
-                .map(|slot| slot.expect("all slices returned")),
-        );
-        failures.sort_by_key(|&(order, _, _)| order);
-        if !supervising {
-            return match failures.into_iter().next() {
-                Some((_, _, err)) => Err(err),
-                None => Ok(Vec::new()),
-            };
-        }
-        Ok(failures
-            .into_iter()
-            .map(|(_, num, err)| (num, err))
-            .collect())
     }
 
     /// Condemns `num`, charges its retry budget, and rebuilds it from
@@ -1131,39 +984,27 @@ impl<T: SuperTool> SuperPinRunner<T> {
         Ok(rebuilt)
     }
 
-    /// Swaps a repaired slice into its queue position.
-    fn replace_slice(&mut self, repaired: SliceRuntime<T>) {
-        let num = repaired.num();
-        let slot = self
-            .live
-            .iter_mut()
-            .find(|slice| slice.num() == num)
-            .expect("repaired slice is live");
-        *slot = repaired;
-    }
-
     /// The supervisor's barrier inspection, run **before** virtual time
     /// advances and slices merge: repair explicit failures from the
     /// slice phase, then sweep every live slice for silent poison (the
     /// detector's injected-fault counter), overshoot past the known
-    /// span, and watchdog expiry. Every condemned slice is replaced by
-    /// its injection-off replay *this* barrier, so downstream publish
-    /// and merge decisions are made from fault-free state — recovery is
-    /// invisible to the simulation by construction.
+    /// span, and watchdog expiry. Every condemned slice is replaced in
+    /// its queue position by its injection-off replay *this* barrier,
+    /// so downstream publish and merge decisions are made from
+    /// fault-free state — recovery is invisible to the simulation by
+    /// construction.
     fn supervise_barrier(&mut self, failures: Vec<(u32, SpError)>) -> Result<(), SpError> {
         if self.supervisor.is_none() {
             debug_assert!(failures.is_empty());
             return Ok(());
         }
         for (num, err) in failures {
-            let repaired = self.repair_slice(num, err)?;
-            self.replace_slice(repaired);
+            let at = self.live.iter().position(|slice| slice.num() == num);
+            self.live[at.expect("failed slice is live")] = self.repair_slice(num, err)?;
         }
-        let nums: Vec<u32> = self.live.iter().map(SliceRuntime::num).collect();
-        for num in nums {
-            let Some(slice) = self.live.iter().find(|slice| slice.num() == num) else {
-                continue;
-            };
+        for at in 0..self.live.len() {
+            let slice = &self.live[at];
+            let num = slice.num();
             let sup = self.supervisor.as_ref().expect("supervision enabled");
             if sup.is_degraded(num) {
                 continue;
@@ -1174,22 +1015,19 @@ impl<T: SuperTool> SuperPinRunner<T> {
             let overshoot = running && eta.insts_total > 0 && eta.insts_done > eta.insts_total;
             let expired = running && sup.watchdog_expired(num);
             let cause = if poisoned {
-                Some(SpError::Vm(VmError::FaultInjected {
+                SpError::Vm(VmError::FaultInjected {
                     site: "core.signature",
-                }))
+                })
             } else if overshoot || expired {
-                Some(SpError::Runaway {
+                SpError::Runaway {
                     slice: num,
                     insts: eta.insts_done,
                     span: eta.insts_total,
-                })
+                }
             } else {
-                None
+                continue;
             };
-            if let Some(cause) = cause {
-                let repaired = self.repair_slice(num, cause)?;
-                self.replace_slice(repaired);
-            }
+            self.live[at] = self.repair_slice(num, cause)?;
         }
         Ok(())
     }
@@ -1229,10 +1067,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
 
     /// Runs the full simulation to completion and produces the report.
     ///
-    /// With `threads > 1` this spawns the worker pool **once** (scoped,
-    /// std-only) and keeps it alive for the whole run; the epoch loop
-    /// itself is identical for every backend.
-    ///
     /// # Errors
     ///
     /// Propagates guest errors and slice-divergence detections.
@@ -1248,69 +1082,9 @@ impl<T: SuperTool> SuperPinRunner<T> {
     /// Propagates guest errors and slice-divergence detections.
     pub fn run_profiled(mut self) -> Result<(SuperPinReport, HostProfile), SpError> {
         self.start()?;
-
-        // More workers than the `-spmp` cap can never be fed.
-        let workers = self.cfg.threads.min(self.cfg.max_slices);
-        if workers <= 1 {
-            let report = self.run_epochs(&mut WorkerPool::Inline)?;
-            return Ok((report, self.host_profile));
-        }
-        let chaos = self.fault.clone();
-        let report = std::thread::scope(|scope| {
-            let links = (0..workers)
-                .map(|_| {
-                    let (tx, rx) = mpsc::channel::<EpochBatch<T>>();
-                    let (result_tx, results) = mpsc::channel::<BatchDone<T>>();
-                    let chaos = chaos.clone();
-                    scope.spawn(move || {
-                        while let Ok(batch) = rx.recv() {
-                            let EpochBatch {
-                                jobs,
-                                quanta,
-                                epoch_start,
-                                quantum,
-                                chaos_key,
-                            } = batch;
-                            // Failpoint: simulated worker death. The batch
-                            // is swallowed and both channels drop; the
-                            // supervisor sees `Disconnected` and rebuilds
-                            // every slice in the manifest.
-                            if let Some(registry) = &chaos {
-                                if registry.fire(Site::ParallelWorkerChannel, chaos_key) {
-                                    break;
-                                }
-                            }
-                            let mut done = Vec::with_capacity(jobs.len());
-                            for (order, mut slice, budget) in jobs {
-                                let outcome =
-                                    slice.advance_epoch(budget, quanta, epoch_start, quantum);
-                                done.push((order, slice, outcome));
-                            }
-                            if result_tx.send(done).is_err() {
-                                break;
-                            }
-                        }
-                    });
-                    WorkerLink {
-                        sender: tx,
-                        results,
-                        alive: true,
-                    }
-                })
-                .collect();
-            let mut pool = WorkerPool::Pool { workers: links };
-            self.run_epochs(&mut pool)
-            // `pool` drops at the end of this closure, disconnecting the
-            // job channels; workers see the hangup and exit before the
-            // scope joins them.
-        })?;
+        while self.step_epoch()? {}
+        let report = self.finish()?;
         Ok((report, self.host_profile))
-    }
-
-    /// The epoch loop (see the module docs for the three-phase shape).
-    fn run_epochs(&mut self, pool: &mut WorkerPool<T>) -> Result<SuperPinReport, SpError> {
-        while self.step_epoch(pool)? {}
-        self.finalize()
     }
 
     /// Begins the run: forks the first slice ("at the start of
@@ -1329,31 +1103,25 @@ impl<T: SuperTool> SuperPinRunner<T> {
         Ok(())
     }
 
-    /// Executes exactly one epoch inline on the calling thread (the
-    /// `threads = 1` backend), starting the run if needed. Returns
+    /// Executes exactly one epoch, starting the run if needed. Returns
     /// whether the run can make further progress; once it returns
     /// `false`, [`finish`](SuperPinRunner::finish) renders the report.
+    /// This is the step [`run`](SuperPinRunner::run) loops over, so a
+    /// stepped run and a `run()` produce the same report; "serial" says
+    /// that control returns to the caller at every epoch barrier, where
+    /// no worker holds any of the run's state.
     ///
-    /// This is the lockstep surface the divergence differ drives: after
-    /// each step, [`probe`](SuperPinRunner::probe) exposes the
-    /// epoch-barrier state for comparison against a twin run.
+    /// The divergence differ drives this in lockstep: after each step,
+    /// [`probe`](SuperPinRunner::probe) exposes the epoch-barrier state
+    /// for comparison against a twin run. The service fleet steps its
+    /// jobs through it, one epoch per round.
     ///
     /// # Errors
     ///
     /// Propagates guest errors and replay divergences.
     pub fn step_serial(&mut self) -> Result<bool, SpError> {
         self.start()?;
-        self.step_epoch(&mut WorkerPool::Inline)
-    }
-
-    /// Renders the final report once [`step_serial`](SuperPinRunner::step_serial)
-    /// has returned `false`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates replay divergences surfaced at finalization.
-    pub fn finish(&mut self) -> Result<SuperPinReport, SpError> {
-        self.finalize()
+        self.step_epoch()
     }
 
     /// Snapshots the run's observable state at the current epoch
@@ -1415,34 +1183,12 @@ impl<T: SuperTool> SuperPinRunner<T> {
     /// bit-replayable. Call only at epoch barriers (between
     /// [`step_serial`](SuperPinRunner::step_serial) calls).
     pub fn fleet_evict_caches(&mut self, target_bytes: u64) -> u64 {
-        let mut cold: Vec<(u64, u32)> = self
-            .live
-            .iter()
-            .filter(|slice| slice.cache_resident_insts() > 0)
-            .map(|slice| (slice.last_active_cycles(), slice.num()))
-            .collect();
-        cold.sort_unstable();
         let mut freed = 0u64;
-        for (_, num) in cold {
+        for num in self.coldest_caches() {
             if freed >= target_bytes {
                 break;
             }
-            let slice = self
-                .live
-                .iter_mut()
-                .find(|slice| slice.num() == num)
-                .expect("eviction candidate is live");
-            let freed_insts = slice.evict_code_cache();
-            if freed_insts > 0 {
-                freed += freed_insts as u64 * COMPILED_INST_BYTES;
-                if let Some(sup) = &mut self.supervisor {
-                    sup.journal_evict(num);
-                }
-                if let Some(gov) = &mut self.governor {
-                    gov.note_cache_evicted();
-                }
-                self.post_slice_footprint(num);
-            }
+            freed += self.evict_cache(num);
         }
         freed
     }
@@ -1456,185 +1202,156 @@ impl<T: SuperTool> SuperPinRunner<T> {
             .any(|slice| slice.cache_resident_insts() > 0)
     }
 
-    /// One iteration of the epoch loop; `Ok(false)` means the run is
-    /// complete.
-    fn step_epoch(&mut self, pool: &mut WorkerPool<T>) -> Result<bool, SpError> {
+    /// One epoch — the run's only driver (see the module docs for its
+    /// shape); `Ok(false)` means the run is complete.
+    fn step_epoch(&mut self) -> Result<bool, SpError> {
         let quantum = self.cfg.quantum_cycles.max(1);
-        {
-            // Host timing only — two `Instant` reads per epoch, no
-            // effect on any simulated quantity.
-            let supervisor_start = Instant::now();
-            self.control_step()?;
+        // Host timing only — three `Instant` reads per epoch, no effect
+        // on any simulated quantity.
+        let supervisor_start = Instant::now();
+        self.control_step()?;
 
-            // Build the runnable set: master (task 0) + running slices.
-            let master_runnable =
-                !self.master.exited() && self.stalled.is_none() && !self.master.pending_force();
-            let mut runnable: Vec<u64> = Vec::new();
-            if master_runnable {
-                runnable.push(0);
+        // The runnable set — master (task 0) + running slices — from one
+        // scan of the queue.
+        let master_runnable =
+            !self.master.exited() && self.stalled.is_none() && !self.master.pending_force();
+        let running: Vec<(u32, SliceEta)> = self
+            .live
+            .iter()
+            .filter(|slice| slice.state() == SliceState::Running)
+            .map(|slice| (slice.num(), slice.eta()))
+            .collect();
+        let runnable: Vec<u64> = master_runnable
+            .then_some(0)
+            .into_iter()
+            .chain(running.iter().map(|&(num, _)| num as u64))
+            .collect();
+        if runnable.is_empty() {
+            if self.master.exited() && self.live.is_empty() {
+                return Ok(false);
             }
-            let running: Vec<u32> = self
-                .live
-                .iter()
-                .filter(|slice| slice.state() == SliceState::Running)
-                .map(SliceRuntime::num)
-                .collect();
-            runnable.extend(running.iter().map(|&num| num as u64));
-
-            if runnable.is_empty() {
-                if self.master.exited() && self.live.is_empty() {
-                    return Ok(false);
-                }
-                // Master stalled with zero running slices would be a
-                // logic error (a slot must be free then); a sleeping-only
-                // queue after exit likewise.
-                return Err(SpError::NoProgress);
-            }
-
-            // Budgets for the whole epoch are fixed here: they depend
-            // only on the runnable set, which the barrier structure keeps
-            // constant until the next control step.
-            let shares = self.scheduler.shares(&runnable);
-            let master_budget = master_runnable.then(|| shares[0].budget(quantum));
-            let slice_budgets: Vec<(u32, u64)> = shares
-                .iter()
-                .filter(|share| share.task != 0)
-                .map(|share| (share.task as u32, share.budget(quantum)))
-                .collect();
-
-            // Plan the epoch: next fork deadline and predicted slice
-            // completions, all from virtual state only. While the
-            // governor is deferring a fork, keep epochs short so
-            // admission is re-checked promptly once running slices merge
-            // and free their footprint.
-            let deadline = if master_runnable {
-                self.fork_deadline_quanta(quantum)
-            } else if self
-                .governor
-                .as_ref()
-                .is_some_and(MemoryGovernor::is_deferring)
-            {
-                Some(self.planner.deferral_review_quanta())
-            } else {
-                None
-            };
-            let etas: Vec<(SliceEta, u64)> = self
-                .live
-                .iter()
-                .filter(|slice| slice.state() == SliceState::Running)
-                .map(|slice| {
-                    let budget = slice_budgets
-                        .iter()
-                        .find(|(num, _)| *num == slice.num())
-                        .map(|&(_, budget)| budget)
-                        .unwrap_or(1);
-                    (slice.eta(), budget)
-                })
-                .collect();
-            let planned = match &mut self.mode {
-                RunMode::Live => self.planner.plan(deadline, etas),
-                RunMode::Record(recorder) => {
-                    let planned = self.planner.plan(deadline, etas);
-                    recorder.record(NondetEvent::EpochPlan { planned });
-                    planned
-                }
-                // Substituted verbatim: the planner's live answer would
-                // be identical on a faithful log, and taking the log's
-                // word is what lets divergence tests perturb it.
-                RunMode::Replay(source) => match source.next_event() {
-                    Some(NondetEvent::EpochPlan { planned }) => planned.max(1),
-                    Some(other) => {
-                        return Err(SpError::ReplayDivergence {
-                            context: "epoch plan",
-                            detail: format!(
-                                "expected an epoch-plan record at epoch {}, log has a {} event",
-                                self.epochs,
-                                other.kind()
-                            ),
-                        })
-                    }
-                    None => {
-                        return Err(SpError::ReplayDivergence {
-                            context: "epoch plan",
-                            detail: format!("log exhausted at epoch {}", self.epochs),
-                        })
-                    }
-                },
-            };
-            self.epochs += 1;
-
-            // Phase 1: master, serially; a master event truncates the
-            // epoch so the barrier lands where the event must be handled.
-            let exited_before_epoch = self.master_exit_cycles.is_some();
-            let (epoch_len, run_quanta) = match master_budget {
-                Some(budget) => self.advance_master_epoch(budget, planned, quantum)?,
-                None => (planned, planned),
-            };
-
-            // Master timeline for the Figure 6 decomposition.
-            if !exited_before_epoch && run_quanta > 0 {
-                let label = if master_runnable { "run" } else { "sleep" };
-                self.master_timeline
-                    .push(self.now, self.now + run_quanta * quantum, label);
-            }
-
-            // Journal the epoch each running slice is about to receive:
-            // the supervisor must be able to replay the exact schedule
-            // (and its watchdog clock ticks in these same quanta).
-            let dispatched: Vec<(u32, u64, SliceEta)> = if self.supervisor.is_some() {
-                self.live
-                    .iter()
-                    .filter(|slice| slice.state() == SliceState::Running)
-                    .filter_map(|slice| {
-                        slice_budgets
-                            .iter()
-                            .find(|(num, _)| *num == slice.num())
-                            .map(|&(_, budget)| (slice.num(), budget, slice.eta()))
-                    })
-                    .collect()
-            } else {
-                Vec::new()
-            };
-            if let Some(sup) = self.supervisor.as_mut() {
-                for (num, budget, eta) in dispatched {
-                    sup.journal_advance(num, budget, epoch_len, self.now, quantum, eta);
-                }
-            }
-
-            // Phase 2: slices, in parallel across host threads.
-            let slice_start = Instant::now();
-            self.host_profile.supervisor_ns +=
-                slice_start.duration_since(supervisor_start).as_nanos() as u64;
-            let failures =
-                self.advance_slices_epoch(pool, &slice_budgets, epoch_len, self.now, quantum)?;
-            let barrier_start = Instant::now();
-            self.host_profile.slice_ns +=
-                barrier_start.duration_since(slice_start).as_nanos() as u64;
-
-            // Phase 3: barrier. Repair first — faults are detected and
-            // rolled back in the epoch they fired, so publication and
-            // merging below only ever see fault-free state.
-            self.supervise_barrier(failures)?;
-            self.now += epoch_len * quantum;
-            self.sync_shared_cache();
-            // Footprints grew inside the slice phase (on worker
-            // threads, where the ledger cannot be touched) and repairs
-            // may have swapped slices: settle every posting once, here
-            // at the barrier.
-            self.settle_ledger();
-            self.observe_usage();
-            self.merge_ready();
-            self.host_profile.supervisor_ns += barrier_start.elapsed().as_nanos() as u64;
+            // Master stalled with zero running slices would be a logic
+            // error (a slot must be free then); a sleeping-only queue
+            // after exit likewise.
+            return Err(SpError::NoProgress);
         }
+
+        // Budgets for the whole epoch are fixed here: they depend only
+        // on the runnable set, which the barrier structure keeps
+        // constant until the next control step. Shares come back in
+        // `runnable` order, so the slices' follow the master's.
+        let shares = self.scheduler.shares(&runnable);
+        let master_budget = master_runnable.then(|| shares[0].budget(quantum));
+        let work: Vec<EpochWork> = running
+            .iter()
+            .zip(&shares[usize::from(master_runnable)..])
+            .map(|(&(num, eta), share)| (num, share.budget(quantum), eta))
+            .collect();
+
+        // Plan the epoch: next fork deadline and predicted slice
+        // completions, all from virtual state only. While the governor
+        // is deferring a fork, keep epochs short so admission is
+        // re-checked promptly once running slices merge and free their
+        // footprint.
+        let deadline = if master_runnable {
+            self.fork_deadline_quanta(quantum)
+        } else if self
+            .governor
+            .as_ref()
+            .is_some_and(MemoryGovernor::is_deferring)
+        {
+            Some(self.planner.deferral_review_quanta())
+        } else {
+            None
+        };
+        let replayed = self.mode.replayed(
+            "epoch plan",
+            "an epoch-plan",
+            &format_args!("epoch {}", self.epochs),
+            |event| match event {
+                NondetEvent::EpochPlan { planned } => Some(planned),
+                _ => None,
+            },
+        );
+        let planned = match replayed {
+            // Substituted verbatim: the planner's live answer would be
+            // identical on a faithful log, and taking the log's word is
+            // what lets divergence tests perturb it.
+            Some(planned) => planned?.max(1),
+            None => {
+                let etas = work.iter().map(|&(_, budget, eta)| (eta, budget));
+                let planned = self.planner.plan(deadline, etas);
+                self.mode.record(|| NondetEvent::EpochPlan { planned });
+                planned
+            }
+        };
+        self.epochs += 1;
+
+        // Phase 1: master, serially; a master event truncates the epoch
+        // so the barrier lands where the event must be handled.
+        let exited_before_epoch = self.master_exit_cycles.is_some();
+        let (epoch_len, run_quanta) = match master_budget {
+            Some(budget) => self.advance_master_epoch(budget, planned, quantum)?,
+            None => (planned, planned),
+        };
+
+        // Master timeline for the Figure 6 decomposition.
+        if !exited_before_epoch && run_quanta > 0 {
+            let label = if master_runnable { "run" } else { "sleep" };
+            self.master_timeline
+                .push(self.now, self.now + run_quanta * quantum, label);
+        }
+
+        // Journal the epoch each running slice is about to receive: the
+        // supervisor must be able to replay the exact schedule (and its
+        // watchdog clock ticks in these same quanta).
+        if let Some(sup) = self.supervisor.as_mut() {
+            for &(num, budget, eta) in &work {
+                sup.journal_advance(num, budget, epoch_len, self.now, quantum, eta);
+            }
+        }
+
+        // Phase 2: slices, in parallel across host threads.
+        let slice_start = Instant::now();
+        self.host_profile.supervisor_ns +=
+            slice_start.duration_since(supervisor_start).as_nanos() as u64;
+        let round = EpochRound {
+            quanta: epoch_len,
+            epoch_start: self.now,
+            quantum,
+        };
+        let failures = self.advance_slices(&work, round)?;
+        let barrier_start = Instant::now();
+        self.host_profile.slice_ns += barrier_start.duration_since(slice_start).as_nanos() as u64;
+
+        // Phase 3: barrier. Repair first — faults are detected and
+        // rolled back in the epoch they fired, so publication and
+        // merging below only ever see fault-free state.
+        self.supervise_barrier(failures)?;
+        self.now += epoch_len * quantum;
+        self.sync_shared_cache();
+        // Footprints grew inside the slice phase (on worker threads,
+        // where the ledger cannot be touched) and repairs may have
+        // swapped slices: settle every posting once, here at the
+        // barrier.
+        self.settle_ledger();
+        self.observe_usage();
+        self.merge_ready();
+        self.host_profile.supervisor_ns += barrier_start.elapsed().as_nanos() as u64;
         Ok(true)
     }
 
-    /// Renders the report after the epoch loop completes. The
-    /// supervision ledger (`slice_retries`, `slices_degraded`) is
-    /// recorded here as the log's final event, and substituted from the
-    /// log on replay — chaos recovery is re-*counted* rather than
-    /// re-*executed* (see the [`record`](crate::record) module docs).
-    fn finalize(&mut self) -> Result<SuperPinReport, SpError> {
+    /// Renders the final report once [`step_serial`](SuperPinRunner::step_serial)
+    /// has returned `false`. The supervision ledger (`slice_retries`,
+    /// `slices_degraded`) is recorded here as the log's final event, and
+    /// substituted from the log on replay — chaos recovery is
+    /// re-*counted* rather than re-*executed* (see the
+    /// [`record`](crate::record) module docs).
+    ///
+    /// # Errors
+    ///
+    /// Propagates replay divergences surfaced at finalization.
+    pub fn finish(&mut self) -> Result<SuperPinReport, SpError> {
         // All slices merged: render the final result.
         //
         // Soundness gate: if an oracle was installed, no engine may have
@@ -1657,25 +1374,22 @@ impl<T: SuperTool> SuperPinRunner<T> {
             .supervisor
             .as_ref()
             .map_or(0, |sup| sup.slices_degraded);
-        match &mut self.mode {
-            RunMode::Live => {}
-            RunMode::Record(recorder) => recorder.record(NondetEvent::FaultLedger {
-                slice_retries: sup_retries,
-                slices_degraded: sup_degraded,
-            }),
-            RunMode::Replay(source) => {
-                // The ledger is the log's final event; drain to it so a
-                // replay that legitimately consumed fewer decision
-                // points (injection is disarmed) still finds it.
-                while let Some(event) = source.next_event() {
-                    if let NondetEvent::FaultLedger {
-                        slice_retries,
-                        slices_degraded,
-                    } = event
-                    {
-                        sup_retries = slice_retries;
-                        sup_degraded = slices_degraded;
-                    }
+        self.mode.record(|| NondetEvent::FaultLedger {
+            slice_retries: sup_retries,
+            slices_degraded: sup_degraded,
+        });
+        if let RunMode::Replay(source) = &mut self.mode {
+            // The ledger is the log's final event; drain to it so a
+            // replay that legitimately consumed fewer decision points
+            // (injection is disarmed) still finds it.
+            while let Some(event) = source.next_event() {
+                if let NondetEvent::FaultLedger {
+                    slice_retries,
+                    slices_degraded,
+                } = event
+                {
+                    sup_retries = slice_retries;
+                    sup_degraded = slices_degraded;
                 }
             }
         }

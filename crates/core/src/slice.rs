@@ -252,15 +252,15 @@ impl<T: SuperTool> SliceRuntime<T> {
         cfg: &SuperPinConfig,
         now_cycles: u64,
     ) -> Result<SliceRuntime<T>, SpError> {
-        let process = master.fork(1000 + num as u64);
-        SliceRuntime::from_fork(num, process, tool_template, bubble, cfg, now_cycles)
+        SliceRuntime::spawn_checked(num, master, tool_template, bubble, cfg, now_cycles, None)
     }
 
-    /// Like [`spawn`](SliceRuntime::spawn), but the fork consults the
-    /// master's armed [`Site::VmForkCow`](superpin_fault::Site::VmForkCow)
-    /// failpoint with `chaos_key` (see
-    /// [`Process::try_fork`](superpin_vm::process::Process::try_fork)).
-    /// The runner retries with a fresh key on injected failure.
+    /// Like [`spawn`](SliceRuntime::spawn), but with `Some(chaos_key)`
+    /// the fork consults the master's armed
+    /// [`Site::VmForkCow`](superpin_fault::Site::VmForkCow) failpoint
+    /// (see [`Process::try_fork`](superpin_vm::process::Process::try_fork)).
+    /// The runner retries with a fresh key on injected failure, and
+    /// with `None` — an unchecked fork — once its retries are spent.
     ///
     /// # Errors
     ///
@@ -274,9 +274,13 @@ impl<T: SuperTool> SliceRuntime<T> {
         bubble: &Bubble,
         cfg: &SuperPinConfig,
         now_cycles: u64,
-        chaos_key: u64,
+        chaos_key: Option<u64>,
     ) -> Result<SliceRuntime<T>, SpError> {
-        let process = master.try_fork(1000 + num as u64, chaos_key)?;
+        let pid = 1000 + num as u64;
+        let process = match chaos_key {
+            Some(key) => master.try_fork(pid, key)?,
+            None => master.fork(pid),
+        };
         SliceRuntime::from_fork(num, process, tool_template, bubble, cfg, now_cycles)
     }
 

@@ -997,7 +997,7 @@ fn eval_args<'a>(
     }
 }
 
-// The parallel runner moves engines into scoped worker threads, so
+// The parallel runner moves engines onto pool worker threads, so
 // `Engine<T>: Send` for any `Send` tool is a load-bearing property:
 // losing it (say, by caching an `Rc` somewhere) must fail compilation
 // here rather than at the runner's distant spawn site.

@@ -26,10 +26,15 @@
 //! * [`FleetQueue`] — weighted-fair virtual-time scheduling of whole
 //!   *jobs* for the multi-tenant service front end (`superpin-serve`),
 //!   with [`fair_shares`] for deterministic proportional budget splits.
+//! * [`OrderedPool`] — the one host worker pool: jobs scattered by value,
+//!   results gathered by input position, a dead worker reported as a
+//!   typed [`WorkerLost`]. The runner's slice phase and the service
+//!   fleet's rounds both run on it.
 
 mod epoch;
 mod fleet;
 mod machine;
+mod pool;
 mod scheduler;
 mod timeline;
 
@@ -39,5 +44,6 @@ pub use epoch::{
 };
 pub use fleet::{fair_shares, FleetQueue, WFQ_SCALE};
 pub use machine::Machine;
+pub use pool::{OrderedPool, WorkerLost};
 pub use scheduler::{Policy, QuantumScheduler, Share};
 pub use timeline::Timeline;

@@ -19,10 +19,14 @@
 //!    `fleet_slots` active jobs with minimum weighted virtual time.
 //!    The selection is fixed *before* any job runs.
 //! 3. **Execution** (parallel): each selected job advances exactly one
-//!    of its own epochs, moved by value onto the shared pool. Jobs run
-//!    with `threads = 1` internally — the fleet's parallelism is
-//!    across jobs, never within one — so a job's epoch is a
-//!    deterministic function of the job alone.
+//!    of its own epochs, moved by value onto the shared pool — the same
+//!    [`OrderedPool`] the runner's slice phase uses. Jobs run with
+//!    `threads = 1` internally — the fleet's parallelism is across
+//!    jobs, never within one — so a job's epoch is a deterministic
+//!    function of the job alone. A worker that dies mid-epoch takes its
+//!    jobs' state with it: each comes back as a typed
+//!    [`SpError::WorkerLost`] and fails the run like any other job
+//!    error, instead of hanging the round.
 //! 4. **Settlement** (serial, slot order): virtual-time charges,
 //!    completions, and ledger postings apply in the selection's order,
 //!    never in wall-clock finish order.
@@ -45,12 +49,11 @@ use superpin::governor::FORK_COST_BYTES;
 use superpin::{FailPlan, ProgramAnalysis, SpError, SuperPinConfig, TenantAdmission, TenantLedger};
 use superpin_dbi::CYCLES_PER_SEC;
 use superpin_replay::{diff_round, FleetEvent, RoundFrame};
-use superpin_sched::FleetQueue;
+use superpin_sched::{FleetQueue, OrderedPool};
 use superpin_workloads::Scale;
 
 use crate::durable::Durability;
 use crate::job::{build_job, JobDriver};
-use crate::pool::JobPool;
 use crate::report::{JobOutcome, ServiceReport, TenantSummary};
 use crate::spec::JobFile;
 
@@ -69,7 +72,9 @@ pub fn time_scale_for(scale: Scale) -> f64 {
 #[derive(Clone, Debug)]
 pub struct FleetConfig {
     /// Shared pool worker threads (`--threads`). Purely a host
-    /// execution knob: reports are bit-identical across values.
+    /// execution knob: reports are bit-identical across values. A
+    /// round never selects more than `slots` jobs, so the pool is sized
+    /// `threads.min(slots)`.
     pub threads: usize,
     /// Round width (`--fleet-slots`): how many jobs advance per round.
     /// A *scheduling* knob — changing it changes the interleaving —
@@ -131,6 +136,15 @@ impl fmt::Display for FleetError {
 
 impl std::error::Error for FleetError {}
 
+/// A job back from the pool with what its epoch returned.
+type SteppedJob = (Box<dyn JobDriver>, Result<bool, SpError>);
+
+/// The pool's work function: one epoch of one job.
+fn step_job(_: &(), mut job: Box<dyn JobDriver>) -> SteppedJob {
+    let more = job.step();
+    (job, more)
+}
+
 struct ActiveJob {
     id: u32,
     tenant: u32,
@@ -147,7 +161,7 @@ struct Fleet<'a> {
     active: Vec<ActiveJob>,
     waiting: VecDeque<u32>,
     pending: VecDeque<u32>,
-    pool: Option<JobPool>,
+    pool: OrderedPool<(), Box<dyn JobDriver>, SteppedJob>,
     events: Vec<FleetEvent>,
     /// Events up to this index are already journalled; the next round
     /// frame carries `events[events_mark..]`.
@@ -158,7 +172,36 @@ struct Fleet<'a> {
     completed: Vec<u64>,
 }
 
-impl Fleet<'_> {
+impl<'a> Fleet<'a> {
+    /// An idle fleet: every job still pending, in `(arrive, id)` order.
+    fn new(file: &'a JobFile, cfg: &'a FleetConfig, dur: &'a mut Durability) -> Fleet<'a> {
+        let mut ledger = TenantLedger::new(cfg.fleet_budget.unwrap_or(u64::MAX));
+        for (id, tenant) in file.tenants.iter().enumerate() {
+            ledger.add_tenant(id as u32, tenant.weight, tenant.budget);
+        }
+        let mut order: Vec<u32> = (0..file.jobs.len() as u32).collect();
+        order.sort_by_key(|&id| (file.jobs[id as usize].arrive, id));
+        Fleet {
+            file,
+            cfg,
+            dur,
+            ledger,
+            queue: FleetQueue::new(),
+            active: Vec::new(),
+            waiting: VecDeque::new(),
+            pending: order.into(),
+            // A round never selects more than `slots` jobs: more workers
+            // than that can never be fed.
+            pool: OrderedPool::new(cfg.threads.min(cfg.slots), step_job),
+            events: Vec::new(),
+            events_mark: 0,
+            fleet_now: 0,
+            rounds: 0,
+            outcomes: (0..file.jobs.len()).map(|_| None).collect(),
+            completed: vec![0; file.tenants.len()],
+        }
+    }
+
     /// Re-posts every tenant's live resident total into the ledger.
     fn post_usages(&mut self) {
         for tenant in 0..self.file.tenants.len() as u32 {
@@ -340,23 +383,17 @@ impl Fleet<'_> {
             round.push(driver);
         }
 
-        let stepped = match &mut self.pool {
-            Some(pool) => pool.step_round(round),
-            None => round
-                .into_iter()
-                .map(|mut driver| {
-                    let more = driver.step();
-                    (driver, more)
-                })
-                .collect(),
-        };
+        let stepped = self.pool.run(&(), round, |_| false, || ());
 
         let mut max_delta = 0u64;
         let mut deltas = Vec::with_capacity(ids.len());
         let mut finished = Vec::new();
-        for (slot, (driver, more)) in stepped.into_iter().enumerate() {
+        for (slot, outcome) in stepped.into_iter().enumerate() {
             let id = ids[slot];
-            let more = more.map_err(|source| FleetError::Job { job: id, source })?;
+            let job_err = |source| FleetError::Job { job: id, source };
+            // A lost worker took the job's whole state with it.
+            let (driver, more) = outcome.map_err(|lost| job_err(lost.into()))?;
+            let more = more.map_err(job_err)?;
             let delta = driver.now_cycles().saturating_sub(befores[slot]);
             self.queue.charge(id, delta);
             deltas.push(delta);
@@ -483,30 +520,7 @@ pub fn run_service_durable(
     cfg: &FleetConfig,
     dur: &mut Durability,
 ) -> Result<ServiceReport, FleetError> {
-    let mut ledger = TenantLedger::new(cfg.fleet_budget.unwrap_or(u64::MAX));
-    for (id, tenant) in file.tenants.iter().enumerate() {
-        ledger.add_tenant(id as u32, tenant.weight, tenant.budget);
-    }
-    let mut order: Vec<u32> = (0..file.jobs.len() as u32).collect();
-    order.sort_by_key(|&id| (file.jobs[id as usize].arrive, id));
-
-    let mut fleet = Fleet {
-        file,
-        cfg,
-        dur,
-        ledger,
-        queue: FleetQueue::new(),
-        active: Vec::new(),
-        waiting: VecDeque::new(),
-        pending: order.into(),
-        pool: (cfg.threads > 1).then(|| JobPool::new(cfg.threads)),
-        events: Vec::new(),
-        events_mark: 0,
-        fleet_now: 0,
-        rounds: 0,
-        outcomes: (0..file.jobs.len()).map(|_| None).collect(),
-        completed: vec![0; file.tenants.len()],
-    };
+    let mut fleet = Fleet::new(file, cfg, dur);
 
     loop {
         fleet.admissions()?;
@@ -569,4 +583,92 @@ pub fn run_service_durable(
         fleet_cycles: fleet.fleet_now,
         events: fleet.events,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::mpsc;
+    use std::time::Duration;
+    use superpin::SuperPinReport;
+
+    /// A stand-in job: every epoch burns 100 cycles, or panics the way
+    /// a simulator bug would.
+    struct Stub {
+        now: u64,
+        panics: bool,
+    }
+
+    impl JobDriver for Stub {
+        fn step(&mut self) -> Result<bool, SpError> {
+            assert!(!self.panics, "injected simulator bug");
+            self.now += 100;
+            Ok(true)
+        }
+        fn finish(&mut self) -> Result<SuperPinReport, SpError> {
+            Err(SpError::NoProgress)
+        }
+        fn now_cycles(&self) -> u64 {
+            self.now
+        }
+        fn resident_bytes(&self) -> u64 {
+            0
+        }
+        fn evict_caches(&mut self, _: u64) -> u64 {
+            0
+        }
+        fn has_evictable_cache(&self) -> bool {
+            false
+        }
+    }
+
+    /// One round over two stub jobs on a two-worker pool; job 1 panics.
+    fn round_with_a_panicking_job() -> Result<(), FleetError> {
+        let workload = superpin_workloads::catalog()[0].name;
+        let text = format!(
+            "tenant a weight=1\n\
+             job tenant=a workload={workload} scale=tiny tool=icount1\n\
+             job tenant=a workload={workload} scale=tiny tool=icount1\n"
+        );
+        let file = crate::spec::parse_jobs(&text).expect("spec parses");
+        let cfg = FleetConfig {
+            threads: 2,
+            slots: 2,
+            ..FleetConfig::default()
+        };
+        let mut dur = Durability::none();
+        let mut fleet = Fleet::new(&file, &cfg, &mut dur);
+        for id in 0..2 {
+            fleet.queue.add(id, 1);
+            fleet.active.push(ActiveJob {
+                id,
+                tenant: 0,
+                driver: Some(Box::new(Stub {
+                    now: 0,
+                    panics: id == 1,
+                })),
+                degraded: None,
+            });
+        }
+        fleet.round()
+    }
+
+    #[test]
+    fn a_worker_panic_mid_round_is_a_typed_job_error_not_a_hang() {
+        // Off the test thread, so a hung round fails the test instead of
+        // the whole suite.
+        let (tx, rx) = mpsc::channel();
+        let round = std::thread::spawn(move || tx.send(round_with_a_panicking_job()));
+        let outcome = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the round hung on a dead worker");
+        round.join().expect("round thread").expect("receiver alive");
+        match outcome {
+            Err(FleetError::Job {
+                job: 1,
+                source: SpError::WorkerLost { worker: 1 },
+            }) => {}
+            other => panic!("expected job 1 lost with worker 1, got {other:?}"),
+        }
+    }
 }

@@ -32,8 +32,6 @@ pub mod job;
 pub mod report;
 pub mod spec;
 
-mod pool;
-
 pub use durable::{Durability, FleetWal, WalStatus};
 pub use fleet::{run_service, run_service_durable, time_scale_for, FleetConfig, FleetError};
 pub use job::{build_job, JobDriver};

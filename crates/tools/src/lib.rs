@@ -49,8 +49,8 @@ pub use sampler::{Sampler, BUCKET_BYTES};
 
 #[cfg(test)]
 mod send_audit {
-    //! The parallel runner moves each slice — tool clone included — into
-    //! a scoped worker thread, so every tool must satisfy the
+    //! The parallel runner moves each slice — tool clone included — onto
+    //! a pool worker thread, so every tool must satisfy the
     //! `SuperTool: … + Send + 'static` bound. This is a compile-time
     //! audit: if a tool ever grows an `Rc`, `RefCell`-of-shared, or raw
     //! pointer, this module stops compiling, long before a runtime race.
