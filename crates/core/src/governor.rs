@@ -143,11 +143,6 @@ impl MemoryGovernor {
         self.degraded.contains(&num)
     }
 
-    /// Slice numbers currently pinned inline by the governor.
-    pub fn degraded_set(&self) -> HashSet<u32> {
-        self.degraded.clone()
-    }
-
     /// Total slices ever degraded by rung 3 (merge-time release does not
     /// roll this back; it feeds the report's `slices_degraded`).
     pub fn degraded_total(&self) -> u64 {

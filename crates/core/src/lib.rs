@@ -46,8 +46,7 @@
 //!     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
 //!         for bbl in trace.bbls() {
 //!             let n = bbl.num_insts() as u64;
-//!             inserter.insert_call(bbl.head_addr(), IPoint::Before,
-//!                 move |tool, _, _| tool.count += n, vec![]);
+//!             inserter.insert_count(bbl.head_addr(), IPoint::Before, n, |tool| &mut tool.count);
 //!         }
 //!     }
 //! }

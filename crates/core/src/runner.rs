@@ -199,7 +199,9 @@ pub struct SuperPinRunner<T: SuperTool> {
     forks_on_timeout: u64,
     forks_on_syscall: u64,
     stall_events: u64,
-    stalled: Option<PendingFork>,
+    /// Whether the master is stalled on a fork that could not be admitted
+    /// (one stall episode per continuous stretch).
+    stalled: bool,
     /// Shared compiled-trace index across slices (paper §8 extension).
     /// Slices consult per-epoch snapshots of it, never the live index.
     shared_traces: Option<Arc<SharedTraceIndex>>,
@@ -231,9 +233,6 @@ pub struct SuperPinRunner<T: SuperTool> {
     /// Record/replay mode for the run's nondeterministic surface (see
     /// the [`record`](crate::record) module). `Live` costs nothing.
     mode: RunMode,
-    /// Whether [`start`](SuperPinRunner::start) has forked the first
-    /// slice yet (the steppable API is idempotent about it).
-    started: bool,
     /// The slice phase's worker pool, built on first use (see the
     /// module docs). Empty of slices between epochs.
     pool: Option<OrderedPool<EpochRound, SliceJob<T>, SliceDone<T>>>,
@@ -291,7 +290,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
             forks_on_timeout: 0,
             forks_on_syscall: 0,
             stall_events: 0,
-            stalled: None,
+            stalled: false,
             shared_traces,
             epochs: 0,
             host_profile: HostProfile::default(),
@@ -304,7 +303,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
             last_snapshot_entries: 0,
             ledger: ResidentLedger::new(),
             mode: RunMode::Live,
-            started: false,
             pool: None,
         })
     }
@@ -742,7 +740,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
             (progressed && due).then_some(PendingFork::Timer)
         };
         let Some(trigger) = trigger else {
-            self.stalled = None;
+            self.stalled = false;
             return Ok(());
         };
         let admission = if self.can_fork() {
@@ -751,13 +749,13 @@ impl<T: SuperTool> SuperPinRunner<T> {
             Admission::Defer
         };
         if admission == Admission::Defer {
-            if self.stalled.is_none() {
+            if !self.stalled {
                 self.stall_events += 1;
             }
-            self.stalled = Some(trigger);
+            self.stalled = true;
             return Ok(());
         }
-        self.stalled = None;
+        self.stalled = false;
         if admission == Admission::AdmitDegraded {
             // Ladder rung 3: the slice about to be forked runs pinned to
             // the calling thread for its whole life, like a
@@ -882,15 +880,12 @@ impl<T: SuperTool> SuperPinRunner<T> {
         // Degraded slices are pinned to this thread — both the
         // supervisor's retry-exhausted slices and the governor's
         // pressure-degraded admissions.
-        let mut pinned = self
-            .supervisor
-            .as_ref()
-            .map(SliceSupervisor::degraded_set)
-            .unwrap_or_default();
-        if let Some(gov) = &self.governor {
-            pinned.extend(gov.degraded_set());
-        }
-        let poolable = work.iter().filter(|job| !pinned.contains(&job.0)).count();
+        let (supervisor, governor) = (&self.supervisor, &self.governor);
+        let pinned = |num: u32| {
+            supervisor.as_ref().is_some_and(|sup| sup.is_degraded(num))
+                || governor.as_ref().is_some_and(|gov| gov.is_degraded(num))
+        };
+        let poolable = work.iter().filter(|job| !pinned(job.0)).count();
         let workers = self.cfg.threads.min(self.cfg.max_slices);
         let pool = self
             .pool
@@ -909,7 +904,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
             for (order, slot) in slots.iter_mut().enumerate() {
                 let num = slot.as_ref().expect("drained slot is full").num();
                 if let Some(&(_, budget, _)) = work.iter().find(|job| job.0 == num) {
-                    if !pinned.contains(&num) {
+                    if !pinned(num) {
                         jobs.push((slot.take().expect("drained slot is full"), budget));
                         sent.push((order, num));
                     }
@@ -1090,14 +1085,16 @@ impl<T: SuperTool> SuperPinRunner<T> {
     /// Begins the run: forks the first slice ("at the start of
     /// execution, the application forks off its first instrumented
     /// timeslice", paper §3). Idempotent — [`run`](SuperPinRunner::run)
-    /// and the steppable API both funnel through here.
+    /// and the steppable API both funnel through here. A run whose first
+    /// fork failed has not started: calling again retries the fork
+    /// rather than stepping a run with no slice for its first span.
     ///
     /// # Errors
     ///
     /// Propagates slice-setup errors.
     pub fn start(&mut self) -> Result<(), SpError> {
-        if !self.started {
-            self.started = true;
+        // Slice numbers are taken only by successful forks.
+        if self.next_slice_num == 1 {
             self.fork_slice(None)?;
         }
         Ok(())
@@ -1214,7 +1211,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
         // The runnable set — master (task 0) + running slices — from one
         // scan of the queue.
         let master_runnable =
-            !self.master.exited() && self.stalled.is_none() && !self.master.pending_force();
+            !self.master.exited() && !self.stalled && !self.master.pending_force();
         let running: Vec<(u32, SliceEta)> = self
             .live
             .iter()

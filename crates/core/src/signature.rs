@@ -52,11 +52,16 @@ impl Signature {
     }
 
     /// Captures a signature with explicitly chosen quick-check registers.
+    ///
+    /// Stack addresses wrap at 2^64 exactly as the detector's
+    /// [`IArg::StackWord`](superpin_dbi::IArg::StackWord) arguments do,
+    /// so capture and detection read the same words whatever the
+    /// guest's SP.
     pub fn capture_with_quick_regs(process: &Process, quick_regs: [Reg; 2]) -> Signature {
         let regs = process.cpu.regs.snapshot();
         let sp = process.cpu.regs.get(Reg::SP);
         let stack = (0..STACK_WORDS as u64)
-            .map(|i| process.mem.read_u64(sp + 8 * i).unwrap_or(0))
+            .map(|i| process.mem.read_u64(sp.wrapping_add(8 * i)).unwrap_or(0))
             .collect();
         Signature {
             pc: process.cpu.pc,
@@ -195,6 +200,51 @@ mod tests {
         assert_eq!(sig.stack.len(), STACK_WORDS);
         assert_eq!(sig.stack[0], 0xabcd);
         assert_eq!(sig.pc, process.cpu.pc);
+    }
+
+    #[test]
+    fn capture_wraps_like_the_detector_near_the_top_of_memory() {
+        use superpin_dbi::{Engine, IArg, IPoint, Inserter, Pintool, Trace};
+        use superpin_vm::mem::RegionKind;
+
+        /// Records the stack words the detector's then-call would see.
+        #[derive(Clone, Default)]
+        struct StackArgs {
+            seen: Option<Vec<u64>>,
+        }
+        impl Pintool for StackArgs {
+            fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
+                inserter.insert_call(
+                    trace.entry(),
+                    IPoint::Before,
+                    |probe: &mut StackArgs, ctx, ctl| {
+                        probe.seen.get_or_insert_with(|| ctx.args.to_vec());
+                        ctl.request_stop();
+                    },
+                    (0..STACK_WORDS as u32).map(IArg::StackWord).collect(),
+                );
+            }
+        }
+
+        let mut process = process_for("main:\n nop\n exit 0\n");
+        // `sp + 8·i` wraps past 2^64 from i = 2 on; map page 0 so the
+        // wrapped words hold data rather than the unmapped default.
+        process
+            .mem
+            .map_region(0, 4096, RegionKind::Data)
+            .expect("map page 0");
+        for i in 0..STACK_WORDS as u64 {
+            process.mem.write_u64(8 * i, 0x1000 + i).expect("poke");
+        }
+        process.cpu.regs.set(Reg::SP, u64::MAX - 8);
+        let sig = Signature::capture_with_quick_regs(&process, DEFAULT_QUICK_REGS);
+        // The two words below 2^64 are unmapped; the third starts at 7.
+        assert_eq!(sig.stack[..2], [0, 0]);
+        assert_eq!(sig.stack[2], (0x1000 >> 56) | (0x1001 << 8));
+
+        let mut engine = Engine::new(process, StackArgs::default());
+        engine.run(u64::MAX / 4).expect("run to the stop");
+        assert_eq!(engine.tool().seen.as_deref(), Some(&sig.stack[..]));
     }
 
     #[test]

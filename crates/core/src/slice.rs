@@ -177,8 +177,8 @@ fn insert_detection<T: SuperTool>(inserter: &mut Inserter<SpSliceTool<T>>, sig: 
             tool.sig_stats.full_checks += 1;
             // Full architectural comparison: one compare per register.
             ctl.charge_cycles(NUM_REGS as u64);
-            let regs: Vec<u64> = (0..NUM_REGS).map(|i| ctx.arg(i)).collect();
-            if full_sig.regs_match(&regs) {
+            let (regs, stack) = ctx.args.split_at(NUM_REGS);
+            if full_sig.regs_match(regs) {
                 // Failpoint: pretend the full comparison rejected, skipping
                 // the stack stage entirely (manufactured runaway with a
                 // skewed check mix).
@@ -192,10 +192,7 @@ fn insert_detection<T: SuperTool>(inserter: &mut Inserter<SpSliceTool<T>>, sig: 
                 tool.sig_stats.stack_checks += 1;
                 // Top-of-stack comparison: one compare per word.
                 ctl.charge_cycles(STACK_WORDS as u64);
-                let stack: Vec<u64> = (NUM_REGS..NUM_REGS + STACK_WORDS)
-                    .map(|i| ctx.arg(i))
-                    .collect();
-                if full_sig.stack_match(&stack) {
+                if full_sig.stack_match(stack) {
                     tool.sig_stats.detections += 1;
                     ctl.request_stop();
                 }

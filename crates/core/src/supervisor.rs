@@ -125,15 +125,6 @@ impl<T: SuperTool> SliceSupervisor<T> {
         self.guards.get(&num).is_some_and(|guard| guard.degraded)
     }
 
-    /// Slice numbers currently degraded (pinned inline).
-    pub fn degraded_set(&self) -> HashSet<u32> {
-        self.guards
-            .iter()
-            .filter(|(_, guard)| guard.degraded)
-            .map(|(&num, _)| num)
-            .collect()
-    }
-
     /// Whether the slice's watchdog clock has passed its deadline.
     pub fn watchdog_expired(&self, num: u32) -> bool {
         self.guards.get(&num).is_some_and(|guard| {

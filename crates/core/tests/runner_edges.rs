@@ -163,3 +163,23 @@ fn tiny_timeslice_still_exact() {
     assert_eq!(count, native.insts);
     assert!(report.slice_count() > 3);
 }
+
+#[test]
+fn a_failed_first_fork_leaves_the_run_unstarted() {
+    // The guest occupies the range of the slices' private VM stack, so
+    // no slice can pass the trampoline.
+    let mut process = Process::load(1, &loop_program(100)).expect("load");
+    process
+        .mem
+        .map_anonymous(Some(superpin::trampoline::PRIVATE_STACK_BASE), 4096)
+        .expect("squat");
+    let shared = SharedMem::new();
+    let tool = Count::new(&shared);
+    let mut runner = SuperPinRunner::new(process, tool, shared, cfg(10_000)).expect("setup");
+    assert!(runner.start().is_err());
+    // Calling again retries the first fork, and stepping starts the run
+    // the same way: neither may run the master with no slice behind it.
+    assert!(runner.start().is_err());
+    assert!(runner.step_serial().is_err());
+    assert_eq!(runner.probe().epochs, 0);
+}

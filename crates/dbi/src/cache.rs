@@ -1,7 +1,7 @@
 //! The code cache: compiled, instrumented traces keyed by entry address.
 
 use crate::cost::CostModel;
-use crate::inserter::{AnalysisFn, Call, IArg, IPoint, Inserter, PredicateFn};
+use crate::inserter::{AnalysisFn, Call, CounterFn, IArg, IPoint, Inserter, PredicateFn};
 use crate::spill::{required_saves, ClobberViolation};
 use crate::trace::Trace;
 use std::collections::HashMap;
@@ -73,7 +73,7 @@ pub enum ArgPlan {
 }
 
 impl ArgPlan {
-    fn lower<T>(args: &[IArg], slot: &CompiledInst<T>, point: IPoint) -> ArgPlan {
+    fn lower(args: &[IArg], slot: &CompiledInst, point: IPoint) -> ArgPlan {
         let is_mem = slot.inst.is_mem_read() || slot.inst.is_mem_write();
         let lowered: Vec<LoweredArg> = args
             .iter()
@@ -117,6 +117,20 @@ impl ArgPlan {
 /// A tool's [`Call`] lowered for the executor: each routine with its
 /// argument plan and its static charge summed once, at compile time.
 pub enum LoweredCall<T> {
+    /// An inlined counter increment
+    /// ([`Inserter::insert_count`]): the executor adds `n` to a running
+    /// sum and writes it through `counter` only when something else
+    /// could observe the counter.
+    Count {
+        /// The counter accessor.
+        counter: CounterFn<T>,
+        /// What each execution adds.
+        n: u64,
+        /// `analysis_call_base + |saves| · save_restore_per_reg`: the
+        /// charge of a plain call with no arguments, so inlining moves
+        /// no simulated cycle.
+        cost: u64,
+    },
     /// Unconditional analysis call.
     Plain {
         /// The analysis routine.
@@ -169,6 +183,7 @@ pub struct InsertedCall<T> {
 impl<T> fmt::Debug for InsertedCall<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let kind = match self.call {
+            LoweredCall::Count { .. } => "count",
             LoweredCall::Plain { .. } => "plain",
             LoweredCall::IfThen { .. } => "if-then",
         };
@@ -180,47 +195,58 @@ impl<T> fmt::Debug for InsertedCall<T> {
     }
 }
 
-/// One instruction of a compiled trace with its attached analysis calls.
-pub struct CompiledInst<T> {
+/// One instruction of a compiled trace. Its analysis calls live in the
+/// trace's one call array ([`CompiledTrace::before`],
+/// [`CompiledTrace::after`]).
+#[derive(Debug)]
+pub struct CompiledInst {
     /// Guest address.
     pub addr: u64,
     /// The decoded instruction.
     pub inst: Inst,
     /// Encoded size in bytes.
     pub size: u64,
-    /// Calls to run before the instruction.
-    pub before: Vec<InsertedCall<T>>,
-    /// Calls to run after the instruction.
-    pub after: Vec<InsertedCall<T>>,
     /// Whether any attached call reads [`LoweredArg::MemAddr`] —
     /// precomputed so the executor only derives the effective address
     /// for slots that can observe it.
     pub needs_mem_ea: bool,
-}
-
-impl<T> fmt::Debug for CompiledInst<T> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("CompiledInst")
-            .field("addr", &format_args!("{:#x}", self.addr))
-            .field("inst", &self.inst)
-            .field("before", &self.before.len())
-            .field("after", &self.after.len())
-            .finish()
-    }
+    /// `[start, split, end]` in the trace's call array: the before-calls
+    /// are `start..split`, the after-calls `split..end`.
+    pub(crate) calls: [u32; 3],
 }
 
 /// A compiled trace ready for execution: the trace's instructions, each
 /// with its calls already lowered ([`LoweredCall`]). Immutable once built,
 /// so engines share it behind an `Arc` (checkpoint clones, templates).
+///
+/// All of a trace's calls sit in one array in execution order, so the
+/// executor walks memory forward instead of chasing one allocation per
+/// instruction.
 pub struct CompiledTrace<T> {
     /// Entry address (cache key).
     pub entry: u64,
-    /// The trace's instructions with instrumentation attached.
-    pub insts: Vec<CompiledInst<T>>,
+    /// The trace's instructions.
+    pub insts: Vec<CompiledInst>,
+    /// Every slot's calls, slot by slot, before-calls first.
+    pub(crate) calls: Vec<InsertedCall<T>>,
     /// Continuation address if the last instruction falls through.
     pub fallthrough: u64,
     /// Number of basic blocks the source trace had.
     pub num_bbls: usize,
+}
+
+impl<T> CompiledTrace<T> {
+    /// The calls run before instruction `index` of the trace.
+    pub fn before(&self, index: usize) -> &[InsertedCall<T>] {
+        let [start, split, _] = self.insts[index].calls;
+        &self.calls[start as usize..split as usize]
+    }
+
+    /// The calls run after instruction `index` of the trace.
+    pub fn after(&self, index: usize) -> &[InsertedCall<T>] {
+        let [_, split, end] = self.insts[index].calls;
+        &self.calls[split as usize..end as usize]
+    }
 }
 
 impl<T> fmt::Debug for CompiledTrace<T> {
@@ -480,7 +506,8 @@ impl<T> CodeCache<T> {
     ///
     /// Every call is lowered against `cost` here ([`LoweredCall`]), so
     /// the executor adds pre-summed charges and, for all-static argument
-    /// lists, passes a pre-built vector.
+    /// lists, passes a pre-built vector. A count is planned and charged
+    /// exactly like a plain call with no arguments.
     ///
     /// If inserting would exceed capacity, the whole cache is flushed
     /// first (Pin's wholesale-flush policy).
@@ -493,20 +520,23 @@ impl<T> CodeCache<T> {
     where
         T: 'static,
     {
-        let mut insts: Vec<CompiledInst<T>> = trace
+        let mut insts: Vec<CompiledInst> = trace
             .insts()
             .map(|iref| CompiledInst {
                 addr: iref.addr,
                 inst: iref.inst,
                 size: iref.size,
-                before: Vec::new(),
-                after: Vec::new(),
                 needs_mem_ea: false,
+                calls: [0; 3],
             })
             .collect();
+        // Each slot's `(before, after)` lists, laid out flat at the end.
+        let mut lists: Vec<[Vec<InsertedCall<T>>; 2]> =
+            insts.iter().map(|_| [Vec::new(), Vec::new()]).collect();
 
         for (addr, point, call) in inserter.into_calls() {
-            if let Some(slot) = insts.iter_mut().find(|slot| slot.addr == addr) {
+            if let Some(index) = insts.iter().position(|slot| slot.addr == addr) {
+                let slot = &mut insts[index];
                 // Live registers at the insertion point: before-calls see
                 // the instruction's own reads as live; after-calls see
                 // its live-out set. Unknown liveness saves everything.
@@ -542,6 +572,11 @@ impl<T> CodeCache<T> {
                     cost.analysis_call_base + saves.len() as u64 * cost.save_restore_per_reg;
                 let arg_cost = |args: &[IArg]| args.len() as u64 * cost.analysis_arg;
                 let call = match call {
+                    Call::Count { counter, n } => LoweredCall::Count {
+                        counter,
+                        n,
+                        cost: invoke,
+                    },
                     Call::Plain { func, args } => LoweredCall::Plain {
                         func,
                         cost: invoke + arg_cost(&args),
@@ -562,6 +597,7 @@ impl<T> CodeCache<T> {
                     },
                 };
                 slot.needs_mem_ea |= match &call {
+                    LoweredCall::Count { .. } => false,
                     LoweredCall::Plain { args, .. } => args.reads_mem_addr(),
                     LoweredCall::IfThen {
                         pred_args,
@@ -569,10 +605,7 @@ impl<T> CodeCache<T> {
                         ..
                     } => pred_args.reads_mem_addr() || then_args.reads_mem_addr(),
                 };
-                let list = match point {
-                    IPoint::Before => &mut slot.before,
-                    IPoint::After => &mut slot.after,
-                };
+                let list = &mut lists[index][usize::from(point == IPoint::After)];
                 if cfg!(debug_assertions) {
                     // Clobber-safety verifier: every planned save set
                     // must cover the live clobbered registers.
@@ -613,10 +646,21 @@ impl<T> CodeCache<T> {
             // being compiled.
         }
 
+        let mut calls = Vec::with_capacity(lists.iter().flatten().map(Vec::len).sum());
+        let at = |calls: &Vec<InsertedCall<T>>| u32::try_from(calls.len()).expect("calls fit u32");
+        for (slot, [before, after]) in insts.iter_mut().zip(lists) {
+            let start = at(&calls);
+            calls.extend(before);
+            let split = at(&calls);
+            calls.extend(after);
+            slot.calls = [start, split, at(&calls)];
+        }
+
         let count = insts.len();
         let id = self.adopt(Arc::new(CompiledTrace {
             entry: trace.entry(),
             insts,
+            calls,
             fallthrough: trace.fallthrough(),
             num_bbls: trace.bbls().len(),
         }));
@@ -703,9 +747,9 @@ mod tests {
         let (id, count) = cache.compile(&trace, inserter, &CostModel::default());
         let compiled = cache.trace(id);
         assert_eq!(count, 3);
-        assert_eq!(compiled.insts[1].before.len(), 1);
-        assert_eq!(compiled.insts[1].after.len(), 1);
-        assert_eq!(compiled.insts[0].before.len(), 0);
+        assert_eq!(compiled.before(1).len(), 1);
+        assert_eq!(compiled.after(1).len(), 1);
+        assert_eq!(compiled.before(0).len(), 0);
     }
 
     #[test]
@@ -739,31 +783,74 @@ mod tests {
         let compiled = cache.trace(id);
         let plan = |call: &InsertedCall<u64>| match &call.call {
             LoweredCall::Plain { args, cost, .. } => (args.clone(), *cost),
-            LoweredCall::IfThen { .. } => unreachable!("only plain calls inserted"),
+            _ => unreachable!("only plain calls inserted"),
         };
         let slot = &compiled.insts[1];
         let folded = vec![store, 9, 4, 1, 0, store + 8];
-        let (before, charge) = plan(&slot.before[0]);
+        let (before, charge) = plan(&compiled.before(1)[0]);
         assert_eq!(before, ArgPlan::Static(folded.into()));
         assert_eq!(charge, cost.analysis_call + 6 * cost.analysis_arg);
         // Only an after-call can see a taken transfer.
-        let (after, _) = plan(&slot.after[0]);
+        let (after, _) = plan(&compiled.after(1)[0]);
         let ArgPlan::Dynamic(after) = after else {
             panic!("BranchTaken after the instruction is dynamic")
         };
         assert_eq!(after[4], LoweredArg::BranchTaken);
         assert_eq!(after[5], LoweredArg::Value(store + 8));
         // MemAddr is an address only on a memory instruction.
-        assert_eq!(
-            plan(&compiled.insts[0].before[0]).0,
-            ArgPlan::Static([0].into())
-        );
+        assert_eq!(plan(&compiled.before(0)[0]).0, ArgPlan::Static([0].into()));
         assert!(!compiled.insts[0].needs_mem_ea);
         assert_eq!(
-            plan(&slot.before[1]).0,
+            plan(&compiled.before(1)[1]).0,
             ArgPlan::Dynamic([LoweredArg::MemAddr].into())
         );
         assert!(slot.needs_mem_ea);
+    }
+
+    #[test]
+    fn a_count_is_planned_and_charged_like_a_plain_call_without_arguments() {
+        let src = "main:\n li r1, 3\nloop:\n subi r1, r1, 1\n bne r1, r0, loop\n exit 0\n";
+        let program = assemble(src).expect("assemble");
+        let process = Process::load(1, &program).expect("load");
+        let trace = discover_trace(&process.mem, program.entry()).expect("trace");
+        let live = superpin_analysis::LiveMap::compute(&program).expect("liveness");
+        let live = Arc::new(live);
+        let cost = CostModel::default();
+        for liveness in [None, Some(live)] {
+            let mut inserter: Inserter<u64> = Inserter::new();
+            for iref in trace.insts() {
+                for point in [IPoint::Before, IPoint::After] {
+                    inserter.insert_count(iref.addr, point, 3, |t| t);
+                    inserter.insert_call(iref.addr, point, |t, _, _| *t += 3, vec![]);
+                }
+            }
+            let mut cache: CodeCache<u64> = CodeCache::new();
+            if let Some(liveness) = &liveness {
+                cache.set_liveness(Arc::clone(liveness));
+                cache.set_refined_liveness(Arc::clone(liveness));
+            }
+            let (id, _) = cache.compile(&trace, inserter, &cost);
+            let compiled = cache.trace(id);
+            for index in 0..compiled.insts.len() {
+                for list in [compiled.before(index), compiled.after(index)] {
+                    let [count, plain] = list else {
+                        panic!("one count and one plain call per point")
+                    };
+                    let LoweredCall::Count { n: 3, cost, .. } = count.call else {
+                        panic!("the count comes first")
+                    };
+                    let LoweredCall::Plain {
+                        cost: plain_cost, ..
+                    } = plain.call
+                    else {
+                        panic!("then the plain call")
+                    };
+                    assert_eq!(cost, plain_cost);
+                    assert_eq!((count.saves, count.elided), (plain.saves, plain.elided));
+                }
+            }
+            assert!(!compiled.insts.iter().any(|slot| slot.needs_mem_ea));
+        }
     }
 
     #[test]

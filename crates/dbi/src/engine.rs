@@ -5,7 +5,7 @@ use crate::cache::{
     DEFAULT_CAPACITY_INSTS,
 };
 use crate::cost::CostModel;
-use crate::inserter::{CallCtx, EngineCtl, Inserter};
+use crate::inserter::{CallCtx, CounterFn, EngineCtl, Inserter};
 use crate::shared_index::SharedTraceIndex;
 use crate::spill::ClobberViolation;
 use crate::tool::Pintool;
@@ -561,6 +561,7 @@ impl<T: Pintool + 'static> Engine<T> {
                 scratch: &mut self.scratch,
                 oracle: self.oracle.as_deref(),
                 tally: Tally::default(),
+                count: None,
             };
             let exit = exec.run(self.cache.trace(id));
             let tally = exec.tally;
@@ -849,10 +850,23 @@ struct Executor<'a, T> {
     scratch: &'a mut Vec<u64>,
     oracle: Option<&'a SoundnessOracle>,
     tally: Tally,
+    /// Inlined counts not yet written to the tool: the counter the
+    /// latest ones went to and their sum. Only [`Executor::flush_count`]
+    /// writes it back.
+    count: Option<(&'a CounterFn<T>, u64)>,
 }
 
-impl<T> Executor<'_, T> {
-    fn run(&mut self, trace: &CompiledTrace<T>) -> Result<TraceExit, VmError> {
+impl<'a, T> Executor<'a, T> {
+    /// Executes `trace` until it exits. Whatever the exit — trace end, a
+    /// taken exit, a stop, a syscall, `halt` or a guest fault — pending
+    /// counts reach the tool before anything outside can observe it.
+    fn run(&mut self, trace: &'a CompiledTrace<T>) -> Result<TraceExit, VmError> {
+        let exit = self.run_trace(trace);
+        self.flush_count();
+        exit
+    }
+
+    fn run_trace(&mut self, trace: &'a CompiledTrace<T>) -> Result<TraceExit, VmError> {
         for (index, slot) in trace.insts.iter().enumerate() {
             debug_assert_eq!(slot.addr, self.process.cpu.pc, "trace desync");
 
@@ -865,7 +879,10 @@ impl<T> Executor<'_, T> {
                 0
             };
 
-            if !slot.before.is_empty() && self.run_calls(&slot.before, slot.addr, mem_ea, false) {
+            let [start, split, end] = slot.calls.map(|i| i as usize);
+            if start != split
+                && self.run_calls(&trace.calls[start..split], slot.addr, mem_ea, false)
+            {
                 // Stop requested before execution: the instruction is NOT
                 // executed; pc stays at the boundary (paper §4.4 — the
                 // boundary instruction belongs to the next slice).
@@ -880,7 +897,7 @@ impl<T> Executor<'_, T> {
             };
             self.tally.insts += 1;
 
-            if !slot.after.is_empty() && self.run_calls(&slot.after, slot.addr, mem_ea, taken) {
+            if split != end && self.run_calls(&trace.calls[split..end], slot.addr, mem_ea, taken) {
                 return Ok(TraceExit::Stop(EngineStop::ToolStop));
             }
 
@@ -925,18 +942,41 @@ impl<T> Executor<'_, T> {
     /// tool's calls) fires at a slice boundary, the user tool must not
     /// observe the boundary instruction — it belongs to the next slice.
     ///
+    /// A count only adds to the pending sum; every other routine may
+    /// read the tool, so the sum is written back before it runs.
+    ///
     /// Forced inline: out of line, the call and the tally it then keeps
     /// in memory cost a tenth of `dbi.pin_minst_per_s` under `icount1`.
     #[inline(always)]
-    fn run_calls(&mut self, calls: &[InsertedCall<T>], pc: u64, mem_ea: u64, taken: bool) -> bool {
+    fn run_calls(
+        &mut self,
+        calls: &'a [InsertedCall<T>],
+        pc: u64,
+        mem_ea: u64,
+        taken: bool,
+    ) -> bool {
         for inserted in calls {
-            let mut ctl = EngineCtl::default();
-            match &inserted.call {
+            let stop = match &inserted.call {
+                LoweredCall::Count { counter, n, cost } => {
+                    match self.count {
+                        Some((pending, ref mut sum)) if Arc::ptr_eq(pending, counter) => *sum += n,
+                        _ => {
+                            self.flush_count();
+                            self.count = Some((counter, *n));
+                        }
+                    }
+                    self.tally.analysis += cost;
+                    self.tally.calls += 1;
+                    false
+                }
                 LoweredCall::Plain { func, cost, args } => {
+                    self.flush_count();
+                    let mut ctl = EngineCtl::default();
                     let args = eval_args(args, self.scratch, self.process, mem_ea, taken);
                     func(self.tool, &CallCtx { pc, args }, &mut ctl);
                     self.tally.analysis += cost + ctl.extra_cycles();
                     self.tally.calls += 1;
+                    ctl.stop_requested()
                 }
                 LoweredCall::IfThen {
                     pred,
@@ -946,6 +986,8 @@ impl<T> Executor<'_, T> {
                     then_cost,
                     then_args,
                 } => {
+                    self.flush_count();
+                    let mut ctl = EngineCtl::default();
                     self.tally.if_checks += 1;
                     self.tally.analysis += pred_cost;
                     let args = eval_args(pred_args, self.scratch, self.process, mem_ea, taken);
@@ -955,13 +997,22 @@ impl<T> Executor<'_, T> {
                         self.tally.analysis += then_cost + ctl.extra_cycles();
                         self.tally.then_calls += 1;
                     }
+                    ctl.stop_requested()
                 }
-            }
-            if ctl.stop_requested() {
+            };
+            if stop {
                 return true;
             }
         }
         false
+    }
+
+    /// Writes the pending count back to its counter.
+    #[inline]
+    fn flush_count(&mut self) {
+        if let Some((counter, sum)) = self.count.take() {
+            *counter(self.tool) += sum;
+        }
     }
 }
 

@@ -110,7 +110,21 @@ pub type AnalysisFn<T> = Arc<dyn Fn(&mut T, &CallCtx<'_>, &mut EngineCtl) + Send
 /// the paired then-call.
 pub type PredicateFn<T> = Arc<dyn Fn(&mut T, &CallCtx<'_>) -> bool + Send + Sync>;
 
-/// One inserted call, plain or if/then guarded.
+/// A counter accessor ([`Inserter::insert_count`]): projects the tool
+/// state onto the `u64` a count adds to.
+pub type CounterFn<T> = Arc<dyn Fn(&mut T) -> &mut u64 + Send + Sync>;
+
+/// The counter `fn` a tool hands to [`Inserter::insert_count`].
+type CounterPtr<T> = fn(&mut T) -> &mut u64;
+
+/// Boxes a closure as a [`CounterFn`]. The bound is what gives the
+/// closure its higher-ranked signature (the returned borrow lives as
+/// long as the argument's).
+fn counter_fn<T>(accessor: impl Fn(&mut T) -> &mut u64 + Send + Sync + 'static) -> CounterFn<T> {
+    Arc::new(accessor)
+}
+
+/// One inserted call: plain, if/then guarded, or an inlined count.
 pub enum Call<T> {
     /// Unconditional analysis call.
     Plain {
@@ -132,6 +146,14 @@ pub enum Call<T> {
         /// Then-call arguments.
         then_args: Vec<IArg>,
     },
+    /// [`Inserter::insert_count`]: add `n` to the counter `counter`
+    /// projects to.
+    Count {
+        /// The counter accessor.
+        counter: CounterFn<T>,
+        /// What each execution adds.
+        n: u64,
+    },
 }
 
 impl<T> Clone for Call<T> {
@@ -152,6 +174,10 @@ impl<T> Clone for Call<T> {
                 then: Arc::clone(then),
                 then_args: then_args.clone(),
             },
+            Call::Count { counter, n } => Call::Count {
+                counter: Arc::clone(counter),
+                n: *n,
+            },
         }
     }
 }
@@ -169,6 +195,7 @@ impl<T> fmt::Debug for Call<T> {
                 .field("pred_args", pred_args)
                 .field("then_args", then_args)
                 .finish(),
+            Call::Count { n, .. } => f.debug_struct("Count").field("n", n).finish(),
         }
     }
 }
@@ -177,11 +204,18 @@ impl<T> fmt::Debug for Call<T> {
 /// `instrument_trace` hook runs.
 pub struct Inserter<T> {
     calls: Vec<(u64, IPoint, Call<T>)>,
+    /// One shared accessor per distinct counter `fn` handed to
+    /// [`insert_count`](Inserter::insert_count), so the executor can
+    /// tell consecutive counts to the same counter apart by pointer.
+    counters: Vec<(CounterPtr<T>, CounterFn<T>)>,
 }
 
 impl<T> Default for Inserter<T> {
     fn default() -> Inserter<T> {
-        Inserter { calls: Vec::new() }
+        Inserter {
+            calls: Vec::new(),
+            counters: Vec::new(),
+        }
     }
 }
 
@@ -243,6 +277,49 @@ impl<T: 'static> Inserter<T> {
         ));
     }
 
+    /// Inserts an inlined counter increment at `addr`: each execution
+    /// adds `n` to the `u64` that `counter` projects the tool onto. This
+    /// is the shape Pin inlines — icount's `docount` — instead of
+    /// calling it.
+    ///
+    /// The simulated charge is that of a plain call with no arguments
+    /// (`analysis_call_base` plus one save/restore per preserved
+    /// register), and it counts as one
+    /// [`analysis_calls`](crate::EngineStats::analysis_calls); only the
+    /// host side changes. The engine keeps the running sum in a register
+    /// and writes it to the counter before any other analysis routine
+    /// runs and whenever execution of the trace ends for any reason, so
+    /// every other routine, syscall hook, `fini` and checkpoint sees
+    /// exactly the count a per-instruction closure would have produced.
+    /// Counts to the same counter between two such points cost one
+    /// dynamic call in total.
+    ///
+    /// `counter` must be a pure projection: it may run once per flush,
+    /// not once per execution. A counter whose target depends on a value
+    /// (say, a table indexed by opcode) or a routine that does more than
+    /// add stays an [`insert_call`](Inserter::insert_call).
+    pub fn insert_count(
+        &mut self,
+        addr: u64,
+        point: IPoint,
+        n: u64,
+        counter: fn(&mut T) -> &mut u64,
+    ) {
+        let known = self
+            .counters
+            .iter()
+            .find(|(known, _)| std::ptr::fn_addr_eq(*known, counter));
+        let counter = match known {
+            Some((_, shared)) => Arc::clone(shared),
+            None => {
+                let shared = counter_fn(counter);
+                self.counters.push((counter, Arc::clone(&shared)));
+                shared
+            }
+        };
+        self.calls.push((addr, point, Call::Count { counter, n }));
+    }
+
     /// Number of calls collected.
     pub fn len(&self) -> usize {
         self.calls.len()
@@ -264,8 +341,10 @@ impl<T: 'static> Inserter<T> {
     /// This is how wrapper tools compose: SuperPin's slice wrapper runs
     /// the user tool's `instrument_trace` into an `Inserter<U>`, then
     /// absorbs it so the user's analysis routines see `&mut U` while the
-    /// engine drives `&mut T`.
+    /// engine drives `&mut T`. Each distinct counter accessor is composed
+    /// with `project` once, so counts stay one dynamic call per flush.
     pub fn absorb<U: 'static>(&mut self, inner: Inserter<U>, project: fn(&mut T) -> &mut U) {
+        let mut composed: Vec<(CounterFn<U>, CounterFn<T>)> = Vec::new();
         for (addr, point, call) in inner.into_calls() {
             let mapped = match call {
                 Call::Plain { func, args } => Call::Plain {
@@ -288,6 +367,21 @@ impl<T: 'static> Inserter<T> {
                     }) as AnalysisFn<T>,
                     then_args,
                 },
+                Call::Count { counter, n } => {
+                    let known = composed
+                        .iter()
+                        .find(|(inner, _)| Arc::ptr_eq(inner, &counter));
+                    let counter = match known {
+                        Some((_, outer)) => Arc::clone(outer),
+                        None => {
+                            let accessor = Arc::clone(&counter);
+                            let outer = counter_fn(move |t: &mut T| accessor(project(t)));
+                            composed.push((counter, Arc::clone(&outer)));
+                            outer
+                        }
+                    };
+                    Call::Count { counter, n }
+                }
             };
             self.calls.push((addr, point, mapped));
         }
@@ -351,6 +445,44 @@ mod tests {
         }
         assert_eq!(wrapper.own, 1);
         assert_eq!(wrapper.inner.hits, 5);
+    }
+
+    #[test]
+    fn counts_share_one_accessor_per_counter_and_absorb_composes_it_once() {
+        #[derive(Default)]
+        struct Two {
+            a: u64,
+            b: u64,
+        }
+        struct Wrapper {
+            inner: Two,
+        }
+        let a: fn(&mut Two) -> &mut u64 = |t| &mut t.a;
+        let mut inner: Inserter<Two> = Inserter::new();
+        inner.insert_count(0x10, IPoint::Before, 1, a);
+        inner.insert_count(0x18, IPoint::Before, 2, |t| &mut t.b);
+        inner.insert_count(0x18, IPoint::After, 3, a);
+        let mut outer: Inserter<Wrapper> = Inserter::new();
+        outer.absorb(inner, |w| &mut w.inner);
+
+        let counters: Vec<(CounterFn<Wrapper>, u64)> = outer
+            .into_calls()
+            .into_iter()
+            .map(|(_, _, call)| match call {
+                Call::Count { counter, n } => (counter, n),
+                other => panic!("not a count: {other:?}"),
+            })
+            .collect();
+        // One composed accessor per counter `fn`, shared by its counts.
+        assert!(Arc::ptr_eq(&counters[0].0, &counters[2].0));
+        assert!(!Arc::ptr_eq(&counters[0].0, &counters[1].0));
+        let mut wrapper = Wrapper {
+            inner: Two::default(),
+        };
+        for (counter, n) in &counters {
+            *counter(&mut wrapper) += n;
+        }
+        assert_eq!((wrapper.inner.a, wrapper.inner.b), (4, 2));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! of a dispatcher + JIT ([`Engine`]) that discovers [`trace`]s of guest
 //! code, lets the registered [`Pintool`] insert analysis calls through a
 //! Pin-style API ([`Inserter::insert_call`], [`Inserter::insert_if_then_call`],
-//! [`IArg`] argument descriptors), compiles the result into a [`cache`]
+//! [`IArg`] argument descriptors, and [`Inserter::insert_count`] for the
+//! counter increments Pin inlines), compiles the result into a [`cache`]
 //! (the *code cache*: every call lowered to a [`LoweredCall`] with its
 //! charge pre-summed, resident traces linked to their successors), and
 //! executes it while accounting virtual cycles against a calibrated
@@ -34,12 +35,7 @@
 //!     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
 //!         for bbl in trace.bbls() {
 //!             let n = bbl.num_insts() as u64;
-//!             inserter.insert_call(
-//!                 bbl.head_addr(),
-//!                 IPoint::Before,
-//!                 move |tool, _, _| tool.count += n,
-//!                 vec![],
-//!             );
+//!             inserter.insert_count(bbl.head_addr(), IPoint::Before, n, |tool| &mut tool.count);
 //!         }
 //!     }
 //! }
@@ -65,7 +61,9 @@ pub use cost::{cycles_to_secs, secs_to_cycles, CostModel, CYCLES_PER_SEC};
 pub use engine::{
     cycles_to_ns, CycleBreakdown, Engine, EngineStats, EngineStop, PlanStats, RunResult,
 };
-pub use inserter::{AnalysisFn, Call, CallCtx, EngineCtl, IArg, IPoint, Inserter, PredicateFn};
+pub use inserter::{
+    AnalysisFn, Call, CallCtx, CounterFn, EngineCtl, IArg, IPoint, Inserter, PredicateFn,
+};
 pub use shared_index::{ProbeOutcome, SharedIndexStats, SharedTraceIndex};
 pub use spill::{analysis_clobbers, ClobberViolation};
 pub use tool::{NullTool, Pintool};

@@ -115,9 +115,12 @@ fn compile_plans_minimal_save_sets() {
     let subi = compiled
         .insts
         .iter()
-        .find(|slot| slot.addr == program.entry() + 16)
+        .position(|slot| slot.addr == program.entry() + 16)
         .expect("loop head in trace");
-    assert_eq!(subi.before[0].saves, RegSet::from_regs(&[Reg::R0]));
+    assert_eq!(
+        compiled.before(subi)[0].saves,
+        RegSet::from_regs(&[Reg::R0])
+    );
     // An honest compilation passes the verifier.
     assert!(cache.clobber_violations().is_empty());
 
@@ -127,7 +130,7 @@ fn compile_plans_minimal_save_sets() {
     inserter.insert_call(program.entry(), IPoint::Before, |t, _, _| *t += 1, vec![]);
     let (id, _) = conservative.compile(&trace, inserter, &CostModel::default());
     let compiled = conservative.trace(id);
-    assert_eq!(compiled.insts[0].before[0].saves, analysis_clobbers());
+    assert_eq!(compiled.before(0)[0].saves, analysis_clobbers());
 }
 
 // The verifier records only in builds with `debug_assertions` (see

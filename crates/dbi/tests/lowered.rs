@@ -4,18 +4,26 @@
 //! A probe tool hangs calls of every shape on every instruction of a
 //! random guest: plain and if/then, before and after, static and dynamic
 //! argument lists covering every [`IArg`] kind, a stop from the middle of
-//! a before-list, a stop from a `then`, a stop from an after-call. The
-//! reference re-states what each callback must observe from
-//! [`cpu::step`] and the `IArg` documentation alone — it never touches
-//! the code cache, the lowering or the executor — and predicts every
-//! counter in closed form from the trace shapes [`discover_trace`]
-//! reports.
+//! a before-list, a stop from a `then`, a stop from an after-call, and
+//! inlined counts ([`Inserter::insert_count`]) to two counters between
+//! them — some slots carry nothing but counts. Every callback, syscall
+//! and `fini` records both counters as it finds them, so a count that has
+//! not reached the tool by the time anything else can look shows up at
+//! that very observation. The reference re-states what each callback
+//! must observe from [`cpu::step`] and the `IArg` documentation alone —
+//! it never touches the code cache, the lowering or the executor — and
+//! predicts every counter in closed form from the trace shapes
+//! [`discover_trace`] reports. A twin probe whose counts are plain
+//! closures must match the inlined one in every observation and every
+//! counter of [`EngineStats`].
 //!
 //! The second half drives the same probe through everything that drops
 //! links — SMC flush, capacity flush, eviction between `run` calls, a
 //! recompile under a new split point, a checkpoint clone outliving its
 //! original's cache — where trace shapes change but what the callbacks
-//! observe may not.
+//! observe may not. The last cases end a trace mid-way on each remaining
+//! exit — a taken branch, a syscall, `halt` and a guest fault — with
+//! counts still pending.
 
 use proptest::prelude::*;
 use std::collections::HashSet;
@@ -26,8 +34,10 @@ use superpin_dbi::{
 use superpin_isa::asm::assemble;
 use superpin_isa::{Inst, Program, ProgramBuilder, Reg};
 use superpin_vm::cpu::{self, CpuState, ExecOutcome};
+use superpin_vm::kernel::SyscallRecord;
 use superpin_vm::mem::AddressSpace;
 use superpin_vm::process::Process;
+use superpin_vm::VmError;
 
 /// When the probe's three stoppers fire: every `n`th execution of the
 /// call, 0 for never.
@@ -50,16 +60,33 @@ struct Seen {
     tag: u8,
     pc: u64,
     args: Vec<u64>,
+    /// Both counters at the time of the call.
+    counters: [u64; 2],
 }
 
-/// The probe's state: all of its behaviour lives in these three methods,
-/// which the engine's closures and the reference both call.
+/// The probe's state: all of its behaviour lives in these methods, which
+/// the engine's closures and the reference both call.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 struct Probe {
     knobs: Knobs,
+    /// Insert counts as plain closures instead of inlined counts (the
+    /// twin).
+    plain_counts: bool,
     log: Vec<Seen>,
-    runs: [u64; 8],
+    runs: [u64; 10],
+    counters: [u64; 2],
 }
+
+fn counter_a(probe: &mut Probe) -> &mut u64 {
+    &mut probe.counters[0]
+}
+
+fn counter_b(probe: &mut Probe) -> &mut u64 {
+    &mut probe.counters[1]
+}
+
+/// The probe's two counters, by [`Spec::Count`] index.
+const COUNTERS: [fn(&mut Probe) -> &mut u64; 2] = [counter_a, counter_b];
 
 fn every(n: u64, count: u64) -> bool {
     n != 0 && count.is_multiple_of(n)
@@ -71,6 +98,7 @@ impl Probe {
             tag,
             pc,
             args: args.to_vec(),
+            counters: self.counters,
         });
         self.runs[tag as usize] += 1;
         self.runs[tag as usize]
@@ -107,11 +135,15 @@ const TAG_LAST: u8 = 4;
 const TAG_AFTER_PRED: u8 = 5;
 const TAG_AFTER_THEN: u8 = 6;
 const TAG_AFTER_LAST: u8 = 7;
+const TAG_SYSCALL: u8 = 8;
+const TAG_FINI: u8 = 9;
 
 /// One call the probe inserts, as data both sides read.
 enum Spec {
     Plain(u8, Vec<IArg>),
     IfThen(u8, Vec<IArg>, u8, Vec<IArg>),
+    /// Add `.1` to counter `.0`.
+    Count(usize, u64),
 }
 
 /// The probe's instrumentation of one instruction: `(before, after)`.
@@ -131,30 +163,48 @@ fn specs(iref: &InstRef) -> (Vec<Spec>, Vec<Spec>) {
             IArg::FallthroughAddr,
         ]
     };
-    let before = vec![
-        Spec::Plain(TAG_FIRST, every_kind()),
-        Spec::IfThen(
-            TAG_PRED,
-            vec![IArg::RegValue(Reg::R8), IArg::InstPtr],
-            TAG_THEN,
-            vec![IArg::RegValue(Reg::R11), IArg::StackWord(1), IArg::MemAddr],
-        ),
-        Spec::Plain(TAG_MID, vec![IArg::BranchTaken]),
-        Spec::Plain(TAG_LAST, vec![]),
-    ];
-    // After-calls on every other word, so some slots have none.
-    let after = if (iref.addr >> 3).is_multiple_of(2) {
+    let word = iref.addr >> 3;
+    // Every third word carries counts alone before it, so straight runs
+    // of slots only ever add to the pending sum.
+    let before = if word % 3 == 2 {
+        vec![Spec::Count(0, 1), Spec::Count(0, 2), Spec::Count(1, 4)]
+    } else {
         vec![
+            Spec::Count(0, 1),
+            Spec::Plain(TAG_FIRST, every_kind()),
+            Spec::Count(1, 3),
+            Spec::IfThen(
+                TAG_PRED,
+                vec![IArg::RegValue(Reg::R8), IArg::InstPtr],
+                TAG_THEN,
+                vec![IArg::RegValue(Reg::R11), IArg::StackWord(1), IArg::MemAddr],
+            ),
+            // The stop in `then` comes after this count, the one from
+            // `MID` before the next.
+            Spec::Count(0, 2),
+            Spec::Plain(TAG_MID, vec![IArg::BranchTaken]),
+            Spec::Count(1, 5),
+            Spec::Count(1, 1),
+            Spec::Plain(TAG_LAST, vec![]),
+            Spec::Count(0, 7),
+        ]
+    };
+    // Full after-calls on every other word, counts alone on the rest.
+    let after = if word.is_multiple_of(2) {
+        vec![
+            Spec::Count(1, 11),
             Spec::IfThen(
                 TAG_AFTER_PRED,
                 vec![IArg::BranchTaken, IArg::MemAddr],
                 TAG_AFTER_THEN,
                 every_kind(),
             ),
+            Spec::Count(0, 13),
             Spec::Plain(TAG_AFTER_LAST, vec![IArg::InstPtr, IArg::MemSize]),
+            Spec::Count(1, 17),
         ]
     } else {
-        Vec::new()
+        vec![Spec::Count(0, 19)]
     };
     (before, after)
 }
@@ -166,6 +216,15 @@ impl Pintool for Probe {
             for (point, list) in [(IPoint::Before, before), (IPoint::After, after)] {
                 for spec in list {
                     match spec {
+                        Spec::Count(which, n) if self.plain_counts => inserter.insert_call(
+                            iref.addr,
+                            point,
+                            move |probe: &mut Probe, _, _| probe.counters[which] += n,
+                            vec![],
+                        ),
+                        Spec::Count(which, n) => {
+                            inserter.insert_count(iref.addr, point, n, COUNTERS[which])
+                        }
                         Spec::Plain(tag, args) => inserter.insert_call(
                             iref.addr,
                             point,
@@ -197,6 +256,14 @@ impl Pintool for Probe {
                 }
             }
         }
+    }
+
+    fn on_syscall(&mut self, _record: &SyscallRecord) {
+        self.see(TAG_SYSCALL, 0, &[]);
+    }
+
+    fn fini(&mut self) {
+        self.see(TAG_FINI, 0, &[]);
     }
 }
 
@@ -244,13 +311,33 @@ fn arg_value(
     }
 }
 
+/// How a run ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum End {
+    Exit(i64),
+    Halt,
+    /// A guest memory fault.
+    Fault,
+}
+
+impl End {
+    fn of(result: Result<(i64, u64), VmError>) -> End {
+        match result {
+            Ok((code, _)) => End::Exit(code),
+            Err(VmError::UnexpectedHalt { .. }) => End::Halt,
+            Err(VmError::Mem(_)) => End::Fault,
+            Err(other) => panic!("unexpected engine error {other}"),
+        }
+    }
+}
+
 /// Everything the reference predicts.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Expected {
     probe: Probe,
     stats: EngineStats,
     cache: CacheStats,
-    exit_code: i64,
+    end: End,
     cpu: CpuState,
     mem_digest: u64,
     output: Vec<u8>,
@@ -276,6 +363,12 @@ fn reference_calls(
     let per_arg = |args: &[IArg]| args.len() as u64 * cost.analysis_arg;
     for spec in list {
         let stop = match spec {
+            Spec::Count(which, n) => {
+                stats.analysis_calls += 1;
+                stats.cycles.analysis += cost.analysis_call;
+                probe.counters[*which] += n;
+                false
+            }
             Spec::Plain(tag, args) => {
                 stats.analysis_calls += 1;
                 stats.cycles.analysis += cost.analysis_call + per_arg(args);
@@ -318,7 +411,7 @@ fn reference(program: &Program, knobs: Knobs, cost: &CostModel) -> Expected {
     // Every `run` call enters through the dispatcher, and `run_to_exit`
     // calls `run` again after each stop.
     let mut pending_dispatch = true;
-    let exit_code = 'run: loop {
+    let end = 'run: loop {
         let trace = discover_trace(&process.mem, process.cpu.pc).expect("trace");
         cache.lookups += 1;
         if compiled.insert(trace.entry()) {
@@ -353,18 +446,23 @@ fn reference(program: &Program, knobs: Knobs, cost: &CostModel) -> Expected {
                 pending_dispatch = true;
                 continue 'run;
             }
-            let taken = match cpu::step(&mut process.cpu, &mut process.mem).expect("step") {
+            let Ok(outcome) = cpu::step(&mut process.cpu, &mut process.mem) else {
+                break 'run End::Fault;
+            };
+            let taken = match outcome {
                 ExecOutcome::Syscall => {
                     let now_ns = cycles_to_ns(stats.cycles.total());
                     let record = process.do_syscall(now_ns).expect("syscall");
                     stats.cycles.syscall += cost.syscall;
+                    probe.see(TAG_SYSCALL, 0, &[]);
                     if let Some(code) = record.exited {
-                        break 'run code;
+                        probe.see(TAG_FINI, 0, &[]);
+                        break 'run End::Exit(code);
                     }
                     pending_dispatch = true;
                     continue 'run;
                 }
-                ExecOutcome::Halt => panic!("generated guests do not halt"),
+                ExecOutcome::Halt => break 'run End::Halt,
                 ExecOutcome::Next => false,
                 ExecOutcome::Jumped => true,
             };
@@ -396,22 +494,23 @@ fn reference(program: &Program, knobs: Knobs, cost: &CostModel) -> Expected {
         probe,
         stats,
         cache,
-        exit_code,
+        end,
         cpu: process.cpu,
         mem_digest: process.mem.content_digest(),
         output: process.output().to_vec(),
     }
 }
 
-/// What holds whatever the cache did: the callbacks, the guest, and the
-/// counters that do not depend on trace shapes.
-fn assert_observations(engine: &Engine<Probe>, exit_code: i64, want: &Expected) {
+/// What holds whatever the cache did: the callbacks, the counters, the
+/// guest, and the statistics that do not depend on trace shapes.
+fn assert_observations(engine: &Engine<Probe>, end: End, want: &Expected) {
     let tool = engine.tool();
     assert_eq!(tool.log.len(), want.probe.log.len(), "callback count");
     for (i, (got, want)) in tool.log.iter().zip(&want.probe.log).enumerate() {
         assert_eq!(got, want, "callback #{i}");
     }
     assert_eq!(tool.runs, want.probe.runs);
+    assert_eq!(tool.counters, want.probe.counters, "final counters");
     let stats = engine.stats();
     assert_eq!(stats.analysis_calls, want.stats.analysis_calls);
     assert_eq!(stats.if_checks, want.stats.if_checks);
@@ -420,10 +519,30 @@ fn assert_observations(engine: &Engine<Probe>, exit_code: i64, want: &Expected) 
     assert_eq!(stats.cycles.app, want.stats.cycles.app);
     assert_eq!(stats.cycles.analysis, want.stats.cycles.analysis);
     assert_eq!(stats.cycles.syscall, want.stats.cycles.syscall);
-    assert_eq!(exit_code, want.exit_code);
+    assert_eq!(end, want.end);
     assert_eq!(engine.process().cpu, want.cpu);
     assert_eq!(engine.process().mem.content_digest(), want.mem_digest);
     assert_eq!(engine.process().output(), want.output);
+}
+
+/// Runs `program` under the probe and under its twin with plain-closure
+/// counts; everything either tool or engine reports must agree.
+fn run_with_twin(program: &Program, knobs: Knobs) -> (Engine<Probe>, End) {
+    let mut engine = probe_engine(program, knobs, 1 << 16, false);
+    let result = engine.run_to_exit();
+    if let Ok((_, total)) = result {
+        assert_eq!(engine.stats().cycles.total(), total);
+    }
+    let end = End::of(result);
+    let mut twin = probe_engine(program, knobs, 1 << 16, true);
+    assert_eq!(End::of(twin.run_to_exit()), end);
+    let (tool, plain) = (engine.tool(), twin.tool());
+    assert_eq!(tool.log, plain.log);
+    assert_eq!(tool.runs, plain.runs);
+    assert_eq!(tool.counters, plain.counters);
+    assert_eq!(engine.stats(), twin.stats());
+    assert_eq!(engine.cache_stats(), twin.cache_stats());
+    (engine, end)
 }
 
 /// Nested countdown loops with ALU work, loads, stores of three widths,
@@ -493,9 +612,15 @@ fn arb_knobs() -> impl Strategy<Value = Knobs> {
     })
 }
 
-fn probe_engine(program: &Program, knobs: Knobs, capacity: usize) -> Engine<Probe> {
+fn probe_engine(
+    program: &Program,
+    knobs: Knobs,
+    capacity: usize,
+    plain_counts: bool,
+) -> Engine<Probe> {
     let probe = Probe {
         knobs,
+        plain_counts,
         ..Probe::default()
     };
     let process = Process::load(1, program).expect("load");
@@ -506,7 +631,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Every value every callback observes, every counter and the whole
-    /// cycle breakdown equal the reference's.
+    /// cycle breakdown equal the reference's, and the plain-closure
+    /// twin's.
     #[test]
     fn prop_lowered_executor_matches_step_reference(
         program in arb_program(),
@@ -514,13 +640,11 @@ proptest! {
     ) {
         let cost = CostModel::default();
         let want = reference(&program, knobs, &cost);
-        let mut engine = probe_engine(&program, knobs, 1 << 16);
-        let (exit_code, total) = engine.run_to_exit().expect("run");
-        assert_observations(&engine, exit_code, &want);
+        let (engine, end) = run_with_twin(&program, knobs);
+        assert_observations(&engine, end, &want);
 
         let stats = engine.stats();
         prop_assert_eq!(stats.cycles, want.stats.cycles);
-        prop_assert_eq!(stats.cycles.total(), total);
         prop_assert_eq!(stats.traces_executed, want.stats.traces_executed);
         let cache = engine.cache_stats();
         prop_assert_eq!(cache, want.cache);
@@ -547,13 +671,13 @@ proptest! {
         let want = reference(&program, knobs, &cost);
 
         // Capacity flushes inside `compile`.
-        let mut small = probe_engine(&program, knobs, capacity);
-        let (exit_code, _) = small.run_to_exit().expect("run");
-        assert_observations(&small, exit_code, &want);
+        let mut small = probe_engine(&program, knobs, capacity, false);
+        let end = End::of(small.run_to_exit());
+        assert_observations(&small, end, &want);
 
         // Eviction and re-splitting between `run` calls; a clone taken on
         // the way finishes after the original has.
-        let mut engine = probe_engine(&program, knobs, 1 << 16);
+        let mut engine = probe_engine(&program, knobs, 1 << 16, false);
         let mut checkpoint = None;
         let mut calls = 0usize;
         let exit_code = drive(&mut engine, budget, |engine| {
@@ -569,10 +693,10 @@ proptest! {
                 engine.set_split_point(Some(split));
             }
         });
-        assert_observations(&engine, exit_code, &want);
+        assert_observations(&engine, End::Exit(exit_code), &want);
         if let Some(mut clone) = checkpoint {
             let exit_code = drive(&mut clone, budget, |_| {});
-            assert_observations(&clone, exit_code, &want);
+            assert_observations(&clone, End::Exit(exit_code), &want);
         }
     }
 }
@@ -630,10 +754,54 @@ fn smc_flush_drops_links_mid_run() {
         pred_mod: 2,
     };
     let want = reference(&program, knobs, &CostModel::default());
-    let mut engine = probe_engine(&program, knobs, 1 << 16);
-    let (exit_code, _) = engine.run_to_exit().expect("run");
+    let (engine, end) = run_with_twin(&program, knobs);
     assert_eq!(engine.cache_stats().smc_flushes, 1);
-    assert_observations(&engine, exit_code, &want);
+    assert_observations(&engine, end, &want);
     // 11 increments of 1, then of 5 up to the bound.
     assert_eq!(engine.process().cpu.regs.get(Reg::R8), 11 + 5 * 16);
+}
+
+/// Each way a trace can end early, with counts pending when it does: a
+/// taken branch out of the middle of a trace, a syscall, `halt`, and a
+/// load from an unmapped address. Whatever the exit, the counts reach
+/// the tool before anything can observe it — the next trace's calls, the
+/// syscall hook, or the caller holding the engine after an error.
+#[test]
+fn every_mid_trace_exit_hands_pending_counts_to_the_tool() {
+    let guests = [
+        (
+            "main:\n li r1, 1\n bne r1, r0, out\n nop\nout:\n nop\n halt\n",
+            End::Halt,
+        ),
+        (
+            "main:\n nop\n li r0, 9\n syscall\n nop\n nop\n halt\n",
+            End::Halt,
+        ),
+        ("main:\n nop\n nop\n nop\n halt\n nop\n", End::Halt),
+        (
+            "main:\n nop\n li r2, 16\n nop\n ld r3, 0(r2)\n exit 0\n",
+            End::Fault,
+        ),
+    ];
+    for (src, ends) in guests {
+        let program = assemble(src).expect("assemble");
+        for knobs in [
+            Knobs {
+                pred_mod: 2,
+                ..Knobs::default()
+            },
+            Knobs {
+                stop_mid_list: 2,
+                stop_in_then: 2,
+                stop_after: 3,
+                pred_mod: 1,
+            },
+        ] {
+            let want = reference(&program, knobs, &CostModel::default());
+            let (engine, end) = run_with_twin(&program, knobs);
+            assert_eq!(end, ends, "{src}");
+            assert_observations(&engine, end, &want);
+            assert!(want.probe.counters[0] > 0, "no count ran");
+        }
+    }
 }

@@ -9,7 +9,8 @@
 use superpin::{AreaId, AutoMerge, SharedMem, SuperTool};
 use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
 
-/// `icount1`: a counter increment after every instruction.
+/// `icount1`: a counter increment before every instruction, inlined
+/// ([`Inserter::insert_count`]) as Pin inlines `docount`.
 #[derive(Clone, Debug)]
 pub struct ICount1 {
     /// Slice-local count (`icount` in the paper's listing).
@@ -41,12 +42,7 @@ impl ICount1 {
 impl Pintool for ICount1 {
     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
         for iref in trace.insts() {
-            inserter.insert_call(
-                iref.addr,
-                IPoint::Before,
-                |tool, _, _| tool.count += 1,
-                vec![],
-            );
+            inserter.insert_count(iref.addr, IPoint::Before, 1, |tool| &mut tool.count);
         }
     }
 
@@ -72,7 +68,8 @@ impl SuperTool for ICount1 {
 }
 
 /// `icount2`: one counter increment per basic block, adding the block's
-/// instruction count — the SuperPin version of the paper's Figure 2.
+/// instruction count — the SuperPin version of the paper's Figure 2,
+/// inlined like `icount1`'s.
 #[derive(Clone, Debug)]
 pub struct ICount2 {
     count: u64,
@@ -103,12 +100,7 @@ impl Pintool for ICount2 {
     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
         for bbl in trace.bbls() {
             let n = bbl.num_insts() as u64;
-            inserter.insert_call(
-                bbl.head_addr(),
-                IPoint::Before,
-                move |tool, _, _| tool.count += n,
-                vec![],
-            );
+            inserter.insert_count(bbl.head_addr(), IPoint::Before, n, |tool| &mut tool.count);
         }
     }
 

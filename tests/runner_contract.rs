@@ -1,13 +1,16 @@
 //! The runner's contracts, one case each, on a small catalog guest —
 //! the tier-1 smoke for the epoch step, the worker pool, the pressure
-//! ladder and its replay. The crate suites (`superpin-bench`'s
-//! determinism, chaos, pressure and replay tests) sweep the catalog;
-//! these make the plain `cargo test -q` go red when one of them breaks.
+//! ladder and its replay, and for the inlined counts the tools run on.
+//! The crate suites (`superpin-bench`'s determinism, chaos, pressure and
+//! replay tests) sweep the catalog; these make the plain `cargo test -q`
+//! go red when one of them breaks.
 
+use superpin::baseline::run_native;
 use superpin::{
-    AdmissionDecision, FailPlan, NondetEvent, SharedMem, Site, SiteMode, SuperPinConfig,
-    SuperPinReport, SuperPinRunner,
+    AdmissionDecision, AreaId, AutoMerge, FailPlan, NondetEvent, SharedMem, Site, SiteMode,
+    SuperPinConfig, SuperPinReport, SuperPinRunner, SuperTool,
 };
+use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
 use superpin_replay::{record_run, replay_run, verify_replay, ReplayLog, RunRecipe};
 use superpin_tools::ICount1;
 use superpin_vm::process::Process;
@@ -37,6 +40,40 @@ fn runner(cfg: SuperPinConfig) -> (SuperPinRunner<ICount1>, ICount1, SharedMem) 
 fn run(cfg: SuperPinConfig) -> (SuperPinReport, u64) {
     let (runner, tool, shared) = runner(cfg);
     (runner.run().expect("run"), tool.total(&shared))
+}
+
+/// `ICount1` with its count as a plain analysis closure instead of an
+/// inlined count.
+#[derive(Clone)]
+struct PlainICount1 {
+    count: u64,
+    area: AreaId,
+}
+
+impl Pintool for PlainICount1 {
+    fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
+        for iref in trace.insts() {
+            inserter.insert_call(iref.addr, IPoint::Before, |t, _, _| t.count += 1, vec![]);
+        }
+    }
+
+    fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+        true
+    }
+
+    fn name(&self) -> &'static str {
+        "icount1"
+    }
+}
+
+impl SuperTool for PlainICount1 {
+    fn reset(&mut self, _slice_num: u32) {
+        self.count = 0;
+    }
+
+    fn on_slice_end(&mut self, _slice_num: u32, shared: &SharedMem) {
+        shared.area(self.area).add(0, self.count);
+    }
 }
 
 #[test]
@@ -132,5 +169,45 @@ fn stepping_the_run_renders_the_same_report_as_run() {
         let stepped = runner.finish().expect("finish");
         assert_eq!(whole, stepped, "stepping at threads={threads} differs");
         assert_eq!(count_whole, tool.total(&shared));
+    }
+}
+
+#[test]
+fn inlined_counts_report_exactly_what_plain_closures_do() {
+    let program = find(GUEST).expect("catalog guest").build(SCALE);
+    let native = run_native(Process::load(1, &program).expect("load"))
+        .expect("native")
+        .insts;
+    // The first quick match any slice sees is suppressed: that slice runs
+    // past its boundary and is rebuilt from its checkpoint, so counts are
+    // written back, cloned and replayed on the recovery path too.
+    let plan = FailPlan::new(3, 0.0).with_site(Site::CoreSignatureQuickMiss, SiteMode::Nth(1));
+    for threads in [1, 4] {
+        let cfg = || {
+            config()
+                .with_threads(threads)
+                .with_supervision()
+                .with_chaos(plan)
+        };
+        let (inlined, count) = run(cfg());
+        let shared = SharedMem::new();
+        let plain = PlainICount1 {
+            count: 0,
+            area: shared.create_area(1, AutoMerge::Manual),
+        };
+        let area = plain.area;
+        let process = Process::load(1, &program).expect("load");
+        let report = SuperPinRunner::new(process, plain, shared.clone(), cfg())
+            .expect("setup")
+            .run()
+            .expect("run");
+        assert!(inlined.slice_retries >= 1, "the failpoint never fired");
+        assert_eq!(inlined, report, "inlining changed the report at t{threads}");
+        assert_eq!(count, native, "inlined merge at t{threads}");
+        assert_eq!(
+            shared.area(area).read(0),
+            native,
+            "plain merge at t{threads}"
+        );
     }
 }
