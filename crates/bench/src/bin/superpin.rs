@@ -5,7 +5,6 @@
 //! superpin [-sp 0|1] [-spmsec MSEC] [-spmp N] [-spsysrecs N] [-threads N]
 //!          -t icount1|icount2|dcache|itrace|branch|mem|sampler
 //!          -- <benchmark> [tiny|small|medium|large]
-//! superpin --emit-json [PATH] [--scale SCALE]
 //! ```
 //!
 //! Examples:
@@ -15,14 +14,16 @@
 //! superpin -sp 1 -spmsec 500 -spmp 16 -t icount1 -- gcc medium
 //! superpin -sp 0 -t dcache -- mcf small        # traditional Pin mode
 //! superpin -threads 4 -t icount1 -- gcc medium # 4 host worker threads
-//! superpin --emit-json BENCH_parallel.json     # wall-clock tracker
 //! ```
 //!
 //! `-threads N` fans slice execution out over N host worker threads; the
 //! report is bit-identical to `-threads 1` (see the parallel-runner
-//! section in DESIGN.md). `--emit-json` runs the serial-vs-parallel
-//! wall-clock tracker over a fixed benchmark set and writes the
-//! `BENCH_parallel.json` tracking file instead of running one tool.
+//! section in DESIGN.md). This binary measures simulated time only; host
+//! wall time is measured by `superpin-perfbench` (`crates/perfbench`).
+//!
+//! Exit codes: 0 on success, 1 when the run itself fails (the guest
+//! faults, for example under a `--mem-budget` too small for it), 2 on a
+//! command-line error.
 //!
 //! Chaos testing (DESIGN.md §4.8): `--chaos-seed N` arms the seeded
 //! failpoint registry and slice supervisor; `--chaos-rate F` sets the
@@ -38,11 +39,13 @@
 
 use std::sync::Arc;
 
-use superpin::baseline::run_pin;
+use superpin::baseline::{run_pin, PinReport};
 use superpin::{
-    FailPlan, PlanKnobs, ProgramAnalysis, SharedMem, SuperPinConfig, SuperPinRunner, SuperTool,
+    FailPlan, PlanKnobs, ProgramAnalysis, SharedMem, SuperPinConfig, SuperPinReport,
+    SuperPinRunner, SuperTool,
 };
 use superpin_bench::runs::time_scale_for;
+use superpin_dbi::Pintool;
 use superpin_tools::{
     BranchProfile, DCache, DCacheConfig, ICount1, ICount2, ITrace, MemProfile, Sampler,
 };
@@ -63,13 +66,9 @@ struct Options {
     mem_budget: Option<u64>,
     plan: bool,
     plan_knobs: PlanKnobs,
-    emit_json: Option<String>,
-    tag: Option<String>,
-    perf_guard: Option<(String, String)>,
     tool: String,
     benchmark: String,
     scale: Scale,
-    scale_explicit: bool,
 }
 
 /// Typed command-line rejection. Each variant renders a specific
@@ -134,9 +133,6 @@ fn usage() -> ! {
          [--chaos-seed N] [--chaos-rate F] [--watchdog-factor K] [--mem-budget BYTES[k|m|g]] \
          [--plan on|off] [--hot-loop-threshold N] [--max-trace-len N] \
          -t TOOL -- BENCHMARK [tiny|small|medium|large]\n\
-         \x20      superpin --emit-json [PATH] [--tag KEY] [--scale tiny|small|medium|large] \
-         [--mem-budget BYTES[k|m|g]]\n\
-         \x20      superpin --perf-guard FRESH.json BASELINE.json\n\
          tools: icount1 icount2 dcache dcache-assoc icache bblcount insmix itrace branch mem sampler"
     );
     std::process::exit(2);
@@ -183,15 +179,11 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         mem_budget: None,
         plan: false,
         plan_knobs: PlanKnobs::default(),
-        emit_json: None,
-        tag: None,
-        perf_guard: None,
         tool: String::new(),
         benchmark: String::new(),
         scale: Scale::Small,
-        scale_explicit: false,
     };
-    let mut iter = args.iter().peekable();
+    let mut iter = args.iter();
     let mut after_dashes = Vec::new();
     // `flag value` with a typed error for missing/unparseable values.
     fn value<'a, I: Iterator<Item = &'a String>, V: std::str::FromStr>(
@@ -206,12 +198,30 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
             expected,
         })
     }
+    // A two-way switch: `on` and `off` list its accepted spellings.
+    fn switch<'a, I: Iterator<Item = &'a String>>(
+        iter: &mut I,
+        flag: &'static str,
+        on: &[&str],
+        off: &[&str],
+        expected: &'static str,
+    ) -> Result<bool, ArgError> {
+        let text = iter.next().ok_or(ArgError::MissingValue(flag))?;
+        if on.contains(&text.as_str()) {
+            Ok(true)
+        } else if off.contains(&text.as_str()) {
+            Ok(false)
+        } else {
+            Err(ArgError::InvalidValue {
+                flag,
+                value: text.clone(),
+                expected,
+            })
+        }
+    }
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "-sp" => {
-                let v = iter.next().ok_or(ArgError::MissingValue("-sp"))?;
-                options.sp = v != "0";
-            }
+            "-sp" => options.sp = switch(&mut iter, "-sp", &["1"], &["0"], "0|1")?,
             "-spmsec" => options.spmsec = value(&mut iter, "-spmsec", "milliseconds")?,
             "-spmp" => options.spmp = value(&mut iter, "-spmp", "a slice count")?,
             "-spsysrecs" => options.spsysrecs = value(&mut iter, "-spsysrecs", "a record count")?,
@@ -241,18 +251,7 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
                 options.watchdog_factor = factor;
             }
             "--plan" => {
-                let v = iter.next().ok_or(ArgError::MissingValue("--plan"))?;
-                options.plan = match v.as_str() {
-                    "on" | "1" => true,
-                    "off" | "0" => false,
-                    other => {
-                        return Err(ArgError::InvalidValue {
-                            flag: "--plan",
-                            value: other.to_owned(),
-                            expected: "on|off",
-                        })
-                    }
-                };
+                options.plan = switch(&mut iter, "--plan", &["on", "1"], &["off", "0"], "on|off")?
             }
             "--hot-loop-threshold" => {
                 options.plan_knobs.hot_loop_threshold =
@@ -271,33 +270,6 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
                 })?;
                 options.mem_budget = Some(bytes);
             }
-            "--emit-json" => {
-                // Optional path operand; defaults to BENCH_parallel.json.
-                let path = match iter.peek() {
-                    Some(next) if !next.starts_with('-') => iter.next().cloned(),
-                    _ => None,
-                };
-                options.emit_json = Some(path.unwrap_or_else(|| "BENCH_parallel.json".to_owned()));
-            }
-            "--scale" => {
-                let v = iter.next().ok_or(ArgError::MissingValue("--scale"))?;
-                options.scale = parse_scale(v)?;
-                options.scale_explicit = true;
-            }
-            "--tag" => {
-                options.tag = Some(iter.next().ok_or(ArgError::MissingValue("--tag"))?.clone());
-            }
-            "--perf-guard" => {
-                let fresh = iter
-                    .next()
-                    .ok_or(ArgError::MissingValue("--perf-guard"))?
-                    .clone();
-                let baseline = iter
-                    .next()
-                    .ok_or(ArgError::MissingValue("--perf-guard"))?
-                    .clone();
-                options.perf_guard = Some((fresh, baseline));
-            }
             "-t" => {
                 options.tool = iter.next().ok_or(ArgError::MissingValue("-t"))?.clone();
             }
@@ -307,32 +279,26 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
             other => return Err(ArgError::UnknownFlag(other.to_owned())),
         }
     }
-    if options.emit_json.is_some() || options.perf_guard.is_some() {
-        return Ok(options);
-    }
     if after_dashes.is_empty() || options.tool.is_empty() {
         return Err(ArgError::MissingBenchmarkOrTool);
     }
     options.benchmark = after_dashes[0].clone();
     if let Some(scale) = after_dashes.get(1) {
-        options.scale = parse_scale(scale)?;
-        options.scale_explicit = true;
+        options.scale = match scale.as_str() {
+            "tiny" => Scale::Tiny,
+            "small" => Scale::Small,
+            "medium" => Scale::Medium,
+            "large" => Scale::Large,
+            other => {
+                return Err(ArgError::InvalidValue {
+                    flag: "BENCHMARK scale",
+                    value: other.to_owned(),
+                    expected: "tiny|small|medium|large",
+                })
+            }
+        };
     }
     Ok(options)
-}
-
-fn parse_scale(text: &str) -> Result<Scale, ArgError> {
-    match text {
-        "tiny" => Ok(Scale::Tiny),
-        "small" => Ok(Scale::Small),
-        "medium" => Ok(Scale::Medium),
-        "large" => Ok(Scale::Large),
-        other => Err(ArgError::InvalidValue {
-            flag: "--scale",
-            value: other.to_owned(),
-            expected: "tiny|small|medium|large",
-        }),
-    }
 }
 
 /// The SuperPin configuration an invocation's switches describe, chaos
@@ -356,6 +322,17 @@ fn superpin_config(options: &Options) -> SuperPinConfig {
     cfg
 }
 
+/// Unwraps a run step's result, or reports the failure as
+/// `superpin: <benchmark>: <error>` and exits 1. A guest that faults
+/// (say, under a `--mem-budget` too small for it) is an outcome of the
+/// run the user asked for, not a crash of this tool.
+fn or_exit<V, E: std::fmt::Display>(result: Result<V, E>, options: &Options) -> V {
+    result.unwrap_or_else(|err| {
+        eprintln!("superpin: {}: {err}", options.benchmark);
+        std::process::exit(1);
+    })
+}
+
 /// [`superpin_config`] plus the program-specific whole-program plan and
 /// soundness oracle when `--plan on`: slice engines pre-decode
 /// predicted-hot traces and elide provably dead save/restores, and
@@ -365,7 +342,7 @@ fn superpin_config(options: &Options) -> SuperPinConfig {
 fn superpin_config_for(program: &superpin_isa::Program, options: &Options) -> SuperPinConfig {
     let mut cfg = superpin_config(options);
     if options.plan {
-        let analysis = ProgramAnalysis::compute(program).expect("whole-program analysis");
+        let analysis = or_exit(ProgramAnalysis::compute(program), options);
         cfg = cfg
             .with_plan(Arc::new(analysis.plan(options.plan_knobs)))
             .with_oracle(Arc::new(analysis.oracle()));
@@ -373,23 +350,42 @@ fn superpin_config_for(program: &superpin_isa::Program, options: &Options) -> Su
     cfg
 }
 
+/// Runs `program` under SuperPin as the switches describe.
+fn superpin_report<T: SuperTool>(
+    program: &superpin_isa::Program,
+    tool: T,
+    shared: &SharedMem,
+    options: &Options,
+) -> SuperPinReport {
+    let cfg = superpin_config_for(program, options);
+    let process = or_exit(Process::load(1, program), options);
+    let runner = or_exit(
+        SuperPinRunner::new(process, tool, shared.clone(), cfg),
+        options,
+    );
+    or_exit(runner.run(), options)
+}
+
+/// Runs `program` under serial Pin (`-sp 0`).
+fn pin<T: Pintool + 'static>(
+    program: &superpin_isa::Program,
+    tool: T,
+    options: &Options,
+) -> PinReport<T> {
+    let process = or_exit(Process::load(1, program), options);
+    or_exit(run_pin(process, tool), options)
+}
+
+/// [`superpin_report`], then prints its slice, time, chaos and memory
+/// lines (and the Gantt chart with `-gantt`).
 fn run_super<T: SuperTool>(
     program: &superpin_isa::Program,
     tool: T,
     shared: &SharedMem,
     options: &Options,
-) -> superpin::SuperPinReport {
-    let cfg = superpin_config_for(program, options);
-    let present = cfg.clone();
-    let report = SuperPinRunner::new(
-        Process::load(1, program).expect("load"),
-        tool,
-        shared.clone(),
-        cfg,
-    )
-    .expect("setup")
-    .run()
-    .expect("run");
+) {
+    let present = superpin_config(options);
+    let report = superpin_report(program, tool, shared, options);
     println!(
         "superpin: {} slices ({} timer, {} syscall), {} stalls",
         report.slice_count(),
@@ -424,145 +420,10 @@ fn run_super<T: SuperTool>(
     if options.gantt {
         print!("{}", superpin_bench::render::render_gantt(&report, 100));
     }
-    report
-}
-
-/// The history key for an `--emit-json` run: the `--tag` string when
-/// given, otherwise the current git short SHA, otherwise `untagged`.
-fn history_key(options: &Options) -> String {
-    if let Some(tag) = &options.tag {
-        return tag.clone();
-    }
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|sha| sha.trim().to_owned())
-        .filter(|sha| !sha.is_empty())
-        .unwrap_or_else(|| "untagged".to_owned())
-}
-
-/// `--perf-guard FRESH BASELINE`: compare geomean plan-off throughput
-/// in a fresh `--emit-json` file against a checked-in baseline snapshot
-/// and fail (exit 1) on a >10% regression. Runs no simulation itself,
-/// so CI can reuse the tracker output it just produced.
-fn run_perf_guard(fresh_path: &str, baseline_path: &str) -> ! {
-    const FIELD: &str = "geomean_throughput_mcps";
-    const ALLOWED_REGRESSION: f64 = 0.10;
-    let read = |path: &str| {
-        std::fs::read_to_string(path).unwrap_or_else(|e| {
-            eprintln!("perf-guard: read {path}: {e}");
-            std::process::exit(1);
-        })
-    };
-    let number = |path: &str, json: &str| {
-        superpin_bench::parallel::extract_number(json, FIELD).unwrap_or_else(|| {
-            eprintln!("perf-guard: no `{FIELD}` field in {path}");
-            std::process::exit(1);
-        })
-    };
-    let fresh = number(fresh_path, &read(fresh_path));
-    let baseline = number(baseline_path, &read(baseline_path));
-    let floor = baseline * (1.0 - ALLOWED_REGRESSION);
-    println!(
-        "perf-guard: {FIELD} fresh {fresh:.3} vs baseline {baseline:.3} \
-         (floor {floor:.3}, {:.0}% regression allowed)",
-        ALLOWED_REGRESSION * 100.0
-    );
-    if fresh < floor {
-        eprintln!(
-            "perf-guard: geomean throughput regressed {:.1}% (> {:.0}% allowed)",
-            100.0 * (1.0 - fresh / baseline),
-            ALLOWED_REGRESSION * 100.0
-        );
-        std::process::exit(1);
-    }
-    std::process::exit(0);
 }
 
 fn main() {
     let options = parse_args();
-    if let Some((fresh, baseline)) = &options.perf_guard {
-        run_perf_guard(fresh, baseline);
-    }
-    if let Some(path) = &options.emit_json {
-        // Wall-clock tracker mode: serial vs parallel over a fixed set.
-        let scale = if options.scale_explicit {
-            options.scale
-        } else {
-            Scale::Medium
-        };
-        let rows = superpin_bench::parallel::run_parallel_bench(
-            scale,
-            superpin_bench::parallel::DEFAULT_SET,
-            options.mem_budget,
-        );
-        print!("{}", superpin_bench::parallel::render_parallel(&rows));
-        // Service-mode rows: the fixed two-tenant mix at a tight fleet
-        // budget. Always tiny scale — it tracks scheduler cost, not
-        // guest throughput.
-        let fleet = superpin_bench::fleet::run_fleet_bench();
-        print!("{}", superpin_bench::fleet::render_fleet(&fleet));
-        // Appending (not clobbering) the history array keeps the perf
-        // trajectory across PRs; same-key reruns replace their entry.
-        let previous = std::fs::read_to_string(path).ok();
-        let json = superpin_bench::parallel::parallel_to_json_with_history(
-            scale,
-            &rows,
-            &history_key(&options),
-            previous.as_deref(),
-        );
-        let json = superpin_bench::fleet::splice_fleet_section(
-            &json,
-            &superpin_bench::fleet::fleet_to_json(&fleet),
-        );
-        superpin_replay::atomic_write(path, (json + "\n").as_bytes())
-            .unwrap_or_else(|e| panic!("write {path}: {e}"));
-        println!("wrote {path}");
-        if rows.iter().any(|row| !row.identical) {
-            eprintln!("determinism violation: parallel or supervised report differed from serial");
-            std::process::exit(1);
-        }
-        // Bench guard: supervision with chaos disabled must stay within
-        // wall-clock noise of the plain serial baseline (checkpointing
-        // is one deep clone per slice wake, amortized over the slice's
-        // whole life).
-        let overhead = superpin_bench::parallel::geomean_supervisor_overhead(&rows);
-        if overhead > 1.5 {
-            eprintln!("supervisor overhead {overhead:.2}x exceeds the 1.5x noise bound");
-            std::process::exit(1);
-        }
-        // Bench guard: streaming the replay log must stay cheap — the
-        // recorded run's wall clock within 1.25x geomean of plain runs.
-        let record_overhead = superpin_bench::parallel::geomean_record_overhead(&rows);
-        if record_overhead > 1.25 {
-            eprintln!("record overhead {record_overhead:.2}x exceeds the 1.25x bound");
-            std::process::exit(1);
-        }
-        // Fleet guards: the service scheduler must be deterministic
-        // across thread counts, and must not cost more than 1.5x the
-        // same jobs run serially.
-        if !fleet.identical {
-            eprintln!("determinism violation: fleet reports differed between 1 and 4 threads");
-            std::process::exit(1);
-        }
-        let fleet_overhead = fleet.fleet_overhead();
-        if fleet_overhead > 1.5 {
-            eprintln!("fleet overhead {fleet_overhead:.2}x vs serial jobs exceeds the 1.5x bound");
-            std::process::exit(1);
-        }
-        // Crash durability must stay cheap: journaling every settled
-        // round (commit markers on, fsync off) may not slow the fleet
-        // more than 1.15x.
-        let wal_overhead = fleet.wal_overhead();
-        if wal_overhead > 1.15 {
-            eprintln!("wal overhead {wal_overhead:.2}x vs bare fleet exceeds the 1.15x bound");
-            std::process::exit(1);
-        }
-        return;
-    }
     let Some(spec) = find(&options.benchmark) else {
         eprintln!("unknown benchmark `{}`", options.benchmark);
         std::process::exit(2);
@@ -582,19 +443,10 @@ fn main() {
             let shared = SharedMem::new();
             let tool = ICount1::new(&shared);
             if options.sp {
-                let cfg = superpin_config_for(&program, &options);
-                SuperPinRunner::new(
-                    Process::load(1, &program).expect("load"),
-                    tool.clone(),
-                    shared.clone(),
-                    cfg,
-                )
-                .expect("setup")
-                .run()
-                .expect("run");
+                superpin_report(&program, tool.clone(), &shared, &options);
                 println!("Total Count: {}", tool.total(&shared));
             } else {
-                let pin = run_pin(Process::load(1, &program).expect("load"), tool).expect("pin");
+                let pin = pin(&program, tool, &options);
                 println!("Total Count: {}", pin.tool.local_count());
             }
         }
@@ -605,7 +457,7 @@ fn main() {
                 run_super(&program, tool.clone(), &shared, &options);
                 println!("Total Count: {}", tool.total(&shared));
             } else {
-                let pin = run_pin(Process::load(1, &program).expect("load"), tool).expect("pin");
+                let pin = pin(&program, tool, &options);
                 println!("Total Count: {}", pin.tool.local_count());
             }
         }
@@ -616,10 +468,7 @@ fn main() {
                 run_super(&program, tool.clone(), &shared, &options);
                 tool.merged_result(&shared)
             } else {
-                run_pin(Process::load(1, &program).expect("load"), tool)
-                    .expect("pin")
-                    .tool
-                    .local_result()
+                pin(&program, tool, &options).tool.local_result()
             };
             println!(
                 "dcache: {} hits, {} misses (miss ratio {:.2}%)",
@@ -636,10 +485,7 @@ fn main() {
                 run_super(&program, tool.clone(), &shared, &options);
                 tool.merged_result(&shared)
             } else {
-                run_pin(Process::load(1, &program).expect("load"), tool)
-                    .expect("pin")
-                    .tool
-                    .local_result()
+                pin(&program, tool, &options).tool.local_result()
             };
             println!(
                 "dcache-assoc (2-way LRU): {} hits, {} misses (miss ratio {:.2}%)",
@@ -656,10 +502,7 @@ fn main() {
                 run_super(&program, tool.clone(), &shared, &options);
                 tool.merged_result(&shared)
             } else {
-                run_pin(Process::load(1, &program).expect("load"), tool)
-                    .expect("pin")
-                    .tool
-                    .local_result()
+                pin(&program, tool, &options).tool.local_result()
             };
             println!(
                 "icache: {} hits, {} misses (miss ratio {:.2}%)",
@@ -676,7 +519,7 @@ fn main() {
                 run_super(&program, tool.clone(), &shared, &options);
                 tool.hottest(5)
             } else {
-                let pin = run_pin(Process::load(1, &program).expect("load"), tool).expect("pin");
+                let pin = pin(&program, tool, &options);
                 let mut blocks: Vec<(u64, u64)> = pin
                     .tool
                     .local_blocks()
@@ -704,10 +547,7 @@ fn main() {
                 run_super(&program, tool.clone(), &shared, &options);
                 tool.merged_counts(&shared)
             } else {
-                run_pin(Process::load(1, &program).expect("load"), tool)
-                    .expect("pin")
-                    .tool
-                    .local_counts()
+                pin(&program, tool, &options).tool.local_counts()
             };
             println!("insmix ({} instructions):", counts.total());
             for category in MixCategory::ALL {
@@ -726,7 +566,7 @@ fn main() {
                 run_super(&program, tool, &shared, &options);
                 ITrace::merged_trace(&shared)
             } else {
-                let pin = run_pin(Process::load(1, &program).expect("load"), tool).expect("pin");
+                let pin = pin(&program, tool, &options);
                 ITrace::decode(pin.tool.local_buffer())
             };
             println!("itrace: {} instructions traced", trace.len());
@@ -738,11 +578,7 @@ fn main() {
                 run_super(&program, tool.clone(), &shared, &options);
                 tool.merged_sites()
             } else {
-                run_pin(Process::load(1, &program).expect("load"), tool)
-                    .expect("pin")
-                    .tool
-                    .local_sites()
-                    .clone()
+                pin(&program, tool, &options).tool.local_sites().clone()
             };
             println!("branch: {} sites profiled", sites.len());
         }
@@ -753,10 +589,7 @@ fn main() {
                 run_super(&program, tool.clone(), &shared, &options);
                 tool.merged_totals(&shared)
             } else {
-                run_pin(Process::load(1, &program).expect("load"), tool)
-                    .expect("pin")
-                    .tool
-                    .local_totals()
+                pin(&program, tool, &options).tool.local_totals()
             };
             println!(
                 "mem: {} loads ({} B), {} stores ({} B)",
@@ -805,8 +638,10 @@ mod tests {
         assert_eq!(options.threads, 4);
         assert_eq!(options.benchmark, "gcc");
         assert_eq!(options.scale, Scale::Tiny);
-        assert!(options.scale_explicit);
         assert_eq!(options.mem_budget, None);
+        assert!(options.sp);
+        let serial = parse_options(&args(&["-sp", "0", "-t", "icount2", "--", "gcc"]));
+        assert!(!serial.expect("parse").sp);
     }
 
     #[test]
@@ -911,30 +746,6 @@ mod tests {
     }
 
     #[test]
-    fn tag_and_perf_guard_parse() {
-        let options =
-            parse_options(&args(&["--emit-json", "out.json", "--tag", "pr7"])).expect("parse");
-        assert_eq!(options.emit_json.as_deref(), Some("out.json"));
-        assert_eq!(options.tag.as_deref(), Some("pr7"));
-
-        let options =
-            parse_options(&args(&["--perf-guard", "fresh.json", "base.json"])).expect("parse");
-        assert_eq!(
-            options.perf_guard,
-            Some(("fresh.json".to_owned(), "base.json".to_owned()))
-        );
-
-        assert_eq!(
-            parse_options(&args(&["--perf-guard", "fresh.json"])),
-            Err(ArgError::MissingValue("--perf-guard"))
-        );
-        assert_eq!(
-            parse_options(&args(&["--emit-json", "x.json", "--tag"])),
-            Err(ArgError::MissingValue("--tag"))
-        );
-    }
-
-    #[test]
     fn missing_values_and_unknown_flags_are_typed() {
         assert_eq!(
             parse_options(&args(&["--threads"])),
@@ -948,5 +759,23 @@ mod tests {
             parse_options(&args(&["-t", "icount2"])),
             Err(ArgError::MissingBenchmarkOrTool)
         );
+        // `-sp` is a 0|1 switch, not "anything but 0".
+        for bad in ["banana", "2", ""] {
+            assert_eq!(
+                parse_options(&args(&["-sp", bad, "-t", "icount2", "--", "gcc"])),
+                Err(ArgError::InvalidValue {
+                    flag: "-sp",
+                    value: bad.to_owned(),
+                    expected: "0|1",
+                })
+            );
+        }
+        // The scale is positional only.
+        for gone in ["--scale", "--tag"] {
+            assert_eq!(
+                parse_options(&args(&[gone, "x", "-t", "icount2", "--", "gcc"])),
+                Err(ArgError::UnknownFlag(gone.to_owned()))
+            );
+        }
     }
 }

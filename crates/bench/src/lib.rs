@@ -21,6 +21,13 @@
 //! Run `cargo run --release -p superpin-bench --bin reproduce -- all` to
 //! regenerate everything.
 //!
+//! Every figure here is in *simulated* time. How fast the simulator runs
+//! on the host (wall time, throughput, per-layer shares) is measured by
+//! one benchmark only, `superpin-perfbench` (`crates/perfbench`, declared
+//! in `BENCHMARK.json`). `BENCH_parallel.json` at the repository root is
+//! the frozen history of the wall-clock tracker this crate used to carry;
+//! nothing writes it any more.
+//!
 //! ## Presented time
 //!
 //! Workloads are miniatures (see `superpin-workloads`); each figure uses
@@ -30,8 +37,6 @@
 //! the paper's regime. Tables print paper-equivalent seconds.
 
 pub mod figures;
-pub mod fleet;
 pub mod json;
-pub mod parallel;
 pub mod render;
 pub mod runs;

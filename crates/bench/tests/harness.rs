@@ -153,3 +153,15 @@ fn parallel_over_catalog_preserves_order() {
         .collect();
     assert_eq!(names, expected);
 }
+
+#[test]
+fn modeled_speedup_follows_amdahl() {
+    // 75% parallelizable at 4 cores: 1 / (0.25 + 0.75/4) ≈ 2.286.
+    let profile = superpin::HostProfile {
+        supervisor_ns: 250,
+        slice_ns: 750,
+    };
+    assert!((profile.modeled_speedup(4) - 1.0 / (0.25 + 0.75 / 4.0)).abs() < 1e-9);
+    assert!((profile.modeled_speedup(1) - 1.0).abs() < 1e-9);
+    assert!((profile.slice_fraction() - 0.75).abs() < 1e-9);
+}

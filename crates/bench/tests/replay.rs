@@ -5,13 +5,15 @@
 //! from the log alone at a *different* thread count. Every workload in
 //! the catalog runs through record → encode → decode → replay for
 //! threads {1, 4} × chaos {off, seed 3 rate 0.05}, and the replayed
-//! `SuperPinReport` must equal the recorded one field for field.
-//! Alongside, the divergence differ's regression: an intentionally
-//! perturbed log is pinpointed, a clean pair reports identical, and a
-//! perturbed syscall record makes the replay refuse its log.
+//! `SuperPinReport` must equal the recorded one field for field, and
+//! the recorded report must equal an unrecorded run's: recording is a
+//! pure observer. Alongside, the divergence differ's regression: an
+//! intentionally perturbed log is pinpointed, a clean pair reports
+//! identical, and a perturbed syscall record makes the replay refuse its
+//! log.
 
 use superpin::{FailPlan, NondetEvent, SharedMem, SpError};
-use superpin_bench::runs::{parallel_over_catalog, time_scale_for};
+use superpin_bench::runs::{parallel_over_catalog, run_superpin, time_scale_for};
 use superpin_replay::{
     diff_logs, record_run, replay_run, verify_replay, DiffOutcome, ReplayError, ReplayLog,
     RunRecipe,
@@ -37,9 +39,20 @@ fn recorded_log(name: &str, threads: usize, chaos: Option<FailPlan>) -> ReplayLo
 
 /// Records at `threads`, round-trips the log through the wire format,
 /// and replays at the *other* thread count; the replayed report must
-/// equal the recorded one field for field.
+/// equal the recorded one field for field. The recorded report must
+/// also equal the same configuration run with no recorder attached.
 fn record_and_replay(name: &str, threads: usize, chaos: Option<FailPlan>) {
     let log = recorded_log(name, threads, chaos);
+    let program = log.recipe.program().expect("catalog workload");
+    let shared = SharedMem::new();
+    let cfg = log.recipe.base_config(threads, false);
+    let unrecorded = run_superpin(&program, ICount1::new(&shared), &shared, cfg, name);
+    assert_eq!(
+        unrecorded,
+        log.report,
+        "{name} at threads={threads} (chaos={}): recording changed the report",
+        chaos.is_some(),
+    );
     let decoded = ReplayLog::decode(&log.encode())
         .unwrap_or_else(|e| panic!("{name}: log wire round-trip: {e}"));
     assert_eq!(decoded, log, "{name}: decode(encode(log)) != log");
