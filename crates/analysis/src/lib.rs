@@ -34,8 +34,8 @@
 //!   dominator back edges.
 //! - [`smc`] — pages both written and executed (self-modifying code).
 //! - [`plan`] — the [`plan::ProgramAnalysis`] aggregate, the
-//!   ahead-of-time [`plan::SuperblockPlan`] the DBI engine consumes,
-//!   and the [`plan::SoundnessOracle`] that cross-validates dynamic
+//!   [`plan::SuperblockPlan`] (refined liveness) the DBI engine
+//!   consumes, and the [`plan::SoundnessOracle`] that cross-validates dynamic
 //!   execution against the static results in debug builds.
 //!
 //! Everything works on [`superpin_isa::Program`] values — no VM or

@@ -205,9 +205,9 @@ pub fn run_whole_program_lints(program: &Program) -> Result<LintReport, Analysis
     }
 
     // SMC pages are errors when they overlap a block inside a natural
-    // loop: the engine must flush its code cache (and discard its
-    // plan) on every rewrite, so self-modifying hot code forfeits the
-    // entire point of trace caching.
+    // loop: the engine must flush its code cache on every rewrite, so
+    // self-modifying hot code forfeits the entire point of trace
+    // caching.
     let reachable = analysis.cfg.reachable();
     for (id, block) in analysis.cfg.blocks().iter().enumerate() {
         if !reachable[id] || analysis.loops.depth(id) == 0 || block.insts.is_empty() {

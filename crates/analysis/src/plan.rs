@@ -1,32 +1,31 @@
-//! Whole-program analysis aggregate, ahead-of-time superblock
-//! planning, and the static↔dynamic soundness oracle.
+//! Whole-program analysis aggregate, the superblock plan, and the
+//! static↔dynamic soundness oracle.
 //!
 //! [`ProgramAnalysis`] runs every whole-program pass once: CFG,
 //! indirect-target resolution, call graph, dominators, natural loops,
 //! and SMC regions. From it:
 //!
 //! * [`ProgramAnalysis::plan`] derives a [`SuperblockPlan`] — the
-//!   artifact the DBI engine consumes. It carries (a) a whole-program
-//!   pre-decode of the instruction stream, so planned regions are
-//!   decoded once ahead of time instead of per cache miss; (b) the set
-//!   of *hot* trace entries predicted from loop nesting depth
-//!   ([`PlanKnobs::hot_loop_threshold`]) and bounded by
-//!   [`PlanKnobs::max_trace_len`]; and (c) a refined interprocedural
+//!   artifact the DBI engine consumes. It carries exactly what only
+//!   whole-program analysis can give: a refined interprocedural
 //!   liveness map in which statically resolved `jalr` sites lose the
-//!   conservative all-live boundary, enabling save/restore elision
-//!   across superblock boundaries. The plan is strictly an execution
-//!   accelerator: trace shapes, instrumentation, and charged costs are
-//!   identical with planning on or off; only host wall-clock changes.
+//!   conservative all-live boundary. The code cache uses it to mark the
+//!   saved registers each analysis call could leave unrestored
+//!   (`InsertedCall::elided`), a statically verified annotation the
+//!   debug clobber verifier checks. Trace selection stays purely
+//!   dynamic, as in Pin: the engine decodes at every cache miss, and
+//!   trace shapes, instrumentation, and charged costs are identical
+//!   with the plan on or off.
 //! * [`ProgramAnalysis::oracle`] builds a [`SoundnessOracle`]: the
 //!   runner (debug builds) validates every dynamically observed
 //!   indirect transfer against the static target sets and every code
 //!   write against the SMC regions. A violation is an analysis
 //!   soundness bug and fails loudly.
 
-use std::collections::{BTreeSet, HashMap};
-use std::sync::Mutex;
+use std::collections::BTreeSet;
+use std::sync::{Arc, Mutex};
 
-use superpin_isa::{Inst, Program};
+use superpin_isa::Program;
 
 use crate::callgraph::CallGraph;
 use crate::cfg::{AnalysisError, Cfg, Terminator};
@@ -36,25 +35,13 @@ use crate::loops::LoopNest;
 use crate::smc::SmcRegions;
 use crate::targets::{TargetResolution, TargetSet};
 
-/// Tuning knobs for superblock planning.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PlanKnobs {
-    /// Minimum loop nesting depth for a block to be predicted hot.
-    pub hot_loop_threshold: u32,
-    /// Planned entries whose block exceeds this instruction count are
-    /// dropped from the plan (they gain little from pre-decode and
-    /// bloat it).
-    pub max_trace_len: usize,
-}
-
-impl Default for PlanKnobs {
-    fn default() -> PlanKnobs {
-        PlanKnobs {
-            hot_loop_threshold: 1,
-            max_trace_len: 96,
-        }
-    }
-}
+/// The argument of [`ProgramAnalysis::plan`]: a field-less struct. The
+/// plan is the refined liveness map, which has nothing to tune; the
+/// type stays only so existing `plan(PlanKnobs::default())` callers
+/// keep compiling. (Braced, not a unit struct, so `default()` is the
+/// idiomatic way to build it.)
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PlanKnobs {}
 
 /// Every whole-program static analysis result in one place.
 pub struct ProgramAnalysis {
@@ -130,28 +117,11 @@ impl ProgramAnalysis {
         LiveMap::from_cfg_refined(&augmented, &resolved)
     }
 
-    /// Derives the ahead-of-time superblock plan.
-    pub fn plan(&self, knobs: PlanKnobs) -> SuperblockPlan {
-        let reachable = self.cfg.reachable();
-        let mut decoded = HashMap::new();
-        let mut hot_entries = BTreeSet::new();
-        for (id, block) in self.cfg.blocks().iter().enumerate() {
-            if !reachable[id] {
-                continue;
-            }
-            for &(addr, inst) in &block.insts {
-                decoded.insert(addr, (inst, inst.size_bytes()));
-            }
-            let hot = self.loops.depth(id) >= knobs.hot_loop_threshold.max(1);
-            if hot && block.insts.len() <= knobs.max_trace_len {
-                hot_entries.insert(block.start);
-            }
-        }
+    /// Derives the superblock plan: the refined liveness, computed once
+    /// and shared by every engine that installs it.
+    pub fn plan(&self, _knobs: PlanKnobs) -> SuperblockPlan {
         SuperblockPlan {
-            knobs,
-            decoded,
-            hot_entries,
-            refined_live: std::sync::Arc::new(self.refined_liveness()),
+            refined_live: Arc::new(self.refined_liveness()),
         }
     }
 
@@ -165,55 +135,20 @@ impl ProgramAnalysis {
     }
 }
 
-/// The ahead-of-time execution plan the DBI engine consumes.
+/// What whole-program analysis hands the DBI engine: the
+/// interprocedurally refined liveness map.
 #[derive(Clone, Debug)]
 pub struct SuperblockPlan {
-    knobs: PlanKnobs,
-    /// Whole-program pre-decode: address → (instruction, size).
-    decoded: HashMap<u64, (Inst, u64)>,
-    /// Trace entry addresses predicted hot.
-    hot_entries: BTreeSet<u64>,
-    /// Interprocedurally refined liveness for save/restore elision,
-    /// shared (`Arc`) so every slice engine of a run can install it
+    /// Shared (`Arc`) so every slice engine of a run can install it
     /// without deep-copying the per-instruction sets.
-    refined_live: std::sync::Arc<LiveMap>,
+    refined_live: Arc<LiveMap>,
 }
 
 impl SuperblockPlan {
-    /// The knobs the plan was built with.
-    pub fn knobs(&self) -> PlanKnobs {
-        self.knobs
-    }
-
-    /// The pre-decoded instruction at `addr`, if planned.
-    pub fn lookup(&self, addr: u64) -> Option<(Inst, u64)> {
-        self.decoded.get(&addr).copied()
-    }
-
-    /// True if `addr` is a predicted-hot trace entry.
-    pub fn is_hot(&self, addr: u64) -> bool {
-        self.hot_entries.contains(&addr)
-    }
-
-    /// Number of predicted-hot trace entries.
-    pub fn num_hot(&self) -> usize {
-        self.hot_entries.len()
-    }
-
-    /// Number of pre-decoded instructions.
-    pub fn num_decoded(&self) -> usize {
-        self.decoded.len()
-    }
-
-    /// The refined liveness map for interprocedural spill elision.
-    pub fn refined_liveness(&self) -> &LiveMap {
-        &self.refined_live
-    }
-
     /// Shared handle to the refined liveness map (what the DBI code
     /// cache installs).
-    pub fn refined_liveness_arc(&self) -> std::sync::Arc<LiveMap> {
-        std::sync::Arc::clone(&self.refined_live)
+    pub fn refined_liveness_arc(&self) -> Arc<LiveMap> {
+        Arc::clone(&self.refined_live)
     }
 }
 

@@ -1,10 +1,10 @@
 //! Whole-program analysis: indirect-target resolution against the
 //! generator's ground-truth dispatch tables, call-graph recovery,
-//! loop nesting, SMC detection, and superblock planning.
+//! loop nesting, SMC detection, and refined liveness.
 
 use std::collections::BTreeSet;
 
-use superpin_analysis::{Cfg, PlanKnobs, ProgramAnalysis, TargetSet, Terminator};
+use superpin_analysis::{ProgramAnalysis, TargetSet, Terminator};
 use superpin_isa::{Inst, ProgramBuilder, Reg};
 use superpin_workloads::{catalog, meta, Scale};
 
@@ -207,40 +207,6 @@ fn smc_flagged_when_code_is_written() {
     );
     let patch = program.symbol("patch").expect("symbol").addr;
     assert!(analysis.smc.covers(patch, 8));
-}
-
-/// Planning: hot entries come from loop depth, respect the threshold
-/// and trace-length knobs, and the plan pre-decodes the reachable
-/// instruction stream.
-#[test]
-fn plan_hot_entries_follow_knobs() {
-    let spec = superpin_workloads::find("art").expect("art in catalog");
-    let program = spec.build(Scale::Tiny);
-    let analysis = ProgramAnalysis::compute(&program).expect("analysis");
-
-    let plan = analysis.plan(PlanKnobs::default());
-    assert!(plan.num_hot() > 0, "workload main loop should be hot");
-    assert!(plan.num_decoded() > 0);
-    // Every decoded entry must agree with a fresh decode of the program.
-    let cfg = Cfg::build(&program).expect("cfg");
-    for block in cfg.blocks() {
-        for &(addr, inst) in &block.insts {
-            assert_eq!(plan.lookup(addr), Some((inst, inst.size_bytes())));
-        }
-    }
-
-    // An impossible threshold empties the hot set; max_trace_len 0
-    // filters every entry too.
-    let cold = analysis.plan(PlanKnobs {
-        hot_loop_threshold: u32::MAX,
-        max_trace_len: 96,
-    });
-    assert_eq!(cold.num_hot(), 0);
-    let tiny = analysis.plan(PlanKnobs {
-        hot_loop_threshold: 1,
-        max_trace_len: 0,
-    });
-    assert_eq!(tiny.num_hot(), 0);
 }
 
 /// The refined interprocedural liveness must elide the dispatch-site

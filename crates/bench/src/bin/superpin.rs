@@ -41,8 +41,7 @@ use std::sync::Arc;
 
 use superpin::baseline::{run_pin, PinReport};
 use superpin::{
-    FailPlan, PlanKnobs, ProgramAnalysis, SharedMem, SuperPinConfig, SuperPinReport,
-    SuperPinRunner, SuperTool,
+    FailPlan, ProgramAnalysis, SharedMem, SuperPinConfig, SuperPinReport, SuperPinRunner, SuperTool,
 };
 use superpin_bench::runs::time_scale_for;
 use superpin_dbi::Pintool;
@@ -65,7 +64,6 @@ struct Options {
     watchdog_factor: u64,
     mem_budget: Option<u64>,
     plan: bool,
-    plan_knobs: PlanKnobs,
     tool: String,
     benchmark: String,
     scale: Scale,
@@ -131,8 +129,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: superpin [-sp 0|1] [-spmsec MSEC] [-spmp N] [-spsysrecs N] [-threads N] [-gantt] \
          [--chaos-seed N] [--chaos-rate F] [--watchdog-factor K] [--mem-budget BYTES[k|m|g]] \
-         [--plan on|off] [--hot-loop-threshold N] [--max-trace-len N] \
-         -t TOOL -- BENCHMARK [tiny|small|medium|large]\n\
+         [--plan on|off] -t TOOL -- BENCHMARK [tiny|small|medium|large]\n\
          tools: icount1 icount2 dcache dcache-assoc icache bblcount insmix itrace branch mem sampler"
     );
     std::process::exit(2);
@@ -178,7 +175,6 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         watchdog_factor: 8,
         mem_budget: None,
         plan: false,
-        plan_knobs: PlanKnobs::default(),
         tool: String::new(),
         benchmark: String::new(),
         scale: Scale::Small,
@@ -253,14 +249,6 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
             "--plan" => {
                 options.plan = switch(&mut iter, "--plan", &["on", "1"], &["off", "0"], "on|off")?
             }
-            "--hot-loop-threshold" => {
-                options.plan_knobs.hot_loop_threshold =
-                    value(&mut iter, "--hot-loop-threshold", "a loop nesting depth")?;
-            }
-            "--max-trace-len" => {
-                options.plan_knobs.max_trace_len =
-                    value(&mut iter, "--max-trace-len", "an instruction count")?;
-            }
             "--mem-budget" => {
                 let text = iter.next().ok_or(ArgError::MissingValue("--mem-budget"))?;
                 let bytes = parse_bytes(text).ok_or_else(|| ArgError::InvalidValue {
@@ -334,17 +322,16 @@ fn or_exit<V, E: std::fmt::Display>(result: Result<V, E>, options: &Options) -> 
 }
 
 /// [`superpin_config`] plus the program-specific whole-program plan and
-/// soundness oracle when `--plan on`: slice engines pre-decode
-/// predicted-hot traces and elide provably dead save/restores, and
-/// (debug builds) every indirect transfer and code write is validated
-/// against the static analysis. Reports are bit-identical to
-/// `--plan off`.
+/// soundness oracle when `--plan on`: slice engines annotate the saved
+/// registers the refined liveness proves dead, and (debug builds) every
+/// indirect transfer and code write is validated against the static
+/// analysis. Reports are bit-identical to `--plan off`.
 fn superpin_config_for(program: &superpin_isa::Program, options: &Options) -> SuperPinConfig {
     let mut cfg = superpin_config(options);
     if options.plan {
         let analysis = or_exit(ProgramAnalysis::compute(program), options);
         cfg = cfg
-            .with_plan(Arc::new(analysis.plan(options.plan_knobs)))
+            .with_plan(Arc::new(analysis.plan(Default::default())))
             .with_oracle(Arc::new(analysis.oracle()));
     }
     cfg
@@ -721,25 +708,10 @@ mod tests {
 
     #[test]
     fn plan_flags_parse() {
-        let options = parse_options(&args(&[
-            "--plan",
-            "on",
-            "--hot-loop-threshold",
-            "2",
-            "--max-trace-len",
-            "32",
-            "-t",
-            "icount2",
-            "--",
-            "gcc",
-        ]))
-        .expect("parse");
-        assert!(options.plan);
-        assert_eq!(options.plan_knobs.hot_loop_threshold, 2);
-        assert_eq!(options.plan_knobs.max_trace_len, 32);
+        let options = parse_options(&args(&["--plan", "on", "-t", "icount2", "--", "gcc"]));
+        assert!(options.expect("parse").plan);
         let defaults = parse_options(&args(&["-t", "icount2", "--", "gcc"])).expect("parse");
         assert!(!defaults.plan);
-        assert_eq!(defaults.plan_knobs, PlanKnobs::default());
         assert!(
             parse_options(&args(&["--plan", "sideways", "-t", "icount2", "--", "gcc"])).is_err()
         );

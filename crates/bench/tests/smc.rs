@@ -101,11 +101,11 @@ fn run_never_cached(program: &Program) -> (CpuState, u64) {
     let mut cpu_state = process.cpu;
     let mut mem = process.mem;
     let mut retired = 0u64;
-    loop {
-        match cpu::step(&mut cpu_state, &mut mem).expect("step") {
-            ExecOutcome::Next | ExecOutcome::Jumped => retired += 1,
-            ExecOutcome::Syscall | ExecOutcome::Halt => break,
-        }
+    // `Syscall` and `Halt` end the run.
+    while let ExecOutcome::Next | ExecOutcome::Jumped =
+        cpu::step(&mut cpu_state, &mut mem).expect("step")
+    {
+        retired += 1;
     }
     (cpu_state, retired)
 }

@@ -66,13 +66,12 @@ pub struct SuperPinConfig {
     /// full-clobber-set spill, which charges exactly the legacy flat
     /// [`CostModel::analysis_call`] rate.
     pub liveness: Option<Arc<LiveMap>>,
-    /// Ahead-of-time superblock plan from whole-program analysis
-    /// (`--plan on`). Every slice engine forms predicted-hot traces
-    /// from the plan's pre-decoded stream and elides host-side restores
-    /// of registers the plan's refined interprocedural liveness proves
-    /// dead (see [`Engine::set_plan`](superpin_dbi::Engine::set_plan)).
-    /// Strictly a host accelerator: reports are bit-identical with the
-    /// plan on or off.
+    /// Superblock plan from whole-program analysis (`--plan on`): the
+    /// refined interprocedural liveness every slice engine installs to
+    /// annotate the saved registers each call could leave unrestored
+    /// (see [`Engine::set_plan`](superpin_dbi::Engine::set_plan)).
+    /// Traces are still formed at every cache miss, and reports are
+    /// bit-identical with the plan on or off.
     pub plan: Option<Arc<SuperblockPlan>>,
     /// Static↔dynamic soundness oracle. When present, every slice
     /// engine cross-validates dynamic indirect transfers and code
@@ -191,8 +190,8 @@ impl SuperPinConfig {
         self
     }
 
-    /// Installs an ahead-of-time superblock plan for every slice engine
-    /// (see [`SuperPinConfig::plan`]).
+    /// Installs a superblock plan for every slice engine (see
+    /// [`SuperPinConfig::plan`]).
     pub fn with_plan(mut self, plan: Arc<SuperblockPlan>) -> SuperPinConfig {
         self.plan = Some(plan);
         self

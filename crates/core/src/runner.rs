@@ -217,7 +217,7 @@ pub struct SuperPinRunner<T: SuperTool> {
     governor: Option<MemoryGovernor>,
     /// Entry count of the last shared-index snapshot handed to slices,
     /// charged against the budget at `SNAPSHOT_ENTRY_BYTES` each.
-    last_snapshot_entries: u64,
+    last_snapshot_len: u64,
     /// Incremental resident-byte ledger: per-slice footprints and the
     /// checkpoint/snapshot terms are posted where they change, so
     /// reading governed usage is O(1) in live slices instead of a
@@ -300,7 +300,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
             fault,
             supervisor,
             governor,
-            last_snapshot_entries: 0,
+            last_snapshot_len: 0,
             ledger: ResidentLedger::new(),
             mode: RunMode::Live,
             pool: None,
@@ -366,7 +366,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
         if let Some(sup) = &self.supervisor {
             usage += sup.retained_checkpoint_bytes();
         }
-        usage += self.last_snapshot_entries * SNAPSHOT_ENTRY_BYTES;
+        usage += self.last_snapshot_len * SNAPSHOT_ENTRY_BYTES;
         usage += self.shared.resident_bytes();
         usage
     }
@@ -1049,9 +1049,9 @@ impl<T: SuperTool> SuperPinRunner<T> {
             index.publish(fresh);
         }
         let snapshot = index.snapshot();
-        self.last_snapshot_entries = snapshot.len() as u64;
+        self.last_snapshot_len = snapshot.len() as u64;
         self.ledger
-            .post_snapshot(self.last_snapshot_entries * SNAPSHOT_ENTRY_BYTES);
+            .post_snapshot(self.last_snapshot_len * SNAPSHOT_ENTRY_BYTES);
         for slice in self.live.iter_mut() {
             slice.enter_shared_epoch(Arc::clone(&snapshot));
             if let Some(sup) = &mut self.supervisor {
@@ -1438,6 +1438,16 @@ impl<T: SuperTool> SuperPinRunner<T> {
     }
 }
 
+impl<T: SuperTool> std::fmt::Debug for SuperPinRunner<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("SuperPinRunner")
+            .field("now", &self.now)
+            .field("live_slices", &self.live.len())
+            .field("finished", &self.finished.len())
+            .finish()
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1467,15 +1477,5 @@ mod tests {
     fn runner_is_send_for_send_tools() {
         fn assert_send<S: Send>() {}
         assert_send::<SuperPinRunner<NullTool>>();
-    }
-}
-
-impl<T: SuperTool> std::fmt::Debug for SuperPinRunner<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SuperPinRunner")
-            .field("now", &self.now)
-            .field("live_slices", &self.live.len())
-            .field("finished", &self.finished.len())
-            .finish()
     }
 }

@@ -238,9 +238,11 @@ mod tests {
         }
         process.cpu.regs.set(Reg::SP, u64::MAX - 8);
         let sig = Signature::capture_with_quick_regs(&process, DEFAULT_QUICK_REGS);
-        // The two words below 2^64 are unmapped; the third starts at 7.
+        // The two words below 2^64 are unmapped; the third starts at 7:
+        // the top byte of word 0 (0x1000, so zero), then the low seven
+        // bytes of word 1.
         assert_eq!(sig.stack[..2], [0, 0]);
-        assert_eq!(sig.stack[2], (0x1000 >> 56) | (0x1001 << 8));
+        assert_eq!(sig.stack[2], 0x1001 << 8);
 
         let mut engine = Engine::new(process, StackArgs::default());
         engine.run(u64::MAX / 4).expect("run to the stop");

@@ -174,9 +174,14 @@ pub struct InsertedCall<T> {
     pub saves: RegSet,
     /// Subset of `saves` additionally proven dead by the *refined*
     /// interprocedural liveness of a superblock plan
-    /// ([`CodeCache::set_refined_liveness`]). These registers skip the
-    /// host-side restore, but `saves` is untouched — it is the cost
-    /// basis, so charged cycles stay identical with a plan on or off.
+    /// ([`CodeCache::set_refined_liveness`]): registers whose restore a
+    /// code generator could skip. A statically verified annotation, not
+    /// a runtime saving: `elided ⊆ saves` by construction, the debug
+    /// clobber verifier checks that `saves − elided` still covers every
+    /// register the refined map keeps live, and the executor never
+    /// reads it, because analysis routines never touch guest registers.
+    /// `saves` stays the cost basis, so charged cycles are identical
+    /// with a plan on or off.
     pub elided: RegSet,
 }
 
@@ -306,14 +311,10 @@ pub struct CodeCache<T> {
     /// around analysis calls; `None` saves the full clobber set.
     liveness: Option<Arc<LiveMap>>,
     /// Interprocedurally refined liveness from a superblock plan.
-    /// Registers in a call's save set that this map proves dead skip
-    /// the host-side restore ([`InsertedCall::elided`]) without
-    /// changing the charged cost.
+    /// Registers in a call's save set that this map proves dead are
+    /// annotated [`InsertedCall::elided`] without changing the charged
+    /// cost.
     refined: Option<Arc<LiveMap>>,
-    /// Host-only counter: restores elided via `refined` across all
-    /// compilations. Deliberately *not* part of [`CacheStats`], which
-    /// feeds bit-identical-report comparisons.
-    elided_restores: u64,
     /// Test hook: a register deliberately omitted from every planned
     /// save set, so the clobber-safety verifier has a bug to catch.
     clobber_bug: Option<Reg>,
@@ -361,7 +362,6 @@ impl<T> CodeCache<T> {
             stats: CacheStats::default(),
             liveness: None,
             refined: None,
-            elided_restores: 0,
             clobber_bug: None,
             violations: Vec::new(),
         }
@@ -379,17 +379,11 @@ impl<T> CodeCache<T> {
     /// Installs the superblock plan's interprocedurally refined
     /// liveness. Registers a call must *save* (per the conservative
     /// map) but that the refined map proves dead are marked
-    /// [`InsertedCall::elided`]: the host skips their restore while
-    /// the charged cost still covers the full save set. Like
-    /// [`CodeCache::set_liveness`], install while cold.
+    /// [`InsertedCall::elided`], while the charged cost still covers
+    /// the full save set. Like [`CodeCache::set_liveness`], install
+    /// while cold.
     pub fn set_refined_liveness(&mut self, refined: Arc<LiveMap>) {
         self.refined = Some(refined);
-    }
-
-    /// Host-only count of save/restores elided by the refined
-    /// liveness across all compilations. Not part of [`CacheStats`].
-    pub fn elided_restores(&self) -> u64 {
-        self.elided_restores
     }
 
     /// Test hook: omit `reg` from every save set the compiler plans, so
@@ -552,9 +546,9 @@ impl<T> CodeCache<T> {
                     saves.remove(bug);
                 }
                 // Refined interprocedural liveness (superblock plan):
-                // saved registers the refined map proves dead skip
-                // their host-side restore. `saves` itself is untouched
-                // — it is the cost basis.
+                // saved registers the refined map proves dead are
+                // annotated `elided`. `saves` itself is untouched — it
+                // is the cost basis.
                 let refined_live = self.refined.as_ref().map(|map| match point {
                     IPoint::Before => map.live_before(addr),
                     IPoint::After => map.live_after(addr),
@@ -563,7 +557,6 @@ impl<T> CodeCache<T> {
                     None => RegSet::EMPTY,
                     Some(refined) => saves.minus(required_saves(refined)),
                 };
-                self.elided_restores += elided.len() as u64;
                 // Invocation cost: call/return plus one save/restore per
                 // clobbered register the compiler decided to preserve.
                 // With no liveness installed the full clobber set is

@@ -42,26 +42,6 @@ impl CycleBreakdown {
     }
 }
 
-/// Host-only superblock-plan counters. Deliberately separate from
-/// [`EngineStats`]: the plan is an execution accelerator, so everything
-/// that feeds bit-identical-report comparisons must not change with a
-/// plan installed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct PlanStats {
-    /// Trace compilations that fetched from the plan's pre-decoded
-    /// stream (a predicted-hot entry missed the cache).
-    pub planned_traces: u64,
-    /// Instructions those compilations took from the pre-decode.
-    pub planned_insts: u64,
-    /// Instructions a planned compilation still had to decode live
-    /// (address outside the plan, e.g. past a split point).
-    pub fallback_decodes: u64,
-    /// Register restores skipped thanks to the plan's refined
-    /// interprocedural liveness (see
-    /// [`crate::cache::InsertedCall::elided`]).
-    pub elided_restores: u64,
-}
-
 /// Execution counters.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct EngineStats {
@@ -192,21 +172,10 @@ pub struct Engine<T: Pintool> {
     /// Dispatches evaluated against the failpoint while armed (the
     /// per-engine half of the key, deterministic per execution).
     fault_dispatches: u64,
-    /// Ahead-of-time superblock plan: pre-decoded instruction stream and
-    /// predicted-hot trace entries. Purely a host-side accelerator —
-    /// trace shapes and charged costs are identical with or without it.
-    plan: Option<Arc<SuperblockPlan>>,
-    /// Cleared the first time self-modifying code is detected: the plan
-    /// pre-decoded the original image, so after SMC every fetch falls
-    /// back to live decode.
-    plan_valid: bool,
     /// Static↔dynamic soundness oracle: every taken `jalr` and every
     /// code write is validated against the static analysis (debug builds
     /// assert; release builds record).
     oracle: Option<Arc<SoundnessOracle>>,
-    /// Host-only plan counters (`elided_restores` lives in the cache and
-    /// is merged in by [`Engine::plan_stats`]).
-    plan_stats: PlanStats,
     /// Host-side cross-engine template cache (see
     /// [`Engine::set_trace_templates`]). `None` keeps every compile
     /// private to this engine.
@@ -242,10 +211,7 @@ impl<T: Pintool + Clone> Clone for Engine<T> {
             fault: self.fault.clone(),
             fault_salt: self.fault_salt,
             fault_dispatches: self.fault_dispatches,
-            plan: self.plan.clone(),
-            plan_valid: self.plan_valid,
             oracle: self.oracle.clone(),
-            plan_stats: self.plan_stats,
             templates: self.templates.clone(),
             scratch: Vec::new(),
         }
@@ -290,10 +256,7 @@ impl<T: Pintool + 'static> Engine<T> {
             fault: None,
             fault_salt: 0,
             fault_dispatches: 0,
-            plan: None,
-            plan_valid: false,
             oracle: None,
-            plan_stats: PlanStats::default(),
             templates: None,
             scratch: Vec::new(),
         }
@@ -367,20 +330,15 @@ impl<T: Pintool + 'static> Engine<T> {
         self.cache.set_liveness(liveness);
     }
 
-    /// Installs an ahead-of-time superblock plan. Predicted-hot trace
-    /// entries that miss the code cache are formed from the plan's
-    /// pre-decoded stream instead of decoding guest memory, and the
-    /// plan's refined interprocedural liveness lets the cache skip
-    /// host-side restores of provably dead saved registers
-    /// ([`CodeCache::set_refined_liveness`]). Trace shapes,
-    /// instrumentation results, and charged costs are identical with or
-    /// without a plan — only host wall-clock changes. Install while the
-    /// cache is cold. Self-modifying code permanently invalidates the
-    /// pre-decode (fetches fall back to live decode).
+    /// Installs a superblock plan: its refined interprocedural liveness
+    /// goes into the code cache ([`CodeCache::set_refined_liveness`]),
+    /// which annotates each call's [`InsertedCall::elided`] registers.
+    /// Traces are still formed by decoding at every cache miss, so trace
+    /// shapes, instrumentation results, and charged costs are identical
+    /// with or without a plan. Install while the cache is cold; the map
+    /// stays installed across self-modifying code.
     pub fn set_plan(&mut self, plan: Arc<SuperblockPlan>) {
         self.cache.set_refined_liveness(plan.refined_liveness_arc());
-        self.plan = Some(plan);
-        self.plan_valid = true;
     }
 
     /// Installs a cross-engine compiled-trace template cache.
@@ -404,14 +362,6 @@ impl<T: Pintool + 'static> Engine<T> {
     pub fn set_oracle(&mut self, oracle: Arc<SoundnessOracle>) {
         self.process.mem.log_code_writes(true);
         self.oracle = Some(oracle);
-    }
-
-    /// Host-only plan counters (zero when no plan is installed).
-    pub fn plan_stats(&self) -> PlanStats {
-        PlanStats {
-            elided_restores: self.cache.elided_restores(),
-            ..self.plan_stats
-        }
     }
 
     /// Clobber-safety violations found while compiling instrumentation
@@ -511,9 +461,6 @@ impl<T: Pintool + 'static> Engine<T> {
                 self.cache.flush_for_smc();
                 from = None;
                 self.pending_dispatch = true;
-                // The plan pre-decoded the original image; its stream is
-                // stale now. Fall back to live decode for good.
-                self.plan_valid = false;
                 if let Some(oracle) = &self.oracle {
                     for (addr, len) in self.process.mem.take_code_writes() {
                         let admitted = oracle.check_code_write(addr, len as u64);
@@ -601,72 +548,21 @@ impl<T: Pintool + 'static> Engine<T> {
     fn compile_miss(&mut self, pc: u64, spent: &mut u64) -> Result<u32, VmError> {
         // A miss always routes through the dispatcher into the JIT.
         self.pending_dispatch = true;
-        let plan = self
-            .plan
-            .as_ref()
-            .filter(|plan| self.plan_valid && plan.is_hot(pc))
-            .cloned();
-        let trace = match plan {
-            Some(plan) => {
-                // Predicted-hot entry: form the trace from the plan's
-                // pre-decoded stream. Shape-identical to a live decode
-                // (debug builds verify instruction by instruction); the
-                // JIT cost below is charged exactly the same either way.
-                let mem = &self.process.mem;
-                let fallbacks = std::cell::Cell::new(0u64);
-                let trace = crate::trace::discover_trace_with(
-                    |pc| match plan.lookup(pc) {
-                        Some((inst, size)) => {
-                            let planned = crate::trace::InstRef {
-                                addr: pc,
-                                inst,
-                                size,
-                            };
-                            #[cfg(debug_assertions)]
-                            {
-                                let fresh = crate::trace::decode_guest(mem, pc)?;
-                                debug_assert_eq!(
-                                    fresh, planned,
-                                    "plan pre-decode diverged from guest memory at {pc:#x}"
-                                );
-                            }
-                            Ok(planned)
-                        }
-                        None => {
-                            fallbacks.set(fallbacks.get() + 1);
-                            crate::trace::decode_guest(mem, pc)
-                        }
-                    },
-                    pc,
-                    self.split_point,
-                )?;
-                self.plan_stats.planned_traces += 1;
-                self.plan_stats.planned_insts +=
-                    trace.num_insts() as u64 - fallbacks.get().min(trace.num_insts() as u64);
-                self.plan_stats.fallback_decodes += fallbacks.get();
-                trace
-            }
-            None => {
-                // Live discovery routes through the process decode cache:
-                // a forked slice inherits its master's decoded pages, so
-                // re-discovering a trace the master already walked decodes
-                // nothing.
-                let split = self.split_point;
-                let process = &mut self.process;
-                crate::trace::discover_trace_with(
-                    |pc| {
-                        let (inst, size) = process.fetch_decoded(pc)?;
-                        Ok(crate::trace::InstRef {
-                            addr: pc,
-                            inst,
-                            size,
-                        })
-                    },
-                    pc,
-                    split,
-                )?
-            }
-        };
+        // Discovery routes through the process decode cache: a forked
+        // slice inherits its master's decoded pages, so re-discovering a
+        // trace the master already walked decodes nothing.
+        let trace = crate::trace::discover_trace_with(
+            |pc| {
+                let (inst, size) = self.process.fetch_decoded(pc)?;
+                Ok(crate::trace::InstRef {
+                    addr: pc,
+                    inst,
+                    size,
+                })
+            },
+            pc,
+            self.split_point,
+        )?;
         // Template sharing: when a peer engine already compiled this
         // exact trace with certified-pure instrumentation, adopt its
         // compiled form instead of re-instrumenting. Guarded by an

@@ -58,9 +58,7 @@ pub mod trace;
 
 pub use cache::{ArgPlan, CacheStats, CodeCache, InsertedCall, LoweredArg, LoweredCall};
 pub use cost::{cycles_to_secs, secs_to_cycles, CostModel, CYCLES_PER_SEC};
-pub use engine::{
-    cycles_to_ns, CycleBreakdown, Engine, EngineStats, EngineStop, PlanStats, RunResult,
-};
+pub use engine::{cycles_to_ns, CycleBreakdown, Engine, EngineStats, EngineStop, RunResult};
 pub use inserter::{
     AnalysisFn, Call, CallCtx, CounterFn, EngineCtl, IArg, IPoint, Inserter, PredicateFn,
 };

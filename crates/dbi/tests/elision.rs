@@ -6,15 +6,22 @@
 //! bit-identical. The verifier re-checks every planned save set against
 //! `saves ⊇ clobbers ∩ live` in debug builds and must catch a
 //! deliberately planted bug.
+//!
+//! A superblock plan's *refined* liveness adds an annotation on top:
+//! the saved registers it proves dead are marked `elided`, while the
+//! save set and the charged cost stay those of the conservative map.
 
 use std::sync::Arc;
+use superpin_analysis::{TargetSet, Terminator};
+use superpin_dbi::cache::CompiledTrace;
 use superpin_dbi::{
     analysis_clobbers, discover_trace, CodeCache, CostModel, Engine, IPoint, Inserter, LiveMap,
-    Pintool, RegSet, Trace,
+    LoweredCall, Pintool, ProgramAnalysis, RegSet, Trace,
 };
 use superpin_isa::asm::assemble;
 use superpin_isa::Reg;
 use superpin_vm::process::Process;
+use superpin_workloads::Scale;
 
 /// A countdown loop: at the loop head only `r8` (the counter) and `r0`
 /// (the zero register read by `bne`) are live, so three of the four
@@ -168,4 +175,88 @@ fn verifier_catches_an_injected_clobber_bug() {
 fn honest_runs_report_no_violations() {
     assert!(run(true).clobber_violations().is_empty());
     assert!(run(false).clobber_violations().is_empty());
+}
+
+/// Compiles `trace` with a plain call before and after every
+/// instruction under the conservative map, plus `refined` if given. The
+/// clobber verifier must pass either way.
+fn compile_instrumented(
+    trace: &Trace,
+    conservative: &Arc<LiveMap>,
+    refined: Option<&Arc<LiveMap>>,
+) -> Arc<CompiledTrace<u64>> {
+    let mut inserter: Inserter<u64> = Inserter::new();
+    for iref in trace.insts() {
+        for point in [IPoint::Before, IPoint::After] {
+            inserter.insert_call(iref.addr, point, |t, _, _| *t += 1, vec![]);
+        }
+    }
+    let mut cache: CodeCache<u64> = CodeCache::new();
+    cache.set_liveness(Arc::clone(conservative));
+    if let Some(refined) = refined {
+        cache.set_refined_liveness(Arc::clone(refined));
+    }
+    let (id, _) = cache.compile(trace, inserter, &CostModel::default());
+    assert_eq!(cache.clobber_violations(), &[], "at {:#x}", trace.entry());
+    Arc::clone(cache.trace(id))
+}
+
+/// gcc dispatches through resolved `jalr` calls. At those sites the
+/// refined liveness proves saved registers dead that the conservative
+/// map keeps live, so some call must carry a non-empty `elided` set —
+/// and nothing else about the compiled calls may change.
+#[test]
+fn refined_liveness_elides_at_resolved_calls_without_moving_saves_or_cost() {
+    let program = superpin_workloads::find("gcc")
+        .expect("gcc")
+        .build(Scale::Tiny);
+    let analysis = ProgramAnalysis::compute(&program).expect("analysis");
+    let conservative = Arc::new(LiveMap::compute(&program).expect("liveness"));
+    let refined = Arc::new(analysis.refined_liveness());
+    let process = Process::load(1, &program).expect("load");
+    let cost = |call: &LoweredCall<u64>| match call {
+        LoweredCall::Plain { cost, .. } => *cost,
+        _ => unreachable!("only plain calls inserted"),
+    };
+
+    let mut sites = 0;
+    let mut elided = 0;
+    for block in analysis.cfg.blocks() {
+        let site = block.insts.last().expect("non-empty block").0;
+        let resolved_call = matches!(block.terminator, Terminator::IndirectCall { .. })
+            && matches!(
+                analysis.targets.indirect_targets.get(&site),
+                Some(TargetSet::Resolved(_))
+            );
+        if !resolved_call {
+            continue;
+        }
+        let trace = discover_trace(&process.mem, block.start).expect("trace");
+        assert_eq!(trace.insts().last().expect("non-empty").addr, site);
+        sites += 1;
+
+        let plain = compile_instrumented(&trace, &conservative, None);
+        let planned = compile_instrumented(&trace, &conservative, Some(&refined));
+        for index in 0..plain.insts.len() {
+            let lists = [
+                (plain.before(index), planned.before(index)),
+                (plain.after(index), planned.after(index)),
+            ];
+            for (without, with) in lists {
+                assert_eq!(without.len(), with.len());
+                for (a, b) in without.iter().zip(with) {
+                    assert_eq!(a.saves, b.saves, "save set moved at {site:#x}");
+                    assert!(a.elided.is_empty());
+                    assert!(b.elided.is_subset_of(b.saves));
+                    assert_eq!(cost(&a.call), cost(&b.call), "cost moved at {site:#x}");
+                    elided += b.elided.len();
+                }
+            }
+        }
+    }
+    assert!(sites > 0, "gcc has resolved indirect call sites");
+    assert!(
+        elided > 0,
+        "refined liveness elided nothing at {sites} sites"
+    );
 }

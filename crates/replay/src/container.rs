@@ -61,7 +61,7 @@ pub struct Format {
 pub const SPLOG: Format = Format {
     name: "SPLOG",
     magic: b"SPLOG",
-    version: 2,
+    version: 3,
     kinds: &["header", "event", "report", "end"],
     end: 0x04,
 };

@@ -64,7 +64,7 @@ impl From<CodecError> for ReplayError {
 }
 
 /// Builds a runner from a recipe: catalog program, config knobs, and
-/// (when the recipe carries plan knobs) the recomputed superblock plan.
+/// (when the recorded run had one) the recomputed superblock plan.
 /// `threads` and `replaying` deviate deliberately from the recipe — see
 /// [`RunRecipe::base_config`]. The caller installs record/replay mode.
 ///
@@ -82,10 +82,10 @@ pub fn build_runner<T: SuperTool>(
         .program()
         .ok_or_else(|| ReplayError::UnknownWorkload(recipe.name.clone()))?;
     let mut cfg = recipe.base_config(threads, replaying);
-    if let Some(knobs) = recipe.plan {
+    if recipe.plan {
         let analysis =
             ProgramAnalysis::compute(&program).map_err(|e| ReplayError::Analysis(e.to_string()))?;
-        cfg = cfg.with_plan(Arc::new(analysis.plan(knobs)));
+        cfg = cfg.with_plan(Arc::new(analysis.plan(Default::default())));
     }
     let process = Process::load(1, &program).map_err(SpError::from)?;
     Ok(SuperPinRunner::new(process, tool, shared.clone(), cfg)?)

@@ -158,6 +158,13 @@ mod tests {
             Err(CodecError::BadHeader { .. })
         ));
 
+        // v2 recipes carried plan knobs; there is no v2 reader.
+        let v2 = [&bytes[..5], &2u16.to_le_bytes(), &bytes[7..]].concat();
+        let Err(CodecError::BadHeader { detail }) = ReplayLog::decode(&v2) else {
+            panic!("a v2 log must be a bad header");
+        };
+        assert_eq!(detail, "SPLOG version 2, this build reads 3 — re-record");
+
         // Cutting mid-frame, or at the last frame boundary.
         for cut in [bytes.len() - 5, bytes.len() - 9] {
             assert!(matches!(

@@ -12,7 +12,7 @@
 //! substitutes injection's only report-visible effect).
 
 use crate::wire::{put_bool, put_opt_u64, put_str, put_u32, put_u64, put_u8, CodecError, Reader};
-use superpin::{FailPlan, PlanKnobs, SuperPinConfig};
+use superpin::{FailPlan, SuperPinConfig};
 use superpin_dbi::CYCLES_PER_SEC;
 use superpin_isa::Program;
 use superpin_workloads::{find, Scale, WorkloadSpec};
@@ -52,8 +52,9 @@ pub struct RunRecipe {
     pub mem_budget: Option<u64>,
     /// Whether supervision was enabled (explicitly or implied by chaos).
     pub supervise: bool,
-    /// Superblock-plan knobs when the run used whole-program analysis.
-    pub plan: Option<PlanKnobs>,
+    /// Whether the run installed the superblock plan (whole-program
+    /// refined liveness).
+    pub plan: bool,
     /// Free-form provenance tag (git describe, CI run id, …).
     pub tag: String,
 }
@@ -76,7 +77,7 @@ impl RunRecipe {
             max_slice_retries: 2,
             mem_budget: None,
             supervise: false,
-            plan: None,
+            plan: false,
             tag: String::new(),
         }
     }
@@ -155,14 +156,7 @@ impl RunRecipe {
         put_u32(out, self.max_slice_retries);
         put_opt_u64(out, self.mem_budget);
         put_bool(out, self.supervise);
-        match &self.plan {
-            Some(knobs) => {
-                put_u8(out, 1);
-                put_u32(out, knobs.hot_loop_threshold);
-                put_u64(out, knobs.max_trace_len as u64);
-            }
-            None => put_u8(out, 0),
-        }
+        put_bool(out, self.plan);
         put_str(out, &self.tag);
     }
 
@@ -209,19 +203,7 @@ impl RunRecipe {
         let max_slice_retries = reader.u32("max_slice_retries")?;
         let mem_budget = reader.opt_u64("mem_budget")?;
         let supervise = reader.bool("supervise")?;
-        let plan = match reader.u8("plan flag")? {
-            0 => None,
-            1 => Some(PlanKnobs {
-                hot_loop_threshold: reader.u32("hot_loop_threshold")?,
-                max_trace_len: reader.u64("max_trace_len")? as usize,
-            }),
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "plan flag",
-                    tag: tag as u64,
-                })
-            }
-        };
+        let plan = reader.bool("plan flag")?;
         let tag = reader.str("tag")?;
         Ok(RunRecipe {
             name,
@@ -255,7 +237,7 @@ mod tests {
         recipe.chaos = Some(FailPlan::new(3, 0.05));
         recipe.mem_budget = Some(64 << 20);
         recipe.supervise = true;
-        recipe.plan = Some(PlanKnobs::default());
+        recipe.plan = true;
         recipe.tag = "pr8-test".to_string();
 
         let mut out = Vec::new();

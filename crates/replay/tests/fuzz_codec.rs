@@ -47,7 +47,7 @@ fn sample_round(round: u64) -> RoundFrame {
             FleetEvent::Admit {
                 job: round as u32,
                 fleet_now: round * 1717,
-                budget: (round % 2 == 0).then_some(4096),
+                budget: round.is_multiple_of(2).then_some(4096),
             },
             FleetEvent::Complete {
                 job: round as u32,

@@ -24,7 +24,7 @@
 //! simulator error, 2 on usage or I/O errors and unreadable preambles.
 
 use std::process::ExitCode;
-use superpin::{FailPlan, PlanKnobs, SharedMem};
+use superpin::{FailPlan, SharedMem};
 use superpin_replay::container::SPLOG;
 use superpin_replay::fsck;
 use superpin_replay::json::report_to_json;
@@ -61,7 +61,7 @@ record options:
   --chaos-rate <r>     fault rate in [0,1] (default 0.01 when armed)
   --mem-budget <bytes> arm the memory governor
   --supervise          arm the slice supervisor (implied by chaos)
-  --plan               install the ahead-of-time superblock plan
+  --plan               install the superblock plan (refined liveness)
   --tag <str>          free-form provenance tag stored in the header
 
 replay options:
@@ -197,7 +197,7 @@ fn parse_record_args(args: &[String]) -> Result<RecordArgs, String> {
     recipe.chaos = chaos_seed.map(|seed| FailPlan::new(seed, chaos_rate));
     recipe.mem_budget = mem_budget;
     recipe.supervise = supervise;
-    recipe.plan = plan.then(PlanKnobs::default);
+    recipe.plan = plan;
     recipe.tag = tag;
     Ok(RecordArgs {
         recipe,
