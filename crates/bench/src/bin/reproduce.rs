@@ -10,48 +10,50 @@
 //! Build with `--release`; `medium` (the default) simulates ~10⁸ guest
 //! instructions across the suite.
 
+use superpin::cli::{ArgError, Args};
 use superpin_bench::{figures, json, render};
 use superpin_workloads::Scale;
 
-fn parse_scale(text: &str) -> Scale {
-    match text {
-        "tiny" => Scale::Tiny,
-        "small" => Scale::Small,
-        "medium" => Scale::Medium,
-        "large" => Scale::Large,
-        other => {
-            eprintln!("unknown scale `{other}` (tiny|small|medium|large)");
-            std::process::exit(2);
+struct Options {
+    what: String,
+    scale: Scale,
+    threads: usize,
+    as_json: bool,
+}
+
+fn parse_options(args: &[String]) -> Result<Options, ArgError> {
+    let mut options = Options {
+        what: "all".to_owned(),
+        scale: Scale::Medium,
+        threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+        as_json: false,
+    };
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--scale" => {
+                options.scale = args.parse_with("--scale", Scale::CHOICES, Scale::parse)?
+            }
+            "--json" => options.as_json = true,
+            "--threads" => options.threads = args.threads()?,
+            other if !other.starts_with('-') => options.what = other.to_owned(),
+            other => return Err(ArgError::UnknownFlag(other.to_owned())),
         }
     }
+    Ok(options)
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut what = "all".to_owned();
-    let mut scale = Scale::Medium;
-    let mut as_json = false;
-    let mut threads = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4);
-
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--scale" => {
-                scale = parse_scale(iter.next().map(String::as_str).unwrap_or(""));
-            }
-            "--json" => as_json = true,
-            "--threads" => {
-                threads = iter.next().and_then(|t| t.parse().ok()).unwrap_or(threads);
-            }
-            other if !other.starts_with('-') => what = other.to_owned(),
-            other => {
-                eprintln!("unknown option `{other}`");
-                std::process::exit(2);
-            }
-        }
-    }
+    let Options {
+        what,
+        scale,
+        threads,
+        as_json,
+    } = parse_options(&args).unwrap_or_else(|err| {
+        eprintln!("reproduce: {err}");
+        std::process::exit(2);
+    });
 
     match what.as_str() {
         "fig3" => {

@@ -40,8 +40,9 @@
 use std::sync::Arc;
 
 use superpin::baseline::{run_pin, PinReport};
+use superpin::cli::{chaos_plan, ArgError, Args};
 use superpin::{
-    FailPlan, ProgramAnalysis, SharedMem, SuperPinConfig, SuperPinReport, SuperPinRunner, SuperTool,
+    ProgramAnalysis, SharedMem, SuperPinConfig, SuperPinReport, SuperPinRunner, SuperTool,
 };
 use superpin_bench::runs::time_scale_for;
 use superpin_dbi::Pintool;
@@ -69,62 +70,6 @@ struct Options {
     scale: Scale,
 }
 
-/// Typed command-line rejection. Each variant renders a specific
-/// message; `main` prints it with a usage hint and exits 2.
-#[derive(Clone, Debug, PartialEq)]
-enum ArgError {
-    /// A flag was given without its required value.
-    MissingValue(&'static str),
-    /// A flag's value failed to parse as the expected shape.
-    InvalidValue {
-        flag: &'static str,
-        value: String,
-        expected: &'static str,
-    },
-    /// `--watchdog-factor` must exceed 1: a factor of 1 condemns every
-    /// slice whose completion prediction is off by a single quantum.
-    WatchdogFactorTooSmall(u64),
-    /// `--chaos-rate` is a probability and must lie in [0, 1].
-    ChaosRateOutOfRange(f64),
-    /// `--threads 0` has no meaning; the minimum is 1 (serial).
-    ZeroThreads,
-    /// An unrecognized flag.
-    UnknownFlag(String),
-    /// No benchmark after `--`, or no `-t TOOL`.
-    MissingBenchmarkOrTool,
-}
-
-impl std::fmt::Display for ArgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArgError::MissingValue(flag) => write!(f, "`{flag}` requires a value"),
-            ArgError::InvalidValue {
-                flag,
-                value,
-                expected,
-            } => write!(f, "`{flag}` got `{value}`; expected {expected}"),
-            ArgError::WatchdogFactorTooSmall(value) => write!(
-                f,
-                "`--watchdog-factor` must be greater than 1 (got {value}): a factor of 1 \
-                 condemns any slice one quantum behind its predicted completion"
-            ),
-            ArgError::ChaosRateOutOfRange(value) => write!(
-                f,
-                "`--chaos-rate` is a probability and must be within [0, 1] (got {value})"
-            ),
-            ArgError::ZeroThreads => {
-                write!(f, "`--threads` must be at least 1 (1 = serial execution)")
-            }
-            ArgError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
-            ArgError::MissingBenchmarkOrTool => {
-                write!(f, "a `-t TOOL` and a benchmark after `--` are required")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ArgError {}
-
 fn usage() -> ! {
     eprintln!(
         "usage: superpin [-sp 0|1] [-spmsec MSEC] [-spmp N] [-spsysrecs N] [-threads N] [-gantt] \
@@ -133,22 +78,6 @@ fn usage() -> ! {
          tools: icount1 icount2 dcache dcache-assoc icache bblcount insmix itrace branch mem sampler"
     );
     std::process::exit(2);
-}
-
-/// Parses a byte count with an optional binary `k`/`m`/`g` suffix
-/// (case-insensitive): `64m` → 64 MiB.
-fn parse_bytes(text: &str) -> Option<u64> {
-    let lower = text.trim().to_ascii_lowercase();
-    let (digits, mult) = if let Some(digits) = lower.strip_suffix('k') {
-        (digits, 1u64 << 10)
-    } else if let Some(digits) = lower.strip_suffix('m') {
-        (digits, 1u64 << 20)
-    } else if let Some(digits) = lower.strip_suffix('g') {
-        (digits, 1u64 << 30)
-    } else {
-        (lower.as_str(), 1u64)
-    };
-    digits.parse::<u64>().ok()?.checked_mul(mult)
 }
 
 fn parse_args() -> Options {
@@ -179,112 +108,51 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         benchmark: String::new(),
         scale: Scale::Small,
     };
-    let mut iter = args.iter();
+    let mut args = Args::new(args);
     let mut after_dashes = Vec::new();
-    // `flag value` with a typed error for missing/unparseable values.
-    fn value<'a, I: Iterator<Item = &'a String>, V: std::str::FromStr>(
-        iter: &mut I,
-        flag: &'static str,
-        expected: &'static str,
-    ) -> Result<V, ArgError> {
-        let text = iter.next().ok_or(ArgError::MissingValue(flag))?;
-        text.parse().map_err(|_| ArgError::InvalidValue {
-            flag,
-            value: text.clone(),
-            expected,
-        })
-    }
-    // A two-way switch: `on` and `off` list its accepted spellings.
-    fn switch<'a, I: Iterator<Item = &'a String>>(
-        iter: &mut I,
-        flag: &'static str,
-        on: &[&str],
-        off: &[&str],
-        expected: &'static str,
-    ) -> Result<bool, ArgError> {
-        let text = iter.next().ok_or(ArgError::MissingValue(flag))?;
-        if on.contains(&text.as_str()) {
-            Ok(true)
-        } else if off.contains(&text.as_str()) {
-            Ok(false)
-        } else {
-            Err(ArgError::InvalidValue {
-                flag,
-                value: text.clone(),
-                expected,
-            })
-        }
-    }
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "-sp" => options.sp = switch(&mut iter, "-sp", &["1"], &["0"], "0|1")?,
-            "-spmsec" => options.spmsec = value(&mut iter, "-spmsec", "milliseconds")?,
-            "-spmp" => options.spmp = value(&mut iter, "-spmp", "a slice count")?,
-            "-spsysrecs" => options.spsysrecs = value(&mut iter, "-spsysrecs", "a record count")?,
+    while let Some(arg) = args.next() {
+        match arg {
+            "-sp" => options.sp = args.switch("-sp", &["1"], &["0"], "0|1")?,
+            "-spmsec" => options.spmsec = args.value("-spmsec", "milliseconds")?,
+            "-spmp" => options.spmp = args.value("-spmp", "a slice count")?,
+            "-spsysrecs" => options.spsysrecs = args.value("-spsysrecs", "a record count")?,
             "-gantt" => options.gantt = true,
-            "-threads" | "--threads" => {
-                let threads: usize = value(&mut iter, "--threads", "a thread count")?;
-                if threads == 0 {
-                    return Err(ArgError::ZeroThreads);
-                }
-                options.threads = threads;
-            }
+            "-threads" | "--threads" => options.threads = args.threads()?,
             "--chaos-seed" => {
-                options.chaos_seed = Some(value(&mut iter, "--chaos-seed", "a seed integer")?)
+                options.chaos_seed = Some(args.value("--chaos-seed", "a seed integer")?)
             }
-            "--chaos-rate" => {
-                let rate: f64 = value(&mut iter, "--chaos-rate", "a probability in [0, 1]")?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(ArgError::ChaosRateOutOfRange(rate));
-                }
-                options.chaos_rate = Some(rate);
-            }
+            "--chaos-rate" => options.chaos_rate = Some(args.probability("--chaos-rate")?),
             "--watchdog-factor" => {
-                let factor: u64 = value(&mut iter, "--watchdog-factor", "an integer multiplier")?;
+                let factor: u64 = args.value("--watchdog-factor", "an integer multiplier")?;
                 if factor <= 1 {
-                    return Err(ArgError::WatchdogFactorTooSmall(factor));
+                    return Err(ArgError::Rule(format!(
+                        "`--watchdog-factor` must be greater than 1 (got {factor}): a factor \
+                         of 1 condemns any slice one quantum behind its predicted completion"
+                    )));
                 }
                 options.watchdog_factor = factor;
             }
             "--plan" => {
-                options.plan = switch(&mut iter, "--plan", &["on", "1"], &["off", "0"], "on|off")?
+                options.plan = args.switch("--plan", &["on", "1"], &["off", "0"], "on|off")?
             }
-            "--mem-budget" => {
-                let text = iter.next().ok_or(ArgError::MissingValue("--mem-budget"))?;
-                let bytes = parse_bytes(text).ok_or_else(|| ArgError::InvalidValue {
-                    flag: "--mem-budget",
-                    value: text.clone(),
-                    expected: "a byte count with optional k/m/g suffix (e.g. 64m)",
-                })?;
-                options.mem_budget = Some(bytes);
-            }
-            "-t" => {
-                options.tool = iter.next().ok_or(ArgError::MissingValue("-t"))?.clone();
-            }
-            "--" => {
-                after_dashes.extend(iter.by_ref().cloned());
-            }
+            "--mem-budget" => options.mem_budget = Some(args.bytes("--mem-budget")?),
+            "-t" => options.tool = args.text("-t")?.to_owned(),
+            "--" => after_dashes.extend(args.by_ref()),
             other => return Err(ArgError::UnknownFlag(other.to_owned())),
         }
     }
     if after_dashes.is_empty() || options.tool.is_empty() {
-        return Err(ArgError::MissingBenchmarkOrTool);
+        return Err(ArgError::Rule(
+            "a `-t TOOL` and a benchmark after `--` are required".to_owned(),
+        ));
     }
-    options.benchmark = after_dashes[0].clone();
-    if let Some(scale) = after_dashes.get(1) {
-        options.scale = match scale.as_str() {
-            "tiny" => Scale::Tiny,
-            "small" => Scale::Small,
-            "medium" => Scale::Medium,
-            "large" => Scale::Large,
-            other => {
-                return Err(ArgError::InvalidValue {
-                    flag: "BENCHMARK scale",
-                    value: other.to_owned(),
-                    expected: "tiny|small|medium|large",
-                })
-            }
-        };
+    options.benchmark = after_dashes[0].to_owned();
+    if let Some(&scale) = after_dashes.get(1) {
+        options.scale = Scale::parse(scale).ok_or_else(|| ArgError::InvalidValue {
+            flag: "BENCHMARK scale",
+            value: scale.to_owned(),
+            expected: Scale::CHOICES,
+        })?;
     }
     Ok(options)
 }
@@ -301,11 +169,8 @@ fn superpin_config(options: &Options) -> SuperPinConfig {
     if let Some(budget) = options.mem_budget {
         cfg = cfg.with_mem_budget(budget);
     }
-    if options.chaos_seed.is_some() || options.chaos_rate.is_some() {
-        cfg = cfg.with_chaos(FailPlan::new(
-            options.chaos_seed.unwrap_or(1),
-            options.chaos_rate.unwrap_or(0.01),
-        ));
+    if let Some(plan) = chaos_plan(options.chaos_seed, options.chaos_rate) {
+        cfg = cfg.with_chaos(plan);
     }
     cfg
 }
@@ -643,8 +508,10 @@ mod tests {
                 "gcc",
             ]))
             .expect_err("factor <= 1 must be rejected");
-            assert_eq!(err, ArgError::WatchdogFactorTooSmall(bad.parse().unwrap()));
-            assert!(err.to_string().contains("--watchdog-factor"));
+            assert!(matches!(err, ArgError::Rule(_)), "{err}");
+            assert!(err.to_string().starts_with(&format!(
+                "`--watchdog-factor` must be greater than 1 (got {bad})"
+            )));
         }
         assert!(parse_options(&args(&[
             "--watchdog-factor",
@@ -680,17 +547,14 @@ mod tests {
     fn zero_threads_is_rejected() {
         let err = parse_options(&args(&["--threads", "0", "-t", "icount2", "--", "gcc"]))
             .expect_err("zero threads must be rejected");
-        assert_eq!(err, ArgError::ZeroThreads);
+        assert_eq!(
+            err.to_string(),
+            "`--threads` must be at least 1 (1 = serial execution)"
+        );
     }
 
     #[test]
     fn mem_budget_accepts_binary_suffixes() {
-        assert_eq!(parse_bytes("4096"), Some(4096));
-        assert_eq!(parse_bytes("8k"), Some(8 << 10));
-        assert_eq!(parse_bytes("64M"), Some(64 << 20));
-        assert_eq!(parse_bytes("2g"), Some(2 << 30));
-        assert_eq!(parse_bytes("banana"), None);
-        assert_eq!(parse_bytes(""), None);
         let options = parse_options(&args(&["--mem-budget", "1m", "-t", "icount2", "--", "gcc"]))
             .expect("parse");
         assert_eq!(options.mem_budget, Some(1 << 20));
@@ -729,7 +593,9 @@ mod tests {
         );
         assert_eq!(
             parse_options(&args(&["-t", "icount2"])),
-            Err(ArgError::MissingBenchmarkOrTool)
+            Err(ArgError::Rule(
+                "a `-t TOOL` and a benchmark after `--` are required".to_owned()
+            ))
         );
         // `-sp` is a 0|1 switch, not "anything but 0".
         for bad in ["banana", "2", ""] {

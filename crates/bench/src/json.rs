@@ -1,104 +1,70 @@
-//! Minimal JSON emission for figure data.
-//!
-//! The workspace's dependency policy does not include a JSON crate, and
-//! the figure records are flat, so a small hand-rolled emitter keeps the
-//! output machine-readable (for plotting scripts) without a new
-//! dependency.
+//! Figure data as JSON, for plotting scripts, through the shared
+//! [`superpin::json`] writer.
 
 use crate::figures::{Fig6Row, Fig7Row, FigSeries, SigStatsSummary};
-use std::fmt::Write as _;
-
-fn push_f64(out: &mut String, value: f64) {
-    if value.is_finite() {
-        let _ = write!(out, "{value:.4}");
-    } else {
-        out.push_str("null");
-    }
-}
+use superpin::json;
 
 /// Serializes a Figure 3/5 series.
 pub fn series_to_json(series: &FigSeries) -> String {
-    let mut out = String::from("{\"rows\":[");
-    for (i, row) in series.rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"benchmark\":\"{}\",\"pin_pct\":", row.benchmark);
-        push_f64(&mut out, row.pin_pct);
-        out.push_str(",\"superpin_pct\":");
-        push_f64(&mut out, row.superpin_pct);
-        out.push_str(",\"speedup\":");
-        push_f64(&mut out, row.speedup);
-        let _ = write!(
-            out,
-            ",\"slices\":{},\"counts_ok\":{}}}",
-            row.slices, row.counts_ok
-        );
+    let mut w = json::object();
+    w.key("rows").array();
+    for row in &series.rows {
+        w.object()
+            .string("benchmark", row.benchmark)
+            .float("pin_pct", row.pin_pct)
+            .float("superpin_pct", row.superpin_pct)
+            .float("speedup", row.speedup)
+            .uint("slices", row.slices as u64)
+            .boolean("counts_ok", row.counts_ok)
+            .end();
     }
-    out.push_str("],\"avg_pin_pct\":");
-    push_f64(&mut out, series.avg_pin_pct);
-    out.push_str(",\"avg_superpin_pct\":");
-    push_f64(&mut out, series.avg_superpin_pct);
-    out.push_str(",\"avg_speedup\":");
-    push_f64(&mut out, series.avg_speedup);
-    out.push('}');
-    out
+    w.end()
+        .float("avg_pin_pct", series.avg_pin_pct)
+        .float("avg_superpin_pct", series.avg_superpin_pct)
+        .float("avg_speedup", series.avg_speedup);
+    w.finish()
 }
 
 /// Serializes Figure 6 rows.
 pub fn fig6_to_json(rows: &[Fig6Row]) -> String {
-    let mut out = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"timeslice_secs\":");
-        push_f64(&mut out, row.timeslice_secs);
-        out.push_str(",\"native_secs\":");
-        push_f64(&mut out, row.native_secs);
-        out.push_str(",\"fork_other_secs\":");
-        push_f64(&mut out, row.fork_other_secs);
-        out.push_str(",\"sleep_secs\":");
-        push_f64(&mut out, row.sleep_secs);
-        out.push_str(",\"pipeline_secs\":");
-        push_f64(&mut out, row.pipeline_secs);
-        out.push_str(",\"total_secs\":");
-        push_f64(&mut out, row.total_secs);
-        let _ = write!(out, ",\"slices\":{}}}", row.slices);
+    let mut w = json::array();
+    for row in rows {
+        w.object()
+            .float("timeslice_secs", row.timeslice_secs)
+            .float("native_secs", row.native_secs)
+            .float("fork_other_secs", row.fork_other_secs)
+            .float("sleep_secs", row.sleep_secs)
+            .float("pipeline_secs", row.pipeline_secs)
+            .float("total_secs", row.total_secs)
+            .uint("slices", row.slices as u64)
+            .end();
     }
-    out.push(']');
-    out
+    w.finish()
 }
 
 /// Serializes Figure 7 rows.
 pub fn fig7_to_json(rows: &[Fig7Row]) -> String {
-    let mut out = String::from("[");
-    for (i, row) in rows.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"max_slices\":{},\"runtime_secs\":", row.max_slices);
-        push_f64(&mut out, row.runtime_secs);
-        let _ = write!(out, ",\"stall_events\":{}}}", row.stall_events);
+    let mut w = json::array();
+    for row in rows {
+        w.object()
+            .uint("max_slices", row.max_slices as u64)
+            .float("runtime_secs", row.runtime_secs)
+            .uint("stall_events", row.stall_events)
+            .end();
     }
-    out.push(']');
-    out
+    w.finish()
 }
 
 /// Serializes the §4.4 signature statistics.
 pub fn sigstats_to_json(summary: &SigStatsSummary) -> String {
-    let mut out = String::from("{");
-    let _ = write!(
-        out,
-        "\"quick_checks\":{},\"full_checks\":{},\"stack_checks\":{},\"detections\":{},\"full_check_rate\":",
-        summary.stats.quick_checks,
-        summary.stats.full_checks,
-        summary.stats.stack_checks,
-        summary.stats.detections,
-    );
-    push_f64(&mut out, summary.full_check_rate);
-    out.push('}');
-    out
+    let stats = &summary.stats;
+    let mut w = json::object();
+    w.uint("quick_checks", stats.quick_checks)
+        .uint("full_checks", stats.full_checks)
+        .uint("stack_checks", stats.stack_checks)
+        .uint("detections", stats.detections)
+        .float("full_check_rate", summary.full_check_rate);
+    w.finish()
 }
 
 #[cfg(test)]
@@ -156,8 +122,11 @@ mod tests {
 
     #[test]
     fn non_finite_values_become_null() {
-        let mut out = String::new();
-        push_f64(&mut out, f64::NAN);
-        assert_eq!(out, "null");
+        let f7 = fig7_to_json(&[Fig7Row {
+            max_slices: 1,
+            runtime_secs: f64::NAN,
+            stall_events: 0,
+        }]);
+        assert!(f7.contains("\"runtime_secs\":null"), "{f7}");
     }
 }

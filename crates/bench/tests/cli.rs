@@ -1,7 +1,8 @@
-//! The `superpin` binary run as a user would run it: a failed simulated
-//! run is exit code 1 with a one-line error, never a panic.
+//! The `superpin` and `reproduce` binaries run as a user would run
+//! them: a failed simulated run is exit code 1 with a one-line error,
+//! never a panic, and a bad flag is exit code 2 before anything runs.
 
-use std::process::Command;
+use std::process::{Command, Output};
 
 #[test]
 fn a_failed_run_exits_1_without_a_panic() {
@@ -16,4 +17,40 @@ fn a_failed_run_exits_1_without_a_panic() {
     assert_eq!(out.status.code(), Some(1), "stderr: {stderr}");
     assert!(!stderr.contains("panicked"), "stderr: {stderr}");
     assert!(stderr.starts_with("superpin: gcc: "), "stderr: {stderr}");
+}
+
+fn reproduce(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_reproduce"))
+        .args(args)
+        .env("RUST_BACKTRACE", "0")
+        .output()
+        .expect("the reproduce binary starts")
+}
+
+#[test]
+fn reproduce_rejects_bad_flags_before_running_a_figure() {
+    for (args, message) in [
+        (
+            &["sigstats", "--scale", "tiny", "--threads", "abc"][..],
+            "reproduce: `--threads` got `abc`; expected a thread count",
+        ),
+        (
+            &["sigstats", "--scale", "tiny", "--threads", "0"][..],
+            "reproduce: `--threads` must be at least 1 (1 = serial execution)",
+        ),
+        (
+            &["sigstats", "--scale"][..],
+            "reproduce: `--scale` requires a value",
+        ),
+        (
+            &["sigstats", "--scale", "huge"][..],
+            "reproduce: `--scale` got `huge`; expected tiny|small|medium|large",
+        ),
+    ] {
+        let out = reproduce(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+        assert_eq!(stderr.trim_end(), message, "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: a figure ran");
+    }
 }

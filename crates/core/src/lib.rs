@@ -25,6 +25,8 @@
 //! * [`mod@slice`], [`master`] — the two halves of the fork protocol
 //!   (paper §4.1–§4.3).
 //! * [`baseline`] — native and traditional-Pin comparison runs.
+//! * [`cli`], [`json`] — the flag reader and the JSON writer every
+//!   binary in the workspace shares.
 //!
 //! # Example: an icount SuperTool end to end
 //!
@@ -82,8 +84,10 @@
 pub mod api;
 pub mod baseline;
 pub mod bubble;
+pub mod cli;
 pub mod config;
 pub mod governor;
+pub mod json;
 pub mod master;
 pub mod record;
 pub mod report;

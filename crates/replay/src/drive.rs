@@ -2,7 +2,7 @@
 //! a [`ReplayLog`], re-execute a log, and verify the replayed report.
 
 use crate::events::{EventSink, EventStream};
-use crate::json::{first_report_difference, report_to_json};
+use crate::json::first_report_difference;
 use crate::log::ReplayLog;
 use crate::recipe::RunRecipe;
 use crate::wire::CodecError;
@@ -135,16 +135,14 @@ pub fn replay_run<T: SuperTool>(
 
 /// Checks a replayed report against the recorded one. `None` means
 /// field-for-field equality; otherwise names the first differing field
-/// (via the shared JSON helpers, so CLI output and CI byte-diffs agree
-/// on what "first" means).
+/// (from the report JSON's own field table, so CLI output and CI
+/// byte-diffs agree on what "first" means).
 pub fn verify_replay(log: &ReplayLog, replayed: &SuperPinReport) -> Option<String> {
     if &log.report == replayed {
         return None;
     }
-    let recorded = report_to_json(&log.report);
-    let replayed = report_to_json(replayed);
     Some(
-        first_report_difference(&recorded, &replayed)
+        first_report_difference(&log.report, replayed)
             .unwrap_or_else(|| "reports differ outside the JSON projection".to_string()),
     )
 }

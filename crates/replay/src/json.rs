@@ -1,299 +1,147 @@
-//! Dependency-free JSON helpers shared by the bench harness and the
-//! replay verifier.
+//! The run report as JSON, and the report diff the replay verifier
+//! names its first differing field with.
 //!
-//! The repo emits and re-reads its own JSON (tracking files, CI guards,
-//! replay verification) without a serde dependency — the build is
-//! offline. These helpers are the *reading* half: just enough parsing
-//! to pull numbers and arrays back out of JSON this codebase emitted.
-//! [`report_to_json`] is the writing half for run reports, used by
-//! `spin-replay` so recorded and replayed reports can be byte-diffed.
+//! One field table per struct (`report_fields`, `slice_fields`) feeds
+//! both: [`report_to_json`] writes it, and
+//! [`first_report_difference`] compares it, so the JSON and the diff
+//! can never disagree on a field's name or order. Two equal reports
+//! produce byte-equal JSON, so CI can `diff` recorded vs. replayed
+//! report files directly.
 
-use std::fmt::Write as _;
+use superpin::json::{self, Writer};
 use superpin::{SliceEnd, SliceReport, SuperPinReport};
 
-/// Finds the raw text between the brackets of `"field":[...]` in
-/// `json`, honoring nesting and string literals. `None` when the field
-/// is absent (e.g. a pre-history tracking file).
-pub fn extract_array<'a>(json: &'a str, field: &str) -> Option<&'a str> {
-    let needle = format!("\"{field}\":[");
-    let start = json.find(&needle)? + needle.len();
-    let mut depth = 1usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    for (i, ch) in json[start..].char_indices() {
-        if in_string {
-            match ch {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_string = true,
-            '[' | '{' => depth += 1,
-            ']' | '}' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&json[start..start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
+/// A slice field's value: a count, or the name of how the slice ended.
+#[derive(Clone, Copy, PartialEq)]
+enum Value {
+    Count(u64),
+    Name(&'static str),
 }
 
-/// Splits a JSON array body into its top-level elements (text slices),
-/// honoring nesting and string literals.
-pub fn split_top_level(body: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut in_string = false;
-    let mut escaped = false;
-    let mut from = 0usize;
-    for (i, ch) in body.char_indices() {
-        if in_string {
-            match ch {
-                _ if escaped => escaped = false,
-                '\\' => escaped = true,
-                '"' => in_string = false,
-                _ => {}
-            }
-            continue;
-        }
-        match ch {
-            '"' => in_string = true,
-            '[' | '{' => depth += 1,
-            ']' | '}' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                parts.push(&body[from..i]);
-                from = i + 1;
-            }
-            _ => {}
-        }
-    }
-    if from < body.len() {
-        parts.push(&body[from..]);
-    }
-    parts
+/// The report's top-level fields, in emission order.
+fn report_fields(r: &SuperPinReport) -> [(&'static str, u64); 25] {
+    [
+        ("total_cycles", r.total_cycles),
+        ("master_exit_cycles", r.master_exit_cycles),
+        ("native_cycles", r.breakdown.native_cycles),
+        ("fork_other_cycles", r.breakdown.fork_other_cycles),
+        ("sleep_cycles", r.breakdown.sleep_cycles),
+        ("pipeline_cycles", r.breakdown.pipeline_cycles),
+        ("master_insts", r.master_insts),
+        ("master_syscalls", r.master_syscalls),
+        ("syscall_stops", r.ptrace.syscall_stops),
+        ("timeout_stops", r.ptrace.timeout_stops),
+        ("quick_checks", r.sig_stats.quick_checks),
+        ("full_checks", r.sig_stats.full_checks),
+        ("stack_checks", r.sig_stats.stack_checks),
+        ("detections", r.sig_stats.detections),
+        ("forks_on_timeout", r.forks_on_timeout),
+        ("forks_on_syscall", r.forks_on_syscall),
+        ("stall_events", r.stall_events),
+        ("master_cow_copies", r.master_cow_copies),
+        ("epochs", r.epochs),
+        ("slice_retries", r.slice_retries),
+        ("slices_degraded", r.slices_degraded),
+        ("peak_resident_bytes", r.peak_resident_bytes),
+        ("slices_deferred", r.slices_deferred),
+        ("checkpoints_dropped", r.checkpoints_dropped),
+        ("caches_evicted", r.caches_evicted),
+    ]
 }
 
-/// Reads the numeric value of a top-level `"field":<number>` pair from
-/// emitted JSON — enough parsing for the CI perf guard to compare a
-/// fresh run against the checked-in baseline without a JSON dependency.
-pub fn extract_number(json: &str, field: &str) -> Option<f64> {
-    let needle = format!("\"{field}\":");
-    let start = json.find(&needle)? + needle.len();
-    let rest = &json[start..];
-    let end = rest
-        .find(|ch: char| !matches!(ch, '0'..='9' | '-' | '+' | '.' | 'e' | 'E'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-fn slice_end_name(end: SliceEnd) -> &'static str {
-    match end {
+/// One slice's fields, in emission order.
+fn slice_fields(s: &SliceReport) -> [(&'static str, Value); 27] {
+    use Value::Count;
+    let end = match s.end {
         SliceEnd::SignatureDetected => "signature",
         SliceEnd::RecordsExhausted => "records",
         SliceEnd::Exited => "exited",
         SliceEnd::ToolEnded => "tool",
+    };
+    let (engine, cache) = (&s.engine, &s.cache);
+    [
+        ("num", Count(s.num.into())),
+        ("insts", Count(s.insts)),
+        ("records_played", Count(s.records_played)),
+        ("end", Value::Name(end)),
+        ("start_cycles", Count(s.start_cycles)),
+        ("wake_cycles", Count(s.wake_cycles)),
+        ("end_cycles", Count(s.end_cycles)),
+        ("app", Count(engine.cycles.app)),
+        ("analysis", Count(engine.cycles.analysis)),
+        ("jit", Count(engine.cycles.jit)),
+        ("dispatch", Count(engine.cycles.dispatch)),
+        ("syscall", Count(engine.cycles.syscall)),
+        ("insts_executed", Count(engine.insts_executed)),
+        ("traces_executed", Count(engine.traces_executed)),
+        ("analysis_calls", Count(engine.analysis_calls)),
+        ("if_checks", Count(engine.if_checks)),
+        ("then_calls", Count(engine.then_calls)),
+        ("shared_adoptions", Count(engine.shared_cache_adoptions)),
+        ("shared_misses", Count(engine.shared_cache_misses)),
+        ("shared_contention", Count(engine.shared_cache_contention)),
+        ("lookups", Count(cache.lookups)),
+        ("hits", Count(cache.hits)),
+        ("traces_compiled", Count(cache.traces_compiled)),
+        ("insts_compiled", Count(cache.insts_compiled)),
+        ("flushes", Count(cache.flushes)),
+        ("smc_flushes", Count(cache.smc_flushes)),
+        ("cow_copies", Count(s.cow_copies)),
+    ]
+}
+
+/// Writes a report's fields, `slices` last, into the object `w` has
+/// open (a fleet outcome line embeds the report this way).
+pub fn write_report(w: &mut Writer, report: &SuperPinReport) {
+    for (name, value) in report_fields(report) {
+        w.uint(name, value);
     }
+    w.key("slices").array();
+    for slice in &report.slices {
+        w.object();
+        for (name, value) in slice_fields(slice) {
+            match value {
+                Value::Count(n) => w.uint(name, n),
+                Value::Name(text) => w.string(name, text),
+            };
+        }
+        w.end();
+    }
+    w.end();
 }
 
-fn slice_to_json(out: &mut String, slice: &SliceReport) {
-    let _ = write!(
-        out,
-        "{{\"num\":{},\"insts\":{},\"records_played\":{},\"end\":\"{}\",\
-         \"start_cycles\":{},\"wake_cycles\":{},\"end_cycles\":{},\
-         \"app\":{},\"analysis\":{},\"jit\":{},\"dispatch\":{},\"syscall\":{},\
-         \"insts_executed\":{},\"traces_executed\":{},\"analysis_calls\":{},\
-         \"if_checks\":{},\"then_calls\":{},\"shared_adoptions\":{},\
-         \"shared_misses\":{},\"shared_contention\":{},\
-         \"lookups\":{},\"hits\":{},\"traces_compiled\":{},\"insts_compiled\":{},\
-         \"flushes\":{},\"smc_flushes\":{},\"cow_copies\":{}}}",
-        slice.num,
-        slice.insts,
-        slice.records_played,
-        slice_end_name(slice.end),
-        slice.start_cycles,
-        slice.wake_cycles,
-        slice.end_cycles,
-        slice.engine.cycles.app,
-        slice.engine.cycles.analysis,
-        slice.engine.cycles.jit,
-        slice.engine.cycles.dispatch,
-        slice.engine.cycles.syscall,
-        slice.engine.insts_executed,
-        slice.engine.traces_executed,
-        slice.engine.analysis_calls,
-        slice.engine.if_checks,
-        slice.engine.then_calls,
-        slice.engine.shared_cache_adoptions,
-        slice.engine.shared_cache_misses,
-        slice.engine.shared_cache_contention,
-        slice.cache.lookups,
-        slice.cache.hits,
-        slice.cache.traces_compiled,
-        slice.cache.insts_compiled,
-        slice.cache.flushes,
-        slice.cache.smc_flushes,
-        slice.cow_copies,
-    );
-}
-
-/// The report's top-level numeric fields, in emission order. Replay
-/// verification walks this list to *name* the first differing field.
-pub const REPORT_FIELDS: &[&str] = &[
-    "total_cycles",
-    "master_exit_cycles",
-    "native_cycles",
-    "fork_other_cycles",
-    "sleep_cycles",
-    "pipeline_cycles",
-    "master_insts",
-    "master_syscalls",
-    "syscall_stops",
-    "timeout_stops",
-    "quick_checks",
-    "full_checks",
-    "stack_checks",
-    "detections",
-    "forks_on_timeout",
-    "forks_on_syscall",
-    "stall_events",
-    "master_cow_copies",
-    "epochs",
-    "slice_retries",
-    "slices_degraded",
-    "peak_resident_bytes",
-    "slices_deferred",
-    "checkpoints_dropped",
-    "caches_evicted",
-];
-
-/// Serializes a complete run report as one-line JSON. Deterministic
-/// field order; two equal reports produce byte-equal JSON, so CI can
-/// `diff` recorded vs. replayed report files directly.
+/// Serializes a complete run report as one-line JSON, in a fixed field
+/// order.
 pub fn report_to_json(report: &SuperPinReport) -> String {
-    let mut out = String::from("{");
-    let values = [
-        report.total_cycles,
-        report.master_exit_cycles,
-        report.breakdown.native_cycles,
-        report.breakdown.fork_other_cycles,
-        report.breakdown.sleep_cycles,
-        report.breakdown.pipeline_cycles,
-        report.master_insts,
-        report.master_syscalls,
-        report.ptrace.syscall_stops,
-        report.ptrace.timeout_stops,
-        report.sig_stats.quick_checks,
-        report.sig_stats.full_checks,
-        report.sig_stats.stack_checks,
-        report.sig_stats.detections,
-        report.forks_on_timeout,
-        report.forks_on_syscall,
-        report.stall_events,
-        report.master_cow_copies,
-        report.epochs,
-        report.slice_retries,
-        report.slices_degraded,
-        report.peak_resident_bytes,
-        report.slices_deferred,
-        report.checkpoints_dropped,
-        report.caches_evicted,
-    ];
-    for (field, value) in REPORT_FIELDS.iter().zip(values) {
-        let _ = write!(out, "\"{field}\":{value},");
-    }
-    out.push_str("\"slices\":[");
-    for (i, slice) in report.slices.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        slice_to_json(&mut out, slice);
-    }
-    out.push_str("]}");
-    out
+    let mut w = json::object();
+    write_report(&mut w, report);
+    w.finish()
 }
 
-/// Names the first field where two report JSONs differ: a
-/// [`REPORT_FIELDS`] entry, `slices.len`, or `slices[i]`. `None` when
-/// they agree everywhere this comparison looks (for byte-equal JSON,
-/// always `None`).
-pub fn first_report_difference(a: &str, b: &str) -> Option<String> {
-    for field in REPORT_FIELDS {
-        if extract_number(a, field) != extract_number(b, field) {
-            return Some((*field).to_string());
-        }
+/// Names the first field where two reports differ: a top-level field,
+/// `slices.len`, or `slices[i]`. `None` when they agree on every field
+/// the JSON carries.
+pub fn first_report_difference(a: &SuperPinReport, b: &SuperPinReport) -> Option<String> {
+    let mut fields = report_fields(a).into_iter().zip(report_fields(b));
+    if let Some(((name, _), _)) = fields.find(|(x, y)| x != y) {
+        return Some(name.to_owned());
     }
-    let slices_a = extract_array(a, "slices")
-        .map(split_top_level)
-        .unwrap_or_default();
-    let slices_b = extract_array(b, "slices")
-        .map(split_top_level)
-        .unwrap_or_default();
-    if slices_a.len() != slices_b.len() {
-        return Some("slices.len".to_string());
+    if a.slices.len() != b.slices.len() {
+        return Some("slices.len".to_owned());
     }
-    for (i, (sa, sb)) in slices_a.iter().zip(&slices_b).enumerate() {
-        if sa != sb {
-            return Some(format!("slices[{i}]"));
-        }
-    }
-    None
+    let mut slices = a.slices.iter().zip(&b.slices);
+    let i = slices.position(|(x, y)| slice_fields(x) != slice_fields(y))?;
+    Some(format!("slices[{i}]"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use superpin::{SuperPinReport, TimeBreakdown};
+    use superpin_vm::ptrace::PtraceStats;
 
-    #[test]
-    fn extract_number_reads_emitted_fields() {
-        assert_eq!(extract_number("{\"x\":12.5}", "x"), Some(12.5));
-        assert_eq!(extract_number("{\"x\":-3e2,\"y\":1}", "x"), Some(-300.0));
-        assert_eq!(extract_number("{\"x\":1}", "no_such_field"), None);
-        // The needle is exact: a field whose *suffix* matches another
-        // name must not satisfy a lookup for the shorter name alone
-        // when the shorter name is absent... it does match textually —
-        // callers use distinct field names, as the emitters here do.
-        assert_eq!(
-            extract_number("{\"epochs\":42,\"x\":1}", "epochs"),
-            Some(42.0)
-        );
-    }
-
-    #[test]
-    fn array_extraction_honors_strings_and_nesting() {
-        let json = "{\"history\":[{\"key\":\"a]b\",\"v\":[1,2]},{\"key\":\"c\"}],\"z\":1}";
-        let body = extract_array(json, "history").expect("array present");
-        assert_eq!(body, "{\"key\":\"a]b\",\"v\":[1,2]},{\"key\":\"c\"}");
-        let parts = split_top_level(body);
-        assert_eq!(parts.len(), 2);
-        assert_eq!(parts[0], "{\"key\":\"a]b\",\"v\":[1,2]}");
-        assert_eq!(parts[1], "{\"key\":\"c\"}");
-        assert_eq!(extract_array(json, "missing"), None);
-    }
-
-    #[test]
-    fn escaped_quotes_and_brackets_inside_strings_are_opaque() {
-        let json = "{\"a\":[{\"s\":\"q\\\"[}]\",\"n\":1},{\"n\":2}],\"b\":[]}";
-        let body = extract_array(json, "a").expect("array present");
-        let parts = split_top_level(body);
-        assert_eq!(parts.len(), 2);
-        assert!(parts[0].contains("\\\""));
-        assert_eq!(parts[1], "{\"n\":2}");
-        assert_eq!(extract_array(json, "b"), Some(""));
-        assert!(split_top_level("").is_empty());
-    }
-
-    #[test]
-    fn report_json_diffing_names_the_first_divergent_field() {
-        use superpin::{SuperPinReport, TimeBreakdown};
-        use superpin_vm::ptrace::PtraceStats;
-        let base = SuperPinReport {
+    fn base() -> SuperPinReport {
+        SuperPinReport {
             total_cycles: 100,
             master_exit_cycles: 90,
             breakdown: TimeBreakdown::default(),
@@ -313,19 +161,72 @@ mod tests {
             slices_deferred: 0,
             checkpoints_dropped: 0,
             caches_evicted: 0,
-        };
-        let a = report_to_json(&base);
+        }
+    }
+
+    fn slice(num: u32) -> SliceReport {
+        SliceReport {
+            num,
+            insts: 10,
+            records_played: 0,
+            end: SliceEnd::SignatureDetected,
+            start_cycles: 0,
+            wake_cycles: 0,
+            end_cycles: 5,
+            engine: Default::default(),
+            cache: Default::default(),
+            cow_copies: 0,
+        }
+    }
+
+    #[test]
+    fn report_diffing_names_the_first_divergent_field() {
+        let a = base();
         assert_eq!(first_report_difference(&a, &a), None);
-        let mut perturbed = base.clone();
-        perturbed.epochs = 8;
-        let b = report_to_json(&perturbed);
+        let mut b = base();
+        b.epochs = 8;
         assert_eq!(first_report_difference(&a, &b).as_deref(), Some("epochs"));
-        let mut reparsed_ok = base;
-        reparsed_ok.total_cycles = 101;
-        let c = report_to_json(&reparsed_ok);
+        b.total_cycles = 101;
         assert_eq!(
-            first_report_difference(&a, &c).as_deref(),
+            first_report_difference(&a, &b).as_deref(),
             Some("total_cycles")
         );
+    }
+
+    #[test]
+    fn report_diffing_names_slice_count_then_slice_index() {
+        let mut a = base();
+        a.slices = vec![slice(0), slice(1)];
+        let mut b = a.clone();
+        b.slices.pop();
+        assert_eq!(
+            first_report_difference(&a, &b).as_deref(),
+            Some("slices.len")
+        );
+        let mut c = a.clone();
+        c.slices[1].end = SliceEnd::Exited;
+        assert_eq!(
+            first_report_difference(&a, &c).as_deref(),
+            Some("slices[1]")
+        );
+        c.slices[0].cache.hits = 1;
+        assert_eq!(
+            first_report_difference(&a, &c).as_deref(),
+            Some("slices[0]")
+        );
+    }
+
+    #[test]
+    fn report_json_keeps_its_field_order() {
+        let mut report = base();
+        report.slices = vec![slice(3)];
+        let json = report_to_json(&report);
+        assert!(json.starts_with("{\"total_cycles\":100,\"master_exit_cycles\":90,"));
+        assert!(json.contains(
+            "\"caches_evicted\":0,\"slices\":[{\"num\":3,\"insts\":10,\
+             \"records_played\":0,\"end\":\"signature\",\"start_cycles\":0,"
+        ));
+        assert!(json.ends_with("\"smc_flushes\":0,\"cow_copies\":0}]}"));
+        assert_eq!(report_to_json(&base()).matches("\"slices\":[]}").count(), 1);
     }
 }

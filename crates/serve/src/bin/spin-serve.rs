@@ -16,86 +16,12 @@
 
 use std::io::Read;
 
+use superpin::cli::{chaos_plan, ArgError, Args};
 use superpin_replay::container::{explain_decode_failure, FrameDamage, SPFL};
 use superpin_replay::fleet::{diff_fleet, recover_fleet_wal, FleetLog, FleetRecipe};
 use superpin_replay::wal::{atomic_write, FsyncPolicy, WalCause, WalIoError, WalOp};
 use superpin_serve::durable::{Durability, FleetWal};
-use superpin_serve::spec::parse_bytes;
-use superpin_serve::{parse_jobs, run_service, run_service_durable, FleetConfig, SpecError};
-
-/// Typed command-line rejection. Each variant renders a specific
-/// message; `main` prints it with a usage hint and exits 2.
-#[derive(Clone, Debug, PartialEq)]
-enum ArgError {
-    /// A flag was given without its required value.
-    MissingValue(&'static str),
-    /// A flag's value failed to parse as the expected shape.
-    InvalidValue {
-        flag: &'static str,
-        value: String,
-        expected: &'static str,
-    },
-    /// `--threads 0` has no meaning; the minimum is 1 (serial).
-    ZeroThreads,
-    /// `--fleet-slots 0` would select no jobs and the fleet could
-    /// never advance.
-    ZeroSlots,
-    /// `--chaos-rate` is a probability and must lie in [0, 1].
-    ChaosRateOutOfRange(f64),
-    /// An unrecognized flag.
-    UnknownFlag(String),
-    /// No `--jobs FILE` (or `--replay LOG` / `--resume WAL`) was given.
-    MissingJobs,
-    /// `--record` and `--replay` are mutually exclusive.
-    RecordAndReplay,
-    /// `--resume` rebuilds every fleet knob from the WAL header; the
-    /// named flag would contradict the journalled run.
-    ResumeConflict(&'static str),
-    /// The job file itself was rejected (weights, duplicates, budgets…).
-    Spec(SpecError),
-}
-
-impl std::fmt::Display for ArgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ArgError::MissingValue(flag) => write!(f, "`{flag}` requires a value"),
-            ArgError::InvalidValue {
-                flag,
-                value,
-                expected,
-            } => write!(f, "`{flag}` got `{value}`; expected {expected}"),
-            ArgError::ZeroThreads => {
-                write!(f, "`--threads` must be at least 1 (1 = serial execution)")
-            }
-            ArgError::ZeroSlots => write!(
-                f,
-                "`--fleet-slots` must be at least 1 — a zero-wide round can never \
-                 advance any job"
-            ),
-            ArgError::ChaosRateOutOfRange(value) => write!(
-                f,
-                "`--chaos-rate` is a probability and must be within [0, 1] (got {value})"
-            ),
-            ArgError::UnknownFlag(flag) => write!(f, "unknown flag `{flag}`"),
-            ArgError::MissingJobs => write!(
-                f,
-                "a job file is required: `--jobs FILE` (or `-` for stdin), or `--replay LOG`"
-            ),
-            ArgError::RecordAndReplay => {
-                write!(f, "`--record` and `--replay` are mutually exclusive")
-            }
-            ArgError::ResumeConflict(flag) => write!(
-                f,
-                "`{flag}` cannot accompany `--resume`: the WAL header already \
-                 fixes that knob (only `--threads`, `--emit-reports`, and \
-                 `--wal-fsync` may vary on resume)"
-            ),
-            ArgError::Spec(err) => write!(f, "{err}"),
-        }
-    }
-}
-
-impl std::error::Error for ArgError {}
+use superpin_serve::{parse_jobs, run_service, run_service_durable, FleetConfig};
 
 #[derive(Debug, PartialEq)]
 struct Options {
@@ -148,19 +74,6 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         wal_fsync: FsyncPolicy::EveryCommit,
         resume_conflicts: Vec::new(),
     };
-    let mut iter = args.iter();
-    fn value<'a, I: Iterator<Item = &'a String>, V: std::str::FromStr>(
-        iter: &mut I,
-        flag: &'static str,
-        expected: &'static str,
-    ) -> Result<V, ArgError> {
-        let text = iter.next().ok_or(ArgError::MissingValue(flag))?;
-        text.parse().map_err(|_| ArgError::InvalidValue {
-            flag,
-            value: text.clone(),
-            expected,
-        })
-    }
     // Flags the WAL header fixes; `--resume` rejects them on sight.
     const FIXED_BY_WAL_HEADER: &[&str] = &[
         "--jobs",
@@ -173,118 +86,60 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         "--replay",
         "--wal",
     ];
-    while let Some(arg) = iter.next() {
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
         if let Some(&flag) = FIXED_BY_WAL_HEADER.iter().find(|&&flag| flag == arg) {
             options.resume_conflicts.push(flag);
         }
-        match arg.as_str() {
-            "--jobs" => {
-                options.jobs = Some(iter.next().ok_or(ArgError::MissingValue("--jobs"))?.clone());
-            }
-            "--threads" => {
-                let threads: usize = value(&mut iter, "--threads", "a thread count")?;
-                if threads == 0 {
-                    return Err(ArgError::ZeroThreads);
-                }
-                options.threads = threads;
-            }
+        match arg {
+            "--jobs" => options.jobs = Some(args.text("--jobs")?.to_owned()),
+            "--threads" => options.threads = args.threads()?,
             "--fleet-slots" => {
-                let slots: usize = value(&mut iter, "--fleet-slots", "a round width")?;
-                if slots == 0 {
-                    return Err(ArgError::ZeroSlots);
-                }
-                options.slots = slots;
+                options.slots = args.at_least(
+                    "--fleet-slots",
+                    "a round width",
+                    1,
+                    " — a zero-wide round can never advance any job",
+                )?
             }
-            "--fleet-budget" => {
-                let text = iter
-                    .next()
-                    .ok_or(ArgError::MissingValue("--fleet-budget"))?;
-                let bytes = parse_bytes(text).ok_or_else(|| ArgError::InvalidValue {
-                    flag: "--fleet-budget",
-                    value: text.clone(),
-                    expected: "a byte count with optional k/m/g suffix (e.g. 64m)",
-                })?;
-                options.fleet_budget = Some(bytes);
-            }
+            "--fleet-budget" => options.fleet_budget = Some(args.bytes("--fleet-budget")?),
             "--chaos-seed" => {
-                options.chaos_seed = Some(value(&mut iter, "--chaos-seed", "a seed integer")?);
+                options.chaos_seed = Some(args.value("--chaos-seed", "a seed integer")?)
             }
-            "--chaos-rate" => {
-                let rate: f64 = value(&mut iter, "--chaos-rate", "a probability in [0, 1]")?;
-                if !(0.0..=1.0).contains(&rate) {
-                    return Err(ArgError::ChaosRateOutOfRange(rate));
-                }
-                options.chaos_rate = Some(rate);
-            }
-            "--spmsec" => options.spmsec = value(&mut iter, "--spmsec", "milliseconds")?,
+            "--chaos-rate" => options.chaos_rate = Some(args.probability("--chaos-rate")?),
+            "--spmsec" => options.spmsec = args.value("--spmsec", "milliseconds")?,
             "--emit-reports" => {
-                options.emit_reports = Some(
-                    iter.next()
-                        .ok_or(ArgError::MissingValue("--emit-reports"))?
-                        .clone(),
-                );
+                options.emit_reports = Some(args.text("--emit-reports")?.to_owned())
             }
-            "--record" => {
-                options.record = Some(
-                    iter.next()
-                        .ok_or(ArgError::MissingValue("--record"))?
-                        .clone(),
-                );
-            }
-            "--replay" => {
-                options.replay = Some(
-                    iter.next()
-                        .ok_or(ArgError::MissingValue("--replay"))?
-                        .clone(),
-                );
-            }
-            "--wal" => {
-                options.wal = Some(iter.next().ok_or(ArgError::MissingValue("--wal"))?.clone());
-            }
-            "--resume" => {
-                options.resume = Some(
-                    iter.next()
-                        .ok_or(ArgError::MissingValue("--resume"))?
-                        .clone(),
-                );
-            }
+            "--record" => options.record = Some(args.text("--record")?.to_owned()),
+            "--replay" => options.replay = Some(args.text("--replay")?.to_owned()),
+            "--wal" => options.wal = Some(args.text("--wal")?.to_owned()),
+            "--resume" => options.resume = Some(args.text("--resume")?.to_owned()),
             "--wal-fsync" => {
-                let text = iter.next().ok_or(ArgError::MissingValue("--wal-fsync"))?;
-                options.wal_fsync =
-                    FsyncPolicy::parse(text).ok_or_else(|| ArgError::InvalidValue {
-                        flag: "--wal-fsync",
-                        value: text.clone(),
-                        expected: "`commit`, `off`, or `every=N`",
-                    })?;
+                let expected = "`commit`, `off`, or `every=N`";
+                options.wal_fsync = args.parse_with("--wal-fsync", expected, FsyncPolicy::parse)?;
             }
             other => return Err(ArgError::UnknownFlag(other.to_owned())),
         }
     }
     if options.record.is_some() && options.replay.is_some() {
-        return Err(ArgError::RecordAndReplay);
+        return Err(ArgError::Rule(
+            "`--record` and `--replay` are mutually exclusive".to_owned(),
+        ));
     }
-    if options.resume.is_some() {
-        if let Some(flag) = options.resume_conflicts.first() {
-            return Err(ArgError::ResumeConflict(flag));
-        }
+    if let (Some(_), Some(flag)) = (&options.resume, options.resume_conflicts.first()) {
+        return Err(ArgError::Rule(format!(
+            "`{flag}` cannot accompany `--resume`: the WAL header already fixes that \
+             knob (only `--threads`, `--emit-reports`, and `--wal-fsync` may vary on resume)"
+        )));
     }
     if options.jobs.is_none() && options.replay.is_none() && options.resume.is_none() {
-        return Err(ArgError::MissingJobs);
+        return Err(ArgError::Rule(
+            "a job file is required: `--jobs FILE` (or `-` for stdin), or `--replay LOG`"
+                .to_owned(),
+        ));
     }
     Ok(options)
-}
-
-/// The fleet chaos plan the CLI knobs describe (`--chaos-rate` without
-/// `--chaos-seed` defaults the seed to 1, and vice versa the rate to
-/// 0.01 — matching the `superpin` CLI).
-fn chaos_plan(options: &Options) -> Option<superpin::FailPlan> {
-    if options.chaos_seed.is_none() && options.chaos_rate.is_none() {
-        return None;
-    }
-    Some(superpin::FailPlan::new(
-        options.chaos_seed.unwrap_or(1),
-        options.chaos_rate.unwrap_or(0.01),
-    ))
 }
 
 fn read_jobs(path: &str) -> std::io::Result<String> {
@@ -467,13 +322,13 @@ fn main() {
     let file = match parse_jobs(&spec_text) {
         Ok(file) => file,
         Err(err) => {
-            eprintln!("spin-serve: {}", ArgError::Spec(err));
+            eprintln!("spin-serve: {err}");
             usage();
         }
     };
     if let Some(budget) = options.fleet_budget {
         if let Err(err) = file.check_fleet_budget(budget) {
-            eprintln!("spin-serve: {}", ArgError::Spec(err));
+            eprintln!("spin-serve: {err}");
             usage();
         }
     }
@@ -482,7 +337,7 @@ fn main() {
         threads: options.threads,
         slots: options.slots,
         fleet_budget: options.fleet_budget,
-        chaos: chaos_plan(&options),
+        chaos: chaos_plan(options.chaos_seed, options.chaos_rate),
         spmsec: options.spmsec,
     };
     let recipe = FleetRecipe {
@@ -585,23 +440,31 @@ mod tests {
         assert_eq!(options.record, None);
     }
 
+    /// The message of the range or cross-flag rule `args` break.
+    fn rule(args: &[&str]) -> String {
+        match parse(args) {
+            Err(ArgError::Rule(message)) => message,
+            other => panic!("{args:?} broke no rule: {other:?}"),
+        }
+    }
+
     #[test]
     fn rejects_zero_threads_and_slots() {
         assert_eq!(
-            parse(&["--jobs", "f", "--threads", "0"]),
-            Err(ArgError::ZeroThreads)
+            rule(&["--jobs", "f", "--threads", "0"]),
+            "`--threads` must be at least 1 (1 = serial execution)"
         );
         assert_eq!(
-            parse(&["--jobs", "f", "--fleet-slots", "0"]),
-            Err(ArgError::ZeroSlots)
+            rule(&["--jobs", "f", "--fleet-slots", "0"]),
+            "`--fleet-slots` must be at least 1 — a zero-wide round can never advance any job"
         );
     }
 
     #[test]
     fn rejects_bad_values_with_typed_errors() {
         assert_eq!(
-            parse(&["--jobs", "f", "--chaos-rate", "1.5"]),
-            Err(ArgError::ChaosRateOutOfRange(1.5))
+            rule(&["--jobs", "f", "--chaos-rate", "1.5"]),
+            "`--chaos-rate` is a probability and must be within [0, 1] (got 1.5)"
         );
         assert_eq!(
             parse(&["--jobs", "f", "--fleet-budget", "banana"]),
@@ -623,10 +486,10 @@ mod tests {
 
     #[test]
     fn rejects_contradictory_modes() {
-        assert_eq!(parse(&["--threads", "2"]), Err(ArgError::MissingJobs));
+        assert!(rule(&["--threads", "2"]).starts_with("a job file is required"));
         assert_eq!(
-            parse(&["--jobs", "f", "--record", "a", "--replay", "b"]),
-            Err(ArgError::RecordAndReplay)
+            rule(&["--jobs", "f", "--record", "a", "--replay", "b"]),
+            "`--record` and `--replay` are mutually exclusive"
         );
     }
 
@@ -673,35 +536,11 @@ mod tests {
             ("--replay", "b"),
             ("--wal", "w"),
         ] {
-            assert_eq!(
-                parse(&["--resume", "cut.spwal", flag, value]),
-                Err(ArgError::ResumeConflict(flag)),
-                "{flag} must conflict with --resume"
+            let message = rule(&["--resume", "cut.spwal", flag, value]);
+            assert!(
+                message.starts_with(&format!("`{flag}` cannot accompany `--resume`")),
+                "{flag} must conflict with --resume: {message}"
             );
         }
-    }
-
-    #[test]
-    fn spec_rejections_surface_as_arg_errors() {
-        // The satellite contract: weight 0, duplicate tenants, and
-        // tenant-budget-over-fleet all reject with typed errors.
-        let workload = superpin_workloads::catalog()[0].name;
-        let zero = format!("tenant a weight=0\njob tenant=a workload={workload}\n");
-        assert!(matches!(
-            parse_jobs(&zero).map_err(ArgError::Spec),
-            Err(ArgError::Spec(SpecError::ZeroWeight { .. }))
-        ));
-        let dup =
-            format!("tenant a weight=1\ntenant a weight=2\njob tenant=a workload={workload}\n");
-        assert!(matches!(
-            parse_jobs(&dup).map_err(ArgError::Spec),
-            Err(ArgError::Spec(SpecError::DuplicateTenant { .. }))
-        ));
-        let capped = format!("tenant a weight=1 budget=4m\njob tenant=a workload={workload}\n");
-        let file = parse_jobs(&capped).expect("parses");
-        assert!(matches!(
-            file.check_fleet_budget(1 << 20).map_err(ArgError::Spec),
-            Err(ArgError::Spec(SpecError::TenantBudgetExceedsFleet { .. }))
-        ));
     }
 }

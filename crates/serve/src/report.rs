@@ -7,12 +7,10 @@
 //! count or host. That property is what the determinism suite and the
 //! CI `t1` vs `t4` byte-diff assert.
 
-use superpin::{SuperPinReport, TenantCounters};
-use superpin_replay::json::report_to_json;
+use superpin::{json, SuperPinReport, TenantCounters};
+use superpin_replay::json::write_report;
 use superpin_replay::FleetEvent;
 use superpin_workloads::Scale;
-
-use crate::spec::scale_name;
 
 /// One completed job.
 #[derive(Clone, Debug)]
@@ -41,23 +39,22 @@ pub struct JobOutcome {
 
 impl JobOutcome {
     /// The outcome as one deterministic JSON line (fixed field order;
-    /// the embedded report uses the `.splog` JSON codec).
+    /// the embedded report is `spin-replay`'s report JSON).
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"job\":{},\"tenant\":\"{}\",\"workload\":\"{}\",\"scale\":\"{}\",\
-             \"tool\":\"{}\",\"arrive\":{},\"complete\":{},\"turnaround\":{},\
-             \"degraded\":{},\"report\":{}}}",
-            self.job,
-            self.tenant,
-            self.workload,
-            scale_name(self.scale),
-            self.tool,
-            self.arrive,
-            self.complete,
-            self.turnaround,
-            self.degraded,
-            report_to_json(&self.report),
-        )
+        let mut w = json::object();
+        w.uint("job", self.job.into())
+            .string("tenant", &self.tenant)
+            .string("workload", &self.workload)
+            .string("scale", self.scale.name())
+            .string("tool", &self.tool)
+            .uint("arrive", self.arrive)
+            .uint("complete", self.complete)
+            .uint("turnaround", self.turnaround)
+            .boolean("degraded", self.degraded)
+            .key("report")
+            .object();
+        write_report(&mut w, &self.report);
+        w.finish()
     }
 }
 
@@ -131,7 +128,7 @@ impl ServiceReport {
                 o.job,
                 o.tenant,
                 o.workload,
-                scale_name(o.scale),
+                o.scale.name(),
                 o.tool,
                 o.arrive,
                 o.complete,
@@ -153,5 +150,70 @@ impl ServiceReport {
         turnarounds.sort_unstable();
         let rank = ((pct / 100.0) * turnarounds.len() as f64).ceil() as usize;
         turnarounds[rank.clamp(1, turnarounds.len()) - 1]
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use superpin::TimeBreakdown;
+    use superpin_vm::ptrace::PtraceStats;
+
+    fn outcome(tenant: &str) -> JobOutcome {
+        JobOutcome {
+            job: 2,
+            tenant: tenant.to_owned(),
+            workload: "gcc".to_owned(),
+            scale: Scale::Tiny,
+            tool: "icount1".to_owned(),
+            arrive: 10,
+            complete: 40,
+            turnaround: 30,
+            degraded: false,
+            report: SuperPinReport {
+                total_cycles: 1,
+                master_exit_cycles: 1,
+                breakdown: TimeBreakdown::default(),
+                master_insts: 1,
+                master_syscalls: 0,
+                ptrace: PtraceStats::default(),
+                slices: Vec::new(),
+                sig_stats: Default::default(),
+                forks_on_timeout: 0,
+                forks_on_syscall: 0,
+                stall_events: 0,
+                master_cow_copies: 0,
+                epochs: 1,
+                slice_retries: 0,
+                slices_degraded: 0,
+                peak_resident_bytes: 0,
+                slices_deferred: 0,
+                checkpoints_dropped: 0,
+                caches_evicted: 0,
+            },
+        }
+    }
+
+    #[test]
+    fn tenant_names_are_escaped_in_the_outcome_line() {
+        let line = outcome("a\"b\\c").to_json();
+        assert!(line.contains("\"tenant\":\"a\\\"b\\\\c\","), "{line}");
+    }
+
+    #[test]
+    fn a_plain_outcome_line_keeps_its_bytes() {
+        let line = outcome("alpha").to_json();
+        assert!(
+            line.starts_with(
+                "{\"job\":2,\"tenant\":\"alpha\",\"workload\":\"gcc\",\"scale\":\"tiny\",\
+                 \"tool\":\"icount1\",\"arrive\":10,\"complete\":40,\"turnaround\":30,\
+                 \"degraded\":false,\"report\":{\"total_cycles\":1,"
+            ),
+            "{line}"
+        );
+        assert!(
+            line.ends_with("\"caches_evicted\":0,\"slices\":[]}}"),
+            "{line}"
+        );
     }
 }

@@ -20,6 +20,7 @@
 
 use std::fmt;
 
+use superpin::cli::parse_bytes;
 use superpin_workloads::Scale;
 
 /// One tenant: a name, a fair-share weight, and an optional resident
@@ -209,44 +210,6 @@ impl fmt::Display for SpecError {
 
 impl std::error::Error for SpecError {}
 
-/// Parses a byte count with an optional binary `k`/`m`/`g` suffix
-/// (case-insensitive), matching the `superpin` CLI's `--mem-budget`
-/// grammar: `64m` → 64 MiB.
-pub fn parse_bytes(text: &str) -> Option<u64> {
-    let lower = text.trim().to_ascii_lowercase();
-    let (digits, mult) = if let Some(digits) = lower.strip_suffix('k') {
-        (digits, 1u64 << 10)
-    } else if let Some(digits) = lower.strip_suffix('m') {
-        (digits, 1u64 << 20)
-    } else if let Some(digits) = lower.strip_suffix('g') {
-        (digits, 1u64 << 30)
-    } else {
-        (lower.as_str(), 1u64)
-    };
-    digits.parse::<u64>().ok()?.checked_mul(mult)
-}
-
-/// Parses a workload scale name.
-pub fn parse_scale(text: &str) -> Option<Scale> {
-    match text {
-        "tiny" => Some(Scale::Tiny),
-        "small" => Some(Scale::Small),
-        "medium" => Some(Scale::Medium),
-        "large" => Some(Scale::Large),
-        _ => None,
-    }
-}
-
-/// The scale's wire name (inverse of [`parse_scale`]).
-pub fn scale_name(scale: Scale) -> &'static str {
-    match scale {
-        Scale::Tiny => "tiny",
-        Scale::Small => "small",
-        Scale::Medium => "medium",
-        Scale::Large => "large",
-    }
-}
-
 /// Splits one directive line into `key=value` fields, rejecting bare
 /// words.
 fn fields(line: usize, rest: &[&str]) -> Result<Vec<(String, String)>, SpecError> {
@@ -377,12 +340,13 @@ pub fn parse_jobs(text: &str) -> Result<JobFile, SpecError> {
                             workload = Some(value);
                         }
                         "scale" => {
-                            scale = parse_scale(&value).ok_or_else(|| SpecError::InvalidValue {
-                                line,
-                                field: "scale",
-                                value: value.clone(),
-                                expected: "tiny|small|medium|large",
-                            })?;
+                            scale =
+                                Scale::parse(&value).ok_or_else(|| SpecError::InvalidValue {
+                                    line,
+                                    field: "scale",
+                                    value: value.clone(),
+                                    expected: Scale::CHOICES,
+                                })?;
                         }
                         "tool" => {
                             if !superpin_tools::SERVE_TOOL_NAMES.contains(&value.as_str()) {
@@ -649,15 +613,5 @@ mod tests {
                 fleet: 1 << 20,
             })
         );
-    }
-
-    #[test]
-    fn bytes_grammar_matches_the_superpin_cli() {
-        assert_eq!(parse_bytes("4096"), Some(4096));
-        assert_eq!(parse_bytes("8k"), Some(8 << 10));
-        assert_eq!(parse_bytes("64M"), Some(64 << 20));
-        assert_eq!(parse_bytes("2g"), Some(2 << 30));
-        assert_eq!(parse_bytes("banana"), None);
-        assert_eq!(parse_bytes(""), None);
     }
 }

@@ -56,7 +56,7 @@ fn assert_identical(a: &ServiceReport, b: &ServiceReport, what: &str) {
         let jb = ob.to_json();
         // Field-by-field first for a readable failure, then the full
         // byte equality the CI diff asserts.
-        if let Some(field) = first_report_difference(&ja, &jb) {
+        if let Some(field) = first_report_difference(&oa.report, &ob.report) {
             panic!("{what}: job {} report field `{field}` differs", oa.job);
         }
         assert_eq!(ja, jb, "{what}: job {} outcome bytes differ", oa.job);
@@ -176,13 +176,11 @@ fn chaos_domains_are_per_tenant() {
         &config(1, chaos, None),
     )
     .expect("big fleet");
-    let alpha_small = small.outcomes[0].to_json();
-    let alpha_big = big.outcomes[0].to_json();
     // Scheduling times differ (beta shares rounds), but alpha's
     // *report* — everything the guest and its faults determine — must
     // not.
     assert_eq!(
-        first_report_difference(&alpha_small, &alpha_big),
+        first_report_difference(&small.outcomes[0].report, &big.outcomes[0].report),
         None,
         "tenant alpha's report changed when tenant beta joined the fleet"
     );

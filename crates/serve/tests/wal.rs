@@ -60,11 +60,15 @@ fn recipe(text: &str, cfg: &FleetConfig) -> FleetRecipe {
 fn assert_identical(a: &ServiceReport, b: &ServiceReport, what: &str) {
     assert_eq!(a.events, b.events, "{what}: decision traces differ");
     for (oa, ob) in a.outcomes.iter().zip(&b.outcomes) {
-        let (ja, jb) = (oa.to_json(), ob.to_json());
-        if let Some(field) = first_report_difference(&ja, &jb) {
+        if let Some(field) = first_report_difference(&oa.report, &ob.report) {
             panic!("{what}: job {} report field `{field}` differs", oa.job);
         }
-        assert_eq!(ja, jb, "{what}: job {} outcome bytes differ", oa.job);
+        assert_eq!(
+            oa.to_json(),
+            ob.to_json(),
+            "{what}: job {} outcome bytes differ",
+            oa.job
+        );
     }
     assert_eq!(a.rounds, b.rounds, "{what}: round counts differ");
     assert_eq!(

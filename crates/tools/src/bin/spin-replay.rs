@@ -24,7 +24,8 @@
 //! simulator error, 2 on usage or I/O errors and unreadable preambles.
 
 use std::process::ExitCode;
-use superpin::{FailPlan, SharedMem};
+use superpin::cli::{chaos_plan, ArgError, Args};
+use superpin::SharedMem;
 use superpin_replay::container::SPLOG;
 use superpin_replay::fsck;
 use superpin_replay::json::report_to_json;
@@ -57,9 +58,10 @@ record options:
   --threads <n>        host threads (default 1)
   --spmsec <n>         timeslice in paper milliseconds (default 2000)
   --spmp <n>           max running slices (default 8)
-  --chaos-seed <n>     arm fault injection with this seed
+  --chaos-seed <n>     arm fault injection with this seed (default 1
+                       when only --chaos-rate is given)
   --chaos-rate <r>     fault rate in [0,1] (default 0.01 when armed)
-  --mem-budget <bytes> arm the memory governor
+  --mem-budget <bytes> arm the memory governor; k/m/g suffixes (64m)
   --supervise          arm the slice supervisor (implied by chaos)
   --plan               install the superblock plan (refined liveness)
   --tag <str>          free-form provenance tag stored in the header
@@ -71,20 +73,10 @@ common options:
   --emit-report <path> write the (recorded / replayed) report as JSON
   --help               show this help";
 
-fn fail(message: &str) -> ExitCode {
+fn fail(message: impl std::fmt::Display) -> ExitCode {
     eprintln!("spin-replay: {message}");
     eprintln!("{USAGE}");
     ExitCode::from(2)
-}
-
-fn parse_scale(text: &str) -> Option<Scale> {
-    match text {
-        "tiny" => Some(Scale::Tiny),
-        "small" => Some(Scale::Small),
-        "medium" => Some(Scale::Medium),
-        "large" => Some(Scale::Large),
-        _ => None,
-    }
 }
 
 fn load_log(path: &str) -> Result<ReplayLog, String> {
@@ -111,7 +103,7 @@ fn main() -> ExitCode {
         "replay" => cmd_replay(&args[1..]),
         "diff" => cmd_diff(&args[1..]),
         "fsck" => cmd_fsck(&args[1..]),
-        other => fail(&format!("unknown verb `{other}`")),
+        other => fail(format!("unknown verb `{other}`")),
     }
 }
 
@@ -121,84 +113,38 @@ struct RecordArgs {
     emit_report: Option<String>,
 }
 
-fn parse_record_args(args: &[String]) -> Result<RecordArgs, String> {
-    let mut workload = None;
-    let mut out = None;
-    let mut emit_report = None;
-    let mut scale = Scale::Tiny;
-    let mut input = 0u64;
-    let mut tool = "icount1".to_string();
-    let mut threads = 1usize;
-    let mut spmsec = 2000u64;
-    let mut spmp = 8usize;
-    let mut chaos_seed = None;
-    let mut chaos_rate = 0.01f64;
-    let mut mem_budget = None;
-    let mut supervise = false;
-    let mut plan = false;
-    let mut tag = String::new();
-
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        let mut value = |what: &str| {
-            iter.next()
-                .cloned()
-                .ok_or_else(|| format!("{what} needs a value"))
-        };
-        match arg.as_str() {
-            "-o" => out = Some(value("-o")?),
-            "-t" => tool = value("-t")?,
-            "--scale" => {
-                let text = value("--scale")?;
-                scale = parse_scale(&text).ok_or_else(|| format!("unknown scale `{text}`"))?;
+fn parse_record_args(args: &[String]) -> Result<RecordArgs, ArgError> {
+    let mut recipe = RunRecipe::standard("", Scale::Tiny);
+    let (mut out, mut emit_report) = (None, None);
+    let (mut chaos_seed, mut chaos_rate) = (None, None);
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "-o" => out = Some(args.text("-o")?.to_owned()),
+            "-t" => recipe.tool = args.text("-t")?.to_owned(),
+            "--scale" => recipe.scale = args.parse_with("--scale", Scale::CHOICES, Scale::parse)?,
+            "--input" => recipe.input = args.value("--input", "a workload input id")?,
+            "--threads" => recipe.threads = args.threads()?,
+            "--spmsec" => recipe.spmsec = args.value("--spmsec", "milliseconds")?,
+            "--spmp" => recipe.spmp = args.value("--spmp", "a slice count")?,
+            "--chaos-seed" => chaos_seed = Some(args.value("--chaos-seed", "a seed integer")?),
+            "--chaos-rate" => chaos_rate = Some(args.probability("--chaos-rate")?),
+            "--mem-budget" => recipe.mem_budget = Some(args.bytes("--mem-budget")?),
+            "--supervise" => recipe.supervise = true,
+            "--plan" => recipe.plan = true,
+            "--tag" => recipe.tag = args.text("--tag")?.to_owned(),
+            "--emit-report" => emit_report = Some(args.text("--emit-report")?.to_owned()),
+            name if !name.starts_with('-') && recipe.name.is_empty() => {
+                recipe.name = name.to_owned()
             }
-            "--input" => input = value("--input")?.parse().map_err(|_| "bad --input")?,
-            "--threads" => threads = value("--threads")?.parse().map_err(|_| "bad --threads")?,
-            "--spmsec" => spmsec = value("--spmsec")?.parse().map_err(|_| "bad --spmsec")?,
-            "--spmp" => spmp = value("--spmp")?.parse().map_err(|_| "bad --spmp")?,
-            "--chaos-seed" => {
-                chaos_seed = Some(
-                    value("--chaos-seed")?
-                        .parse()
-                        .map_err(|_| "bad --chaos-seed")?,
-                )
-            }
-            "--chaos-rate" => {
-                chaos_rate = value("--chaos-rate")?
-                    .parse()
-                    .map_err(|_| "bad --chaos-rate")?
-            }
-            "--mem-budget" => {
-                mem_budget = Some(
-                    value("--mem-budget")?
-                        .parse()
-                        .map_err(|_| "bad --mem-budget")?,
-                )
-            }
-            "--supervise" => supervise = true,
-            "--plan" => plan = true,
-            "--tag" => tag = value("--tag")?,
-            "--emit-report" => emit_report = Some(value("--emit-report")?),
-            other if !other.starts_with('-') && workload.is_none() => {
-                workload = Some(other.to_string());
-            }
-            other => return Err(format!("unknown record option `{other}`")),
+            other => return Err(ArgError::UnknownFlag(other.to_owned())),
         }
     }
-
-    let workload = workload.ok_or("record needs a workload name")?;
-    let out = out.ok_or("record needs -o <path>")?;
-    let mut recipe = RunRecipe::standard(&workload, scale);
-    recipe.input = input;
-    recipe.tool = tool;
-    recipe.threads = threads.max(1);
-    recipe.spmsec = spmsec;
-    recipe.spmp = spmp;
-    recipe.chaos = chaos_seed.map(|seed| FailPlan::new(seed, chaos_rate));
-    recipe.mem_budget = mem_budget;
-    recipe.supervise = supervise;
-    recipe.plan = plan;
-    recipe.tag = tag;
+    if recipe.name.is_empty() {
+        return Err(ArgError::Rule("record needs a workload name".to_owned()));
+    }
+    let out = out.ok_or_else(|| ArgError::Rule("record needs -o <path>".to_owned()))?;
+    recipe.chaos = chaos_plan(chaos_seed, chaos_rate);
     Ok(RecordArgs {
         recipe,
         out,
@@ -209,13 +155,13 @@ fn parse_record_args(args: &[String]) -> Result<RecordArgs, String> {
 fn cmd_record(args: &[String]) -> ExitCode {
     let parsed = match parse_record_args(args) {
         Ok(parsed) => parsed,
-        Err(message) => return fail(&message),
+        Err(err) => return fail(err),
     };
     let shared = SharedMem::new();
     let recorded = match parsed.recipe.tool.as_str() {
         "icount1" => record_run(&parsed.recipe, ICount1::new(&shared), &shared),
         "icount2" => record_run(&parsed.recipe, ICount2::new(&shared), &shared),
-        other => return fail(&format!("unknown tool `{other}`")),
+        other => return fail(format!("unknown tool `{other}`")),
     };
     let log = match recorded {
         Ok(log) => log,
@@ -225,11 +171,11 @@ fn cmd_record(args: &[String]) -> ExitCode {
         }
     };
     if let Err(message) = write_file(&parsed.out, &log.encode()) {
-        return fail(&message);
+        return fail(message);
     }
     if let Some(path) = &parsed.emit_report {
         if let Err(message) = write_file(path, report_to_json(&log.report).as_bytes()) {
-            return fail(&message);
+            return fail(message);
         }
     }
     println!(
@@ -244,40 +190,38 @@ fn cmd_record(args: &[String]) -> ExitCode {
     ExitCode::SUCCESS
 }
 
-fn cmd_replay(args: &[String]) -> ExitCode {
-    let mut log_path = None;
-    let mut threads = 1usize;
-    let mut emit_report = None;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--threads" => match iter.next().and_then(|v| v.parse().ok()) {
-                Some(n) => threads = n,
-                None => return fail("bad --threads"),
-            },
-            "--emit-report" => match iter.next() {
-                Some(path) => emit_report = Some(path.clone()),
-                None => return fail("--emit-report needs a path"),
-            },
-            other if !other.starts_with('-') && log_path.is_none() => {
-                log_path = Some(other.to_string());
+/// `replay <log> [--threads N] [--emit-report PATH]`.
+fn parse_replay_args(args: &[String]) -> Result<(String, usize, Option<String>), ArgError> {
+    let (mut log_path, mut threads, mut emit_report) = (None, 1, None);
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--threads" => threads = args.threads()?,
+            "--emit-report" => emit_report = Some(args.text("--emit-report")?.to_owned()),
+            path if !path.starts_with('-') && log_path.is_none() => {
+                log_path = Some(path.to_owned())
             }
-            other => return fail(&format!("unknown replay option `{other}`")),
+            other => return Err(ArgError::UnknownFlag(other.to_owned())),
         }
     }
-    let log_path = match log_path {
-        Some(path) => path,
-        None => return fail("replay needs a log path"),
+    let log_path = log_path.ok_or_else(|| ArgError::Rule("replay needs a log path".to_owned()))?;
+    Ok((log_path, threads, emit_report))
+}
+
+fn cmd_replay(args: &[String]) -> ExitCode {
+    let (log_path, threads, emit_report) = match parse_replay_args(args) {
+        Ok(parsed) => parsed,
+        Err(err) => return fail(err),
     };
     let log = match load_log(&log_path) {
         Ok(log) => log,
-        Err(message) => return fail(&message),
+        Err(message) => return fail(message),
     };
     let shared = SharedMem::new();
     let replayed = match log.recipe.tool.as_str() {
-        "icount1" => replay_run(&log, threads.max(1), ICount1::new(&shared), &shared),
-        "icount2" => replay_run(&log, threads.max(1), ICount2::new(&shared), &shared),
-        other => return fail(&format!("log records unknown tool `{other}`")),
+        "icount1" => replay_run(&log, threads, ICount1::new(&shared), &shared),
+        "icount2" => replay_run(&log, threads, ICount2::new(&shared), &shared),
+        other => return fail(format!("log records unknown tool `{other}`")),
     };
     let report = match replayed {
         Ok(report) => report,
@@ -288,7 +232,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     };
     if let Some(path) = &emit_report {
         if let Err(message) = write_file(path, report_to_json(&report).as_bytes()) {
-            return fail(&message);
+            return fail(message);
         }
     }
     match verify_replay(&log, &report) {
@@ -296,10 +240,7 @@ fn cmd_replay(args: &[String]) -> ExitCode {
             println!(
                 "replay of {} verified: report identical to the recording \
                  (recorded threads={}, replayed threads={}, {} epochs)",
-                log.recipe.name,
-                log.recipe.threads,
-                threads.max(1),
-                report.epochs,
+                log.recipe.name, log.recipe.threads, threads, report.epochs,
             );
             ExitCode::SUCCESS
         }
@@ -317,7 +258,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     }
     let (log_a, log_b) = match (load_log(paths[0]), load_log(paths[1])) {
         (Ok(a), Ok(b)) => (a, b),
-        (Err(message), _) | (_, Err(message)) => return fail(&message),
+        (Err(message), _) | (_, Err(message)) => return fail(message),
     };
     let shared_a = SharedMem::new();
     let shared_b = SharedMem::new();
@@ -354,7 +295,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
             ICount2::new(&shared_b),
             &shared_b,
         ),
-        (a, b) => return fail(&format!("cannot diff tools `{a}` vs `{b}`")),
+        (a, b) => return fail(format!("cannot diff tools `{a}` vs `{b}`")),
     };
     match outcome {
         Ok(DiffOutcome::Identical { epochs }) => {
@@ -381,11 +322,11 @@ fn cmd_diff(args: &[String]) -> ExitCode {
 fn cmd_fsck(args: &[String]) -> ExitCode {
     let mut repair = false;
     let mut path = None;
-    for arg in args {
-        match arg.as_str() {
+    for arg in Args::new(args) {
+        match arg {
             "--repair" => repair = true,
-            other if !other.starts_with('-') && path.is_none() => path = Some(other.to_string()),
-            other => return fail(&format!("unknown fsck option `{other}`")),
+            other if !other.starts_with('-') && path.is_none() => path = Some(other.to_owned()),
+            other => return fail(ArgError::UnknownFlag(other.to_owned())),
         }
     }
     let Some(path) = path else {
@@ -393,7 +334,7 @@ fn cmd_fsck(args: &[String]) -> ExitCode {
     };
     let bytes = match std::fs::read(&path) {
         Ok(bytes) => bytes,
-        Err(err) => return fail(&format!("cannot read {path}: {err}")),
+        Err(err) => return fail(format!("cannot read {path}: {err}")),
     };
     let Some(format) = Format::sniff(&bytes) else {
         eprintln!(
@@ -463,6 +404,6 @@ fn cmd_fsck(args: &[String]) -> ExitCode {
             println!("  repaired: {} byte(s) -> {out}", salvaged.len());
             ExitCode::FAILURE // the original is still damaged
         }
-        Err(err) => fail(&format!("cannot write {out}: {err}")),
+        Err(err) => fail(format!("cannot write {out}: {err}")),
     }
 }

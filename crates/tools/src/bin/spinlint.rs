@@ -20,9 +20,10 @@
 //! input errors. Error-severity findings always force a nonzero exit,
 //! so CI can gate on the catalog staying lint-clean.
 
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
+use superpin::cli::{ArgError, Args};
+use superpin::json;
 use superpin_analysis::{run_lints, run_whole_program_lints, LintReport, Severity};
 use superpin_isa::{asm, Program};
 use superpin_workloads::{catalog, find, Scale};
@@ -51,7 +52,8 @@ struct Options {
     quiet: bool,
 }
 
-fn parse_args(args: &[String]) -> Result<Options, String> {
+/// The options, or `None` for `-h`/`--help`.
+fn parse_args(args: &[String]) -> Result<Option<Options>, ArgError> {
     let mut options = Options {
         files: Vec::new(),
         workloads: Vec::new(),
@@ -62,45 +64,27 @@ fn parse_args(args: &[String]) -> Result<Options, String> {
         emit_json: None,
         quiet: false,
     };
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--workload" => {
-                let name = iter.next().ok_or("--workload needs a name")?;
-                options.workloads.push(name.clone());
-            }
+    let mut args = Args::new(args);
+    while let Some(arg) = args.next() {
+        match arg {
+            "--workload" => options.workloads.push(args.text("--workload")?.to_owned()),
             "--all-workloads" => options.all_workloads = true,
             "--whole-program" => options.whole_program = true,
             "--scale" => {
-                options.scale = match iter.next().map(String::as_str) {
-                    Some("tiny") => Scale::Tiny,
-                    Some("small") => Scale::Small,
-                    Some("medium") => Scale::Medium,
-                    Some("large") => Scale::Large,
-                    Some(other) => return Err(format!("unknown scale `{other}`")),
-                    None => return Err("--scale needs a value".to_owned()),
-                };
+                options.scale = args.parse_with("--scale", Scale::CHOICES, Scale::parse)?
             }
-            "--input" => {
-                let raw = iter.next().ok_or("--input needs a value")?;
-                options.input = raw.parse().map_err(|_| format!("bad input id `{raw}`"))?;
-            }
-            "--emit-json" => {
-                let path = iter.next().ok_or("--emit-json needs a path")?;
-                options.emit_json = Some(path.clone());
-            }
+            "--input" => options.input = args.value("--input", "a workload input id")?,
+            "--emit-json" => options.emit_json = Some(args.text("--emit-json")?.to_owned()),
             "--quiet" => options.quiet = true,
-            "--help" | "-h" => return Err(String::new()),
-            other if other.starts_with('-') => {
-                return Err(format!("unknown option `{other}`"));
-            }
+            "--help" | "-h" => return Ok(None),
+            other if other.starts_with('-') => return Err(ArgError::UnknownFlag(other.to_owned())),
             file => options.files.push(file.to_owned()),
         }
     }
     if options.files.is_empty() && options.workloads.is_empty() && !options.all_workloads {
-        return Err("nothing to lint".to_owned());
+        return Err(ArgError::Rule("nothing to lint".to_owned()));
     }
-    Ok(options)
+    Ok(Some(options))
 }
 
 /// Lints one program; `None` means the analysis itself failed.
@@ -143,81 +127,50 @@ fn print_report(name: &str, report: &LintReport, quiet: bool) {
     );
 }
 
-/// Escapes a string for embedding in a JSON string literal.
-fn json_escape(raw: &str) -> String {
-    let mut out = String::with_capacity(raw.len());
-    for c in raw.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Serializes every report (the workspace's dependency policy has no
-/// JSON crate; the records are flat, so a hand-rolled emitter keeps the
-/// output machine-readable without a new dependency).
+/// Serializes every report through the shared JSON writer.
 fn reports_to_json(reports: &[(String, LintReport)], whole_program: bool) -> String {
-    let mut total_errors = 0usize;
-    let mut total_warnings = 0usize;
-    let mut out = String::from("{\"programs\":[");
-    for (i, (name, report)) in reports.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let (mut total_errors, mut total_warnings) = (0, 0);
+    let mut w = json::object();
+    w.key("programs").array();
+    for (name, report) in reports {
         total_errors += report.errors();
         total_warnings += report.warnings();
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"errors\":{},\"warnings\":{},\"infos\":{},\"clean\":{},\"findings\":[",
-            json_escape(name),
-            report.errors(),
-            report.warnings(),
-            report.infos(),
-            report.is_clean(),
-        );
-        for (j, finding) in report.findings().iter().enumerate() {
-            if j > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "{{\"kind\":\"{}\",\"severity\":\"{}\",\"addr\":{},\"message\":\"{}\"}}",
-                finding.kind.slug(),
-                finding.severity(),
-                finding.addr,
-                json_escape(&finding.message),
-            );
+        w.object()
+            .string("name", name)
+            .uint("errors", report.errors() as u64)
+            .uint("warnings", report.warnings() as u64)
+            .uint("infos", report.infos() as u64)
+            .boolean("clean", report.is_clean())
+            .key("findings")
+            .array();
+        for finding in report.findings() {
+            w.object()
+                .string("kind", finding.kind.slug())
+                .string("severity", &finding.severity().to_string())
+                .uint("addr", finding.addr)
+                .string("message", &finding.message)
+                .end();
         }
-        out.push_str("]}");
+        w.end().end();
     }
-    let _ = write!(
-        out,
-        "],\"whole_program\":{whole_program},\"total_errors\":{total_errors},\
-         \"total_warnings\":{total_warnings},\"clean\":{}}}",
-        total_errors == 0 && total_warnings == 0
-    );
-    out
+    w.end()
+        .boolean("whole_program", whole_program)
+        .uint("total_errors", total_errors as u64)
+        .uint("total_warnings", total_warnings as u64)
+        .boolean("clean", total_errors == 0 && total_warnings == 0);
+    w.finish()
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let options = match parse_args(&args) {
-        Ok(options) => options,
-        Err(message) => {
-            if message.is_empty() {
-                println!("{USAGE}");
-                return ExitCode::SUCCESS;
-            }
-            eprintln!("spinlint: {message}");
+        Ok(Some(options)) => options,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(err) => {
+            eprintln!("spinlint: {err}");
             eprintln!("{USAGE}");
             return ExitCode::from(2);
         }

@@ -63,6 +63,26 @@ pub enum Scale {
 }
 
 impl Scale {
+    /// The accepted spellings, for usage and error messages.
+    pub const CHOICES: &'static str = "tiny|small|medium|large";
+
+    /// The scale's command-line and wire name.
+    pub fn name(self) -> &'static str {
+        match self {
+            Scale::Tiny => "tiny",
+            Scale::Small => "small",
+            Scale::Medium => "medium",
+            Scale::Large => "large",
+        }
+    }
+
+    /// The scale a [`Scale::name`] names; `None` for anything else.
+    pub fn parse(text: &str) -> Option<Scale> {
+        [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Large]
+            .into_iter()
+            .find(|scale| scale.name() == text)
+    }
+
     /// Target dynamic instruction count.
     pub fn target_insts(self) -> u64 {
         match self {
@@ -521,5 +541,15 @@ mod tests {
         assert!(Scale::Tiny.target_insts() < Scale::Small.target_insts());
         assert!(Scale::Small.target_insts() < Scale::Medium.target_insts());
         assert!(Scale::Medium.target_insts() < Scale::Large.target_insts());
+    }
+
+    #[test]
+    fn every_scale_round_trips_through_its_name() {
+        for name in Scale::CHOICES.split('|') {
+            let scale = Scale::parse(name).expect("every listed choice parses");
+            assert_eq!(scale.name(), name);
+        }
+        assert_eq!(Scale::parse("huge"), None);
+        assert_eq!(Scale::parse(""), None);
     }
 }
