@@ -1,9 +1,9 @@
 //! The one on-disk container every SuperPin artefact is written in.
 //!
-//! `.splog` recordings, `SPFL` fleet logs and `SPWAL` fleet journals
-//! differ only in what their frames *mean*; the bytes around the
-//! payloads are the same, and this module is the only code that knows
-//! them (all integers little-endian):
+//! `.splog` recordings and `SPWAL` fleet journals differ only in what
+//! their frames *mean*; the bytes around the payloads are the same, and
+//! this module is the only code that knows them (all integers
+//! little-endian):
 //!
 //! ```text
 //! magic[5]             which kind of file (see [`FORMATS`])
@@ -19,13 +19,12 @@
 //! Reading goes through [`walk`], which never hard-fails past the
 //! preamble: it borrows every intact frame up to the first torn or
 //! corrupt one and reports where and how the file stops being readable
-//! ([`FrameDamage`]). Typed decoders ([`ReplayLog::decode`],
-//! [`FleetLog::decode`]) demand a [`Walk::complete`] walk and then
-//! decode payloads; the journal reader ([`salvage`]) layers commit
-//! markers on top; `spin-replay fsck` prints the same walk.
+//! ([`FrameDamage`]). The typed decoder [`ReplayLog::decode`] demands a
+//! [`Walk::complete`] walk and then decodes payloads; the journal
+//! reader ([`salvage`]) layers commit markers on top; `spin-replay
+//! fsck` prints the same walk.
 //!
 //! [`ReplayLog::decode`]: crate::ReplayLog::decode
-//! [`FleetLog::decode`]: crate::FleetLog::decode
 //! [`salvage`]: crate::wal::salvage
 
 use crate::wire::{put_u16, put_u32, put_u8, CodecError, Reader};
@@ -66,28 +65,18 @@ pub const SPLOG: Format = Format {
     end: 0x04,
 };
 
-/// A fleet log: one recipe, the scheduler's decision trace, the per-job
-/// outcome lines (see [`crate::fleet::FleetLog`]).
-pub const SPFL: Format = Format {
-    name: "SPFL",
-    magic: b"SPFL\0",
-    version: 2,
-    kinds: &["header", "event", "outcome", "end"],
-    end: 0x04,
-};
-
 /// A fleet journal: one recipe, then record/commit pairs (see
-/// [`crate::wal`]).
+/// [`crate::wal`] and [`crate::fleet`]).
 pub const SPWAL: Format = Format {
     name: "SPWAL",
     magic: b"SPWAL",
-    version: 1,
+    version: 2,
     kinds: &["header", "record", "commit", "end"],
     end: 0x04,
 };
 
 /// Every format this build knows.
-pub const FORMATS: [&Format; 3] = [&SPLOG, &SPFL, &SPWAL];
+pub const FORMATS: [&Format; 2] = [&SPLOG, &SPWAL];
 
 impl Format {
     /// The format whose magic `bytes` start with.

@@ -1,24 +1,26 @@
-//! Record/replay for **fleet** (multi-tenant service) runs.
+//! Record/replay for **fleet** (multi-tenant service) runs: what the
+//! `SPWAL` journal's payloads mean.
 //!
 //! A `spin-serve` run's nondeterministic surface is tiny by design:
 //! every scheduling decision — admission order, fair-share selection,
 //! eviction ladder walks, epoch interleaving — is a pure function of
-//! the job file and the fleet knobs. So the fleet log records exactly
-//! that: the verbatim job-spec text, the knobs, the decision event
-//! stream the scheduler emitted, and the final per-job outcome lines.
-//! Replay re-parses the stored spec, re-runs the fleet (at *any*
-//! `--threads`), and compares the fresh event stream and outcomes
-//! byte-for-byte against the log — the fleet analogue of the per-run
-//! `.splog` verification.
+//! the job file and the fleet knobs. So the journal records exactly
+//! that: a header with the verbatim job-spec text and the knobs
+//! ([`FleetRecipe`]), then one [`RoundFrame`] per settled round with
+//! the round's decisions and a CRC of every outcome line it completed.
+//! Resume and replay both re-parse the stored spec, re-run the fleet
+//! (at *any* `--threads`), and [`diff_round`]-check every re-executed
+//! round against its committed frame — the fleet analogue of the
+//! per-run `.splog` verification. Replay is the same read without a
+//! writer.
 
 use superpin_fault::FailPlan;
 
-use crate::container::{encode_frame, walk, FrameDamage, KIND_HEADER, SPFL};
+use crate::container::FrameDamage;
 use crate::wal::{salvage, WAL_FRAME_COMMIT, WAL_FRAME_END, WAL_FRAME_HEADER, WAL_FRAME_RECORD};
-use crate::wire::{put_bool, put_opt_u64, put_str, put_u32, put_u64, put_u8, CodecError, Reader};
-
-const FRAME_EVENT: u8 = 0x02;
-const FRAME_OUTCOME: u8 = 0x03;
+use crate::wire::{
+    put_bool, put_opt_u64, put_str, put_u32, put_u64, put_u8, put_vec, CodecError, Reader,
+};
 
 /// Everything needed to rebuild a fleet run's inputs: the job-spec
 /// text verbatim plus the CLI knobs that shape scheduling. The
@@ -41,8 +43,7 @@ pub struct FleetRecipe {
 }
 
 impl FleetRecipe {
-    /// Appends the recipe's wire form (the header frame of both the
-    /// SPFL log and the WAL).
+    /// Appends the recipe's wire form (the journal's header frame).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         put_str(out, &self.spec_text);
         put_u32(out, self.threads);
@@ -92,8 +93,8 @@ impl FleetRecipe {
 
 /// One scheduling decision at a fleet round barrier, stamped with the
 /// fleet virtual clock. The stream of these is the run's complete
-/// decision trace; two runs with equal traces and equal outcomes are
-/// the same run.
+/// decision trace; two runs with equal traces and equal outcome lines
+/// are the same run.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FleetEvent {
     /// A job was admitted; `budget` carries the clamp when the
@@ -131,8 +132,7 @@ pub enum FleetEvent {
     },
 }
 
-/// Appends one event's wire form (an SPFL event frame, or one entry
-/// of a WAL round frame).
+/// Appends one event's wire form (one entry of a round frame).
 fn put_fleet_event(out: &mut Vec<u8>, event: &FleetEvent) {
     match *event {
         FleetEvent::Admit {
@@ -202,126 +202,14 @@ fn get_fleet_event(reader: &mut Reader) -> Result<FleetEvent, CodecError> {
     })
 }
 
-/// A complete fleet log: recipe, decision trace, and the per-job
-/// outcome JSON lines in job order.
-#[derive(Clone, Debug, PartialEq)]
-pub struct FleetLog {
-    /// Inputs (see [`FleetRecipe`]).
-    pub recipe: FleetRecipe,
-    /// The scheduler's decision trace.
-    pub events: Vec<FleetEvent>,
-    /// Per-job outcome lines (deterministic JSON), job-id order.
-    pub outcomes: Vec<String>,
-}
-
-impl FleetLog {
-    /// Serializes the log: a header frame (the recipe), one frame per
-    /// event, one per outcome line, and the end frame.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = SPFL.preamble();
-        let mut payload = Vec::new();
-        self.recipe.encode_into(&mut payload);
-        encode_frame(&mut out, KIND_HEADER, &payload);
-        for event in &self.events {
-            payload.clear();
-            put_fleet_event(&mut payload, event);
-            encode_frame(&mut out, FRAME_EVENT, &payload);
-        }
-        for line in &self.outcomes {
-            encode_frame(&mut out, FRAME_OUTCOME, line.as_bytes());
-        }
-        encode_frame(&mut out, SPFL.end, &[]);
-        out
-    }
-
-    /// Decodes a log, rejecting unknown magic/version, torn or corrupt
-    /// frames, a missing header or end frame, and malformed payloads.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] describing the first fault.
-    pub fn decode(bytes: &[u8]) -> Result<FleetLog, CodecError> {
-        let walked = walk(bytes, &SPFL)?;
-        walked.complete()?;
-        let mut recipe = None;
-        let mut events = Vec::new();
-        let mut outcomes = Vec::new();
-        for frame in &walked.frames {
-            let mut payload = Reader::new(frame.payload);
-            match frame.kind {
-                KIND_HEADER => recipe = Some(FleetRecipe::decode_from(&mut payload)?),
-                FRAME_EVENT => events.push(get_fleet_event(&mut payload)?),
-                FRAME_OUTCOME => {
-                    let line = std::str::from_utf8(frame.payload).map_err(|_| CodecError::BadUtf8);
-                    outcomes.push(line?.to_owned());
-                }
-                _ => {} // the end frame `complete` vouched for
-            }
-        }
-        Ok(FleetLog {
-            recipe: recipe.ok_or(CodecError::BadHeader {
-                detail: "fleet log has no header frame".to_owned(),
-            })?,
-            events,
-            outcomes,
-        })
-    }
-}
-
-/// First divergence between a recorded fleet log and a fresh re-run's
-/// (events, outcomes); `None` means bit-identical. The description
-/// names the diverging event index or job line so a CI failure reads
-/// without opening the log.
-pub fn diff_fleet(
-    recorded: &FleetLog,
-    events: &[FleetEvent],
-    outcomes: &[String],
-) -> Option<String> {
-    for (index, (old, new)) in recorded.events.iter().zip(events.iter()).enumerate() {
-        if old != new {
-            return Some(format!(
-                "event {index}: recorded {old:?}, replay produced {new:?}"
-            ));
-        }
-    }
-    if recorded.events.len() != events.len() {
-        return Some(format!(
-            "event count: recorded {}, replay produced {}",
-            recorded.events.len(),
-            events.len()
-        ));
-    }
-    for (index, (old, new)) in recorded.outcomes.iter().zip(outcomes.iter()).enumerate() {
-        if old != new {
-            let width = old
-                .chars()
-                .zip(new.chars())
-                .take_while(|(a, b)| a == b)
-                .count();
-            return Some(format!(
-                "job {index} outcome diverges at byte {width}: recorded `{}`, replay `{}`",
-                &old[width.min(old.len())..(width + 40).min(old.len())],
-                &new[width.min(new.len())..(width + 40).min(new.len())],
-            ));
-        }
-    }
-    if recorded.outcomes.len() != outcomes.len() {
-        return Some(format!(
-            "outcome count: recorded {}, replay produced {}",
-            recorded.outcomes.len(),
-            outcomes.len()
-        ));
-    }
-    None
-}
-
 /// Everything one settled fleet round changed, journalled as one WAL
 /// record. Re-executing the fleet from round 0 and comparing each
 /// fresh frame against the committed one verifies — field by field —
 /// that the resumed run walks the recorded run's exact path:
 /// `selected`/`deltas` pin the fair-queue virtual times, `events`
-/// pin admissions/deferrals/evictions/completions, and `usages` pin
-/// the tenant ledger's posted residency.
+/// pin admissions/deferrals/evictions/completions, `usages` pin the
+/// tenant ledger's posted residency, and `outcomes` pin each completed
+/// job's outcome line by its CRC.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoundFrame {
     /// Round number (1-based, matching the service report's count).
@@ -337,6 +225,9 @@ pub struct RoundFrame {
     pub events: Vec<FleetEvent>,
     /// Post-settlement ledger usage per tenant, tenant-id order.
     pub usages: Vec<u64>,
+    /// [`crc32`](crate::crc32) of each job's outcome JSON line, one
+    /// per `Complete` event in `events`, in event order.
+    pub outcomes: Vec<u32>,
 }
 
 impl RoundFrame {
@@ -345,22 +236,11 @@ impl RoundFrame {
         let mut out = Vec::new();
         put_u64(&mut out, self.round);
         put_u64(&mut out, self.fleet_now);
-        put_u32(&mut out, self.selected.len() as u32);
-        for &id in &self.selected {
-            put_u32(&mut out, id);
-        }
-        put_u32(&mut out, self.deltas.len() as u32);
-        for &delta in &self.deltas {
-            put_u64(&mut out, delta);
-        }
-        put_u32(&mut out, self.events.len() as u32);
-        for event in &self.events {
-            put_fleet_event(&mut out, event);
-        }
-        put_u32(&mut out, self.usages.len() as u32);
-        for &usage in &self.usages {
-            put_u64(&mut out, usage);
-        }
+        put_vec(&mut out, &self.selected, |out, &id| put_u32(out, id));
+        put_vec(&mut out, &self.deltas, |out, &delta| put_u64(out, delta));
+        put_vec(&mut out, &self.events, put_fleet_event);
+        put_vec(&mut out, &self.usages, |out, &usage| put_u64(out, usage));
+        put_vec(&mut out, &self.outcomes, |out, &crc| put_u32(out, crc));
         out
     }
 
@@ -377,6 +257,7 @@ impl RoundFrame {
         let deltas = reader.vec("delta count", 8, |r| r.u64("delta"))?;
         let events = reader.vec("event count", MIN_EVENT_BYTES, get_fleet_event)?;
         let usages = reader.vec("usage count", 8, |r| r.u64("usage"))?;
+        let outcomes = reader.vec("outcome count", 4, |r| r.u32("outcome crc"))?;
         Ok(RoundFrame {
             round,
             fleet_now,
@@ -384,6 +265,7 @@ impl RoundFrame {
             deltas,
             events,
             usages,
+            outcomes,
         })
     }
 }
@@ -393,51 +275,37 @@ impl RoundFrame {
 /// exactly. Named fields keep a recovery failure readable without a
 /// hex dump.
 pub fn diff_round(expected: &RoundFrame, got: &RoundFrame) -> Option<String> {
+    fn differs<T: PartialEq + std::fmt::Debug>(what: &str, old: T, new: T) -> Option<String> {
+        (old != new).then(|| format!("{what}: committed {old:?}, re-executed {new:?}"))
+    }
     if expected == got {
         return None;
     }
-    if expected.round != got.round {
-        return Some(format!(
-            "round number: committed {}, re-executed {}",
-            expected.round, got.round
-        ));
-    }
-    if expected.selected != got.selected {
-        return Some(format!(
-            "selection: committed {:?}, re-executed {:?}",
-            expected.selected, got.selected
-        ));
-    }
-    if expected.deltas != got.deltas {
-        return Some(format!(
-            "charges: committed {:?}, re-executed {:?}",
-            expected.deltas, got.deltas
-        ));
-    }
-    if expected.fleet_now != got.fleet_now {
-        return Some(format!(
-            "fleet clock: committed {}, re-executed {}",
-            expected.fleet_now, got.fleet_now
-        ));
-    }
-    for (index, (old, new)) in expected.events.iter().zip(got.events.iter()).enumerate() {
-        if old != new {
-            return Some(format!(
-                "event {index}: committed {old:?}, re-executed {new:?}"
-            ));
-        }
-    }
-    if expected.events.len() != got.events.len() {
-        return Some(format!(
-            "event count: committed {}, re-executed {}",
-            expected.events.len(),
-            got.events.len()
-        ));
-    }
-    Some(format!(
-        "tenant usages: committed {:?}, re-executed {:?}",
-        expected.usages, got.usages
-    ))
+    let (old, new) = (expected, got);
+    // Outcomes are compared once the events agree, so the events'
+    // `Complete`s name the outcomes' jobs.
+    let completed = new.events.iter().filter_map(|event| match *event {
+        FleetEvent::Complete { job, .. } => Some(job),
+        _ => None,
+    });
+    differs("round number", old.round, new.round)
+        .or_else(|| differs("selection", &old.selected, &new.selected))
+        .or_else(|| differs("charges", &old.deltas, &new.deltas))
+        .or_else(|| differs("fleet clock", old.fleet_now, new.fleet_now))
+        .or_else(|| {
+            let mut events = old.events.iter().zip(&new.events).enumerate();
+            events.find_map(|(index, (a, b))| differs(&format!("event {index}"), a, b))
+        })
+        .or_else(|| differs("event count", old.events.len(), new.events.len()))
+        .or_else(|| differs("tenant usages", &old.usages, &new.usages))
+        .or_else(|| {
+            let mut crcs = completed.zip(old.outcomes.iter().zip(&new.outcomes));
+            let (job, (a, b)) = crcs.find(|(_, (a, b))| a != b)?;
+            Some(format!(
+                "job {job} outcome: committed crc {a:#010x}, re-executed {b:#010x}"
+            ))
+        })
+        .or_else(|| differs("outcome count", old.outcomes.len(), new.outcomes.len()))
 }
 
 /// The committed, replayable prefix recovered from a fleet WAL, plus a
@@ -452,8 +320,6 @@ pub struct FleetRecovery {
     /// Byte offset just past the last committed frame — the durable
     /// prefix to truncate to before appending anew.
     pub committed_len: usize,
-    /// Byte offset just past the last structurally intact frame.
-    pub valid_len: usize,
     /// The first damage found, if any (torn tail, CRC mismatch, or a
     /// structural violation such as an unpaired commit).
     pub damage: Option<FrameDamage>,
@@ -491,7 +357,6 @@ pub fn recover_fleet_wal(bytes: &[u8]) -> Result<FleetRecovery, CodecError> {
         recipe,
         rounds: Vec::new(),
         committed_len: header.end(),
-        valid_len: salvaged.valid_len,
         damage: salvaged.damage.clone(),
         clean_end: salvaged.clean_end,
         discarded: 0,
@@ -549,17 +414,26 @@ pub fn recover_fleet_wal(bytes: &[u8]) -> Result<FleetRecovery, CodecError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::container::{encode_frame, SPWAL};
 
-    fn sample() -> FleetLog {
-        FleetLog {
-            recipe: FleetRecipe {
-                spec_text: "tenant a weight=3\njob tenant=a workload=gcc\n".to_owned(),
-                threads: 4,
-                slots: 2,
-                fleet_budget: Some(1 << 20),
-                chaos: Some(FailPlan::new(3, 0.02)),
-                spmsec: 1000,
-            },
+    fn recipe() -> FleetRecipe {
+        FleetRecipe {
+            spec_text: "tenant a weight=3\njob tenant=a workload=gcc\n".to_owned(),
+            threads: 4,
+            slots: 2,
+            fleet_budget: Some(1 << 20),
+            chaos: Some(FailPlan::new(3, 0.02)),
+            spmsec: 1000,
+        }
+    }
+
+    /// One round with every kind of event and one completion.
+    fn sample() -> RoundFrame {
+        RoundFrame {
+            round: 3,
+            fleet_now: 9000,
+            selected: vec![0, 1],
+            deltas: vec![1500, 900],
             events: vec![
                 FleetEvent::Admit {
                     job: 0,
@@ -585,49 +459,21 @@ mod tests {
                     fleet_now: 9000,
                 },
             ],
-            outcomes: vec!["{\"job\":0}".to_owned(), "{\"job\":1}".to_owned()],
+            usages: vec![4096, 128],
+            outcomes: vec![0xDEAD_BEEF],
         }
     }
 
     #[test]
-    fn roundtrips() {
-        let log = sample();
-        let decoded = FleetLog::decode(&log.encode()).expect("decode");
-        assert_eq!(decoded, log);
-    }
-
-    #[test]
-    fn roundtrips_minimal() {
-        let log = FleetLog {
-            recipe: FleetRecipe {
-                spec_text: String::new(),
-                threads: 1,
-                slots: 1,
-                fleet_budget: None,
-                chaos: None,
-                spmsec: 1000,
-            },
-            events: Vec::new(),
-            outcomes: Vec::new(),
-        };
-        assert_eq!(FleetLog::decode(&log.encode()).expect("decode"), log);
-    }
-
-    #[test]
-    fn rejects_bad_magic_and_truncation() {
-        let bytes = sample().encode();
-        let mut bad = bytes.clone();
-        bad[0] = b'X';
-        assert!(matches!(
-            FleetLog::decode(&bad),
-            Err(CodecError::BadHeader { .. })
-        ));
-        for len in 0..bytes.len() {
-            assert!(
-                FleetLog::decode(&bytes[..len]).is_err(),
-                "prefix of {len} bytes decoded"
-            );
-        }
+    fn round_frames_and_recipes_round_trip() {
+        let frame = sample();
+        assert_eq!(RoundFrame::decode(&frame.encode()), Ok(frame));
+        let mut bytes = Vec::new();
+        recipe().encode_into(&mut bytes);
+        assert_eq!(
+            FleetRecipe::decode_from(&mut Reader::new(&bytes)),
+            Ok(recipe())
+        );
     }
 
     /// The 44 GB abort: count and length fields of `0xFFFF_FFFF`,
@@ -642,35 +488,39 @@ mod tests {
             deltas: vec![],
             events: vec![],
             usages: vec![],
+            outcomes: vec![],
         };
-        // round, fleet_now, then the four counts.
+        // round, fleet_now, then the five counts.
         for (offset, what) in [
             (16, "selection count"),
             (20, "delta count"),
             (24, "event count"),
             (28, "usage count"),
+            (32, "outcome count"),
         ] {
             let mut payload = round.encode();
             payload[offset..offset + 4].fill(0xFF);
             assert_eq!(RoundFrame::decode(&payload), Err(truncated(what)));
         }
 
-        // An SPFL whose header claims a 4 GiB spec text.
+        // A journal whose header claims a 4 GiB spec text.
         let mut header = Vec::new();
-        sample().recipe.encode_into(&mut header);
+        recipe().encode_into(&mut header);
         header[..4].fill(0xFF);
-        let mut log = SPFL.preamble();
-        encode_frame(&mut log, KIND_HEADER, &header);
-        encode_frame(&mut log, SPFL.end, &[]);
-        assert_eq!(FleetLog::decode(&log), Err(truncated("spec text")));
+        let mut wal = SPWAL.preamble();
+        encode_frame(&mut wal, WAL_FRAME_HEADER, &header);
+        assert_eq!(
+            recover_fleet_wal(&wal).map(drop),
+            Err(truncated("spec text"))
+        );
 
         // A journal whose committed record claims 4 Gi selections:
         // damage at that frame, not a failed recovery.
         let mut payload = round.encode();
         payload[16..20].fill(0xFF);
-        let mut wal = crate::container::SPWAL.preamble();
+        let mut wal = SPWAL.preamble();
         header.clear();
-        sample().recipe.encode_into(&mut header);
+        recipe().encode_into(&mut header);
         encode_frame(&mut wal, WAL_FRAME_HEADER, &header);
         let record_at = wal.len();
         encode_frame(&mut wal, WAL_FRAME_RECORD, &payload);
@@ -684,39 +534,32 @@ mod tests {
     }
 
     #[test]
-    fn a_flipped_bit_is_corruption_not_a_different_log() {
-        let bytes = sample().encode();
-        for index in crate::container::PREAMBLE_LEN..bytes.len() {
-            let mut flipped = bytes.clone();
-            flipped[index] ^= 0x10;
-            match FleetLog::decode(&flipped) {
-                Err(CodecError::Corrupt { offset, .. }) => assert!(offset <= index),
-                Err(CodecError::Truncated { .. }) => {} // a length field grew
-                other => panic!("byte {index}: {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn diff_pinpoints_first_divergence() {
-        let log = sample();
-        assert_eq!(diff_fleet(&log, &log.events, &log.outcomes), None);
-
-        let mut events = log.events.clone();
-        events[1] = FleetEvent::Defer {
-            job: 1,
-            fleet_now: 501,
+    fn diff_round_names_the_first_divergence() {
+        let committed = sample();
+        assert_eq!(diff_round(&committed, &committed), None);
+        let diverged = |change: fn(&mut RoundFrame)| {
+            let mut got = sample();
+            change(&mut got);
+            diff_round(&committed, &got).expect("diverges")
         };
-        let report = diff_fleet(&log, &events, &log.outcomes).expect("diverges");
+        let report = diverged(|f| f.deltas[1] += 1);
+        assert!(report.starts_with("charges:"), "{report}");
+        let report = diverged(|f| {
+            f.events[1] = FleetEvent::Defer {
+                job: 1,
+                fleet_now: 501,
+            }
+        });
         assert!(report.starts_with("event 1:"), "{report}");
-
-        let mut outcomes = log.outcomes.clone();
-        outcomes[1] = "{\"job\":9}".to_owned();
-        let report = diff_fleet(&log, &log.events, &outcomes).expect("diverges");
-        assert!(report.starts_with("job 1 outcome"), "{report}");
-
-        let short = &log.events[..3];
-        let report = diff_fleet(&log, short, &log.outcomes).expect("diverges");
+        let report = diverged(|f| f.events.truncate(4));
         assert!(report.starts_with("event count"), "{report}");
+        let report = diverged(|f| f.usages[0] = 0);
+        assert!(report.starts_with("tenant usages"), "{report}");
+        assert_eq!(
+            diverged(|f| f.outcomes[0] = 1),
+            "job 0 outcome: committed crc 0xdeadbeef, re-executed 0x00000001"
+        );
+        let report = diverged(|f| f.outcomes.clear());
+        assert!(report.starts_with("outcome count"), "{report}");
     }
 }

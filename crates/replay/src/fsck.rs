@@ -1,11 +1,11 @@
-//! The decisions behind `spin-replay fsck`, shared by all three
-//! containers: is this a whole file, and what can be saved of a damaged
-//! one. The frame walk ([`crate::container::walk`]) vouches for
-//! structure; the typed readers here vouch for payloads.
+//! The decisions behind `spin-replay fsck`, shared by both containers:
+//! is this a whole file, and what can be saved of a damaged one. The
+//! frame walk ([`crate::container::walk`]) vouches for structure; the
+//! typed readers here vouch for payloads.
 
-use crate::container::{encode_frame, Format, Walk, SPFL, SPLOG, SPWAL};
+use crate::container::{encode_frame, Format, Walk, SPLOG, SPWAL};
 use crate::wire::CodecError;
-use crate::{recover_fleet_wal, FleetLog, ReplayLog};
+use crate::{recover_fleet_wal, ReplayLog};
 
 /// Only the journal is written incrementally: a missing end frame
 /// means "still running" there, and "truncated" everywhere else.
@@ -17,13 +17,11 @@ pub fn is_journal(format: &Format) -> bool {
 ///
 /// # Errors
 ///
-/// Whatever keeps the file from being a whole recording, fleet log, or
+/// Whatever keeps the file from being a whole recording or a
 /// consistently committed journal.
 pub fn decode_whole(format: &Format, bytes: &[u8]) -> Result<(), CodecError> {
     if *format == SPLOG {
         ReplayLog::decode(bytes).map(drop)
-    } else if *format == SPFL {
-        FleetLog::decode(bytes).map(drop)
     } else {
         let unpaired = recover_fleet_wal(bytes)?.damage;
         unpaired.map_or(Ok(()), |damage| Err(damage.into()))

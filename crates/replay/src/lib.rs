@@ -20,18 +20,19 @@
 //! lockstep and bisects their first divergence to an epoch barrier,
 //! quantum window, and instruction range.
 //!
-//! Three kinds of file leave this crate — the `.splog` recording
-//! ([`log`]), the `SPFL` fleet log ([`fleet::FleetLog`]) and the
-//! `SPWAL` fleet journal ([`wal`]) — and all three are the same framed
-//! [`container`]: a magic + version preamble and CRC'd frames, read by
-//! one damage-tolerant [`container::walk`]. The typed decoders demand
-//! a complete walk and decode payloads with the bounds-checked
-//! [`wire::Reader`]; no byte of any file can panic or abort a reader.
+//! Two kinds of file leave this crate — the `.splog` recording
+//! ([`log`]) and the `SPWAL` fleet journal ([`wal`], payloads in
+//! [`fleet`]), which is both a fleet run's crash journal and its
+//! recording — and both are the same framed [`container`]: a magic +
+//! version preamble and CRC'd frames, read by one damage-tolerant
+//! [`container::walk`]. The typed readers decode payloads with the
+//! bounds-checked [`wire::Reader`]; no byte of any file can panic or
+//! abort a reader.
 //!
 //! The `spin-replay` CLI (in `superpin-tools`) fronts all of this:
 //! `record` emits a `.splog`, `replay` re-executes and verifies, `diff`
 //! pinpoints the first divergence between two logs, and `fsck` walks
-//! any of the three containers and can quarantine the intact prefix.
+//! either container and can quarantine the intact prefix.
 
 pub mod codec;
 pub mod container;
@@ -55,8 +56,7 @@ pub use differ::{DiffOutcome, DivergenceReport, RegDelta};
 pub use drive::{build_runner, record_run, replay_run, verify_replay, ReplayError};
 pub use events::{EventSink, EventStream};
 pub use fleet::{
-    diff_fleet, diff_round, recover_fleet_wal, FleetEvent, FleetLog, FleetRecipe, FleetRecovery,
-    RoundFrame,
+    diff_round, recover_fleet_wal, FleetEvent, FleetRecipe, FleetRecovery, RoundFrame,
 };
 pub use log::ReplayLog;
 pub use recipe::RunRecipe;

@@ -1,8 +1,8 @@
 //! The crash-durable fleet journal (`SPWAL`): a streaming writer and
 //! commit markers over the shared framed container.
 //!
-//! `.splog` and `SPFL` files are written in one shot at run end; a
-//! journal must survive being killed mid-write. The bytes are
+//! A `.splog` is written in one shot at run end; a journal must
+//! survive being killed mid-write. The bytes are
 //! [`crate::container`]'s — CRC frames a reader can walk up to the
 //! first tear — and this module adds what makes them a journal. Frame
 //! kinds: `0x01` Header (format-specific, first), `0x02` Record (one
@@ -533,6 +533,18 @@ mod tests {
         assert_eq!(salvaged.frames[0].payload, b"recipe");
         // The committed prefix excludes the end frame.
         assert!(salvaged.committed_len < salvaged.valid_len);
+    }
+
+    #[test]
+    fn a_v1_journal_is_a_bad_header() {
+        // v1 round frames carried no outcome CRCs; there is no v1 reader.
+        let (sink, _) = write_sample(FsyncPolicy::Off);
+        let bytes = sink.bytes();
+        let v1 = [&bytes[..5], &1u16.to_le_bytes(), &bytes[7..]].concat();
+        let Err(CodecError::BadHeader { detail }) = salvage(&v1) else {
+            panic!("a v1 journal must be a bad header");
+        };
+        assert_eq!(detail, "SPWAL version 1, this build reads 2 — re-record");
     }
 
     #[test]

@@ -99,6 +99,18 @@ pub fn put_str(out: &mut Vec<u8>, value: &str) {
     put_bytes(out, value.as_bytes());
 }
 
+/// Appends a `u32` count, then each item with `elem`: the list
+/// [`Reader::vec`] reads back.
+pub fn put_vec<T>(out: &mut Vec<u8>, items: &[T], mut elem: impl FnMut(&mut Vec<u8>, &T)) {
+    put_u32(
+        out,
+        u32::try_from(items.len()).expect("list under 4 Gi items"),
+    );
+    for item in items {
+        elem(out, item);
+    }
+}
+
 /// Appends an `Option<u64>` as a presence byte plus the value.
 pub fn put_opt_u64(out: &mut Vec<u8>, value: Option<u64>) {
     match value {

@@ -1,6 +1,6 @@
 //! Adversarial-input suite for the on-disk container, run over one
-//! sample of each kind of file written in it: a `.splog` recording, an
-//! `SPFL` fleet log and an `SPWAL` fleet journal.
+//! sample of each kind of file written in it: a `.splog` recording and
+//! an `SPWAL` fleet journal.
 //!
 //! One set of properties, checked by [`check_damaged`] for every
 //! mutation of every sample:
@@ -18,8 +18,8 @@
 
 use proptest::prelude::*;
 use superpin::FailPlan;
-use superpin_replay::container::{Format, SPFL, SPLOG, SPWAL};
-use superpin_replay::fleet::{recover_fleet_wal, FleetEvent, FleetLog, FleetRecipe, RoundFrame};
+use superpin_replay::container::{Format, SPLOG, SPWAL};
+use superpin_replay::fleet::{recover_fleet_wal, FleetEvent, FleetRecipe, RoundFrame};
 use superpin_replay::fsck::{decode_whole, is_journal, repair};
 use superpin_replay::wal::{salvage, FsyncPolicy, MemSink, WalWriter, WAL_FRAME_RECORD};
 use superpin_replay::{explain_decode_failure, walk, CodecError, FrameDamage};
@@ -55,6 +55,7 @@ fn sample_round(round: u64) -> RoundFrame {
             },
         ],
         usages: vec![round * 64, 128],
+        outcomes: vec![0x0C0F_FEE0 ^ round as u32],
     }
 }
 
@@ -114,32 +115,9 @@ fn sample_splog() -> Vec<u8> {
     .encode()
 }
 
-fn sample_fleet_log() -> Vec<u8> {
-    FleetLog {
-        recipe: sample_recipe(),
-        events: vec![
-            FleetEvent::Admit {
-                job: 0,
-                fleet_now: 0,
-                budget: None,
-            },
-            FleetEvent::Complete {
-                job: 0,
-                fleet_now: 900,
-            },
-        ],
-        outcomes: vec!["{\"job\":0}".to_owned()],
-    }
-    .encode()
-}
-
 /// One whole file of each kind.
-fn samples() -> [(&'static Format, Vec<u8>); 3] {
-    [
-        (&SPLOG, sample_splog()),
-        (&SPFL, sample_fleet_log()),
-        (&SPWAL, sample_wal()),
-    ]
+fn samples() -> [(&'static Format, Vec<u8>); 2] {
+    [(&SPLOG, sample_splog()), (&SPWAL, sample_wal())]
 }
 
 /// The shared properties of `damaged`, a mutation of the whole file
@@ -228,6 +206,7 @@ fn samples_are_whole() {
     let recovered = recover_fleet_wal(&sample_wal()).expect("recovers");
     assert_eq!(recovered.rounds.len(), 12);
     assert!(recovered.clean_end);
+    assert_eq!(recovered.rounds[4], sample_round(5));
 }
 
 /// Exhaustive truncation: every sample cut at *every* byte offset —
@@ -269,7 +248,7 @@ proptest! {
     }
 
     /// A flip and a cut together (the shape that used to abort the
-    /// SPFL reader with a 44 GB reservation).
+    /// fleet log reader with a 44 GB reservation).
     #[test]
     fn prop_survives_flip_then_truncation(
         pos in 0usize..8192,

@@ -2,26 +2,24 @@
 //!
 //! Reads a job file (tenants + jobs + arrival schedule), runs the
 //! whole mix over one governed fleet, and prints the deterministic
-//! summary. `--emit-reports` streams per-job outcome JSON lines;
-//! `--record` writes a fleet log; `--replay` re-runs a recorded fleet
-//! (at any `--threads`) and byte-verifies the decision trace and every
-//! outcome line against the log.
+//! summary. `--emit-reports` streams per-job outcome JSON lines.
 //!
 //! `--wal PATH` journals every settled round to a crash-durable
-//! write-ahead log; after a crash, `--resume PATH` salvages the
-//! committed prefix, re-executes it with verification, and continues
-//! the run live — the final output is byte-identical to an
-//! uninterrupted run. WAL and recovery status lines go to stderr so
-//! stdout stays deterministic.
-
-use std::io::Read;
+//! write-ahead log, which is also the run's one recording. After a
+//! crash, `--resume PATH` salvages the committed prefix, re-executes it
+//! with verification, and continues the run live — the final output is
+//! byte-identical to an uninterrupted run. `--replay PATH` is `--resume`
+//! without a writer: it re-runs a finished journal (at any `--threads`),
+//! verifies every committed round — decisions, charges, usages and a
+//! CRC of each outcome line — and never writes the file. WAL and
+//! recovery status lines go to stderr so stdout stays deterministic.
 
 use superpin::cli::{chaos_plan, ArgError, Args};
-use superpin_replay::container::{explain_decode_failure, FrameDamage, SPFL};
-use superpin_replay::fleet::{diff_fleet, recover_fleet_wal, FleetLog, FleetRecipe};
+use superpin_replay::container::FrameDamage;
+use superpin_replay::fleet::{recover_fleet_wal, FleetRecipe, FleetRecovery};
 use superpin_replay::wal::{atomic_write, FsyncPolicy, WalCause, WalIoError, WalOp};
 use superpin_serve::durable::{Durability, FleetWal};
-use superpin_serve::{parse_jobs, run_service, run_service_durable, FleetConfig};
+use superpin_serve::{parse_jobs, run_service_durable, FleetConfig, JobFile, ServiceReport};
 
 #[derive(Debug, PartialEq)]
 struct Options {
@@ -33,23 +31,22 @@ struct Options {
     chaos_rate: Option<f64>,
     spmsec: u64,
     emit_reports: Option<String>,
-    record: Option<String>,
     replay: Option<String>,
     wal: Option<String>,
     resume: Option<String>,
     wal_fsync: FsyncPolicy,
-    /// Flags seen that `--resume` refuses (the WAL header fixes them).
-    resume_conflicts: Vec<&'static str>,
+    /// Flags seen that `--resume` or `--replay` refuse.
+    journal_conflicts: Vec<&'static str>,
 }
 
 fn usage() -> ! {
     eprintln!(
         "usage: spin-serve --jobs FILE|- [--threads N] [--fleet-slots N] \
          [--fleet-budget BYTES[k|m|g]] [--chaos-seed N] [--chaos-rate F] [--spmsec MSEC] \
-         [--emit-reports PATH] [--record LOG] [--wal PATH] [--wal-fsync commit|off|every=N]\n\
-         \x20      spin-serve --replay LOG [--threads N]\n\
+         [--emit-reports PATH] [--wal PATH] [--wal-fsync commit|off|every=N]\n\
          \x20      spin-serve --resume WAL [--threads N] [--emit-reports PATH] \
          [--wal-fsync commit|off|every=N]\n\
+         \x20      spin-serve --replay WAL [--threads N] [--emit-reports PATH]\n\
          job file lines: `tenant NAME weight=N [budget=BYTES]` and\n\
          `job tenant=NAME workload=NAME [scale=S] [tool=T] [arrive=CYCLES] \
          [mem-budget=BYTES] [chaos-rate=F] [plan=on|off]`"
@@ -67,14 +64,14 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         chaos_rate: None,
         spmsec: 1000,
         emit_reports: None,
-        record: None,
         replay: None,
         wal: None,
         resume: None,
         wal_fsync: FsyncPolicy::EveryCommit,
-        resume_conflicts: Vec::new(),
+        journal_conflicts: Vec::new(),
     };
-    // Flags the WAL header fixes; `--resume` rejects them on sight.
+    // Flags the WAL header fixes, which `--resume` and `--replay` reject
+    // on sight, and `--wal-fsync`, which only `--replay` rejects.
     const FIXED_BY_WAL_HEADER: &[&str] = &[
         "--jobs",
         "--fleet-slots",
@@ -82,14 +79,13 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
         "--chaos-seed",
         "--chaos-rate",
         "--spmsec",
-        "--record",
-        "--replay",
         "--wal",
+        "--wal-fsync",
     ];
     let mut args = Args::new(args);
     while let Some(arg) = args.next() {
         if let Some(&flag) = FIXED_BY_WAL_HEADER.iter().find(|&&flag| flag == arg) {
-            options.resume_conflicts.push(flag);
+            options.journal_conflicts.push(flag);
         }
         match arg {
             "--jobs" => options.jobs = Some(args.text("--jobs")?.to_owned()),
@@ -111,7 +107,6 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
             "--emit-reports" => {
                 options.emit_reports = Some(args.text("--emit-reports")?.to_owned())
             }
-            "--record" => options.record = Some(args.text("--record")?.to_owned()),
             "--replay" => options.replay = Some(args.text("--replay")?.to_owned()),
             "--wal" => options.wal = Some(args.text("--wal")?.to_owned()),
             "--resume" => options.resume = Some(args.text("--resume")?.to_owned()),
@@ -122,33 +117,43 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
             other => return Err(ArgError::UnknownFlag(other.to_owned())),
         }
     }
-    if options.record.is_some() && options.replay.is_some() {
-        return Err(ArgError::Rule(
-            "`--record` and `--replay` are mutually exclusive".to_owned(),
-        ));
-    }
-    if let (Some(_), Some(flag)) = (&options.resume, options.resume_conflicts.first()) {
+    let (mode, varies) = match (&options.replay, &options.resume) {
+        (Some(_), Some(_)) => {
+            return Err(ArgError::Rule(
+                "`--replay` and `--resume` are mutually exclusive".to_owned(),
+            ))
+        }
+        (Some(_), None) => ("replay", "`--threads` and `--emit-reports`"),
+        (None, Some(_)) => ("resume", "`--threads`, `--emit-reports`, and `--wal-fsync`"),
+        (None, None) if options.jobs.is_none() => {
+            return Err(ArgError::Rule(
+                "a job file is required: `--jobs FILE` (or `-` for stdin), `--resume WAL`, \
+                 or `--replay WAL`"
+                    .to_owned(),
+            ))
+        }
+        (None, None) => return Ok(options),
+    };
+    let refused = options
+        .journal_conflicts
+        .iter()
+        .find(|&&flag| mode == "replay" || flag != "--wal-fsync");
+    if let Some(&flag) = refused {
+        let why = match flag {
+            "--wal-fsync" => "replay never writes the journal",
+            _ => "the WAL header already fixes that knob",
+        };
         return Err(ArgError::Rule(format!(
-            "`{flag}` cannot accompany `--resume`: the WAL header already fixes that \
-             knob (only `--threads`, `--emit-reports`, and `--wal-fsync` may vary on resume)"
+            "`{flag}` cannot accompany `--{mode}`: {why} (only {varies} may vary on {mode})"
         )));
-    }
-    if options.jobs.is_none() && options.replay.is_none() && options.resume.is_none() {
-        return Err(ArgError::Rule(
-            "a job file is required: `--jobs FILE` (or `-` for stdin), or `--replay LOG`"
-                .to_owned(),
-        ));
     }
     Ok(options)
 }
 
 fn read_jobs(path: &str) -> std::io::Result<String> {
-    if path == "-" {
-        let mut text = String::new();
-        std::io::stdin().read_to_string(&mut text)?;
-        Ok(text)
-    } else {
-        std::fs::read_to_string(path)
+    match path {
+        "-" => std::io::read_to_string(std::io::stdin()),
+        _ => std::fs::read_to_string(path),
     }
 }
 
@@ -184,10 +189,135 @@ fn report_wal_status(dur: &Durability) {
 /// Streams per-job outcome JSON lines to `path`, atomically: a crash
 /// mid-write leaves either the old file or the new one, never a torn
 /// half.
-fn emit_reports(path: &str, report: &superpin_serve::ServiceReport) {
+fn emit_reports(path: &str, report: &ServiceReport) {
     atomic_write(path, report.jsonl().as_bytes())
         .unwrap_or_else(|err| fail(format_args!("writing {path}: {err}")));
     println!("reports: {} job lines -> {path}", report.outcomes.len());
+}
+
+/// Reads the journal at `path` and rebuilds the run it records, to
+/// execute at `threads`. Returns the file's length alongside.
+fn load_journal(path: &str, threads: usize) -> (usize, FleetRecovery, JobFile, FleetConfig) {
+    let bytes =
+        std::fs::read(path).unwrap_or_else(|err| fail(format_args!("reading {path}: {err}")));
+    let recovery = recover_fleet_wal(&bytes)
+        .unwrap_or_else(|err| fail(format_args!("recovering {path}: {err}")));
+    let file = parse_jobs(&recovery.recipe.spec_text)
+        .unwrap_or_else(|err| fail(format_args!("journalled spec: {err}")));
+    let cfg = FleetConfig {
+        threads,
+        slots: recovery.recipe.slots as usize,
+        fleet_budget: recovery.recipe.fleet_budget,
+        chaos: recovery.recipe.chaos,
+        spmsec: recovery.recipe.spmsec,
+    };
+    (bytes.len(), recovery, file, cfg)
+}
+
+/// `--replay`: `--resume` without a writer. Every committed round is
+/// re-executed and `diff_round`-checked; the journal is never written,
+/// so only a finished one can replay OK.
+fn replay(path: &str, options: &Options) {
+    let (_, recovery, file, cfg) = load_journal(path, options.threads);
+    let rounds = recovery.rounds.len() as u64;
+    let unfinished = |why: String| -> ! {
+        fail(format_args!(
+            "{path}: {why} after {rounds} committed round(s); `--resume` finishes an \
+             unfinished run"
+        ))
+    };
+    match &recovery.damage {
+        Some(damage) => unfinished(damage.to_string()),
+        None if !recovery.clean_end => unfinished("no end frame".to_owned()),
+        None => {}
+    }
+    let recorded_threads = recovery.recipe.threads;
+    let mut dur = Durability {
+        wal: None,
+        resume: recovery.rounds.into(),
+    };
+    let report = run_service_durable(&file, &cfg, &mut dur).unwrap_or_else(|err| fail(err));
+    if report.rounds > rounds {
+        unfinished(format!(
+            "the run settled {} more round(s)",
+            report.rounds - rounds
+        ));
+    }
+    if let Some(out) = &options.emit_reports {
+        emit_reports(out, &report);
+    }
+    println!(
+        "replay OK: {rounds} rounds, {} jobs verified (recorded at {recorded_threads} threads, \
+         replayed at {})",
+        report.outcomes.len(),
+        options.threads,
+    );
+}
+
+/// `--resume`: salvage the committed prefix, verify it by re-execution,
+/// and continue the run live on the same file.
+fn resume(path: &str, options: &Options) {
+    let (len, recovery, file, cfg) = load_journal(path, options.threads);
+    match &recovery.damage {
+        Some(FrameDamage::Torn { offset }) => eprintln!(
+            "spin-serve: recovery: {path}: truncated (salvageable, last committed round {}); \
+             torn frame at byte {offset}",
+            recovery.rounds.len()
+        ),
+        Some(FrameDamage::Corrupt { offset, detail }) => eprintln!(
+            "spin-serve: recovery: {path}: corrupt at offset {offset} ({detail}); salvaging {} \
+             committed round(s)",
+            recovery.rounds.len()
+        ),
+        None if recovery.clean_end => eprintln!(
+            "spin-serve: recovery: {path}: clean end frame; re-verifying {} committed round(s)",
+            recovery.rounds.len()
+        ),
+        None => eprintln!(
+            "spin-serve: recovery: {path}: in-progress log (no end frame), last committed \
+             round {}",
+            recovery.rounds.len()
+        ),
+    }
+    if recovery.committed_len < len {
+        eprintln!(
+            "spin-serve: recovery: discarding {} uncommitted frame(s), truncating {len} -> {} \
+             bytes",
+            recovery.discarded, recovery.committed_len
+        );
+    }
+    // Truncate the file to the durable prefix, then reopen it for
+    // appending: frames past the last commit marker are unterminated
+    // transactions and must not survive.
+    let rounds = recovery.rounds.len() as u64;
+    let sink = std::fs::OpenOptions::new()
+        .write(true)
+        .open(path)
+        .and_then(|file| {
+            file.set_len(recovery.committed_len as u64)?;
+            file.sync_data()?;
+            std::fs::OpenOptions::new().append(true).open(path)
+        })
+        .unwrap_or_else(|err| fail(format_args!("truncating {path}: {err}")));
+    // Frame/commit counters resume where the durable prefix ends
+    // (header + record/commit pair per round).
+    let wal = FleetWal::resume(
+        Box::new(sink),
+        options.wal_fsync,
+        None,
+        1 + 2 * rounds,
+        rounds,
+    );
+    let mut dur = Durability {
+        wal: Some(wal),
+        resume: recovery.rounds.into(),
+    };
+    let report = run_service_durable(&file, &cfg, &mut dur).unwrap_or_else(|err| fail(err));
+    print!("{}", report.render_text());
+    report_wal_status(&dur);
+    if let Some(out) = &options.emit_reports {
+        emit_reports(out, &report);
+    }
 }
 
 fn main() {
@@ -199,121 +329,11 @@ fn main() {
             usage();
         }
     };
-
-    if let Some(log_path) = &options.replay {
-        let bytes = std::fs::read(log_path)
-            .unwrap_or_else(|err| fail(format_args!("reading {log_path}: {err}")));
-        // A failed decode is explained by walking the same frames: a
-        // truncation (`spin-replay fsck --repair` can seal the intact
-        // prefix) reads very differently from a CRC mismatch.
-        let log = FleetLog::decode(&bytes).unwrap_or_else(|err| {
-            let why = explain_decode_failure(&bytes, &SPFL, &err);
-            fail(format_args!("decoding {log_path}: {why}"))
-        });
-        let file = parse_jobs(&log.recipe.spec_text)
-            .unwrap_or_else(|err| fail(format_args!("recorded spec: {err}")));
-        let cfg = FleetConfig {
-            threads: options.threads,
-            slots: log.recipe.slots as usize,
-            fleet_budget: log.recipe.fleet_budget,
-            chaos: log.recipe.chaos,
-            spmsec: log.recipe.spmsec,
-        };
-        let report = run_service(&file, &cfg).unwrap_or_else(|err| fail(err));
-        let outcomes: Vec<String> = report.outcomes.iter().map(|o| o.to_json()).collect();
-        match diff_fleet(&log, &report.events, &outcomes) {
-            None => println!(
-                "replay OK: {} events, {} jobs byte-identical (recorded at {} threads, \
-                 replayed at {})",
-                log.events.len(),
-                log.outcomes.len(),
-                log.recipe.threads,
-                options.threads,
-            ),
-            Some(divergence) => fail(format_args!("replay diverged: {divergence}")),
-        }
-        return;
+    if let Some(path) = &options.replay {
+        return replay(path, &options);
     }
-
-    if let Some(wal_path) = &options.resume {
-        let bytes = std::fs::read(wal_path)
-            .unwrap_or_else(|err| fail(format_args!("reading {wal_path}: {err}")));
-        let recovery = recover_fleet_wal(&bytes)
-            .unwrap_or_else(|err| fail(format_args!("recovering {wal_path}: {err}")));
-        match &recovery.damage {
-            Some(FrameDamage::Torn { offset }) => eprintln!(
-                "spin-serve: recovery: {wal_path}: truncated (salvageable, last committed \
-                 round {}); torn frame at byte {offset}",
-                recovery.rounds.len()
-            ),
-            Some(FrameDamage::Corrupt { offset, detail }) => eprintln!(
-                "spin-serve: recovery: {wal_path}: corrupt at offset {offset} ({detail}); \
-                 salvaging {} committed round(s)",
-                recovery.rounds.len()
-            ),
-            None if recovery.clean_end => eprintln!(
-                "spin-serve: recovery: {wal_path}: clean end frame; re-verifying {} \
-                 committed round(s)",
-                recovery.rounds.len()
-            ),
-            None => eprintln!(
-                "spin-serve: recovery: {wal_path}: in-progress log (no end frame), last \
-                 committed round {}",
-                recovery.rounds.len()
-            ),
-        }
-        if recovery.committed_len < bytes.len() {
-            eprintln!(
-                "spin-serve: recovery: discarding {} uncommitted frame(s), truncating \
-                 {} -> {} bytes",
-                recovery.discarded,
-                bytes.len(),
-                recovery.committed_len
-            );
-        }
-        let file = parse_jobs(&recovery.recipe.spec_text)
-            .unwrap_or_else(|err| fail(format_args!("journalled spec: {err}")));
-        let cfg = FleetConfig {
-            threads: options.threads,
-            slots: recovery.recipe.slots as usize,
-            fleet_budget: recovery.recipe.fleet_budget,
-            chaos: recovery.recipe.chaos,
-            spmsec: recovery.recipe.spmsec,
-        };
-        // Truncate the file to the durable prefix, then reopen it for
-        // appending: frames past the last commit marker are
-        // unterminated transactions and must not survive.
-        let rounds = recovery.rounds.len() as u64;
-        let sink = std::fs::OpenOptions::new()
-            .write(true)
-            .open(wal_path)
-            .and_then(|file| {
-                file.set_len(recovery.committed_len as u64)?;
-                file.sync_data()?;
-                std::fs::OpenOptions::new().append(true).open(wal_path)
-            })
-            .unwrap_or_else(|err| fail(format_args!("truncating {wal_path}: {err}")));
-        // Frame/commit counters resume where the durable prefix ends
-        // (header + record/commit pair per round), so rate-mode I/O
-        // chaos keyed on them continues the interrupted schedule.
-        let wal = FleetWal::resume(
-            Box::new(sink),
-            options.wal_fsync,
-            cfg.chaos,
-            1 + 2 * rounds,
-            rounds,
-        );
-        let mut dur = Durability {
-            wal: Some(wal),
-            resume: recovery.rounds.into(),
-        };
-        let report = run_service_durable(&file, &cfg, &mut dur).unwrap_or_else(|err| fail(err));
-        print!("{}", report.render_text());
-        report_wal_status(&dur);
-        if let Some(path) = &options.emit_reports {
-            emit_reports(path, &report);
-        }
-        return;
+    if let Some(path) = &options.resume {
+        return resume(path, &options);
     }
 
     let jobs_path = options.jobs.as_deref().expect("checked by parse_options");
@@ -340,21 +360,22 @@ fn main() {
         chaos: chaos_plan(options.chaos_seed, options.chaos_rate),
         spmsec: options.spmsec,
     };
-    let recipe = FleetRecipe {
-        spec_text,
-        threads: cfg.threads as u32,
-        slots: cfg.slots as u32,
-        fleet_budget: cfg.fleet_budget,
-        chaos: cfg.chaos,
-        spmsec: cfg.spmsec,
-    };
     let mut dur = match &options.wal {
         Some(path) => {
+            let recipe = FleetRecipe {
+                spec_text,
+                threads: cfg.threads as u32,
+                slots: cfg.slots as u32,
+                fleet_budget: cfg.fleet_budget,
+                chaos: cfg.chaos,
+                spmsec: cfg.spmsec,
+            };
             // A WAL that cannot even open degrades the run to
             // non-durable with a counted warning — durability is
-            // best-effort, jobs are not.
+            // best-effort, jobs are not. The guest chaos plan stays in
+            // the recipe and never arms the journal's own I/O sites.
             let wal = match std::fs::File::create(path) {
-                Ok(sink) => FleetWal::create(Box::new(sink), &recipe, options.wal_fsync, cfg.chaos)
+                Ok(sink) => FleetWal::create(Box::new(sink), &recipe, options.wal_fsync, None)
                     .unwrap_or_else(FleetWal::degraded_from),
                 Err(err) => FleetWal::degraded_from(WalIoError {
                     op: WalOp::Append,
@@ -375,16 +396,6 @@ fn main() {
 
     if let Some(path) = &options.emit_reports {
         emit_reports(path, &report);
-    }
-    if let Some(path) = &options.record {
-        let log = FleetLog {
-            recipe,
-            events: report.events.clone(),
-            outcomes: report.outcomes.iter().map(|o| o.to_json()).collect(),
-        };
-        atomic_write(path, &log.encode())
-            .unwrap_or_else(|err| fail(format_args!("writing {path}: {err}")));
-        println!("recorded: {} events -> {path}", report.events.len());
     }
 }
 
@@ -416,8 +427,6 @@ mod tests {
             "500",
             "--emit-reports",
             "out.jsonl",
-            "--record",
-            "fleet.spflog",
         ])
         .expect("parses");
         assert_eq!(options.jobs.as_deref(), Some("fleet.jobs"));
@@ -428,7 +437,6 @@ mod tests {
         assert_eq!(options.chaos_rate, Some(0.05));
         assert_eq!(options.spmsec, 500);
         assert_eq!(options.emit_reports.as_deref(), Some("out.jsonl"));
-        assert_eq!(options.record.as_deref(), Some("fleet.spflog"));
     }
 
     #[test]
@@ -437,7 +445,7 @@ mod tests {
         assert_eq!(options.threads, 1);
         assert_eq!(options.slots, 4);
         assert_eq!(options.fleet_budget, None);
-        assert_eq!(options.record, None);
+        assert_eq!(options.wal, None);
     }
 
     /// The message of the range or cross-flag rule `args` break.
@@ -488,8 +496,8 @@ mod tests {
     fn rejects_contradictory_modes() {
         assert!(rule(&["--threads", "2"]).starts_with("a job file is required"));
         assert_eq!(
-            rule(&["--jobs", "f", "--record", "a", "--replay", "b"]),
-            "`--record` and `--replay` are mutually exclusive"
+            rule(&["--replay", "a", "--resume", "b"]),
+            "`--replay` and `--resume` are mutually exclusive"
         );
     }
 
@@ -521,26 +529,36 @@ mod tests {
 
     #[test]
     fn resume_stands_alone() {
-        // Resume satisfies the job-file requirement by itself...
+        // Each satisfies the job-file requirement by itself...
         let options = parse(&["--resume", "cut.spwal", "--threads", "4"]).expect("parses");
         assert_eq!(options.resume.as_deref(), Some("cut.spwal"));
-        // ...and refuses every knob the WAL header already fixes.
-        for (flag, value) in [
+        let options =
+            parse(&["--replay", "done.spwal", "--emit-reports", "r.jsonl"]).expect("parses");
+        assert_eq!(options.replay.as_deref(), Some("done.spwal"));
+        assert_eq!(options.emit_reports.as_deref(), Some("r.jsonl"));
+        // ...and refuses every knob the WAL header already fixes;
+        // `--replay` also refuses `--wal-fsync`, since it never writes.
+        let fixed = [
             ("--jobs", "f"),
             ("--fleet-slots", "2"),
             ("--fleet-budget", "1m"),
             ("--chaos-seed", "3"),
             ("--chaos-rate", "0.1"),
             ("--spmsec", "500"),
-            ("--record", "a"),
-            ("--replay", "b"),
             ("--wal", "w"),
+        ];
+        for (mode, extra) in [
+            ("--resume", None),
+            ("--replay", Some(("--wal-fsync", "off"))),
         ] {
-            let message = rule(&["--resume", "cut.spwal", flag, value]);
-            assert!(
-                message.starts_with(&format!("`{flag}` cannot accompany `--resume`")),
-                "{flag} must conflict with --resume: {message}"
-            );
+            for (flag, value) in fixed.into_iter().chain(extra) {
+                let message = rule(&[mode, "cut.spwal", flag, value]);
+                assert!(
+                    message.starts_with(&format!("`{flag}` cannot accompany `{mode}`")),
+                    "{flag} must conflict with {mode}: {message}"
+                );
+            }
         }
+        parse(&["--resume", "cut.spwal", "--wal-fsync", "off"]).expect("resume may set fsync");
     }
 }

@@ -56,8 +56,8 @@ pub struct FleetWal {
 impl FleetWal {
     /// Opens a fresh WAL on `sink`: preamble plus a header frame
     /// carrying the recipe. The host-I/O fault sites arm from `chaos`
-    /// (the fleet-level plan — the WAL is fleet infrastructure, not a
-    /// tenant).
+    /// when one is given; `spin-serve` gives none, so a fleet's guest
+    /// chaos plan (stored in the recipe) never tears its own journal.
     ///
     /// # Errors
     ///
@@ -80,8 +80,8 @@ impl FleetWal {
     }
 
     /// Continues a salvaged WAL whose sink is already truncated to the
-    /// durable prefix. `frames`/`commits` prime the writer's fault-site
-    /// keys so rate-mode chaos schedules continue exactly where the
+    /// durable prefix. `frames`/`commits` prime the writer's counters
+    /// (and the fault-site keys of an armed `chaos` plan) where the
     /// interrupted process left off.
     pub fn resume(
         sink: Box<dyn WalSink>,
@@ -155,7 +155,9 @@ impl FleetWal {
 
 /// The durability context a fleet run executes under: an optional WAL
 /// to append to, and an optional committed prefix to verify against
-/// (resume). Both empty means a plain, non-durable run.
+/// (resume). Both empty means a plain, non-durable run; a prefix with
+/// no WAL is a replay, which verifies every committed round and writes
+/// nothing.
 #[derive(Default)]
 pub struct Durability {
     /// Journal for newly settled rounds.

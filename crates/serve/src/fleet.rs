@@ -48,7 +48,7 @@ use std::fmt;
 use superpin::governor::FORK_COST_BYTES;
 use superpin::{FailPlan, ProgramAnalysis, SpError, SuperPinConfig, TenantAdmission, TenantLedger};
 use superpin_dbi::CYCLES_PER_SEC;
-use superpin_replay::{diff_round, FleetEvent, RoundFrame};
+use superpin_replay::{crc32, diff_round, FleetEvent, RoundFrame};
 use superpin_sched::{FleetQueue, OrderedPool};
 use superpin_workloads::Scale;
 
@@ -101,7 +101,7 @@ impl Default for FleetConfig {
 }
 
 /// A fleet run failed: some job's simulator surfaced an error, or a
-/// resumed run diverged from its own committed journal.
+/// resumed or replayed run diverged from its committed journal.
 #[derive(Debug)]
 pub enum FleetError {
     /// The named job's runner failed.
@@ -111,9 +111,10 @@ pub enum FleetError {
         /// The underlying simulator error.
         source: SpError,
     },
-    /// Re-execution during `--resume` did not reproduce a round the
-    /// WAL holds as committed. The journal and the build disagree —
-    /// continuing would silently fork history, so this aborts.
+    /// Re-execution during `--resume` or `--replay` did not reproduce a
+    /// round the WAL holds as committed. The journal and the build
+    /// disagree — continuing would silently fork history, so this
+    /// aborts.
     WalDivergence {
         /// The 1-based round that failed verification.
         round: u64,
@@ -128,7 +129,7 @@ impl fmt::Display for FleetError {
             FleetError::Job { job, source } => write!(f, "job {job}: {source}"),
             FleetError::WalDivergence { round, detail } => write!(
                 f,
-                "resume diverged from the committed WAL at round {round}: {detail}"
+                "re-execution diverged from the committed WAL at round {round}: {detail}"
             ),
         }
     }
@@ -459,15 +460,25 @@ impl<'a> Fleet<'a> {
             self.events_mark = self.events.len();
             return Ok(());
         }
+        let events = self.events[self.events_mark..].to_vec();
+        let outcomes = events
+            .iter()
+            .filter_map(|event| match *event {
+                FleetEvent::Complete { job, .. } => self.outcomes[job as usize].as_ref(),
+                _ => None,
+            })
+            .map(|outcome| crc32(outcome.to_json().as_bytes()))
+            .collect();
         let frame = RoundFrame {
             round: self.rounds,
             fleet_now: self.fleet_now,
             selected: ids.to_vec(),
             deltas,
-            events: self.events[self.events_mark..].to_vec(),
+            events,
             usages: (0..self.file.tenants.len() as u32)
                 .map(|tenant| self.ledger.usage(tenant))
                 .collect(),
+            outcomes,
         };
         self.events_mark = self.events.len();
         if let Some(expected) = self.dur.resume.pop_front() {

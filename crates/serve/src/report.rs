@@ -84,7 +84,7 @@ pub struct ServiceReport {
     pub rounds: u64,
     /// Final fleet virtual time in cycles.
     pub fleet_cycles: u64,
-    /// The decision trace (also what the fleet log records).
+    /// The decision trace (the journal records it round by round).
     pub events: Vec<FleetEvent>,
 }
 

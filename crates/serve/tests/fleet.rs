@@ -5,11 +5,18 @@
 //! **byte-identical** across `--threads {1, 2, 4}` — including under
 //! chaos and under a tight fleet budget that forces the
 //! eviction/deferral ladder. Plus the fairness floor: a low-weight
-//! tenant still completes while a high-weight tenant floods the fleet.
+//! tenant still completes while a high-weight tenant floods the fleet,
+//! and replay: a journal recorded at one thread count re-verifies at
+//! another, down to each outcome line's CRC.
 
 use superpin::FailPlan;
+use superpin_replay::fleet::{recover_fleet_wal, FleetEvent, FleetRecipe};
 use superpin_replay::json::first_report_difference;
-use superpin_serve::{parse_jobs, run_service, FleetConfig, JobFile, ServiceReport};
+use superpin_replay::wal::{FsyncPolicy, MemSink, WalWriter, WAL_FRAME_HEADER, WAL_FRAME_RECORD};
+use superpin_serve::{
+    parse_jobs, run_service, run_service_durable, Durability, FleetConfig, FleetError, FleetWal,
+    JobFile, ServiceReport,
+};
 
 fn workloads() -> (&'static str, &'static str) {
     let catalog = superpin_workloads::catalog();
@@ -231,7 +238,7 @@ fn low_weight_tenant_is_not_starved() {
         .events
         .iter()
         .find_map(|event| match *event {
-            superpin_replay::FleetEvent::Admit {
+            FleetEvent::Admit {
                 job: 4, fleet_now, ..
             } => Some(fleet_now),
             _ => None,
@@ -240,10 +247,9 @@ fn low_weight_tenant_is_not_starved() {
     assert_eq!(admitted_at, 0);
 }
 
-#[test]
-fn fleet_log_roundtrips_and_replays_across_thread_counts() {
-    use superpin_replay::fleet::{diff_fleet, FleetLog, FleetRecipe};
-
+/// Records a two-tenant fleet with guest chaos at `threads = 1` into
+/// an in-memory journal, as `spin-serve --wal` does.
+fn record_journal() -> (ServiceReport, Vec<u8>) {
     let (w0, w1) = workloads();
     let text = format!(
         "tenant alpha weight=2\n\
@@ -252,37 +258,107 @@ fn fleet_log_roundtrips_and_replays_across_thread_counts() {
          job tenant=beta workload={w1} scale=tiny tool=branch arrive=1000\n"
     );
     let file = parse_jobs(&text).expect("parses");
-    let chaos = Some(FailPlan::new(3, 0.02));
-    let recorded = run_service(&file, &config(1, chaos, Some(1 << 20))).expect("recording run");
-    let log = FleetLog {
-        recipe: FleetRecipe {
-            spec_text: text,
-            threads: 1,
-            slots: 2,
-            fleet_budget: Some(1 << 20),
-            chaos,
-            spmsec: 1000,
-        },
-        events: recorded.events.clone(),
-        outcomes: recorded.outcomes.iter().map(|o| o.to_json()).collect(),
+    let cfg = config(1, Some(FailPlan::new(3, 0.02)), Some(1 << 20));
+    let recipe = FleetRecipe {
+        spec_text: text,
+        threads: 1,
+        slots: cfg.slots as u32,
+        fleet_budget: cfg.fleet_budget,
+        chaos: cfg.chaos,
+        spmsec: cfg.spmsec,
     };
-    let decoded = FleetLog::decode(&log.encode()).expect("codec roundtrip");
-    assert_eq!(decoded, log);
+    let sink = MemSink::new();
+    let wal = FleetWal::create(Box::new(sink.clone()), &recipe, FsyncPolicy::Off, None)
+        .expect("wal opens");
+    let mut dur = Durability {
+        wal: Some(wal),
+        resume: Default::default(),
+    };
+    let recorded = run_service_durable(&file, &cfg, &mut dur).expect("recording run");
+    (recorded, sink.bytes())
+}
 
-    // Replay from the decoded log alone, at a different thread count.
-    let replay_file = parse_jobs(&decoded.recipe.spec_text).expect("recorded spec parses");
+/// Replays a finished journal as `spin-serve --replay` does: the run is
+/// rebuilt from the recipe alone and re-executed at `threads` with every
+/// committed round queued for verification and no writer. Returns the
+/// committed round count beside the run.
+fn replay(journal: &[u8], threads: usize) -> (u64, Result<ServiceReport, FleetError>) {
+    let recovery = recover_fleet_wal(journal).expect("journal recovers");
+    assert!(recovery.clean_end && recovery.damage.is_none());
+    let file = parse_jobs(&recovery.recipe.spec_text).expect("recorded spec parses");
     let cfg = FleetConfig {
-        threads: 4,
-        slots: decoded.recipe.slots as usize,
-        fleet_budget: decoded.recipe.fleet_budget,
-        chaos: decoded.recipe.chaos,
-        spmsec: decoded.recipe.spmsec,
+        threads,
+        slots: recovery.recipe.slots as usize,
+        fleet_budget: recovery.recipe.fleet_budget,
+        chaos: recovery.recipe.chaos,
+        spmsec: recovery.recipe.spmsec,
     };
-    let replayed = run_service(&replay_file, &cfg).expect("replay run");
-    let outcomes: Vec<String> = replayed.outcomes.iter().map(|o| o.to_json()).collect();
+    let rounds = recovery.rounds.len() as u64;
+    let mut dur = Durability {
+        wal: None,
+        resume: recovery.rounds.into(),
+    };
+    (rounds, run_service_durable(&file, &cfg, &mut dur))
+}
+
+#[test]
+fn journal_replays_across_thread_counts() {
+    let (recorded, journal) = record_journal();
+    let (rounds, replayed) = replay(&journal, 4);
+    let replayed = replayed.expect("replay at 4 threads verifies every committed round");
     assert_eq!(
-        diff_fleet(&decoded, &replayed.events, &outcomes),
-        None,
-        "replay at 4 threads diverged from the 1-thread recording"
+        rounds, recorded.rounds,
+        "the recording committed every round"
     );
+    assert_eq!(
+        replayed.rounds, rounds,
+        "replay settled rounds past the journal"
+    );
+    assert_eq!(replayed.jsonl(), recorded.jsonl());
+}
+
+#[test]
+fn an_altered_outcome_crc_is_a_divergence_naming_its_job() {
+    let (_, journal) = record_journal();
+    let recovery = recover_fleet_wal(&journal).expect("journal recovers");
+    let mut rounds = recovery.rounds;
+    let frame = rounds
+        .iter_mut()
+        .find(|frame| !frame.outcomes.is_empty())
+        .expect("some round completes a job");
+    frame.outcomes[0] ^= 1;
+    let (altered, job) = frame
+        .events
+        .iter()
+        .find_map(|event| match *event {
+            FleetEvent::Complete { job, .. } => Some((frame.round, job)),
+            _ => None,
+        })
+        .expect("an outcome CRC belongs to a completion");
+
+    // Re-frame the journal around the altered round: every CRC is valid.
+    let sink = MemSink::new();
+    let mut writer =
+        WalWriter::create(Box::new(sink.clone()), FsyncPolicy::Off, None).expect("wal opens");
+    let mut header = Vec::new();
+    recovery.recipe.encode_into(&mut header);
+    writer.append(WAL_FRAME_HEADER, &header).expect("header");
+    for frame in &rounds {
+        writer
+            .append_committed(WAL_FRAME_RECORD, &frame.encode(), frame.round)
+            .expect("round");
+    }
+    writer.end().expect("end");
+
+    match replay(&sink.bytes(), 1).1 {
+        Err(FleetError::WalDivergence { round, detail }) => {
+            assert_eq!(round, altered);
+            let named = format!("job {job} outcome: committed crc");
+            assert!(detail.starts_with(&named), "{detail}");
+        }
+        other => panic!(
+            "an altered outcome CRC replayed as {:?}",
+            other.map(|report| report.rounds)
+        ),
+    }
 }

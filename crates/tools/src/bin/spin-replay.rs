@@ -13,9 +13,9 @@
 //! `--threads` count — and verifies the replayed report field for field
 //! against the recording. `diff` replays two logs in lockstep and
 //! bisects their first divergence to an epoch barrier, quantum window,
-//! and master instruction range. `fsck` walks any SuperPin container —
-//! `.splog` recording, `SPFL` fleet log, or `SPWAL` fleet journal — and
-//! prints a frame census plus an integrity verdict; `--repair`
+//! and master instruction range. `fsck` walks either SuperPin container
+//! — a `.splog` recording or an `SPWAL` fleet journal — and prints a
+//! frame census plus an integrity verdict; `--repair`
 //! truncates to the last good frame into a `<file>.salvaged` quarantine
 //! copy, never touching the original.
 //!
@@ -45,10 +45,9 @@ verbs:
   diff <a.splog> <b.splog>           lockstep-replay both, report the
                                      first divergence
   fsck <file> [--repair]             frame census + integrity verdict
-                                     for any .splog / SPFL / SPWAL
-                                     file; --repair truncates to the
-                                     last good frame into
-                                     <file>.salvaged
+                                     for a .splog or SPWAL file;
+                                     --repair truncates to the last
+                                     good frame into <file>.salvaged
 
 record options:
   -o <path>            output log path (required)
@@ -316,7 +315,7 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     }
 }
 
-/// Walk, census by kind, verdict — the same for all three containers.
+/// Walk, census by kind, verdict — the same for both containers.
 /// `--repair` quarantines the intact prefix as `<file>.salvaged`,
 /// sealed with an end frame when that makes it a whole file again.
 fn cmd_fsck(args: &[String]) -> ExitCode {
@@ -338,7 +337,7 @@ fn cmd_fsck(args: &[String]) -> ExitCode {
     };
     let Some(format) = Format::sniff(&bytes) else {
         eprintln!(
-            "spin-replay: {path}: unrecognized magic \"{}\" — not a .splog, SPFL, or SPWAL file",
+            "spin-replay: {path}: unrecognized magic \"{}\" — not a .splog or SPWAL file",
             bytes[..bytes.len().min(5)].escape_ascii()
         );
         return ExitCode::from(2);

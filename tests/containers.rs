@@ -1,6 +1,6 @@
 //! Tier-1 smoke for the on-disk container: one real file of each kind
-//! — a `.splog` from a recorded run, and the `SPFL` log and `SPWAL`
-//! journal of one fleet run — round-trips, then takes a few hundred
+//! — a `.splog` from a recorded run and the `SPWAL` journal of one
+//! fleet run — round-trips, then takes a few hundred
 //! seeded bit flips, stomps and truncations through the frame walk,
 //! the typed reader and the repair path. No input may panic or abort a
 //! reader; damage is reported at or before the first mutated byte; a
@@ -11,11 +11,11 @@
 //! uses what the producers really write.)
 
 use superpin::SharedMem;
-use superpin_replay::container::{Format, SPFL, SPLOG, SPWAL};
+use superpin_replay::container::{Format, SPLOG, SPWAL};
 use superpin_replay::fsck::{decode_whole, is_journal, repair};
 use superpin_replay::{
-    explain_decode_failure, record_run, recover_fleet_wal, walk, FleetLog, FleetRecipe,
-    FrameDamage, FsyncPolicy, MemSink, ReplayLog, RunRecipe,
+    explain_decode_failure, record_run, recover_fleet_wal, walk, FleetRecipe, FrameDamage,
+    FsyncPolicy, MemSink, ReplayLog, RunRecipe,
 };
 use superpin_serve::{parse_jobs, run_service_durable, Durability, FleetConfig, FleetWal};
 use superpin_tools::ICount1;
@@ -49,8 +49,8 @@ fn real_splog() -> Vec<u8> {
     bytes
 }
 
-/// One journalled fleet run: its `SPFL` log and its `SPWAL` journal.
-fn real_fleet_files() -> (Vec<u8>, Vec<u8>) {
+/// The `SPWAL` journal of one fleet run.
+fn real_journal() -> Vec<u8> {
     let text = "tenant alpha weight=2\n\
                 tenant beta weight=1\n\
                 job tenant=alpha workload=gcc scale=tiny tool=icount2 arrive=0\n\
@@ -80,20 +80,18 @@ fn real_fleet_files() -> (Vec<u8>, Vec<u8>) {
     };
     let report = run_service_durable(&file, &cfg, &mut dur).expect("fleet runs");
 
-    let log = FleetLog {
-        recipe: recipe.clone(),
-        events: report.events.clone(),
-        outcomes: report.outcomes.iter().map(|o| o.to_json()).collect(),
-    };
-    let spfl = log.encode();
-    assert_eq!(FleetLog::decode(&spfl).expect("round trip"), log);
-
     let spwal = sink.bytes();
     let recovered = recover_fleet_wal(&spwal).expect("journal recovers");
     assert_eq!(recovered.recipe, recipe);
     assert_eq!(recovered.rounds.len() as u64, report.rounds);
     assert!(recovered.clean_end && recovered.damage.is_none());
-    (spfl, spwal)
+    let crcs: Vec<u32> = recovered
+        .rounds
+        .iter()
+        .flat_map(|round| round.outcomes.iter().copied())
+        .collect();
+    assert_eq!(crcs.len(), report.outcomes.len(), "one outcome CRC per job");
+    spwal
 }
 
 /// Walk, typed reader, explanation, repair — on one damaged copy.
@@ -174,8 +172,6 @@ fn splog_survives_damage() {
 }
 
 #[test]
-fn fleet_log_and_journal_survive_damage() {
-    let (spfl, spwal) = real_fleet_files();
-    fuzz(&SPFL, &spfl);
-    fuzz(&SPWAL, &spwal);
+fn journal_survives_damage() {
+    fuzz(&SPWAL, &real_journal());
 }
