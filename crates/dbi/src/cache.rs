@@ -117,19 +117,23 @@ impl ArgPlan {
 /// A tool's [`Call`] lowered for the executor: each routine with its
 /// argument plan and its static charge summed once, at compile time.
 pub enum LoweredCall<T> {
-    /// An inlined counter increment
-    /// ([`Inserter::insert_count`]): the executor adds `n` to a running
-    /// sum and writes it through `counter` only when something else
-    /// could observe the counter.
+    /// A run of inlined counter increments
+    /// ([`Inserter::insert_count`]) to one counter, folded at compile
+    /// time into one write through `counter`. It sits where the run
+    /// closes: right before a plain or if/then call, or where a count
+    /// names a different counter.
     Count {
         /// The counter accessor.
         counter: CounterFn<T>,
-        /// What each execution adds.
+        /// What the folded counts add, summed.
         n: u64,
-        /// `analysis_call_base + |saves| · save_restore_per_reg`: the
-        /// charge of a plain call with no arguments, so inlining moves
-        /// no simulated cycle.
+        /// Their charges, summed. Each is `analysis_call_base + |saves|
+        /// · save_restore_per_reg`: the charge of a plain call with no
+        /// arguments, so inlining moves no simulated cycle.
         cost: u64,
+        /// How many counts were folded; each is one
+        /// [`analysis_calls`](crate::EngineStats::analysis_calls).
+        calls: u32,
     },
     /// Unconditional analysis call.
     Plain {
@@ -170,7 +174,9 @@ pub struct InsertedCall<T> {
     /// call. Without liveness information this is the full clobber set
     /// ([`crate::spill::analysis_clobbers`]); with a
     /// [`LiveMap`] installed, registers dead at the insertion point are
-    /// elided.
+    /// elided. A folded count carries the union of its members' sets
+    /// and the intersection of their `elided` sets, so `saves − elided`
+    /// still covers what every member needs.
     pub saves: RegSet,
     /// Subset of `saves` additionally proven dead by the *refined*
     /// interprocedural liveness of a superblock plan
@@ -218,6 +224,51 @@ pub struct CompiledInst {
     /// `[start, split, end]` in the trace's call array: the before-calls
     /// are `start..split`, the after-calls `split..end`.
     pub(crate) calls: [u32; 3],
+    /// The run of counts still open at the end of the before-calls and
+    /// at the end of the after-calls: what a trace exit at that point
+    /// settles.
+    pub(crate) open: [OpenRun; 2],
+}
+
+/// Counts executed since the last flush point and not yet written to
+/// their counter. Between two flush points — a non-count call, a
+/// counter switch, a trace exit — the counts a trace executes are fixed
+/// at compile time, so each point of a trace has one. Empty when `calls`
+/// is 0.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub(crate) struct OpenRun {
+    /// Index into [`CompiledTrace::counters`].
+    pub(crate) counter: u32,
+    /// How many counts the run holds.
+    pub(crate) calls: u32,
+    /// What they add, summed.
+    pub(crate) n: u64,
+    /// Their charges, summed.
+    pub(crate) cost: u64,
+}
+
+/// The run [`CodeCache::compile`] has open while it lays a trace out.
+struct Fold<T> {
+    counter: CounterFn<T>,
+    run: OpenRun,
+    saves: RegSet,
+    elided: RegSet,
+}
+
+impl<T> Fold<T> {
+    /// The one op that writes the run to its counter.
+    fn close(self) -> InsertedCall<T> {
+        InsertedCall {
+            call: LoweredCall::Count {
+                counter: self.counter,
+                n: self.run.n,
+                cost: self.run.cost,
+                calls: self.run.calls,
+            },
+            saves: self.saves,
+            elided: self.elided,
+        }
+    }
 }
 
 /// A compiled trace ready for execution: the trace's instructions, each
@@ -234,6 +285,9 @@ pub struct CompiledTrace<T> {
     pub insts: Vec<CompiledInst>,
     /// Every slot's calls, slot by slot, before-calls first.
     pub(crate) calls: Vec<InsertedCall<T>>,
+    /// The distinct counters the trace's counts write, named by
+    /// [`OpenRun::counter`].
+    pub(crate) counters: Vec<CounterFn<T>>,
     /// Continuation address if the last instruction falls through.
     pub fallthrough: u64,
     /// Number of basic blocks the source trace had.
@@ -501,7 +555,11 @@ impl<T> CodeCache<T> {
     /// Every call is lowered against `cost` here ([`LoweredCall`]), so
     /// the executor adds pre-summed charges and, for all-static argument
     /// lists, passes a pre-built vector. A count is planned and charged
-    /// exactly like a plain call with no arguments.
+    /// exactly like a plain call with no arguments, then folded: each run
+    /// of counts to one counter becomes one [`LoweredCall::Count`] where
+    /// the run closes inside a list, and the run still open at the end of
+    /// each list is recorded for the executor to settle at a trace exit.
+    /// An `icount1` trace compiles to an empty call array.
     ///
     /// If inserting would exceed capacity, the whole cache is flushed
     /// first (Pin's wholesale-flush policy).
@@ -522,14 +580,18 @@ impl<T> CodeCache<T> {
                 size: iref.size,
                 needs_mem_ea: false,
                 calls: [0; 3],
+                open: [OpenRun::default(); 2],
             })
             .collect();
+        // Trace discovery only moves forward, so slots are sorted by
+        // address and each call finds its slot by binary search.
+        debug_assert!(insts.windows(2).all(|pair| pair[0].addr < pair[1].addr));
         // Each slot's `(before, after)` lists, laid out flat at the end.
         let mut lists: Vec<[Vec<InsertedCall<T>>; 2]> =
             insts.iter().map(|_| [Vec::new(), Vec::new()]).collect();
 
         for (addr, point, call) in inserter.into_calls() {
-            if let Some(index) = insts.iter().position(|slot| slot.addr == addr) {
+            if let Ok(index) = insts.binary_search_by_key(&addr, |slot| slot.addr) {
                 let slot = &mut insts[index];
                 // Live registers at the insertion point: before-calls see
                 // the instruction's own reads as live; after-calls see
@@ -569,6 +631,7 @@ impl<T> CodeCache<T> {
                         counter,
                         n,
                         cost: invoke,
+                        calls: 1,
                     },
                     Call::Plain { func, args } => LoweredCall::Plain {
                         func,
@@ -639,14 +702,63 @@ impl<T> CodeCache<T> {
             // being compiled.
         }
 
+        // Lay the lists out in execution order, folding counts: a run
+        // closes right before any other routine (it may read a counter)
+        // and where a count names another counter; otherwise it stays
+        // open across lists and slots.
         let mut calls = Vec::with_capacity(lists.iter().flatten().map(Vec::len).sum());
+        let mut counters: Vec<CounterFn<T>> = Vec::new();
+        let mut open: Option<Fold<T>> = None;
         let at = |calls: &Vec<InsertedCall<T>>| u32::try_from(calls.len()).expect("calls fit u32");
-        for (slot, [before, after]) in insts.iter_mut().zip(lists) {
-            let start = at(&calls);
-            calls.extend(before);
-            let split = at(&calls);
-            calls.extend(after);
-            slot.calls = [start, split, at(&calls)];
+        for (slot, lists) in insts.iter_mut().zip(lists) {
+            for (point, list) in lists.into_iter().enumerate() {
+                slot.calls[point] = at(&calls);
+                for inserted in list {
+                    let LoweredCall::Count {
+                        counter,
+                        n,
+                        cost,
+                        calls: members,
+                    } = &inserted.call
+                    else {
+                        calls.extend(open.take().map(Fold::close));
+                        calls.push(inserted);
+                        continue;
+                    };
+                    match &mut open {
+                        Some(fold) if Arc::ptr_eq(&fold.counter, counter) => {
+                            fold.run.calls += members;
+                            fold.run.n += n;
+                            fold.run.cost += cost;
+                            fold.saves = fold.saves.union(inserted.saves);
+                            fold.elided = fold.elided.intersect(inserted.elided);
+                        }
+                        _ => {
+                            calls.extend(open.take().map(Fold::close));
+                            let index = counters
+                                .iter()
+                                .position(|known| Arc::ptr_eq(known, counter))
+                                .unwrap_or_else(|| {
+                                    counters.push(Arc::clone(counter));
+                                    counters.len() - 1
+                                });
+                            open = Some(Fold {
+                                counter: Arc::clone(counter),
+                                run: OpenRun {
+                                    counter: u32::try_from(index).expect("counters fit u32"),
+                                    calls: *members,
+                                    n: *n,
+                                    cost: *cost,
+                                },
+                                saves: inserted.saves,
+                                elided: inserted.elided,
+                            });
+                        }
+                    }
+                }
+                slot.open[point] = open.as_ref().map_or_else(OpenRun::default, |fold| fold.run);
+            }
+            slot.calls[2] = at(&calls);
         }
 
         let count = insts.len();
@@ -654,6 +766,7 @@ impl<T> CodeCache<T> {
             entry: trace.entry(),
             insts,
             calls,
+            counters,
             fallthrough: trace.fallthrough(),
             num_bbls: trace.bbls().len(),
         }));
@@ -844,6 +957,93 @@ mod tests {
             }
             assert!(!compiled.insts.iter().any(|slot| slot.needs_mem_ea));
         }
+    }
+
+    #[test]
+    fn counts_fold_into_one_op_per_flush_point() {
+        type Two = (u64, u64);
+        let a: fn(&mut Two) -> &mut u64 = |t| &mut t.0;
+        let b: fn(&mut Two) -> &mut u64 = |t| &mut t.1;
+        let trace = trace_for("main:\n nop\n nop\n nop\n jmp main\n");
+        let addrs: Vec<u64> = trace.insts().map(|iref| iref.addr).collect();
+        let cost = CostModel::default();
+        let compile = |inserter: Inserter<Two>| {
+            let mut cache: CodeCache<Two> = CodeCache::new();
+            let (id, _) = cache.compile(&trace, inserter, &cost);
+            Arc::clone(cache.trace(id))
+        };
+        let run = |counter, calls: u32, n| OpenRun {
+            counter,
+            calls,
+            n,
+            cost: u64::from(calls) * cost.analysis_call,
+        };
+        // `(counter index, n, calls)` of a folded op.
+        let folded = |compiled: &CompiledTrace<Two>, call: &InsertedCall<Two>| {
+            let LoweredCall::Count {
+                counter, n, calls, ..
+            } = &call.call
+            else {
+                panic!("not a count")
+            };
+            let index = compiled
+                .counters
+                .iter()
+                .position(|c| Arc::ptr_eq(c, counter));
+            (index.expect("a known counter"), *n, *calls)
+        };
+
+        // icount1: no call at all, and each exit settles every count
+        // before it.
+        let mut inserter = Inserter::new();
+        for &addr in &addrs {
+            inserter.insert_count(addr, IPoint::Before, 1, a);
+        }
+        let compiled = compile(inserter);
+        assert!(compiled.calls.is_empty());
+        assert_eq!(compiled.counters.len(), 1);
+        for (k, slot) in compiled.insts.iter().enumerate() {
+            let k = k as u32 + 1;
+            assert_eq!(slot.open, [run(0, k, u64::from(k)); 2]);
+        }
+
+        // Alternating counters: one op at each switch, for the run the
+        // switch closes.
+        let mut inserter = Inserter::new();
+        for (i, &addr) in addrs.iter().enumerate() {
+            let (counter, n) = if i % 2 == 0 { (a, 1) } else { (b, 2) };
+            inserter.insert_count(addr, IPoint::Before, n, counter);
+        }
+        let compiled = compile(inserter);
+        assert_eq!(compiled.counters.len(), 2);
+        assert!(compiled.before(0).is_empty());
+        for i in 1..addrs.len() {
+            let [op] = compiled.before(i) else {
+                panic!("one op at the switch before slot {i}")
+            };
+            let closed = if i % 2 == 1 { (0, 1, 1) } else { (1, 2, 1) };
+            assert_eq!(folded(&compiled, op), closed);
+        }
+        assert_eq!(compiled.insts[3].open[1], run(1, 1, 2));
+
+        // A count before a plain call: one op holding the whole run,
+        // right before the call; nothing left open after it.
+        let mut inserter = Inserter::new();
+        inserter.insert_count(addrs[0], IPoint::Before, 1, a);
+        inserter.insert_count(addrs[0], IPoint::After, 1, a);
+        inserter.insert_count(addrs[1], IPoint::Before, 1, a);
+        inserter.insert_call(addrs[1], IPoint::Before, |_, _, _| {}, vec![]);
+        inserter.insert_count(addrs[2], IPoint::After, 5, a);
+        let compiled = compile(inserter);
+        assert_eq!(compiled.insts[0].open, [run(0, 1, 1), run(0, 2, 2)]);
+        let [op, plain] = compiled.before(1) else {
+            panic!("the folded op, then the call")
+        };
+        assert_eq!(folded(&compiled, op), (0, 3, 3));
+        assert!(matches!(plain.call, LoweredCall::Plain { .. }));
+        assert_eq!(compiled.insts[1].open, [OpenRun::default(); 2]);
+        assert_eq!(compiled.insts[2].open, [OpenRun::default(), run(0, 1, 5)]);
+        assert_eq!(compiled.calls.len(), 2);
     }
 
     #[test]

@@ -5,7 +5,7 @@ use crate::cache::{
     DEFAULT_CAPACITY_INSTS,
 };
 use crate::cost::CostModel;
-use crate::inserter::{CallCtx, CounterFn, EngineCtl, Inserter};
+use crate::inserter::{CallCtx, EngineCtl, IPoint, Inserter};
 use crate::shared_index::SharedTraceIndex;
 use crate::spill::ClobberViolation;
 use crate::tool::Pintool;
@@ -508,7 +508,6 @@ impl<T: Pintool + 'static> Engine<T> {
                 scratch: &mut self.scratch,
                 oracle: self.oracle.as_deref(),
                 tally: Tally::default(),
-                count: None,
             };
             let exit = exec.run(self.cache.trace(id));
             let tally = exec.tally;
@@ -746,25 +745,44 @@ struct Executor<'a, T> {
     scratch: &'a mut Vec<u64>,
     oracle: Option<&'a SoundnessOracle>,
     tally: Tally,
-    /// Inlined counts not yet written to the tool: the counter the
-    /// latest ones went to and their sum. Only [`Executor::flush_count`]
-    /// writes it back.
-    count: Option<(&'a CounterFn<T>, u64)>,
 }
 
 impl<'a, T> Executor<'a, T> {
-    /// Executes `trace` until it exits. Whatever the exit — trace end, a
-    /// taken exit, a stop, a syscall, `halt` or a guest fault — pending
-    /// counts reach the tool before anything outside can observe it.
+    /// Executes `trace` until it exits, then books what the exit point
+    /// fixes: the instructions retired and the run of counts the
+    /// compiler left open there ([`CompiledInst`](crate::cache::CompiledInst)).
+    /// A syscall, `halt` or guest fault leaves before the instruction
+    /// retires and settles the before-list run; a taken exit or the trace
+    /// end settles the after-list run. A tool stop settles none: the
+    /// stopping call is a flush point, so its run was written just
+    /// before it. Either way the counts reach the tool before anything
+    /// outside can observe it.
     fn run(&mut self, trace: &'a CompiledTrace<T>) -> Result<TraceExit, VmError> {
-        let exit = self.run_trace(trace);
-        self.flush_count();
+        let (index, point, exit) = self.run_trace(trace);
+        let after = point == IPoint::After;
+        self.tally.insts = index as u64 + u64::from(after);
+        if !matches!(exit, Ok(TraceExit::Stop(EngineStop::ToolStop))) {
+            let run = trace.insts[index].open[usize::from(after)];
+            if run.calls != 0 {
+                *trace.counters[run.counter as usize](self.tool) += run.n;
+                self.tally.analysis += run.cost;
+                self.tally.calls += u64::from(run.calls);
+            }
+        }
         exit
     }
 
-    fn run_trace(&mut self, trace: &'a CompiledTrace<T>) -> Result<TraceExit, VmError> {
+    /// Executes `trace` until it exits. Returns where control left —
+    /// the slot, and whether before or after its instruction retired —
+    /// and how.
+    fn run_trace(
+        &mut self,
+        trace: &'a CompiledTrace<T>,
+    ) -> (usize, IPoint, Result<TraceExit, VmError>) {
         for (index, slot) in trace.insts.iter().enumerate() {
             debug_assert_eq!(slot.addr, self.process.cpu.pc, "trace desync");
+            let leave = |point, exit| (index, point, exit);
+            let stop = |point, stop| leave(point, Ok(TraceExit::Stop(stop)));
 
             // Effective address is computed from pre-execution registers
             // for both before- and after-calls, and only for slots with
@@ -782,19 +800,19 @@ impl<'a, T> Executor<'a, T> {
                 // Stop requested before execution: the instruction is NOT
                 // executed; pc stays at the boundary (paper §4.4 — the
                 // boundary instruction belongs to the next slice).
-                return Ok(TraceExit::Stop(EngineStop::ToolStop));
+                return stop(IPoint::Before, EngineStop::ToolStop);
             }
 
-            let taken = match self.process.exec_decoded(slot.inst, slot.size)? {
-                ExecOutcome::Syscall => return Ok(TraceExit::Stop(EngineStop::SyscallEntry)),
-                ExecOutcome::Halt => return Ok(TraceExit::Stop(EngineStop::Halted)),
-                ExecOutcome::Next => false,
-                ExecOutcome::Jumped => true,
+            let taken = match self.process.exec_decoded(slot.inst, slot.size) {
+                Ok(ExecOutcome::Next) => false,
+                Ok(ExecOutcome::Jumped) => true,
+                Ok(ExecOutcome::Syscall) => return stop(IPoint::Before, EngineStop::SyscallEntry),
+                Ok(ExecOutcome::Halt) => return stop(IPoint::Before, EngineStop::Halted),
+                Err(fault) => return leave(IPoint::Before, Err(fault)),
             };
-            self.tally.insts += 1;
 
             if split != end && self.run_calls(&trace.calls[split..end], slot.addr, mem_ea, taken) {
-                return Ok(TraceExit::Stop(EngineStop::ToolStop));
+                return stop(IPoint::After, EngineStop::ToolStop);
             }
 
             if taken {
@@ -818,7 +836,7 @@ impl<'a, T> Executor<'a, T> {
                     .get(index + 1)
                     .is_some_and(|next| next.addr == self.process.cpu.pc);
                 if !next_matches {
-                    return Ok(TraceExit::Continue);
+                    return leave(IPoint::After, Ok(TraceExit::Continue));
                 }
             }
         }
@@ -828,7 +846,8 @@ impl<'a, T> Executor<'a, T> {
         // block-granularity instrumentation — real Pin never re-instruments
         // on a context switch, and block-counting tools (icount2) rely on
         // block entry firing exactly once per block execution.
-        Ok(TraceExit::Continue)
+        let last = trace.insts.len() - 1;
+        (last, IPoint::After, Ok(TraceExit::Continue))
     }
 
     /// Runs a call list; returns `true` if a stop was requested.
@@ -838,8 +857,8 @@ impl<'a, T> Executor<'a, T> {
     /// tool's calls) fires at a slice boundary, the user tool must not
     /// observe the boundary instruction — it belongs to the next slice.
     ///
-    /// A count only adds to the pending sum; every other routine may
-    /// read the tool, so the sum is written back before it runs.
+    /// A count here is a whole folded run: one write through its
+    /// accessor, charged for every count it holds.
     ///
     /// Forced inline: out of line, the call and the tally it then keeps
     /// in memory cost a tenth of `dbi.pin_minst_per_s` under `icount1`.
@@ -853,20 +872,18 @@ impl<'a, T> Executor<'a, T> {
     ) -> bool {
         for inserted in calls {
             let stop = match &inserted.call {
-                LoweredCall::Count { counter, n, cost } => {
-                    match self.count {
-                        Some((pending, ref mut sum)) if Arc::ptr_eq(pending, counter) => *sum += n,
-                        _ => {
-                            self.flush_count();
-                            self.count = Some((counter, *n));
-                        }
-                    }
+                LoweredCall::Count {
+                    counter,
+                    n,
+                    cost,
+                    calls,
+                } => {
+                    *counter(self.tool) += n;
                     self.tally.analysis += cost;
-                    self.tally.calls += 1;
+                    self.tally.calls += u64::from(*calls);
                     false
                 }
                 LoweredCall::Plain { func, cost, args } => {
-                    self.flush_count();
                     let mut ctl = EngineCtl::default();
                     let args = eval_args(args, self.scratch, self.process, mem_ea, taken);
                     func(self.tool, &CallCtx { pc, args }, &mut ctl);
@@ -882,7 +899,6 @@ impl<'a, T> Executor<'a, T> {
                     then_cost,
                     then_args,
                 } => {
-                    self.flush_count();
                     let mut ctl = EngineCtl::default();
                     self.tally.if_checks += 1;
                     self.tally.analysis += pred_cost;
@@ -901,14 +917,6 @@ impl<'a, T> Executor<'a, T> {
             }
         }
         false
-    }
-
-    /// Writes the pending count back to its counter.
-    #[inline]
-    fn flush_count(&mut self) {
-        if let Some((counter, sum)) = self.count.take() {
-            *counter(self.tool) += sum;
-        }
     }
 }
 

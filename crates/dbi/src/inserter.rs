@@ -205,8 +205,8 @@ impl<T> fmt::Debug for Call<T> {
 pub struct Inserter<T> {
     calls: Vec<(u64, IPoint, Call<T>)>,
     /// One shared accessor per distinct counter `fn` handed to
-    /// [`insert_count`](Inserter::insert_count), so the executor can
-    /// tell consecutive counts to the same counter apart by pointer.
+    /// [`insert_count`](Inserter::insert_count), so the compiler can
+    /// fold consecutive counts to the same counter by pointer.
     counters: Vec<(CounterPtr<T>, CounterFn<T>)>,
 }
 
@@ -286,13 +286,15 @@ impl<T: 'static> Inserter<T> {
     /// (`analysis_call_base` plus one save/restore per preserved
     /// register), and it counts as one
     /// [`analysis_calls`](crate::EngineStats::analysis_calls); only the
-    /// host side changes. The engine keeps the running sum in a register
-    /// and writes it to the counter before any other analysis routine
-    /// runs and whenever execution of the trace ends for any reason, so
-    /// every other routine, syscall hook, `fini` and checkpoint sees
-    /// exactly the count a per-instruction closure would have produced.
-    /// Counts to the same counter between two such points cost one
-    /// dynamic call in total.
+    /// host side changes. Between two *flush points* — any other
+    /// analysis routine, a count to a different counter, a trace exit —
+    /// the counts a trace executes are fixed, so
+    /// [`CodeCache::compile`](crate::CodeCache::compile) sums them: one
+    /// write right before the routine or at the switch, and at each
+    /// trace exit the sum still open there, added once. The executor
+    /// does no per-instruction work for a count, and every other
+    /// routine, syscall hook, `fini` and checkpoint sees exactly the
+    /// count a per-instruction closure would have produced.
     ///
     /// `counter` must be a pure projection: it may run once per flush,
     /// not once per execution. A counter whose target depends on a value
@@ -342,7 +344,10 @@ impl<T: 'static> Inserter<T> {
     /// the user tool's `instrument_trace` into an `Inserter<U>`, then
     /// absorbs it so the user's analysis routines see `&mut U` while the
     /// engine drives `&mut T`. Each distinct counter accessor is composed
-    /// with `project` once, so counts stay one dynamic call per flush.
+    /// with `project` once, so the compiler still folds the absorbed
+    /// counts per counter. A flush through a composed accessor is a chain
+    /// of four indirect calls: the composed closure, `project`, the inner
+    /// `Arc<dyn Fn>`, and the tool's `fn`.
     pub fn absorb<U: 'static>(&mut self, inner: Inserter<U>, project: fn(&mut T) -> &mut U) {
         let mut composed: Vec<(CounterFn<U>, CounterFn<T>)> = Vec::new();
         for (addr, point, call) in inner.into_calls() {

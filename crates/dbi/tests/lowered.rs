@@ -805,3 +805,91 @@ fn every_mid_trace_exit_hands_pending_counts_to_the_tool() {
         }
     }
 }
+
+/// Counts alone: 1 before and 10 after every instruction that cannot end
+/// a trace early, and on a syscall, `halt` or load only 100 *after* it —
+/// a count that never runs, because each of those leaves its trace (or
+/// faults) before its after-point.
+#[derive(Clone, Default)]
+struct Carry {
+    plain_counts: bool,
+    count: u64,
+    /// The count at every syscall and at `fini`.
+    seen: Vec<u64>,
+}
+
+impl Pintool for Carry {
+    fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
+        for iref in trace.insts() {
+            let leaves = matches!(iref.inst, Inst::Syscall | Inst::Halt | Inst::Ld { .. });
+            let counts: &[(IPoint, u64)] = if leaves {
+                &[(IPoint::After, 100)]
+            } else {
+                &[(IPoint::Before, 1), (IPoint::After, 10)]
+            };
+            for &(point, n) in counts {
+                if self.plain_counts {
+                    inserter.insert_call(
+                        iref.addr,
+                        point,
+                        move |t: &mut Carry, _, _| t.count += n,
+                        vec![],
+                    );
+                } else {
+                    inserter.insert_count(iref.addr, point, n, |t| &mut t.count);
+                }
+            }
+        }
+    }
+
+    fn on_syscall(&mut self, _record: &SyscallRecord) {
+        self.seen.push(self.count);
+    }
+
+    fn fini(&mut self) {
+        self.seen.push(self.count);
+    }
+}
+
+/// A run of counts spanning several slots ends at a syscall, a `halt` and
+/// an unmapped load, each in a slot with no count that runs: the exit
+/// settles the run it leaves open before that instruction, not the one
+/// after it.
+#[test]
+fn a_run_spanning_slots_settles_at_a_slot_without_counts() {
+    let guests = [
+        // 3 nops and an `li`, then the syscall; then 2 nops and `halt`.
+        (
+            "main:\n nop\n nop\n nop\n li r0, 9\n syscall\n nop\n nop\n halt\n",
+            End::Halt,
+            &[44][..],
+            66,
+        ),
+        (
+            "main:\n nop\n li r2, 16\n nop\n ld r3, 0(r2)\n exit 0\n",
+            End::Fault,
+            &[][..],
+            33,
+        ),
+    ];
+    for (src, ends, at_syscalls, total) in guests {
+        let program = assemble(src).expect("assemble");
+        let run = |plain_counts| {
+            let tool = Carry {
+                plain_counts,
+                ..Carry::default()
+            };
+            let mut engine = Engine::new(Process::load(1, &program).expect("load"), tool);
+            let end = End::of(engine.run_to_exit());
+            (engine, end)
+        };
+        let (engine, end) = run(false);
+        let (twin, twin_end) = run(true);
+        assert_eq!((end, twin_end), (ends, ends), "{src}");
+        assert_eq!(engine.tool().seen, at_syscalls, "{src}");
+        assert_eq!(engine.tool().count, total, "{src}");
+        assert_eq!(twin.tool().seen, at_syscalls, "{src}");
+        assert_eq!(twin.tool().count, total, "{src}");
+        assert_eq!(engine.stats(), twin.stats(), "{src}");
+    }
+}

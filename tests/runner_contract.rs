@@ -12,7 +12,7 @@ use superpin::{
 };
 use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
 use superpin_replay::{record_run, replay_run, verify_replay, ReplayLog, RunRecipe};
-use superpin_tools::ICount1;
+use superpin_tools::{ICount1, ICount2};
 use superpin_vm::process::Process;
 use superpin_workloads::{find, Scale};
 
@@ -42,38 +42,124 @@ fn run(cfg: SuperPinConfig) -> (SuperPinReport, u64) {
     (runner.run().expect("run"), tool.total(&shared))
 }
 
-/// `ICount1` with its count as a plain analysis closure instead of an
-/// inlined count.
+/// Runs `tool` on the guest under `cfg`.
+fn run_tool<T: SuperTool>(tool: T, shared: &SharedMem, cfg: SuperPinConfig) -> SuperPinReport {
+    let program = find(GUEST).expect("catalog guest").build(SCALE);
+    let process = Process::load(1, &program).expect("load");
+    SuperPinRunner::new(process, tool, shared.clone(), cfg)
+        .expect("setup")
+        .run()
+        .expect("run")
+}
+
+/// How a [`Twin`] instruments.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// `ICount1`'s: 1 before every instruction.
+    ICount1,
+    /// `ICount2`'s: a block's length before its head.
+    ICount2,
+    /// 1 before every instruction, to counter `(word / 2) % 2`, and
+    /// every fifth word a plain call that reads both counters.
+    Mixed,
+}
+
+fn counter_0(twin: &mut Twin) -> &mut u64 {
+    &mut twin.counts[0]
+}
+
+fn counter_1(twin: &mut Twin) -> &mut u64 {
+    &mut twin.counts[1]
+}
+
+/// A tool of one [`Shape`] whose counts are inlined or, for the twin an
+/// inlined tool is checked against, plain closures. It merges
+/// `[counts[0], counts[1], seen]`.
 #[derive(Clone)]
-struct PlainICount1 {
-    count: u64,
+struct Twin {
+    shape: Shape,
+    plain_counts: bool,
+    counts: [u64; 2],
+    /// What the plain calls of [`Shape::Mixed`] read, summed.
+    seen: u64,
     area: AreaId,
 }
 
-impl Pintool for PlainICount1 {
+impl Pintool for Twin {
     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
-        for iref in trace.insts() {
-            inserter.insert_call(iref.addr, IPoint::Before, |t, _, _| t.count += 1, vec![]);
+        let plain_counts = self.plain_counts;
+        let count = |inserter: &mut Inserter<Self>, addr, n, which: usize| {
+            if plain_counts {
+                inserter.insert_call(
+                    addr,
+                    IPoint::Before,
+                    move |t, _, _| t.counts[which] += n,
+                    vec![],
+                );
+            } else {
+                inserter.insert_count(addr, IPoint::Before, n, [counter_0, counter_1][which]);
+            }
+        };
+        match self.shape {
+            Shape::ICount1 => {
+                for iref in trace.insts() {
+                    count(inserter, iref.addr, 1, 0);
+                }
+            }
+            Shape::ICount2 => {
+                for bbl in trace.bbls() {
+                    count(inserter, bbl.head_addr(), bbl.num_insts() as u64, 0);
+                }
+            }
+            Shape::Mixed => {
+                for iref in trace.insts() {
+                    let word = iref.addr >> 3;
+                    count(inserter, iref.addr, 1, (word / 2 % 2) as usize);
+                    if word.is_multiple_of(5) {
+                        inserter.insert_call(
+                            iref.addr,
+                            IPoint::Before,
+                            |t, _, _| t.seen += 3 * t.counts[0] + t.counts[1],
+                            vec![],
+                        );
+                    }
+                }
+            }
         }
     }
 
     fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
         true
     }
-
-    fn name(&self) -> &'static str {
-        "icount1"
-    }
 }
 
-impl SuperTool for PlainICount1 {
+impl SuperTool for Twin {
     fn reset(&mut self, _slice_num: u32) {
-        self.count = 0;
+        self.counts = [0; 2];
+        self.seen = 0;
     }
 
     fn on_slice_end(&mut self, _slice_num: u32, shared: &SharedMem) {
-        shared.area(self.area).add(0, self.count);
+        let area = shared.area(self.area);
+        area.add(0, self.counts[0]);
+        area.add(1, self.counts[1]);
+        area.add(2, self.seen);
     }
+}
+
+/// Runs a [`Twin`]; returns the report and the merged words.
+fn run_twin(shape: Shape, plain_counts: bool, cfg: SuperPinConfig) -> (SuperPinReport, Vec<u64>) {
+    let shared = SharedMem::new();
+    let tool = Twin {
+        shape,
+        plain_counts,
+        counts: [0; 2],
+        seen: 0,
+        area: shared.create_area(3, AutoMerge::Manual),
+    };
+    let area = tool.area;
+    let report = run_tool(tool, &shared, cfg);
+    (report, shared.area(area).snapshot())
 }
 
 #[test]
@@ -189,25 +275,41 @@ fn inlined_counts_report_exactly_what_plain_closures_do() {
                 .with_supervision()
                 .with_chaos(plan)
         };
-        let (inlined, count) = run(cfg());
-        let shared = SharedMem::new();
-        let plain = PlainICount1 {
-            count: 0,
-            area: shared.create_area(1, AutoMerge::Manual),
-        };
-        let area = plain.area;
-        let process = Process::load(1, &program).expect("load");
-        let report = SuperPinRunner::new(process, plain, shared.clone(), cfg())
-            .expect("setup")
-            .run()
-            .expect("run");
-        assert!(inlined.slice_retries >= 1, "the failpoint never fired");
-        assert_eq!(inlined, report, "inlining changed the report at t{threads}");
-        assert_eq!(count, native, "inlined merge at t{threads}");
-        assert_eq!(
-            shared.area(area).read(0),
-            native,
-            "plain merge at t{threads}"
-        );
+        for shape in [Shape::ICount1, Shape::ICount2, Shape::Mixed] {
+            // The shipped tool where there is one, the inlined twin
+            // otherwise; the slice wrapper absorbs either.
+            let shared = SharedMem::new();
+            let (inlined, merged) = match shape {
+                Shape::ICount1 => {
+                    let tool = ICount1::new(&shared);
+                    let report = run_tool(tool.clone(), &shared, cfg());
+                    (report, vec![tool.total(&shared), 0, 0])
+                }
+                Shape::ICount2 => {
+                    let tool = ICount2::new(&shared);
+                    let report = run_tool(tool.clone(), &shared, cfg());
+                    (report, vec![tool.total(&shared), 0, 0])
+                }
+                Shape::Mixed => run_twin(shape, false, cfg()),
+            };
+            let (plain, plain_merged) = run_twin(shape, true, cfg());
+            assert!(inlined.slice_retries >= 1, "the failpoint never fired");
+            assert_eq!(
+                inlined, plain,
+                "{shape:?} inlined changed the report at t{threads}"
+            );
+            assert_eq!(merged, plain_merged, "{shape:?} merge at t{threads}");
+            assert_eq!(
+                merged[0] + merged[1],
+                native,
+                "{shape:?} count at t{threads}"
+            );
+            if let Shape::Mixed = shape {
+                assert!(
+                    merged[1] > 0 && merged[2] > 0,
+                    "Mixed never switched or read"
+                );
+            }
+        }
     }
 }
