@@ -130,60 +130,7 @@ fn main() {
             let rows = figures::ablations(scale);
             print!("{}", render::render_ablations(&rows));
         }
-        "all" => {
-            let icount1 = figures::fig3_icount1(scale, threads);
-            print!(
-                "{}",
-                render::render_series(
-                    "Figure 3: icount1 — Pin and SuperPin runtime relative to native",
-                    &icount1
-                )
-            );
-            println!();
-            print!(
-                "{}",
-                render::render_series(
-                    "Figure 4: icount1 — SuperPin speedup over Pin (same data)",
-                    &icount1
-                )
-            );
-            println!();
-            let icount2 = figures::fig5_icount2(scale, threads);
-            print!(
-                "{}",
-                render::render_series(
-                    "Figure 5: icount2 — Pin and SuperPin runtime relative to native",
-                    &icount2
-                )
-            );
-            println!();
-            print!(
-                "{}",
-                render::render_fig6(&figures::fig6_timeslice(scale, &[500, 1000, 2000, 4000]))
-            );
-            println!();
-            print!(
-                "{}",
-                render::render_fig7(&figures::fig7_parallelism(scale, &[1, 2, 4, 8, 12, 16]))
-            );
-            println!();
-            print!(
-                "{}",
-                render::render_sigstats(&figures::signature_stats(scale, threads))
-            );
-            println!();
-            print!(
-                "{}",
-                render::render_pipeline(&figures::pipeline_model(scale, &[1000, 2000, 4000]))
-            );
-            println!();
-            print!(
-                "{}",
-                render::render_overhead(&figures::overhead_breakdown(scale))
-            );
-            println!();
-            print!("{}", render::render_ablations(&figures::ablations(scale)));
-        }
+        "all" => print!("{}", render::render_all(scale, threads)),
         other => {
             eprintln!(
                 "unknown figure `{other}` (fig3|fig4|fig5|fig6|fig7|sigstats|pipeline|overhead|ablation|all)"

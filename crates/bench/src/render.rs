@@ -1,7 +1,40 @@
 //! Plain-text rendering of figure data.
 
-use crate::figures::{Fig6Row, Fig7Row, FigSeries, OverheadReport, PipelineCheck, SigStatsSummary};
+use crate::figures::{
+    self, Fig6Row, Fig7Row, FigSeries, OverheadReport, PipelineCheck, SigStatsSummary,
+};
 use std::fmt::Write as _;
+use superpin_workloads::Scale;
+
+/// Every table and figure of the paper's evaluation at `scale`, one
+/// after another: what `reproduce all` prints, and what
+/// `results_medium.txt` holds for `Scale::Medium`. The text is the same
+/// for every `threads`.
+pub fn render_all(scale: Scale, threads: usize) -> String {
+    let icount1 = figures::fig3_icount1(scale, threads);
+    let icount2 = figures::fig5_icount2(scale, threads);
+    [
+        render_series(
+            "Figure 3: icount1 — Pin and SuperPin runtime relative to native",
+            &icount1,
+        ),
+        render_series(
+            "Figure 4: icount1 — SuperPin speedup over Pin (same data)",
+            &icount1,
+        ),
+        render_series(
+            "Figure 5: icount2 — Pin and SuperPin runtime relative to native",
+            &icount2,
+        ),
+        render_fig6(&figures::fig6_timeslice(scale, &[500, 1000, 2000, 4000])),
+        render_fig7(&figures::fig7_parallelism(scale, &[1, 2, 4, 8, 12, 16])),
+        render_sigstats(&figures::signature_stats(scale, threads)),
+        render_pipeline(&figures::pipeline_model(scale, &[1000, 2000, 4000])),
+        render_overhead(&figures::overhead_breakdown(scale)),
+        render_ablations(&figures::ablations(scale)),
+    ]
+    .join("\n")
+}
 
 /// Renders a Figure 3/5-style series (runtime % of native + speedup).
 pub fn render_series(title: &str, series: &FigSeries) -> String {

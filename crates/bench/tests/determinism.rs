@@ -10,9 +10,10 @@
 //! that field by field and then on the whole report, for the normal
 //! epoch configuration, for the degenerate barrier-per-quantum serial
 //! baseline, and with the shared code cache (the one cross-slice data
-//! structure) enabled.
+//! structure, the barrier-published trace registry) enabled, with and
+//! without chaos.
 
-use superpin::{SharedMem, SuperPinConfig, SuperPinReport};
+use superpin::{FailPlan, SharedMem, SuperPinConfig, SuperPinReport};
 use superpin_bench::runs::{run_superpin, time_scale_for};
 use superpin_tools::ICount1;
 use superpin_workloads::{catalog, Scale, WorkloadSpec};
@@ -118,18 +119,29 @@ fn serial_baseline_with_barrier_per_quantum_is_thread_invariant() {
 
 #[test]
 fn shared_code_cache_stays_deterministic_across_threads() {
-    // The shared-trace index is the only cross-slice structure workers
-    // touch; epoch snapshots + in-order publication must hide all host
-    // interleaving. gcc has the largest footprint (most traces shared).
+    // The trace registry is the only cross-slice structure workers read;
+    // publishing it at the barrier in slice order must hide all host
+    // interleaving, and repairing a chaos-condemned slice before the
+    // barrier must hide every fault. gcc has the largest footprint (most
+    // traces shared).
     for name in ["gcc", "vortex", "mcf"] {
         let spec = catalog().iter().find(|s| s.name == name).expect("catalog");
         let mut cfg = config();
         cfg.shared_code_cache = true;
         let (base, count_base) = run(spec, cfg.clone().with_threads(1));
-        for threads in [2, 4] {
-            let (got, count) = run(spec, cfg.clone().with_threads(threads));
-            assert_identical(spec.name, threads, &base, &got);
-            assert_eq!(count_base, count, "{}: merged icount differs", spec.name);
+        for chaos in [None, Some(FailPlan::new(3, 0.05))] {
+            for threads in [1, 2, 4] {
+                let mut cfg = cfg.clone().with_threads(threads);
+                if let Some(plan) = chaos {
+                    cfg = cfg.with_chaos(plan);
+                }
+                let (mut got, count) = run(spec, cfg);
+                // Recovery may move only its own counters.
+                got.slice_retries = base.slice_retries;
+                got.slices_degraded = base.slices_degraded;
+                assert_identical(spec.name, threads, &base, &got);
+                assert_eq!(count_base, count, "{}: merged icount differs", spec.name);
+            }
         }
     }
 }

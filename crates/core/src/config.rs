@@ -54,8 +54,9 @@ pub struct SuperPinConfig {
     /// final slices are short and the pipeline delay shrinks.
     pub adaptive_estimate: Option<u64>,
     /// Paper §8 extension: share the code cache across all timeslices.
-    /// A slice compiling a trace another slice already compiled pays a
-    /// consistency-check cost instead of the full JIT cost.
+    /// A slice compiling a trace another slice already compiled (as
+    /// published at the last epoch barrier) pays a consistency-check cost
+    /// instead of the full JIT cost.
     pub shared_code_cache: bool,
     /// Static liveness for the guest program. When present, every
     /// slice's engine elides save/restores of registers proven dead at
@@ -111,7 +112,7 @@ pub struct SuperPinConfig {
     /// `None` — the default — builds no governor and changes nothing:
     /// reports are field-identical to an unbudgeted build. When set, the
     /// runner charges COW page copies, per-slice code caches, retained
-    /// checkpoints, and shared-index snapshots against the budget,
+    /// checkpoints, and the shared code cache's registry against the budget,
     /// defers slice forks under pressure, and walks the eviction ladder
     /// (drop checkpoints → evict cold caches → degrade to inline
     /// serial). The same budget also becomes the guest kernel's

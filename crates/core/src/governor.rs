@@ -35,7 +35,8 @@ use std::collections::{BTreeMap, HashSet};
 /// cache (compiled trace bodies plus side tables).
 pub const COMPILED_INST_BYTES: u64 = 64;
 
-/// Simulated bytes charged per pc in a shared-code-cache index snapshot.
+/// Simulated bytes charged per pc in the trace registry while the shared
+/// code cache is on.
 pub const SNAPSHOT_ENTRY_BYTES: u64 = 8;
 
 /// Flat simulated cost of admitting one fork (kernel structures and page
@@ -183,7 +184,7 @@ pub struct ResidentLedger {
     slices_total: u64,
     /// Retained supervisor checkpoint bytes.
     checkpoints: u64,
-    /// Last shared-index snapshot charge.
+    /// Last trace-registry charge (shared code cache only).
     snapshot: u64,
 }
 
@@ -212,7 +213,7 @@ impl ResidentLedger {
         self.checkpoints = bytes;
     }
 
-    /// Posts the current shared-index snapshot charge.
+    /// Posts the current trace-registry charge.
     pub fn post_snapshot(&mut self, bytes: u64) {
         self.snapshot = bytes;
     }

@@ -30,11 +30,12 @@
 //!    stands in the queue when `threads == 1`, otherwise moved by value
 //!    onto the runner's [`OrderedPool`] and back into its queue
 //!    position. Slices never touch the scheduler, the master, or each
-//!    other, and shared-cache consistency uses per-epoch snapshots, so
-//!    host interleaving cannot leak into any simulated quantity.
+//!    other, and the trace registry they read is immutable for the
+//!    epoch, so host interleaving cannot leak into any simulated
+//!    quantity.
 //! 3. **Barrier.** Failed and lost slices are repaired, virtual time
 //!    jumps to the epoch end, freshly compiled traces are published into
-//!    the sharded shared index *in slice order*, the resident ledger is
+//!    the trace registry *in slice order*, the resident ledger is
 //!    settled, and completed slices merge in slice order.
 //!
 //! Every scheduling decision is fixed before phase 2 starts and every
@@ -87,7 +88,7 @@ use crate::supervisor::{SliceSupervisor, Verdict};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-use superpin_dbi::SharedTraceIndex;
+use superpin_dbi::TraceRegistry;
 use superpin_fault::{FailpointRegistry, Site};
 use superpin_sched::{EpochPlanner, OrderedPool, QuantumScheduler, SliceEta, Timeline};
 use superpin_vm::process::Process;
@@ -202,9 +203,12 @@ pub struct SuperPinRunner<T: SuperTool> {
     /// Whether the master is stalled on a fork that could not be admitted
     /// (one stall episode per continuous stretch).
     stalled: bool,
-    /// Shared compiled-trace index across slices (paper §8 extension).
-    /// Slices consult per-epoch snapshots of it, never the live index.
-    shared_traces: Option<Arc<SharedTraceIndex>>,
+    /// The traces every slice has compiled, published at each barrier
+    /// in slice order and handed to every slice for the next epoch. Its
+    /// membership sets the simulated JIT charge when the shared code
+    /// cache is on (paper §8); its templates let slices adopt each
+    /// other's compiled traces instead of re-instrumenting.
+    registry: Arc<TraceRegistry<SpSliceTool<T>>>,
     epochs: u64,
     host_profile: HostProfile,
     /// Chaos failpoint registry (`--chaos-seed`); `None` costs nothing.
@@ -215,8 +219,9 @@ pub struct SuperPinRunner<T: SuperTool> {
     /// Memory-pressure governor (`--mem-budget`); `None` costs nothing
     /// and leaves every report field identical to an ungoverned run.
     governor: Option<MemoryGovernor>,
-    /// Entry count of the last shared-index snapshot handed to slices,
-    /// charged against the budget at `SNAPSHOT_ENTRY_BYTES` each.
+    /// Entry count of the registry last handed to slices while the
+    /// shared code cache is on, charged against the budget at
+    /// `SNAPSHOT_ENTRY_BYTES` each.
     last_snapshot_len: u64,
     /// Incremental resident-byte ledger: per-slice footprints and the
     /// checkpoint/snapshot terms are posted where they change, so
@@ -224,12 +229,6 @@ pub struct SuperPinRunner<T: SuperTool> {
     /// from-scratch walk per decision point. Debug builds cross-check
     /// it against the full recompute at every read.
     ledger: ResidentLedger,
-    /// Host-side compiled-trace templates shared by every slice engine
-    /// (see [`superpin_dbi::engine::Engine::set_trace_templates`]).
-    /// Purely a wall-clock accelerator — simulated reports are
-    /// unchanged. Disabled under chaos: a clobber-bugged or
-    /// fault-injected slice must compile exactly as it would alone.
-    trace_templates: Option<superpin_dbi::engine::TraceTemplates<SpSliceTool<T>>>,
     /// Record/replay mode for the run's nondeterministic surface (see
     /// the [`record`](crate::record) module). `Live` costs nothing.
     mode: RunMode,
@@ -266,9 +265,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
             .then(|| SliceSupervisor::new(cfg.watchdog_factor, cfg.max_slice_retries));
         let scheduler = QuantumScheduler::new(cfg.machine, cfg.policy);
         let planner = EpochPlanner::new(cfg.epoch_max_quanta);
-        let shared_traces = cfg
-            .shared_code_cache
-            .then(|| Arc::new(SharedTraceIndex::new()));
         Ok(SuperPinRunner {
             cfg,
             scheduler,
@@ -291,12 +287,9 @@ impl<T: SuperTool> SuperPinRunner<T> {
             forks_on_syscall: 0,
             stall_events: 0,
             stalled: false,
-            shared_traces,
+            registry: Arc::new(TraceRegistry::new()),
             epochs: 0,
             host_profile: HostProfile::default(),
-            trace_templates: fault
-                .is_none()
-                .then(|| Arc::new(std::sync::Mutex::new(std::collections::HashMap::new()))),
             fault,
             supervisor,
             governor,
@@ -334,8 +327,9 @@ impl<T: SuperTool> SuperPinRunner<T> {
 
     /// The governed resident-byte total: the master's full resident
     /// set, each live slice's private pages and code cache, retained
-    /// supervisor checkpoints, the last shared-index snapshot, and the
-    /// shared merge segment. Every term is simulated state.
+    /// supervisor checkpoints, the trace registry's entries when the
+    /// shared code cache is on, and the shared merge segment. Every term
+    /// is simulated state.
     ///
     /// The slice/checkpoint/snapshot terms come from the incremental
     /// [`ResidentLedger`] (posted where they change), so this read is
@@ -636,15 +630,10 @@ impl<T: SuperTool> SuperPinRunner<T> {
             }
         };
         self.next_slice_num += 1;
-        if let Some(templates) = &self.trace_templates {
-            slice.set_trace_templates(Arc::clone(templates));
-        }
         // Real fork(2) write-protects the parent too: the master's next
         // write to each currently resident page takes a COW fault.
         self.master.process_mut().mem.mark_cow_shared();
-        if let Some(index) = &self.shared_traces {
-            slice.enter_shared_epoch(index.snapshot());
-        }
+        slice.enter_epoch(Arc::clone(&self.registry));
         // Waking the previous slice materializes its supervisor
         // checkpoint, and `end_span` settles the checkpoint term, so
         // the admission check that follows this fork sees it.
@@ -1027,35 +1016,35 @@ impl<T: SuperTool> SuperPinRunner<T> {
         Ok(())
     }
 
-    /// Epoch-barrier shared-cache synchronization: publish every slice's
-    /// fresh compilations into the sharded index **in slice order**, then
-    /// hand all slices one common snapshot for the next epoch.
+    /// Epoch-barrier publication: drain every slice's fresh compiles
+    /// **in slice order** into the registry, then hand all slices the
+    /// result for the next epoch. A barrier that adds nothing keeps the
+    /// registry it had.
     fn sync_shared_cache(&mut self) {
-        let Some(index) = &self.shared_traces else {
-            return;
-        };
+        let shared = self.cfg.shared_code_cache;
+        let mut fresh = Vec::new();
         for slice in self.live.iter_mut() {
-            let fresh = slice.take_fresh_traces();
-            // Failpoint: a publish "fails" and is simply retried — the
-            // sharded index is idempotent, so the doubled publish is the
+            fresh.extend(slice.take_fresh_traces());
+            // Failpoint: a publish "fails" and is simply retried. Adding
+            // the same entries twice changes nothing, so the retry is the
             // whole recovery and the net effect on the report is zero.
             if let (Some(sup), Some(registry)) = (&mut self.supervisor, &self.fault) {
                 let key = ((slice.num() as u64) << 16) ^ self.epochs;
-                if registry.fire(Site::SharedIndexPublish, key) {
+                if shared && registry.fire(Site::SharedIndexPublish, key) {
                     sup.note_transient_retry();
-                    index.publish(fresh.iter().copied());
                 }
             }
-            index.publish(fresh);
         }
-        let snapshot = index.snapshot();
-        self.last_snapshot_len = snapshot.len() as u64;
-        self.ledger
-            .post_snapshot(self.last_snapshot_len * SNAPSHOT_ENTRY_BYTES);
+        self.registry = self.registry.publish(fresh);
+        if shared {
+            self.last_snapshot_len = self.registry.len() as u64;
+            self.ledger
+                .post_snapshot(self.last_snapshot_len * SNAPSHOT_ENTRY_BYTES);
+        }
         for slice in self.live.iter_mut() {
-            slice.enter_shared_epoch(Arc::clone(&snapshot));
+            slice.enter_epoch(Arc::clone(&self.registry));
             if let Some(sup) = &mut self.supervisor {
-                sup.journal_snapshot(slice.num(), Arc::clone(&snapshot));
+                sup.journal_snapshot(slice.num(), Arc::clone(&self.registry));
             }
         }
     }
@@ -1161,7 +1150,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
     }
 
     /// The run's current governed resident-byte total (master, slices,
-    /// checkpoints, snapshot, shared areas), valid at epoch barriers —
+    /// checkpoints, trace registry, shared areas), valid at epoch barriers —
     /// the sample a fleet scheduler feeds its per-tenant ledger. Works
     /// with or without a per-run governor; O(1) in live slices via the
     /// incremental ledger.

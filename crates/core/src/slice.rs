@@ -8,7 +8,8 @@ use crate::signature::{Signature, SignatureStats, STACK_WORDS};
 use crate::trampoline;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use superpin_dbi::{Engine, EngineStop, IArg, IPoint, Inserter, Pintool, Trace};
+use superpin_dbi::registry::Entry;
+use superpin_dbi::{Engine, EngineStop, IArg, IPoint, Inserter, Pintool, Trace, TraceRegistry};
 use superpin_fault::{FailpointRegistry, Site};
 use superpin_isa::{Reg, NUM_REGS};
 use superpin_vm::kernel::SyscallRecord;
@@ -118,15 +119,19 @@ impl<T: SuperTool> Pintool for SpSliceTool<T> {
     }
 
     fn instrumentation_is_shareable(&self, trace: &Trace) -> bool {
-        // The boundary signature detector is the one slice-specific piece
-        // of instrumentation; traces that contain the boundary pc stay
-        // private. Everything else defers to the user tool's own
-        // certification.
-        let detection_free = match &self.detect {
-            Some(sig) => !trace.insts().any(|iref| iref.addr == sig.pc),
+        // The boundary is the one slice-specific thing about a trace: the
+        // detector instruments the boundary pc, and the split point cuts
+        // traces short just before it. Traces that hold the boundary pc
+        // or the instruction ahead of it stay private, so a peer is never
+        // handed a trace shaped by another slice's boundary. Everything
+        // else defers to the user tool's own certification.
+        let boundary_free = match &self.detect {
+            Some(sig) => !trace
+                .insts()
+                .any(|iref| iref.addr == sig.pc || iref.addr + iref.size == sig.pc),
             None => true,
         };
-        detection_free && self.inner.instrumentation_is_shareable(trace)
+        boundary_free && self.inner.instrumentation_is_shareable(trace)
     }
 
     fn on_syscall(&mut self, record: &SyscallRecord) {
@@ -306,6 +311,7 @@ impl<T: SuperTool> SliceRuntime<T> {
             injected_faults: 0,
         };
         let mut engine = Engine::with_config(process, tool, cfg.cost, cfg.cache_capacity);
+        engine.set_shared_code_cache(cfg.shared_code_cache);
         if let Some(live) = &cfg.liveness {
             engine.set_liveness(Arc::clone(live));
         }
@@ -380,28 +386,20 @@ impl<T: SuperTool> SliceRuntime<T> {
         self.merged
     }
 
-    /// Installs a shared code-cache snapshot for the next epoch (paper §8
-    /// extension; see [`crate::config::SuperPinConfig::shared_code_cache`]).
-    /// The runner refreshes this at every epoch barrier; the engine never
-    /// touches the live index mid-epoch, which keeps its cycle accounting
-    /// independent of host thread interleaving.
-    pub fn enter_shared_epoch(&mut self, snapshot: Arc<std::collections::HashSet<u64>>) {
-        self.engine.enter_shared_epoch(snapshot);
+    /// Hands the slice the trace registry published at the last barrier
+    /// for the next epoch (see [`Engine::enter_epoch`]). The runner does
+    /// so at fork and at every barrier; the registry is immutable, so
+    /// what the slice compiles or adopts, and what it is charged
+    /// (paper §8, [`crate::config::SuperPinConfig::shared_code_cache`]),
+    /// is independent of host thread interleaving.
+    pub fn enter_epoch(&mut self, registry: Arc<TraceRegistry<SpSliceTool<T>>>) {
+        self.engine.enter_epoch(registry);
     }
 
-    /// Installs the run-wide host-side compiled-trace template cache
-    /// (see [`Engine::set_trace_templates`]).
-    pub fn set_trace_templates(
-        &mut self,
-        templates: superpin_dbi::engine::TraceTemplates<SpSliceTool<T>>,
-    ) {
-        self.engine.set_trace_templates(templates);
-    }
-
-    /// Drains trace pcs this slice compiled at full price since the last
-    /// barrier (sorted). The runner publishes them into the shared index
-    /// in slice order.
-    pub fn take_fresh_traces(&mut self) -> Vec<u64> {
+    /// Drains the traces this slice compiled since the last barrier,
+    /// sorted by pc, each with its template when shareable. The runner
+    /// publishes them in slice order.
+    pub fn take_fresh_traces(&mut self) -> Vec<(u64, Entry<SpSliceTool<T>>)> {
         self.engine.take_fresh_traces()
     }
 
@@ -706,6 +704,9 @@ mod tests {
                 );
             }
         }
+        fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+            true
+        }
     }
 
     impl SuperTool for TestCount {
@@ -911,6 +912,45 @@ mod tests {
         let mut slice = slice;
         slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
         slice
+    }
+
+    #[test]
+    fn traces_shaped_by_the_boundary_publish_their_membership_only() {
+        let src = "main:\n li r2, 3\n jmp start\nstart:\n li r1, 10\n\
+                   loop:\n subi r1, r1, 1\n bne r1, r0, loop\n exit 0\n";
+        for shared_code_cache in [true, false] {
+            let (mut process, bubble) = master(src);
+            let mut slice =
+                SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
+                    .expect("spawn");
+            // The boundary is the loop head, four iterations in.
+            process.run_until_syscall(3 + 2 * 4).expect("run");
+            let sig = Signature::capture(&process);
+            let boundary = sig.pc;
+            slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
+            slice.engine.set_shared_code_cache(shared_code_cache);
+            slice.enter_epoch(Arc::new(TraceRegistry::new()));
+            slice.advance(u64::MAX / 8, 0).expect("advance");
+            assert_eq!(slice.end_reason(), Some(SliceEnd::SignatureDetected));
+
+            let fresh = slice.take_fresh_traces();
+            let registry = Arc::new(TraceRegistry::new()).publish(fresh.iter().cloned());
+            // The loop trace holds the detector and `start`'s is cut
+            // short by the split: peers learn that they were compiled —
+            // which only the shared charge has a use for — never how.
+            let start = boundary - 16; // `li` is two words
+            for pc in [boundary, start] {
+                assert_eq!(registry.contains(pc), shared_code_cache, "{pc:#x}");
+                assert!(registry.template(pc).is_none(), "{pc:#x}");
+            }
+            let others: Vec<u64> = fresh
+                .iter()
+                .map(|&(pc, _)| pc)
+                .filter(|&pc| pc != boundary && pc != start)
+                .collect();
+            assert_eq!(others.len(), 1, "main's trace");
+            assert!(registry.template(others[0]).is_some());
+        }
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! is condemned (injected fault, runaway, lost worker) is rebuilt by
 //! cloning its wake-time checkpoint and replaying the exact epoch
 //! schedule it already received — same budgets, same quantum timestamps,
-//! same shared-cache snapshots — with fault injection off. Because every
+//! same trace registries — with fault injection off. Because every
 //! simulated quantity is a pure function of that schedule, the rebuilt
 //! slice is field-by-field identical to one that never faulted; the only
 //! trace recovery leaves in the report is the
@@ -15,14 +15,15 @@
 
 use crate::api::SuperTool;
 use crate::error::SpError;
-use crate::slice::SliceRuntime;
-use std::collections::{HashMap, HashSet};
+use crate::slice::{SliceRuntime, SpSliceTool};
+use std::collections::HashMap;
 use std::sync::Arc;
+use superpin_dbi::TraceRegistry;
 use superpin_sched::{watchdog_deadline_quanta, SliceEta};
 
 /// One step of a slice's deterministic epoch schedule, recorded by the
 /// runner as it dispatches work and replayed verbatim on recovery.
-pub enum ReplayStep {
+pub enum ReplayStep<T: SuperTool> {
     /// One epoch of instrumented execution
     /// ([`SliceRuntime::advance_epoch`] with exactly these arguments).
     Advance {
@@ -35,10 +36,10 @@ pub enum ReplayStep {
         /// Quantum length in cycles.
         quantum: u64,
     },
-    /// An epoch-barrier shared-cache resync: fresh traces drained (they
-    /// were already published by the condemned incarnation — the index is
-    /// idempotent) and this snapshot installed for the next epoch.
-    Snapshot(Arc<HashSet<u64>>),
+    /// An epoch barrier: fresh traces drained (the condemned incarnation
+    /// already published them, and a registry entry is never replaced)
+    /// and this registry installed for the next epoch.
+    Snapshot(Arc<TraceRegistry<SpSliceTool<T>>>),
     /// The memory governor flushed this slice's code cache at a barrier.
     /// Eviction changes cycle accounting (re-execution recompiles at
     /// full JIT cost), so a rebuilt slice must replay it at the same
@@ -71,7 +72,7 @@ struct SliceGuard<T: SuperTool> {
     /// of committed ([`Done`](crate::slice::SliceState::Done)) slices.
     checkpoint: Option<SliceRuntime<T>>,
     /// Epoch schedule delivered since the checkpoint.
-    journal: Vec<ReplayStep>,
+    journal: Vec<ReplayStep<T>>,
     /// Quanta of execution granted since wake (watchdog clock).
     quanta_since_wake: u64,
     /// Watchdog deadline in quanta-since-wake, fixed at the first
@@ -165,10 +166,10 @@ impl<T: SuperTool> SliceSupervisor<T> {
         });
     }
 
-    /// Journals an epoch-barrier shared-cache snapshot.
-    pub fn journal_snapshot(&mut self, num: u32, snapshot: Arc<HashSet<u64>>) {
+    /// Journals the trace registry a barrier handed the slice.
+    pub fn journal_snapshot(&mut self, num: u32, registry: Arc<TraceRegistry<SpSliceTool<T>>>) {
         if let Some(guard) = self.guards.get_mut(&num) {
-            guard.journal.push(ReplayStep::Snapshot(snapshot));
+            guard.journal.push(ReplayStep::Snapshot(registry));
         }
     }
 
@@ -260,11 +261,11 @@ impl<T: SuperTool> SliceSupervisor<T> {
                     epoch_start,
                     quantum,
                 } => slice.advance_epoch(*budget, *quanta, *epoch_start, *quantum)?,
-                ReplayStep::Snapshot(snapshot) => {
+                ReplayStep::Snapshot(registry) => {
                     // Drain compilations the condemned incarnation already
                     // published; mirror its barrier exactly.
                     slice.take_fresh_traces();
-                    slice.enter_shared_epoch(Arc::clone(snapshot));
+                    slice.enter_epoch(Arc::clone(registry));
                 }
                 ReplayStep::EvictCache => {
                     slice.evict_code_cache();

@@ -62,8 +62,8 @@ pub struct CostModel {
     /// Per-instruction cost of adopting a trace that another slice
     /// already compiled into a *shared* code cache (paper §8: sharing
     /// "may add a little extra overhead by performing extra consistency
-    /// checks from other slices"). Only charged when a shared trace
-    /// index is installed; see `Engine::set_shared_trace_index`.
+    /// checks from other slices"). Only charged with the shared code
+    /// cache on; see [`Engine::set_shared_code_cache`](crate::Engine::set_shared_code_cache).
     pub shared_cache_check: u64,
     /// Base cost of invoking one inserted analysis call (register
     /// save/restore + call + return). Kept as the *conservative* total:

@@ -6,10 +6,10 @@ use crate::cache::{
 };
 use crate::cost::CostModel;
 use crate::inserter::{CallCtx, EngineCtl, IPoint, Inserter};
-use crate::shared_index::SharedTraceIndex;
+use crate::registry::{Entry, TraceRegistry};
 use crate::spill::ClobberViolation;
 use crate::tool::Pintool;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 use superpin_analysis::{SoundnessOracle, SuperblockPlan};
@@ -60,12 +60,13 @@ pub struct EngineStats {
     /// Compilations that adopted a shared-cache trace at the cheaper
     /// consistency-check rate (paper §8 extension).
     pub shared_cache_adoptions: u64,
-    /// Compilations that probed the shared index and claimed the trace
-    /// first (full JIT price while sharing). Zero without a shared cache.
+    /// Compilations of a trace no engine had compiled before (full JIT
+    /// price while sharing). Zero without a shared cache.
     pub shared_cache_misses: u64,
-    /// Shared-index probes that had to block on a contended shard lock.
-    /// Structurally zero in epoch-snapshot mode, where engines never
-    /// touch the live index mid-run.
+    /// Frozen at 0: engines read the trace registry without locks, so
+    /// nothing can contend. Kept only so the SPLOG v3 and report-JSON
+    /// layouts, and every digest over them, stay unchanged; dropped at
+    /// the next format bump.
     pub shared_cache_contention: u64,
 }
 
@@ -101,22 +102,13 @@ enum TraceExit {
     Stop(EngineStop),
 }
 
-/// How an engine consults the shared-trace index (paper §8).
+/// What an engine shares with its peers: the registry published at the
+/// last epoch barrier, read without locks, and its own compiles since,
+/// which the runner drains and publishes at the next barrier.
 #[derive(Clone)]
-enum SharedTraceMode {
-    /// Probe-and-publish against the live sharded index on every compile.
-    /// Right for standalone engines and single-threaded supervisors, but
-    /// racy across threads: who compiles first depends on host timing.
-    Live(Arc<SharedTraceIndex>),
-    /// Epoch-snapshot consistency: consult an immutable snapshot taken at
-    /// the last epoch barrier, record own fresh compiles locally. The
-    /// supervisor drains `fresh` at the barrier and publishes it in slice
-    /// order, making the cycle accounting independent of host
-    /// interleaving.
-    Epoch {
-        snapshot: Arc<HashSet<u64>>,
-        fresh: HashSet<u64>,
-    },
+struct Sharing<T> {
+    registry: Arc<TraceRegistry<T>>,
+    fresh: HashMap<u64, Entry<T>>,
 }
 
 /// A Pin-like execution engine: owns the guest [`Process`], the tool, and
@@ -146,11 +138,12 @@ pub struct Engine<T: Pintool> {
     /// Trace formation ends just before this address (SuperPin slice
     /// boundaries; see [`crate::trace::discover_trace_split`]).
     split_point: Option<u64>,
-    /// Shared index of trace entries some engine has already compiled.
-    /// When present, compiling an already-indexed trace charges
-    /// [`CostModel::shared_cache_check`] per instruction instead of the
-    /// full JIT cost (paper §8's shared code cache).
-    shared_traces: Option<SharedTraceMode>,
+    /// The trace registry and this engine's fresh compiles (see
+    /// [`Engine::enter_epoch`]). `None` keeps every compile private.
+    sharing: Option<Sharing<T>>,
+    /// Whether registry membership discounts the simulated JIT (see
+    /// [`Engine::set_shared_code_cache`]).
+    shared_code_cache: bool,
     /// The guest code version last observed; a mismatch means the guest
     /// wrote into its code region (self-modifying code) and every
     /// translation must be discarded.
@@ -176,21 +169,10 @@ pub struct Engine<T: Pintool> {
     /// code write is validated against the static analysis (debug builds
     /// assert; release builds record).
     oracle: Option<Arc<SoundnessOracle>>,
-    /// Host-side cross-engine template cache (see
-    /// [`Engine::set_trace_templates`]). `None` keeps every compile
-    /// private to this engine.
-    templates: Option<TraceTemplates<T>>,
     /// Where dynamic argument lists are evaluated: one buffer re-used by
     /// every call, so no execution allocates.
     scratch: Vec<u64>,
 }
-
-/// Host-side map of compiled-trace templates shared by every engine of a
-/// run (SuperPin's slices). Keyed by trace entry address; adoption is
-/// guarded by an instruction-for-instruction comparison against the
-/// adopter's own freshly discovered trace, so a stale or mismatched
-/// template is simply recompiled, never executed.
-pub type TraceTemplates<T> = Arc<std::sync::Mutex<HashMap<u64, Arc<CompiledTrace<T>>>>>;
 
 impl<T: Pintool + Clone> Clone for Engine<T> {
     /// Checkpoint clone: compiled traces are shared (immutable `Arc`s),
@@ -205,14 +187,14 @@ impl<T: Pintool + Clone> Clone for Engine<T> {
             stats: self.stats,
             fini_done: self.fini_done,
             split_point: self.split_point,
-            shared_traces: self.shared_traces.clone(),
+            sharing: self.sharing.clone(),
+            shared_code_cache: self.shared_code_cache,
             code_version_seen: self.code_version_seen,
             pending_dispatch: self.pending_dispatch,
             fault: self.fault.clone(),
             fault_salt: self.fault_salt,
             fault_dispatches: self.fault_dispatches,
             oracle: self.oracle.clone(),
-            templates: self.templates.clone(),
             scratch: Vec::new(),
         }
     }
@@ -250,14 +232,14 @@ impl<T: Pintool + 'static> Engine<T> {
             stats: EngineStats::default(),
             fini_done: false,
             split_point: None,
-            shared_traces: None,
+            sharing: None,
+            shared_code_cache: false,
             code_version_seen,
             pending_dispatch: true,
             fault: None,
             fault_salt: 0,
             fault_dispatches: 0,
             oracle: None,
-            templates: None,
             scratch: Vec::new(),
         }
     }
@@ -278,43 +260,46 @@ impl<T: Pintool + 'static> Engine<T> {
         self.split_point = split;
     }
 
-    /// Installs a shared compiled-trace index (paper §8's shared code
-    /// cache) in **live** mode: traces another engine already compiled
-    /// are adopted at the consistency-check rate rather than recompiled
-    /// from scratch, and fresh compiles are published immediately.
-    pub fn set_shared_trace_index(&mut self, index: Arc<SharedTraceIndex>) {
-        self.shared_traces = Some(SharedTraceMode::Live(index));
+    /// Turns paper §8's shared code cache on for the simulated charge:
+    /// compiling a trace that is in the registry (see
+    /// [`enter_epoch`](Engine::enter_epoch)), or that this engine
+    /// already compiled this epoch, costs
+    /// [`CostModel::shared_cache_check`] per instruction instead of
+    /// [`CostModel::compile_per_inst`]. Off (the default), every compile
+    /// pays full price whatever the registry holds.
+    pub fn set_shared_code_cache(&mut self, on: bool) {
+        self.shared_code_cache = on;
     }
 
-    /// Switches shared-cache consistency to **epoch-snapshot** mode: the
-    /// engine consults `snapshot` (plus its own fresh compiles) without
-    /// touching the live index, keeping its cycle accounting a pure
-    /// function of virtual time. Fresh compiles accumulated in a previous
-    /// epoch and not yet drained are carried over.
-    ///
-    /// The supervisor calls this at every epoch barrier after draining
-    /// [`take_fresh_traces`](Engine::take_fresh_traces) and publishing in
-    /// slice order.
-    pub fn enter_shared_epoch(&mut self, snapshot: Arc<HashSet<u64>>) {
-        let fresh = match self.shared_traces.take() {
-            Some(SharedTraceMode::Epoch { fresh, .. }) => fresh,
-            _ => HashSet::new(),
+    /// Starts an epoch reading `registry`, the traces published at the
+    /// last barrier. The engine adopts a published template instead of
+    /// re-instrumenting when its tool certifies the trace shareable
+    /// ([`Pintool::instrumentation_is_shareable`]) and its own discovery
+    /// produced the same instructions; simulated cycles are charged
+    /// exactly as for a compile. Compiles not yet drained by
+    /// [`take_fresh_traces`](Engine::take_fresh_traces) are carried
+    /// over.
+    pub fn enter_epoch(&mut self, registry: Arc<TraceRegistry<T>>) {
+        let fresh = self
+            .sharing
+            .take()
+            .map_or_else(HashMap::new, |sharing| sharing.fresh);
+        self.sharing = Some(Sharing { registry, fresh });
+    }
+
+    /// Drains the traces this engine compiled since the last drain, each
+    /// with its template when shareable. A trace no peer may adopt is
+    /// kept only while the shared code cache is on, where its
+    /// membership alone discounts the charge. Sorted by pc, so barrier
+    /// publication is deterministic; empty before the first
+    /// [`enter_epoch`](Engine::enter_epoch).
+    pub fn take_fresh_traces(&mut self) -> Vec<(u64, Entry<T>)> {
+        let Some(sharing) = &mut self.sharing else {
+            return Vec::new();
         };
-        self.shared_traces = Some(SharedTraceMode::Epoch { snapshot, fresh });
-    }
-
-    /// Drains the trace pcs this engine compiled at full price since the
-    /// last drain (epoch-snapshot mode only; empty in live mode). Sorted,
-    /// so barrier publication is deterministic.
-    pub fn take_fresh_traces(&mut self) -> Vec<u64> {
-        match &mut self.shared_traces {
-            Some(SharedTraceMode::Epoch { fresh, .. }) => {
-                let mut pcs: Vec<u64> = fresh.drain().collect();
-                pcs.sort_unstable();
-                pcs
-            }
-            _ => Vec::new(),
-        }
+        let mut fresh: Vec<_> = sharing.fresh.drain().collect();
+        fresh.sort_unstable_by_key(|&(pc, _)| pc);
+        fresh
     }
 
     /// Installs static liveness for the guest program (see
@@ -339,19 +324,6 @@ impl<T: Pintool + 'static> Engine<T> {
     /// stays installed across self-modifying code.
     pub fn set_plan(&mut self, plan: Arc<SuperblockPlan>) {
         self.cache.set_refined_liveness(plan.refined_liveness_arc());
-    }
-
-    /// Installs a cross-engine compiled-trace template cache.
-    ///
-    /// Engines sharing one map reuse each other's compiled traces when
-    /// the tool certifies its instrumentation as shareable
-    /// ([`Pintool::instrumentation_is_shareable`]) and the adopter's own
-    /// trace discovery produced instruction-identical shape. This is
-    /// purely a host-side accelerator: the adopting engine's code cache
-    /// performs the same bookkeeping and the same JIT cycles are
-    /// charged, so simulated reports are unchanged.
-    pub fn set_trace_templates(&mut self, templates: TraceTemplates<T>) {
-        self.templates = Some(templates);
     }
 
     /// Installs the static↔dynamic soundness oracle and turns on the
@@ -544,6 +516,11 @@ impl<T: Pintool + 'static> Engine<T> {
 
     /// Forms, instruments (or adopts) and inserts the trace entered at
     /// `pc` after a cache miss, returning its slab id.
+    ///
+    /// Kept out of line: a miss is rare next to the dispatch loop in
+    /// [`run`](Engine::run), and with this body inlined that loop ran
+    /// 2–3 % slower on `steady_t1` and `churn_t1`.
+    #[inline(never)]
     fn compile_miss(&mut self, pc: u64, spent: &mut u64) -> Result<u32, VmError> {
         // A miss always routes through the dispatcher into the JIT.
         self.pending_dispatch = true;
@@ -562,86 +539,69 @@ impl<T: Pintool + 'static> Engine<T> {
             pc,
             self.split_point,
         )?;
-        // Template sharing: when a peer engine already compiled this
-        // exact trace with certified-pure instrumentation, adopt its
-        // compiled form instead of re-instrumenting. Guarded by an
+        let per_inst = self.jit_rate(pc);
+        // Template sharing: when a peer engine published this exact trace
+        // with certified-pure instrumentation, adopt its compiled form
+        // instead of re-instrumenting. Guarded by an
         // instruction-for-instruction comparison against the trace *this*
         // engine just discovered, so SMC divergence or a different slice
         // boundary falls through to a private compile.
-        let shareable = self.templates.is_some()
+        let shareable = self.sharing.is_some()
             && !self.cache.has_clobber_bug()
             && self.tool.instrumentation_is_shareable(&trace);
-        if shareable {
-            let template = self
-                .templates
-                .as_ref()
-                .expect("checked is_some")
-                .lock()
-                .expect("template lock")
-                .get(&pc)
-                .cloned();
-            if let Some(template) = template {
-                if template_matches(&template, &trace) {
-                    let count = template.insts.len();
-                    let id = self.cache.adopt(template);
-                    self.charge_jit(pc, count, spent);
-                    return Ok(id);
-                }
+        let template = self
+            .sharing
+            .as_ref()
+            .filter(|_| shareable)
+            .and_then(|sharing| sharing.registry.template(pc))
+            .filter(|template| template_matches(template, &trace))
+            .cloned();
+        let (id, count) = match template {
+            Some(template) => {
+                let count = template.insts.len();
+                (self.cache.adopt(template), count)
             }
-        }
-        let mut inserter = Inserter::new();
-        self.tool.instrument_trace(&trace, &mut inserter);
-        let (id, count) = self.cache.compile(&trace, inserter, &self.cost);
-        if shareable {
-            self.templates
-                .as_ref()
-                .expect("checked is_some")
-                .lock()
-                .expect("template lock")
-                .insert(pc, Arc::clone(self.cache.trace(id)));
-        }
-        self.charge_jit(pc, count, spent);
-        Ok(id)
-    }
-
-    /// Charges the simulated JIT cost for compiling (or adopting) a
-    /// trace of `count` instructions entered at `pc`. The charge depends
-    /// only on the *simulated* shared-code-cache mode — host-side
-    /// template adoption takes this exact same path, so both routes cost
-    /// the same simulated cycles.
-    fn charge_jit(&mut self, pc: u64, count: usize, spent: &mut u64) {
-        let per_inst = match &mut self.shared_traces {
-            Some(SharedTraceMode::Live(index)) => {
-                let probe = index.probe_insert(pc);
-                if probe.contended {
-                    self.stats.shared_cache_contention += 1;
+            None => {
+                let mut inserter = Inserter::new();
+                self.tool.instrument_trace(&trace, &mut inserter);
+                let (id, count) = self.cache.compile(&trace, inserter, &self.cost);
+                // Kept for the barrier: what a peer can adopt, and with the
+                // shared charge on, the bare membership it pays less for.
+                match &mut self.sharing {
+                    Some(sharing) if shareable || self.shared_code_cache => {
+                        let template = shareable.then(|| Arc::clone(self.cache.trace(id)));
+                        sharing.fresh.entry(pc).or_insert(template);
+                    }
+                    _ => {}
                 }
-                if probe.adopted {
-                    // Someone already shared it: consistency check only.
-                    self.stats.shared_cache_adoptions += 1;
-                    self.cost.shared_cache_check
-                } else {
-                    // First compiler of this trace pays full price.
-                    self.stats.shared_cache_misses += 1;
-                    self.cost.compile_per_inst
-                }
+                (id, count)
             }
-            Some(SharedTraceMode::Epoch { snapshot, fresh }) => {
-                // `!fresh.insert(pc)` covers this engine recompiling its
-                // own trace after a cache flush within the epoch.
-                if snapshot.contains(&pc) || !fresh.insert(pc) {
-                    self.stats.shared_cache_adoptions += 1;
-                    self.cost.shared_cache_check
-                } else {
-                    self.stats.shared_cache_misses += 1;
-                    self.cost.compile_per_inst
-                }
-            }
-            None => self.cost.compile_per_inst,
         };
         let jit = count as u64 * per_inst;
         self.stats.cycles.jit += jit;
         *spent += jit;
+        Ok(id)
+    }
+
+    /// The simulated JIT price per instruction of the trace entered at
+    /// `pc`. With the shared code cache on, a trace in the registry — or
+    /// one this engine already compiled this epoch, say before a cache
+    /// flush — costs only the consistency check. Whether the host then
+    /// adopts a template or compiles does not enter into it, so both
+    /// routes cost the same simulated cycles.
+    fn jit_rate(&mut self, pc: u64) -> u64 {
+        match &self.sharing {
+            Some(sharing) if self.shared_code_cache => {
+                if sharing.registry.contains(pc) || sharing.fresh.contains_key(&pc) {
+                    self.stats.shared_cache_adoptions += 1;
+                    self.cost.shared_cache_check
+                } else {
+                    self.stats.shared_cache_misses += 1;
+                    self.cost.compile_per_inst
+                }
+            }
+            _ => self.cost.compile_per_inst,
+        }
     }
 
     /// Services the syscall the guest is parked at, charging syscall cost
@@ -1030,6 +990,9 @@ mod tests {
         fn name(&self) -> &'static str {
             "icount1-test"
         }
+        fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+            true
+        }
     }
 
     #[test]
@@ -1242,71 +1205,100 @@ mod tests {
         assert_eq!(stats.then_calls, stats.if_checks);
     }
 
-    #[test]
-    fn shared_trace_index_discounts_recompilation() {
-        let index = Arc::new(SharedTraceIndex::new());
+    /// Runs `engine` to exit reading `registry`, with the shared charge
+    /// `on` or off; returns the engine.
+    fn run_sharing<T: Pintool + 'static>(
+        mut engine: Engine<T>,
+        registry: &Arc<TraceRegistry<T>>,
+        on: bool,
+    ) -> Engine<T> {
+        engine.set_shared_code_cache(on);
+        engine.enter_epoch(Arc::clone(registry));
+        engine.run_to_exit().expect("run");
+        engine
+    }
 
-        let mut first = Engine::new(process_for(LOOP_100), NullTool);
-        first.set_shared_trace_index(Arc::clone(&index));
-        first.run_to_exit().expect("first");
-        assert_eq!(first.stats().shared_cache_adoptions, 0);
-        assert!(first.stats().shared_cache_misses > 0, "first claims traces");
-        let full_jit = first.stats().cycles.jit;
-        assert!(!index.is_empty());
-
-        let mut second = Engine::new(process_for(LOOP_100), NullTool);
-        second.set_shared_trace_index(Arc::clone(&index));
-        second.run_to_exit().expect("second");
-        let stats = second.stats();
-        assert!(stats.shared_cache_adoptions > 0, "second engine must adopt");
-        assert_eq!(stats.shared_cache_misses, 0, "nothing new to claim");
-        assert!(
-            stats.cycles.jit * 4 < full_jit,
-            "adopted compilation {} should be far below full {}",
-            stats.cycles.jit,
-            full_jit
-        );
-
-        // Without the index, the second engine pays full price again.
-        let mut solo = Engine::new(process_for(LOOP_100), NullTool);
-        solo.run_to_exit().expect("solo");
-        assert_eq!(solo.stats().cycles.jit, full_jit);
+    /// The trace `engine`'s cache holds for `pc`.
+    fn resident<T: Pintool + 'static>(engine: &mut Engine<T>, pc: u64) -> Arc<CompiledTrace<T>> {
+        let id = engine.cache.lookup(None, pc).expect("resident");
+        Arc::clone(engine.cache.trace(id))
     }
 
     #[test]
-    fn epoch_snapshot_mode_matches_live_accounting() {
-        // Live mode, serial: first engine pays full, second adopts all.
-        let live_index = Arc::new(SharedTraceIndex::new());
-        let mut live_first = Engine::new(process_for(LOOP_100), NullTool);
-        live_first.set_shared_trace_index(Arc::clone(&live_index));
-        live_first.run_to_exit().expect("live first");
-        let mut live_second = Engine::new(process_for(LOOP_100), NullTool);
-        live_second.set_shared_trace_index(Arc::clone(&live_index));
-        live_second.run_to_exit().expect("live second");
+    fn a_published_trace_is_adopted_only_after_the_barrier() {
+        let empty = Arc::new(TraceRegistry::new());
+        let mut a = run_sharing(
+            Engine::new(process_for(LOOP_100), ICount1::default()),
+            &empty,
+            false,
+        );
+        let fresh = a.take_fresh_traces();
+        assert!(!fresh.is_empty() && fresh.iter().all(|(_, t)| t.is_some()));
+        assert!(a.take_fresh_traces().is_empty(), "a drain empties");
 
-        // Epoch mode with a barrier between the two engines must produce
-        // the same stats: engine one runs against an empty snapshot, its
-        // fresh traces are published, engine two snapshots and adopts.
-        let epoch_index = SharedTraceIndex::new();
-        let mut epoch_first = Engine::new(process_for(LOOP_100), NullTool);
-        epoch_first.enter_shared_epoch(epoch_index.snapshot());
-        epoch_first.run_to_exit().expect("epoch first");
-        let fresh = epoch_first.take_fresh_traces();
-        assert!(!fresh.is_empty());
-        epoch_index.publish(fresh);
-        let mut epoch_second = Engine::new(process_for(LOOP_100), NullTool);
-        epoch_second.enter_shared_epoch(epoch_index.snapshot());
-        epoch_second.run_to_exit().expect("epoch second");
-        assert!(epoch_second.take_fresh_traces().is_empty());
+        // Before the barrier B reads the registry A's compiles are not in.
+        let mut before = run_sharing(
+            Engine::new(process_for(LOOP_100), ICount1::default()),
+            &empty,
+            false,
+        );
+        let published = empty.publish(fresh.iter().cloned());
+        let mut after = run_sharing(
+            Engine::new(process_for(LOOP_100), ICount1::default()),
+            &published,
+            false,
+        );
+        for (pc, template) in &fresh {
+            let template = template.as_ref().expect("shareable");
+            assert!(Arc::ptr_eq(&resident(&mut a, *pc), template));
+            assert!(!Arc::ptr_eq(&resident(&mut before, *pc), template));
+            assert!(Arc::ptr_eq(&resident(&mut after, *pc), template));
+        }
+        // An adopter has nothing fresh to publish, and counts the same.
+        assert!(after.take_fresh_traces().is_empty());
+        assert_eq!(after.tool().count, a.tool().count);
+    }
 
-        assert_eq!(epoch_first.stats(), live_first.stats());
-        let live = live_second.stats();
-        let epoch = epoch_second.stats();
-        assert_eq!(epoch.cycles, live.cycles);
-        assert_eq!(epoch.shared_cache_adoptions, live.shared_cache_adoptions);
-        assert_eq!(epoch.shared_cache_misses, 0);
-        // Epoch mode never touches the live index mid-run.
-        assert_eq!(epoch.shared_cache_contention, 0);
+    #[test]
+    fn the_shared_charge_applies_only_when_the_cache_is_on() {
+        let solo = {
+            let mut engine = Engine::new(process_for(LOOP_100), ICount1::default());
+            engine.run_to_exit().expect("solo");
+            engine.stats()
+        };
+        let empty = Arc::new(TraceRegistry::new());
+        let mut a = run_sharing(
+            Engine::new(process_for(LOOP_100), ICount1::default()),
+            &empty,
+            true,
+        );
+        assert_eq!(a.stats().shared_cache_adoptions, 0);
+        assert!(a.stats().shared_cache_misses > 0, "the first compiler pays");
+        assert_eq!(a.stats().cycles, solo.cycles);
+        let published = empty.publish(a.take_fresh_traces());
+
+        let on = run_sharing(
+            Engine::new(process_for(LOOP_100), ICount1::default()),
+            &published,
+            true,
+        );
+        let stats = on.stats();
+        assert!(stats.shared_cache_adoptions > 0, "B must pay the check");
+        assert_eq!(stats.shared_cache_misses, 0, "nothing new to claim");
+        assert_eq!(
+            stats.cycles.jit,
+            on.cache_stats().insts_compiled * on.cost().shared_cache_check
+        );
+        assert!(stats.cycles.jit * 4 < solo.cycles.jit);
+
+        // Off, the registry only saves host work: B's stats are a solo
+        // engine's, adopted templates and all.
+        let off = run_sharing(
+            Engine::new(process_for(LOOP_100), ICount1::default()),
+            &published,
+            false,
+        );
+        assert_eq!(off.stats(), solo);
     }
 
     #[test]

@@ -51,7 +51,7 @@ pub mod cache;
 pub mod cost;
 pub mod engine;
 pub mod inserter;
-pub mod shared_index;
+pub mod registry;
 pub mod spill;
 pub mod tool;
 pub mod trace;
@@ -62,7 +62,7 @@ pub use engine::{cycles_to_ns, CycleBreakdown, Engine, EngineStats, EngineStop, 
 pub use inserter::{
     AnalysisFn, Call, CallCtx, CounterFn, EngineCtl, IArg, IPoint, Inserter, PredicateFn,
 };
-pub use shared_index::{ProbeOutcome, SharedIndexStats, SharedTraceIndex};
+pub use registry::TraceRegistry;
 pub use spill::{analysis_clobbers, ClobberViolation};
 pub use tool::{NullTool, Pintool};
 pub use trace::{discover_trace, BasicBlock, InstRef, Trace};

@@ -207,6 +207,43 @@ fn a_tight_budget_walks_the_ladder_identically_at_one_and_four_threads() {
 }
 
 #[test]
+fn the_shared_code_cache_is_invariant_under_threads_and_chaos_and_saves_jit() {
+    let governed = |shared_code_cache| {
+        let mut cfg = config().with_supervision().with_mem_budget(TIGHT_BUDGET);
+        cfg.shared_code_cache = shared_code_cache;
+        cfg
+    };
+    let (serial, count_serial) = run(governed(true));
+    let (pooled, count_pooled) = run(governed(true).with_threads(4));
+    assert_eq!(serial, pooled, "threads=4 changed the shared-cache report");
+    let chaos = governed(true)
+        .with_threads(4)
+        .with_chaos(FailPlan::new(3, 0.05));
+    let (mut recovered, count_recovered) = run(chaos);
+    assert!(recovered.slice_retries >= 1, "chaos never fired");
+    // Recovery may move only its own counters.
+    recovered.slice_retries = serial.slice_retries;
+    recovered.slices_degraded = serial.slices_degraded;
+    assert_eq!(serial, recovered, "recovery leaked into the report");
+    assert_eq!(count_serial, count_pooled);
+    assert_eq!(count_serial, count_recovered);
+
+    // Paper §8: a trace another slice compiled costs only the check.
+    let jit = |report: &SuperPinReport| -> u64 {
+        report
+            .slices
+            .iter()
+            .map(|slice| slice.engine.cycles.jit)
+            .sum()
+    };
+    let (private, _) = run(governed(false));
+    assert!(
+        jit(&serial) < jit(&private),
+        "sharing never discounted a compile"
+    );
+}
+
+#[test]
 fn a_governed_run_recorded_at_four_threads_replays_at_one() {
     let mut recipe = RunRecipe::standard(GUEST, SCALE);
     recipe.spmsec = 1000;
