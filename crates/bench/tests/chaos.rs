@@ -155,9 +155,10 @@ fn retry_exhaustion_degrades_to_serial_and_stays_correct() {
 
 #[test]
 fn fork_and_publish_failpoints_are_absorbed_in_place() {
-    // COW fork failures retry the fork; dropped index publications
-    // republish (the shared index is idempotent). Both are transient —
-    // counted as retries, no slice condemned.
+    // COW fork failures retry the fork; dropped registry publications
+    // republish, and a republish adds nothing because a registry entry
+    // is never replaced. Both are transient — counted as retries, no
+    // slice condemned.
     let spec = catalog().iter().find(|s| s.name == "gcc").expect("catalog");
     let mut cfg = config();
     cfg.shared_code_cache = true;

@@ -1,5 +1,5 @@
-//! Memory-pressure governance: a deterministic byte-budget ledger over
-//! the simulation's resident memory (see DESIGN.md §4.9).
+//! Memory-pressure governance: a deterministic byte budget over the
+//! simulation's resident memory (see DESIGN.md §4.9).
 //!
 //! SuperPin's fork-per-timeslice design multiplies a program's footprint:
 //! every live slice holds COW-diverged pages, a private code cache, and —
@@ -22,14 +22,16 @@
 //!    new slice is degraded to inline serial execution, mirroring the
 //!    supervisor's degrade rung.
 //!
-//! Every input to these decisions (page counters, cache occupancy,
-//! checkpoint footprints, virtual timestamps) is simulated state, and
-//! every decision is taken at a control step or epoch barrier on the
-//! supervisor thread. For a fixed budget, reports are therefore
+//! The governor holds no usage figure of its own: the runner sums its
+//! live state on demand (`SuperPinRunner::resident_bytes`) and hands
+//! the total in. Every input to these decisions (page counters, cache
+//! occupancy, checkpoint footprints, virtual timestamps) is simulated
+//! state, and every decision is taken at a control step or epoch barrier
+//! on the supervisor thread. For a fixed budget, reports are therefore
 //! bit-identical across host thread counts; with no budget the governor
 //! is never built and the run is field-identical to an ungoverned one.
 
-use std::collections::{BTreeMap, HashSet};
+use std::collections::HashSet;
 
 /// Simulated bytes charged per instruction resident in a slice's code
 /// cache (compiled trace bodies plus side tables).
@@ -43,7 +45,7 @@ pub const SNAPSHOT_ENTRY_BYTES: u64 = 8;
 /// tables for the child), charged up front by the admission check.
 pub const FORK_COST_BYTES: u64 = 4096;
 
-/// The byte-budget ledger and its pressure counters.
+/// The byte budget and its pressure counters.
 ///
 /// The governor owns the *decision state* (budget, peak, episode flags,
 /// its own degraded set); the eviction ladder itself lives in the runner,
@@ -153,82 +155,6 @@ impl MemoryGovernor {
     /// Forgets a merged slice's degraded pin.
     pub fn release(&mut self, num: u32) {
         self.degraded.remove(&num);
-    }
-}
-
-/// Incremental resident-byte ledger: the governed usage sum maintained
-/// term by term instead of being walked from scratch at every decision
-/// point.
-///
-/// The runner's original `resident_usage` recomputed two O(live-slices)
-/// sums — per-slice footprints and retained checkpoints — on every
-/// admission check and barrier sample. At single-run scale that walk is
-/// noise; at fleet scale (many runners interleaving admission checks
-/// every round) it shows up. The ledger keeps those two sums cached:
-/// the runner posts a slice's footprint only when it changes (fork,
-/// epoch advance, eviction, repair, merge) and the checkpoint total
-/// only at guard/drop/release sites, so reading the total is O(1) in
-/// the number of slices.
-///
-/// Determinism is untouched — the ledger holds exactly the numbers the
-/// full walk would produce, and debug builds cross-check
-/// [`total_with`](ResidentLedger::total_with) against the from-scratch
-/// recompute at every decision point (see the runner's
-/// `resident_usage`).
-#[derive(Clone, Debug, Default)]
-pub struct ResidentLedger {
-    /// Per-slice footprint (private pages + code cache), keyed by slice
-    /// number. A `BTreeMap` so debug dumps are deterministic.
-    slices: BTreeMap<u32, u64>,
-    /// Running sum of `slices` values.
-    slices_total: u64,
-    /// Retained supervisor checkpoint bytes.
-    checkpoints: u64,
-    /// Last trace-registry charge (shared code cache only).
-    snapshot: u64,
-}
-
-impl ResidentLedger {
-    /// An empty ledger.
-    pub fn new() -> ResidentLedger {
-        ResidentLedger::default()
-    }
-
-    /// Posts slice `num`'s current footprint (private resident pages
-    /// plus code-cache bytes), replacing the previous posting.
-    pub fn post_slice(&mut self, num: u32, bytes: u64) {
-        let old = self.slices.insert(num, bytes).unwrap_or(0);
-        self.slices_total = self.slices_total - old + bytes;
-    }
-
-    /// Forgets a merged slice's footprint.
-    pub fn retire_slice(&mut self, num: u32) {
-        if let Some(old) = self.slices.remove(&num) {
-            self.slices_total -= old;
-        }
-    }
-
-    /// Posts the current retained-checkpoint total.
-    pub fn post_checkpoints(&mut self, bytes: u64) {
-        self.checkpoints = bytes;
-    }
-
-    /// Posts the current trace-registry charge.
-    pub fn post_snapshot(&mut self, bytes: u64) {
-        self.snapshot = bytes;
-    }
-
-    /// The cached slice-footprint sum.
-    pub fn slice_bytes(&self) -> u64 {
-        self.slices_total
-    }
-
-    /// The governed total given the two terms that are O(1) to read
-    /// fresh (the master's resident bytes and the shared merge
-    /// segment): cached slice footprints + cached checkpoints + cached
-    /// snapshot charge + the live terms.
-    pub fn total_with(&self, master_bytes: u64, shared_bytes: u64) -> u64 {
-        master_bytes + self.slices_total + self.checkpoints + self.snapshot + shared_bytes
     }
 }
 
@@ -534,25 +460,6 @@ mod tests {
         assert_eq!(gov.degraded_total(), 1, "history is not rolled back");
         gov.degrade(4);
         assert_eq!(gov.degraded_total(), 2);
-    }
-
-    #[test]
-    fn resident_ledger_tracks_postings_incrementally() {
-        let mut ledger = ResidentLedger::new();
-        assert_eq!(ledger.total_with(100, 10), 110);
-        ledger.post_slice(1, 4096);
-        ledger.post_slice(2, 8192);
-        assert_eq!(ledger.slice_bytes(), 12_288);
-        // Re-posting replaces, not accumulates.
-        ledger.post_slice(1, 2048);
-        assert_eq!(ledger.slice_bytes(), 10_240);
-        ledger.post_checkpoints(500);
-        ledger.post_snapshot(64);
-        assert_eq!(ledger.total_with(100, 10), 100 + 10_240 + 500 + 64 + 10);
-        ledger.retire_slice(2);
-        assert_eq!(ledger.slice_bytes(), 2048);
-        ledger.retire_slice(2); // idempotent
-        assert_eq!(ledger.slice_bytes(), 2048);
     }
 
     #[test]

@@ -104,7 +104,7 @@ mod error;
 pub use api::SuperTool;
 pub use config::SuperPinConfig;
 pub use error::SpError;
-pub use governor::{MemoryGovernor, ResidentLedger, TenantAdmission, TenantCounters, TenantLedger};
+pub use governor::{MemoryGovernor, TenantAdmission, TenantCounters, TenantLedger};
 pub use record::{
     AdmissionDecision, NondetEvent, RunMode, RunProbe, RunRecorder, RunSource, SliceProbe,
 };

@@ -35,8 +35,8 @@
 //!    quantity.
 //! 3. **Barrier.** Failed and lost slices are repaired, virtual time
 //!    jumps to the epoch end, freshly compiled traces are published into
-//!    the trace registry *in slice order*, the resident ledger is
-//!    settled, and completed slices merge in slice order.
+//!    the trace registry *in slice order*, and completed slices merge in
+//!    slice order.
 //!
 //! Every scheduling decision is fixed before phase 2 starts and every
 //! cross-slice effect is applied in slice order at the barrier, so the
@@ -64,17 +64,18 @@
 //! `RunMode::record` pair (see [`record`](crate::record)); nothing else
 //! in the loop knows the mode. The memory governor's ladder acts through
 //! two functions, `drop_checkpoint` and `evict_cache`, which carry every
-//! journal, governor and ledger posting; the live ladder, its replay and
-//! the fleet's [`fleet_evict_caches`](SuperPinRunner::fleet_evict_caches)
-//! differ only in which slices they name.
+//! journal and governor posting; the live ladder, its replay and the
+//! fleet's [`fleet_evict_caches`](SuperPinRunner::fleet_evict_caches)
+//! differ only in which slices they name. Governed memory is read, not
+//! posted: [`resident_bytes`](SuperPinRunner::resident_bytes) sums the
+//! live state each time it is called, so no bookkeeping order can change
+//! an admission.
 
 use crate::api::SuperTool;
 use crate::bubble::Bubble;
 use crate::config::SuperPinConfig;
 use crate::error::SpError;
-use crate::governor::{
-    MemoryGovernor, ResidentLedger, COMPILED_INST_BYTES, FORK_COST_BYTES, SNAPSHOT_ENTRY_BYTES,
-};
+use crate::governor::{MemoryGovernor, COMPILED_INST_BYTES, FORK_COST_BYTES, SNAPSHOT_ENTRY_BYTES};
 use crate::master::{MasterEvent, MasterRuntime};
 use crate::record::{
     AdmissionDecision as Admission, NondetEvent, RunMode, RunProbe, RunRecorder, RunSource,
@@ -219,16 +220,6 @@ pub struct SuperPinRunner<T: SuperTool> {
     /// Memory-pressure governor (`--mem-budget`); `None` costs nothing
     /// and leaves every report field identical to an ungoverned run.
     governor: Option<MemoryGovernor>,
-    /// Entry count of the registry last handed to slices while the
-    /// shared code cache is on, charged against the budget at
-    /// `SNAPSHOT_ENTRY_BYTES` each.
-    last_snapshot_len: u64,
-    /// Incremental resident-byte ledger: per-slice footprints and the
-    /// checkpoint/snapshot terms are posted where they change, so
-    /// reading governed usage is O(1) in live slices instead of a
-    /// from-scratch walk per decision point. Debug builds cross-check
-    /// it against the full recompute at every read.
-    ledger: ResidentLedger,
     /// Record/replay mode for the run's nondeterministic surface (see
     /// the [`record`](crate::record) module). `Live` costs nothing.
     mode: RunMode,
@@ -293,8 +284,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
             fault,
             supervisor,
             governor,
-            last_snapshot_len: 0,
-            ledger: ResidentLedger::new(),
             mode: RunMode::Live,
             pool: None,
         })
@@ -325,77 +314,17 @@ impl<T: SuperTool> SuperPinRunner<T> {
         running.count() < self.cfg.max_slices
     }
 
-    /// The governed resident-byte total: the master's full resident
-    /// set, each live slice's private pages and code cache, retained
-    /// supervisor checkpoints, the trace registry's entries when the
-    /// shared code cache is on, and the shared merge segment. Every term
-    /// is simulated state.
-    ///
-    /// The slice/checkpoint/snapshot terms come from the incremental
-    /// [`ResidentLedger`] (posted where they change), so this read is
-    /// O(1) in live slices; master and shared are O(1)-cheap live
-    /// reads. Debug builds cross-check the ledger against the
-    /// from-scratch recompute, so any missed posting site fails loudly
-    /// instead of drifting.
-    fn resident_usage(&self) -> u64 {
-        let usage = self.ledger.total_with(
-            self.master.process().mem.resident_bytes(),
-            self.shared.resident_bytes(),
-        );
-        debug_assert_eq!(
-            usage,
-            self.resident_usage_full(),
-            "resident ledger drifted from the full recompute"
-        );
-        usage
-    }
-
-    /// The from-scratch O(live-slices) recompute of the governed total —
-    /// the debug-build cross-check for the incremental ledger.
-    fn resident_usage_full(&self) -> u64 {
-        let mut usage = self.master.process().mem.resident_bytes();
-        for slice in &self.live {
-            usage += Self::slice_footprint(slice);
-        }
-        if let Some(sup) = &self.supervisor {
-            usage += sup.retained_checkpoint_bytes();
-        }
-        usage += self.last_snapshot_len * SNAPSHOT_ENTRY_BYTES;
-        usage += self.shared.resident_bytes();
-        usage
-    }
-
     /// One slice's governed footprint: private resident pages plus its
     /// code cache at the flat per-instruction byte cost.
     fn slice_footprint(slice: &SliceRuntime<T>) -> u64 {
         slice.private_resident_bytes() + slice.cache_resident_insts() as u64 * COMPILED_INST_BYTES
     }
 
-    /// Re-posts every live slice's footprint and the checkpoint term —
-    /// the once-per-epoch settlement after the slice phase (footprints
-    /// grow inside workers, where the ledger cannot be touched).
-    fn settle_ledger(&mut self) {
-        for slice in &self.live {
-            self.ledger
-                .post_slice(slice.num(), Self::slice_footprint(slice));
-        }
-        self.post_checkpoint_bytes();
-    }
-
-    /// Posts the supervisor's current retained-checkpoint total.
-    fn post_checkpoint_bytes(&mut self) {
-        let bytes = self
-            .supervisor
-            .as_ref()
-            .map_or(0, SliceSupervisor::retained_checkpoint_bytes);
-        self.ledger.post_checkpoints(bytes);
-    }
-
-    /// Samples the ledger into the governor's high-water mark. A no-op
-    /// (not even a ledger walk) when no budget is set.
+    /// Samples the governed total into the governor's high-water mark.
+    /// A no-op (not even the walk) when no budget is set.
     fn observe_usage(&mut self) {
         if self.governor.is_some() {
-            let usage = self.resident_usage();
+            let usage = self.resident_bytes();
             if let Some(gov) = self.governor.as_mut() {
                 gov.observe(usage);
             }
@@ -427,8 +356,8 @@ impl<T: SuperTool> SuperPinRunner<T> {
     }
 
     /// Ladder rung 1 on one slice: reclaims `num`'s retained checkpoint,
-    /// with the governor and ledger postings. Returns the simulated
-    /// bytes freed (0 when there was nothing to drop).
+    /// counted by the governor. Returns the simulated bytes freed (0 when
+    /// there was nothing to drop).
     fn drop_checkpoint(&mut self, num: u32) -> u64 {
         let freed = self
             .supervisor
@@ -438,23 +367,21 @@ impl<T: SuperTool> SuperPinRunner<T> {
             if let Some(gov) = &mut self.governor {
                 gov.note_checkpoint_dropped();
             }
-            self.post_checkpoint_bytes();
         }
         freed
     }
 
     /// Ladder rung 2 on one slice: flushes `num`'s code cache. The
     /// eviction is journaled, so a condemned slice's rebuild replays it
-    /// at the same point in its schedule, counted by the governor when
-    /// one is armed, and posted to the ledger. Returns the simulated
-    /// bytes freed (0 when the cache was already empty).
+    /// at the same point in its schedule, and counted by the governor
+    /// when one is armed. Returns the simulated bytes freed (0 when the
+    /// cache was already empty).
     fn evict_cache(&mut self, num: u32) -> u64 {
         let Some(slice) = self.live.iter_mut().find(|slice| slice.num() == num) else {
             return 0;
         };
         let freed = slice.evict_code_cache() as u64 * COMPILED_INST_BYTES;
         if freed > 0 {
-            self.ledger.post_slice(num, Self::slice_footprint(slice));
             if let Some(sup) = &mut self.supervisor {
                 sup.journal_evict(num);
             }
@@ -543,7 +470,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
     /// in ladder order) for the record.
     fn admit_fork_live(&mut self) -> (Admission, Vec<u32>, Vec<u32>) {
         let est = self.fork_estimate();
-        let mut usage = self.resident_usage();
+        let mut usage = self.resident_bytes();
         if !self.over_budget(usage, est) {
             return (Admission::Admit, Vec::new(), Vec::new());
         }
@@ -634,13 +561,9 @@ impl<T: SuperTool> SuperPinRunner<T> {
         // write to each currently resident page takes a COW fault.
         self.master.process_mut().mem.mark_cow_shared();
         slice.enter_epoch(Arc::clone(&self.registry));
-        // Waking the previous slice materializes its supervisor
-        // checkpoint, and `end_span` settles the checkpoint term, so
-        // the admission check that follows this fork sees it.
         if let Some(boundary) = boundary {
             self.end_span(boundary, self.now);
         }
-        self.ledger.post_slice(num, Self::slice_footprint(&slice));
         self.live.push_back(slice);
         self.last_fork = self.now;
         self.master_insts_at_last_fork = self.master.process().inst_count();
@@ -670,7 +593,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
                 }
             }
         }
-        self.post_checkpoint_bytes();
     }
 
     /// Merges completed slices in slice order, reaping their runtimes.
@@ -681,7 +603,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
             }
             let mut slice = self.live.pop_front().expect("front exists");
             let num = slice.num();
-            self.ledger.retire_slice(num);
             if let Some(sup) = &mut self.supervisor {
                 sup.release(num);
             }
@@ -704,9 +625,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
                 cow_copies: slice.engine().process().mem.stats().cow_copies,
             });
         }
-        // `release` lets go of merged slices' guards (checkpoints
-        // included), so settle the checkpoint term once per sweep.
-        self.post_checkpoint_bytes();
     }
 
     /// Handles fork triggers at an epoch barrier: a pending forced-fork
@@ -1036,11 +954,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
             }
         }
         self.registry = self.registry.publish(fresh);
-        if shared {
-            self.last_snapshot_len = self.registry.len() as u64;
-            self.ledger
-                .post_snapshot(self.last_snapshot_len * SNAPSHOT_ENTRY_BYTES);
-        }
         for slice in self.live.iter_mut() {
             slice.enter_epoch(Arc::clone(&self.registry));
             if let Some(sup) = &mut self.supervisor {
@@ -1149,13 +1062,27 @@ impl<T: SuperTool> SuperPinRunner<T> {
         self.now
     }
 
-    /// The run's current governed resident-byte total (master, slices,
-    /// checkpoints, trace registry, shared areas), valid at epoch barriers —
-    /// the sample a fleet scheduler feeds its per-tenant ledger. Works
-    /// with or without a per-run governor; O(1) in live slices via the
-    /// incremental ledger.
+    /// The run's current governed resident-byte total (DESIGN §4.9): the
+    /// master's full resident set, each live slice's private pages and
+    /// code cache, retained supervisor checkpoints, the trace registry's
+    /// entries when the shared code cache is on, and the shared merge
+    /// segment. Every term is simulated state, summed fresh on each call
+    /// in O(live slices) — at most `-spmp` running plus the sleeping
+    /// and committed ones.
+    ///
+    /// The governor samples and admits against it, and a fleet scheduler
+    /// feeds it to its per-tenant ledger at epoch barriers. Works with or
+    /// without a per-run governor.
     pub fn resident_bytes(&self) -> u64 {
-        self.resident_usage()
+        let mut usage = self.master.process().mem.resident_bytes();
+        usage += self.live.iter().map(Self::slice_footprint).sum::<u64>();
+        if let Some(sup) = &self.supervisor {
+            usage += sup.retained_checkpoint_bytes();
+        }
+        if self.cfg.shared_code_cache {
+            usage += self.registry.len() as u64 * SNAPSHOT_ENTRY_BYTES;
+        }
+        usage + self.shared.resident_bytes()
     }
 
     /// Fleet-ladder rung 1, driven from outside: evicts this run's
@@ -1316,11 +1243,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
         self.supervise_barrier(failures)?;
         self.now += epoch_len * quantum;
         self.sync_shared_cache();
-        // Footprints grew inside the slice phase (on worker threads,
-        // where the ledger cannot be touched) and repairs may have
-        // swapped slices: settle every posting once, here at the
-        // barrier.
-        self.settle_ledger();
         self.observe_usage();
         self.merge_ready();
         self.host_profile.supervisor_ns += barrier_start.elapsed().as_nanos() as u64;

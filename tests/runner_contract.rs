@@ -23,6 +23,18 @@ const SCALE: Scale = Scale::Tiny;
 /// slices, caches and checkpoints: tight enough to walk every rung.
 const TIGHT_BUDGET: u64 = 192 * 1024;
 
+/// A governed report's pressure figures, pinned exactly: `(peak_resident_bytes,
+/// slices_deferred, checkpoints_dropped, caches_evicted, total_cycles)`.
+fn governed_numbers(report: &SuperPinReport) -> (u64, u64, u64, u64, u64) {
+    (
+        report.peak_resident_bytes,
+        report.slices_deferred,
+        report.checkpoints_dropped,
+        report.caches_evicted,
+        report.total_cycles,
+    )
+}
+
 fn config() -> SuperPinConfig {
     SuperPinConfig::scaled(1000, superpin_serve::time_scale_for(SCALE))
 }
@@ -200,6 +212,11 @@ fn a_tight_budget_walks_the_ladder_identically_at_one_and_four_threads() {
         "the budget never evicted a cache"
     );
     assert!(serial.peak_resident_bytes > 0, "the gauge was never read");
+    assert_eq!(
+        governed_numbers(&serial),
+        (218_248, 51, 24, 381, 631_000),
+        "the governed figures moved"
+    );
     let (pooled, count_pooled) = run(governed().with_threads(4));
     assert_eq!(serial, pooled, "threads=4 changed the governed report");
     assert_eq!(count_plain, count_serial, "pressure changed the merge");
@@ -214,6 +231,11 @@ fn the_shared_code_cache_is_invariant_under_threads_and_chaos_and_saves_jit() {
         cfg
     };
     let (serial, count_serial) = run(governed(true));
+    assert_eq!(
+        governed_numbers(&serial),
+        (213_856, 46, 9, 148, 223_500),
+        "the governed figures moved"
+    );
     let (pooled, count_pooled) = run(governed(true).with_threads(4));
     assert_eq!(serial, pooled, "threads=4 changed the shared-cache report");
     let chaos = governed(true)
