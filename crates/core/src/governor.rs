@@ -184,7 +184,6 @@ struct TenantEntry {
     weight: u64,
     /// Optional hard cap (validated ≤ fleet budget by the CLI).
     cap: Option<u64>,
-    usage: u64,
     admitted: u64,
     deferred: u64,
     degraded: u64,
@@ -219,6 +218,10 @@ pub struct TenantCounters {
 /// own budget. The fleet ladder mirrors the per-run eviction ladder,
 /// reordered by fairness: over-share tenants give back memory (cache
 /// evictions, deferrals) before an under-share tenant is degraded.
+///
+/// The ledger keeps no copy of usage. Every decision takes `usages`:
+/// each registered tenant's resident bytes, in declaration order, as
+/// the caller walked them from its live jobs at that moment.
 #[derive(Clone, Debug)]
 pub struct TenantLedger {
     fleet_budget: u64,
@@ -251,20 +254,11 @@ impl TenantLedger {
             id,
             weight: weight.max(1),
             cap,
-            usage: 0,
             admitted: 0,
             deferred: 0,
             degraded: 0,
             evicted: 0,
         });
-    }
-
-    /// Posts a tenant's current resident usage (the sum of its jobs'
-    /// ledger totals, sampled at a round barrier).
-    pub fn post_usage(&mut self, id: u32, bytes: u64) {
-        if let Some(tenant) = self.tenants.iter_mut().find(|t| t.id == id) {
-            tenant.usage = bytes;
-        }
     }
 
     /// A tenant's fair share of the fleet budget: the weighted split,
@@ -280,46 +274,37 @@ impl TenantLedger {
             .unwrap_or(0)
     }
 
-    /// A tenant's last posted usage (0 for unknown tenants). The WAL
-    /// journals this per round so recovery can verify the ledger state
-    /// it rebuilt.
-    pub fn usage(&self, id: u32) -> u64 {
+    /// Tenant `id`'s entry in `usages` (0 for unknown tenants).
+    fn usage(&self, usages: &[u64], id: u32) -> u64 {
         self.tenants
             .iter()
-            .find(|t| t.id == id)
-            .map(|t| t.usage)
+            .position(|t| t.id == id)
+            .and_then(|index| usages.get(index).copied())
             .unwrap_or(0)
-    }
-
-    /// Total posted usage across all tenants.
-    pub fn fleet_usage(&self) -> u64 {
-        self.tenants.iter().map(|t| t.usage).sum()
     }
 
     /// Whether admitting `extra` more bytes would push the fleet over
     /// its budget.
-    pub fn over_budget(&self, extra: u64) -> bool {
-        self.fleet_usage().saturating_add(extra) > self.fleet_budget
+    pub fn over_budget(&self, usages: &[u64], extra: u64) -> bool {
+        usages.iter().sum::<u64>().saturating_add(extra) > self.fleet_budget
     }
 
-    /// Whether the tenant's posted usage exceeds its share.
-    pub fn over_share(&self, id: u32) -> bool {
-        self.tenants
-            .iter()
-            .find(|t| t.id == id)
-            .is_some_and(|t| t.usage > self.share(t.id))
+    /// Whether the tenant's usage exceeds its share.
+    pub fn over_share(&self, usages: &[u64], id: u32) -> bool {
+        self.usage(usages, id) > self.share(id)
     }
 
     /// Tenants over their share, most-over first (byte overage
     /// descending, id ascending on ties) — the fleet ladder's eviction
     /// order.
-    pub fn over_share_tenants(&self) -> Vec<u32> {
+    pub fn over_share_tenants(&self, usages: &[u64]) -> Vec<u32> {
         let mut over: Vec<(u64, u32)> = self
             .tenants
             .iter()
-            .filter_map(|t| {
+            .zip(usages)
+            .filter_map(|(t, &usage)| {
                 let share = self.share(t.id);
-                (t.usage > share).then(|| (t.usage - share, t.id))
+                (usage > share).then(|| (usage - share, t.id))
             })
             .collect();
         over.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)));
@@ -328,13 +313,8 @@ impl TenantLedger {
 
     /// The tenant's unused share (`share − usage`, saturating) — the
     /// clamp applied to a degraded admission's job budget.
-    pub fn remaining_share(&self, id: u32) -> u64 {
-        let usage = self
-            .tenants
-            .iter()
-            .find(|t| t.id == id)
-            .map_or(0, |t| t.usage);
-        self.share(id).saturating_sub(usage)
+    pub fn remaining_share(&self, usages: &[u64], id: u32) -> u64 {
+        self.share(id).saturating_sub(self.usage(usages, id))
     }
 
     /// Resolves one admission for `id` charging `extra` bytes, given
@@ -344,14 +324,20 @@ impl TenantLedger {
     /// inflating the scoreboard. Walks only the *decision* rung —
     /// eviction (the fleet's rung 1) is the scheduler's job, since the
     /// ledger does not own the runners.
-    pub fn decide(&self, id: u32, extra: u64, others_can_free: bool) -> TenantAdmission {
-        if !self.over_budget(extra) {
+    pub fn decide(
+        &self,
+        usages: &[u64],
+        id: u32,
+        extra: u64,
+        others_can_free: bool,
+    ) -> TenantAdmission {
+        if !self.over_budget(usages, extra) {
             return TenantAdmission::Admit;
         }
-        if self.over_share(id) && others_can_free {
+        if self.over_share(usages, id) && others_can_free {
             return TenantAdmission::Defer;
         }
-        let budget = self.remaining_share(id).max(FORK_COST_BYTES);
+        let budget = self.remaining_share(usages, id).max(FORK_COST_BYTES);
         TenantAdmission::AdmitDegraded { budget }
     }
 
@@ -359,8 +345,14 @@ impl TenantLedger {
     /// path for a *fresh* admission attempt (retries of an
     /// already-counted deferral should use `decide` and count the
     /// eventual admission themselves).
-    pub fn admit(&mut self, id: u32, extra: u64, others_can_free: bool) -> TenantAdmission {
-        let decision = self.decide(id, extra, others_can_free);
+    pub fn admit(
+        &mut self,
+        usages: &[u64],
+        id: u32,
+        extra: u64,
+        others_can_free: bool,
+    ) -> TenantAdmission {
+        let decision = self.decide(usages, id, extra, others_can_free);
         match decision {
             TenantAdmission::Admit => self.count_admitted(id),
             TenantAdmission::Defer => self.count_deferred(id),
@@ -478,13 +470,13 @@ mod tests {
         ledger.add_tenant(1, 1, None);
         ledger.add_tenant(2, 1, None);
         ledger.add_tenant(3, 2, None);
-        ledger.post_usage(1, 300); // share 250 → over by 50
-        ledger.post_usage(2, 400); // share 250 → over by 150
-        ledger.post_usage(3, 100); // share 500 → under
-        assert_eq!(ledger.over_share_tenants(), vec![2, 1]);
-        assert!(ledger.over_share(2));
-        assert!(!ledger.over_share(3));
-        assert_eq!(ledger.remaining_share(3), 400);
+        // Shares 250, 250, 500: tenant 1 over by 50, tenant 2 over by
+        // 150, tenant 3 under.
+        let usages = [300, 400, 100];
+        assert_eq!(ledger.over_share_tenants(&usages), vec![2, 1]);
+        assert!(ledger.over_share(&usages, 2));
+        assert!(!ledger.over_share(&usages, 3));
+        assert_eq!(ledger.remaining_share(&usages, 3), 400);
     }
 
     #[test]
@@ -493,22 +485,24 @@ mod tests {
         ledger.add_tenant(1, 1, None);
         ledger.add_tenant(2, 1, None);
         // Under budget: plain admit.
-        assert_eq!(ledger.admit(1, 100, true), TenantAdmission::Admit);
+        assert_eq!(ledger.admit(&[0, 0], 1, 100, true), TenantAdmission::Admit);
         // Over budget + over share + others can free: defer.
-        ledger.post_usage(1, 900_000);
-        ledger.post_usage(2, 50_000);
-        assert_eq!(ledger.admit(1, 100_000, true), TenantAdmission::Defer);
+        let usages = [900_000, 50_000];
+        assert_eq!(
+            ledger.admit(&usages, 1, 100_000, true),
+            TenantAdmission::Defer
+        );
         // Over budget but under share: degraded admit clamped to the
         // tenant's remaining share.
         assert_eq!(
-            ledger.admit(2, 100_000, true),
+            ledger.admit(&usages, 2, 100_000, true),
             TenantAdmission::AdmitDegraded { budget: 450_000 }
         );
         // Nothing else can free memory: deferring would deadlock, so
         // even an over-share tenant lands on the degraded rung (with
         // the clamp floored at the flat fork cost).
         assert_eq!(
-            ledger.admit(1, 100_000, false),
+            ledger.admit(&usages, 1, 100_000, false),
             TenantAdmission::AdmitDegraded {
                 budget: FORK_COST_BYTES
             }

@@ -3,7 +3,7 @@
 use crate::cost::CostModel;
 use crate::inserter::{AnalysisFn, Call, CounterFn, IArg, IPoint, Inserter, PredicateFn};
 use crate::spill::{required_saves, ClobberViolation};
-use crate::trace::Trace;
+use crate::trace::{InstRef, Trace};
 use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -73,27 +73,27 @@ pub enum ArgPlan {
 }
 
 impl ArgPlan {
-    fn lower(args: &[IArg], slot: &CompiledInst, point: IPoint) -> ArgPlan {
-        let is_mem = slot.inst.is_mem_read() || slot.inst.is_mem_write();
+    fn lower(args: &[IArg], iref: &InstRef, point: IPoint) -> ArgPlan {
+        let is_mem = iref.inst.is_mem_read() || iref.inst.is_mem_write();
         let lowered: Vec<LoweredArg> = args
             .iter()
             .map(|arg| match *arg {
-                IArg::InstPtr => LoweredArg::Value(slot.addr),
+                IArg::InstPtr => LoweredArg::Value(iref.addr),
                 IArg::UInt(value) => LoweredArg::Value(value),
                 IArg::MemAddr if is_mem => LoweredArg::MemAddr,
                 // Non-memory instructions have no operand: address 0.
                 IArg::MemAddr => LoweredArg::Value(0),
-                IArg::MemSize => LoweredArg::Value(match slot.inst {
+                IArg::MemSize => LoweredArg::Value(match iref.inst {
                     Inst::Ld { width, .. } | Inst::St { width, .. } => width.bytes() as u64,
                     _ => 0,
                 }),
-                IArg::IsMemWrite => LoweredArg::Value(u64::from(slot.inst.is_mem_write())),
+                IArg::IsMemWrite => LoweredArg::Value(u64::from(iref.inst.is_mem_write())),
                 // Nothing has been taken yet when a before-call runs.
                 IArg::BranchTaken if point == IPoint::Before => LoweredArg::Value(0),
                 IArg::BranchTaken => LoweredArg::BranchTaken,
                 IArg::RegValue(reg) => LoweredArg::Reg(reg),
                 IArg::StackWord(i) => LoweredArg::StackWord(i),
-                IArg::FallthroughAddr => LoweredArg::Value(slot.addr + slot.size),
+                IArg::FallthroughAddr => LoweredArg::Value(iref.addr + iref.size),
             })
             .collect();
         let values: Option<Vec<u64>> = lowered
@@ -206,17 +206,29 @@ impl<T> fmt::Debug for InsertedCall<T> {
     }
 }
 
-/// One instruction of a compiled trace. Its analysis calls live in the
-/// trace's one call array ([`CompiledTrace::before`],
-/// [`CompiledTrace::after`]).
+/// What the executor reads on every execution of one trace slot: the
+/// decoded instruction, its encoded size, and whether the slot is
+/// *quiet* — it has no calls, so nothing needs its effective address
+/// and the executor runs it without touching its [`CompiledInst`].
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct HotSlot {
+    /// The decoded instruction.
+    pub inst: Inst,
+    /// Encoded size in bytes (8, or 16 for `li`).
+    pub size: u8,
+    /// No before- or after-calls and no effective address to derive.
+    pub quiet: bool,
+}
+
+/// The cold half of one instruction of a compiled trace: what the
+/// executor reads only at a slot with calls, at a taken exit and when a
+/// trace exits. The instruction itself is in the slot's [`HotSlot`].
+/// Its analysis calls live in the trace's one call array
+/// ([`CompiledTrace::before`], [`CompiledTrace::after`]).
 #[derive(Debug)]
 pub struct CompiledInst {
     /// Guest address.
     pub addr: u64,
-    /// The decoded instruction.
-    pub inst: Inst,
-    /// Encoded size in bytes.
-    pub size: u64,
     /// Whether any attached call reads [`LoweredArg::MemAddr`] —
     /// precomputed so the executor only derives the effective address
     /// for slots that can observe it.
@@ -275,13 +287,25 @@ impl<T> Fold<T> {
 /// with its calls already lowered ([`LoweredCall`]). Immutable once built,
 /// so engines share it behind an `Arc` (checkpoint clones, templates).
 ///
+/// Each slot is split in two parallel arrays. `hot` holds what every
+/// execution reads — the instruction, its size and the `quiet` flag —
+/// in 24 bytes a slot; `insts` holds the rest (address, call ranges,
+/// open count runs), 72 bytes a slot. The instruction and its size
+/// are stored only in `hot`. A quiet slot is executed from `hot` alone;
+/// the executor reads `insts` at a slot with calls, at a taken exit (the
+/// next slot's address, the `jalr` oracle check), when settling the
+/// open count run where the trace exits, and, in debug builds, for the
+/// desync check on every slot.
+///
 /// All of a trace's calls sit in one array in execution order, so the
 /// executor walks memory forward instead of chasing one allocation per
 /// instruction.
 pub struct CompiledTrace<T> {
     /// Entry address (cache key).
     pub entry: u64,
-    /// The trace's instructions.
+    /// Every slot's instruction, size and quiet flag, in trace order.
+    pub hot: Vec<HotSlot>,
+    /// Every slot's cold half, parallel to `hot`.
     pub insts: Vec<CompiledInst>,
     /// Every slot's calls, slot by slot, before-calls first.
     pub(crate) calls: Vec<InsertedCall<T>>,
@@ -576,8 +600,6 @@ impl<T> CodeCache<T> {
             .insts()
             .map(|iref| CompiledInst {
                 addr: iref.addr,
-                inst: iref.inst,
-                size: iref.size,
                 needs_mem_ea: false,
                 calls: [0; 3],
                 open: [OpenRun::default(); 2],
@@ -590,9 +612,11 @@ impl<T> CodeCache<T> {
         let mut lists: Vec<[Vec<InsertedCall<T>>; 2]> =
             insts.iter().map(|_| [Vec::new(), Vec::new()]).collect();
 
+        let irefs: Vec<InstRef> = trace.insts().copied().collect();
         for (addr, point, call) in inserter.into_calls() {
             if let Ok(index) = insts.binary_search_by_key(&addr, |slot| slot.addr) {
                 let slot = &mut insts[index];
+                let iref = &irefs[index];
                 // Live registers at the insertion point: before-calls see
                 // the instruction's own reads as live; after-calls see
                 // its live-out set. Unknown liveness saves everything.
@@ -636,7 +660,7 @@ impl<T> CodeCache<T> {
                     Call::Plain { func, args } => LoweredCall::Plain {
                         func,
                         cost: invoke + arg_cost(&args),
-                        args: ArgPlan::lower(&args, slot, point),
+                        args: ArgPlan::lower(&args, iref, point),
                     },
                     Call::IfThen {
                         pred,
@@ -646,10 +670,10 @@ impl<T> CodeCache<T> {
                     } => LoweredCall::IfThen {
                         pred,
                         pred_cost: cost.inline_if_check + arg_cost(&pred_args),
-                        pred_args: ArgPlan::lower(&pred_args, slot, point),
+                        pred_args: ArgPlan::lower(&pred_args, iref, point),
                         then,
                         then_cost: invoke + arg_cost(&then_args),
-                        then_args: ArgPlan::lower(&then_args, slot, point),
+                        then_args: ArgPlan::lower(&then_args, iref, point),
                     },
                 };
                 slot.needs_mem_ea |= match &call {
@@ -761,9 +785,19 @@ impl<T> CodeCache<T> {
             slot.calls[2] = at(&calls);
         }
 
+        let hot = irefs
+            .iter()
+            .zip(&insts)
+            .map(|(iref, slot)| HotSlot {
+                inst: iref.inst,
+                size: u8::try_from(iref.size).expect("an instruction is 8 or 16 bytes"),
+                quiet: slot.calls[0] == slot.calls[2] && !slot.needs_mem_ea,
+            })
+            .collect();
         let count = insts.len();
         let id = self.adopt(Arc::new(CompiledTrace {
             entry: trace.entry(),
+            hot,
             insts,
             calls,
             counters,
@@ -1176,6 +1210,33 @@ mod tests {
         assert_eq!((cache.stats().flushes, cache.len()), (1, 1));
         assert_eq!(b, 0, "the slab restarted");
         assert_eq!(cache.lookup(Some(a), t1.entry()), None);
+    }
+
+    #[test]
+    fn only_slots_without_calls_are_quiet() {
+        fn count(total: &mut u64) -> &mut u64 {
+            total
+        }
+        let trace = trace_for("main:\n nop\n li r1, 5\n addi r1, r1, 1\n jmp main\n");
+        let addrs: Vec<u64> = trace.insts().map(|iref| iref.addr).collect();
+        let mut inserter: Inserter<u64> = Inserter::new();
+        inserter.insert_count(addrs[0], IPoint::Before, 1, count);
+        inserter.insert_call(addrs[1], IPoint::After, |_, _, _| {}, vec![]);
+        inserter.insert_count(addrs[2], IPoint::Before, 1, count);
+        inserter.insert_count(addrs[3], IPoint::Before, 1, count);
+        let mut cache: CodeCache<u64> = CodeCache::new();
+        let (id, _) = cache.compile(&trace, inserter, &CostModel::default());
+        let compiled = cache.trace(id);
+        // The plain call closes the first count run inside slot 1's
+        // after-list; the second run stays open to the trace exit, so
+        // slots 2 and 3 carry no call.
+        let quiet: Vec<bool> = compiled.hot.iter().map(|hot| hot.quiet).collect();
+        assert_eq!(quiet, [true, false, true, true]);
+        for (hot, iref) in compiled.hot.iter().zip(trace.insts()) {
+            assert_eq!((hot.inst, u64::from(hot.size)), (iref.inst, iref.size));
+        }
+        assert_eq!(std::mem::size_of::<HotSlot>(), 24);
+        assert_eq!(std::mem::size_of::<CompiledInst>(), 72);
     }
 
     #[test]

@@ -735,35 +735,44 @@ impl<'a, T> Executor<'a, T> {
     /// Executes `trace` until it exits. Returns where control left —
     /// the slot, and whether before or after its instruction retired —
     /// and how.
+    ///
+    /// Each slot's instruction comes from the trace's hot array. A quiet
+    /// slot ([`HotSlot`](crate::cache::HotSlot)) runs from there alone;
+    /// its cold half is read only when the instruction transfers control.
     fn run_trace(
         &mut self,
         trace: &'a CompiledTrace<T>,
     ) -> (usize, IPoint, Result<TraceExit, VmError>) {
-        for (index, slot) in trace.insts.iter().enumerate() {
-            debug_assert_eq!(slot.addr, self.process.cpu.pc, "trace desync");
+        for (index, hot) in trace.hot.iter().enumerate() {
+            debug_assert_eq!(trace.insts[index].addr, self.process.cpu.pc, "trace desync");
             let leave = |point, exit| (index, point, exit);
             let stop = |point, stop| leave(point, Ok(TraceExit::Stop(stop)));
 
-            // Effective address is computed from pre-execution registers
-            // for both before- and after-calls, and only for slots with
-            // a call that asks for it — nothing else can observe it.
-            let mem_ea = if slot.needs_mem_ea {
-                mem_effective_address(self.process, slot.inst)
+            // A slot with calls: its address, its after-calls and the
+            // effective address, computed from pre-execution registers
+            // for both before- and after-calls and only when a call asks
+            // for it — nothing else can observe it.
+            let mut mem_ea = 0;
+            let calls = if hot.quiet {
+                None
             } else {
-                0
+                let slot = &trace.insts[index];
+                if slot.needs_mem_ea {
+                    mem_ea = mem_effective_address(self.process, hot.inst);
+                }
+                let [start, split, end] = slot.calls.map(|i| i as usize);
+                if start != split
+                    && self.run_calls(&trace.calls[start..split], slot.addr, mem_ea, false)
+                {
+                    // Stop requested before execution: the instruction is
+                    // NOT executed; pc stays at the boundary (paper §4.4 —
+                    // the boundary instruction belongs to the next slice).
+                    return stop(IPoint::Before, EngineStop::ToolStop);
+                }
+                Some((slot.addr, &trace.calls[split..end]))
             };
 
-            let [start, split, end] = slot.calls.map(|i| i as usize);
-            if start != split
-                && self.run_calls(&trace.calls[start..split], slot.addr, mem_ea, false)
-            {
-                // Stop requested before execution: the instruction is NOT
-                // executed; pc stays at the boundary (paper §4.4 — the
-                // boundary instruction belongs to the next slice).
-                return stop(IPoint::Before, EngineStop::ToolStop);
-            }
-
-            let taken = match self.process.exec_decoded(slot.inst, slot.size) {
+            let taken = match self.process.exec_decoded(hot.inst, u64::from(hot.size)) {
                 Ok(ExecOutcome::Next) => false,
                 Ok(ExecOutcome::Jumped) => true,
                 Ok(ExecOutcome::Syscall) => return stop(IPoint::Before, EngineStop::SyscallEntry),
@@ -771,21 +780,23 @@ impl<'a, T> Executor<'a, T> {
                 Err(fault) => return leave(IPoint::Before, Err(fault)),
             };
 
-            if split != end && self.run_calls(&trace.calls[split..end], slot.addr, mem_ea, taken) {
-                return stop(IPoint::After, EngineStop::ToolStop);
+            if let Some((addr, after)) = calls {
+                if !after.is_empty() && self.run_calls(after, addr, mem_ea, taken) {
+                    return stop(IPoint::After, EngineStop::ToolStop);
+                }
             }
 
             if taken {
-                if matches!(slot.inst, Inst::Jalr { .. }) {
+                if matches!(hot.inst, Inst::Jalr { .. }) {
                     self.tally.took_indirect = true;
                     if let Some(oracle) = self.oracle {
+                        let addr = trace.insts[index].addr;
                         let dest = self.process.cpu.pc;
-                        let admitted = oracle.check_transfer(slot.addr, dest);
+                        let admitted = oracle.check_transfer(addr, dest);
                         debug_assert!(
                             admitted,
-                            "soundness oracle: jalr at {:#x} reached {dest:#x} outside its \
-                             static target set",
-                            slot.addr
+                            "soundness oracle: jalr at {addr:#x} reached {dest:#x} outside \
+                             its static target set"
                         );
                     }
                 }
@@ -938,9 +949,10 @@ fn template_matches<T>(template: &CompiledTrace<T>, trace: &crate::trace::Trace)
         && template
             .insts
             .iter()
+            .zip(&template.hot)
             .zip(trace.insts())
-            .all(|(slot, iref)| {
-                slot.addr == iref.addr && slot.inst == iref.inst && slot.size == iref.size
+            .all(|((slot, hot), iref)| {
+                slot.addr == iref.addr && hot.inst == iref.inst && u64::from(hot.size) == iref.size
             })
 }
 

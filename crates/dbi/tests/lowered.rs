@@ -23,13 +23,16 @@
 //! original's cache — where trace shapes change but what the callbacks
 //! observe may not. The last cases end a trace mid-way on each remaining
 //! exit — a taken branch, a syscall, `halt` and a guest fault — with
-//! counts still pending.
+//! counts still pending, and meet every exit in a *quiet* slot, one with
+//! no calls that the executor runs from the trace's hot array alone
+//! ([`Knobs::call_words`] leaves most words quiet; the generated guests
+//! draw it too).
 
 use proptest::prelude::*;
 use std::collections::HashSet;
 use superpin_dbi::{
-    cycles_to_ns, discover_trace, CacheStats, CostModel, Engine, EngineStats, EngineStop, IArg,
-    IPoint, Inserter, InstRef, Pintool, Trace,
+    cycles_to_ns, discover_trace, CacheStats, CodeCache, CostModel, Engine, EngineStats,
+    EngineStop, IArg, IPoint, Inserter, InstRef, Pintool, Trace,
 };
 use superpin_isa::asm::assemble;
 use superpin_isa::{Inst, Program, ProgramBuilder, Reg};
@@ -52,6 +55,9 @@ struct Knobs {
     /// The before predicate holds when its first argument (`r8`) is a
     /// multiple of this.
     pred_mod: u64,
+    /// Only words whose index is a multiple of this carry calls; the
+    /// rest are quiet slots with none at all. 0 or 1: every word.
+    call_words: u64,
 }
 
 /// One callback invocation as the tool saw it.
@@ -147,7 +153,11 @@ enum Spec {
 }
 
 /// The probe's instrumentation of one instruction: `(before, after)`.
-fn specs(iref: &InstRef) -> (Vec<Spec>, Vec<Spec>) {
+fn specs(iref: &InstRef, call_words: u64) -> (Vec<Spec>, Vec<Spec>) {
+    let word = iref.addr >> 3;
+    if call_words > 1 && !word.is_multiple_of(call_words) {
+        return (Vec::new(), Vec::new());
+    }
     let every_kind = || {
         vec![
             IArg::InstPtr,
@@ -163,7 +173,6 @@ fn specs(iref: &InstRef) -> (Vec<Spec>, Vec<Spec>) {
             IArg::FallthroughAddr,
         ]
     };
-    let word = iref.addr >> 3;
     // Every third word carries counts alone before it, so straight runs
     // of slots only ever add to the pending sum.
     let before = if word % 3 == 2 {
@@ -206,13 +215,19 @@ fn specs(iref: &InstRef) -> (Vec<Spec>, Vec<Spec>) {
     } else {
         vec![Spec::Count(0, 19)]
     };
+    // With sparse calls, every other call word keeps only its
+    // after-calls: a slot whose calls all follow its instruction is not
+    // quiet either.
+    if call_words > 1 && (word / call_words) % 2 == 1 {
+        return (Vec::new(), after);
+    }
     (before, after)
 }
 
 impl Pintool for Probe {
     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
         for iref in trace.insts() {
-            let (before, after) = specs(iref);
+            let (before, after) = specs(iref, self.knobs.call_words);
             for (point, list) in [(IPoint::Before, before), (IPoint::After, after)] {
                 for spec in list {
                     match spec {
@@ -339,6 +354,7 @@ struct Expected {
     cache: CacheStats,
     end: End,
     cpu: CpuState,
+    inst_count: u64,
     mem_digest: u64,
     output: Vec<u8>,
 }
@@ -411,6 +427,7 @@ fn reference(program: &Program, knobs: Knobs, cost: &CostModel) -> Expected {
     // Every `run` call enters through the dispatcher, and `run_to_exit`
     // calls `run` again after each stop.
     let mut pending_dispatch = true;
+    let mut syscalls = 0u64;
     let end = 'run: loop {
         let trace = discover_trace(&process.mem, process.cpu.pc).expect("trace");
         cache.lookups += 1;
@@ -430,7 +447,7 @@ fn reference(program: &Program, knobs: Knobs, cost: &CostModel) -> Expected {
         let insts: Vec<InstRef> = trace.insts().copied().collect();
         for (index, iref) in insts.iter().enumerate() {
             assert_eq!(iref.addr, process.cpu.pc, "reference left its trace");
-            let (before_list, after_list) = specs(iref);
+            let (before_list, after_list) = specs(iref, knobs.call_words);
             let before = process.cpu;
             let stopped = reference_calls(
                 &before_list,
@@ -453,6 +470,7 @@ fn reference(program: &Program, knobs: Knobs, cost: &CostModel) -> Expected {
                 ExecOutcome::Syscall => {
                     let now_ns = cycles_to_ns(stats.cycles.total());
                     let record = process.do_syscall(now_ns).expect("syscall");
+                    syscalls += 1;
                     stats.cycles.syscall += cost.syscall;
                     probe.see(TAG_SYSCALL, 0, &[]);
                     if let Some(code) = record.exited {
@@ -496,6 +514,9 @@ fn reference(program: &Program, knobs: Knobs, cost: &CostModel) -> Expected {
         cache,
         end,
         cpu: process.cpu,
+        // `cpu::step` retires outside the process's own count; each
+        // serviced syscall is one instruction more.
+        inst_count: stats.insts_executed + syscalls,
         mem_digest: process.mem.content_digest(),
         output: process.output().to_vec(),
     }
@@ -521,6 +542,7 @@ fn assert_observations(engine: &Engine<Probe>, end: End, want: &Expected) {
     assert_eq!(stats.cycles.syscall, want.stats.cycles.syscall);
     assert_eq!(end, want.end);
     assert_eq!(engine.process().cpu, want.cpu);
+    assert_eq!(engine.process().inst_count(), want.inst_count);
     assert_eq!(engine.process().mem.content_digest(), want.mem_digest);
     assert_eq!(engine.process().output(), want.output);
 }
@@ -603,13 +625,16 @@ fn arb_program() -> impl Strategy<Value = Program> {
 }
 
 fn arb_knobs() -> impl Strategy<Value = Knobs> {
-    (0u64..40, 0u64..12, 0u64..40, 1u64..5).prop_map(|(mid, then, after, pred_mod)| Knobs {
-        // A stopper that fired on every run would stop its own re-run.
-        stop_mid_list: if mid == 1 { 0 } else { mid },
-        stop_in_then: if then == 1 { 0 } else { then },
-        stop_after: after,
-        pred_mod,
-    })
+    (0u64..40, 0u64..12, 0u64..40, 1u64..5, 0u64..5).prop_map(
+        |(mid, then, after, pred_mod, call_words)| Knobs {
+            // A stopper that fired on every run would stop its own re-run.
+            stop_mid_list: if mid == 1 { 0 } else { mid },
+            stop_in_then: if then == 1 { 0 } else { then },
+            stop_after: after,
+            pred_mod,
+            call_words,
+        },
+    )
 }
 
 fn probe_engine(
@@ -752,6 +777,7 @@ fn smc_flush_drops_links_mid_run() {
         stop_in_then: 3,
         stop_after: 5,
         pred_mod: 2,
+        call_words: 0,
     };
     let want = reference(&program, knobs, &CostModel::default());
     let (engine, end) = run_with_twin(&program, knobs);
@@ -795,6 +821,7 @@ fn every_mid_trace_exit_hands_pending_counts_to_the_tool() {
                 stop_in_then: 2,
                 stop_after: 3,
                 pred_mod: 1,
+                call_words: 0,
             },
         ] {
             let want = reference(&program, knobs, &CostModel::default());
@@ -892,4 +919,115 @@ fn a_run_spanning_slots_settles_at_a_slot_without_counts() {
         assert_eq!(twin.tool().count, total, "{src}");
         assert_eq!(engine.stats(), twin.stats(), "{src}");
     }
+}
+
+/// `(address, quiet)` for every slot of the trace entered at `entry`, as
+/// the probe with `knobs` compiles it.
+fn quiet_slots(program: &Program, knobs: Knobs, entry: u64) -> Vec<(u64, bool)> {
+    let process = Process::load(1, program).expect("load");
+    let trace = discover_trace(&process.mem, entry).expect("trace");
+    let mut probe = Probe {
+        knobs,
+        ..Probe::default()
+    };
+    let mut inserter = Inserter::new();
+    probe.instrument_trace(&trace, &mut inserter);
+    let mut cache = CodeCache::new();
+    let (id, _) = cache.compile(&trace, inserter, &CostModel::default());
+    let compiled = cache.trace(id);
+    compiled
+        .insts
+        .iter()
+        .zip(&compiled.hot)
+        .map(|(slot, hot)| (slot.addr, hot.quiet))
+        .collect()
+}
+
+/// Quiet slots on every exit a trace has: a taken branch to the next
+/// slot, a taken branch away, a `jalr` (which sends the next entry
+/// through the dispatcher, even into a trace already linked), a syscall, `halt`, and an unmapped load in
+/// the middle of a quiet stretch. Each guest runs with every second to
+/// every seventh word carrying calls, so the exit at `at` lands in a quiet
+/// slot under some of them and in a call slot under others, and call
+/// slots sit between quiet ones. The instruction count, every
+/// [`EngineStats`] field — the cycle breakdown and `traces_executed`
+/// included — and every observation equal the reference's.
+#[test]
+fn quiet_slots_meet_every_exit() {
+    let guests = [
+        (
+            "main:\n li r1, 1\n nop\n nop\nat:\n bne r1, r0, next\nnext:\n nop\n nop\n nop\n halt\n",
+            "main",
+            End::Halt,
+        ),
+        (
+            "main:\n li r1, 1\n nop\n nop\nat:\n bne r1, r0, out\n nop\n nop\nout:\n nop\n nop\n halt\n",
+            "main",
+            End::Halt,
+        ),
+        (
+            "main:\n li r4, 3\nloop:\n call leaf\n subi r4, r4, 1\n bne r4, r0, loop\n halt\n\
+             leaf:\n nop\n nop\nat:\n ret\n",
+            "leaf",
+            End::Halt,
+        ),
+        (
+            "main:\n nop\n nop\n li r0, 9\nat:\n syscall\n nop\n nop\n halt\n",
+            "main",
+            End::Halt,
+        ),
+        (
+            "main:\n nop\n nop\n nop\n nop\nat:\n halt\n",
+            "main",
+            End::Halt,
+        ),
+        (
+            "main:\n li r2, 16\n nop\n nop\nat:\n ld r3, 0(r2)\n nop\n nop\n exit 0\n",
+            "main",
+            End::Fault,
+        ),
+    ];
+    let mut sandwiched = false;
+    for (src, head, ends) in guests {
+        let program = assemble(src).expect("assemble");
+        let label = |name| program.symbol(name).expect("label").addr;
+        let (entry, at) = (label(head), label("at"));
+        let mut exits_quiet = false;
+        let mut exits_in_a_call_slot = false;
+        for call_words in 2..=7 {
+            for stops in [0, 2] {
+                let knobs = Knobs {
+                    stop_mid_list: stops,
+                    stop_in_then: stops,
+                    stop_after: stops + stops / 2,
+                    pred_mod: 2,
+                    call_words,
+                };
+                let want = reference(&program, knobs, &CostModel::default());
+                let (engine, end) = run_with_twin(&program, knobs);
+                assert_eq!(end, ends, "{src}");
+                assert_observations(&engine, end, &want);
+                assert_eq!(engine.stats(), want.stats, "{src}");
+            }
+            let slots = quiet_slots(
+                &program,
+                Knobs {
+                    call_words,
+                    ..Knobs::default()
+                },
+                entry,
+            );
+            let index = slots
+                .iter()
+                .position(|&(addr, _)| addr == at)
+                .expect("`at` in trace");
+            // The exit and the slot before it both quiet: a quiet stretch.
+            exits_quiet |= slots[index].1 && slots[index - 1].1;
+            exits_in_a_call_slot |= !slots[index].1;
+            sandwiched |= slots.windows(3).any(|w| w[0].1 && !w[1].1 && w[2].1);
+        }
+        assert!(exits_quiet, "never exits in a quiet slot: {src}");
+        assert!(exits_in_a_call_slot, "never exits in a call slot: {src}");
+    }
+    assert!(sandwiched, "no call slot between quiet ones");
 }

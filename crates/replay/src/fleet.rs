@@ -207,8 +207,8 @@ fn get_fleet_event(reader: &mut Reader) -> Result<FleetEvent, CodecError> {
 /// fresh frame against the committed one verifies — field by field —
 /// that the resumed run walks the recorded run's exact path:
 /// `selected`/`deltas` pin the fair-queue virtual times, `events`
-/// pin admissions/deferrals/evictions/completions, `usages` pin the
-/// tenant ledger's posted residency, and `outcomes` pin each completed
+/// pin admissions/deferrals/evictions/completions, `usages` pin each
+/// tenant's resident bytes, and `outcomes` pin each completed
 /// job's outcome line by its CRC.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RoundFrame {
@@ -223,7 +223,8 @@ pub struct RoundFrame {
     /// Every decision event since the previous frame (admission
     /// barrier included).
     pub events: Vec<FleetEvent>,
-    /// Post-settlement ledger usage per tenant, tenant-id order.
+    /// Each tenant's resident bytes after settlement, walked from its
+    /// live jobs, tenant-id order.
     pub usages: Vec<u64>,
     /// [`crc32`](crate::crc32) of each job's outcome JSON line, one
     /// per `Complete` event in `events`, in event order.

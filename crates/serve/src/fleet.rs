@@ -203,27 +203,28 @@ impl<'a> Fleet<'a> {
         }
     }
 
-    /// Re-posts every tenant's live resident total into the ledger.
-    fn post_usages(&mut self) {
-        for tenant in 0..self.file.tenants.len() as u32 {
-            let usage: u64 = self
-                .active
-                .iter()
-                .filter(|job| job.tenant == tenant)
-                .filter_map(|job| job.driver.as_ref())
-                .map(|driver| driver.resident_bytes())
-                .sum();
-            self.ledger.post_usage(tenant, usage);
-        }
+    /// Every tenant's live resident total, in declaration order, walked
+    /// from its running jobs now — what the ledger's decisions read.
+    fn usages(&self) -> Vec<u64> {
+        (0..self.file.tenants.len() as u32)
+            .map(|tenant| {
+                self.active
+                    .iter()
+                    .filter(|job| job.tenant == tenant)
+                    .filter_map(|job| job.driver.as_ref())
+                    .map(|driver| driver.resident_bytes())
+                    .sum()
+            })
+            .collect()
     }
 
-    /// Ladder rung 1: evicts code caches from over-share tenants'
-    /// running jobs (worst overage first, job id order within a
+    /// Ladder rung 1: evicts code caches from the tenants over their
+    /// share under `usages` (worst overage first, job id order within a
     /// tenant) until `needed` bytes are freed or nothing evictable
     /// remains.
-    fn evict_for(&mut self, needed: u64) {
+    fn evict_for(&mut self, usages: &[u64], needed: u64) {
         let mut freed = 0u64;
-        for tenant in self.ledger.over_share_tenants() {
+        for tenant in self.ledger.over_share_tenants(usages) {
             if freed >= needed {
                 break;
             }
@@ -258,9 +259,6 @@ impl<'a> Fleet<'a> {
                 }
             }
         }
-        if freed > 0 {
-            self.post_usages();
-        }
     }
 
     /// One admission attempt for job `id`. `fresh` marks the first
@@ -270,14 +268,16 @@ impl<'a> Fleet<'a> {
     fn try_admit(&mut self, id: u32, fresh: bool) -> Result<bool, FleetError> {
         let spec = &self.file.jobs[id as usize];
         let tenant = spec.tenant;
-        self.post_usages();
-        if self.ledger.over_budget(FORK_COST_BYTES) {
-            let needed = (self.ledger.fleet_usage() + FORK_COST_BYTES)
+        let usages = self.usages();
+        if self.ledger.over_budget(&usages, FORK_COST_BYTES) {
+            let needed = (usages.iter().sum::<u64>() + FORK_COST_BYTES)
                 .saturating_sub(self.ledger.fleet_budget());
-            self.evict_for(needed);
+            self.evict_for(&usages, needed);
         }
         let others_can_free = !self.active.is_empty();
-        let decision = self.ledger.decide(tenant, FORK_COST_BYTES, others_can_free);
+        let decision = self
+            .ledger
+            .decide(&self.usages(), tenant, FORK_COST_BYTES, others_can_free);
         let clamp = match decision {
             TenantAdmission::Defer => {
                 if fresh {
@@ -447,7 +447,6 @@ impl<'a> Fleet<'a> {
                 report,
             });
         }
-        self.post_usages();
         self.settle_durability(&ids, deltas)
     }
 
@@ -475,9 +474,7 @@ impl<'a> Fleet<'a> {
             selected: ids.to_vec(),
             deltas,
             events,
-            usages: (0..self.file.tenants.len() as u32)
-                .map(|tenant| self.ledger.usage(tenant))
-                .collect(),
+            usages: self.usages(),
             outcomes,
         };
         self.events_mark = self.events.len();

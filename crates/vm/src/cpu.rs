@@ -107,7 +107,10 @@ pub fn fetch_at(mem: &AddressSpace, pc: u64) -> Result<(Inst, u64), VmError> {
 /// Executes one already-decoded instruction against the CPU and memory.
 ///
 /// `size` must be the instruction's encoded size (used to advance `pc`).
-/// The one production dispatcher: an inlined `match`. A function-pointer
+/// The one production dispatcher: a `match`, forced inline into its two
+/// hot callers, [`DecodeCache::run`](crate::decode::DecodeCache::run)
+/// and [`Process::exec_decoded`](crate::process::Process::exec_decoded)
+/// (whose rustdoc has the measurement). A function-pointer
 /// table indexed by opcode ties with it on a two-instruction loop and
 /// loses 16 % of `vm.native_minst_per_s` on whole guests;
 /// `crates/bench/benches/interp.rs` keeps that table as its oracle and
@@ -116,7 +119,7 @@ pub fn fetch_at(mem: &AddressSpace, pc: u64) -> Result<(Inst, u64), VmError> {
 /// # Errors
 ///
 /// Returns [`VmError::Mem`] for faulting loads/stores.
-#[inline]
+#[inline(always)]
 pub fn exec_decoded(
     cpu: &mut CpuState,
     mem: &mut AddressSpace,

@@ -180,10 +180,19 @@ impl DecodeCache {
     /// count stays exact even when the run ends in an error — identical
     /// to a step loop that counted per iteration.
     ///
-    /// Consecutive instructions on the same page hit the last-page memo,
-    /// so straight-line and loop code streams out of the decoded array;
-    /// `code_version` is still re-checked every step, so self-modifying
-    /// code (even rewriting the very next instruction) stays exact.
+    /// The loop streams: it keeps the decoded page the last
+    /// [`fetch`](DecodeCache::fetch) served and takes each next
+    /// instruction straight from that page's array while three things
+    /// hold, re-checked after every instruction: `pc` is on the same
+    /// page, `pc` is word-aligned, and `code_version` still equals the
+    /// version the page was decoded under. A page change, a misaligned
+    /// target, a word not yet decoded (or never memoized: a `li` in the
+    /// page's last word) and any code write fall back to `fetch`, which
+    /// decodes, fills and re-validates. A store that rewrites the very
+    /// next instruction bumps `code_version` before that instruction is
+    /// read, so self-modifying code stays exact; a code `munmap` bumps
+    /// it too. A non-code page is never streamed: every instruction on
+    /// one goes through `fetch`.
     ///
     /// # Errors
     ///
@@ -197,19 +206,48 @@ impl DecodeCache {
         retired: &mut u64,
     ) -> Result<RunStop, VmError> {
         let mut executed = 0u64;
-        let result = loop {
+        let result = 'run: loop {
             if executed >= budget {
                 break Ok(RunStop::Budget);
             }
-            let (inst, size) = match self.fetch(mem, cpu.pc) {
+            let (mut inst, mut size) = match self.fetch(mem, cpu.pc) {
                 Ok(decoded) => decoded,
                 Err(err) => break Err(err),
             };
-            match cpu::exec_decoded(cpu, mem, inst, size) {
-                Ok(ExecOutcome::Next | ExecOutcome::Jumped) => executed += 1,
-                Ok(ExecOutcome::Syscall) => break Ok(RunStop::Syscall),
-                Ok(ExecOutcome::Halt) => break Ok(RunStop::Halt),
-                Err(err) => break Err(err),
+            // The page `fetch` just served, if it is a cached code page:
+            // its first byte and its decoded words.
+            let page_base = cpu.pc & !PAGE_MASK;
+            let page = self
+                .pages
+                .get(self.last)
+                .filter(|&&(cached, _)| cached == page_base >> PAGE_SHIFT)
+                .map(|(_, page)| &page.slots);
+            let version = self.version;
+            loop {
+                match cpu::exec_decoded(cpu, mem, inst, size) {
+                    Ok(ExecOutcome::Next | ExecOutcome::Jumped) => executed += 1,
+                    Ok(ExecOutcome::Syscall) => break 'run Ok(RunStop::Syscall),
+                    Ok(ExecOutcome::Halt) => break 'run Ok(RunStop::Halt),
+                    Err(err) => break 'run Err(err),
+                }
+                if executed >= budget {
+                    break 'run Ok(RunStop::Budget);
+                }
+                let offset = cpu.pc.wrapping_sub(page_base);
+                let streamed = match page {
+                    Some(slots)
+                        if offset < PAGE_SIZE as u64
+                            && offset & 7 == 0
+                            && mem.code_version() == version =>
+                    {
+                        slots[(offset >> 3) as usize]
+                    }
+                    _ => None,
+                };
+                match streamed {
+                    Some((next, next_size)) => (inst, size) = (next, u64::from(next_size)),
+                    None => break,
+                }
             }
         };
         *retired += executed;
