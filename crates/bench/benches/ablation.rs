@@ -8,7 +8,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use superpin::{SharedMem, SuperPinConfig};
-use superpin_bench::runs::{figure_config, run_superpin, time_scale_for};
+use superpin_bench::runs::{figure_config, run_superpin};
+use superpin_replay::recipe::time_scale_for;
 use superpin_sched::Policy;
 use superpin_tools::ICount2;
 use superpin_workloads::{find, Scale};

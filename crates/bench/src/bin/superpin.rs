@@ -37,37 +37,24 @@
 //! superpin --chaos-seed 1 --chaos-rate 0.05 -threads 4 -t icount1 -- gcc tiny
 //! ```
 
-use std::sync::Arc;
-
 use superpin::baseline::{run_pin, PinReport};
 use superpin::cli::{chaos_plan, ArgError, Args};
-use superpin::{
-    ProgramAnalysis, SharedMem, SuperPinConfig, SuperPinReport, SuperPinRunner, SuperTool,
-};
-use superpin_bench::runs::time_scale_for;
-use superpin_dbi::Pintool;
+use superpin::{SharedMem, SuperTool};
+use superpin_dbi::{cycles_to_secs, Pintool};
+use superpin_replay::build_runner;
+use superpin_replay::recipe::{time_scale_for, RunRecipe};
 use superpin_tools::{
     BranchProfile, DCache, DCacheConfig, ICount1, ICount2, ITrace, MemProfile, Sampler,
 };
 use superpin_vm::process::Process;
 use superpin_workloads::{find, Scale};
 
+/// The switches that shape what this binary does with a run, not the
+/// run itself (that is the [`RunRecipe`]).
 #[derive(Debug, PartialEq)]
 struct Options {
     sp: bool,
     gantt: bool,
-    spmsec: u64,
-    spmp: usize,
-    spsysrecs: usize,
-    threads: usize,
-    chaos_seed: Option<u64>,
-    chaos_rate: Option<f64>,
-    watchdog_factor: u64,
-    mem_budget: Option<u64>,
-    plan: bool,
-    tool: String,
-    benchmark: String,
-    scale: Scale,
 }
 
 fn usage() -> ! {
@@ -80,10 +67,10 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-fn parse_args() -> Options {
+fn parse_args() -> (Options, RunRecipe) {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match parse_options(&args) {
-        Ok(options) => options,
+        Ok(parsed) => parsed,
         Err(err) => {
             eprintln!("superpin: {err}");
             usage();
@@ -91,37 +78,34 @@ fn parse_args() -> Options {
     }
 }
 
-fn parse_options(args: &[String]) -> Result<Options, ArgError> {
+/// Parses the command line into its output switches and the run's
+/// recipe: a 1000 ms timeslice and `small` scale unless told otherwise,
+/// and a chaos plan when either chaos flag is given (`--chaos-rate`
+/// without `--chaos-seed` defaults the seed to 1, and vice versa the
+/// rate to 0.01).
+fn parse_options(args: &[String]) -> Result<(Options, RunRecipe), ArgError> {
     let mut options = Options {
         sp: true,
         gantt: false,
-        spmsec: 1000,
-        spmp: 8,
-        spsysrecs: 1000,
-        threads: 1,
-        chaos_seed: None,
-        chaos_rate: None,
-        watchdog_factor: 8,
-        mem_budget: None,
-        plan: false,
-        tool: String::new(),
-        benchmark: String::new(),
-        scale: Scale::Small,
     };
+    let mut recipe = RunRecipe {
+        tool: String::new(),
+        spmsec: 1000,
+        ..RunRecipe::standard("", Scale::Small)
+    };
+    let (mut chaos_seed, mut chaos_rate) = (None, None);
     let mut args = Args::new(args);
     let mut after_dashes = Vec::new();
     while let Some(arg) = args.next() {
         match arg {
             "-sp" => options.sp = args.switch("-sp", &["1"], &["0"], "0|1")?,
-            "-spmsec" => options.spmsec = args.value("-spmsec", "milliseconds")?,
-            "-spmp" => options.spmp = args.value("-spmp", "a slice count")?,
-            "-spsysrecs" => options.spsysrecs = args.value("-spsysrecs", "a record count")?,
+            "-spmsec" => recipe.spmsec = args.value("-spmsec", "milliseconds")?,
+            "-spmp" => recipe.spmp = args.value("-spmp", "a slice count")?,
+            "-spsysrecs" => recipe.spsysrecs = args.value("-spsysrecs", "a record count")?,
             "-gantt" => options.gantt = true,
-            "-threads" | "--threads" => options.threads = args.threads()?,
-            "--chaos-seed" => {
-                options.chaos_seed = Some(args.value("--chaos-seed", "a seed integer")?)
-            }
-            "--chaos-rate" => options.chaos_rate = Some(args.probability("--chaos-rate")?),
+            "-threads" | "--threads" => recipe.threads = args.threads()?,
+            "--chaos-seed" => chaos_seed = Some(args.value("--chaos-seed", "a seed integer")?),
+            "--chaos-rate" => chaos_rate = Some(args.probability("--chaos-rate")?),
             "--watchdog-factor" => {
                 let factor: u64 = args.value("--watchdog-factor", "an integer multiplier")?;
                 if factor <= 1 {
@@ -130,114 +114,64 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
                          of 1 condemns any slice one quantum behind its predicted completion"
                     )));
                 }
-                options.watchdog_factor = factor;
+                recipe.watchdog_factor = factor;
             }
             "--plan" => {
-                options.plan = args.switch("--plan", &["on", "1"], &["off", "0"], "on|off")?
+                recipe.plan = args.switch("--plan", &["on", "1"], &["off", "0"], "on|off")?
             }
-            "--mem-budget" => options.mem_budget = Some(args.bytes("--mem-budget")?),
-            "-t" => options.tool = args.text("-t")?.to_owned(),
+            "--mem-budget" => recipe.mem_budget = Some(args.bytes("--mem-budget")?),
+            "-t" => recipe.tool = args.text("-t")?.to_owned(),
             "--" => after_dashes.extend(args.by_ref()),
             other => return Err(ArgError::UnknownFlag(other.to_owned())),
         }
     }
-    if after_dashes.is_empty() || options.tool.is_empty() {
+    if after_dashes.is_empty() || recipe.tool.is_empty() {
         return Err(ArgError::Rule(
             "a `-t TOOL` and a benchmark after `--` are required".to_owned(),
         ));
     }
-    options.benchmark = after_dashes[0].to_owned();
+    recipe.name = after_dashes[0].to_owned();
     if let Some(&scale) = after_dashes.get(1) {
-        options.scale = Scale::parse(scale).ok_or_else(|| ArgError::InvalidValue {
+        recipe.scale = Scale::parse(scale).ok_or_else(|| ArgError::InvalidValue {
             flag: "BENCHMARK scale",
             value: scale.to_owned(),
             expected: Scale::CHOICES,
         })?;
     }
-    Ok(options)
-}
-
-/// The SuperPin configuration an invocation's switches describe, chaos
-/// plan included (`--chaos-rate` without `--chaos-seed` defaults the
-/// seed to 1, and vice versa the rate to 0.01).
-fn superpin_config(options: &Options) -> SuperPinConfig {
-    let mut cfg = SuperPinConfig::scaled(options.spmsec, time_scale_for(options.scale))
-        .with_max_slices(options.spmp)
-        .with_max_sysrecs(options.spsysrecs)
-        .with_threads(options.threads)
-        .with_watchdog_factor(options.watchdog_factor);
-    if let Some(budget) = options.mem_budget {
-        cfg = cfg.with_mem_budget(budget);
-    }
-    if let Some(plan) = chaos_plan(options.chaos_seed, options.chaos_rate) {
-        cfg = cfg.with_chaos(plan);
-    }
-    cfg
+    recipe.chaos = chaos_plan(chaos_seed, chaos_rate);
+    Ok((options, recipe))
 }
 
 /// Unwraps a run step's result, or reports the failure as
 /// `superpin: <benchmark>: <error>` and exits 1. A guest that faults
 /// (say, under a `--mem-budget` too small for it) is an outcome of the
 /// run the user asked for, not a crash of this tool.
-fn or_exit<V, E: std::fmt::Display>(result: Result<V, E>, options: &Options) -> V {
+fn or_exit<V, E: std::fmt::Display>(result: Result<V, E>, recipe: &RunRecipe) -> V {
     result.unwrap_or_else(|err| {
-        eprintln!("superpin: {}: {err}", options.benchmark);
+        eprintln!("superpin: {}: {err}", recipe.name);
         std::process::exit(1);
     })
 }
 
-/// [`superpin_config`] plus the program-specific whole-program plan and
-/// soundness oracle when `--plan on`: slice engines annotate the saved
-/// registers the refined liveness proves dead, and (debug builds) every
-/// indirect transfer and code write is validated against the static
-/// analysis. Reports are bit-identical to `--plan off`.
-fn superpin_config_for(program: &superpin_isa::Program, options: &Options) -> SuperPinConfig {
-    let mut cfg = superpin_config(options);
-    if options.plan {
-        let analysis = or_exit(ProgramAnalysis::compute(program), options);
-        cfg = cfg
-            .with_plan(Arc::new(analysis.plan(Default::default())))
-            .with_oracle(Arc::new(analysis.oracle()));
-    }
-    cfg
-}
-
-/// Runs `program` under SuperPin as the switches describe.
-fn superpin_report<T: SuperTool>(
-    program: &superpin_isa::Program,
-    tool: T,
-    shared: &SharedMem,
-    options: &Options,
-) -> SuperPinReport {
-    let cfg = superpin_config_for(program, options);
-    let process = or_exit(Process::load(1, program), options);
-    let runner = or_exit(
-        SuperPinRunner::new(process, tool, shared.clone(), cfg),
-        options,
-    );
-    or_exit(runner.run(), options)
-}
-
-/// Runs `program` under serial Pin (`-sp 0`).
+/// Runs the recipe under serial Pin (`-sp 0`).
 fn pin<T: Pintool + 'static>(
     program: &superpin_isa::Program,
     tool: T,
-    options: &Options,
+    recipe: &RunRecipe,
 ) -> PinReport<T> {
-    let process = or_exit(Process::load(1, program), options);
-    or_exit(run_pin(process, tool), options)
+    let process = or_exit(Process::load(1, program), recipe);
+    or_exit(run_pin(process, tool), recipe)
 }
 
-/// [`superpin_report`], then prints its slice, time, chaos and memory
-/// lines (and the Gantt chart with `-gantt`).
-fn run_super<T: SuperTool>(
-    program: &superpin_isa::Program,
-    tool: T,
-    shared: &SharedMem,
-    options: &Options,
-) {
-    let present = superpin_config(options);
-    let report = superpin_report(program, tool, shared, options);
+/// Runs the recipe under SuperPin, then prints its slice, time, chaos
+/// and memory lines (and the Gantt chart with `-gantt`).
+fn run_super<T: SuperTool>(tool: T, shared: &SharedMem, options: &Options, recipe: &RunRecipe) {
+    let runner = or_exit(
+        build_runner(recipe, recipe.threads, false, tool, shared),
+        recipe,
+    );
+    let report = or_exit(runner.run(), recipe);
+    let present = |cycles| cycles_to_secs(cycles) * time_scale_for(recipe.scale);
     println!(
         "superpin: {} slices ({} timer, {} syscall), {} stalls",
         report.slice_count(),
@@ -247,20 +181,20 @@ fn run_super<T: SuperTool>(
     );
     println!(
         "runtime {:.2}s presented ({} cycles); breakdown: native {:.2}s, fork&others {:.2}s, sleep {:.2}s, pipeline {:.2}s",
-        present.present_secs(report.total_cycles),
+        present(report.total_cycles),
         report.total_cycles,
-        present.present_secs(report.breakdown.native_cycles),
-        present.present_secs(report.breakdown.fork_other_cycles),
-        present.present_secs(report.breakdown.sleep_cycles),
-        present.present_secs(report.breakdown.pipeline_cycles),
+        present(report.breakdown.native_cycles),
+        present(report.breakdown.fork_other_cycles),
+        present(report.breakdown.sleep_cycles),
+        present(report.breakdown.pipeline_cycles),
     );
-    if present.chaos.is_some() {
+    if recipe.chaos.is_some() {
         println!(
             "chaos: {} slice retries, {} slices degraded",
             report.slice_retries, report.slices_degraded
         );
     }
-    if present.mem_budget.is_some() {
+    if recipe.mem_budget.is_some() {
         println!(
             "memory: peak {} bytes resident, {} slices deferred, {} checkpoints dropped, {} caches evicted",
             report.peak_resident_bytes,
@@ -275,30 +209,30 @@ fn run_super<T: SuperTool>(
 }
 
 fn main() {
-    let options = parse_args();
-    let Some(spec) = find(&options.benchmark) else {
-        eprintln!("unknown benchmark `{}`", options.benchmark);
+    let (options, recipe) = parse_args();
+    let Some(spec) = find(&recipe.name) else {
+        eprintln!("unknown benchmark `{}`", recipe.name);
         std::process::exit(2);
     };
-    let program = spec.build(options.scale);
+    let program = spec.build(recipe.scale);
     println!(
         "{} @ {:?}: {} static instructions",
         spec.name,
-        options.scale,
+        recipe.scale,
         program.static_inst_count()
     );
 
     // The tool zoo. Each arm constructs, runs (SuperPin or plain Pin per
     // -sp), and prints its result.
-    match options.tool.as_str() {
+    match recipe.tool.as_str() {
         "icount1" => {
             let shared = SharedMem::new();
             let tool = ICount1::new(&shared);
             if options.sp {
-                superpin_report(&program, tool.clone(), &shared, &options);
+                run_super(tool.clone(), &shared, &options, &recipe);
                 println!("Total Count: {}", tool.total(&shared));
             } else {
-                let pin = pin(&program, tool, &options);
+                let pin = pin(&program, tool, &recipe);
                 println!("Total Count: {}", pin.tool.local_count());
             }
         }
@@ -306,10 +240,10 @@ fn main() {
             let shared = SharedMem::new();
             let tool = ICount2::new(&shared);
             if options.sp {
-                run_super(&program, tool.clone(), &shared, &options);
+                run_super(tool.clone(), &shared, &options, &recipe);
                 println!("Total Count: {}", tool.total(&shared));
             } else {
-                let pin = pin(&program, tool, &options);
+                let pin = pin(&program, tool, &recipe);
                 println!("Total Count: {}", pin.tool.local_count());
             }
         }
@@ -317,10 +251,10 @@ fn main() {
             let shared = SharedMem::new();
             let tool = DCache::new(&shared, DCacheConfig::small());
             let result = if options.sp {
-                run_super(&program, tool.clone(), &shared, &options);
+                run_super(tool.clone(), &shared, &options, &recipe);
                 tool.merged_result(&shared)
             } else {
-                pin(&program, tool, &options).tool.local_result()
+                pin(&program, tool, &recipe).tool.local_result()
             };
             println!(
                 "dcache: {} hits, {} misses (miss ratio {:.2}%)",
@@ -334,10 +268,10 @@ fn main() {
             let shared = SharedMem::new();
             let tool = AssocDCache::new(&shared, AssocDCacheConfig::small());
             let result = if options.sp {
-                run_super(&program, tool.clone(), &shared, &options);
+                run_super(tool.clone(), &shared, &options, &recipe);
                 tool.merged_result(&shared)
             } else {
-                pin(&program, tool, &options).tool.local_result()
+                pin(&program, tool, &recipe).tool.local_result()
             };
             println!(
                 "dcache-assoc (2-way LRU): {} hits, {} misses (miss ratio {:.2}%)",
@@ -351,10 +285,10 @@ fn main() {
             let shared = SharedMem::new();
             let tool = ICache::new(&shared, DCacheConfig::small());
             let result = if options.sp {
-                run_super(&program, tool.clone(), &shared, &options);
+                run_super(tool.clone(), &shared, &options, &recipe);
                 tool.merged_result(&shared)
             } else {
-                pin(&program, tool, &options).tool.local_result()
+                pin(&program, tool, &recipe).tool.local_result()
             };
             println!(
                 "icache: {} hits, {} misses (miss ratio {:.2}%)",
@@ -368,10 +302,10 @@ fn main() {
             let tool = BblCount::new();
             let hottest = if options.sp {
                 let shared = SharedMem::new();
-                run_super(&program, tool.clone(), &shared, &options);
+                run_super(tool.clone(), &shared, &options, &recipe);
                 tool.hottest(5)
             } else {
-                let pin = pin(&program, tool, &options);
+                let pin = pin(&program, tool, &recipe);
                 let mut blocks: Vec<(u64, u64)> = pin
                     .tool
                     .local_blocks()
@@ -396,10 +330,10 @@ fn main() {
             let shared = SharedMem::new();
             let tool = InsMix::new(&shared);
             let counts = if options.sp {
-                run_super(&program, tool.clone(), &shared, &options);
+                run_super(tool.clone(), &shared, &options, &recipe);
                 tool.merged_counts(&shared)
             } else {
-                pin(&program, tool, &options).tool.local_counts()
+                pin(&program, tool, &recipe).tool.local_counts()
             };
             println!("insmix ({} instructions):", counts.total());
             for category in MixCategory::ALL {
@@ -415,10 +349,10 @@ fn main() {
             let shared = SharedMem::new();
             let tool = ITrace::new();
             let trace = if options.sp {
-                run_super(&program, tool, &shared, &options);
+                run_super(tool, &shared, &options, &recipe);
                 ITrace::merged_trace(&shared)
             } else {
-                let pin = pin(&program, tool, &options);
+                let pin = pin(&program, tool, &recipe);
                 ITrace::decode(pin.tool.local_buffer())
             };
             println!("itrace: {} instructions traced", trace.len());
@@ -427,10 +361,10 @@ fn main() {
             let tool = BranchProfile::new();
             let sites = if options.sp {
                 let shared = SharedMem::new();
-                run_super(&program, tool.clone(), &shared, &options);
+                run_super(tool.clone(), &shared, &options, &recipe);
                 tool.merged_sites()
             } else {
-                pin(&program, tool, &options).tool.local_sites().clone()
+                pin(&program, tool, &recipe).tool.local_sites().clone()
             };
             println!("branch: {} sites profiled", sites.len());
         }
@@ -438,10 +372,10 @@ fn main() {
             let shared = SharedMem::new();
             let tool = MemProfile::new(&shared);
             let totals = if options.sp {
-                run_super(&program, tool.clone(), &shared, &options);
+                run_super(tool.clone(), &shared, &options, &recipe);
                 tool.merged_totals(&shared)
             } else {
-                pin(&program, tool, &options).tool.local_totals()
+                pin(&program, tool, &recipe).tool.local_totals()
             };
             println!(
                 "mem: {} loads ({} B), {} stores ({} B)",
@@ -452,7 +386,7 @@ fn main() {
             let tool = Sampler::new(500);
             if options.sp {
                 let shared = SharedMem::new();
-                run_super(&program, tool.clone(), &shared, &options);
+                run_super(tool.clone(), &shared, &options, &recipe);
                 println!("sampler: {} samples", tool.merged_samples());
             } else {
                 eprintln!("sampler requires -sp 1 (it is a SuperPin tool)");
@@ -476,7 +410,7 @@ mod tests {
 
     #[test]
     fn valid_command_line_parses() {
-        let options = parse_options(&args(&[
+        let (options, recipe) = parse_options(&args(&[
             "-t",
             "icount2",
             "--threads",
@@ -486,14 +420,14 @@ mod tests {
             "tiny",
         ]))
         .expect("parse");
-        assert_eq!(options.tool, "icount2");
-        assert_eq!(options.threads, 4);
-        assert_eq!(options.benchmark, "gcc");
-        assert_eq!(options.scale, Scale::Tiny);
-        assert_eq!(options.mem_budget, None);
+        assert_eq!(recipe.tool, "icount2");
+        assert_eq!(recipe.threads, 4);
+        assert_eq!(recipe.name, "gcc");
+        assert_eq!(recipe.scale, Scale::Tiny);
+        assert_eq!(recipe.mem_budget, None);
         assert!(options.sp);
         let serial = parse_options(&args(&["-sp", "0", "-t", "icount2", "--", "gcc"]));
-        assert!(!serial.expect("parse").sp);
+        assert!(!serial.expect("parse").0.sp);
     }
 
     #[test]
@@ -531,7 +465,7 @@ mod tests {
                 .expect_err("rate outside [0, 1] must be rejected");
             assert!(err.to_string().contains("--chaos-rate"), "{err}");
         }
-        let options = parse_options(&args(&[
+        let (_, recipe) = parse_options(&args(&[
             "--chaos-rate",
             "1.0",
             "-t",
@@ -540,7 +474,7 @@ mod tests {
             "gcc",
         ]))
         .expect("boundary is inclusive");
-        assert_eq!(options.chaos_rate, Some(1.0));
+        assert_eq!(recipe.chaos.map(|p| p.rate), Some(1.0));
     }
 
     #[test]
@@ -555,9 +489,10 @@ mod tests {
 
     #[test]
     fn mem_budget_accepts_binary_suffixes() {
-        let options = parse_options(&args(&["--mem-budget", "1m", "-t", "icount2", "--", "gcc"]))
-            .expect("parse");
-        assert_eq!(options.mem_budget, Some(1 << 20));
+        let (_, recipe) =
+            parse_options(&args(&["--mem-budget", "1m", "-t", "icount2", "--", "gcc"]))
+                .expect("parse");
+        assert_eq!(recipe.mem_budget, Some(1 << 20));
         let err = parse_options(&args(&[
             "--mem-budget",
             "lots",
@@ -573,8 +508,8 @@ mod tests {
     #[test]
     fn plan_flags_parse() {
         let options = parse_options(&args(&["--plan", "on", "-t", "icount2", "--", "gcc"]));
-        assert!(options.expect("parse").plan);
-        let defaults = parse_options(&args(&["-t", "icount2", "--", "gcc"])).expect("parse");
+        assert!(options.expect("parse").1.plan);
+        let (_, defaults) = parse_options(&args(&["-t", "icount2", "--", "gcc"])).expect("parse");
         assert!(!defaults.plan);
         assert!(
             parse_options(&args(&["--plan", "sideways", "-t", "icount2", "--", "gcc"])).is_err()

@@ -2,21 +2,10 @@
 
 use superpin::baseline::{run_native, run_pin};
 use superpin::{SharedMem, SuperPinConfig, SuperPinReport, SuperPinRunner, SuperTool};
-use superpin_dbi::CYCLES_PER_SEC;
+use superpin_replay::recipe::time_scale_for;
 use superpin_tools::{ICount1, ICount2};
 use superpin_vm::process::Process;
 use superpin_workloads::{Scale, WorkloadSpec};
-
-/// Paper-equivalent seconds represented by one full benchmark run at a
-/// given scale (all figures map the native run to ~100 s, the ballpark of
-/// the paper's single-input gcc run in §6.1).
-pub const PRESENTED_NATIVE_SECS: f64 = 100.0;
-
-/// The time-scale factor for a scale: virtual seconds × scale =
-/// presented seconds.
-pub fn time_scale_for(scale: Scale) -> f64 {
-    PRESENTED_NATIVE_SECS * CYCLES_PER_SEC as f64 / scale.target_insts() as f64
-}
 
 /// The figures' standard configuration: `paper_msec` timeslice, 8-way
 /// SMP (no hyperthreading — Figures 3–6), 8 max slices.

@@ -12,7 +12,8 @@
 //! host-visible recovery must be invisible in every simulated quantity.
 
 use superpin::{FailPlan, SharedMem, Site, SiteMode, SuperPinConfig, SuperPinReport};
-use superpin_bench::runs::{run_superpin, time_scale_for};
+use superpin_bench::runs::run_superpin;
+use superpin_replay::recipe::time_scale_for;
 use superpin_tools::ICount1;
 use superpin_workloads::{catalog, Scale, WorkloadSpec};
 

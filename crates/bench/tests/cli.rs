@@ -54,3 +54,19 @@ fn reproduce_rejects_bad_flags_before_running_a_figure() {
         assert!(out.stdout.is_empty(), "{args:?}: a figure ran");
     }
 }
+
+#[test]
+fn icount1_prints_the_run_summary_and_the_gantt_chart() {
+    let out = Command::new(env!("CARGO_BIN_EXE_superpin"))
+        .args(["-gantt", "-t", "icount1", "--", "gzip", "tiny"])
+        .env("RUST_BACKTRACE", "0")
+        .output()
+        .expect("the superpin binary starts");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert_eq!(out.status.code(), Some(0), "stdout: {stdout}");
+    let has_line = |prefix: &str| stdout.lines().any(|line| line.starts_with(prefix));
+    assert!(has_line("superpin: "), "no run summary: {stdout}");
+    assert!(has_line("gantt ("), "no Gantt chart: {stdout}");
+    assert!(has_line("master   |"), "no Gantt chart: {stdout}");
+    assert!(has_line("Total Count: "), "no count: {stdout}");
+}

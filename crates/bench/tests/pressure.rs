@@ -16,7 +16,8 @@
 //!    work, never drop or duplicate it.
 
 use superpin::{SharedMem, SuperPinConfig, SuperPinReport};
-use superpin_bench::runs::{run_superpin, time_scale_for};
+use superpin_bench::runs::run_superpin;
+use superpin_replay::recipe::time_scale_for;
 use superpin_tools::ICount1;
 use superpin_workloads::{catalog, Scale, WorkloadSpec};
 

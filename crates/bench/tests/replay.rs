@@ -13,7 +13,7 @@
 //! log.
 
 use superpin::{FailPlan, NondetEvent, SharedMem, SpError};
-use superpin_bench::runs::{parallel_over_catalog, run_superpin, time_scale_for};
+use superpin_bench::runs::{parallel_over_catalog, run_superpin};
 use superpin_replay::{
     diff_logs, record_run, replay_run, verify_replay, DiffOutcome, ReplayError, ReplayLog,
     RunRecipe,
@@ -45,7 +45,7 @@ fn record_and_replay(name: &str, threads: usize, chaos: Option<FailPlan>) {
     let log = recorded_log(name, threads, chaos);
     let program = log.recipe.program().expect("catalog workload");
     let shared = SharedMem::new();
-    let cfg = log.recipe.base_config(threads, false);
+    let cfg = log.recipe.config(&program, threads, false).expect("config");
     let unrecorded = run_superpin(&program, ICount1::new(&shared), &shared, cfg, name);
     assert_eq!(
         unrecorded,
@@ -162,15 +162,4 @@ fn perturbed_syscall_record_makes_replay_refuse_the_log() {
         matches!(err, ReplayError::Sim(SpError::ReplayDivergence { .. })),
         "unexpected error: {err:?}"
     );
-}
-
-#[test]
-fn recipe_time_scale_matches_the_bench_normalization() {
-    for scale in [Scale::Tiny, Scale::Small, Scale::Medium, Scale::Large] {
-        let recipe = RunRecipe::standard("gcc", scale);
-        assert!(
-            (recipe.time_scale() - time_scale_for(scale)).abs() < 1e-12,
-            "recipe and bench disagree on the {scale:?} time scale"
-        );
-    }
 }

@@ -19,9 +19,10 @@
 
 use proptest::prelude::*;
 use superpin::{SharedMem, SuperPinConfig, SuperPinReport};
-use superpin_bench::runs::{run_superpin, time_scale_for};
+use superpin_bench::runs::run_superpin;
 use superpin_isa::asm::assemble;
 use superpin_isa::{encode, AluOp, Inst, Program, Reg};
+use superpin_replay::recipe::time_scale_for;
 use superpin_tools::ICount1;
 use superpin_vm::cpu::{self, CpuState, ExecOutcome};
 use superpin_vm::decode::{DecodeCache, RunStop};

@@ -16,7 +16,8 @@
 use std::sync::Arc;
 
 use superpin::{PlanKnobs, ProgramAnalysis, SharedMem, SuperPinConfig, SuperPinReport};
-use superpin_bench::runs::{run_superpin, time_scale_for};
+use superpin_bench::runs::run_superpin;
+use superpin_replay::recipe::time_scale_for;
 use superpin_tools::ICount1;
 use superpin_workloads::{catalog, Scale};
 

@@ -7,8 +7,7 @@ use crate::log::ReplayLog;
 use crate::recipe::RunRecipe;
 use crate::wire::CodecError;
 use std::fmt;
-use std::sync::Arc;
-use superpin::{ProgramAnalysis, SharedMem, SpError, SuperPinReport, SuperPinRunner, SuperTool};
+use superpin::{SharedMem, SpError, SuperPinReport, SuperPinRunner, SuperTool};
 use superpin_vm::process::Process;
 
 /// Errors from driving a recorded or replayed run.
@@ -16,8 +15,8 @@ use superpin_vm::process::Process;
 pub enum ReplayError {
     /// The recipe names a workload the catalog does not have.
     UnknownWorkload(String),
-    /// Whole-program analysis failed while rebuilding the recorded
-    /// run's superblock plan.
+    /// Whole-program analysis failed while building the run's
+    /// superblock plan.
     Analysis(String),
     /// The simulation failed (a replay that departs from its log
     /// surfaces here as [`SpError::ReplayDivergence`]).
@@ -63,10 +62,10 @@ impl From<CodecError> for ReplayError {
     }
 }
 
-/// Builds a runner from a recipe: catalog program, config knobs, and
-/// (when the recorded run had one) the recomputed superblock plan.
-/// `threads` and `replaying` deviate deliberately from the recipe — see
-/// [`RunRecipe::base_config`]. The caller installs record/replay mode.
+/// Builds a runner from a recipe: the catalog program and
+/// [`RunRecipe::config`]. `threads` and `replaying` deviate deliberately
+/// from the recipe — see [`RunRecipe::config`]. The caller installs
+/// record/replay mode.
 ///
 /// # Errors
 ///
@@ -81,12 +80,9 @@ pub fn build_runner<T: SuperTool>(
     let program = recipe
         .program()
         .ok_or_else(|| ReplayError::UnknownWorkload(recipe.name.clone()))?;
-    let mut cfg = recipe.base_config(threads, replaying);
-    if recipe.plan {
-        let analysis =
-            ProgramAnalysis::compute(&program).map_err(|e| ReplayError::Analysis(e.to_string()))?;
-        cfg = cfg.with_plan(Arc::new(analysis.plan(Default::default())));
-    }
+    let cfg = recipe
+        .config(&program, threads, replaying)
+        .map_err(|e| ReplayError::Analysis(e.to_string()))?;
     let process = Process::load(1, &program).map_err(SpError::from)?;
     Ok(SuperPinRunner::new(process, tool, shared.clone(), cfg)?)
 }

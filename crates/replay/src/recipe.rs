@@ -10,17 +10,32 @@
 //! `--threads 4` recording replays at `--threads 1`), and chaos is
 //! **disarmed** (the recorded [`FaultLedger`](superpin::NondetEvent)
 //! substitutes injection's only report-visible effect).
+//!
+//! A recipe is also how every live front end describes its run: the
+//! `superpin` CLI parses its switches into one, and each `spin-serve`
+//! job is admitted as one. [`RunRecipe::config`] is the one place a
+//! run's configuration is built, so a replay rebuilds exactly the run
+//! that was recorded.
+
+use std::sync::Arc;
 
 use crate::wire::{put_bool, put_opt_u64, put_str, put_u32, put_u64, put_u8, CodecError, Reader};
-use superpin::{FailPlan, SuperPinConfig};
+use superpin::{FailPlan, ProgramAnalysis, SuperPinConfig};
+use superpin_analysis::AnalysisError;
 use superpin_dbi::CYCLES_PER_SEC;
 use superpin_isa::Program;
 use superpin_workloads::{find, Scale, WorkloadSpec};
 
-/// Paper-equivalent seconds represented by one full run at a given
-/// scale; the standard figure normalization (bench's
-/// `PRESENTED_NATIVE_SECS`).
+/// Paper-equivalent seconds represented by one full benchmark run at
+/// any scale: every figure maps the native run to ~100 s, the ballpark
+/// of the paper's single-input gcc run (§6.1).
 pub const PRESENTED_NATIVE_SECS: f64 = 100.0;
+
+/// The time-scale factor for a scale: virtual seconds × factor =
+/// presented seconds.
+pub fn time_scale_for(scale: Scale) -> f64 {
+    PRESENTED_NATIVE_SECS * CYCLES_PER_SEC as f64 / scale.target_insts() as f64
+}
 
 /// A complete, self-contained description of how to start a run.
 #[derive(Clone, Debug, PartialEq)]
@@ -31,7 +46,8 @@ pub struct RunRecipe {
     pub scale: Scale,
     /// Workload input seed (`build_with_input`).
     pub input: u64,
-    /// Tool name (e.g. `"icount1"`); dispatched by the CLI/harness.
+    /// Tool name (e.g. `"icount1"`); front ends look it up in the
+    /// `superpin-tools` registry.
     pub tool: String,
     /// Timeslice in paper milliseconds (`-spmsec`).
     pub spmsec: u64,
@@ -82,12 +98,6 @@ impl RunRecipe {
         }
     }
 
-    /// The scale's time-scale factor (the figure normalization the bench
-    /// harness uses; kept equal to `time_scale_for` there by test).
-    pub fn time_scale(&self) -> f64 {
-        PRESENTED_NATIVE_SECS * CYCLES_PER_SEC as f64 / self.scale.target_insts() as f64
-    }
-
     /// Resolves the workload in the catalog.
     pub fn spec(&self) -> Option<&'static WorkloadSpec> {
         find(&self.name)
@@ -99,15 +109,26 @@ impl RunRecipe {
             .map(|spec| spec.build_with_input(self.scale, self.input))
     }
 
-    /// Builds the run configuration. `threads` overrides the recorded
-    /// thread count (report equality across thread counts is the
-    /// contract being exercised). With `replaying`, chaos is stripped
-    /// but supervision stays on if the recorded run had it — checkpoint
-    /// retention is report-visible under a memory budget, so the replay
-    /// must supervise identically. The superblock plan (if any) is
-    /// attached by the caller, which holds the program.
-    pub fn base_config(&self, threads: usize, replaying: bool) -> SuperPinConfig {
-        let mut cfg = SuperPinConfig::scaled(self.spmsec, self.time_scale())
+    /// Builds the run configuration for `program` (the recipe's own
+    /// [`program`](RunRecipe::program)). `threads` overrides the
+    /// recorded thread count (report equality across thread counts is
+    /// the contract being exercised). With `replaying`, chaos is
+    /// stripped but supervision stays on if the recorded run had it —
+    /// checkpoint retention is report-visible under a memory budget, so
+    /// the replay must supervise identically. With `plan`, the
+    /// whole-program analysis installs both the superblock plan and the
+    /// soundness oracle.
+    ///
+    /// # Errors
+    ///
+    /// Whole-program analysis failures (only with `plan`).
+    pub fn config(
+        &self,
+        program: &Program,
+        threads: usize,
+        replaying: bool,
+    ) -> Result<SuperPinConfig, AnalysisError> {
+        let mut cfg = SuperPinConfig::scaled(self.spmsec, time_scale_for(self.scale))
             .with_max_slices(self.spmp)
             .with_max_sysrecs(self.spsysrecs)
             .with_threads(threads)
@@ -124,7 +145,13 @@ impl RunRecipe {
         if self.supervise || self.chaos.is_some() {
             cfg = cfg.with_supervision();
         }
-        cfg
+        if self.plan {
+            let analysis = ProgramAnalysis::compute(program)?;
+            cfg = cfg
+                .with_plan(Arc::new(analysis.plan(Default::default())))
+                .with_oracle(Arc::new(analysis.oracle()));
+        }
+        Ok(cfg)
     }
 
     /// Encodes the recipe.
@@ -259,14 +286,30 @@ mod tests {
     fn replay_config_strips_chaos_but_keeps_supervision() {
         let mut recipe = RunRecipe::standard("gcc", Scale::Tiny);
         recipe.chaos = Some(FailPlan::new(2, 0.02));
-        let live = recipe.base_config(4, false);
+        let program = recipe.program().expect("catalog workload");
+        let live = recipe.config(&program, 4, false).expect("config");
         assert!(live.chaos.is_some());
         assert!(live.supervision_enabled());
-        let replay = recipe.base_config(1, true);
+        let replay = recipe.config(&program, 1, true).expect("config");
         assert!(replay.chaos.is_none());
         assert!(replay.supervision_enabled());
         assert_eq!(replay.threads, 1);
         assert_eq!(replay.timeslice_cycles, live.timeslice_cycles);
+    }
+
+    #[test]
+    fn plan_installs_the_plan_and_the_oracle_together() {
+        let mut recipe = RunRecipe::standard("gcc", Scale::Tiny);
+        let program = recipe.program().expect("catalog workload");
+        for replaying in [false, true] {
+            let off = recipe.config(&program, 1, replaying).expect("config");
+            assert!(off.plan.is_none() && off.oracle.is_none());
+        }
+        recipe.plan = true;
+        for replaying in [false, true] {
+            let on = recipe.config(&program, 1, replaying).expect("config");
+            assert!(on.plan.is_some() && on.oracle.is_some());
+        }
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Test-only helpers shared across this crate's unit tests.
 //!
-//! The real tool dispatch (icount1/icount2) lives downstream in
-//! tools/bench, which depend on this crate — run-driving tests here use
-//! a no-op tool instead.
+//! Tools are looked up by name in the `superpin-tools` registry, which
+//! depends on this crate — run-driving tests here use a no-op tool
+//! instead.
 
 use superpin::{SharedMem, SuperTool};
 

@@ -46,27 +46,14 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use superpin::governor::FORK_COST_BYTES;
-use superpin::{FailPlan, ProgramAnalysis, SpError, SuperPinConfig, TenantAdmission, TenantLedger};
-use superpin_dbi::CYCLES_PER_SEC;
-use superpin_replay::{crc32, diff_round, FleetEvent, RoundFrame};
+use superpin::{FailPlan, SpError, TenantAdmission, TenantLedger};
+use superpin_replay::{crc32, diff_round, FleetEvent, RoundFrame, RunRecipe};
 use superpin_sched::{FleetQueue, OrderedPool};
-use superpin_workloads::Scale;
 
 use crate::durable::Durability;
 use crate::job::{build_job, JobDriver};
 use crate::report::{JobOutcome, ServiceReport, TenantSummary};
 use crate::spec::JobFile;
-
-/// Paper-equivalent seconds one full benchmark run presents as; the
-/// same constant the bench harness uses, so a fleet job's time scale
-/// matches the standalone `superpin` CLI's for the same scale.
-pub const PRESENTED_NATIVE_SECS: f64 = 100.0;
-
-/// The time-scale factor for a workload scale (virtual seconds ×
-/// scale = presented seconds).
-pub fn time_scale_for(scale: Scale) -> f64 {
-    PRESENTED_NATIVE_SECS * CYCLES_PER_SEC as f64 / scale.target_insts() as f64
-}
 
 /// Fleet-level knobs (the `spin-serve` CLI surface minus I/O).
 #[derive(Clone, Debug)]
@@ -300,34 +287,29 @@ impl<'a> Fleet<'a> {
             }
         };
 
-        let program = superpin_workloads::find(&spec.workload)
-            .expect("workload validated at parse")
-            .build(spec.scale);
-        let mut cfg =
-            SuperPinConfig::scaled(self.cfg.spmsec, time_scale_for(spec.scale)).with_threads(1);
-        let budget = match (spec.mem_budget, clamp) {
-            (Some(own), Some(clamped)) => Some(own.min(clamped)),
-            (own, clamped) => own.or(clamped),
-        };
-        if let Some(bytes) = budget {
-            cfg = cfg.with_mem_budget(bytes);
-        }
         let base_chaos = match (self.cfg.chaos, spec.chaos_rate) {
             (Some(plan), Some(rate)) => Some(FailPlan { rate, ..plan }),
             (Some(plan), None) => Some(plan),
             (None, Some(rate)) => Some(FailPlan::new(1, rate)),
             (None, None) => None,
         };
-        if let Some(plan) = base_chaos {
-            cfg = cfg.with_chaos(plan.for_tenant(tenant));
-        }
-        if spec.plan {
-            let analysis = ProgramAnalysis::compute(&program).expect("whole-program analysis");
-            cfg = cfg
-                .with_plan(std::sync::Arc::new(analysis.plan(Default::default())))
-                .with_oracle(std::sync::Arc::new(analysis.oracle()));
-        }
-        let driver = build_job(&program, cfg, &spec.tool)
+        let recipe = RunRecipe {
+            tool: spec.tool.clone(),
+            spmsec: self.cfg.spmsec,
+            threads: 1,
+            mem_budget: match (spec.mem_budget, clamp) {
+                (Some(own), Some(clamped)) => Some(own.min(clamped)),
+                (own, clamped) => own.or(clamped),
+            },
+            chaos: base_chaos.map(|plan| plan.for_tenant(tenant)),
+            plan: spec.plan,
+            ..RunRecipe::standard(&spec.workload, spec.scale)
+        };
+        let program = recipe.program().expect("workload validated at parse");
+        let cfg = recipe
+            .config(&program, recipe.threads, false)
+            .expect("whole-program analysis");
+        let driver = build_job(&program, cfg, &recipe.tool)
             .map_err(|source| FleetError::Job { job: id, source })?
             .expect("tool validated at parse");
 

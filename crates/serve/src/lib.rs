@@ -33,7 +33,7 @@ pub mod report;
 pub mod spec;
 
 pub use durable::{Durability, FleetWal, WalStatus};
-pub use fleet::{run_service, run_service_durable, time_scale_for, FleetConfig, FleetError};
+pub use fleet::{run_service, run_service_durable, FleetConfig, FleetError};
 pub use job::{build_job, JobDriver};
 pub use report::{JobOutcome, ServiceReport, TenantSummary};
 pub use spec::{parse_jobs, JobFile, JobSpec, SpecError, TenantSpec};

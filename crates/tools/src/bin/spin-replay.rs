@@ -6,7 +6,8 @@
 //! spin-replay diff gcc.splog gcc-perturbed.splog
 //! ```
 //!
-//! `record` executes a workload live, streaming its nondeterministic
+//! `record` executes a workload live with any tool of the
+//! `superpin-tools` registry (`-t`), streaming its nondeterministic
 //! surface (syscall effects, epoch plans, governed admissions, the
 //! fault ledger) into a versioned `.splog` log alongside the final
 //! report. `replay` re-executes a run from the log alone — at any
@@ -25,15 +26,15 @@
 
 use std::process::ExitCode;
 use superpin::cli::{chaos_plan, ArgError, Args};
-use superpin::SharedMem;
+use superpin::{SharedMem, SuperPinReport, SuperTool};
 use superpin_replay::container::SPLOG;
 use superpin_replay::fsck;
 use superpin_replay::json::report_to_json;
 use superpin_replay::{
     atomic_write, diff_logs, explain_decode_failure, record_run, replay_run, salvage,
-    verify_replay, walk, DiffOutcome, Format, ReplayLog, RunRecipe,
+    verify_replay, walk, DiffOutcome, Format, ReplayError, ReplayLog, RunRecipe,
 };
-use superpin_tools::{ICount1, ICount2};
+use superpin_tools::{with_tool, ToolVisitor};
 use superpin_workloads::Scale;
 
 const USAGE: &str = "\
@@ -51,7 +52,8 @@ verbs:
 
 record options:
   -o <path>            output log path (required)
-  -t <tool>            icount1 | icount2 (default icount1)
+  -t <tool>            icount1 | icount2 | bblcount | insmix | itrace |
+                       branch | mem (default icount1)
   --scale <s>          tiny | small | medium | large (default tiny)
   --input <n>          workload input id (default 0)
   --threads <n>        host threads (default 1)
@@ -63,6 +65,7 @@ record options:
   --mem-budget <bytes> arm the memory governor; k/m/g suffixes (64m)
   --supervise          arm the slice supervisor (implied by chaos)
   --plan               install the superblock plan (refined liveness)
+                       and the soundness oracle
   --tag <str>          free-form provenance tag stored in the header
 
 replay options:
@@ -89,6 +92,76 @@ fn load_log(path: &str) -> Result<ReplayLog, String> {
 
 fn write_file(path: &str, contents: &[u8]) -> Result<(), String> {
     atomic_write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
+}
+
+/// `record`: runs the recipe live with the tool it names.
+struct Record<'a> {
+    recipe: &'a RunRecipe,
+    shared: &'a SharedMem,
+}
+
+impl ToolVisitor for Record<'_> {
+    type Out = Result<ReplayLog, ReplayError>;
+
+    fn visit<T: SuperTool>(self, tool: T) -> Self::Out {
+        record_run(self.recipe, tool, self.shared)
+    }
+}
+
+/// `replay`: re-executes a log with the tool its recipe names.
+struct Replay<'a> {
+    log: &'a ReplayLog,
+    threads: usize,
+    shared: &'a SharedMem,
+}
+
+impl ToolVisitor for Replay<'_> {
+    type Out = Result<SuperPinReport, ReplayError>;
+
+    fn visit<T: SuperTool>(self, tool: T) -> Self::Out {
+        replay_run(self.log, self.threads, tool, self.shared)
+    }
+}
+
+/// `diff`: holds log A's tool while log B's is looked up, so the two
+/// logs may name different tools. `None` when B's tool is unknown.
+#[derive(Clone, Copy)]
+struct Diff<'a> {
+    log_a: &'a ReplayLog,
+    shared_a: &'a SharedMem,
+    log_b: &'a ReplayLog,
+    shared_b: &'a SharedMem,
+}
+
+impl ToolVisitor for Diff<'_> {
+    type Out = Option<Result<DiffOutcome, ReplayError>>;
+
+    fn visit<T: SuperTool>(self, tool_a: T) -> Self::Out {
+        let against = DiffAgainst { diff: self, tool_a };
+        with_tool(&self.log_b.recipe.tool, self.shared_b, against)
+    }
+}
+
+/// The inner half of [`Diff`]: both tools are known, so run the differ.
+struct DiffAgainst<'a, A> {
+    diff: Diff<'a>,
+    tool_a: A,
+}
+
+impl<A: SuperTool> ToolVisitor for DiffAgainst<'_, A> {
+    type Out = Result<DiffOutcome, ReplayError>;
+
+    fn visit<T: SuperTool>(self, tool_b: T) -> Self::Out {
+        let d = self.diff;
+        diff_logs(
+            d.log_a,
+            self.tool_a,
+            d.shared_a,
+            d.log_b,
+            tool_b,
+            d.shared_b,
+        )
+    }
 }
 
 fn main() -> ExitCode {
@@ -157,10 +230,12 @@ fn cmd_record(args: &[String]) -> ExitCode {
         Err(err) => return fail(err),
     };
     let shared = SharedMem::new();
-    let recorded = match parsed.recipe.tool.as_str() {
-        "icount1" => record_run(&parsed.recipe, ICount1::new(&shared), &shared),
-        "icount2" => record_run(&parsed.recipe, ICount2::new(&shared), &shared),
-        other => return fail(format!("unknown tool `{other}`")),
+    let record = Record {
+        recipe: &parsed.recipe,
+        shared: &shared,
+    };
+    let Some(recorded) = with_tool(&parsed.recipe.tool, &shared, record) else {
+        return fail(format!("unknown tool `{}`", parsed.recipe.tool));
     };
     let log = match recorded {
         Ok(log) => log,
@@ -217,10 +292,13 @@ fn cmd_replay(args: &[String]) -> ExitCode {
         Err(message) => return fail(message),
     };
     let shared = SharedMem::new();
-    let replayed = match log.recipe.tool.as_str() {
-        "icount1" => replay_run(&log, threads, ICount1::new(&shared), &shared),
-        "icount2" => replay_run(&log, threads, ICount2::new(&shared), &shared),
-        other => return fail(format!("log records unknown tool `{other}`")),
+    let replay = Replay {
+        log: &log,
+        threads,
+        shared: &shared,
+    };
+    let Some(replayed) = with_tool(&log.recipe.tool, &shared, replay) else {
+        return fail(format!("log records unknown tool `{}`", log.recipe.tool));
     };
     let report = match replayed {
         Ok(report) => report,
@@ -259,42 +337,17 @@ fn cmd_diff(args: &[String]) -> ExitCode {
         (Ok(a), Ok(b)) => (a, b),
         (Err(message), _) | (_, Err(message)) => return fail(message),
     };
-    let shared_a = SharedMem::new();
-    let shared_b = SharedMem::new();
-    let outcome = match (log_a.recipe.tool.as_str(), log_b.recipe.tool.as_str()) {
-        ("icount1", "icount1") => diff_logs(
-            &log_a,
-            ICount1::new(&shared_a),
-            &shared_a,
-            &log_b,
-            ICount1::new(&shared_b),
-            &shared_b,
-        ),
-        ("icount1", "icount2") => diff_logs(
-            &log_a,
-            ICount1::new(&shared_a),
-            &shared_a,
-            &log_b,
-            ICount2::new(&shared_b),
-            &shared_b,
-        ),
-        ("icount2", "icount1") => diff_logs(
-            &log_a,
-            ICount2::new(&shared_a),
-            &shared_a,
-            &log_b,
-            ICount1::new(&shared_b),
-            &shared_b,
-        ),
-        ("icount2", "icount2") => diff_logs(
-            &log_a,
-            ICount2::new(&shared_a),
-            &shared_a,
-            &log_b,
-            ICount2::new(&shared_b),
-            &shared_b,
-        ),
-        (a, b) => return fail(format!("cannot diff tools `{a}` vs `{b}`")),
+    let (shared_a, shared_b) = (SharedMem::new(), SharedMem::new());
+    let diff = Diff {
+        log_a: &log_a,
+        shared_a: &shared_a,
+        log_b: &log_b,
+        shared_b: &shared_b,
+    };
+    let outcome = match with_tool(&log_a.recipe.tool, &shared_a, diff) {
+        Some(Some(outcome)) => outcome,
+        Some(None) => return fail(format!("log records unknown tool `{}`", log_b.recipe.tool)),
+        None => return fail(format!("log records unknown tool `{}`", log_a.recipe.tool)),
     };
     match outcome {
         Ok(DiffOutcome::Identical { epochs }) => {

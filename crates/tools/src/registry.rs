@@ -1,22 +1,26 @@
-//! By-name tool dispatch for front ends that pick a pintool from a
-//! string (the `spin-serve` job queue, where every job line names its
-//! tool).
+//! By-name tool dispatch: the one table for front ends that pick a
+//! pintool from a string — the `spin-serve` job queue, where every job
+//! line names its tool, and `spin-replay record|replay|diff`, where the
+//! tool comes from `-t` or from a log's recipe.
 //!
 //! [`SuperPinRunner`](superpin::SuperPinRunner) is generic over its
 //! tool, so "build the runner for whatever tool this job names" needs
 //! rank-2 dispatch: a caller-supplied [`ToolVisitor`] whose generic
 //! `visit` is instantiated with the concrete tool type behind the name.
-//! The visitor typically boxes the typed runner behind an object-safe
-//! driver trait, erasing the type exactly once, at job admission.
+//! The fleet's visitor boxes the typed runner behind an object-safe
+//! driver trait, erasing the type exactly once, at job admission;
+//! `spin-replay`'s visitors run the record, replay or diff directly,
+//! and `diff` nests a second lookup inside the first so each log gets
+//! the tool it names.
 
 use superpin::{SharedMem, SuperTool};
 
 use crate::{BblCount, BranchProfile, ICount1, ICount2, ITrace, InsMix, MemProfile};
 
-/// Tool names the service registry dispatches, in stable order. The
-/// names match the `superpin` CLI's `-t` values; tools that need extra
+/// Tool names the registry dispatches, in stable order. The names
+/// match the `superpin` CLI's `-t` values; tools that need extra
 /// configuration (cache geometries, sample budgets) are deliberately
-/// not servable by bare name.
+/// not available by bare name.
 pub const SERVE_TOOL_NAMES: &[&str] = &[
     "icount1", "icount2", "bblcount", "insmix", "itrace", "branch", "mem",
 ];

@@ -1,6 +1,7 @@
 //! The `spin-replay` binary run as a user would run it: `record` and
 //! `replay` read their flags with the grammar and the rejections the
-//! other binaries use.
+//! other binaries use, and `record`, `replay` and `diff` take any tool
+//! of the `superpin-tools` registry.
 
 use std::path::PathBuf;
 use std::process::{Command, Output};
@@ -84,4 +85,67 @@ fn mem_budget_takes_byte_suffixes() {
         &["record", "gcc", "--mem-budget", "lots", "-o", &path],
         "--mem-budget",
     );
+}
+
+/// Runs `args`, expecting success, and returns stdout.
+fn succeed(args: &[&str]) -> String {
+    let out = spin_replay(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "{args:?}: stderr: {stderr}");
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+#[test]
+fn mem_and_bblcount_record_replay_and_self_diff_under_chaos() {
+    for tool in ["mem", "bblcount"] {
+        let path = log_path(&format!("tool-{tool}"));
+        let chaos = ["--chaos-seed", "2", "--chaos-rate", "0.05"];
+        let record = [
+            &["record", "gcc", "-t", tool, "--threads", "2", "-o", &path][..],
+            &chaos,
+        ];
+        succeed(&record.concat());
+        let log = ReplayLog::decode(&std::fs::read(&path).expect("the log was written"))
+            .expect("the log decodes");
+        assert_eq!(log.recipe.tool, tool);
+        let replayed = succeed(&["replay", &path, "--threads", "1"]);
+        assert!(replayed.contains("verified"), "{tool}: {replayed}");
+        let diffed = succeed(&["diff", &path, &path]);
+        assert!(diffed.starts_with("identical:"), "{tool}: {diffed}");
+    }
+}
+
+#[test]
+fn a_cross_tool_diff_runs_the_differ() {
+    let icount1 = log_path("cross-icount1");
+    let bblcount = log_path("cross-bblcount");
+    succeed(&["record", "gcc", "-t", "icount1", "-o", &icount1]);
+    succeed(&["record", "gcc", "-t", "bblcount", "-o", &bblcount]);
+    let out = spin_replay(&["diff", &icount1, &bblcount]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    // The diff contract: 0 identical, 1 diverged; never a usage error.
+    assert!(
+        matches!(out.status.code(), Some(0 | 1)),
+        "exit {:?}: {stderr}",
+        out.status.code()
+    );
+    assert!(!stderr.contains("usage:"), "{stderr}");
+    assert!(
+        stdout.starts_with("identical:") || stdout.starts_with("first divergence at epoch"),
+        "{stdout}"
+    );
+}
+
+#[test]
+fn an_unknown_tool_is_a_usage_error_and_records_nothing() {
+    let path = log_path("unknown-tool");
+    let out = spin_replay(&["record", "gcc", "-t", "dcache", "-o", &path]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.starts_with("spin-replay: unknown tool `dcache`"),
+        "{stderr}"
+    );
+    assert!(!std::path::Path::new(&path).exists(), "nothing is recorded");
 }

@@ -36,7 +36,7 @@ fn governed_numbers(report: &SuperPinReport) -> (u64, u64, u64, u64, u64) {
 }
 
 fn config() -> SuperPinConfig {
-    SuperPinConfig::scaled(1000, superpin_serve::time_scale_for(SCALE))
+    SuperPinConfig::scaled(1000, superpin_replay::recipe::time_scale_for(SCALE))
 }
 
 fn runner(cfg: SuperPinConfig) -> (SuperPinRunner<ICount1>, ICount1, SharedMem) {
