@@ -3,7 +3,8 @@
 //!
 //! ```text
 //! superpin [-sp 0|1] [-spmsec MSEC] [-spmp N] [-spsysrecs N] [-threads N]
-//!          -t icount1|icount2|dcache|itrace|branch|mem|sampler
+//!          -t icount1|icount2|dcache|dcache-assoc|icache|bblcount|insmix|
+//!             itrace|branch|mem|sampler
 //!          -- <benchmark> [tiny|small|medium|large]
 //! ```
 //!

@@ -8,9 +8,9 @@ use superpin_sched::{Machine, Policy};
 
 /// Configuration for a SuperPin run.
 ///
-/// Mirrors the paper's switches:
+/// Mirrors the paper's switches (`-sp 0|1` is not one of them: it picks
+/// Pin or SuperPin, so it is the `superpin` CLI's choice of runner):
 ///
-/// * `-sp 1` → [`enabled`](SuperPinConfig::enabled)
 /// * `-spmsec` → [`timeslice_cycles`](SuperPinConfig::timeslice_cycles)
 ///   (default 1000 ms)
 /// * `-spmp` → [`max_slices`](SuperPinConfig::max_slices) (default 8)
@@ -28,8 +28,6 @@ use superpin_sched::{Machine, Policy};
 /// reports multiply back up when presenting "seconds".
 #[derive(Clone, Debug)]
 pub struct SuperPinConfig {
-    /// Run in SuperPin mode (`-sp 1`); `false` means traditional Pin.
-    pub enabled: bool,
     /// Timeslice interval in cycles (`-spmsec`, after time scaling).
     pub timeslice_cycles: u64,
     /// Maximum simultaneously running slices (`-spmp`).
@@ -122,11 +120,10 @@ pub struct SuperPinConfig {
 }
 
 impl SuperPinConfig {
-    /// The paper's defaults: SuperPin on, 1000 ms timeslice, 8 slices,
-    /// 1000 syscall records, 8-way SMP without hyperthreading.
+    /// The paper's defaults: 1000 ms timeslice, 8 slices, 1000 syscall
+    /// records, 8-way SMP without hyperthreading.
     pub fn paper_default() -> SuperPinConfig {
         SuperPinConfig {
-            enabled: true,
             timeslice_cycles: CYCLES_PER_SEC, // 1000 ms
             max_slices: 8,
             max_sysrecs: 1000,
@@ -290,7 +287,6 @@ mod tests {
     #[test]
     fn paper_defaults_match_switch_documentation() {
         let cfg = SuperPinConfig::paper_default();
-        assert!(cfg.enabled);
         assert_eq!(cfg.timeslice_cycles, CYCLES_PER_SEC);
         assert_eq!(cfg.max_slices, 8);
         assert_eq!(cfg.max_sysrecs, 1000);

@@ -130,6 +130,10 @@ pub enum SiteMode {
 /// This is what lives in `SuperPinConfig` — `Clone`/`PartialEq` data
 /// with no atomics, so configs stay comparable and cheap to copy. The
 /// runner instantiates a live [`FailpointRegistry`] from it.
+///
+/// Because firing decisions are a pure function of `(plan, site, key)`,
+/// the plan *is* the whole fault schedule: a record/replay log stores
+/// the plan instead of per-firing frames.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct FailPlan {
     /// Seed for the deterministic firing schedule.
@@ -176,64 +180,6 @@ impl FailPlan {
             seed: mix(self.seed ^ mix(TENANT_DOMAIN ^ id as u64)),
             ..*self
         }
-    }
-
-    /// Appends the plan's wire encoding (little-endian, self-delimiting)
-    /// to `out`. Because firing decisions are a pure function of
-    /// `(plan, site, key)`, serializing the plan serializes the entire
-    /// fault schedule — a record/replay log stores this instead of
-    /// per-firing frames.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.seed.to_le_bytes());
-        out.extend_from_slice(&self.rate.to_bits().to_le_bytes());
-        out.push(SITE_COUNT as u8);
-        for mode in self.site_modes {
-            match mode {
-                SiteMode::Inherit => out.push(0),
-                SiteMode::Off => out.push(1),
-                SiteMode::Nth(n) => {
-                    out.push(2);
-                    out.extend_from_slice(&n.to_le_bytes());
-                }
-                SiteMode::Always => out.push(3),
-            }
-        }
-    }
-
-    /// Decodes a plan from `bytes` at `*pos`, advancing the cursor.
-    /// `None` on truncation or an unknown mode tag. Plans encoded with a
-    /// different `SITE_COUNT` (an older or newer build) are rejected —
-    /// the schedule would not reproduce.
-    pub fn decode(bytes: &[u8], pos: &mut usize) -> Option<FailPlan> {
-        let read_u64 = |pos: &mut usize| -> Option<u64> {
-            let raw = bytes.get(*pos..*pos + 8)?;
-            *pos += 8;
-            Some(u64::from_le_bytes(raw.try_into().ok()?))
-        };
-        let seed = read_u64(pos)?;
-        let rate = f64::from_bits(read_u64(pos)?);
-        let count = *bytes.get(*pos)? as usize;
-        *pos += 1;
-        if count != SITE_COUNT {
-            return None;
-        }
-        let mut site_modes = [SiteMode::Inherit; SITE_COUNT];
-        for slot in &mut site_modes {
-            let tag = *bytes.get(*pos)?;
-            *pos += 1;
-            *slot = match tag {
-                0 => SiteMode::Inherit,
-                1 => SiteMode::Off,
-                2 => SiteMode::Nth(read_u64(pos)?),
-                3 => SiteMode::Always,
-                _ => return None,
-            };
-        }
-        Some(FailPlan {
-            seed,
-            rate,
-            site_modes,
-        })
     }
 }
 
@@ -466,46 +412,5 @@ mod tests {
         let b = FailPlan::new(1, 0.5);
         assert_eq!(a, b);
         assert_ne!(a, a.with_site(Site::VmForkCow, SiteMode::Off));
-    }
-
-    #[test]
-    fn plan_encoding_round_trips() {
-        let plans = [
-            FailPlan::new(0, 0.0),
-            FailPlan::new(u64::MAX, 1.0),
-            FailPlan::new(3, 0.05)
-                .with_site(Site::VmForkCow, SiteMode::Off)
-                .with_site(Site::ParallelWorkerChannel, SiteMode::Nth(17))
-                .with_site(Site::DbiEngineDispatch, SiteMode::Always),
-        ];
-        for plan in plans {
-            let mut bytes = Vec::new();
-            plan.encode(&mut bytes);
-            // Trailing data must be left untouched by the cursor.
-            bytes.extend_from_slice(&[0xAA, 0xBB]);
-            let mut pos = 0;
-            let decoded = FailPlan::decode(&bytes, &mut pos).expect("decode");
-            assert_eq!(decoded, plan);
-            assert_eq!(pos, bytes.len() - 2);
-        }
-    }
-
-    #[test]
-    fn plan_decode_rejects_truncation_and_bad_tags() {
-        let mut bytes = Vec::new();
-        FailPlan::new(9, 0.25).encode(&mut bytes);
-        for cut in 0..bytes.len() {
-            let mut pos = 0;
-            assert_eq!(FailPlan::decode(&bytes[..cut], &mut pos), None);
-        }
-        let mut bad = bytes.clone();
-        *bad.last_mut().expect("nonempty") = 0xFF;
-        let mut pos = 0;
-        assert_eq!(FailPlan::decode(&bad, &mut pos), None);
-        // Wrong site count: the schedule would not reproduce.
-        let mut wrong = bytes;
-        wrong[16] = SITE_COUNT as u8 + 1;
-        let mut pos = 0;
-        assert_eq!(FailPlan::decode(&wrong, &mut pos), None);
     }
 }

@@ -1,400 +1,271 @@
-//! Binary codecs for the payloads the `.splog` framing carries: syscall
-//! records, nondeterministic events, and complete run reports.
+//! The wire layouts of what the `.splog` framing carries — syscall
+//! records, nondeterministic events, the run recipe's chaos plan and
+//! scale, and complete run reports — each stated once (see
+//! [`crate::wire`]).
 //!
-//! Every codec is a hand-rolled, versioned little-endian layout (the
-//! build is offline — no serde). Encoding is infallible; decoding
-//! returns [`CodecError`] on truncation or unknown tags, never panics.
+//! The reports are field tables: one (JSON name, field) entry per value,
+//! in wire order, nested stats flattened in from their own tables, which
+//! the `Wire` impl, the report JSON and the replay verifier's diff
+//! ([`crate::json`]) all walk.
 
-use crate::wire::{put_i64, put_opt_u64, put_u32, put_u64, put_u8, CodecError, Reader};
+use crate::wire::{wire_enum, wire_struct, wire_table, CodecError, Reader, Wire};
 use superpin::{
     AdmissionDecision, NondetEvent, SignatureStats, SliceEnd, SliceReport, SuperPinReport,
     TimeBreakdown,
 };
 use superpin_dbi::{CacheStats, CycleBreakdown, EngineStats};
+use superpin_fault::{FailPlan, SiteMode, SITE_COUNT};
 use superpin_isa::Reg;
 use superpin_vm::kernel::{MapOp, MemDelta, SyscallNo, SyscallRecord};
 use superpin_vm::ptrace::PtraceStats;
+use superpin_workloads::Scale;
 
-/// Encodes one syscall record.
-pub fn put_syscall_record(out: &mut Vec<u8>, record: &SyscallRecord) {
-    put_u8(out, record.number as u64 as u8);
-    for arg in record.args {
-        put_u64(out, arg);
-    }
-    put_u64(out, record.ret);
-    put_u32(out, record.mem_writes.len() as u32);
-    for delta in &record.mem_writes {
-        put_u64(out, delta.addr);
-        crate::wire::put_bytes(out, &delta.bytes);
-    }
-    put_u32(out, record.map_ops.len() as u32);
-    for op in &record.map_ops {
-        match *op {
-            MapOp::Map { addr, len } => {
-                put_u8(out, 0);
-                put_u64(out, addr);
-                put_u64(out, len);
-            }
-            MapOp::Unmap { addr } => {
-                put_u8(out, 1);
-                put_u64(out, addr);
-            }
-            MapOp::Brk { brk } => {
-                put_u8(out, 2);
-                put_u64(out, brk);
-            }
-        }
-    }
-    put_u32(out, record.reg_writes.len() as u32);
-    for &(reg, value) in &record.reg_writes {
-        put_u8(out, reg.raw());
-        put_u64(out, value);
-    }
-    put_opt_u64(out, record.pc_override);
-    match record.exited {
-        Some(code) => {
-            put_u8(out, 1);
-            put_i64(out, code);
-        }
-        None => put_u8(out, 0),
-    }
-}
+wire_struct!(SyscallRecord {
+    number,
+    args,
+    ret,
+    mem_writes,
+    map_ops,
+    reg_writes,
+    pc_override,
+    exited,
+});
 
-/// Decodes one syscall record.
-pub fn get_syscall_record(reader: &mut Reader<'_>) -> Result<SyscallRecord, CodecError> {
-    let raw = reader.u8("syscall number")?;
-    let number = SyscallNo::from_raw(raw as u64).ok_or(CodecError::BadTag {
-        what: "syscall number",
-        tag: raw as u64,
-    })?;
-    let mut args = [0u64; 5];
-    for arg in &mut args {
-        *arg = reader.u64("syscall arg")?;
+wire_struct!(MemDelta { addr, bytes });
+
+wire_enum!(MapOp, "map op" {
+    0 => Map { addr: u64, len: u64 },
+    1 => Unmap { addr: u64 },
+    2 => Brk { brk: u64 },
+});
+
+/// The raw syscall number, in one byte.
+impl Wire for SyscallNo {
+    const MIN_BYTES: usize = u8::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u64 as u8).put(out);
     }
-    let ret = reader.u64("syscall ret")?;
-    let mem_writes = reader.vec("mem_writes count", 8 + 4, |r| {
-        Ok(MemDelta {
-            addr: r.u64("mem_write addr")?,
-            bytes: r.bytes("mem_write bytes")?.into(),
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let raw = u8::get(r)?;
+        SyscallNo::from_raw(raw.into()).ok_or(CodecError::BadTag {
+            what: "syscall number",
+            tag: raw.into(),
         })
-    })?;
-    let map_ops = reader.vec("map_ops count", 1 + 8, |r| match r.u8("map_op tag")? {
-        0 => Ok(MapOp::Map {
-            addr: r.u64("map addr")?,
-            len: r.u64("map len")?,
-        }),
-        1 => Ok(MapOp::Unmap {
-            addr: r.u64("unmap addr")?,
-        }),
-        2 => Ok(MapOp::Brk { brk: r.u64("brk")? }),
-        tag => Err(CodecError::BadTag {
-            what: "map_op tag",
-            tag: tag as u64,
-        }),
-    })?;
-    let reg_writes = reader.vec("reg_writes count", 1 + 8, |r| {
-        let index = r.u8("reg index")?;
-        let reg = Reg::try_new(index).ok_or(CodecError::BadTag {
+    }
+}
+
+/// The register index, in one byte.
+impl Wire for Reg {
+    const MIN_BYTES: usize = u8::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.raw().put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let index = u8::get(r)?;
+        Reg::try_new(index).ok_or(CodecError::BadTag {
             what: "reg index",
-            tag: index as u64,
-        })?;
-        Ok((reg, r.u64("reg value")?))
-    })?;
-    let pc_override = reader.opt_u64("pc_override")?;
-    let exited = match reader.u8("exited flag")? {
-        0 => None,
-        1 => Some(reader.i64("exit code")?),
-        tag => {
+            tag: index.into(),
+        })
+    }
+}
+
+wire_enum!(NondetEvent, "event" {
+    1 => Syscall(record: SyscallRecord),
+    2 => EpochPlan { planned: u64 },
+    3 => Admission { decision: AdmissionDecision, dropped: Vec<u32>, evicted: Vec<u32> },
+    4 => FaultLedger { slice_retries: u64, slices_degraded: u64 },
+});
+
+wire_enum!(AdmissionDecision, "admission decision" {
+    0 => Admit {},
+    1 => AdmitDegraded {},
+    2 => Defer {},
+});
+
+wire_enum!(Scale, "scale" {
+    0 => Tiny {},
+    1 => Small {},
+    2 => Medium {},
+    3 => Large {},
+});
+
+wire_enum!(SiteMode, "site mode" {
+    0 => Inherit {},
+    1 => Off {},
+    2 => Nth(n: u64),
+    3 => Always {},
+});
+
+/// Seed, rate, then the writing build's site count in one byte before
+/// every site's mode. A plan written with another site count is a bad
+/// tag: its schedule would not reproduce.
+impl Wire for FailPlan {
+    const MIN_BYTES: usize =
+        u64::MIN_BYTES + f64::MIN_BYTES + u8::MIN_BYTES + <[SiteMode; SITE_COUNT]>::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        self.seed.put(out);
+        self.rate.put(out);
+        (SITE_COUNT as u8).put(out);
+        self.site_modes.put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let seed = u64::get(r)?;
+        let rate = f64::get(r)?;
+        let sites = u8::get(r)?;
+        if usize::from(sites) != SITE_COUNT {
             return Err(CodecError::BadTag {
-                what: "exited flag",
-                tag: tag as u64,
-            })
+                what: "chaos plan site count",
+                tag: sites.into(),
+            });
         }
-    };
-    Ok(SyscallRecord {
-        number,
-        args,
-        ret,
-        mem_writes,
-        map_ops,
-        reg_writes,
-        pc_override,
-        exited,
-    })
-}
-
-/// Encodes one nondeterministic event.
-pub fn put_event(out: &mut Vec<u8>, event: &NondetEvent) {
-    match event {
-        NondetEvent::Syscall(record) => {
-            put_u8(out, 1);
-            put_syscall_record(out, record);
-        }
-        NondetEvent::EpochPlan { planned } => {
-            put_u8(out, 2);
-            put_u64(out, *planned);
-        }
-        NondetEvent::Admission {
-            decision,
-            dropped,
-            evicted,
-        } => {
-            put_u8(out, 3);
-            put_u8(
-                out,
-                match decision {
-                    AdmissionDecision::Admit => 0,
-                    AdmissionDecision::AdmitDegraded => 1,
-                    AdmissionDecision::Defer => 2,
-                },
-            );
-            put_u32(out, dropped.len() as u32);
-            for num in dropped {
-                put_u32(out, *num);
-            }
-            put_u32(out, evicted.len() as u32);
-            for num in evicted {
-                put_u32(out, *num);
-            }
-        }
-        NondetEvent::FaultLedger {
-            slice_retries,
-            slices_degraded,
-        } => {
-            put_u8(out, 4);
-            put_u64(out, *slice_retries);
-            put_u64(out, *slices_degraded);
-        }
+        let site_modes = Wire::get(r)?;
+        Ok(FailPlan {
+            seed,
+            rate,
+            site_modes,
+        })
     }
 }
 
-/// Decodes one nondeterministic event.
-pub fn get_event(reader: &mut Reader<'_>) -> Result<NondetEvent, CodecError> {
-    match reader.u8("event tag")? {
-        1 => Ok(NondetEvent::Syscall(get_syscall_record(reader)?)),
-        2 => Ok(NondetEvent::EpochPlan {
-            planned: reader.u64("planned quanta")?,
-        }),
-        3 => {
-            let decision = match reader.u8("admission decision")? {
-                0 => AdmissionDecision::Admit,
-                1 => AdmissionDecision::AdmitDegraded,
-                2 => AdmissionDecision::Defer,
-                tag => {
-                    return Err(CodecError::BadTag {
-                        what: "admission decision",
-                        tag: tag as u64,
-                    })
-                }
-            };
-            let dropped = reader.vec("dropped count", 4, |r| r.u32("dropped slice"))?;
-            let evicted = reader.vec("evicted count", 4, |r| r.u32("evicted slice"))?;
-            Ok(NondetEvent::Admission {
-                decision,
-                dropped,
-                evicted,
-            })
-        }
-        4 => Ok(NondetEvent::FaultLedger {
-            slice_retries: reader.u64("slice_retries")?,
-            slices_degraded: reader.u64("slices_degraded")?,
-        }),
-        tag => Err(CodecError::BadTag {
-            what: "event tag",
-            tag: tag as u64,
-        }),
+/// Every way a slice ends, in declaration order: its wire tag is its
+/// index here, beside its JSON name.
+const SLICE_ENDS: [(SliceEnd, &str); 4] = [
+    (SliceEnd::SignatureDetected, "signature"),
+    (SliceEnd::RecordsExhausted, "records"),
+    (SliceEnd::Exited, "exited"),
+    (SliceEnd::ToolEnded, "tool"),
+];
+
+impl Wire for SliceEnd {
+    const MIN_BYTES: usize = u8::MIN_BYTES;
+    fn put(&self, out: &mut Vec<u8>) {
+        (*self as u8).put(out);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<Self, CodecError> {
+        let tag = u8::get(r)?;
+        let end = SLICE_ENDS.get(usize::from(tag)).map(|&(end, _)| end);
+        end.ok_or(CodecError::BadTag {
+            what: "slice end",
+            tag: tag.into(),
+        })
     }
 }
 
-fn put_slice_report(out: &mut Vec<u8>, slice: &SliceReport) {
-    put_u32(out, slice.num);
-    put_u64(out, slice.insts);
-    put_u64(out, slice.records_played);
-    put_u8(
-        out,
-        match slice.end {
-            SliceEnd::SignatureDetected => 0,
-            SliceEnd::RecordsExhausted => 1,
-            SliceEnd::Exited => 2,
-            SliceEnd::ToolEnded => 3,
-        },
-    );
-    put_u64(out, slice.start_cycles);
-    put_u64(out, slice.wake_cycles);
-    put_u64(out, slice.end_cycles);
-    for value in [
-        slice.engine.cycles.app,
-        slice.engine.cycles.analysis,
-        slice.engine.cycles.jit,
-        slice.engine.cycles.dispatch,
-        slice.engine.cycles.syscall,
-        slice.engine.insts_executed,
-        slice.engine.traces_executed,
-        slice.engine.analysis_calls,
-        slice.engine.if_checks,
-        slice.engine.then_calls,
-        slice.engine.shared_cache_adoptions,
-        slice.engine.shared_cache_misses,
-        slice.engine.shared_cache_contention,
-        slice.cache.lookups,
-        slice.cache.hits,
-        slice.cache.traces_compiled,
-        slice.cache.insts_compiled,
-        slice.cache.flushes,
-        slice.cache.smc_flushes,
-        slice.cow_copies,
-    ] {
-        put_u64(out, value);
+/// A report field as the JSON and the verifier's diff see it: a count,
+/// or the name of how a slice ended.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Value {
+    /// A counter.
+    Count(u64),
+    /// A name.
+    Name(&'static str),
+}
+
+impl From<u64> for Value {
+    fn from(count: u64) -> Value {
+        Value::Count(count)
     }
 }
 
-/// A slice report is fixed-width: num, three u64s either side of the
-/// end tag, and the 20 stats.
-const SLICE_REPORT_BYTES: usize = 4 + 1 + (2 + 3 + 20) * 8;
-
-fn get_slice_report(reader: &mut Reader<'_>) -> Result<SliceReport, CodecError> {
-    let num = reader.u32("slice num")?;
-    let insts = reader.u64("slice insts")?;
-    let records_played = reader.u64("records_played")?;
-    let end = match reader.u8("slice end")? {
-        0 => SliceEnd::SignatureDetected,
-        1 => SliceEnd::RecordsExhausted,
-        2 => SliceEnd::Exited,
-        3 => SliceEnd::ToolEnded,
-        tag => {
-            return Err(CodecError::BadTag {
-                what: "slice end",
-                tag: tag as u64,
-            })
-        }
-    };
-    let start_cycles = reader.u64("start_cycles")?;
-    let wake_cycles = reader.u64("wake_cycles")?;
-    let end_cycles = reader.u64("end_cycles")?;
-    let mut values = [0u64; 20];
-    for value in &mut values {
-        *value = reader.u64("slice stat")?;
-    }
-    Ok(SliceReport {
-        num,
-        insts,
-        records_played,
-        end,
-        start_cycles,
-        wake_cycles,
-        end_cycles,
-        engine: EngineStats {
-            cycles: CycleBreakdown {
-                app: values[0],
-                analysis: values[1],
-                jit: values[2],
-                dispatch: values[3],
-                syscall: values[4],
-            },
-            insts_executed: values[5],
-            traces_executed: values[6],
-            analysis_calls: values[7],
-            if_checks: values[8],
-            then_calls: values[9],
-            shared_cache_adoptions: values[10],
-            shared_cache_misses: values[11],
-            shared_cache_contention: values[12],
-        },
-        cache: CacheStats {
-            lookups: values[13],
-            hits: values[14],
-            traces_compiled: values[15],
-            insts_compiled: values[16],
-            flushes: values[17],
-            smc_flushes: values[18],
-        },
-        cow_copies: values[19],
-    })
-}
-
-/// Encodes a complete run report.
-pub fn put_report(out: &mut Vec<u8>, report: &SuperPinReport) {
-    for value in [
-        report.total_cycles,
-        report.master_exit_cycles,
-        report.breakdown.native_cycles,
-        report.breakdown.fork_other_cycles,
-        report.breakdown.sleep_cycles,
-        report.breakdown.pipeline_cycles,
-        report.master_insts,
-        report.master_syscalls,
-        report.ptrace.syscall_stops,
-        report.ptrace.timeout_stops,
-        report.sig_stats.quick_checks,
-        report.sig_stats.full_checks,
-        report.sig_stats.stack_checks,
-        report.sig_stats.detections,
-        report.forks_on_timeout,
-        report.forks_on_syscall,
-        report.stall_events,
-        report.master_cow_copies,
-        report.epochs,
-        report.slice_retries,
-        report.slices_degraded,
-        report.peak_resident_bytes,
-        report.slices_deferred,
-        report.checkpoints_dropped,
-        report.caches_evicted,
-    ] {
-        put_u64(out, value);
-    }
-    put_u32(out, report.slices.len() as u32);
-    for slice in &report.slices {
-        put_slice_report(out, slice);
+impl From<u32> for Value {
+    fn from(count: u32) -> Value {
+        Value::Count(count.into())
     }
 }
 
-/// Decodes a complete run report.
-pub fn get_report(reader: &mut Reader<'_>) -> Result<SuperPinReport, CodecError> {
-    let mut values = [0u64; 25];
-    for value in &mut values {
-        *value = reader.u64("report field")?;
+impl From<SliceEnd> for Value {
+    fn from(end: SliceEnd) -> Value {
+        Value::Name(SLICE_ENDS[end as usize].1)
     }
-    let slices = reader.vec("slice count", SLICE_REPORT_BYTES, get_slice_report)?;
-    Ok(SuperPinReport {
-        total_cycles: values[0],
-        master_exit_cycles: values[1],
-        breakdown: TimeBreakdown {
-            native_cycles: values[2],
-            fork_other_cycles: values[3],
-            sleep_cycles: values[4],
-            pipeline_cycles: values[5],
-        },
-        master_insts: values[6],
-        master_syscalls: values[7],
-        ptrace: PtraceStats {
-            syscall_stops: values[8],
-            timeout_stops: values[9],
-        },
-        slices,
-        sig_stats: SignatureStats {
-            quick_checks: values[10],
-            full_checks: values[11],
-            stack_checks: values[12],
-            detections: values[13],
-        },
-        forks_on_timeout: values[14],
-        forks_on_syscall: values[15],
-        stall_events: values[16],
-        master_cow_copies: values[17],
-        epochs: values[18],
-        slice_retries: values[19],
-        slices_degraded: values[20],
-        peak_resident_bytes: values[21],
-        slices_deferred: values[22],
-        checkpoints_dropped: values[23],
-        caches_evicted: values[24],
-    })
 }
+
+wire_table!(SuperPinReport -> Value {
+    "total_cycles" => total_cycles,
+    "master_exit_cycles" => master_exit_cycles,
+    .. => breakdown,
+    "master_insts" => master_insts,
+    "master_syscalls" => master_syscalls,
+    .. => ptrace,
+    .. => sig_stats,
+    "forks_on_timeout" => forks_on_timeout,
+    "forks_on_syscall" => forks_on_syscall,
+    "stall_events" => stall_events,
+    "master_cow_copies" => master_cow_copies,
+    "epochs" => epochs,
+    "slice_retries" => slice_retries,
+    "slices_degraded" => slices_degraded,
+    "peak_resident_bytes" => peak_resident_bytes,
+    "slices_deferred" => slices_deferred,
+    "checkpoints_dropped" => checkpoints_dropped,
+    "caches_evicted" => caches_evicted,
+} then slices);
+
+wire_table!(TimeBreakdown -> Value {
+    "native_cycles" => native_cycles,
+    "fork_other_cycles" => fork_other_cycles,
+    "sleep_cycles" => sleep_cycles,
+    "pipeline_cycles" => pipeline_cycles,
+});
+
+wire_table!(PtraceStats -> Value {
+    "syscall_stops" => syscall_stops,
+    "timeout_stops" => timeout_stops,
+});
+
+wire_table!(SignatureStats -> Value {
+    "quick_checks" => quick_checks,
+    "full_checks" => full_checks,
+    "stack_checks" => stack_checks,
+    "detections" => detections,
+});
+
+wire_table!(SliceReport -> Value {
+    "num" => num,
+    "insts" => insts,
+    "records_played" => records_played,
+    "end" => end,
+    "start_cycles" => start_cycles,
+    "wake_cycles" => wake_cycles,
+    "end_cycles" => end_cycles,
+    .. => engine,
+    .. => cache,
+    "cow_copies" => cow_copies,
+});
+
+wire_table!(EngineStats -> Value {
+    .. => cycles,
+    "insts_executed" => insts_executed,
+    "traces_executed" => traces_executed,
+    "analysis_calls" => analysis_calls,
+    "if_checks" => if_checks,
+    "then_calls" => then_calls,
+    "shared_adoptions" => shared_cache_adoptions,
+    "shared_misses" => shared_cache_misses,
+    "shared_contention" => shared_cache_contention,
+});
+
+wire_table!(CycleBreakdown -> Value {
+    "app" => app,
+    "analysis" => analysis,
+    "jit" => jit,
+    "dispatch" => dispatch,
+    "syscall" => syscall,
+});
+
+wire_table!(CacheStats -> Value {
+    "lookups" => lookups,
+    "hits" => hits,
+    "traces_compiled" => traces_compiled,
+    "insts_compiled" => insts_compiled,
+    "flushes" => flushes,
+    "smc_flushes" => smc_flushes,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{from_bytes, to_bytes, Fields};
+    use superpin_fault::Site;
 
     fn sample_record() -> SyscallRecord {
         SyscallRecord {
@@ -439,7 +310,7 @@ mod tests {
                 num: 1,
                 insts: 20_000,
                 records_played: 3,
-                end: SliceEnd::SignatureDetected,
+                end: SliceEnd::ToolEnded,
                 start_cycles: 0,
                 wake_cycles: 1_000,
                 end_cycles: 44_000,
@@ -490,19 +361,21 @@ mod tests {
         }
     }
 
+    fn round_trips<T: Wire + PartialEq + std::fmt::Debug>(value: &T) {
+        let bytes = to_bytes(value);
+        let mut r = Reader::new(&bytes);
+        assert_eq!(&r.field::<T>("value").expect("decodes"), value);
+        assert_eq!(r.remaining(), 0);
+    }
+
     #[test]
     fn syscall_record_round_trips() {
-        let record = sample_record();
-        let mut out = Vec::new();
-        put_syscall_record(&mut out, &record);
-        let mut reader = Reader::new(&out);
-        assert_eq!(get_syscall_record(&mut reader).unwrap(), record);
-        assert!(reader.is_empty());
+        round_trips(&sample_record());
     }
 
     #[test]
     fn every_event_kind_round_trips() {
-        let events = vec![
+        for event in [
             NondetEvent::Syscall(sample_record()),
             NondetEvent::EpochPlan { planned: 17 },
             NondetEvent::Admission {
@@ -519,26 +392,14 @@ mod tests {
                 slice_retries: 4,
                 slices_degraded: 1,
             },
-        ];
-        let mut out = Vec::new();
-        for event in &events {
-            put_event(&mut out, event);
+        ] {
+            round_trips(&event);
         }
-        let mut reader = Reader::new(&out);
-        for event in &events {
-            assert_eq!(&get_event(&mut reader).unwrap(), event);
-        }
-        assert!(reader.is_empty());
     }
 
     #[test]
     fn report_round_trips() {
-        let report = sample_report();
-        let mut out = Vec::new();
-        put_report(&mut out, &report);
-        let mut reader = Reader::new(&out);
-        assert_eq!(get_report(&mut reader).unwrap(), report);
-        assert!(reader.is_empty());
+        round_trips(&sample_report());
     }
 
     /// The 44 GB abort: a count of `0xFFFF_FFFF` is typed truncation,
@@ -551,70 +412,146 @@ mod tests {
             reg_writes: vec![],
             ..sample_record()
         };
-        let mut out = Vec::new();
-        put_syscall_record(&mut out, &record);
+        let out = to_bytes(&record);
         // number, five args, ret, then the three (empty) lists.
         let counts = 1 + 5 * 8 + 8;
         for (offset, what) in [
-            (counts, "mem_writes count"),
-            (counts + 4, "map_ops count"),
-            (counts + 8, "reg_writes count"),
+            (counts, "SyscallRecord.mem_writes"),
+            (counts + 4, "SyscallRecord.map_ops"),
+            (counts + 8, "SyscallRecord.reg_writes"),
         ] {
             let mut crafted = out.clone();
             crafted[offset..offset + 4].fill(0xFF);
             assert_eq!(
-                get_syscall_record(&mut Reader::new(&crafted)),
+                from_bytes::<SyscallRecord>(&crafted, "record"),
                 Err(CodecError::Truncated { what })
             );
         }
 
-        let mut out = Vec::new();
-        put_report(&mut out, &sample_report());
+        let mut out = to_bytes(&sample_report());
         out[25 * 8..25 * 8 + 4].fill(0xFF);
         assert_eq!(
-            get_report(&mut Reader::new(&out)),
+            from_bytes::<SuperPinReport>(&out, "report"),
             Err(CodecError::Truncated {
-                what: "slice count"
+                what: "SuperPinReport.slices"
             })
         );
 
-        let mut out = Vec::new();
-        put_event(
-            &mut out,
-            &NondetEvent::Admission {
-                decision: AdmissionDecision::Admit,
-                dropped: vec![],
-                evicted: vec![],
-            },
-        );
+        let mut out = to_bytes(&NondetEvent::Admission {
+            decision: AdmissionDecision::Admit,
+            dropped: vec![],
+            evicted: vec![],
+        });
         out[2..6].fill(0xFF);
         assert_eq!(
-            get_event(&mut Reader::new(&out)),
+            from_bytes::<NondetEvent>(&out, "event"),
             Err(CodecError::Truncated {
-                what: "dropped count"
+                what: "NondetEvent::Admission.dropped"
             })
         );
     }
 
-    /// `SLICE_REPORT_BYTES` is what one slice really encodes to.
+    /// A slice report is fixed-width: num, three u64s either side of the
+    /// end tag, and the 20 stats.
     #[test]
-    fn slice_report_width_matches_the_encoder() {
-        let mut out = Vec::new();
-        put_slice_report(&mut out, &sample_report().slices[0]);
-        assert_eq!(out.len(), SLICE_REPORT_BYTES);
+    fn slice_report_width_is_its_minimum() {
+        let slice = &sample_report().slices[0];
+        assert_eq!(SliceReport::MIN_BYTES, 4 + 1 + (2 + 3 + 20) * 8);
+        assert_eq!(to_bytes(slice).len(), SliceReport::MIN_BYTES);
+        let mut fields = Vec::new();
+        slice.each(&mut |name, value| fields.push((name, value)));
+        assert_eq!(fields.len(), 27);
+        assert_eq!(fields[3], ("end", Value::Name("tool")));
+    }
+
+    /// `SliceEnd as u8` is the wire tag: the table is in declaration order.
+    #[test]
+    fn slice_end_tags_are_declaration_order() {
+        for (tag, &(end, _)) in SLICE_ENDS.iter().enumerate() {
+            assert_eq!(end as usize, tag);
+        }
     }
 
     #[test]
-    fn corrupt_event_tag_is_rejected() {
-        let mut out = Vec::new();
-        put_event(&mut out, &NondetEvent::EpochPlan { planned: 5 });
+    fn corrupt_tags_are_rejected_by_name() {
+        let mut out = to_bytes(&NondetEvent::EpochPlan { planned: 5 });
         out[0] = 0xFF;
-        let mut reader = Reader::new(&out);
         assert_eq!(
-            get_event(&mut reader),
+            from_bytes::<NondetEvent>(&out, "event"),
             Err(CodecError::BadTag {
-                what: "event tag",
+                what: "event",
                 tag: 0xFF
+            })
+        );
+        let mut out = to_bytes(&sample_report());
+        out[25 * 8 + 4 + 4 + 8 + 8] = 4;
+        assert_eq!(
+            from_bytes::<SuperPinReport>(&out, "report"),
+            Err(CodecError::BadTag {
+                what: "slice end",
+                tag: 4
+            })
+        );
+    }
+
+    fn sample_plans() -> [FailPlan; 3] {
+        [
+            FailPlan::new(0, 0.0),
+            FailPlan::new(u64::MAX, 1.0),
+            FailPlan::new(3, 0.05)
+                .with_site(Site::VmForkCow, SiteMode::Off)
+                .with_site(Site::ParallelWorkerChannel, SiteMode::Nth(17))
+                .with_site(Site::DbiEngineDispatch, SiteMode::Always),
+        ]
+    }
+
+    #[test]
+    fn chaos_plan_round_trips_and_leaves_trailing_bytes() {
+        for plan in sample_plans() {
+            let mut bytes = to_bytes(&plan);
+            bytes.extend_from_slice(&[0xAA, 0xBB]);
+            let mut r = Reader::new(&bytes);
+            assert_eq!(r.field::<FailPlan>("plan"), Ok(plan));
+            assert_eq!(r.remaining(), 2);
+        }
+    }
+
+    #[test]
+    fn chaos_plan_truncated_anywhere_is_truncation() {
+        let bytes = to_bytes(&sample_plans()[2]);
+        for cut in 0..bytes.len() {
+            let read = from_bytes::<FailPlan>(&bytes[..cut], "chaos plan");
+            assert!(
+                matches!(read, Err(CodecError::Truncated { .. })),
+                "cut at {cut}: {read:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn chaos_plan_with_an_unknown_site_mode_is_a_bad_site_mode_tag() {
+        let mut bad = to_bytes(&FailPlan::new(9, 0.25));
+        *bad.last_mut().expect("nonempty") = 0xFF;
+        assert_eq!(
+            from_bytes::<FailPlan>(&bad, "chaos plan"),
+            Err(CodecError::BadTag {
+                what: "site mode",
+                tag: 0xFF
+            })
+        );
+    }
+
+    /// Another build's site count: the schedule would not reproduce.
+    #[test]
+    fn chaos_plan_from_another_site_count_is_a_bad_site_count_tag() {
+        let mut wrong = to_bytes(&FailPlan::new(9, 0.25));
+        assert_eq!(wrong[16], SITE_COUNT as u8);
+        wrong[16] = SITE_COUNT as u8 + 1;
+        assert_eq!(
+            from_bytes::<FailPlan>(&wrong, "chaos plan"),
+            Err(CodecError::BadTag {
+                what: "chaos plan site count",
+                tag: SITE_COUNT as u64 + 1
             })
         );
     }

@@ -27,7 +27,7 @@
 //! [`ReplayLog::decode`]: crate::ReplayLog::decode
 //! [`salvage`]: crate::wal::salvage
 
-use crate::wire::{put_u16, put_u32, put_u8, CodecError, Reader};
+use crate::wire::{from_bytes, CodecError, Reader, Wire};
 
 /// Bytes before the first frame (magic + version).
 pub const PREAMBLE_LEN: usize = 7;
@@ -89,7 +89,7 @@ impl Format {
     /// A fresh file: magic and version, ready for frames.
     pub fn preamble(&self) -> Vec<u8> {
         let mut out = self.magic.to_vec();
-        put_u16(&mut out, self.version);
+        self.version.put(&mut out);
         out
     }
 }
@@ -127,14 +127,12 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// preceding three — to `out`.
 pub fn encode_frame(out: &mut Vec<u8>, kind: u8, payload: &[u8]) {
     let start = out.len();
-    put_u8(out, kind);
-    put_u32(
-        out,
-        u32::try_from(payload.len()).expect("frame under 4 GiB"),
-    );
+    out.push(kind);
+    u32::try_from(payload.len())
+        .expect("frame under 4 GiB")
+        .put(out);
     out.extend_from_slice(payload);
-    let crc = crc32(&out[start..]);
-    put_u32(out, crc);
+    crc32(&out[start..]).put(out);
 }
 
 /// Where and how a framed file stops being readable.
@@ -220,14 +218,14 @@ fn read_frame<'a>(
     if reader.remaining() < FRAME_OVERHEAD {
         return Err(torn);
     }
-    let Ok(kind) = reader.u8("frame kind") else {
+    let Ok(kind) = reader.field::<u8>("frame kind") else {
         return Err(torn);
     };
     if kind == 0 || usize::from(kind) > format.kinds.len() {
         return Err(corrupt(format!("unknown frame kind 0x{kind:02x}")));
     }
     // `bytes` is the u32 length and the payload it promises.
-    let (Ok(payload), Ok(stored)) = (reader.bytes("frame payload"), reader.u32("frame crc")) else {
+    let (Ok(payload), Ok(stored)) = (reader.bytes(), reader.field::<u32>("frame crc")) else {
         return Err(torn);
     };
     let frame = Frame {
@@ -268,7 +266,7 @@ pub fn walk<'a>(bytes: &'a [u8], format: &Format) -> Result<Walk<'a>, CodecError
             format.magic.escape_ascii()
         )));
     }
-    let version = Reader::new(version).u16("version")?;
+    let version: u16 = from_bytes(version, "version")?;
     if version != format.version {
         return Err(bad_header(format!(
             "{name} version {version}, this build reads {} — re-record",

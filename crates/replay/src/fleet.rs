@@ -17,10 +17,10 @@
 use superpin_fault::FailPlan;
 
 use crate::container::FrameDamage;
-use crate::wal::{salvage, WAL_FRAME_COMMIT, WAL_FRAME_END, WAL_FRAME_HEADER, WAL_FRAME_RECORD};
-use crate::wire::{
-    put_bool, put_opt_u64, put_str, put_u32, put_u64, put_u8, put_vec, CodecError, Reader,
+use crate::wal::{
+    commit_sequence, salvage, WAL_FRAME_COMMIT, WAL_FRAME_END, WAL_FRAME_HEADER, WAL_FRAME_RECORD,
 };
+use crate::wire::{from_bytes, to_bytes, wire_enum, wire_struct, CodecError, Reader, Wire};
 
 /// Everything needed to rebuild a fleet run's inputs: the job-spec
 /// text verbatim plus the CLI knobs that shape scheduling. The
@@ -45,18 +45,7 @@ pub struct FleetRecipe {
 impl FleetRecipe {
     /// Appends the recipe's wire form (the journal's header frame).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
-        put_str(out, &self.spec_text);
-        put_u32(out, self.threads);
-        put_u32(out, self.slots);
-        put_opt_u64(out, self.fleet_budget);
-        match &self.chaos {
-            Some(plan) => {
-                put_bool(out, true);
-                plan.encode(out);
-            }
-            None => put_bool(out, false),
-        }
-        put_u64(out, self.spmsec);
+        self.put(out);
     }
 
     /// Decodes a recipe written by [`FleetRecipe::encode_into`].
@@ -65,31 +54,18 @@ impl FleetRecipe {
     ///
     /// [`CodecError`] describing the first malformed field.
     pub fn decode_from(reader: &mut Reader) -> Result<FleetRecipe, CodecError> {
-        let spec_text = reader.str("spec text")?;
-        let threads = reader.u32("threads")?;
-        let slots = reader.u32("slots")?;
-        let fleet_budget = reader.opt_u64("fleet budget")?;
-        let chaos = if reader.bool("chaos presence")? {
-            let tail = reader.tail();
-            let mut pos = 0usize;
-            let plan = FailPlan::decode(tail, &mut pos)
-                .ok_or(CodecError::Truncated { what: "chaos plan" })?;
-            reader.skip(pos, "chaos plan")?;
-            Some(plan)
-        } else {
-            None
-        };
-        let spmsec = reader.u64("spmsec")?;
-        Ok(FleetRecipe {
-            spec_text,
-            threads,
-            slots,
-            fleet_budget,
-            chaos,
-            spmsec,
-        })
+        FleetRecipe::get(reader)
     }
 }
+
+wire_struct!(FleetRecipe {
+    spec_text,
+    threads,
+    slots,
+    fleet_budget,
+    chaos,
+    spmsec,
+});
 
 /// One scheduling decision at a fleet round barrier, stamped with the
 /// fleet virtual clock. The stream of these is the run's complete
@@ -132,75 +108,12 @@ pub enum FleetEvent {
     },
 }
 
-/// Appends one event's wire form (one entry of a round frame).
-fn put_fleet_event(out: &mut Vec<u8>, event: &FleetEvent) {
-    match *event {
-        FleetEvent::Admit {
-            job,
-            fleet_now,
-            budget,
-        } => {
-            put_u8(out, 0);
-            put_u32(out, job);
-            put_u64(out, fleet_now);
-            put_opt_u64(out, budget);
-        }
-        FleetEvent::Defer { job, fleet_now } => {
-            put_u8(out, 1);
-            put_u32(out, job);
-            put_u64(out, fleet_now);
-        }
-        FleetEvent::Evict {
-            job,
-            bytes,
-            fleet_now,
-        } => {
-            put_u8(out, 2);
-            put_u32(out, job);
-            put_u64(out, bytes);
-            put_u64(out, fleet_now);
-        }
-        FleetEvent::Complete { job, fleet_now } => {
-            put_u8(out, 3);
-            put_u32(out, job);
-            put_u64(out, fleet_now);
-        }
-    }
-}
-
-/// The shortest event on the wire: tag, job, one timestamp.
-const MIN_EVENT_BYTES: usize = 1 + 4 + 8;
-
-/// Decodes one event written by [`put_fleet_event`].
-fn get_fleet_event(reader: &mut Reader) -> Result<FleetEvent, CodecError> {
-    let tag = reader.u8("event tag")?;
-    Ok(match tag {
-        0 => FleetEvent::Admit {
-            job: reader.u32("admit job")?,
-            fleet_now: reader.u64("admit time")?,
-            budget: reader.opt_u64("admit budget")?,
-        },
-        1 => FleetEvent::Defer {
-            job: reader.u32("defer job")?,
-            fleet_now: reader.u64("defer time")?,
-        },
-        2 => FleetEvent::Evict {
-            job: reader.u32("evict job")?,
-            bytes: reader.u64("evict bytes")?,
-            fleet_now: reader.u64("evict time")?,
-        },
-        3 => FleetEvent::Complete {
-            job: reader.u32("complete job")?,
-            fleet_now: reader.u64("complete time")?,
-        },
-        other => {
-            return Err(CodecError::BadTag {
-                what: "fleet event",
-                tag: u64::from(other),
-            })
-        }
-    })
-}
+wire_enum!(FleetEvent, "fleet event" {
+    0 => Admit { job: u32, fleet_now: u64, budget: Option<u64> },
+    1 => Defer { job: u32, fleet_now: u64 },
+    2 => Evict { job: u32, bytes: u64, fleet_now: u64 },
+    3 => Complete { job: u32, fleet_now: u64 },
+});
 
 /// Everything one settled fleet round changed, journalled as one WAL
 /// record. Re-executing the fleet from round 0 and comparing each
@@ -234,15 +147,7 @@ pub struct RoundFrame {
 impl RoundFrame {
     /// Serializes the frame's payload (the WAL adds its own CRC).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        put_u64(&mut out, self.round);
-        put_u64(&mut out, self.fleet_now);
-        put_vec(&mut out, &self.selected, |out, &id| put_u32(out, id));
-        put_vec(&mut out, &self.deltas, |out, &delta| put_u64(out, delta));
-        put_vec(&mut out, &self.events, put_fleet_event);
-        put_vec(&mut out, &self.usages, |out, &usage| put_u64(out, usage));
-        put_vec(&mut out, &self.outcomes, |out, &crc| put_u32(out, crc));
-        out
+        to_bytes(self)
     }
 
     /// Decodes a frame payload.
@@ -251,25 +156,19 @@ impl RoundFrame {
     ///
     /// [`CodecError`] describing the first malformed field.
     pub fn decode(bytes: &[u8]) -> Result<RoundFrame, CodecError> {
-        let mut reader = Reader::new(bytes);
-        let round = reader.u64("round")?;
-        let fleet_now = reader.u64("fleet time")?;
-        let selected = reader.vec("selection count", 4, |r| r.u32("selected job"))?;
-        let deltas = reader.vec("delta count", 8, |r| r.u64("delta"))?;
-        let events = reader.vec("event count", MIN_EVENT_BYTES, get_fleet_event)?;
-        let usages = reader.vec("usage count", 8, |r| r.u64("usage"))?;
-        let outcomes = reader.vec("outcome count", 4, |r| r.u32("outcome crc"))?;
-        Ok(RoundFrame {
-            round,
-            fleet_now,
-            selected,
-            deltas,
-            events,
-            usages,
-            outcomes,
-        })
+        from_bytes(bytes, "round frame")
     }
 }
+
+wire_struct!(RoundFrame {
+    round,
+    fleet_now,
+    selected,
+    deltas,
+    events,
+    usages,
+    outcomes,
+});
 
 /// First divergence between a committed round frame and the re-executed
 /// round; `None` means the resumed fleet walked the recorded path
@@ -352,7 +251,7 @@ pub fn recover_fleet_wal(bytes: &[u8]) -> Result<FleetRecovery, CodecError> {
             ),
         });
     }
-    let recipe = FleetRecipe::decode_from(&mut Reader::new(header.payload))?;
+    let recipe = from_bytes(header.payload, "fleet recipe")?;
 
     let mut recovery = FleetRecovery {
         recipe,
@@ -378,19 +277,19 @@ pub fn recover_fleet_wal(bytes: &[u8]) -> Result<FleetRecovery, CodecError> {
                 Err(err) => Err(format!("round frame: {err}")),
             },
             WAL_FRAME_COMMIT => {
-                let seq = Reader::new(frame.payload).u64("commit sequence");
+                let seq = commit_sequence(frame.payload);
                 match (seq, pending.take()) {
-                    (Ok(seq), Some(round)) if round.round == seq => {
+                    (Some(seq), Some(round)) if round.round == seq => {
                         recovery.committed_len = frame.end();
                         recovery.rounds.push(round);
                         Ok(())
                     }
-                    (Ok(seq), Some(round)) => Err(format!(
+                    (Some(seq), Some(round)) => Err(format!(
                         "commit marker {seq} does not match round {}",
                         round.round
                     )),
-                    (Ok(_), None) => Err("commit marker with no record".to_owned()),
-                    (Err(err), _) => Err(err.to_string()),
+                    (Some(_), None) => Err("commit marker with no record".to_owned()),
+                    (None, _) => Err("commit marker is not 8 bytes".to_owned()),
                 }
             }
             WAL_FRAME_END => Ok(()),
@@ -416,6 +315,7 @@ pub fn recover_fleet_wal(bytes: &[u8]) -> Result<FleetRecovery, CodecError> {
 mod tests {
     use super::*;
     use crate::container::{encode_frame, SPWAL};
+    use superpin_fault::SITE_COUNT;
 
     fn recipe() -> FleetRecipe {
         FleetRecipe {
@@ -493,11 +393,11 @@ mod tests {
         };
         // round, fleet_now, then the five counts.
         for (offset, what) in [
-            (16, "selection count"),
-            (20, "delta count"),
-            (24, "event count"),
-            (28, "usage count"),
-            (32, "outcome count"),
+            (16, "RoundFrame.selected"),
+            (20, "RoundFrame.deltas"),
+            (24, "RoundFrame.events"),
+            (28, "RoundFrame.usages"),
+            (32, "RoundFrame.outcomes"),
         ] {
             let mut payload = round.encode();
             payload[offset..offset + 4].fill(0xFF);
@@ -512,7 +412,7 @@ mod tests {
         encode_frame(&mut wal, WAL_FRAME_HEADER, &header);
         assert_eq!(
             recover_fleet_wal(&wal).map(drop),
-            Err(truncated("spec text"))
+            Err(truncated("FleetRecipe.spec_text"))
         );
 
         // A journal whose committed record claims 4 Gi selections:
@@ -562,5 +462,34 @@ mod tests {
         );
         let report = diverged(|f| f.outcomes.clear());
         assert!(report.starts_with("outcome count"), "{report}");
+    }
+
+    /// The journal header's chaos plan: another build's site count, or
+    /// an unknown site mode, is a bad tag under valid CRCs — not a
+    /// truncated journal.
+    #[test]
+    fn an_unrunnable_chaos_plan_is_a_bad_tag_not_truncation() {
+        let header = to_bytes(&recipe());
+        let plan = to_bytes(&recipe().chaos.expect("armed"));
+        let at = header
+            .windows(plan.len())
+            .position(|window| window == plan)
+            .expect("the header carries the plan");
+        for (offset, byte, what) in [
+            (at + 16, SITE_COUNT as u8 + 1, "chaos plan site count"),
+            (at + plan.len() - 1, 0xFF, "site mode"),
+        ] {
+            let mut bad = header.clone();
+            bad[offset] = byte;
+            let mut wal = SPWAL.preamble();
+            encode_frame(&mut wal, WAL_FRAME_HEADER, &bad);
+            assert_eq!(
+                recover_fleet_wal(&wal).map(drop),
+                Err(CodecError::BadTag {
+                    what,
+                    tag: byte.into()
+                })
+            );
+        }
     }
 }

@@ -1,113 +1,37 @@
 //! The run report as JSON, and the report diff the replay verifier
 //! names its first differing field with.
 //!
-//! One field table per struct (`report_fields`, `slice_fields`) feeds
-//! both: [`report_to_json`] writes it, and
-//! [`first_report_difference`] compares it, so the JSON and the diff
-//! can never disagree on a field's name or order. Two equal reports
-//! produce byte-equal JSON, so CI can `diff` recorded vs. replayed
-//! report files directly.
+//! The field tables the `.splog` codec writes reports with (each
+//! report struct's `wire_table!`) feed both: [`report_to_json`] writes
+//! them, and [`first_report_difference`] compares them, so the wire, the JSON and the diff can never disagree on a field's name or
+//! order. Two equal reports produce byte-equal JSON, so CI can `diff`
+//! recorded vs. replayed report files directly.
 
+use crate::codec::Value;
+use crate::wire::Fields;
 use superpin::json::{self, Writer};
-use superpin::{SliceEnd, SliceReport, SuperPinReport};
-
-/// A slice field's value: a count, or the name of how the slice ended.
-#[derive(Clone, Copy, PartialEq)]
-enum Value {
-    Count(u64),
-    Name(&'static str),
-}
-
-/// The report's top-level fields, in emission order.
-fn report_fields(r: &SuperPinReport) -> [(&'static str, u64); 25] {
-    [
-        ("total_cycles", r.total_cycles),
-        ("master_exit_cycles", r.master_exit_cycles),
-        ("native_cycles", r.breakdown.native_cycles),
-        ("fork_other_cycles", r.breakdown.fork_other_cycles),
-        ("sleep_cycles", r.breakdown.sleep_cycles),
-        ("pipeline_cycles", r.breakdown.pipeline_cycles),
-        ("master_insts", r.master_insts),
-        ("master_syscalls", r.master_syscalls),
-        ("syscall_stops", r.ptrace.syscall_stops),
-        ("timeout_stops", r.ptrace.timeout_stops),
-        ("quick_checks", r.sig_stats.quick_checks),
-        ("full_checks", r.sig_stats.full_checks),
-        ("stack_checks", r.sig_stats.stack_checks),
-        ("detections", r.sig_stats.detections),
-        ("forks_on_timeout", r.forks_on_timeout),
-        ("forks_on_syscall", r.forks_on_syscall),
-        ("stall_events", r.stall_events),
-        ("master_cow_copies", r.master_cow_copies),
-        ("epochs", r.epochs),
-        ("slice_retries", r.slice_retries),
-        ("slices_degraded", r.slices_degraded),
-        ("peak_resident_bytes", r.peak_resident_bytes),
-        ("slices_deferred", r.slices_deferred),
-        ("checkpoints_dropped", r.checkpoints_dropped),
-        ("caches_evicted", r.caches_evicted),
-    ]
-}
-
-/// One slice's fields, in emission order.
-fn slice_fields(s: &SliceReport) -> [(&'static str, Value); 27] {
-    use Value::Count;
-    let end = match s.end {
-        SliceEnd::SignatureDetected => "signature",
-        SliceEnd::RecordsExhausted => "records",
-        SliceEnd::Exited => "exited",
-        SliceEnd::ToolEnded => "tool",
-    };
-    let (engine, cache) = (&s.engine, &s.cache);
-    [
-        ("num", Count(s.num.into())),
-        ("insts", Count(s.insts)),
-        ("records_played", Count(s.records_played)),
-        ("end", Value::Name(end)),
-        ("start_cycles", Count(s.start_cycles)),
-        ("wake_cycles", Count(s.wake_cycles)),
-        ("end_cycles", Count(s.end_cycles)),
-        ("app", Count(engine.cycles.app)),
-        ("analysis", Count(engine.cycles.analysis)),
-        ("jit", Count(engine.cycles.jit)),
-        ("dispatch", Count(engine.cycles.dispatch)),
-        ("syscall", Count(engine.cycles.syscall)),
-        ("insts_executed", Count(engine.insts_executed)),
-        ("traces_executed", Count(engine.traces_executed)),
-        ("analysis_calls", Count(engine.analysis_calls)),
-        ("if_checks", Count(engine.if_checks)),
-        ("then_calls", Count(engine.then_calls)),
-        ("shared_adoptions", Count(engine.shared_cache_adoptions)),
-        ("shared_misses", Count(engine.shared_cache_misses)),
-        ("shared_contention", Count(engine.shared_cache_contention)),
-        ("lookups", Count(cache.lookups)),
-        ("hits", Count(cache.hits)),
-        ("traces_compiled", Count(cache.traces_compiled)),
-        ("insts_compiled", Count(cache.insts_compiled)),
-        ("flushes", Count(cache.flushes)),
-        ("smc_flushes", Count(cache.smc_flushes)),
-        ("cow_copies", Count(s.cow_copies)),
-    ]
-}
+use superpin::SuperPinReport;
 
 /// Writes a report's fields, `slices` last, into the object `w` has
 /// open (a fleet outcome line embeds the report this way).
 pub fn write_report(w: &mut Writer, report: &SuperPinReport) {
-    for (name, value) in report_fields(report) {
-        w.uint(name, value);
-    }
+    write_fields(w, report);
     w.key("slices").array();
     for slice in &report.slices {
         w.object();
-        for (name, value) in slice_fields(slice) {
-            match value {
-                Value::Count(n) => w.uint(name, n),
-                Value::Name(text) => w.string(name, text),
-            };
-        }
+        write_fields(w, slice);
         w.end();
     }
     w.end();
+}
+
+fn write_fields(w: &mut Writer, table: &impl Fields<Value>) {
+    table.each(&mut |name, value| {
+        match value {
+            Value::Count(n) => w.uint(name, n),
+            Value::Name(text) => w.string(name, text),
+        };
+    });
 }
 
 /// Serializes a complete run report as one-line JSON, in a fixed field
@@ -122,22 +46,29 @@ pub fn report_to_json(report: &SuperPinReport) -> String {
 /// `slices.len`, or `slices[i]`. `None` when they agree on every field
 /// the JSON carries.
 pub fn first_report_difference(a: &SuperPinReport, b: &SuperPinReport) -> Option<String> {
-    let mut fields = report_fields(a).into_iter().zip(report_fields(b));
-    if let Some(((name, _), _)) = fields.find(|(x, y)| x != y) {
-        return Some(name.to_owned());
+    let (x, y) = (fields(a), fields(b));
+    if let Some(((name, _), _)) = x.iter().zip(&y).find(|(x, y)| x != y) {
+        return Some((*name).to_owned());
     }
     if a.slices.len() != b.slices.len() {
         return Some("slices.len".to_owned());
     }
     let mut slices = a.slices.iter().zip(&b.slices);
-    let i = slices.position(|(x, y)| slice_fields(x) != slice_fields(y))?;
+    let i = slices.position(|(x, y)| fields(x) != fields(y))?;
     Some(format!("slices[{i}]"))
+}
+
+/// A table's values, collected in wire order.
+fn fields(table: &impl Fields<Value>) -> Vec<(&'static str, Value)> {
+    let mut out = Vec::new();
+    table.each(&mut |name, value| out.push((name, value)));
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use superpin::{SuperPinReport, TimeBreakdown};
+    use superpin::{SliceEnd, SliceReport, TimeBreakdown};
     use superpin_vm::ptrace::PtraceStats;
 
     fn base() -> SuperPinReport {

@@ -25,9 +25,10 @@
 //! [`fleet`]), which is both a fleet run's crash journal and its
 //! recording — and both are the same framed [`container`]: a magic +
 //! version preamble and CRC'd frames, read by one damage-tolerant
-//! [`container::walk`]. The typed readers decode payloads with the
-//! bounds-checked [`wire::Reader`]; no byte of any file can panic or
-//! abort a reader.
+//! [`container::walk`]. Every payload type has one layout, its
+//! [`wire::Wire`] impl, from which both encoding and decoding come;
+//! decoding goes through the bounds-checked [`wire::Reader`], so no
+//! byte of any file can panic or abort a reader.
 //!
 //! The `spin-replay` CLI (in `superpin-tools`) fronts all of this:
 //! `record` emits a `.splog`, `replay` re-executes and verifies, `diff`

@@ -8,14 +8,21 @@
 //! [`SuperPinReport`]), `0x04` End (empty; guards against silent
 //! truncation).
 
-use crate::codec::{get_event, get_report, put_event, put_report};
 use crate::container::{encode_frame, walk, KIND_HEADER, SPLOG};
 use crate::recipe::RunRecipe;
-use crate::wire::{CodecError, Reader};
+use crate::wire::{from_bytes, CodecError, Wire};
 use superpin::{NondetEvent, SuperPinReport};
 
 const FRAME_EVENT: u8 = 0x02;
 const FRAME_REPORT: u8 = 0x03;
+
+/// Appends one frame holding `value`, encoded through the reused
+/// `payload` buffer.
+fn put_frame<T: Wire>(out: &mut Vec<u8>, payload: &mut Vec<u8>, kind: u8, value: &T) {
+    payload.clear();
+    value.put(payload);
+    encode_frame(out, kind, payload);
+}
 
 /// A fully parsed recording: recipe, decision stream, final report.
 #[derive(Clone, Debug, PartialEq)]
@@ -33,16 +40,11 @@ impl ReplayLog {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = SPLOG.preamble();
         let mut payload = Vec::new();
-        self.recipe.encode(&mut payload);
-        encode_frame(&mut out, KIND_HEADER, &payload);
+        put_frame(&mut out, &mut payload, KIND_HEADER, &self.recipe);
         for event in &self.events {
-            payload.clear();
-            put_event(&mut payload, event);
-            encode_frame(&mut out, FRAME_EVENT, &payload);
+            put_frame(&mut out, &mut payload, FRAME_EVENT, event);
         }
-        payload.clear();
-        put_report(&mut payload, &self.report);
-        encode_frame(&mut out, FRAME_REPORT, &payload);
+        put_frame(&mut out, &mut payload, FRAME_REPORT, &self.report);
         encode_frame(&mut out, SPLOG.end, &[]);
         out
     }
@@ -61,11 +63,11 @@ impl ReplayLog {
         let mut events = Vec::new();
         let mut report = None;
         for frame in &walked.frames {
-            let mut payload = Reader::new(frame.payload);
+            let payload = frame.payload;
             match frame.kind {
-                KIND_HEADER => recipe = Some(RunRecipe::decode(&mut payload)?),
-                FRAME_EVENT => events.push(get_event(&mut payload)?),
-                FRAME_REPORT => report = Some(get_report(&mut payload)?),
+                KIND_HEADER => recipe = Some(from_bytes(payload, "run recipe")?),
+                FRAME_EVENT => events.push(from_bytes(payload, "event")?),
+                FRAME_REPORT => report = Some(from_bytes(payload, "report")?),
                 _ => {} // the end frame `complete` vouched for
             }
         }
@@ -84,7 +86,9 @@ impl ReplayLog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use superpin::{AdmissionDecision, TimeBreakdown};
+    use crate::wire::to_bytes;
+    use superpin::{AdmissionDecision, FailPlan, TimeBreakdown};
+    use superpin_fault::SITE_COUNT;
     use superpin_vm::ptrace::PtraceStats;
     use superpin_workloads::Scale;
 
@@ -188,5 +192,39 @@ mod tests {
             ReplayLog::decode(&flipped),
             Err(CodecError::Corrupt { .. })
         ));
+    }
+
+    /// A chaos plan this build cannot run — another build's site count,
+    /// an unknown site mode — is neither truncated nor damaged: under
+    /// valid CRCs it is a bad tag that says which.
+    #[test]
+    fn an_unrunnable_chaos_plan_is_a_bad_tag_not_truncation() {
+        let mut log = sample_log();
+        let plan = FailPlan::new(1, 0.05);
+        log.recipe.chaos = Some(plan);
+        let header = to_bytes(&log.recipe);
+        let plan = to_bytes(&plan);
+        let at = header
+            .windows(plan.len())
+            .position(|window| window == plan)
+            .expect("the header carries the plan");
+        for (offset, byte, what) in [
+            (at + 16, SITE_COUNT as u8 + 1, "chaos plan site count"),
+            (at + plan.len() - 1, 0xFF, "site mode"),
+        ] {
+            let mut bad = header.clone();
+            bad[offset] = byte;
+            let mut bytes = SPLOG.preamble();
+            encode_frame(&mut bytes, KIND_HEADER, &bad);
+            encode_frame(&mut bytes, FRAME_REPORT, &to_bytes(&log.report));
+            encode_frame(&mut bytes, SPLOG.end, &[]);
+            assert_eq!(
+                ReplayLog::decode(&bytes),
+                Err(CodecError::BadTag {
+                    what,
+                    tag: byte.into()
+                })
+            );
+        }
     }
 }

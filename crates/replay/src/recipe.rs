@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use crate::wire::{put_bool, put_opt_u64, put_str, put_u32, put_u64, put_u8, CodecError, Reader};
+use crate::wire::{wire_struct, CodecError, Reader, Wire};
 use superpin::{FailPlan, ProgramAnalysis, SuperPinConfig};
 use superpin_analysis::AnalysisError;
 use superpin_dbi::CYCLES_PER_SEC;
@@ -156,101 +156,36 @@ impl RunRecipe {
 
     /// Encodes the recipe.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        put_str(out, &self.name);
-        put_u8(
-            out,
-            match self.scale {
-                Scale::Tiny => 0,
-                Scale::Small => 1,
-                Scale::Medium => 2,
-                Scale::Large => 3,
-            },
-        );
-        put_u64(out, self.input);
-        put_str(out, &self.tool);
-        put_u64(out, self.spmsec);
-        put_u64(out, self.spmp as u64);
-        put_u64(out, self.spsysrecs as u64);
-        put_u64(out, self.threads as u64);
-        match &self.chaos {
-            Some(plan) => {
-                put_u8(out, 1);
-                plan.encode(out);
-            }
-            None => put_u8(out, 0),
-        }
-        put_u64(out, self.watchdog_factor);
-        put_u32(out, self.max_slice_retries);
-        put_opt_u64(out, self.mem_budget);
-        put_bool(out, self.supervise);
-        put_bool(out, self.plan);
-        put_str(out, &self.tag);
+        self.put(out);
     }
 
     /// Decodes a recipe.
+    ///
+    /// # Errors
+    ///
+    /// [`CodecError`] naming the first malformed field.
     pub fn decode(reader: &mut Reader<'_>) -> Result<RunRecipe, CodecError> {
-        let name = reader.str("workload name")?;
-        let scale = match reader.u8("scale")? {
-            0 => Scale::Tiny,
-            1 => Scale::Small,
-            2 => Scale::Medium,
-            3 => Scale::Large,
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "scale",
-                    tag: tag as u64,
-                })
-            }
-        };
-        let input = reader.u64("input")?;
-        let tool = reader.str("tool")?;
-        let spmsec = reader.u64("spmsec")?;
-        let spmp = reader.u64("spmp")? as usize;
-        let spsysrecs = reader.u64("spsysrecs")? as usize;
-        let threads = reader.u64("threads")? as usize;
-        let chaos = match reader.u8("chaos flag")? {
-            0 => None,
-            1 => {
-                // Bridge to the fault crate's cursor-based decoder: it
-                // reports consumed bytes via its cursor.
-                let mut pos = 0usize;
-                let plan = FailPlan::decode(reader.tail(), &mut pos)
-                    .ok_or(CodecError::Truncated { what: "chaos plan" })?;
-                reader.skip(pos, "chaos plan")?;
-                Some(plan)
-            }
-            tag => {
-                return Err(CodecError::BadTag {
-                    what: "chaos flag",
-                    tag: tag as u64,
-                })
-            }
-        };
-        let watchdog_factor = reader.u64("watchdog_factor")?;
-        let max_slice_retries = reader.u32("max_slice_retries")?;
-        let mem_budget = reader.opt_u64("mem_budget")?;
-        let supervise = reader.bool("supervise")?;
-        let plan = reader.bool("plan flag")?;
-        let tag = reader.str("tag")?;
-        Ok(RunRecipe {
-            name,
-            scale,
-            input,
-            tool,
-            spmsec,
-            spmp,
-            spsysrecs,
-            threads,
-            chaos,
-            watchdog_factor,
-            max_slice_retries,
-            mem_budget,
-            supervise,
-            plan,
-            tag,
-        })
+        RunRecipe::get(reader)
     }
 }
+
+wire_struct!(RunRecipe {
+    name,
+    scale,
+    input,
+    tool,
+    spmsec,
+    spmp,
+    spsysrecs,
+    threads,
+    chaos,
+    watchdog_factor,
+    max_slice_retries,
+    mem_budget,
+    supervise,
+    plan,
+    tag,
+});
 
 #[cfg(test)]
 mod tests {
@@ -271,7 +206,7 @@ mod tests {
         recipe.encode(&mut out);
         let mut reader = Reader::new(&out);
         assert_eq!(RunRecipe::decode(&mut reader).unwrap(), recipe);
-        assert!(reader.is_empty());
+        assert_eq!(reader.remaining(), 0);
     }
 
     #[test]

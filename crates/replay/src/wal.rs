@@ -33,7 +33,7 @@ use superpin_fault::{FailPlan, FailpointRegistry, Site};
 use crate::container::{
     encode_frame, walk, Frame, FrameDamage, FRAME_OVERHEAD, PREAMBLE_LEN, SPWAL,
 };
-use crate::wire::{CodecError, Reader};
+use crate::wire::CodecError;
 
 /// Frame kind: format-specific header, must come first.
 pub const WAL_FRAME_HEADER: u8 = crate::container::KIND_HEADER;
@@ -431,14 +431,13 @@ pub fn salvage(bytes: &[u8]) -> Result<WalSalvage<'_>, CodecError> {
         if frame.kind != WAL_FRAME_COMMIT {
             continue;
         }
-        let mut payload = Reader::new(frame.payload);
-        match payload.u64("commit sequence") {
-            Ok(seq) if payload.is_empty() => {
+        match commit_sequence(frame.payload) {
+            Some(seq) => {
                 out.last_committed = Some(seq);
                 out.commits += 1;
                 out.committed_len = frame.end();
             }
-            _ => {
+            None => {
                 out.damage = Some(FrameDamage::Corrupt {
                     offset: frame.offset,
                     detail: format!(
@@ -454,6 +453,12 @@ pub fn salvage(bytes: &[u8]) -> Result<WalSalvage<'_>, CodecError> {
         }
     }
     Ok(out)
+}
+
+/// The round number a commit frame's payload holds: exactly one
+/// little-endian `u64`, as [`WalWriter::append_committed`] writes it.
+pub(crate) fn commit_sequence(payload: &[u8]) -> Option<u64> {
+    payload.try_into().ok().map(u64::from_le_bytes)
 }
 
 /// Writes `bytes` to `path` atomically: everything lands in a

@@ -9,10 +9,16 @@
 //! (`crates/replay/tests/fuzz_codec.rs` is the thorough version, over
 //! synthetic samples; this one is fast enough for `cargo test -q` and
 //! uses what the producers really write.)
+//!
+//! Two checked-in files pin the wire layout itself: each must decode,
+//! re-encode to itself byte for byte, and equal what a fresh run of
+//! its own recipe writes today. A codec change that moves one byte
+//! fails here, and so does one that can no longer read old files.
 
-use superpin::SharedMem;
+use superpin::{NondetEvent, SharedMem};
 use superpin_replay::container::{Format, SPLOG, SPWAL};
 use superpin_replay::fsck::{decode_whole, is_journal, repair};
+use superpin_replay::wal::{WalWriter, WAL_FRAME_HEADER, WAL_FRAME_RECORD};
 use superpin_replay::{
     explain_decode_failure, record_run, recover_fleet_wal, walk, FleetRecipe, FrameDamage,
     FsyncPolicy, MemSink, ReplayLog, RunRecipe,
@@ -22,6 +28,14 @@ use superpin_tools::ICount1;
 use superpin_workloads::Scale;
 
 const MUTATIONS_PER_KIND: u64 = 300;
+
+/// Written by `spin-replay record gcc --threads 4 --chaos-seed 1
+/// --chaos-rate 0.05 --mem-budget 96k --tag golden`: every event kind,
+/// a chaos plan, a budget and a tag.
+const GOLDEN_SPLOG: &[u8] = include_bytes!("golden/gcc_tiny_chaos_96k.splog");
+
+/// The journal [`real_journal`] writes.
+const GOLDEN_SPWAL: &[u8] = include_bytes!("golden/two_tenant_fleet.spwal");
 
 /// xorshift64*: seeded, so a failure reproduces.
 struct Rng(u64);
@@ -164,6 +178,51 @@ fn fuzz(format: &'static Format, bytes: &[u8]) {
             &format!("{} 0xFFFFFFFF at {at}", format.name),
         );
     }
+}
+
+#[test]
+fn golden_splog_reads_rewrites_and_rerecords_to_the_same_bytes() {
+    let log = ReplayLog::decode(GOLDEN_SPLOG).expect("golden log decodes");
+    assert_eq!(log.encode(), GOLDEN_SPLOG, "re-encoding moved a byte");
+
+    let recipe = &log.recipe;
+    assert!(recipe.chaos.is_some() && recipe.mem_budget.is_some());
+    assert_eq!(
+        (recipe.tool.as_str(), recipe.tag.as_str()),
+        ("icount1", "golden")
+    );
+    let kinds = |pick: fn(&NondetEvent) -> bool| log.events.iter().filter(|e| pick(e)).count();
+    assert!(kinds(|e| matches!(e, NondetEvent::Syscall(_))) > 0);
+    assert!(kinds(|e| matches!(e, NondetEvent::EpochPlan { .. })) > 0);
+    assert!(kinds(|e| matches!(e, NondetEvent::Admission { .. })) > 0);
+    assert!(kinds(|e| matches!(e, NondetEvent::FaultLedger { .. })) > 0);
+    assert!(!log.report.slices.is_empty());
+
+    let shared = SharedMem::new();
+    let fresh = record_run(recipe, ICount1::new(&shared), &shared).expect("gcc records");
+    assert!(fresh.encode() == GOLDEN_SPLOG, "a fresh recording differs");
+}
+
+#[test]
+fn golden_journal_reads_rewrites_and_rejournals_to_the_same_bytes() {
+    let recovered = recover_fleet_wal(GOLDEN_SPWAL).expect("golden journal recovers");
+    assert!(recovered.clean_end && recovered.damage.is_none());
+
+    let sink = MemSink::new();
+    let mut writer =
+        WalWriter::create(Box::new(sink.clone()), FsyncPolicy::Off, None).expect("wal opens");
+    let mut header = Vec::new();
+    recovered.recipe.encode_into(&mut header);
+    writer.append(WAL_FRAME_HEADER, &header).expect("header");
+    for round in &recovered.rounds {
+        writer
+            .append_committed(WAL_FRAME_RECORD, &round.encode(), round.round)
+            .expect("record + commit");
+    }
+    writer.end().expect("end");
+    assert!(sink.bytes() == GOLDEN_SPWAL, "re-encoding moved a byte");
+
+    assert!(real_journal() == GOLDEN_SPWAL, "a fresh journal differs");
 }
 
 #[test]
