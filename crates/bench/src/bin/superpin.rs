@@ -38,16 +38,11 @@
 //! superpin --chaos-seed 1 --chaos-rate 0.05 -threads 4 -t icount1 -- gcc tiny
 //! ```
 
-use superpin::baseline::{run_pin, PinReport};
 use superpin::cli::{chaos_plan, ArgError, Args};
-use superpin::{SharedMem, SuperTool};
-use superpin_dbi::{cycles_to_secs, Pintool};
-use superpin_replay::build_runner;
+use superpin::SuperPinReport;
+use superpin_dbi::cycles_to_secs;
 use superpin_replay::recipe::{time_scale_for, RunRecipe};
-use superpin_tools::{
-    BranchProfile, DCache, DCacheConfig, ICount1, ICount2, ITrace, MemProfile, Sampler,
-};
-use superpin_vm::process::Process;
+use superpin_tools::{lookup, tool_names};
 use superpin_workloads::{find, Scale};
 
 /// The switches that shape what this binary does with a run, not the
@@ -63,7 +58,8 @@ fn usage() -> ! {
         "usage: superpin [-sp 0|1] [-spmsec MSEC] [-spmp N] [-spsysrecs N] [-threads N] [-gantt] \
          [--chaos-seed N] [--chaos-rate F] [--watchdog-factor K] [--mem-budget BYTES[k|m|g]] \
          [--plan on|off] -t TOOL -- BENCHMARK [tiny|small|medium|large]\n\
-         tools: icount1 icount2 dcache dcache-assoc icache bblcount insmix itrace branch mem sampler"
+         tools: {}",
+        tool_names().collect::<Vec<_>>().join(" ")
     );
     std::process::exit(2);
 }
@@ -83,7 +79,8 @@ fn parse_args() -> (Options, RunRecipe) {
 /// recipe: a 1000 ms timeslice and `small` scale unless told otherwise,
 /// and a chaos plan when either chaos flag is given (`--chaos-rate`
 /// without `--chaos-seed` defaults the seed to 1, and vice versa the
-/// rate to 0.01).
+/// rate to 0.01). The tool must be in the tool table, and have a serial
+/// Pin form when `-sp 0` asks for one.
 fn parse_options(args: &[String]) -> Result<(Options, RunRecipe), ArgError> {
     let mut options = Options {
         sp: true,
@@ -131,6 +128,16 @@ fn parse_options(args: &[String]) -> Result<(Options, RunRecipe), ArgError> {
             "a `-t TOOL` and a benchmark after `--` are required".to_owned(),
         ));
     }
+    match lookup(&recipe.tool) {
+        None => return Err(ArgError::Rule(format!("unknown tool `{}`", recipe.tool))),
+        Some(tool) if !options.sp && !tool.has_pin_mode() => {
+            return Err(ArgError::Rule(format!(
+                "{} requires -sp 1 (it is a SuperPin tool)",
+                recipe.tool
+            )))
+        }
+        Some(_) => {}
+    }
     recipe.name = after_dashes[0].to_owned();
     if let Some(&scale) = after_dashes.get(1) {
         recipe.scale = Scale::parse(scale).ok_or_else(|| ArgError::InvalidValue {
@@ -154,24 +161,9 @@ fn or_exit<V, E: std::fmt::Display>(result: Result<V, E>, recipe: &RunRecipe) ->
     })
 }
 
-/// Runs the recipe under serial Pin (`-sp 0`).
-fn pin<T: Pintool + 'static>(
-    program: &superpin_isa::Program,
-    tool: T,
-    recipe: &RunRecipe,
-) -> PinReport<T> {
-    let process = or_exit(Process::load(1, program), recipe);
-    or_exit(run_pin(process, tool), recipe)
-}
-
-/// Runs the recipe under SuperPin, then prints its slice, time, chaos
-/// and memory lines (and the Gantt chart with `-gantt`).
-fn run_super<T: SuperTool>(tool: T, shared: &SharedMem, options: &Options, recipe: &RunRecipe) {
-    let runner = or_exit(
-        build_runner(recipe, recipe.threads, false, tool, shared),
-        recipe,
-    );
-    let report = or_exit(runner.run(), recipe);
+/// Prints a SuperPin run's slice, time, chaos and memory lines (and the
+/// Gantt chart with `-gantt`).
+fn print_summary(report: &SuperPinReport, options: &Options, recipe: &RunRecipe) {
     let present = |cycles| cycles_to_secs(cycles) * time_scale_for(recipe.scale);
     println!(
         "superpin: {} slices ({} timer, {} syscall), {} stalls",
@@ -205,7 +197,7 @@ fn run_super<T: SuperTool>(tool: T, shared: &SharedMem, options: &Options, recip
         );
     }
     if options.gantt {
-        print!("{}", superpin_bench::render::render_gantt(&report, 100));
+        print!("{}", superpin_bench::render::render_gantt(report, 100));
     }
 }
 
@@ -222,183 +214,16 @@ fn main() {
         recipe.scale,
         program.static_inst_count()
     );
-
-    // The tool zoo. Each arm constructs, runs (SuperPin or plain Pin per
-    // -sp), and prints its result.
-    match recipe.tool.as_str() {
-        "icount1" => {
-            let shared = SharedMem::new();
-            let tool = ICount1::new(&shared);
-            if options.sp {
-                run_super(tool.clone(), &shared, &options, &recipe);
-                println!("Total Count: {}", tool.total(&shared));
-            } else {
-                let pin = pin(&program, tool, &recipe);
-                println!("Total Count: {}", pin.tool.local_count());
-            }
-        }
-        "icount2" => {
-            let shared = SharedMem::new();
-            let tool = ICount2::new(&shared);
-            if options.sp {
-                run_super(tool.clone(), &shared, &options, &recipe);
-                println!("Total Count: {}", tool.total(&shared));
-            } else {
-                let pin = pin(&program, tool, &recipe);
-                println!("Total Count: {}", pin.tool.local_count());
-            }
-        }
-        "dcache" => {
-            let shared = SharedMem::new();
-            let tool = DCache::new(&shared, DCacheConfig::small());
-            let result = if options.sp {
-                run_super(tool.clone(), &shared, &options, &recipe);
-                tool.merged_result(&shared)
-            } else {
-                pin(&program, tool, &recipe).tool.local_result()
-            };
-            println!(
-                "dcache: {} hits, {} misses (miss ratio {:.2}%)",
-                result.hits,
-                result.misses,
-                100.0 * result.miss_ratio()
-            );
-        }
-        "dcache-assoc" => {
-            use superpin_tools::{AssocDCache, AssocDCacheConfig};
-            let shared = SharedMem::new();
-            let tool = AssocDCache::new(&shared, AssocDCacheConfig::small());
-            let result = if options.sp {
-                run_super(tool.clone(), &shared, &options, &recipe);
-                tool.merged_result(&shared)
-            } else {
-                pin(&program, tool, &recipe).tool.local_result()
-            };
-            println!(
-                "dcache-assoc (2-way LRU): {} hits, {} misses (miss ratio {:.2}%)",
-                result.hits,
-                result.misses,
-                100.0 * result.miss_ratio()
-            );
-        }
-        "icache" => {
-            use superpin_tools::ICache;
-            let shared = SharedMem::new();
-            let tool = ICache::new(&shared, DCacheConfig::small());
-            let result = if options.sp {
-                run_super(tool.clone(), &shared, &options, &recipe);
-                tool.merged_result(&shared)
-            } else {
-                pin(&program, tool, &recipe).tool.local_result()
-            };
-            println!(
-                "icache: {} hits, {} misses (miss ratio {:.2}%)",
-                result.hits,
-                result.misses,
-                100.0 * result.miss_ratio()
-            );
-        }
-        "bblcount" => {
-            use superpin_tools::BblCount;
-            let tool = BblCount::new();
-            let hottest = if options.sp {
-                let shared = SharedMem::new();
-                run_super(tool.clone(), &shared, &options, &recipe);
-                tool.hottest(5)
-            } else {
-                let pin = pin(&program, tool, &recipe);
-                let mut blocks: Vec<(u64, u64)> = pin
-                    .tool
-                    .local_blocks()
-                    .iter()
-                    .map(|(&a, &c)| (a, c))
-                    .collect();
-                blocks.sort_by_key(|&(_, count)| std::cmp::Reverse(count));
-                blocks.truncate(5);
-                blocks
-            };
-            println!("bblcount: hottest blocks:");
-            for (addr, count) in hottest {
-                let name = program
-                    .symbol_for_addr(addr)
-                    .map(|sym| sym.name.as_str())
-                    .unwrap_or("?");
-                println!("  {addr:#08x} [{name:<10}] {count:>8} executions");
-            }
-        }
-        "insmix" => {
-            use superpin_tools::{InsMix, MixCategory};
-            let shared = SharedMem::new();
-            let tool = InsMix::new(&shared);
-            let counts = if options.sp {
-                run_super(tool.clone(), &shared, &options, &recipe);
-                tool.merged_counts(&shared)
-            } else {
-                pin(&program, tool, &recipe).tool.local_counts()
-            };
-            println!("insmix ({} instructions):", counts.total());
-            for category in MixCategory::ALL {
-                println!(
-                    "  {:<8} {:>12} ({:>5.1}%)",
-                    category.label(),
-                    counts.get(category),
-                    100.0 * counts.fraction(category)
-                );
-            }
-        }
-        "itrace" => {
-            let shared = SharedMem::new();
-            let tool = ITrace::new();
-            let trace = if options.sp {
-                run_super(tool, &shared, &options, &recipe);
-                ITrace::merged_trace(&shared)
-            } else {
-                let pin = pin(&program, tool, &recipe);
-                ITrace::decode(pin.tool.local_buffer())
-            };
-            println!("itrace: {} instructions traced", trace.len());
-        }
-        "branch" => {
-            let tool = BranchProfile::new();
-            let sites = if options.sp {
-                let shared = SharedMem::new();
-                run_super(tool.clone(), &shared, &options, &recipe);
-                tool.merged_sites()
-            } else {
-                pin(&program, tool, &recipe).tool.local_sites().clone()
-            };
-            println!("branch: {} sites profiled", sites.len());
-        }
-        "mem" => {
-            let shared = SharedMem::new();
-            let tool = MemProfile::new(&shared);
-            let totals = if options.sp {
-                run_super(tool.clone(), &shared, &options, &recipe);
-                tool.merged_totals(&shared)
-            } else {
-                pin(&program, tool, &recipe).tool.local_totals()
-            };
-            println!(
-                "mem: {} loads ({} B), {} stores ({} B)",
-                totals.loads, totals.bytes_read, totals.stores, totals.bytes_written
-            );
-        }
-        "sampler" => {
-            let tool = Sampler::new(500);
-            if options.sp {
-                let shared = SharedMem::new();
-                run_super(tool.clone(), &shared, &options, &recipe);
-                println!("sampler: {} samples", tool.merged_samples());
-            } else {
-                eprintln!("sampler requires -sp 1 (it is a SuperPin tool)");
-                std::process::exit(2);
-            }
-        }
-        other => {
-            eprintln!("unknown tool `{other}`");
-            usage();
-        }
+    // Pin or SuperPin runs the tool; either way it renders its own result.
+    let tool = lookup(&recipe.tool).expect("parse_options checked the tool");
+    if options.sp {
+        let mut runner = or_exit(tool.runner(&recipe, recipe.threads, false), &recipe);
+        let report = or_exit(runner.run_to_end(), &recipe);
+        print_summary(&report, &options, &recipe);
+    } else {
+        or_exit(tool.pin(&program), &recipe);
     }
+    print!("{}", tool.render(&program));
 }
 
 #[cfg(test)]
@@ -515,6 +340,26 @@ mod tests {
         assert!(
             parse_options(&args(&["--plan", "sideways", "-t", "icount2", "--", "gcc"])).is_err()
         );
+    }
+
+    #[test]
+    fn the_tool_is_checked_against_the_table() {
+        assert_eq!(
+            parse_options(&args(&["-t", "nope", "--", "gcc", "tiny"])),
+            Err(ArgError::Rule("unknown tool `nope`".to_owned()))
+        );
+        assert_eq!(
+            parse_options(&args(&["-sp", "0", "-t", "sampler", "--", "gcc", "tiny"])),
+            Err(ArgError::Rule(
+                "sampler requires -sp 1 (it is a SuperPin tool)".to_owned()
+            ))
+        );
+        for name in tool_names() {
+            let (_, recipe) =
+                parse_options(&args(&["-t", name, "--", "gcc"])).expect("a table tool parses");
+            assert_eq!(recipe.tool, name);
+        }
+        assert!(parse_options(&args(&["-sp", "0", "-t", "dcache", "--", "gcc"])).is_ok());
     }
 
     #[test]

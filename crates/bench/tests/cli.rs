@@ -70,3 +70,27 @@ fn icount1_prints_the_run_summary_and_the_gantt_chart() {
     assert!(has_line("master   |"), "no Gantt chart: {stdout}");
     assert!(has_line("Total Count: "), "no count: {stdout}");
 }
+
+#[test]
+fn a_rejected_tool_is_a_usage_error_with_nothing_on_stdout() {
+    for (args, message) in [
+        (
+            &["-t", "nope", "--", "gcc", "tiny"][..],
+            "superpin: unknown tool `nope`",
+        ),
+        (
+            &["-sp", "0", "-t", "sampler", "--", "gcc", "tiny"][..],
+            "superpin: sampler requires -sp 1 (it is a SuperPin tool)",
+        ),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_superpin"))
+            .args(args)
+            .env("RUST_BACKTRACE", "0")
+            .output()
+            .expect("the superpin binary starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
+        assert_eq!(stderr.lines().next(), Some(message), "{args:?}");
+        assert!(out.stdout.is_empty(), "{args:?}: the run started");
+    }
+}

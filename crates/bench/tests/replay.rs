@@ -12,11 +12,11 @@
 //! identical, and a perturbed syscall record makes the replay refuse its
 //! log.
 
-use superpin::{FailPlan, NondetEvent, SharedMem, SpError};
+use superpin::{FailPlan, NondetEvent, SharedMem, SpError, SuperPinRunner};
 use superpin_bench::runs::{parallel_over_catalog, run_superpin};
 use superpin_replay::{
-    diff_logs, record_run, replay_run, verify_replay, DiffOutcome, ReplayError, ReplayLog,
-    RunRecipe,
+    build_runner, diff_logs, record_run, replay_run, verify_replay, DiffOutcome, ReplayError,
+    ReplayLog, RunRecipe,
 };
 use superpin_tools::ICount1;
 use superpin_workloads::Scale;
@@ -28,6 +28,12 @@ fn recipe_for(name: &str, threads: usize, chaos: Option<FailPlan>) -> RunRecipe 
     recipe.threads = threads;
     recipe.chaos = chaos;
     recipe
+}
+
+/// A serial runner for `log`'s recipe, set up to replay it.
+fn replaying(log: &ReplayLog) -> SuperPinRunner<ICount1> {
+    let shared = SharedMem::new();
+    build_runner(&log.recipe, 1, true, ICount1::new(&shared), &shared).expect("runner")
 }
 
 fn recorded_log(name: &str, threads: usize, chaos: Option<FailPlan>) -> ReplayLog {
@@ -87,17 +93,9 @@ fn catalog_replays_bit_identically_across_thread_counts() {
 #[test]
 fn clean_log_pair_diffs_identical() {
     let log = recorded_log("gcc", 1, None);
-    let shared_a = SharedMem::new();
-    let shared_b = SharedMem::new();
-    let outcome = diff_logs(
-        &log,
-        ICount1::new(&shared_a),
-        &shared_a,
-        &log.clone(),
-        ICount1::new(&shared_b),
-        &shared_b,
-    )
-    .expect("diff");
+    let twin = log.clone();
+    let outcome =
+        diff_logs(&log, &mut replaying(&log), &twin, &mut replaying(&twin)).expect("diff");
     assert!(
         matches!(outcome, DiffOutcome::Identical { epochs } if epochs > 0),
         "clean pair must diff identical: {outcome:?}"
@@ -116,15 +114,11 @@ fn perturbed_log_divergence_is_pinpointed() {
     if let NondetEvent::EpochPlan { planned } = &mut perturbed.events[plan_at] {
         *planned += 1;
     }
-    let shared_a = SharedMem::new();
-    let shared_b = SharedMem::new();
     let outcome = diff_logs(
         &log,
-        ICount1::new(&shared_a),
-        &shared_a,
+        &mut replaying(&log),
         &perturbed,
-        ICount1::new(&shared_b),
-        &shared_b,
+        &mut replaying(&perturbed),
     )
     .expect("diff");
     let DiffOutcome::Diverged(report) = outcome else {

@@ -11,10 +11,16 @@
 //! | `SP_AddSliceEndFunction`       | [`SuperTool::on_slice_end`] (merge) |
 //! | `SP_EndSlice()`                | `EngineCtl::request_stop` from an analysis routine |
 //! | `SP_CreateSharedArea`          | [`SharedMem::create_area`]          |
-//! | `PIN_AddFiniFunction`          | [`SuperTool::fini_shared`]          |
+//! | `PIN_AddFiniFunction`          | [`SuperTool::fini_shared`] (render) |
+//!
+//! `-sp 0|1` only picks who runs the tool. Under SuperPin every slice
+//! merges through `on_slice_end`; under serial Pin the whole run merges
+//! once, as a single slice. Either way `fini_shared` then renders the
+//! merged result, so a tool has one reader for both modes.
 
 use crate::shared::SharedMem;
 use superpin_dbi::Pintool;
+use superpin_isa::Program;
 
 /// A Pintool that supports SuperPin slicing.
 ///
@@ -26,7 +32,9 @@ use superpin_dbi::Pintool;
 /// [`fini_shared`](SuperTool::fini_shared) renders the final result.
 ///
 /// When SuperPin is disabled (`-sp 0`), the tool runs as a plain
-/// [`Pintool`] and the slice hooks never fire.
+/// [`Pintool`]; the run then merges once, through
+/// [`on_slice_end`](SuperTool::on_slice_end) as slice 1, and renders the
+/// same way.
 ///
 /// `Send + 'static` is required because the runner moves each running
 /// slice — engine, tool clone and all — by value onto a persistent pool
@@ -48,9 +56,12 @@ pub trait SuperTool: Pintool + Clone + Send + 'static {
     /// (`SP_AddSliceEndFunction`); merge local data into `shared` here.
     fn on_slice_end(&mut self, slice_num: u32, shared: &SharedMem);
 
-    /// Called once, after every slice has merged; render the final
-    /// result from shared memory.
-    fn fini_shared(&mut self, shared: &SharedMem) {
-        let _ = shared;
+    /// Called once, after every slice has merged: renders the final
+    /// result from `shared` (and whatever merged state the tool's clones
+    /// share), as the lines the `superpin` CLI prints. `program` is the
+    /// guest, for tools that name addresses by symbol.
+    fn fini_shared(&self, shared: &SharedMem, program: &Program) -> String {
+        let _ = (shared, program);
+        String::new()
     }
 }

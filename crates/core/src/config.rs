@@ -41,8 +41,6 @@ pub struct SuperPinConfig {
     pub policy: Policy,
     /// DBI cost model for slices.
     pub cost: CostModel,
-    /// Per-slice code-cache capacity in instructions.
-    pub cache_capacity: usize,
     /// Simulation quantum in cycles (must be well below the timeslice).
     pub quantum_cycles: u64,
     /// Presented-time multiplier (see struct docs).
@@ -130,7 +128,6 @@ impl SuperPinConfig {
             machine: Machine::smp(8),
             policy: Policy::FairShare,
             cost: CostModel::paper_default(),
-            cache_capacity: superpin_dbi::cache::DEFAULT_CAPACITY_INSTS,
             quantum_cycles: CYCLES_PER_SEC / 1000, // 1 ms
             time_scale: 1.0,
             adaptive_estimate: None,

@@ -19,7 +19,8 @@
 //! (the multiprocessor timing model).
 //!
 //! * [`SuperPinRunner`] — drives a complete run and produces a
-//!   [`SuperPinReport`] with the paper's Figure 6 time decomposition.
+//!   [`SuperPinReport`] with the paper's Figure 6 time decomposition;
+//!   [`Runner`] is the same run with its tool type erased.
 //! * [`SuperTool`] — the `SP_*` tool API (paper §5).
 //! * [`signature`] — record/detect slice boundaries (paper §4.4).
 //! * [`mod@slice`], [`master`] — the two halves of the fork protocol
@@ -105,11 +106,9 @@ pub use api::SuperTool;
 pub use config::SuperPinConfig;
 pub use error::SpError;
 pub use governor::{MemoryGovernor, TenantAdmission, TenantCounters, TenantLedger};
-pub use record::{
-    AdmissionDecision, NondetEvent, RunMode, RunProbe, RunRecorder, RunSource, SliceProbe,
-};
+pub use record::{AdmissionDecision, NondetEvent, RunMode, RunProbe, SliceProbe};
 pub use report::{SliceReport, SuperPinReport, TimeBreakdown};
-pub use runner::{HostProfile, SuperPinRunner};
+pub use runner::{HostProfile, Runner, SuperPinRunner};
 pub use shared::{AreaId, AutoMerge, SharedArea, SharedMem};
 pub use signature::{Signature, SignatureStats};
 pub use slice::{Boundary, SliceEnd, SliceRuntime, SliceState, SpSliceTool};

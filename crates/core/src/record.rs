@@ -9,10 +9,11 @@
 //! run consults something other than pure guest state: syscall effects
 //! (kernel results and guest input bytes), epoch plans, governed fork
 //! admissions with their eviction-ladder actions, and the supervision
-//! ledger that chaos recovery accumulates. A [`RunRecorder`] receives
-//! each event as the runner makes the decision; a [`RunSource`] feeds
-//! the recorded decisions back in the same order, *substituted* for the
-//! live ones, so a replayed run re-executes from the log alone.
+//! ledger that chaos recovery accumulates. In [`RunMode::Record`] the
+//! runner appends each event as it makes the decision; in
+//! [`RunMode::Replay`] it takes the recorded decisions back in the same
+//! order, *substituted* for the live ones, so a replayed run re-executes
+//! from the log alone.
 //!
 //! Fault-injection firings are deliberately **not** individual events:
 //! a firing is a pure function of `(FailPlan, site, key)`, so the log's
@@ -27,6 +28,7 @@
 
 use crate::error::SpError;
 use crate::report::SliceReport;
+use std::collections::VecDeque;
 use superpin_isa::NUM_REGS;
 use superpin_vm::kernel::SyscallRecord;
 
@@ -97,29 +99,18 @@ impl NondetEvent {
     }
 }
 
-/// Receives the event stream of a recorded run, in decision order.
-/// Driven entirely from the supervisor thread.
-pub trait RunRecorder: Send {
-    /// Called once per decision, in the order the runner makes them.
-    fn record(&mut self, event: NondetEvent);
-}
-
-/// Feeds a recorded event stream back into a replaying run.
-pub trait RunSource: Send {
-    /// The next recorded event, or `None` when the log is exhausted.
-    fn next_event(&mut self) -> Option<NondetEvent>;
-}
-
-/// How the runner treats the nondeterministic surface.
-#[derive(Default)]
+/// How the runner treats the nondeterministic surface. The mode holds
+/// the events themselves, and the runner hands a recording back through
+/// [`take_recording`](RunMode::take_recording).
+#[derive(Debug, Default)]
 pub enum RunMode {
     /// Make every decision live (the default; zero overhead).
     #[default]
     Live,
-    /// Make decisions live and stream each one into the recorder.
-    Record(Box<dyn RunRecorder>),
-    /// Substitute recorded decisions for live ones.
-    Replay(Box<dyn RunSource>),
+    /// Make decisions live and append each one, in decision order.
+    Record(Vec<NondetEvent>),
+    /// Substitute recorded decisions, front first, for live ones.
+    Replay(VecDeque<NondetEvent>),
 }
 
 impl RunMode {
@@ -128,11 +119,19 @@ impl RunMode {
         matches!(self, RunMode::Replay(_))
     }
 
-    /// The record side of a decision point: streams `event()` into the
-    /// recorder; free in every other mode (the event is never built).
+    /// The record side of a decision point: appends `event()` to the
+    /// recording; free in every other mode (the event is never built).
     pub fn record(&mut self, event: impl FnOnce() -> NondetEvent) {
-        if let RunMode::Record(recorder) = self {
-            recorder.record(event());
+        if let RunMode::Record(events) = self {
+            events.push(event());
+        }
+    }
+
+    /// Takes the events recorded so far; empty in any other mode.
+    pub fn take_recording(&mut self) -> Vec<NondetEvent> {
+        match self {
+            RunMode::Record(events) => std::mem::take(events),
+            _ => Vec::new(),
         }
     }
 
@@ -152,10 +151,10 @@ impl RunMode {
         at: &dyn std::fmt::Display,
         pick: impl FnOnce(NondetEvent) -> Option<V>,
     ) -> Option<Result<V, SpError>> {
-        let RunMode::Replay(source) = self else {
+        let RunMode::Replay(events) = self else {
             return None;
         };
-        let detail = match source.next_event() {
+        let detail = match events.pop_front() {
             Some(event) => {
                 let kind = event.kind();
                 match pick(event) {
@@ -166,16 +165,6 @@ impl RunMode {
             None => format!("log exhausted at {at}"),
         };
         Some(Err(SpError::ReplayDivergence { context, detail }))
-    }
-}
-
-impl std::fmt::Debug for RunMode {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match self {
-            RunMode::Live => "Live",
-            RunMode::Record(_) => "Record",
-            RunMode::Replay(_) => "Replay",
-        })
     }
 }
 

@@ -65,7 +65,7 @@
 //! in the loop knows the mode. The memory governor's ladder acts through
 //! two functions, `drop_checkpoint` and `evict_cache`, which carry every
 //! journal and governor posting; the live ladder, its replay and the
-//! fleet's [`fleet_evict_caches`](SuperPinRunner::fleet_evict_caches)
+//! fleet's [`fleet_evict_caches`](Runner::fleet_evict_caches)
 //! differ only in which slices they name. Governed memory is read, not
 //! posted: [`resident_bytes`](SuperPinRunner::resident_bytes) sums the
 //! live state each time it is called, so no bookkeeping order can change
@@ -77,10 +77,7 @@ use crate::config::SuperPinConfig;
 use crate::error::SpError;
 use crate::governor::{MemoryGovernor, COMPILED_INST_BYTES, FORK_COST_BYTES, SNAPSHOT_ENTRY_BYTES};
 use crate::master::{MasterEvent, MasterRuntime};
-use crate::record::{
-    AdmissionDecision as Admission, NondetEvent, RunMode, RunProbe, RunRecorder, RunSource,
-    SliceProbe,
-};
+use crate::record::{AdmissionDecision as Admission, NondetEvent, RunMode, RunProbe, SliceProbe};
 use crate::report::{SliceReport, SuperPinReport, TimeBreakdown};
 use crate::shared::SharedMem;
 use crate::signature::{Signature, SignatureStats};
@@ -287,21 +284,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
             mode: RunMode::Live,
             pool: None,
         })
-    }
-
-    /// Arms record mode: every nondeterministic decision the run makes
-    /// is streamed into `recorder`, in decision order.
-    pub fn set_recorder(&mut self, recorder: Box<dyn RunRecorder>) {
-        self.mode = RunMode::Record(recorder);
-    }
-
-    /// Arms replay mode: nondeterministic decisions are substituted from
-    /// `source` instead of being made live. The runner must have been
-    /// constructed from the recorded run's recipe (same program, tool,
-    /// and config knobs); a mismatch surfaces as
-    /// [`SpError::ReplayDivergence`].
-    pub fn set_replay(&mut self, source: Box<dyn RunSource>) {
-        self.mode = RunMode::Replay(source);
     }
 
     /// A fork wakes the previously sleeping slice, so the running count
@@ -1054,14 +1036,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
         }
     }
 
-    /// The run's virtual clock in cycles — how much simulated time this
-    /// run has consumed so far. O(1), unlike the full
-    /// [`probe`](SuperPinRunner::probe) snapshot, so a fleet scheduler
-    /// can charge fair-share virtual time after every epoch.
-    pub fn now_cycles(&self) -> u64 {
-        self.now
-    }
-
     /// The run's current governed resident-byte total (DESIGN §4.9): the
     /// master's full resident set, each live slice's private pages and
     /// code cache, retained supervisor checkpoints, the trace registry's
@@ -1083,36 +1057,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
             usage += self.registry.len() as u64 * SNAPSHOT_ENTRY_BYTES;
         }
         usage + self.shared.resident_bytes()
-    }
-
-    /// Fleet-ladder rung 1, driven from outside: evicts this run's
-    /// code caches coldest-first (LRU by last-active virtual time,
-    /// slice number on ties) until at least `target_bytes` are freed or
-    /// nothing evictable remains. Returns the simulated bytes freed.
-    ///
-    /// Bookkeeping matches the in-run ladder exactly — evictions are
-    /// journaled for supervised rebuilds and counted by the per-run
-    /// governor when one is armed — so a fleet-squeezed run stays
-    /// bit-replayable. Call only at epoch barriers (between
-    /// [`step_serial`](SuperPinRunner::step_serial) calls).
-    pub fn fleet_evict_caches(&mut self, target_bytes: u64) -> u64 {
-        let mut freed = 0u64;
-        for num in self.coldest_caches() {
-            if freed >= target_bytes {
-                break;
-            }
-            freed += self.evict_cache(num);
-        }
-        freed
-    }
-
-    /// Whether any live slice still holds an evictable code cache —
-    /// `true` means [`fleet_evict_caches`](SuperPinRunner::fleet_evict_caches)
-    /// can free memory without degrading anyone.
-    pub fn has_evictable_cache(&self) -> bool {
-        self.live
-            .iter()
-            .any(|slice| slice.cache_resident_insts() > 0)
     }
 
     /// One epoch — the run's only driver (see the module docs for its
@@ -1260,8 +1204,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
     ///
     /// Propagates replay divergences surfaced at finalization.
     pub fn finish(&mut self) -> Result<SuperPinReport, SpError> {
-        // All slices merged: render the final result.
-        //
         // Soundness gate: if an oracle was installed, no engine may have
         // observed a transfer or code write the static analysis does not
         // admit. Engines assert at the offending site in debug builds;
@@ -1274,9 +1216,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
                 oracle.violations()
             );
         }
-        let mut fin = self.tool_template.clone();
-        fin.fini_shared(&self.shared);
-
         let mut sup_retries = self.supervisor.as_ref().map_or(0, |sup| sup.slice_retries);
         let mut sup_degraded = self
             .supervisor
@@ -1286,11 +1225,11 @@ impl<T: SuperTool> SuperPinRunner<T> {
             slice_retries: sup_retries,
             slices_degraded: sup_degraded,
         });
-        if let RunMode::Replay(source) = &mut self.mode {
+        if let RunMode::Replay(events) = &mut self.mode {
             // The ledger is the log's final event; drain to it so a
             // replay that legitimately consumed fewer decision points
             // (injection is disarmed) still finds it.
-            while let Some(event) = source.next_event() {
+            while let Some(event) = events.pop_front() {
                 if let NondetEvent::FaultLedger {
                     slice_retries,
                     slices_degraded,
@@ -1346,6 +1285,143 @@ impl<T: SuperTool> SuperPinRunner<T> {
                 .map_or(0, |gov| gov.checkpoints_dropped),
             caches_evicted: self.governor.as_ref().map_or(0, |gov| gov.caches_evicted),
         })
+    }
+}
+
+/// A [`SuperPinRunner`] with its tool type erased: the one object-safe
+/// surface every front end drives a run through. The `superpin` CLI
+/// and `spin-replay` run it to the end, the divergence differ steps two
+/// in lockstep, and the service fleet steps many, one epoch per round.
+/// Methods documented "see …" are the runner's inherent method of the
+/// same name.
+pub trait Runner: Send {
+    /// See [`SuperPinRunner::start`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates slice-setup errors.
+    fn start(&mut self) -> Result<(), SpError>;
+
+    /// See [`SuperPinRunner::step_serial`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates guest errors and replay divergences.
+    fn step_serial(&mut self) -> Result<bool, SpError>;
+
+    /// See [`SuperPinRunner::finish`].
+    ///
+    /// # Errors
+    ///
+    /// Propagates replay divergences surfaced at finalization.
+    fn finish(&mut self) -> Result<SuperPinReport, SpError>;
+
+    /// See [`SuperPinRunner::probe`].
+    fn probe(&self) -> RunProbe;
+
+    /// See [`SuperPinRunner::resident_bytes`].
+    fn resident_bytes(&self) -> u64;
+
+    /// The run's virtual clock in cycles — how much simulated time this
+    /// run has consumed so far. O(1), unlike the full
+    /// [`probe`](Runner::probe) snapshot, so a fleet scheduler can
+    /// charge fair-share virtual time after every epoch.
+    fn now_cycles(&self) -> u64;
+
+    /// Fleet-ladder rung 1, driven from outside: evicts this run's
+    /// code caches coldest-first (LRU by last-active virtual time,
+    /// slice number on ties) until at least `target_bytes` are freed or
+    /// nothing evictable remains. Returns the simulated bytes freed.
+    ///
+    /// Bookkeeping matches the in-run ladder exactly — evictions are
+    /// journaled for supervised rebuilds and counted by the per-run
+    /// governor when one is armed — so a fleet-squeezed run stays
+    /// bit-replayable. Call only at epoch barriers (between
+    /// [`step_serial`](Runner::step_serial) calls).
+    fn fleet_evict_caches(&mut self, target_bytes: u64) -> u64;
+
+    /// Whether any live slice still holds an evictable code cache —
+    /// `true` means [`fleet_evict_caches`](Runner::fleet_evict_caches)
+    /// can free memory without degrading anyone.
+    fn has_evictable_cache(&self) -> bool;
+
+    /// Sets how the run treats its nondeterministic surface:
+    /// [`RunMode::Record`] keeps every decision the run makes, in
+    /// decision order; [`RunMode::Replay`] substitutes the given
+    /// decisions for live ones. A replaying runner must have been
+    /// built from the recorded run's recipe (same program, tool, and
+    /// config knobs); a mismatch surfaces as
+    /// [`SpError::ReplayDivergence`].
+    fn set_mode(&mut self, mode: RunMode);
+
+    /// Hands back the decisions a [`RunMode::Record`] run has made so
+    /// far (all of them once [`finish`](Runner::finish) has returned);
+    /// empty in any other mode.
+    fn take_recording(&mut self) -> Vec<NondetEvent>;
+
+    /// Runs to completion — [`start`](Runner::start), then
+    /// [`step_serial`](Runner::step_serial) until it returns `false`,
+    /// then [`finish`](Runner::finish) — and returns the report: the
+    /// loop [`SuperPinRunner::run`] makes.
+    ///
+    /// # Errors
+    ///
+    /// As the three steps.
+    fn run_to_end(&mut self) -> Result<SuperPinReport, SpError> {
+        self.start()?;
+        while self.step_serial()? {}
+        self.finish()
+    }
+}
+
+impl<T: SuperTool> Runner for SuperPinRunner<T> {
+    fn start(&mut self) -> Result<(), SpError> {
+        SuperPinRunner::start(self)
+    }
+
+    fn step_serial(&mut self) -> Result<bool, SpError> {
+        SuperPinRunner::step_serial(self)
+    }
+
+    fn finish(&mut self) -> Result<SuperPinReport, SpError> {
+        SuperPinRunner::finish(self)
+    }
+
+    fn probe(&self) -> RunProbe {
+        SuperPinRunner::probe(self)
+    }
+
+    fn resident_bytes(&self) -> u64 {
+        SuperPinRunner::resident_bytes(self)
+    }
+
+    fn now_cycles(&self) -> u64 {
+        self.now
+    }
+
+    fn fleet_evict_caches(&mut self, target_bytes: u64) -> u64 {
+        let mut freed = 0u64;
+        for num in self.coldest_caches() {
+            if freed >= target_bytes {
+                break;
+            }
+            freed += self.evict_cache(num);
+        }
+        freed
+    }
+
+    fn has_evictable_cache(&self) -> bool {
+        self.live
+            .iter()
+            .any(|slice| slice.cache_resident_insts() > 0)
+    }
+
+    fn set_mode(&mut self, mode: RunMode) {
+        self.mode = mode;
+    }
+
+    fn take_recording(&mut self) -> Vec<NondetEvent> {
+        self.mode.take_recording()
     }
 }
 

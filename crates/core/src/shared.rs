@@ -32,7 +32,7 @@ pub enum AutoMerge {
 pub struct AreaId(usize);
 
 /// A shared-memory region of 64-bit words, visible to every slice and to
-/// the `fini` function.
+/// the tool's renderer ([`SuperTool::fini_shared`](crate::SuperTool::fini_shared)).
 #[derive(Clone)]
 pub struct SharedArea {
     words: Arc<Mutex<Vec<u64>>>,

@@ -8,6 +8,7 @@ use crate::signature::{Signature, SignatureStats, STACK_WORDS};
 use crate::trampoline;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use superpin_dbi::cache::DEFAULT_CAPACITY_INSTS;
 use superpin_dbi::registry::Entry;
 use superpin_dbi::{Engine, EngineStop, IArg, IPoint, Inserter, Pintool, Trace, TraceRegistry};
 use superpin_fault::{FailpointRegistry, Site};
@@ -310,7 +311,7 @@ impl<T: SuperTool> SliceRuntime<T> {
             chaos_salt: 0,
             injected_faults: 0,
         };
-        let mut engine = Engine::with_config(process, tool, cfg.cost, cfg.cache_capacity);
+        let mut engine = Engine::with_config(process, tool, cfg.cost, DEFAULT_CAPACITY_INSTS);
         engine.set_shared_code_cache(cfg.shared_code_cache);
         if let Some(live) = &cfg.liveness {
             engine.set_liveness(Arc::clone(live));

@@ -134,7 +134,6 @@ pub struct Engine<T: Pintool> {
     cache: CodeCache<T>,
     cost: CostModel,
     stats: EngineStats,
-    fini_done: bool,
     /// Trace formation ends just before this address (SuperPin slice
     /// boundaries; see [`crate::trace::discover_trace_split`]).
     split_point: Option<u64>,
@@ -185,7 +184,6 @@ impl<T: Pintool + Clone> Clone for Engine<T> {
             cache: self.cache.clone(),
             cost: self.cost,
             stats: self.stats,
-            fini_done: self.fini_done,
             split_point: self.split_point,
             sharing: self.sharing.clone(),
             shared_code_cache: self.shared_code_cache,
@@ -230,7 +228,6 @@ impl<T: Pintool + 'static> Engine<T> {
             cache: CodeCache::with_capacity(cache_capacity_insts),
             cost,
             stats: EngineStats::default(),
-            fini_done: false,
             split_point: None,
             sharing: None,
             shared_code_cache: false,
@@ -494,9 +491,6 @@ impl<T: Pintool + 'static> Engine<T> {
             self.pending_dispatch |= tally.took_indirect;
             match exit? {
                 TraceExit::Stop(stop) => {
-                    if let EngineStop::Exited(_) = stop {
-                        self.run_fini();
-                    }
                     return Ok(RunResult {
                         stop,
                         cycles: spent,
@@ -614,9 +608,6 @@ impl<T: Pintool + 'static> Engine<T> {
         let record = self.process.do_syscall(now_ns)?;
         self.stats.cycles.syscall += self.cost.syscall;
         self.tool.on_syscall(&record);
-        if record.exited.is_some() {
-            self.run_fini();
-        }
         Ok((record, self.cost.syscall))
     }
 
@@ -631,17 +622,7 @@ impl<T: Pintool + 'static> Engine<T> {
         self.process.playback_syscall(record)?;
         self.stats.cycles.syscall += self.cost.syscall;
         self.tool.on_syscall(record);
-        if record.exited.is_some() {
-            self.run_fini();
-        }
         Ok(self.cost.syscall)
-    }
-
-    fn run_fini(&mut self) {
-        if !self.fini_done {
-            self.fini_done = true;
-            self.tool.fini();
-        }
     }
 
     /// Runs the guest to completion in standalone "Pin mode", servicing

@@ -293,7 +293,7 @@ impl<T: 'static> Inserter<T> {
     /// write right before the routine or at the switch, and at each
     /// trace exit the sum still open there, added once. The executor
     /// does no per-instruction work for a count, and every other
-    /// routine, syscall hook, `fini` and checkpoint sees exactly the
+    /// routine, syscall hook, slice merge and checkpoint sees exactly the
     /// count a per-instruction closure would have produced.
     ///
     /// `counter` must be a pure projection: it may run once per flush,

@@ -10,8 +10,8 @@ use superpin_vm::kernel::SyscallRecord;
 /// per trace *compilation* (so re-executions of cached traces pay no
 /// instrumentation-time cost, exactly like Pin), and
 /// [`on_syscall`](Pintool::on_syscall) each time a syscall is serviced or
-/// played back. [`fini`](Pintool::fini) runs when the instrumented
-/// program exits.
+/// played back. A tool renders its result from
+/// `superpin::SuperTool::fini_shared`, after its data has merged.
 ///
 /// Tools must be `Clone`: SuperPin gives every slice "their own copy of
 /// Pin and the Pintool" (paper §4.5), which in this reproduction is a
@@ -40,9 +40,6 @@ pub trait Pintool: Sized + Send {
     fn on_syscall(&mut self, record: &SyscallRecord) {
         let _ = record;
     }
-
-    /// Called when the instrumented program exits.
-    fn fini(&mut self) {}
 
     /// Short tool name for reports.
     fn name(&self) -> &'static str {

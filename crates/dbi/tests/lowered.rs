@@ -6,8 +6,8 @@
 //! argument lists covering every [`IArg`] kind, a stop from the middle of
 //! a before-list, a stop from a `then`, a stop from an after-call, and
 //! inlined counts ([`Inserter::insert_count`]) to two counters between
-//! them — some slots carry nothing but counts. Every callback, syscall
-//! and `fini` records both counters as it finds them, so a count that has
+//! them — some slots carry nothing but counts. Every callback and
+//! syscall (the exit included) records both counters as it finds them, so a count that has
 //! not reached the tool by the time anything else can look shows up at
 //! that very observation. The reference re-states what each callback
 //! must observe from [`cpu::step`] and the `IArg` documentation alone —
@@ -142,7 +142,6 @@ const TAG_AFTER_PRED: u8 = 5;
 const TAG_AFTER_THEN: u8 = 6;
 const TAG_AFTER_LAST: u8 = 7;
 const TAG_SYSCALL: u8 = 8;
-const TAG_FINI: u8 = 9;
 
 /// One call the probe inserts, as data both sides read.
 enum Spec {
@@ -275,10 +274,6 @@ impl Pintool for Probe {
 
     fn on_syscall(&mut self, _record: &SyscallRecord) {
         self.see(TAG_SYSCALL, 0, &[]);
-    }
-
-    fn fini(&mut self) {
-        self.see(TAG_FINI, 0, &[]);
     }
 }
 
@@ -474,7 +469,6 @@ fn reference(program: &Program, knobs: Knobs, cost: &CostModel) -> Expected {
                     stats.cycles.syscall += cost.syscall;
                     probe.see(TAG_SYSCALL, 0, &[]);
                     if let Some(code) = record.exited {
-                        probe.see(TAG_FINI, 0, &[]);
                         break 'run End::Exit(code);
                     }
                     pending_dispatch = true;
@@ -841,7 +835,7 @@ fn every_mid_trace_exit_hands_pending_counts_to_the_tool() {
 struct Carry {
     plain_counts: bool,
     count: u64,
-    /// The count at every syscall and at `fini`.
+    /// The count at every syscall.
     seen: Vec<u64>,
 }
 
@@ -870,10 +864,6 @@ impl Pintool for Carry {
     }
 
     fn on_syscall(&mut self, _record: &SyscallRecord) {
-        self.seen.push(self.count);
-    }
-
-    fn fini(&mut self) {
         self.seen.push(self.count);
     }
 }

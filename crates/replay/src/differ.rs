@@ -13,11 +13,10 @@
 //! component. A run that refuses its own log ([`SpError::ReplayDivergence`])
 //! is itself a divergence, attributed to the side that threw.
 
-use crate::drive::{build_runner, ReplayError};
+use crate::drive::ReplayError;
 use crate::log::ReplayLog;
-use crate::recipe::RunRecipe;
 use std::fmt;
-use superpin::{RunProbe, SpError, SuperPinRunner, SuperTool};
+use superpin::{RunMode, RunProbe, Runner, SpError};
 use superpin_isa::Reg;
 
 /// One register's disagreement between the two runs.
@@ -255,7 +254,7 @@ fn refusal(
     }
 }
 
-fn step<T: SuperTool>(runner: &mut SuperPinRunner<T>) -> Result<Result<bool, String>, SpError> {
+fn step(runner: &mut dyn Runner) -> Result<Result<bool, String>, SpError> {
     match runner.step_serial() {
         Ok(more) => Ok(Ok(more)),
         Err(SpError::ReplayDivergence { context, detail }) => {
@@ -272,10 +271,7 @@ fn step<T: SuperTool>(runner: &mut SuperPinRunner<T>) -> Result<Result<bool, Str
 ///
 /// Simulator errors other than replay refusals (those become
 /// [`DiffOutcome::Diverged`]).
-pub fn diff_runners<T: SuperTool, U: SuperTool>(
-    a: &mut SuperPinRunner<T>,
-    b: &mut SuperPinRunner<U>,
-) -> Result<DiffOutcome, ReplayError> {
+pub fn diff_runners(a: &mut dyn Runner, b: &mut dyn Runner) -> Result<DiffOutcome, ReplayError> {
     a.start().map_err(ReplayError::Sim)?;
     b.start().map_err(ReplayError::Sim)?;
     let mut prev: Option<(RunProbe, RunProbe)> = None;
@@ -338,43 +334,30 @@ pub fn diff_runners<T: SuperTool, U: SuperTool>(
 }
 
 /// Replays two logs in lockstep (each against its own recording) and
-/// reports the first divergence between *the runs they describe*. Both
-/// replays run serially at `threads = 1` regardless of the recorded
-/// thread counts — report equality across thread counts is the
-/// simulator's contract, so the comparison is fair.
+/// reports the first divergence between *the runs they describe*. `a`
+/// and `b` are built from each log's recipe at `threads = 1` with
+/// `replaying` set (see [`build_runner`](crate::build_runner)), whatever
+/// the recorded thread counts — report equality across thread counts is
+/// the simulator's contract, so the comparison is fair.
 ///
 /// # Errors
 ///
-/// Setup errors as in [`build_runner`]; simulator errors other than
-/// replay refusals.
-pub fn diff_logs<T: SuperTool, U: SuperTool>(
+/// Simulator errors other than replay refusals.
+pub fn diff_logs(
     log_a: &ReplayLog,
-    tool_a: T,
-    shared_a: &superpin::SharedMem,
+    a: &mut dyn Runner,
     log_b: &ReplayLog,
-    tool_b: U,
-    shared_b: &superpin::SharedMem,
+    b: &mut dyn Runner,
 ) -> Result<DiffOutcome, ReplayError> {
-    let mut a = replaying_runner(&log_a.recipe, log_a, tool_a, shared_a)?;
-    let mut b = replaying_runner(&log_b.recipe, log_b, tool_b, shared_b)?;
-    diff_runners(&mut a, &mut b)
-}
-
-fn replaying_runner<T: SuperTool>(
-    recipe: &RunRecipe,
-    log: &ReplayLog,
-    tool: T,
-    shared: &superpin::SharedMem,
-) -> Result<SuperPinRunner<T>, ReplayError> {
-    let mut runner = build_runner(recipe, 1, true, tool, shared)?;
-    runner.set_replay(crate::events::EventStream::new(log.events.clone()).boxed());
-    Ok(runner)
+    a.set_mode(RunMode::Replay(log_a.events.clone().into()));
+    b.set_mode(RunMode::Replay(log_b.events.clone().into()));
+    diff_runners(a, b)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drive::record_run;
+    use crate::drive::{build_runner, record_run};
     use crate::testutil::Nop;
     use superpin::{NondetEvent, SharedMem};
     use superpin_workloads::Scale;
@@ -384,18 +367,17 @@ mod tests {
         record_run(&recipe, Nop, &SharedMem::new()).expect("record")
     }
 
+    fn diff(log_a: &ReplayLog, log_b: &ReplayLog) -> DiffOutcome {
+        let runner = |log: &ReplayLog| {
+            build_runner(&log.recipe, 1, true, Nop, &SharedMem::new()).expect("runner")
+        };
+        diff_logs(log_a, &mut runner(log_a), log_b, &mut runner(log_b)).expect("diff")
+    }
+
     #[test]
     fn identical_logs_diff_identical() {
         let log = recorded("gcc");
-        let outcome = diff_logs(
-            &log,
-            Nop,
-            &SharedMem::new(),
-            &log.clone(),
-            Nop,
-            &SharedMem::new(),
-        )
-        .expect("diff");
+        let outcome = diff(&log, &log.clone());
         assert!(
             matches!(outcome, DiffOutcome::Identical { epochs } if epochs > 0),
             "clean pair must be identical: {outcome:?}"
@@ -414,15 +396,7 @@ mod tests {
         if let NondetEvent::EpochPlan { planned } = &mut perturbed.events[plan_at] {
             *planned += 1;
         }
-        let outcome = diff_logs(
-            &log,
-            Nop,
-            &SharedMem::new(),
-            &perturbed,
-            Nop,
-            &SharedMem::new(),
-        )
-        .expect("diff");
+        let outcome = diff(&log, &perturbed);
         match outcome {
             DiffOutcome::Diverged(report) => {
                 assert!(report.epoch >= 1);

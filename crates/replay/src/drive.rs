@@ -1,13 +1,16 @@
 //! End-to-end drivers: build a runner from a recipe, record a run into
 //! a [`ReplayLog`], re-execute a log, and verify the replayed report.
+//!
+//! [`record`] and [`replay`] drive an erased [`Runner`], so a front end
+//! that picked its tool by name (`spin-replay`) needs no generic code;
+//! [`record_run`] and [`replay_run`] are the same for a typed tool.
 
-use crate::events::{EventSink, EventStream};
 use crate::json::first_report_difference;
 use crate::log::ReplayLog;
 use crate::recipe::RunRecipe;
 use crate::wire::CodecError;
 use std::fmt;
-use superpin::{SharedMem, SpError, SuperPinReport, SuperPinRunner, SuperTool};
+use superpin::{RunMode, Runner, SharedMem, SpError, SuperPinReport, SuperPinRunner, SuperTool};
 use superpin_vm::process::Process;
 
 /// Errors from driving a recorded or replayed run.
@@ -100,12 +103,21 @@ pub fn record_run<T: SuperTool>(
     shared: &SharedMem,
 ) -> Result<ReplayLog, ReplayError> {
     let mut runner = build_runner(recipe, recipe.threads, false, tool, shared)?;
-    let sink = EventSink::new();
-    runner.set_recorder(sink.recorder());
-    let report = runner.run()?;
+    record(recipe, &mut runner)
+}
+
+/// [`record_run`] for a runner already built from `recipe` (at
+/// `recipe.threads`, not replaying).
+///
+/// # Errors
+///
+/// Simulator errors.
+pub fn record(recipe: &RunRecipe, runner: &mut dyn Runner) -> Result<ReplayLog, ReplayError> {
+    runner.set_mode(RunMode::Record(Vec::new()));
+    let report = runner.run_to_end()?;
     Ok(ReplayLog {
         recipe: recipe.clone(),
-        events: sink.take(),
+        events: runner.take_recording(),
         report,
     })
 }
@@ -125,8 +137,18 @@ pub fn replay_run<T: SuperTool>(
     shared: &SharedMem,
 ) -> Result<SuperPinReport, ReplayError> {
     let mut runner = build_runner(&log.recipe, threads, true, tool, shared)?;
-    runner.set_replay(EventStream::new(log.events.clone()).boxed());
-    Ok(runner.run()?)
+    replay(log, &mut runner)
+}
+
+/// [`replay_run`] for a runner already built from `log.recipe` with
+/// `replaying` set.
+///
+/// # Errors
+///
+/// As [`replay_run`], setup aside.
+pub fn replay(log: &ReplayLog, runner: &mut dyn Runner) -> Result<SuperPinReport, ReplayError> {
+    runner.set_mode(RunMode::Replay(log.events.clone().into()));
+    Ok(runner.run_to_end()?)
 }
 
 /// Checks a replayed report against the recorded one. `None` means

@@ -39,7 +39,6 @@ pub mod codec;
 pub mod container;
 pub mod differ;
 pub mod drive;
-pub mod events;
 pub mod fleet;
 pub mod fsck;
 pub mod json;
@@ -54,8 +53,7 @@ pub(crate) mod testutil;
 pub use container::{crc32, explain_decode_failure, walk, Format, FrameDamage};
 pub use differ::{diff_logs, diff_runners};
 pub use differ::{DiffOutcome, DivergenceReport, RegDelta};
-pub use drive::{build_runner, record_run, replay_run, verify_replay, ReplayError};
-pub use events::{EventSink, EventStream};
+pub use drive::{build_runner, record, record_run, replay, replay_run, verify_replay, ReplayError};
 pub use fleet::{
     diff_round, recover_fleet_wal, FleetEvent, FleetRecipe, FleetRecovery, RoundFrame,
 };

@@ -46,12 +46,11 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use superpin::governor::FORK_COST_BYTES;
-use superpin::{FailPlan, SpError, TenantAdmission, TenantLedger};
-use superpin_replay::{crc32, diff_round, FleetEvent, RoundFrame, RunRecipe};
+use superpin::{FailPlan, Runner, SpError, TenantAdmission, TenantLedger};
+use superpin_replay::{crc32, diff_round, FleetEvent, ReplayError, RoundFrame, RunRecipe};
 use superpin_sched::{FleetQueue, OrderedPool};
 
 use crate::durable::Durability;
-use crate::job::{build_job, JobDriver};
 use crate::report::{JobOutcome, ServiceReport, TenantSummary};
 use crate::spec::JobFile;
 
@@ -125,18 +124,18 @@ impl fmt::Display for FleetError {
 impl std::error::Error for FleetError {}
 
 /// A job back from the pool with what its epoch returned.
-type SteppedJob = (Box<dyn JobDriver>, Result<bool, SpError>);
+type SteppedJob = (Box<dyn Runner>, Result<bool, SpError>);
 
 /// The pool's work function: one epoch of one job.
-fn step_job(_: &(), mut job: Box<dyn JobDriver>) -> SteppedJob {
-    let more = job.step();
+fn step_job(_: &(), mut job: Box<dyn Runner>) -> SteppedJob {
+    let more = job.step_serial();
     (job, more)
 }
 
 struct ActiveJob {
     id: u32,
     tenant: u32,
-    driver: Option<Box<dyn JobDriver>>,
+    driver: Option<Box<dyn Runner>>,
     degraded: Option<u64>,
 }
 
@@ -149,7 +148,7 @@ struct Fleet<'a> {
     active: Vec<ActiveJob>,
     waiting: VecDeque<u32>,
     pending: VecDeque<u32>,
-    pool: OrderedPool<(), Box<dyn JobDriver>, SteppedJob>,
+    pool: OrderedPool<(), Box<dyn Runner>, SteppedJob>,
     events: Vec<FleetEvent>,
     /// Events up to this index are already journalled; the next round
     /// frame carries `events[events_mark..]`.
@@ -234,7 +233,7 @@ impl<'a> Fleet<'a> {
                 let Some(driver) = job.driver.as_mut() else {
                     continue;
                 };
-                let bytes = driver.evict_caches(needed - freed);
+                let bytes = driver.fleet_evict_caches(needed - freed);
                 if bytes > 0 {
                     freed += bytes;
                     self.ledger.count_evicted(tenant);
@@ -305,13 +304,17 @@ impl<'a> Fleet<'a> {
             plan: spec.plan,
             ..RunRecipe::standard(&spec.workload, spec.scale)
         };
-        let program = recipe.program().expect("workload validated at parse");
-        let cfg = recipe
-            .config(&program, recipe.threads, false)
-            .expect("whole-program analysis");
-        let driver = build_job(&program, cfg, &recipe.tool)
-            .map_err(|source| FleetError::Job { job: id, source })?
-            .expect("tool validated at parse");
+        // Each job owns its tool's fresh `SharedMem`: jobs never share
+        // merge areas.
+        let driver = superpin_tools::lookup_serve(&recipe.tool)
+            .expect("tool validated at parse")
+            .runner(&recipe, recipe.threads, false)
+            .map_err(|err| match err {
+                ReplayError::Sim(source) => FleetError::Job { job: id, source },
+                // Workloads are validated at parse, and the catalog
+                // analyses cleanly.
+                other => panic!("job {id}: {other}"),
+            })?;
 
         self.events.push(FleetEvent::Admit {
             job: id,
@@ -580,7 +583,7 @@ mod tests {
     use super::*;
     use std::sync::mpsc;
     use std::time::Duration;
-    use superpin::SuperPinReport;
+    use superpin::{NondetEvent, RunMode, RunProbe, SuperPinReport};
 
     /// A stand-in job: every epoch burns 100 cycles, or panics the way
     /// a simulator bug would.
@@ -589,8 +592,11 @@ mod tests {
         panics: bool,
     }
 
-    impl JobDriver for Stub {
-        fn step(&mut self) -> Result<bool, SpError> {
+    impl Runner for Stub {
+        fn start(&mut self) -> Result<(), SpError> {
+            Ok(())
+        }
+        fn step_serial(&mut self) -> Result<bool, SpError> {
             assert!(!self.panics, "injected simulator bug");
             self.now += 100;
             Ok(true)
@@ -598,17 +604,24 @@ mod tests {
         fn finish(&mut self) -> Result<SuperPinReport, SpError> {
             Err(SpError::NoProgress)
         }
+        fn probe(&self) -> RunProbe {
+            unreachable!("the fleet never probes a job")
+        }
         fn now_cycles(&self) -> u64 {
             self.now
         }
         fn resident_bytes(&self) -> u64 {
             0
         }
-        fn evict_caches(&mut self, _: u64) -> u64 {
+        fn fleet_evict_caches(&mut self, _: u64) -> u64 {
             0
         }
         fn has_evictable_cache(&self) -> bool {
             false
+        }
+        fn set_mode(&mut self, _: RunMode) {}
+        fn take_recording(&mut self) -> Vec<NondetEvent> {
+            Vec::new()
         }
     }
 

@@ -17,8 +17,9 @@
 //! included.
 //!
 //! * [`spec`] — the job-file grammar and typed validation.
-//! * [`job`] — jobs as type-erased [`SuperPinRunner`](superpin::SuperPinRunner)s.
-//! * [`fleet`] — the round-based weighted-fair scheduler.
+//! * [`fleet`] — the round-based weighted-fair scheduler; each job is
+//!   a [`Runner`](superpin::Runner) built through the tool table
+//!   ([`superpin_tools::lookup_serve`]).
 //! * [`durable`] — crash durability: the WAL handle and resume prefix.
 //! * [`report`] — deterministic outcome rendering (text + JSONL).
 //!
@@ -28,12 +29,10 @@
 
 pub mod durable;
 pub mod fleet;
-pub mod job;
 pub mod report;
 pub mod spec;
 
 pub use durable::{Durability, FleetWal, WalStatus};
 pub use fleet::{run_service, run_service_durable, FleetConfig, FleetError};
-pub use job::{build_job, JobDriver};
 pub use report::{JobOutcome, ServiceReport, TenantSummary};
 pub use spec::{parse_jobs, JobFile, JobSpec, SpecError, TenantSpec};

@@ -545,17 +545,20 @@ mod tests {
                 workload: "nope".to_owned()
             })
         );
-        let text = format!(
-            "tenant a weight=1\njob tenant=a workload={} tool=frobnicator\n",
-            workload()
-        );
-        assert_eq!(
-            parse_jobs(&text),
-            Err(SpecError::UnknownTool {
-                line: 2,
-                tool: "frobnicator".to_owned()
-            })
-        );
+        // `dcache` is a `superpin -t` tool, but not one a job may name.
+        for tool in ["frobnicator", "dcache"] {
+            let text = format!(
+                "tenant a weight=1\njob tenant=a workload={} tool={tool}\n",
+                workload()
+            );
+            assert_eq!(
+                parse_jobs(&text),
+                Err(SpecError::UnknownTool {
+                    line: 2,
+                    tool: tool.to_owned()
+                })
+            );
+        }
     }
 
     #[test]

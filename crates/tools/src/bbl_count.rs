@@ -5,6 +5,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use superpin::{SharedMem, SuperTool};
 use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
+use superpin_isa::Program;
 
 /// Counts executions of every basic block, keyed by head address.
 ///
@@ -81,6 +82,18 @@ impl SuperTool for BblCount {
         for (&addr, &count) in &self.local {
             *merged.entry(addr).or_insert(0) += count;
         }
+    }
+
+    /// The five hottest blocks, each named by the symbol it lies in.
+    fn fini_shared(&self, _shared: &SharedMem, program: &Program) -> String {
+        let mut out = String::from("bblcount: hottest blocks:\n");
+        for (addr, count) in self.hottest(5) {
+            let name = program
+                .symbol_for_addr(addr)
+                .map_or("?", |sym| sym.name.as_str());
+            out += &format!("  {addr:#08x} [{name:<10}] {count:>8} executions\n");
+        }
+        out
     }
 }
 

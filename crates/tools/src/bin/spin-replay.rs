@@ -26,15 +26,14 @@
 
 use std::process::ExitCode;
 use superpin::cli::{chaos_plan, ArgError, Args};
-use superpin::{SharedMem, SuperPinReport, SuperTool};
 use superpin_replay::container::SPLOG;
 use superpin_replay::fsck;
 use superpin_replay::json::report_to_json;
 use superpin_replay::{
-    atomic_write, diff_logs, explain_decode_failure, record_run, replay_run, salvage,
-    verify_replay, walk, DiffOutcome, Format, ReplayError, ReplayLog, RunRecipe,
+    atomic_write, diff_logs, explain_decode_failure, record, replay, salvage, verify_replay, walk,
+    DiffOutcome, Format, ReplayLog, RunRecipe,
 };
-use superpin_tools::{with_tool, ToolVisitor};
+use superpin_tools::{lookup_serve, AnyTool};
 use superpin_workloads::Scale;
 
 const USAGE: &str = "\
@@ -81,87 +80,32 @@ fn fail(message: impl std::fmt::Display) -> ExitCode {
     ExitCode::from(2)
 }
 
-fn load_log(path: &str) -> Result<ReplayLog, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    // On failure, walk the bytes to say *why*: a salvageable
-    // truncation (kill mid-write) reads very differently from
-    // corruption, and `fsck --repair` can fix the former.
-    ReplayLog::decode(&bytes)
-        .map_err(|e| format!("{path}: {}", explain_decode_failure(&bytes, &SPLOG, &e)))
+/// Reads and decodes a `.splog`. A file that cannot be read, or whose
+/// preamble is not a log's, is a usage error (exit 2); a recognisable
+/// log that is damaged exits 1 with only its diagnosis, as `fsck` does.
+fn load_log(path: &str) -> Result<ReplayLog, ExitCode> {
+    let bytes = std::fs::read(path).map_err(|e| fail(format!("cannot read {path}: {e}")))?;
+    ReplayLog::decode(&bytes).map_err(|e| {
+        // Walk the bytes to say *why*: a salvageable truncation (kill
+        // mid-write) reads very differently from corruption, and
+        // `fsck --repair` can fix the former.
+        let why = format!("{path}: {}", explain_decode_failure(&bytes, &SPLOG, &e));
+        if walk(&bytes, &SPLOG).is_err() {
+            return fail(why);
+        }
+        eprintln!("spin-replay: {why}");
+        ExitCode::FAILURE
+    })
 }
 
 fn write_file(path: &str, contents: &[u8]) -> Result<(), String> {
     atomic_write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))
 }
 
-/// `record`: runs the recipe live with the tool it names.
-struct Record<'a> {
-    recipe: &'a RunRecipe,
-    shared: &'a SharedMem,
-}
-
-impl ToolVisitor for Record<'_> {
-    type Out = Result<ReplayLog, ReplayError>;
-
-    fn visit<T: SuperTool>(self, tool: T) -> Self::Out {
-        record_run(self.recipe, tool, self.shared)
-    }
-}
-
-/// `replay`: re-executes a log with the tool its recipe names.
-struct Replay<'a> {
-    log: &'a ReplayLog,
-    threads: usize,
-    shared: &'a SharedMem,
-}
-
-impl ToolVisitor for Replay<'_> {
-    type Out = Result<SuperPinReport, ReplayError>;
-
-    fn visit<T: SuperTool>(self, tool: T) -> Self::Out {
-        replay_run(self.log, self.threads, tool, self.shared)
-    }
-}
-
-/// `diff`: holds log A's tool while log B's is looked up, so the two
-/// logs may name different tools. `None` when B's tool is unknown.
-#[derive(Clone, Copy)]
-struct Diff<'a> {
-    log_a: &'a ReplayLog,
-    shared_a: &'a SharedMem,
-    log_b: &'a ReplayLog,
-    shared_b: &'a SharedMem,
-}
-
-impl ToolVisitor for Diff<'_> {
-    type Out = Option<Result<DiffOutcome, ReplayError>>;
-
-    fn visit<T: SuperTool>(self, tool_a: T) -> Self::Out {
-        let against = DiffAgainst { diff: self, tool_a };
-        with_tool(&self.log_b.recipe.tool, self.shared_b, against)
-    }
-}
-
-/// The inner half of [`Diff`]: both tools are known, so run the differ.
-struct DiffAgainst<'a, A> {
-    diff: Diff<'a>,
-    tool_a: A,
-}
-
-impl<A: SuperTool> ToolVisitor for DiffAgainst<'_, A> {
-    type Out = Result<DiffOutcome, ReplayError>;
-
-    fn visit<T: SuperTool>(self, tool_b: T) -> Self::Out {
-        let d = self.diff;
-        diff_logs(
-            d.log_a,
-            self.tool_a,
-            d.shared_a,
-            d.log_b,
-            tool_b,
-            d.shared_b,
-        )
-    }
+/// The serve-registry tool a log's recipe names.
+fn log_tool(log: &ReplayLog) -> Result<Box<dyn AnyTool>, ExitCode> {
+    lookup_serve(&log.recipe.tool)
+        .ok_or_else(|| fail(format!("log records unknown tool `{}`", log.recipe.tool)))
 }
 
 fn main() -> ExitCode {
@@ -229,14 +173,12 @@ fn cmd_record(args: &[String]) -> ExitCode {
         Ok(parsed) => parsed,
         Err(err) => return fail(err),
     };
-    let shared = SharedMem::new();
-    let record = Record {
-        recipe: &parsed.recipe,
-        shared: &shared,
-    };
-    let Some(recorded) = with_tool(&parsed.recipe.tool, &shared, record) else {
+    let Some(tool) = lookup_serve(&parsed.recipe.tool) else {
         return fail(format!("unknown tool `{}`", parsed.recipe.tool));
     };
+    let recorded = tool
+        .runner(&parsed.recipe, parsed.recipe.threads, false)
+        .and_then(|mut runner| record(&parsed.recipe, &mut *runner));
     let log = match recorded {
         Ok(log) => log,
         Err(err) => {
@@ -289,17 +231,15 @@ fn cmd_replay(args: &[String]) -> ExitCode {
     };
     let log = match load_log(&log_path) {
         Ok(log) => log,
-        Err(message) => return fail(message),
+        Err(code) => return code,
     };
-    let shared = SharedMem::new();
-    let replay = Replay {
-        log: &log,
-        threads,
-        shared: &shared,
+    let tool = match log_tool(&log) {
+        Ok(tool) => tool,
+        Err(code) => return code,
     };
-    let Some(replayed) = with_tool(&log.recipe.tool, &shared, replay) else {
-        return fail(format!("log records unknown tool `{}`", log.recipe.tool));
-    };
+    let replayed = tool
+        .runner(&log.recipe, threads, true)
+        .and_then(|mut runner| replay(&log, &mut *runner));
     let report = match replayed {
         Ok(report) => report,
         Err(err) => {
@@ -333,22 +273,20 @@ fn cmd_diff(args: &[String]) -> ExitCode {
     if paths.len() != 2 || args.len() != 2 {
         return fail("diff needs exactly two log paths");
     }
-    let (log_a, log_b) = match (load_log(paths[0]), load_log(paths[1])) {
-        (Ok(a), Ok(b)) => (a, b),
-        (Err(message), _) | (_, Err(message)) => return fail(message),
+    let loaded = load_log(paths[0]).and_then(|a| Ok((a, load_log(paths[1])?)));
+    let (log_a, log_b) = match loaded {
+        Ok(logs) => logs,
+        Err(code) => return code,
     };
-    let (shared_a, shared_b) = (SharedMem::new(), SharedMem::new());
-    let diff = Diff {
-        log_a: &log_a,
-        shared_a: &shared_a,
-        log_b: &log_b,
-        shared_b: &shared_b,
+    let (tool_a, tool_b) = match log_tool(&log_a).and_then(|a| Ok((a, log_tool(&log_b)?))) {
+        Ok(tools) => tools,
+        Err(code) => return code,
     };
-    let outcome = match with_tool(&log_a.recipe.tool, &shared_a, diff) {
-        Some(Some(outcome)) => outcome,
-        Some(None) => return fail(format!("log records unknown tool `{}`", log_b.recipe.tool)),
-        None => return fail(format!("log records unknown tool `{}`", log_a.recipe.tool)),
-    };
+    // Each log replays serially with the tool it names.
+    let outcome = tool_a.runner(&log_a.recipe, 1, true).and_then(|mut a| {
+        let mut b = tool_b.runner(&log_b.recipe, 1, true)?;
+        diff_logs(&log_a, &mut *a, &log_b, &mut *b)
+    });
     match outcome {
         Ok(DiffOutcome::Identical { epochs }) => {
             println!(

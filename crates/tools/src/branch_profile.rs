@@ -5,7 +5,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use superpin::{SharedMem, SuperTool};
 use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
-use superpin_isa::Inst;
+use superpin_isa::{Inst, Program};
 
 /// Counts for one branch site.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -100,6 +100,10 @@ impl SuperTool for BranchProfile {
             entry.taken += stats.taken;
             entry.not_taken += stats.not_taken;
         }
+    }
+
+    fn fini_shared(&self, _shared: &SharedMem, _program: &Program) -> String {
+        format!("branch: {} sites profiled\n", self.merged_sites().len())
     }
 }
 

@@ -15,8 +15,10 @@
 //! under both the serial and the sliced simulation, the reconciled totals
 //! are *exactly* equal to a serial run — which the tests assert.
 
+use std::fmt;
 use superpin::{AreaId, AutoMerge, SharedMem, SuperTool};
 use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
+use superpin_isa::Program;
 
 /// Cache geometry (direct-mapped).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -71,6 +73,19 @@ impl DCacheResult {
         } else {
             self.misses as f64 / self.accesses() as f64
         }
+    }
+}
+
+impl fmt::Display for DCacheResult {
+    /// `H hits, M misses (miss ratio R%)`, as the cache tools render it.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} hits, {} misses (miss ratio {:.2}%)",
+            self.hits,
+            self.misses,
+            100.0 * self.miss_ratio()
+        )
     }
 }
 
@@ -224,6 +239,10 @@ impl SuperTool for DCache {
                 state.write(set, line + 1);
             }
         }
+    }
+
+    fn fini_shared(&self, shared: &SharedMem, _program: &Program) -> String {
+        format!("dcache: {}\n", self.merged_result(shared))
     }
 }
 

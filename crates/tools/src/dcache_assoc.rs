@@ -22,6 +22,7 @@
 use crate::dcache::DCacheResult;
 use superpin::{AreaId, AutoMerge, SharedMem, SuperTool};
 use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
+use superpin_isa::Program;
 
 /// Geometry of the set-associative cache.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -344,6 +345,14 @@ impl SuperTool for AssocDCache {
         shared.area(self.hits_area).add(0, hits);
         shared.area(self.misses_area).add(0, misses);
         self.write_carried_state(shared, &final_state);
+    }
+
+    fn fini_shared(&self, shared: &SharedMem, _program: &Program) -> String {
+        format!(
+            "dcache-assoc ({}-way LRU): {}\n",
+            self.cfg.ways,
+            self.merged_result(shared)
+        )
     }
 }
 

@@ -8,6 +8,7 @@
 use crate::dcache::{DCache, DCacheConfig, DCacheResult};
 use superpin::{SharedMem, SuperTool};
 use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
+use superpin_isa::Program;
 
 /// Direct-mapped instruction-cache simulator with cross-slice
 /// reconciliation.
@@ -75,6 +76,10 @@ impl SuperTool for ICache {
 
     fn on_slice_end(&mut self, slice_num: u32, shared: &SharedMem) {
         self.inner.on_slice_end(slice_num, shared);
+    }
+
+    fn fini_shared(&self, shared: &SharedMem, _program: &Program) -> String {
+        format!("icache: {}\n", self.merged_result(shared))
     }
 }
 

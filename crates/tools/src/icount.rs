@@ -8,6 +8,7 @@
 
 use superpin::{AreaId, AutoMerge, SharedMem, SuperTool};
 use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
+use superpin_isa::Program;
 
 /// `icount1`: a counter increment before every instruction, inlined
 /// ([`Inserter::insert_count`]) as Pin inlines `docount`.
@@ -64,6 +65,10 @@ impl SuperTool for ICount1 {
 
     fn on_slice_end(&mut self, _slice_num: u32, shared: &SharedMem) {
         shared.area(self.area).add(0, self.count);
+    }
+
+    fn fini_shared(&self, shared: &SharedMem, _program: &Program) -> String {
+        format!("Total Count: {}\n", self.total(shared))
     }
 }
 
@@ -124,6 +129,10 @@ impl SuperTool for ICount2 {
     /// The paper's `Merge`: `*sharedData += icount`.
     fn on_slice_end(&mut self, _slice_num: u32, shared: &SharedMem) {
         shared.area(self.area).add(0, self.count);
+    }
+
+    fn fini_shared(&self, shared: &SharedMem, _program: &Program) -> String {
+        format!("Total Count: {}\n", self.total(shared))
     }
 }
 

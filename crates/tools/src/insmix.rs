@@ -2,7 +2,7 @@
 
 use superpin::{AreaId, AutoMerge, SharedMem, SuperTool};
 use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
-use superpin_isa::Inst;
+use superpin_isa::{Inst, Program};
 
 /// Instruction categories tracked by [`InsMix`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -165,6 +165,20 @@ impl SuperTool for InsMix {
 
     fn on_slice_end(&mut self, _slice_num: u32, shared: &SharedMem) {
         shared.area(self.area).merge_locals(&self.local.counts);
+    }
+
+    fn fini_shared(&self, shared: &SharedMem, _program: &Program) -> String {
+        let counts = self.merged_counts(shared);
+        let mut out = format!("insmix ({} instructions):\n", counts.total());
+        for category in MixCategory::ALL {
+            out += &format!(
+                "  {:<8} {:>12} ({:>5.1}%)\n",
+                category.label(),
+                counts.get(category),
+                100.0 * counts.fraction(category)
+            );
+        }
+        out
     }
 }
 

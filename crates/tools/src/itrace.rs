@@ -6,6 +6,7 @@
 
 use superpin::{SharedMem, SuperTool};
 use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
+use superpin_isa::Program;
 
 /// Traces every executed instruction address into a per-slice buffer.
 #[derive(Clone, Debug, Default)]
@@ -68,6 +69,11 @@ impl SuperTool for ITrace {
 
     fn on_slice_end(&mut self, _slice_num: u32, shared: &SharedMem) {
         shared.append_output(&self.buffer);
+    }
+
+    fn fini_shared(&self, shared: &SharedMem, _program: &Program) -> String {
+        let traced = ITrace::merged_trace(shared).len();
+        format!("itrace: {traced} instructions traced\n")
     }
 }
 

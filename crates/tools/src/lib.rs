@@ -21,6 +21,11 @@
 //! * [`MemProfile`] — load/store counts and bytes moved.
 //! * [`Sampler`] — a Shadow-Profiler-style sampling tool that ends each
 //!   slice early via the `SP_EndSlice` analogue (paper §5).
+//!
+//! Each tool renders its own result from
+//! [`SuperTool::fini_shared`](superpin::SuperTool::fini_shared), and
+//! [`lookup`] is the one table from `-t` names to tools, each erased to
+//! an [`AnyTool`] that every front end drives the same way.
 
 mod bbl_count;
 mod branch_profile;
@@ -44,7 +49,7 @@ pub use icount::{ICount1, ICount2};
 pub use insmix::{InsMix, MixCategory, MixCounts};
 pub use itrace::ITrace;
 pub use mem_profile::{MemProfile, MemProfileTotals};
-pub use registry::{with_tool, ToolVisitor, SERVE_TOOL_NAMES};
+pub use registry::{lookup, lookup_serve, tool_names, AnyTool, SERVE_TOOL_NAMES};
 pub use sampler::{Sampler, BUCKET_BYTES};
 
 #[cfg(test)]

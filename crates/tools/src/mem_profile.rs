@@ -6,6 +6,7 @@
 
 use superpin::{AreaId, AutoMerge, SharedMem, SuperTool};
 use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
+use superpin_isa::Program;
 
 /// Aggregated memory-operation totals.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -100,6 +101,14 @@ impl SuperTool for MemProfile {
             self.totals.bytes_read,
             self.totals.bytes_written,
         ]);
+    }
+
+    fn fini_shared(&self, shared: &SharedMem, _program: &Program) -> String {
+        let totals = self.merged_totals(shared);
+        format!(
+            "mem: {} loads ({} B), {} stores ({} B)\n",
+            totals.loads, totals.bytes_read, totals.stores, totals.bytes_written
+        )
     }
 }
 

@@ -12,6 +12,7 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use superpin::{SharedMem, SuperTool};
 use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
+use superpin_isa::Program;
 
 /// Granularity of the sample histogram (bytes of code per bucket).
 pub const BUCKET_BYTES: u64 = 64;
@@ -98,6 +99,10 @@ impl SuperTool for Sampler {
             *merged.entry(bucket).or_insert(0) += count;
         }
         *self.total_samples.lock().expect("mutex poisoned") += self.sampled;
+    }
+
+    fn fini_shared(&self, _shared: &SharedMem, _program: &Program) -> String {
+        format!("sampler: {} samples\n", self.merged_samples())
     }
 }
 

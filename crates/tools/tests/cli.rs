@@ -149,3 +149,45 @@ fn an_unknown_tool_is_a_usage_error_and_records_nothing() {
     );
     assert!(!std::path::Path::new(&path).exists(), "nothing is recorded");
 }
+
+/// A recognisable log that is damaged is an outcome, not a usage error:
+/// `replay` and `diff` exit 1 with the one-line diagnosis `fsck` gives,
+/// and no usage text. A file that is no log at all, or cannot be read,
+/// stays a usage error (exit 2).
+#[test]
+fn a_damaged_log_exits_one_with_only_its_diagnosis() {
+    let golden = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden/gcc_tiny_chaos_96k.splog"
+    );
+    let bytes = std::fs::read(golden).expect("the golden recording");
+    let torn = log_path("torn");
+    std::fs::write(&torn, &bytes[..bytes.len() / 2]).expect("write the torn copy");
+    for args in [
+        vec!["replay", &torn],
+        vec!["diff", &torn, golden],
+        vec!["diff", golden, &torn],
+    ] {
+        let out = spin_replay(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{args:?}: stderr: {stderr}");
+        assert_eq!(stderr.lines().count(), 1, "{args:?}: {stderr}");
+        assert!(
+            stderr.starts_with(&format!("spin-replay: {torn}: truncated")),
+            "{args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "{args:?}");
+    }
+    let fsck = spin_replay(&["fsck", &torn]);
+    assert_eq!(fsck.status.code(), Some(1));
+
+    let junk = log_path("junk");
+    std::fs::write(&junk, b"not a log at all").expect("write the junk file");
+    let missing = log_path("missing");
+    for path in [&junk, &missing] {
+        let out = spin_replay(&["replay", path]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{path}: stderr: {stderr}");
+        assert!(stderr.contains("usage:"), "{path}: {stderr}");
+    }
+}
