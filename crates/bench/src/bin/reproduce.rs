@@ -8,22 +8,28 @@
 //! ```
 //!
 //! Build with `--release`; `medium` (the default) simulates ~10⁸ guest
-//! instructions across the suite.
+//! instructions across the suite. One figure per run; `--json` is
+//! accepted only for the figures that have a JSON form (`fig3`, `fig5`,
+//! `fig6`, `fig7`, `sigstats`).
 
 use superpin::cli::{ArgError, Args};
 use superpin_bench::{figures, json, render};
 use superpin_workloads::Scale;
 
-struct Options {
-    what: String,
+/// The figures `--json` can print.
+const JSON_FIGURES: [&str; 5] = ["fig3", "fig5", "fig6", "fig7", "sigstats"];
+
+struct Options<'a> {
+    what: &'a str,
     scale: Scale,
     threads: usize,
     as_json: bool,
 }
 
-fn parse_options(args: &[String]) -> Result<Options, ArgError> {
+fn parse_options(args: &[String]) -> Result<Options<'_>, ArgError> {
+    let mut named = None;
     let mut options = Options {
-        what: "all".to_owned(),
+        what: "all",
         scale: Scale::Medium,
         threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
         as_json: false,
@@ -36,9 +42,23 @@ fn parse_options(args: &[String]) -> Result<Options, ArgError> {
             }
             "--json" => options.as_json = true,
             "--threads" => options.threads = args.threads()?,
-            other if !other.starts_with('-') => options.what = other.to_owned(),
+            other if !other.starts_with('-') => {
+                if let Some(first) = named.replace(other) {
+                    return Err(ArgError::Rule(format!(
+                        "one figure per run: got `{first}` and `{other}`"
+                    )));
+                }
+            }
             other => return Err(ArgError::UnknownFlag(other.to_owned())),
         }
+    }
+    options.what = named.unwrap_or(options.what);
+    if options.as_json && !JSON_FIGURES.contains(&options.what) {
+        return Err(ArgError::Rule(format!(
+            "`--json` has no form for `{}`; it does for {}",
+            options.what,
+            JSON_FIGURES.join(" ")
+        )));
     }
     Ok(options)
 }
@@ -55,7 +75,7 @@ fn main() {
         std::process::exit(2);
     });
 
-    match what.as_str() {
+    match what {
         "fig3" => {
             let series = figures::fig3_icount1(scale, threads);
             if as_json {

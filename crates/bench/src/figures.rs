@@ -1,9 +1,9 @@
 //! Figure and table computations (paper §6).
 
-use crate::runs::{figure_config, run_superpin, run_triple, IcountKind, TripleResult};
+use crate::runs::{figure_config, run_superpin, run_triple, TripleResult};
 use superpin::{SharedMem, SignatureStats};
 use superpin_sched::Machine;
-use superpin_tools::ICount2;
+use superpin_tools::{ICount1, ICount2};
 use superpin_workloads::{find, Scale};
 
 /// One benchmark's bar in Figures 3/4/5.
@@ -62,7 +62,7 @@ fn series_from(results: Vec<TripleResult>) -> FigSeries {
 pub fn fig3_icount1(scale: Scale, threads: usize) -> FigSeries {
     let cfg = figure_config(2000, scale);
     series_from(crate::runs::parallel_over_catalog(threads, |spec| {
-        run_triple(spec, scale, &cfg, IcountKind::Icount1)
+        run_triple(spec, scale, &cfg, ICount1::new, ICount1::total)
     }))
 }
 
@@ -70,7 +70,7 @@ pub fn fig3_icount1(scale: Scale, threads: usize) -> FigSeries {
 pub fn fig5_icount2(scale: Scale, threads: usize) -> FigSeries {
     let cfg = figure_config(2000, scale);
     series_from(crate::runs::parallel_over_catalog(threads, |spec| {
-        run_triple(spec, scale, &cfg, IcountKind::Icount2)
+        run_triple(spec, scale, &cfg, ICount2::new, ICount2::total)
     }))
 }
 

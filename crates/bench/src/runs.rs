@@ -3,7 +3,6 @@
 use superpin::baseline::{run_native, run_pin};
 use superpin::{SharedMem, SuperPinConfig, SuperPinReport, SuperPinRunner, SuperTool};
 use superpin_replay::recipe::time_scale_for;
-use superpin_tools::{ICount1, ICount2};
 use superpin_vm::process::Process;
 use superpin_workloads::{Scale, WorkloadSpec};
 
@@ -55,78 +54,47 @@ impl TripleResult {
     }
 }
 
-/// Which icount tool a run uses.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum IcountKind {
-    /// Per-instruction instrumentation (Figures 3–4).
-    Icount1,
-    /// Per-basic-block instrumentation (Figure 5).
-    Icount2,
-}
-
-/// Runs the native/Pin/SuperPin triple for one benchmark with an icount
-/// tool.
+/// Runs the native/Pin/SuperPin triple for one benchmark with a
+/// counting tool: `new_tool` builds it over a run's [`SharedMem`] and
+/// `total` reads its merged count back, e.g.
+/// `run_triple(spec, scale, &cfg, ICount1::new, ICount1::total)`.
+/// Serial Pin is merged as slice 1, so both counts come through `total`.
 ///
 /// # Panics
 ///
 /// Panics if any run fails — harness code treats simulator errors as
 /// fatal.
-pub fn run_triple(
+pub fn run_triple<T: SuperTool>(
     spec: &WorkloadSpec,
     scale: Scale,
     cfg: &SuperPinConfig,
-    kind: IcountKind,
+    new_tool: impl Fn(&SharedMem) -> T,
+    total: impl Fn(&T, &SharedMem) -> u64,
 ) -> TripleResult {
     let program = spec.build(scale);
     let native = run_native(Process::load(1, &program).expect("load"))
         .unwrap_or_else(|e| panic!("{} native: {e}", spec.name));
 
-    let (pin_cycles, pin_count) = match kind {
-        IcountKind::Icount1 => {
-            let shared = SharedMem::new();
-            let pin = run_pin(
-                Process::load(1, &program).expect("load"),
-                ICount1::new(&shared),
-            )
-            .unwrap_or_else(|e| panic!("{} pin: {e}", spec.name));
-            (pin.cycles, pin.tool.local_count())
-        }
-        IcountKind::Icount2 => {
-            let shared = SharedMem::new();
-            let pin = run_pin(
-                Process::load(1, &program).expect("load"),
-                ICount2::new(&shared),
-            )
-            .unwrap_or_else(|e| panic!("{} pin: {e}", spec.name));
-            (pin.cycles, pin.tool.local_count())
-        }
-    };
+    let pin_shared = SharedMem::new();
+    let mut pin = run_pin(
+        Process::load(1, &program).expect("load"),
+        new_tool(&pin_shared),
+    )
+    .unwrap_or_else(|e| panic!("{} pin: {e}", spec.name));
+    pin.tool.on_slice_end(1, &pin_shared);
 
-    let (superpin, merged_count) = match kind {
-        IcountKind::Icount1 => {
-            let shared = SharedMem::new();
-            let tool = ICount1::new(&shared);
-            let report = run_superpin(&program, tool.clone(), &shared, cfg.clone(), spec.name);
-            let merged = tool.total(&shared);
-            (report, merged)
-        }
-        IcountKind::Icount2 => {
-            let shared = SharedMem::new();
-            let tool = ICount2::new(&shared);
-            let report = run_superpin(&program, tool.clone(), &shared, cfg.clone(), spec.name);
-            let merged = tool.total(&shared);
-            (report, merged)
-        }
-    };
+    let shared = SharedMem::new();
+    let tool = new_tool(&shared);
+    let superpin = run_superpin(&program, tool.clone(), &shared, cfg.clone(), spec.name);
 
     TripleResult {
         name: spec.name,
         native_cycles: native.cycles,
         native_insts: native.insts,
-        pin_cycles,
-        pin_count,
+        pin_cycles: pin.cycles,
+        pin_count: total(&pin.tool, &pin_shared),
         superpin,
-        merged_count,
+        merged_count: total(&tool, &shared),
     }
 }
 

@@ -46,6 +46,34 @@ fn reproduce_rejects_bad_flags_before_running_a_figure() {
             &["sigstats", "--scale", "huge"][..],
             "reproduce: `--scale` got `huge`; expected tiny|small|medium|large",
         ),
+        (
+            &["fig3", "fig5", "--scale", "tiny"][..],
+            "reproduce: one figure per run: got `fig3` and `fig5`",
+        ),
+        (
+            &["fig4", "--scale", "tiny", "--json"][..],
+            "reproduce: `--json` has no form for `fig4`; it does for fig3 fig5 fig6 fig7 sigstats",
+        ),
+        (
+            &["pipeline", "--scale", "tiny", "--json"][..],
+            "reproduce: `--json` has no form for `pipeline`; it does for fig3 fig5 fig6 fig7 sigstats",
+        ),
+        (
+            &["overhead", "--scale", "tiny", "--json"][..],
+            "reproduce: `--json` has no form for `overhead`; it does for fig3 fig5 fig6 fig7 sigstats",
+        ),
+        (
+            &["ablation", "--scale", "tiny", "--json"][..],
+            "reproduce: `--json` has no form for `ablation`; it does for fig3 fig5 fig6 fig7 sigstats",
+        ),
+        (
+            &["all", "--scale", "tiny", "--json"][..],
+            "reproduce: `--json` has no form for `all`; it does for fig3 fig5 fig6 fig7 sigstats",
+        ),
+        (
+            &["--json", "--scale", "tiny"][..],
+            "reproduce: `--json` has no form for `all`; it does for fig3 fig5 fig6 fig7 sigstats",
+        ),
     ] {
         let out = reproduce(args);
         let stderr = String::from_utf8_lossy(&out.stderr);

@@ -3,20 +3,27 @@
 
 use superpin_bench::figures::{Fig6Row, Fig7Row, FigRow, FigSeries};
 use superpin_bench::render;
-use superpin_bench::runs::{figure_config, run_triple, IcountKind};
+use superpin_bench::runs::{figure_config, run_triple};
+use superpin_tools::{ICount1, ICount2};
 use superpin_workloads::{find, Scale};
 
 #[test]
 fn triple_runs_are_consistent_for_both_tools() {
     let spec = find("gzip").expect("gzip");
     let cfg = figure_config(2000, Scale::Tiny);
-    for kind in [IcountKind::Icount1, IcountKind::Icount2] {
-        let triple = run_triple(spec, Scale::Tiny, &cfg, kind);
-        assert!(triple.counts_agree(), "{kind:?}");
-        assert!(
-            triple.pin_pct() > 100.0,
-            "{kind:?}: Pin must cost something"
-        );
+    let triples = [
+        (
+            "icount1",
+            run_triple(spec, Scale::Tiny, &cfg, ICount1::new, ICount1::total),
+        ),
+        (
+            "icount2",
+            run_triple(spec, Scale::Tiny, &cfg, ICount2::new, ICount2::total),
+        ),
+    ];
+    for (tool, triple) in triples {
+        assert!(triple.counts_agree(), "{tool}");
+        assert!(triple.pin_pct() > 100.0, "{tool}: Pin must cost something");
         assert!(triple.speedup() > 0.0);
         assert_eq!(triple.superpin.slice_inst_total(), triple.native_insts);
     }
@@ -26,8 +33,10 @@ fn triple_runs_are_consistent_for_both_tools() {
 fn icount1_costs_more_than_icount2_under_pin() {
     let spec = find("swim").expect("swim");
     let cfg = figure_config(2000, Scale::Tiny);
-    let i1 = run_triple(spec, Scale::Tiny, &cfg, IcountKind::Icount1);
-    let i2 = run_triple(spec, Scale::Tiny, &cfg, IcountKind::Icount2);
+    let i1 = run_triple(spec, Scale::Tiny, &cfg, ICount1::new, ICount1::total);
+    let i2 = run_triple(spec, Scale::Tiny, &cfg, ICount2::new, ICount2::total);
+    // Figure 4's swim bar: native, Pin and merged SuperPin counts agree.
+    assert!(i1.counts_agree() && i2.counts_agree());
     assert!(
         i1.pin_cycles > 2 * i2.pin_cycles,
         "icount1 ({}) must dwarf icount2 ({}) under Pin",

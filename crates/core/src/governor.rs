@@ -341,26 +341,6 @@ impl TenantLedger {
         TenantAdmission::AdmitDegraded { budget }
     }
 
-    /// [`decide`](TenantLedger::decide) plus counter bookkeeping — the
-    /// path for a *fresh* admission attempt (retries of an
-    /// already-counted deferral should use `decide` and count the
-    /// eventual admission themselves).
-    pub fn admit(
-        &mut self,
-        usages: &[u64],
-        id: u32,
-        extra: u64,
-        others_can_free: bool,
-    ) -> TenantAdmission {
-        let decision = self.decide(usages, id, extra, others_can_free);
-        match decision {
-            TenantAdmission::Admit => self.count_admitted(id),
-            TenantAdmission::Defer => self.count_deferred(id),
-            TenantAdmission::AdmitDegraded { .. } => self.count_degraded(id),
-        }
-        decision
-    }
-
     /// Counts a full-budget admission.
     pub fn count_admitted(&mut self, id: u32) {
         if let Some(t) = self.tenants.iter_mut().find(|t| t.id == id) {
@@ -480,33 +460,39 @@ mod tests {
     }
 
     #[test]
-    fn admit_walks_the_tenant_rungs() {
+    fn decide_walks_the_tenant_rungs() {
         let mut ledger = TenantLedger::new(1_000_000);
         ledger.add_tenant(1, 1, None);
         ledger.add_tenant(2, 1, None);
         // Under budget: plain admit.
-        assert_eq!(ledger.admit(&[0, 0], 1, 100, true), TenantAdmission::Admit);
+        assert_eq!(ledger.decide(&[0, 0], 1, 100, true), TenantAdmission::Admit);
         // Over budget + over share + others can free: defer.
         let usages = [900_000, 50_000];
         assert_eq!(
-            ledger.admit(&usages, 1, 100_000, true),
+            ledger.decide(&usages, 1, 100_000, true),
             TenantAdmission::Defer
         );
         // Over budget but under share: degraded admit clamped to the
         // tenant's remaining share.
         assert_eq!(
-            ledger.admit(&usages, 2, 100_000, true),
+            ledger.decide(&usages, 2, 100_000, true),
             TenantAdmission::AdmitDegraded { budget: 450_000 }
         );
         // Nothing else can free memory: deferring would deadlock, so
         // even an over-share tenant lands on the degraded rung (with
         // the clamp floored at the flat fork cost).
         assert_eq!(
-            ledger.admit(&usages, 1, 100_000, false),
+            ledger.decide(&usages, 1, 100_000, false),
             TenantAdmission::AdmitDegraded {
                 budget: FORK_COST_BYTES
             }
         );
+        // Counting the four decisions above, as the fleet does, lands
+        // each on its own tenant and column.
+        ledger.count_admitted(1);
+        ledger.count_deferred(1);
+        ledger.count_degraded(2);
+        ledger.count_degraded(1);
         let counters = ledger.counters();
         assert_eq!(
             (

@@ -111,10 +111,9 @@ pub fn fetch_at(mem: &AddressSpace, pc: u64) -> Result<(Inst, u64), VmError> {
 /// hot callers, [`DecodeCache::run`](crate::decode::DecodeCache::run)
 /// and [`Process::exec_decoded`](crate::process::Process::exec_decoded)
 /// (whose rustdoc has the measurement). A function-pointer
-/// table indexed by opcode ties with it on a two-instruction loop and
-/// loses 16 % of `vm.native_minst_per_s` on whole guests;
-/// `crates/bench/benches/interp.rs` keeps that table as its oracle and
-/// records the measurement.
+/// table indexed by opcode tied with it on a two-instruction loop and
+/// lost 16 % of `vm.native_minst_per_s` on whole guests (DESIGN.md
+/// §4.11 records the measurement).
 ///
 /// # Errors
 ///

@@ -382,35 +382,41 @@ mod tests {
 
     #[test]
     fn run_retires_and_stops_like_step_loop() {
-        let (mut mem, entry) = space_with_code(&[
-            Inst::Li {
-                rd: Reg::R1,
-                imm: 3,
-            },
-            // loop: subi r1, r1, 1; bne r1, r0, loop
-            Inst::AluImm {
-                op: AluOp::Sub,
-                rd: Reg::R1,
-                rs1: Reg::R1,
-                imm: 1,
-            },
-            Inst::Branch {
-                kind: superpin_isa::BranchKind::Ne,
-                rs1: Reg::R1,
-                rs2: Reg::R0,
-                target: 0x1000 + 16,
-            },
-            Inst::Halt,
-        ]);
-        let mut cache = DecodeCache::new();
-        let mut cpu = CpuState::at(entry);
-        let mut retired = 0u64;
-        // li + 3 × (subi, bne) = 7 instructions, then halt.
-        let stop = cache
-            .run(&mut cpu, &mut mem, u64::MAX, &mut retired)
-            .expect("run");
-        assert_eq!((retired, stop), (7, RunStop::Halt));
+        let countdown = |n| {
+            space_with_code(&[
+                Inst::Li {
+                    rd: Reg::R1,
+                    imm: n,
+                },
+                // loop: subi r1, r1, 1; bne r1, r0, loop
+                Inst::AluImm {
+                    op: AluOp::Sub,
+                    rd: Reg::R1,
+                    rs1: Reg::R1,
+                    imm: 1,
+                },
+                Inst::Branch {
+                    kind: superpin_isa::BranchKind::Ne,
+                    rs1: Reg::R1,
+                    rs2: Reg::R0,
+                    target: 0x1000 + 16,
+                },
+                Inst::Halt,
+            ])
+        };
+        // li + n × (subi, bne) instructions, then halt.
+        for (n, insts) in [(3, 7), (10_000, 20_001)] {
+            let (mut mem, entry) = countdown(n);
+            let mut cache = DecodeCache::new();
+            let mut cpu = CpuState::at(entry);
+            let mut retired = 0u64;
+            let stop = cache
+                .run(&mut cpu, &mut mem, u64::MAX, &mut retired)
+                .expect("run");
+            assert_eq!((retired, stop), (insts, RunStop::Halt));
+        }
         // Budget stop mid-loop.
+        let (mut mem, entry) = countdown(3);
         let mut cpu = CpuState::at(entry);
         let mut cache = DecodeCache::new();
         let mut retired = 0u64;
