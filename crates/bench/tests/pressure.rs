@@ -151,14 +151,22 @@ fn a_tight_supervised_budget_walks_the_ladder_and_every_workload_completes() {
 fn starvation_reaches_the_degrade_rung_and_stays_correct() {
     let spec = catalog().iter().find(|s| s.name == "gcc").expect("catalog");
     let (_, count_base) = run(spec, config());
-    let cfg = config()
-        .with_supervision()
-        .with_mem_budget(STARVATION_BUDGET);
-    let (got, count) = run(spec, cfg);
+    let cfg = || {
+        config()
+            .with_supervision()
+            .with_mem_budget(STARVATION_BUDGET)
+    };
+    let (got, count) = run(spec, cfg());
     assert!(
         got.slices_degraded > 0,
         "starvation never pinned a slice inline"
     );
     assert!(got.slices_deferred > 0, "starvation never deferred a fork");
     assert_eq!(count_base, count, "degraded slices corrupted the merge");
+    let (pooled, count_pooled) = run(spec, cfg().with_threads(4));
+    assert_eq!(got, pooled, "threads=4 changed the starved report");
+    assert_eq!(
+        count_base, count_pooled,
+        "degraded slices corrupted the merge"
+    );
 }

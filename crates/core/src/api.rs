@@ -36,9 +36,9 @@ use superpin_isa::Program;
 /// [`on_slice_end`](SuperTool::on_slice_end) as slice 1, and renders the
 /// same way.
 ///
-/// `Send + 'static` is required because the runner moves each running
-/// slice — engine, tool clone and all — by value onto a persistent pool
-/// worker for the epoch's slice phase and back at the barrier (and the
+/// `Send + 'static` is required because the runner hands each running
+/// slice — engine, tool clone and all, boxed — to its worker pool for
+/// the epoch's slice phase and takes it back at the barrier (and the
 /// service fleet moves whole runners the same way). Tools share state
 /// through [`SharedMem`] (internally synchronized), not through their
 /// clones, so the bound costs nothing in practice.

@@ -76,11 +76,11 @@ pub struct SuperPinConfig {
     /// violation (see
     /// [`Engine::set_oracle`](superpin_dbi::Engine::set_oracle)).
     pub oracle: Option<Arc<SoundnessOracle>>,
-    /// Host worker threads for slice execution (`--threads`). 1 runs
-    /// every slice in place on the calling thread; N > 1 moves slice
-    /// epochs onto the runner's persistent worker pool. The report is
-    /// bit-identical either way — epoch batching fixes every scheduling
-    /// decision before workers start.
+    /// Host worker threads for slice execution (`--threads`): the size
+    /// of the runner's persistent worker pool, which runs every epoch's
+    /// slice phase. 1 spawns no worker, so every round runs on the
+    /// calling thread. The report is bit-identical either way — epoch
+    /// batching fixes every scheduling decision before workers start.
     pub threads: usize,
     /// Epoch cap in quanta: the most virtual time workers may burn
     /// between synchronization barriers. 1 degenerates to a barrier per

@@ -26,13 +26,12 @@
 //!    truncates the epoch at that quantum, so the following barrier
 //!    lands exactly where a per-quantum loop would have reacted.
 //! 2. **Slices.** Every running slice receives the whole (possibly
-//!    truncated) epoch's budget and advances independently: where it
-//!    stands in the queue when `threads == 1`, otherwise moved by value
-//!    onto the runner's [`OrderedPool`] and back into its queue
-//!    position. Slices never touch the scheduler, the master, or each
-//!    other, and the trace registry they read is immutable for the
-//!    epoch, so host interleaving cannot leak into any simulated
-//!    quantity.
+//!    truncated) epoch's budget and advances independently in one
+//!    [`OrderedPool::run`] round, at every `threads` value: moved out of
+//!    the queue by pointer and back into its queue position. Slices
+//!    never touch the scheduler, the master, or each other, and the
+//!    trace registry they read is immutable for the epoch, so host
+//!    interleaving cannot leak into any simulated quantity.
 //! 3. **Barrier.** Failed and lost slices are repaired, virtual time
 //!    jumps to the epoch end, freshly compiled traces are published into
 //!    the trace registry *in slice order*, and completed slices merge in
@@ -48,8 +47,11 @@
 //!
 //! The runner owns its pool, built the first time a slice phase runs
 //! and sized `threads.min(max_slices)` (more workers than the `-spmp`
-//! cap can never be fed); sized one it has no threads and is never
-//! handed a slice. A worker that dies holding its batch — a panic, or
+//! cap can never be fed); sized one it has no threads and runs every
+//! round on the calling thread. Degraded slices are pinned: the pool
+//! runs them on the calling thread while its workers hold the rest.
+//! The pool alone decides whether a round leaves the calling thread at
+//! all. A worker that dies holding its batch — a panic, or
 //! the `parallel.worker.channel` failpoint — comes back from the pool
 //! as a typed loss per slice: under supervision each lost slice is
 //! rebuilt from its checkpoint and journal at this barrier, without
@@ -115,25 +117,13 @@ type EpochWork = (u32, u64, SliceEta);
 
 /// A slice moved onto the pool with its per-quantum budget, and moved
 /// back with its outcome.
-type SliceJob<T> = (SliceRuntime<T>, u64);
-type SliceDone<T> = (SliceRuntime<T>, Result<(), SpError>);
+type SliceJob<T> = (Box<SliceRuntime<T>>, u64);
+type SliceDone<T> = (Box<SliceRuntime<T>>, Result<(), SpError>);
 
-impl EpochRound {
-    /// Advances one slice through the epoch at `budget` cycles per
-    /// quantum — the one call behind both the in-place and the pooled
-    /// slice phase, so the two are bit-equivalent.
-    fn advance<T: SuperTool>(
-        &self,
-        slice: &mut SliceRuntime<T>,
-        budget: u64,
-    ) -> Result<(), SpError> {
-        slice.advance_epoch(budget, self.quanta, self.epoch_start, self.quantum)
-    }
-}
-
-/// The pool's work function.
+/// The pool's work function: advances one slice through the epoch at
+/// `budget` cycles per quantum.
 fn advance_job<T: SuperTool>(round: &EpochRound, (mut slice, budget): SliceJob<T>) -> SliceDone<T> {
-    let outcome = round.advance(&mut slice, budget);
+    let outcome = slice.advance_epoch(budget, round.quanta, round.epoch_start, round.quantum);
     (slice, outcome)
 }
 
@@ -184,8 +174,9 @@ pub struct SuperPinRunner<T: SuperTool> {
     bubble: Bubble,
     tool_template: T,
     shared: SharedMem,
-    /// Live slices in fork order (front = oldest unmerged).
-    live: VecDeque<SliceRuntime<T>>,
+    /// Live slices in fork order (front = oldest unmerged), boxed so
+    /// the slice phase moves pointers onto the pool and back.
+    live: VecDeque<Box<SliceRuntime<T>>>,
     finished: Vec<SliceReport>,
     sig_stats: SignatureStats,
     now: u64,
@@ -296,12 +287,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
         running.count() < self.cfg.max_slices
     }
 
-    /// One slice's governed footprint: private resident pages plus its
-    /// code cache at the flat per-instruction byte cost.
-    fn slice_footprint(slice: &SliceRuntime<T>) -> u64 {
-        slice.private_resident_bytes() + slice.cache_resident_insts() as u64 * COMPILED_INST_BYTES
-    }
-
     /// Samples the governed total into the governor's high-water mark.
     /// A no-op (not even the walk) when no budget is set.
     fn observe_usage(&mut self) {
@@ -322,7 +307,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
             self.live
                 .back()
                 .filter(|prev| prev.state() == SliceState::Sleeping)
-                .map_or(0, SliceRuntime::full_resident_bytes)
+                .map_or(0, |prev| prev.full_resident_bytes())
         } else {
             0
         };
@@ -463,7 +448,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
             .live
             .iter()
             .filter(|slice| slice.state() == SliceState::Done)
-            .map(SliceRuntime::num)
+            .map(|slice| slice.num())
             .collect();
         let mut dropped = Vec::new();
         for num in done {
@@ -546,7 +531,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
         if let Some(boundary) = boundary {
             self.end_span(boundary, self.now);
         }
-        self.live.push_back(slice);
+        self.live.push_back(Box::new(slice));
         self.last_fork = self.now;
         self.master_insts_at_last_fork = self.master.process().inst_count();
         self.master_debt += self.cfg.cost.fork_base;
@@ -735,27 +720,10 @@ impl<T: SuperTool> SuperPinRunner<T> {
         Ok((planned, planned))
     }
 
-    /// Advances, where they stand, those of `slices` that `work` gives
-    /// a budget.
-    fn advance_in_place<'a>(
-        slices: impl Iterator<Item = &'a mut SliceRuntime<T>>,
-        work: &[EpochWork],
-        round: EpochRound,
-        failures: &mut Vec<(u32, SpError)>,
-    ) {
-        for slice in slices {
-            let num = slice.num();
-            if let Some(&(_, budget, _)) = work.iter().find(|job| job.0 == num) {
-                if let Err(err) = round.advance(slice, budget) {
-                    failures.push((num, err));
-                }
-            }
-        }
-    }
-
-    /// The slice phase: advances every slice in `work` through the
-    /// epoch — where it stands in the queue, or moved by value onto the
-    /// pool when at least two slices can go there.
+    /// The slice phase: moves every slice in `work` out of the queue,
+    /// in queue order, through one [`OrderedPool::run`] round and back
+    /// into its queue position. Degraded slices are pinned to this
+    /// thread; whether the rest leave it is the pool's decision.
     ///
     /// Returns the failed slices (in slice order) when supervision is on
     /// so the barrier can repair them; without supervision the first
@@ -766,75 +734,64 @@ impl<T: SuperTool> SuperPinRunner<T> {
         work: &[EpochWork],
         round: EpochRound,
     ) -> Result<Vec<(u32, SpError)>, SpError> {
-        // Degraded slices are pinned to this thread — both the
-        // supervisor's retry-exhausted slices and the governor's
-        // pressure-degraded admissions.
+        // `work` lists the running slices in queue order, so one pass
+        // takes each out; `None` holds its place.
+        let mut budgets = work.iter().peekable();
+        let mut slots = Vec::with_capacity(self.live.len());
+        let mut jobs: Vec<SliceJob<T>> = Vec::with_capacity(work.len());
+        for slice in self.live.drain(..) {
+            match budgets.next_if(|job| job.0 == slice.num()) {
+                Some(&(_, budget, _)) => {
+                    jobs.push((slice, budget));
+                    slots.push(None);
+                }
+                None => slots.push(Some(slice)),
+            }
+        }
+        debug_assert!(budgets.next().is_none(), "every working slice is live");
+        // Both the supervisor's retry-exhausted slices and the
+        // governor's pressure-degraded admissions are pinned.
         let (supervisor, governor) = (&self.supervisor, &self.governor);
-        let pinned = |num: u32| {
+        let pinned = |(slice, _): &SliceJob<T>| {
+            let num = slice.num();
             supervisor.as_ref().is_some_and(|sup| sup.is_degraded(num))
                 || governor.as_ref().is_some_and(|gov| gov.is_degraded(num))
         };
-        let poolable = work.iter().filter(|job| !pinned(job.0)).count();
+        // Failpoint: simulated worker death, keyed by worker and epoch.
+        // The doomed worker swallows its batch and both its channels
+        // drop.
+        let (fault, epochs) = (&self.fault, self.epochs);
+        let kill = |worker: usize| {
+            let key = ((worker as u64) << 32) ^ epochs;
+            fault
+                .as_ref()
+                .is_some_and(|registry| registry.fire(Site::ParallelWorkerChannel, key))
+        };
         let workers = self.cfg.threads.min(self.cfg.max_slices);
         let pool = self
             .pool
             .get_or_insert_with(|| OrderedPool::new(workers, advance_job::<T>));
+        let mut done = work.iter().zip(pool.run(&round, jobs, kill, pinned));
         let mut failures = Vec::new();
-        // A single poolable slice gains nothing from a channel round
-        // trip; `threads = 1` and a fully dead pool always land here.
-        if poolable < 2 || !pool.is_parallel() {
-            Self::advance_in_place(self.live.iter_mut(), work, round, &mut failures);
-        } else {
-            // Move each poolable slice out of its queue slot; the pinned
-            // ones stay behind and run here while the workers churn.
-            let mut slots: Vec<Option<SliceRuntime<T>>> = self.live.drain(..).map(Some).collect();
-            let mut sent: Vec<(usize, u32)> = Vec::new();
-            let mut jobs: Vec<SliceJob<T>> = Vec::new();
-            for (order, slot) in slots.iter_mut().enumerate() {
-                let num = slot.as_ref().expect("drained slot is full").num();
-                if let Some(&(_, budget, _)) = work.iter().find(|job| job.0 == num) {
-                    if !pinned(num) {
-                        jobs.push((slot.take().expect("drained slot is full"), budget));
-                        sent.push((order, num));
-                    }
-                }
-            }
-            // Failpoint: simulated worker death, keyed by worker and
-            // epoch. The doomed worker swallows its batch and both its
-            // channels drop.
-            let (fault, epochs) = (&self.fault, self.epochs);
-            let kill = |worker: usize| {
-                let key = ((worker as u64) << 32) ^ epochs;
-                fault
-                    .as_ref()
-                    .is_some_and(|registry| registry.fire(Site::ParallelWorkerChannel, key))
-            };
-            let done = pool.run(&round, jobs, kill, || {
-                let stayed = slots.iter_mut().flatten();
-                Self::advance_in_place(stayed, work, round, &mut failures);
-            });
-            for ((order, num), outcome) in sent.into_iter().zip(done) {
-                slots[order] = Some(match outcome {
-                    Ok((slice, Ok(()))) => slice,
-                    Ok((slice, Err(err))) => {
+        for slot in slots {
+            let slice = match slot {
+                Some(idle) => idle,
+                None => match done.next().expect("one outcome per job") {
+                    (_, Ok((slice, Ok(())))) => slice,
+                    (&(num, ..), Ok((slice, Err(err)))) => {
                         failures.push((num, err));
                         slice
                     }
                     // The worker died holding this slice: rebuild it from
                     // checkpoint + journal (which already includes this
                     // epoch).
-                    Err(lost) if self.supervisor.is_some() => {
+                    (&(num, ..), Err(lost)) if self.supervisor.is_some() => {
                         self.repair_slice(num, lost.into())?
                     }
-                    Err(lost) => return Err(lost.into()),
-                });
-            }
-            self.live.extend(
-                slots
-                    .into_iter()
-                    .map(|slot| slot.expect("every slice is back")),
-            );
-            failures.sort_by_key(|&(num, _)| num);
+                    (_, Err(lost)) => return Err(lost.into()),
+                },
+            };
+            self.live.push_back(slice);
         }
         match failures.first() {
             // Nothing can repair a failed slice: the first one ends the run.
@@ -848,7 +805,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
     /// salt; an exhausted slice comes back injection-free and pinned to
     /// the supervisor thread. Failing *while* degraded — or during the
     /// injection-free replay itself — is a genuine defect.
-    fn repair_slice(&mut self, num: u32, cause: SpError) -> Result<SliceRuntime<T>, SpError> {
+    fn repair_slice(&mut self, num: u32, cause: SpError) -> Result<Box<SliceRuntime<T>>, SpError> {
         let sup = self.supervisor.as_mut().expect("supervision enabled");
         let verdict = sup.condemn(num);
         if verdict == Verdict::Unrecoverable {
@@ -865,7 +822,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
         if let (Verdict::Retry { salt }, Some(registry)) = (verdict, &self.fault) {
             rebuilt.arm_chaos(Some(Arc::clone(registry)), salt);
         }
-        Ok(rebuilt)
+        Ok(Box::new(rebuilt))
     }
 
     /// The supervisor's barrier inspection, run **before** virtual time
@@ -1049,7 +1006,12 @@ impl<T: SuperTool> SuperPinRunner<T> {
     /// without a per-run governor.
     pub fn resident_bytes(&self) -> u64 {
         let mut usage = self.master.process().mem.resident_bytes();
-        usage += self.live.iter().map(Self::slice_footprint).sum::<u64>();
+        for slice in &self.live {
+            // Private resident pages plus the code cache at the flat
+            // per-instruction byte cost.
+            usage += slice.private_resident_bytes()
+                + slice.cache_resident_insts() as u64 * COMPILED_INST_BYTES;
+        }
         if let Some(sup) = &self.supervisor {
             usage += sup.retained_checkpoint_bytes();
         }

@@ -27,9 +27,10 @@
 //!   *jobs* for the multi-tenant service front end (`superpin-serve`),
 //!   with [`fair_shares`] for deterministic proportional budget splits.
 //! * [`OrderedPool`] — the one host worker pool: jobs scattered by value,
-//!   results gathered by input position, a dead worker reported as a
-//!   typed [`WorkerLost`]. The runner's slice phase and the service
-//!   fleet's rounds both run on it.
+//!   results gathered by input position, pinned jobs kept on the calling
+//!   thread, a dead worker reported as a typed [`WorkerLost`]. Every
+//!   slice phase of the runner and every round of the service fleet
+//!   runs on it; the pool alone decides when a round stays inline.
 
 mod epoch;
 mod fleet;

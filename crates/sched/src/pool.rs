@@ -2,7 +2,7 @@
 //! input position.
 //!
 //! Both host-parallel layers use this one pool. The SuperPin runner
-//! advances the running slices of an epoch on it; the service fleet
+//! advances the running slices of every epoch on it; the service fleet
 //! (`superpin-serve`) steps the selected jobs of a round on it. The
 //! argument is the same at both levels: every scheduling decision is
 //! fixed before [`OrderedPool::run`] is called, jobs never see each
@@ -11,15 +11,18 @@
 //! reaches the caller.
 //!
 //! Mechanics: workers are spawned once and persist; a round costs one
-//! batch message per busy worker (jobs are dealt round-robin over the
-//! live workers, in input order) and one reply on that worker's *own*
-//! result channel. A worker that dies holding its batch — a panic in
-//! the work function, or the `kill` fault-injection seam — therefore
-//! shows up as a disconnect on exactly its channel: the positions it
-//! held come back as [`WorkerLost`], the survivors' results are intact,
-//! and the dead worker is skipped in every later round. With
-//! `threads <= 1`, fewer than two jobs, or no worker left alive, the
-//! round runs inline on the calling thread with identical results.
+//! batch message per busy worker (unpinned jobs are dealt round-robin
+//! over the live workers, in input order) and one reply on that
+//! worker's *own* result channel. Pinned jobs never leave the calling
+//! thread: they run there between dispatch and collection. A worker
+//! that dies holding its batch — a panic in the work function, or the
+//! `kill` fault-injection seam — therefore shows up as a disconnect on
+//! exactly its channel: the positions it held come back as
+//! [`WorkerLost`], the survivors' results are intact, and the dead
+//! worker is skipped in every later round. The pool alone decides when
+//! a round stays on the calling thread: with `threads <= 1`, fewer
+//! than two unpinned jobs, or no worker left alive, every job runs
+//! inline, in input order, with identical results.
 
 use std::sync::mpsc;
 use std::thread::JoinHandle;
@@ -63,7 +66,7 @@ where
     R: Send + 'static,
 {
     /// Spawns `threads` workers; none when `threads <= 1`, which makes
-    /// every round run inline.
+    /// every round run inline on the calling thread.
     pub fn new(threads: usize, work: fn(&C, J) -> R) -> OrderedPool<C, J, R> {
         let spawn = if threads > 1 { threads } else { 0 };
         let workers = (0..spawn)
@@ -96,32 +99,25 @@ where
         OrderedPool { work, workers }
     }
 
-    /// Whether any worker is alive, i.e. whether a round of two or more
-    /// jobs leaves the calling thread at all.
-    pub fn is_parallel(&self) -> bool {
-        self.workers.iter().any(|worker| worker.alive)
-    }
-
     /// Runs one round and returns one entry per job, in input order.
     ///
     /// `kill(worker)` is the fault-injection seam, asked once per busy
     /// worker before its batch is sent: `true` makes that worker drop
     /// the batch and exit, which is what a crashed worker looks like
-    /// from outside. `meanwhile` runs on the calling thread between
-    /// dispatch and collection (work that must not leave this thread
-    /// overlaps the workers there).
+    /// from outside. Jobs for which `pinned` holds must not leave the
+    /// calling thread: they run there, in input order, while the
+    /// workers hold theirs, and take no part in the dealing.
     pub fn run(
         &mut self,
         ctx: &C,
         jobs: Vec<J>,
         mut kill: impl FnMut(usize) -> bool,
-        meanwhile: impl FnOnce(),
+        pinned: impl Fn(&J) -> bool,
     ) -> Vec<Result<R, WorkerLost>> {
         let alive: Vec<usize> = (0..self.workers.len())
             .filter(|&worker| self.workers[worker].alive)
             .collect();
-        if jobs.len() < 2 || alive.is_empty() {
-            meanwhile();
+        if jobs.iter().filter(|job| !pinned(job)).count() < 2 || alive.is_empty() {
             return jobs
                 .into_iter()
                 .map(|job| Ok((self.work)(ctx, job)))
@@ -129,8 +125,14 @@ where
         }
         let mut out: Vec<Option<Result<R, WorkerLost>>> = jobs.iter().map(|_| None).collect();
         let mut dealt: Vec<Vec<(usize, J)>> = alive.iter().map(|_| Vec::new()).collect();
+        let mut here = Vec::new();
         for (position, job) in jobs.into_iter().enumerate() {
-            dealt[position % alive.len()].push((position, job));
+            if pinned(&job) {
+                here.push((position, job));
+            } else {
+                let hand = (position - here.len()) % alive.len();
+                dealt[hand].push((position, job));
+            }
         }
         let mut busy: Vec<(usize, Vec<usize>)> = Vec::new();
         for (&worker, jobs) in alive.iter().zip(dealt) {
@@ -155,7 +157,9 @@ where
                 }
             }
         }
-        meanwhile();
+        for (position, job) in here {
+            out[position] = Some(Ok((self.work)(ctx, job)));
+        }
         for (worker, manifest) in busy {
             match self.workers[worker].results.recv() {
                 Ok(done) => {
@@ -193,6 +197,7 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::mpsc::{Receiver, Sender};
+    use std::thread::ThreadId;
 
     /// A job that finishes only after the job behind it has: `wait` is
     /// signalled by the next position, `done` signals the previous one.
@@ -233,7 +238,7 @@ mod tests {
         // One job per worker, each blocked on its successor: the last
         // position completes first, the first position last.
         let mut pool = OrderedPool::new(4, square_in_reverse);
-        let got = pool.run(&100, chained(4), |_| false, || ());
+        let got = pool.run(&100, chained(4), |_| false, |_| false);
         let want: Vec<Result<u64, WorkerLost>> = vec![Ok(100), Ok(101), Ok(104), Ok(109)];
         assert_eq!(got, want);
     }
@@ -258,7 +263,7 @@ mod tests {
                 asked.push(worker);
                 worker == 1
             },
-            || (),
+            |_| false,
         );
         assert_eq!(asked, [0, 1, 2], "one question per busy worker, in order");
         // Round-robin over three workers: worker 1 held positions 1 and 4.
@@ -277,7 +282,7 @@ mod tests {
                 asked.push(worker);
                 false
             },
-            || (),
+            |_| false,
         );
         assert_eq!(asked, [0, 2]);
         assert_eq!(got, [Ok(0), Ok(2), Ok(4), Ok(6)]);
@@ -286,25 +291,73 @@ mod tests {
     #[test]
     fn a_panicking_worker_is_a_typed_loss_not_a_hang() {
         let mut pool = OrderedPool::new(2, double_or_panic);
-        let got = pool.run(&(), vec![1, 13, 3, 4], |_| false, || ());
+        let got = pool.run(&(), vec![1, 13, 3, 4], |_| false, |_| false);
         let lost = Err(WorkerLost { worker: 1 });
         assert_eq!(got, [Ok(2), lost, Ok(6), lost]);
-        assert!(pool.is_parallel(), "worker 0 survives");
+        let mut asked = Vec::new();
+        let got = pool.run(
+            &(),
+            vec![1, 2],
+            |worker| {
+                asked.push(worker);
+                false
+            },
+            |_| false,
+        );
+        assert_eq!(got, [Ok(2), Ok(4)]);
+        assert_eq!(asked, [0], "worker 0 survives and takes the whole round");
     }
 
     #[test]
     fn a_fully_dead_pool_runs_inline_with_the_same_results() {
         let mut pool = OrderedPool::new(2, double);
-        let first = pool.run(&(), vec![1, 2, 3], |_| true, || ());
+        let first = pool.run(&(), vec![1, 2, 3], |_| true, |_| false);
         assert!(first.iter().all(Result::is_err));
-        assert!(!pool.is_parallel());
-        let mut overlapped = false;
-        let got = pool.run(&(), vec![1, 2, 3], |_| true, || overlapped = true);
+        let mut asked = 0;
+        let got = pool.run(
+            &(),
+            vec![1, 2, 3],
+            |_| {
+                asked += 1;
+                true
+            },
+            |_| false,
+        );
         assert_eq!(got, [Ok(2), Ok(4), Ok(6)], "inline: nothing left to kill");
-        assert!(overlapped, "`meanwhile` runs on the inline path too");
+        assert_eq!(asked, 0, "no live worker to ask about");
         let mut serial = OrderedPool::new(1, double);
-        assert!(!serial.is_parallel());
-        assert_eq!(serial.run(&(), vec![1, 2, 3], |_| false, || ()), got);
+        let inline = serial.run(&(), vec![1, 2, 3], |_| panic!("no worker"), |_| false);
+        assert_eq!(inline, got);
+    }
+
+    fn double_and_where(_: &(), job: u64) -> (u64, ThreadId) {
+        (job * 2, std::thread::current().id())
+    }
+
+    #[test]
+    fn pinned_jobs_run_here_survive_a_dead_round_and_keep_the_dealing() {
+        let here = std::thread::current().id();
+        let mut pool = OrderedPool::new(3, double_and_where);
+        // One unpinned job is not worth a round trip: all inline.
+        let got = pool.run(&(), vec![1, 2, 3], |_| panic!("inline"), |&job| job != 3);
+        assert_eq!(got, [Ok((2, here)), Ok((4, here)), Ok((6, here))]);
+        // Position 2 pinned: the six unpinned jobs are dealt to workers
+        // 0, 1, 2, 0, 1, 2, so worker 1 holds the 2nd and 5th of them
+        // (positions 1 and 5) exactly as if position 2 were absent.
+        let got = pool.run(&(), (0..7).collect(), |worker| worker == 1, |&job| job == 2);
+        let lost: Vec<usize> = (0..7).filter(|&at| got[at].is_err()).collect();
+        assert_eq!(lost, [1, 5]);
+        assert_eq!(got[1], Err(WorkerLost { worker: 1 }));
+        assert_eq!(got[2], Ok((4, here)), "the pinned job ran on this thread");
+        for at in [0, 3, 4, 6] {
+            let (value, thread) = got[at].expect("a surviving worker's job");
+            assert_eq!(value, 2 * at as u64);
+            assert_ne!(thread, here, "unpinned jobs ran on a worker");
+        }
+        // Every live worker dies this round; the pinned job is still Ok.
+        let got = pool.run(&(), vec![10, 11, 12], |_| true, |&job| job == 11);
+        assert_eq!(got[1], Ok((22, here)));
+        assert!(got[0].is_err() && got[2].is_err());
     }
 
     static EXITED: AtomicUsize = AtomicUsize::new(0);
@@ -328,7 +381,7 @@ mod tests {
     #[test]
     fn dropping_the_pool_joins_every_worker() {
         let mut pool = OrderedPool::new(3, touch_thread_local);
-        let got = pool.run(&(), vec![7, 8, 9], |_| false, || ());
+        let got = pool.run(&(), vec![7, 8, 9], |_| false, |_| false);
         assert_eq!(got, [Ok(7), Ok(8), Ok(9)]);
         assert_eq!(EXITED.load(Ordering::SeqCst), 0, "workers persist");
         drop(pool);

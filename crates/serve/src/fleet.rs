@@ -369,7 +369,7 @@ impl<'a> Fleet<'a> {
             round.push(driver);
         }
 
-        let stepped = self.pool.run(&(), round, |_| false, || ());
+        let stepped = self.pool.run(&(), round, |_| false, |_| false);
 
         let mut max_delta = 0u64;
         let mut deltas = Vec::with_capacity(ids.len());

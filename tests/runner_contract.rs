@@ -199,6 +199,30 @@ fn a_killed_worker_recovers_to_the_fault_free_report() {
 }
 
 #[test]
+fn pinned_and_pooled_slices_in_one_epoch_keep_the_threads_1_report() {
+    let (_, count_plain) = run(config());
+    // No retries: a slice chaos hits degrades at once and is pinned to
+    // the calling thread, while its running neighbours go to the pool.
+    // Worker deaths are off, so every pooled slice comes back.
+    let chaos = || {
+        let plan = FailPlan::new(2, 0.05).with_site(Site::ParallelWorkerChannel, SiteMode::Off);
+        config().with_chaos(plan).with_max_slice_retries(0)
+    };
+    let (serial, count_serial) = run(chaos());
+    assert!(serial.slices_degraded >= 1, "chaos never degraded a slice");
+    assert!(
+        (serial.slices_degraded as usize) < serial.slice_count() / 2,
+        "too few slices left for the pool: {} of {} degraded",
+        serial.slices_degraded,
+        serial.slice_count()
+    );
+    let (pooled, count_pooled) = run(chaos().with_threads(4));
+    assert_eq!(serial, pooled, "threads=4 changed the report");
+    assert_eq!(count_plain, count_serial, "degrading changed the merge");
+    assert_eq!(count_plain, count_pooled, "degrading changed the merge");
+}
+
+#[test]
 fn a_tight_budget_walks_the_ladder_identically_at_one_and_four_threads() {
     let (_, count_plain) = run(config());
     let governed = || config().with_supervision().with_mem_budget(TIGHT_BUDGET);
