@@ -88,7 +88,7 @@ use crate::supervisor::{SliceSupervisor, Verdict};
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
-use superpin_dbi::TraceRegistry;
+use superpin_dbi::{AdoptionCounts, TraceRegistry};
 use superpin_fault::{FailpointRegistry, Site};
 use superpin_sched::{EpochPlanner, OrderedPool, QuantumScheduler, SliceEta, Timeline};
 use superpin_vm::process::Process;
@@ -200,6 +200,9 @@ pub struct SuperPinRunner<T: SuperTool> {
     registry: Arc<TraceRegistry<SpSliceTool<T>>>,
     epochs: u64,
     host_profile: HostProfile,
+    /// The merged slices' adoption counts, summed (see
+    /// [`adoption_counts`](SuperPinRunner::adoption_counts)).
+    adoptions: AdoptionCounts,
     /// Chaos failpoint registry (`--chaos-seed`); `None` costs nothing.
     fault: Option<Arc<FailpointRegistry>>,
     /// Checkpoint/retry supervisor; present when supervision is enabled
@@ -269,6 +272,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
             registry: Arc::new(TraceRegistry::new()),
             epochs: 0,
             host_profile: HostProfile::default(),
+            adoptions: AdoptionCounts::default(),
             fault,
             supervisor,
             governor,
@@ -579,6 +583,9 @@ impl<T: SuperTool> SuperPinRunner<T> {
             slice.tool_mut().inner.on_slice_end(num, &self.shared);
             slice.set_merged();
             self.sig_stats.absorb(&slice.tool().sig_stats);
+            let adoptions = slice.engine().adoption_counts();
+            self.adoptions.by_identity += adoptions.by_identity;
+            self.adoptions.rediscovered += adoptions.rediscovered;
             self.finished.push(SliceReport {
                 num,
                 insts: slice.engine().process().inst_count(),
@@ -651,7 +658,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
                 }
             }
             PendingFork::Timer => {
-                let signature = Signature::capture(self.master.process());
+                let signature = Signature::capture(self.master.process_mut());
                 self.forks_on_timeout += 1;
                 self.fork_slice(Some(Boundary::Signature(Box::new(signature))))?;
             }
@@ -991,6 +998,16 @@ impl<T: SuperTool> SuperPinRunner<T> {
                 .collect(),
             merged: self.finished.clone(),
         }
+    }
+
+    /// How the merged slices' cache misses on published templates went,
+    /// summed over their engines
+    /// ([`Engine::adoption_counts`](superpin_dbi::Engine::adoption_counts)).
+    /// Host-side only: the report is the same whichever route a miss
+    /// took, so these are the numbers that show whether slices adopt on
+    /// code identity or rediscover.
+    pub fn adoption_counts(&self) -> AdoptionCounts {
+        self.adoptions
     }
 
     /// The run's current governed resident-byte total (DESIGN §4.9): the

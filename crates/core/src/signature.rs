@@ -11,9 +11,10 @@
 //! (`INS_InsertThenCall`), verifying the architectural state and then the
 //! top-of-stack state.
 
-use superpin_dbi::trace::discover_trace;
+use superpin_dbi::trace::{discover_trace_decoded, Trace};
 use superpin_isa::{Reg, NUM_REGS};
 use superpin_vm::process::Process;
+use superpin_vm::VmError;
 
 /// Number of stack words captured and compared by the full check.
 pub const STACK_WORDS: usize = 100;
@@ -45,8 +46,9 @@ pub struct Signature {
 
 impl Signature {
     /// Captures the signature of `process`'s current state, inferring the
-    /// quick-check registers by scanning ahead.
-    pub fn capture(process: &Process) -> Signature {
+    /// quick-check registers by scanning ahead (which fills the
+    /// process's decode cache, and nothing a guest can observe).
+    pub fn capture(process: &mut Process) -> Signature {
         let quick_regs = infer_quick_regs(process);
         Signature::capture_with_quick_regs(process, quick_regs)
     }
@@ -92,12 +94,21 @@ impl Signature {
 /// the code ahead of the boundary for register writes, most-written
 /// first. Falls back to [`DEFAULT_QUICK_REGS`] when fewer than two
 /// distinct written registers are found within [`QUICK_SCAN_BLOCKS`]
-/// blocks.
-pub fn infer_quick_regs(process: &Process) -> [Reg; 2] {
+/// blocks. The code is read through the process's decode cache.
+pub fn infer_quick_regs(process: &mut Process) -> [Reg; 2] {
+    let pc = process.cpu.pc;
+    infer_quick_regs_from(pc, |pc| discover_trace_decoded(process, pc, None))
+}
+
+/// [`infer_quick_regs`] scanning from `pc` over the traces `discover`
+/// forms.
+fn infer_quick_regs_from(
+    mut pc: u64,
+    mut discover: impl FnMut(u64) -> Result<Trace, VmError>,
+) -> [Reg; 2] {
     let mut writes = [0u32; NUM_REGS];
-    let mut pc = process.cpu.pc;
     for _ in 0..QUICK_SCAN_BLOCKS {
-        let Ok(trace) = discover_trace(&process.mem, pc) else {
+        let Ok(trace) = discover(pc) else {
             break;
         };
         // Registers written inside loop bodies are the ones "highly
@@ -195,7 +206,7 @@ mod tests {
         process.run_until_syscall(1).expect("run one inst");
         let sp = process.cpu.regs.get(Reg::SP);
         process.mem.write_u64(sp, 0xabcd).expect("poke stack");
-        let sig = Signature::capture(&process);
+        let sig = Signature::capture(&mut process);
         assert_eq!(sig.regs[3], 77);
         assert_eq!(sig.stack.len(), STACK_WORDS);
         assert_eq!(sig.stack[0], 0xabcd);
@@ -260,10 +271,10 @@ mod tests {
     #[test]
     fn infer_prefers_frequently_written_registers() {
         // Loop writes r5 (counter) and r6 (accumulator) heavily.
-        let process = process_for(
+        let mut process = process_for(
             "main:\nloop:\n addi r5, r5, 1\n add r6, r6, r5\n bne r5, r7, loop\n exit 0\n",
         );
-        let quick = infer_quick_regs(&process);
+        let quick = infer_quick_regs(&mut process);
         assert!(quick.contains(&Reg::R5), "quick {quick:?}");
         assert!(quick.contains(&Reg::R6), "quick {quick:?}");
     }
@@ -271,22 +282,61 @@ mod tests {
     #[test]
     fn infer_falls_back_to_defaults() {
         // A pure jump loop: no register writes anywhere in scan range.
-        let process = process_for("main:\n jmp main\n");
-        assert_eq!(infer_quick_regs(&process), DEFAULT_QUICK_REGS);
+        let mut process = process_for("main:\n jmp main\n");
+        assert_eq!(infer_quick_regs(&mut process), DEFAULT_QUICK_REGS);
     }
 
     #[test]
     fn infer_with_single_written_register() {
-        let process = process_for("main:\nloop:\n addi r9, r9, 1\n jmp loop\n");
-        let quick = infer_quick_regs(&process);
+        let mut process = process_for("main:\nloop:\n addi r9, r9, 1\n jmp loop\n");
+        let quick = infer_quick_regs(&mut process);
         assert_eq!(quick[0], Reg::R9);
         assert_eq!(quick[1], DEFAULT_QUICK_REGS[0]);
     }
 
+    /// Capture reads code through the decode cache, warm from running or
+    /// inherited by a fork; a scan of raw memory must pick the same
+    /// registers, so the signature is the same.
+    #[test]
+    fn capture_through_the_decode_cache_equals_raw_memory_discovery() {
+        use superpin_dbi::trace::discover_trace;
+        use superpin_vm::process::RunExit;
+        use superpin_workloads::{find, Scale};
+
+        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
+        let mut next = move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        };
+        for guest in ["gcc", "mcf", "crafty"] {
+            let program = find(guest).expect("catalog guest").build(Scale::Tiny);
+            let mut process = Process::load(1, &program).expect("load");
+            let mut points = 0;
+            while points < 40 {
+                let mut fork = process.fork(2);
+                for process in [&mut process, &mut fork] {
+                    let raw = infer_quick_regs_from(process.cpu.pc, |pc| {
+                        discover_trace(&process.mem, pc)
+                    });
+                    let expected = Signature::capture_with_quick_regs(process, raw);
+                    assert_eq!(Signature::capture(process), expected, "{guest}");
+                }
+                points += 1;
+                let steps = 1 + next() % 800;
+                if let RunExit::Exited(_) = process.run(steps, 0).expect("run") {
+                    break;
+                }
+            }
+            assert!(points >= 20, "{guest} exited after {points} points");
+        }
+    }
+
     #[test]
     fn full_and_stack_match() {
-        let process = process_for("main:\n exit 0\n");
-        let sig = Signature::capture(&process);
+        let mut process = process_for("main:\n exit 0\n");
+        let sig = Signature::capture(&mut process);
         let regs = process.cpu.regs.snapshot();
         assert!(sig.regs_match(&regs));
         let mut wrong = regs;

@@ -10,7 +10,9 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 use superpin_dbi::cache::DEFAULT_CAPACITY_INSTS;
 use superpin_dbi::registry::Entry;
-use superpin_dbi::{Engine, EngineStop, IArg, IPoint, Inserter, Pintool, Trace, TraceRegistry};
+use superpin_dbi::{
+    Engine, EngineStop, IArg, IPoint, Inserter, InstRef, Pintool, Trace, TraceRegistry,
+};
 use superpin_fault::{FailpointRegistry, Site};
 use superpin_isa::{Reg, NUM_REGS};
 use superpin_vm::kernel::SyscallRecord;
@@ -119,7 +121,7 @@ impl<T: SuperTool> Pintool for SpSliceTool<T> {
         });
     }
 
-    fn instrumentation_is_shareable(&self, trace: &Trace) -> bool {
+    fn instrumentation_is_shareable(&self, insts: impl Iterator<Item = InstRef> + Clone) -> bool {
         // The boundary is the one slice-specific thing about a trace: the
         // detector instruments the boundary pc, and the split point cuts
         // traces short just before it. Traces that hold the boundary pc
@@ -127,12 +129,12 @@ impl<T: SuperTool> Pintool for SpSliceTool<T> {
         // handed a trace shaped by another slice's boundary. Everything
         // else defers to the user tool's own certification.
         let boundary_free = match &self.detect {
-            Some(sig) => !trace
-                .insts()
+            Some(sig) => !insts
+                .clone()
                 .any(|iref| iref.addr == sig.pc || iref.addr + iref.size == sig.pc),
             None => true,
         };
-        boundary_free && self.inner.instrumentation_is_shareable(trace)
+        boundary_free && self.inner.instrumentation_is_shareable(insts)
     }
 
     fn on_syscall(&mut self, record: &SyscallRecord) {
@@ -705,7 +707,10 @@ mod tests {
                 );
             }
         }
-        fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+        fn instrumentation_is_shareable(
+            &self,
+            _insts: impl Iterator<Item = InstRef> + Clone,
+        ) -> bool {
             true
         }
     }
@@ -774,7 +779,7 @@ mod tests {
         // pc is now at `subi` with r1 == 5.
         process.run_until_syscall(11).expect("run");
         let master_insts_so_far = process.inst_count();
-        let sig = Signature::capture(&process);
+        let sig = Signature::capture(&mut process);
 
         slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
         slice.advance(u64::MAX / 8, 7).expect("advance");
@@ -798,7 +803,7 @@ mod tests {
         let mut slice = SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
             .expect("spawn");
         process.run_until_syscall(1 + 2 * 40).expect("run");
-        let sig = Signature::capture(&process);
+        let sig = Signature::capture(&mut process);
         slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
         slice.advance(u64::MAX / 8, 0).expect("advance");
         let stats = slice.tool().sig_stats;
@@ -844,7 +849,7 @@ mod tests {
         process.run_until_syscall(u64::MAX).expect("run");
         process.do_syscall(0).expect("sys");
         process.run_until_syscall(u64::MAX).expect("run to exit");
-        let sig = Signature::capture(&process);
+        let sig = Signature::capture(&mut process);
         slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
         let err = slice.advance(u64::MAX / 8, 0).unwrap_err();
         assert!(matches!(err, SpError::SliceDiverged { slice: 1, .. }));
@@ -909,7 +914,7 @@ mod tests {
         let slice = SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
             .expect("spawn");
         process.run_until_syscall(11).expect("run");
-        let sig = Signature::capture(&process);
+        let sig = Signature::capture(&mut process);
         let mut slice = slice;
         slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
         slice
@@ -926,7 +931,7 @@ mod tests {
                     .expect("spawn");
             // The boundary is the loop head, four iterations in.
             process.run_until_syscall(3 + 2 * 4).expect("run");
-            let sig = Signature::capture(&process);
+            let sig = Signature::capture(&mut process);
             let boundary = sig.pc;
             slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
             slice.engine.set_shared_code_cache(shared_code_cache);

@@ -10,6 +10,7 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use superpin_analysis::{LiveMap, RegSet};
 use superpin_isa::{Inst, Reg};
+use superpin_vm::mem::CodeIdentity;
 
 /// Hasher for trace-entry keys. Entries are guest addresses — already
 /// well distributed — so the default SipHash's per-lookup cost (it
@@ -17,7 +18,7 @@ use superpin_isa::{Inst, Reg};
 /// finalizer (splitmix64's) is sufficient and an order of magnitude
 /// cheaper.
 #[derive(Default)]
-struct EntryHasher(u64);
+pub(crate) struct EntryHasher(u64);
 
 impl Hasher for EntryHasher {
     fn finish(&self) -> u64 {
@@ -38,7 +39,9 @@ impl Hasher for EntryHasher {
     }
 }
 
-type EntryMap<V> = HashMap<u64, V, BuildHasherDefault<EntryHasher>>;
+/// A map keyed by guest pc: the code cache's index, the trace registry
+/// and an engine's fresh compiles all hash with [`EntryHasher`].
+pub(crate) type EntryMap<V> = HashMap<u64, V, BuildHasherDefault<EntryHasher>>;
 
 /// Default cache capacity in cached instructions. Workloads whose hot
 /// footprint exceeds this (the paper repeatedly calls out gcc's "large
@@ -316,9 +319,26 @@ pub struct CompiledTrace<T> {
     pub fallthrough: u64,
     /// Number of basic blocks the source trace had.
     pub num_bbls: usize,
+    /// Whether the split point cut the source trace short
+    /// ([`Trace::cut`]).
+    pub cut: bool,
+    /// The identity of the code the source trace was discovered in, when
+    /// it lies wholly in code regions; `None` otherwise. An engine whose
+    /// process holds the same identity would discover the same
+    /// instructions at [`entry`](CompiledTrace::entry).
+    pub code: Option<CodeIdentity>,
 }
 
 impl<T> CompiledTrace<T> {
+    /// The trace's instructions in order, as discovery produced them.
+    pub fn inst_refs(&self) -> impl Iterator<Item = InstRef> + Clone + '_ {
+        self.insts.iter().zip(&self.hot).map(|(slot, hot)| InstRef {
+            addr: slot.addr,
+            inst: hot.inst,
+            size: u64::from(hot.size),
+        })
+    }
+
     /// The calls run before instruction `index` of the trace.
     pub fn before(&self, index: usize) -> &[InsertedCall<T>] {
         let [start, split, _] = self.insts[index].calls;
@@ -575,6 +595,9 @@ impl<T> CodeCache<T> {
     /// Compiles a discovered trace plus the tool's collected
     /// instrumentation and inserts it. Returns the new trace's slab id
     /// and the number of instructions compiled (for JIT cost accounting).
+    /// `code` is recorded as [`CompiledTrace::code`]: pass the identity
+    /// of the code the trace was discovered in only when it vouches for
+    /// every instruction of the trace.
     ///
     /// Every call is lowered against `cost` here ([`LoweredCall`]), so
     /// the executor adds pre-summed charges and, for all-static argument
@@ -590,6 +613,7 @@ impl<T> CodeCache<T> {
     pub fn compile(
         &mut self,
         trace: &Trace,
+        code: Option<CodeIdentity>,
         inserter: Inserter<T>,
         cost: &CostModel,
     ) -> (u32, usize)
@@ -803,6 +827,8 @@ impl<T> CodeCache<T> {
             counters,
             fallthrough: trace.fallthrough(),
             num_bbls: trace.bbls().len(),
+            cut: trace.cut(),
+            code,
         }));
         (id, count)
     }
@@ -869,7 +895,7 @@ mod tests {
 
     fn compile_bare(cache: &mut CodeCache<u64>, trace: &Trace) -> u32 {
         cache
-            .compile(trace, Inserter::new(), &CostModel::default())
+            .compile(trace, None, Inserter::new(), &CostModel::default())
             .0
     }
 
@@ -884,7 +910,7 @@ mod tests {
         inserter.insert_call(0xdead, IPoint::Before, |t, _, _| *t += 1, vec![]);
 
         let mut cache: CodeCache<u64> = CodeCache::new();
-        let (id, count) = cache.compile(&trace, inserter, &CostModel::default());
+        let (id, count) = cache.compile(&trace, None, inserter, &CostModel::default());
         let compiled = cache.trace(id);
         assert_eq!(count, 3);
         assert_eq!(compiled.before(1).len(), 1);
@@ -919,7 +945,7 @@ mod tests {
 
         let cost = CostModel::default();
         let mut cache: CodeCache<u64> = CodeCache::new();
-        let (id, _) = cache.compile(&trace, inserter, &cost);
+        let (id, _) = cache.compile(&trace, None, inserter, &cost);
         let compiled = cache.trace(id);
         let plan = |call: &InsertedCall<u64>| match &call.call {
             LoweredCall::Plain { args, cost, .. } => (args.clone(), *cost),
@@ -969,7 +995,7 @@ mod tests {
                 cache.set_liveness(Arc::clone(liveness));
                 cache.set_refined_liveness(Arc::clone(liveness));
             }
-            let (id, _) = cache.compile(&trace, inserter, &cost);
+            let (id, _) = cache.compile(&trace, None, inserter, &cost);
             let compiled = cache.trace(id);
             for index in 0..compiled.insts.len() {
                 for list in [compiled.before(index), compiled.after(index)] {
@@ -1003,7 +1029,7 @@ mod tests {
         let cost = CostModel::default();
         let compile = |inserter: Inserter<Two>| {
             let mut cache: CodeCache<Two> = CodeCache::new();
-            let (id, _) = cache.compile(&trace, inserter, &cost);
+            let (id, _) = cache.compile(&trace, None, inserter, &cost);
             Arc::clone(cache.trace(id))
         };
         let run = |counter, calls: u32, n| OpenRun {
@@ -1225,7 +1251,7 @@ mod tests {
         inserter.insert_count(addrs[2], IPoint::Before, 1, count);
         inserter.insert_count(addrs[3], IPoint::Before, 1, count);
         let mut cache: CodeCache<u64> = CodeCache::new();
-        let (id, _) = cache.compile(&trace, inserter, &CostModel::default());
+        let (id, _) = cache.compile(&trace, None, inserter, &CostModel::default());
         let compiled = cache.trace(id);
         // The plain call closes the first count run inside slot 1's
         // after-list; the second run stays open to the trace exit, so

@@ -1,7 +1,7 @@
 //! The instrumentation engine: dispatcher + JIT loop over a guest process.
 
 use crate::cache::{
-    ArgPlan, CodeCache, CompiledTrace, InsertedCall, LoweredArg, LoweredCall,
+    ArgPlan, CodeCache, CompiledTrace, EntryMap, InsertedCall, LoweredArg, LoweredCall,
     DEFAULT_CAPACITY_INSTS,
 };
 use crate::cost::CostModel;
@@ -9,7 +9,7 @@ use crate::inserter::{CallCtx, EngineCtl, IPoint, Inserter};
 use crate::registry::{Entry, TraceRegistry};
 use crate::spill::ClobberViolation;
 use crate::tool::Pintool;
-use std::collections::HashMap;
+use crate::trace::{discover_trace_decoded, Trace};
 use std::fmt;
 use std::sync::Arc;
 use superpin_analysis::{SoundnessOracle, SuperblockPlan};
@@ -70,6 +70,20 @@ pub struct EngineStats {
     pub shared_cache_contention: u64,
 }
 
+/// How an engine's cache misses found a published template: host-side
+/// counts only. [`EngineStats`] and [`CacheStats`](crate::CacheStats)
+/// reach reports, so these stay out of both; they change whenever the
+/// host takes another route to the same translation.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct AdoptionCounts {
+    /// Misses that adopted a published template on its code identity
+    /// alone, without rediscovering the trace.
+    pub by_identity: u64,
+    /// Misses on a published template that the identity could not vouch
+    /// for, which rediscovered the trace (and may still have adopted it).
+    pub rediscovered: u64,
+}
+
 /// Why [`Engine::run`] returned.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineStop {
@@ -108,7 +122,7 @@ enum TraceExit {
 #[derive(Clone)]
 struct Sharing<T> {
     registry: Arc<TraceRegistry<T>>,
-    fresh: HashMap<u64, Entry<T>>,
+    fresh: EntryMap<Entry<T>>,
 }
 
 /// A Pin-like execution engine: owns the guest [`Process`], the tool, and
@@ -171,6 +185,8 @@ pub struct Engine<T: Pintool> {
     /// Where dynamic argument lists are evaluated: one buffer re-used by
     /// every call, so no execution allocates.
     scratch: Vec<u64>,
+    /// How misses on published templates went (host-side only).
+    adoptions: AdoptionCounts,
 }
 
 impl<T: Pintool + Clone> Clone for Engine<T> {
@@ -194,6 +210,7 @@ impl<T: Pintool + Clone> Clone for Engine<T> {
             fault_dispatches: self.fault_dispatches,
             oracle: self.oracle.clone(),
             scratch: Vec::new(),
+            adoptions: self.adoptions,
         }
     }
 }
@@ -238,6 +255,7 @@ impl<T: Pintool + 'static> Engine<T> {
             fault_dispatches: 0,
             oracle: None,
             scratch: Vec::new(),
+            adoptions: AdoptionCounts::default(),
         }
     }
 
@@ -272,7 +290,10 @@ impl<T: Pintool + 'static> Engine<T> {
     /// last barrier. The engine adopts a published template instead of
     /// re-instrumenting when its tool certifies the trace shareable
     /// ([`Pintool::instrumentation_is_shareable`]) and its own discovery
-    /// produced the same instructions; simulated cycles are charged
+    /// would produce the same instructions: at once when the template's
+    /// code identity is this process's (see
+    /// [`compile_miss`](Engine::compile_miss)), after rediscovering and
+    /// comparing the trace otherwise. Simulated cycles are charged
     /// exactly as for a compile. Compiles not yet drained by
     /// [`take_fresh_traces`](Engine::take_fresh_traces) are carried
     /// over.
@@ -280,7 +301,7 @@ impl<T: Pintool + 'static> Engine<T> {
         let fresh = self
             .sharing
             .take()
-            .map_or_else(HashMap::new, |sharing| sharing.fresh);
+            .map_or_else(EntryMap::default, |sharing| sharing.fresh);
         self.sharing = Some(Sharing { registry, fresh });
     }
 
@@ -295,6 +316,9 @@ impl<T: Pintool + 'static> Engine<T> {
             return Vec::new();
         };
         let mut fresh: Vec<_> = sharing.fresh.drain().collect();
+        // The map's order is its hasher's; this sort is what makes the
+        // barrier's publication order, and so every peer's view, a
+        // function of the simulation alone.
         fresh.sort_unstable_by_key(|&(pc, _)| pc);
         fresh
     }
@@ -379,6 +403,12 @@ impl<T: Pintool + 'static> Engine<T> {
     /// Code-cache statistics.
     pub fn cache_stats(&self) -> crate::cache::CacheStats {
         self.cache.stats()
+    }
+
+    /// How this engine's misses on published templates went. Host-side
+    /// only: never part of [`stats`](Engine::stats) or a report.
+    pub fn adoption_counts(&self) -> AdoptionCounts {
+        self.adoptions
     }
 
     /// Instructions resident in the code cache (the memory governor's
@@ -511,6 +541,11 @@ impl<T: Pintool + 'static> Engine<T> {
     /// Forms, instruments (or adopts) and inserts the trace entered at
     /// `pc` after a cache miss, returning its slab id.
     ///
+    /// A published template whose code identity vouches for it is
+    /// adopted at once ([`vouched_template`](Engine::vouched_template)).
+    /// Anything else is rediscovered ([`rediscover`](Engine::rediscover)).
+    /// Both routes charge the same simulated cycles.
+    ///
     /// Kept out of line: a miss is rare next to the dispatch loop in
     /// [`run`](Engine::run), and with this body inlined that loop ran
     /// 2–3 % slower on `steady_t1` and `churn_t1`.
@@ -518,21 +553,59 @@ impl<T: Pintool + 'static> Engine<T> {
     fn compile_miss(&mut self, pc: u64, spent: &mut u64) -> Result<u32, VmError> {
         // A miss always routes through the dispatcher into the JIT.
         self.pending_dispatch = true;
+        let (id, count, per_inst) = match self.vouched_template(pc) {
+            Some(template) => {
+                self.adoptions.by_identity += 1;
+                let per_inst = self.jit_rate(pc);
+                let count = template.insts.len();
+                (self.cache.adopt(template), count, per_inst)
+            }
+            None => self.rediscover(pc)?,
+        };
+        let jit = count as u64 * per_inst;
+        self.stats.cycles.jit += jit;
+        *spent += jit;
+        Ok(id)
+    }
+
+    /// The registry's template for `pc`, if this engine may adopt it
+    /// without rediscovering the trace. Discovery here would reproduce
+    /// it exactly when:
+    ///
+    /// - it was discovered in code this process holds too (equal
+    ///   [`CodeIdentity`](superpin_vm::mem::CodeIdentity), see
+    ///   [`CompiledTrace::code`]);
+    /// - this engine's split point does not fall strictly inside it;
+    /// - it ended naturally, or the split that cut it is this engine's.
+    ///
+    /// The tool must also certify the template's own instructions
+    /// shareable, as it would the rediscovered trace's. A template the
+    /// identity cannot vouch for is counted and left to
+    /// [`rediscover`](Engine::rediscover).
+    fn vouched_template(&mut self, pc: u64) -> Option<Arc<CompiledTrace<T>>> {
+        let template = self.sharing.as_ref()?.registry.template(pc)?;
+        let split = self.split_point;
+        let vouched = template.code.as_ref() == Some(self.process.mem.code_identity())
+            && !split.is_some_and(|split| pc < split && split < template.fallthrough)
+            && (!template.cut || split == Some(template.fallthrough))
+            && !self.cache.has_clobber_bug()
+            && self.tool.instrumentation_is_shareable(template.inst_refs());
+        let template = vouched.then(|| Arc::clone(template));
+        if template.is_none() {
+            self.adoptions.rediscovered += 1;
+        }
+        template
+    }
+
+    /// Discovers the trace entered at `pc`, then adopts the registry's
+    /// template if it is instruction for instruction the same, or
+    /// instruments and compiles it. Returns the slab id, the
+    /// instructions charged and the JIT price per instruction.
+    fn rediscover(&mut self, pc: u64) -> Result<(u32, usize, u64), VmError> {
         // Discovery routes through the process decode cache: a forked
         // slice inherits its master's decoded pages, so re-discovering a
         // trace the master already walked decodes nothing.
-        let trace = crate::trace::discover_trace_with(
-            |pc| {
-                let (inst, size) = self.process.fetch_decoded(pc)?;
-                Ok(crate::trace::InstRef {
-                    addr: pc,
-                    inst,
-                    size,
-                })
-            },
-            pc,
-            self.split_point,
-        )?;
+        let trace = discover_trace_decoded(&mut self.process, pc, self.split_point)?;
         let per_inst = self.jit_rate(pc);
         // Template sharing: when a peer engine published this exact trace
         // with certified-pure instrumentation, adopt its compiled form
@@ -542,7 +615,9 @@ impl<T: Pintool + 'static> Engine<T> {
         // boundary falls through to a private compile.
         let shareable = self.sharing.is_some()
             && !self.cache.has_clobber_bug()
-            && self.tool.instrumentation_is_shareable(&trace);
+            && self
+                .tool
+                .instrumentation_is_shareable(trace.insts().copied());
         let template = self
             .sharing
             .as_ref()
@@ -550,31 +625,28 @@ impl<T: Pintool + 'static> Engine<T> {
             .and_then(|sharing| sharing.registry.template(pc))
             .filter(|template| template_matches(template, &trace))
             .cloned();
-        let (id, count) = match template {
-            Some(template) => {
-                let count = template.insts.len();
-                (self.cache.adopt(template), count)
+        if let Some(template) = template {
+            let count = template.insts.len();
+            return Ok((self.cache.adopt(template), count, per_inst));
+        }
+        let mut inserter = Inserter::new();
+        self.tool.instrument_trace(&trace, &mut inserter);
+        let code = self
+            .process
+            .mem
+            .code_identity_over(pc, trace.fallthrough())
+            .cloned();
+        let (id, count) = self.cache.compile(&trace, code, inserter, &self.cost);
+        // Kept for the barrier: what a peer can adopt, and with the
+        // shared charge on, the bare membership it pays less for.
+        match &mut self.sharing {
+            Some(sharing) if shareable || self.shared_code_cache => {
+                let template = shareable.then(|| Arc::clone(self.cache.trace(id)));
+                sharing.fresh.entry(pc).or_insert(template);
             }
-            None => {
-                let mut inserter = Inserter::new();
-                self.tool.instrument_trace(&trace, &mut inserter);
-                let (id, count) = self.cache.compile(&trace, inserter, &self.cost);
-                // Kept for the barrier: what a peer can adopt, and with the
-                // shared charge on, the bare membership it pays less for.
-                match &mut self.sharing {
-                    Some(sharing) if shareable || self.shared_code_cache => {
-                        let template = shareable.then(|| Arc::clone(self.cache.trace(id)));
-                        sharing.fresh.entry(pc).or_insert(template);
-                    }
-                    _ => {}
-                }
-                (id, count)
-            }
-        };
-        let jit = count as u64 * per_inst;
-        self.stats.cycles.jit += jit;
-        *spent += jit;
-        Ok(id)
+            _ => {}
+        }
+        Ok((id, count, per_inst))
     }
 
     /// The simulated JIT price per instruction of the trace entered at
@@ -925,16 +997,8 @@ pub fn cycles_to_ns(cycles: u64) -> u64 {
 /// the trace this engine just discovered. Anything else — self-modified
 /// code, a different slice-boundary truncation — fails the comparison
 /// and the engine compiles privately.
-fn template_matches<T>(template: &CompiledTrace<T>, trace: &crate::trace::Trace) -> bool {
-    template.insts.len() == trace.num_insts()
-        && template
-            .insts
-            .iter()
-            .zip(&template.hot)
-            .zip(trace.insts())
-            .all(|((slot, hot), iref)| {
-                slot.addr == iref.addr && hot.inst == iref.inst && u64::from(hot.size) == iref.size
-            })
+fn template_matches<T>(template: &CompiledTrace<T>, trace: &Trace) -> bool {
+    template.insts.len() == trace.num_insts() && template.inst_refs().eq(trace.insts().copied())
 }
 
 /// Effective address of a load/store (0 for anything else).
@@ -954,7 +1018,7 @@ mod tests {
     use super::*;
     use crate::inserter::{IArg, IPoint};
     use crate::tool::NullTool;
-    use crate::trace::Trace;
+    use crate::trace::InstRef;
     use superpin_isa::asm::assemble;
 
     fn process_for(src: &str) -> Process {
@@ -983,7 +1047,10 @@ mod tests {
         fn name(&self) -> &'static str {
             "icount1-test"
         }
-        fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+        fn instrumentation_is_shareable(
+            &self,
+            _insts: impl Iterator<Item = InstRef> + Clone,
+        ) -> bool {
             true
         }
     }
@@ -1292,6 +1359,123 @@ mod tests {
             false,
         );
         assert_eq!(off.stats(), solo);
+    }
+
+    /// A loop whose body is one five-instruction trace at
+    /// [`LOOP_AT`] past the entry (after a 16-byte `li`).
+    const BODY: &str = "main:\n li r1, 20\nloop:\n addi r2, r2, 1\n addi r3, r3, 2\n \
+                        addi r4, r4, 3\n subi r1, r1, 1\n bne r1, r0, loop\n exit 0\n";
+    const LOOP_AT: u64 = 16;
+
+    /// Runs a fork of `parent` to exit with `split`, reading `registry`.
+    fn forked(
+        parent: &Process,
+        split: Option<u64>,
+        registry: &Arc<TraceRegistry<ICount1>>,
+    ) -> Engine<ICount1> {
+        let mut engine = Engine::new(parent.fork(2), ICount1::default());
+        engine.set_split_point(split);
+        run_sharing(engine, registry, false)
+    }
+
+    /// What `engine` compiled, published into an empty registry.
+    fn published(engine: &mut Engine<ICount1>) -> Arc<TraceRegistry<ICount1>> {
+        Arc::new(TraceRegistry::new()).publish(engine.take_fresh_traces())
+    }
+
+    #[test]
+    fn identity_adoption_skips_code_rewritten_after_fork() {
+        let parent = process_for(LOOP_100);
+        let entry = parent.cpu.pc;
+        let registry = published(&mut forked(&parent, None, &Arc::new(TraceRegistry::new())));
+        let template = |pc| Arc::clone(registry.template(pc).expect("published"));
+
+        // A fork that kept the code adopts every template on identity.
+        let mut same = forked(&parent, None, &registry);
+        assert_eq!(same.adoption_counts().rediscovered, 0);
+        assert!(same.adoption_counts().by_identity > 0);
+        assert!(Arc::ptr_eq(&resident(&mut same, entry), &template(entry)));
+
+        // A fork that rewrote the loop bound after the fork must run its
+        // own code: the rewritten trace is compiled, the untouched loop
+        // body still adopted after rediscovery.
+        let patched = assemble(&LOOP_100.replace("li r1, 100", "li r1, 30")).expect("assemble");
+        let mut child = parent.fork(2);
+        child
+            .mem
+            .write(patched.code_base(), patched.code())
+            .expect("rewrite code");
+        let mut engine = Engine::new(child, ICount1::default());
+        engine.enter_epoch(Arc::clone(&registry));
+        engine.run_to_exit().expect("run");
+        let mut native = Process::load(1, &patched).expect("load");
+        native.run(u64::MAX, 0).expect("native");
+        assert_eq!(engine.tool().count, native.inst_count());
+        assert_eq!(engine.process().inst_count(), native.inst_count());
+        assert_eq!(engine.adoption_counts().by_identity, 0);
+        assert!(engine.adoption_counts().rediscovered > 0);
+        assert!(!Arc::ptr_eq(
+            &resident(&mut engine, entry),
+            &template(entry)
+        ));
+        let body = entry + LOOP_AT;
+        assert!(Arc::ptr_eq(&resident(&mut engine, body), &template(body)));
+    }
+
+    #[test]
+    fn identity_adoption_falls_back_when_the_split_is_inside() {
+        let parent = process_for(BODY);
+        let body = parent.cpu.pc + LOOP_AT;
+        let split = Some(body + 16);
+        let empty = Arc::new(TraceRegistry::new());
+        let registry = published(&mut forked(&parent, None, &empty));
+        let template = Arc::clone(registry.template(body).expect("published"));
+        assert!(!template.cut && template.fallthrough > body + 16);
+
+        let mut adopter = forked(&parent, split, &registry);
+        let mut rediscovered = forked(&parent, split, &empty);
+        assert!(adopter.adoption_counts().rediscovered > 0);
+        assert_eq!(adopter.tool().count, rediscovered.tool().count);
+        assert_eq!(adopter.stats(), rediscovered.stats());
+        assert_eq!(adopter.cache_stats(), rediscovered.cache_stats());
+        let resident_body = resident(&mut adopter, body);
+        assert!(!Arc::ptr_eq(&resident_body, &template));
+        assert!(resident_body.cut && Some(resident_body.fallthrough) == split);
+        assert!(resident_body
+            .inst_refs()
+            .eq(resident(&mut rediscovered, body).inst_refs()));
+    }
+
+    #[test]
+    fn identity_adoption_of_a_cut_template_needs_the_same_split() {
+        let parent = process_for(BODY);
+        let body = parent.cpu.pc + LOOP_AT;
+        let cut_at = body + 16;
+        let empty = Arc::new(TraceRegistry::new());
+        let registry = published(&mut forked(&parent, Some(cut_at), &empty));
+        let template = Arc::clone(registry.template(body).expect("published"));
+        assert!(template.cut && template.fallthrough == cut_at);
+
+        let mut same = forked(&parent, Some(cut_at), &registry);
+        assert_eq!(same.adoption_counts().rediscovered, 0);
+        assert!(Arc::ptr_eq(&resident(&mut same, body), &template));
+
+        // No split, or one past the cut: the trace goes on past the cut,
+        // so it is rediscovered and compiled as a solo engine would.
+        for split in [None, Some(body + 24)] {
+            let mut other = forked(&parent, split, &registry);
+            let mut solo = forked(&parent, split, &empty);
+            assert!(other.adoption_counts().rediscovered > 0);
+            assert_eq!(other.stats(), solo.stats());
+            assert_eq!(other.cache_stats(), solo.cache_stats());
+            assert_eq!(other.tool().count, solo.tool().count);
+            let resident_body = resident(&mut other, body);
+            assert!(!Arc::ptr_eq(&resident_body, &template));
+            assert!(resident_body.fallthrough > cut_at);
+            assert!(resident_body
+                .inst_refs()
+                .eq(resident(&mut solo, body).inst_refs()));
+        }
     }
 
     #[test]

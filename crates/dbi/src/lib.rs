@@ -58,14 +58,16 @@ pub mod trace;
 
 pub use cache::{ArgPlan, CacheStats, CodeCache, InsertedCall, LoweredArg, LoweredCall};
 pub use cost::{cycles_to_secs, secs_to_cycles, CostModel, CYCLES_PER_SEC};
-pub use engine::{cycles_to_ns, CycleBreakdown, Engine, EngineStats, EngineStop, RunResult};
+pub use engine::{
+    cycles_to_ns, AdoptionCounts, CycleBreakdown, Engine, EngineStats, EngineStop, RunResult,
+};
 pub use inserter::{
     AnalysisFn, Call, CallCtx, CounterFn, EngineCtl, IArg, IPoint, Inserter, PredicateFn,
 };
 pub use registry::TraceRegistry;
 pub use spill::{analysis_clobbers, ClobberViolation};
 pub use tool::{NullTool, Pintool};
-pub use trace::{discover_trace, BasicBlock, InstRef, Trace};
+pub use trace::{discover_trace, discover_trace_decoded, BasicBlock, InstRef, Trace};
 
 // Re-exported so DBI consumers can build and install liveness without
 // depending on `superpin-analysis` directly.

@@ -17,12 +17,14 @@
 //!   publishing engine's tool certified it shareable
 //!   ([`Pintool::instrumentation_is_shareable`](crate::Pintool::instrumentation_is_shareable)).
 //!   An engine missing on that pc adopts it instead of re-instrumenting
-//!   (a host-side saving; the simulated charge is the same either way).
+//!   (a host-side saving; the simulated charge is the same either way):
+//!   at once when the template's code identity vouches for it, after
+//!   rediscovering and comparing the trace otherwise (see
+//!   [`Engine::enter_epoch`](crate::Engine::enter_epoch)).
 //!
 //! [`publish`]: TraceRegistry::publish
 
-use crate::cache::CompiledTrace;
-use std::collections::HashMap;
+use crate::cache::{CompiledTrace, EntryMap};
 use std::sync::Arc;
 
 /// A published entry: the compiled trace when it may be shared, `None`
@@ -32,14 +34,14 @@ pub type Entry<T> = Option<Arc<CompiledTrace<T>>>;
 /// An immutable `pc → entry` map of compiled traces (see the module
 /// docs).
 pub struct TraceRegistry<T> {
-    entries: HashMap<u64, Entry<T>>,
+    entries: EntryMap<Entry<T>>,
 }
 
 impl<T> TraceRegistry<T> {
     /// An empty registry.
     pub fn new() -> TraceRegistry<T> {
         TraceRegistry {
-            entries: HashMap::new(),
+            entries: EntryMap::default(),
         }
     }
 
@@ -114,7 +116,7 @@ mod tests {
         let process = Process::load(1, &program).expect("load");
         let trace = discover_trace(&process.mem, process.cpu.pc).expect("trace");
         let mut cache = CodeCache::with_capacity(1 << 10);
-        let (id, _) = cache.compile(&trace, Inserter::new(), &CostModel::default());
+        let (id, _) = cache.compile(&trace, None, Inserter::new(), &CostModel::default());
         Arc::clone(cache.trace(id))
     }
 

@@ -1,7 +1,7 @@
 //! The Pintool trait.
 
 use crate::inserter::Inserter;
-use crate::trace::Trace;
+use crate::trace::{InstRef, Trace};
 use superpin_vm::kernel::SyscallRecord;
 
 /// A plug-in analysis tool, the analogue of a Pintool.
@@ -20,10 +20,11 @@ pub trait Pintool: Sized + Send {
     /// Inspect a newly compiled trace and insert analysis calls.
     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>);
 
-    /// Whether [`instrument_trace`](Pintool::instrument_trace) for
-    /// `trace` is a pure function of the trace — same calls, in the same
-    /// places, with no tool-state reads or writes at instrumentation
-    /// time — for *every* clone of this tool.
+    /// Whether [`instrument_trace`](Pintool::instrument_trace) for the
+    /// trace made of `insts` (its instructions in order) is a pure
+    /// function of the trace — same calls, in the same places, with no
+    /// tool-state reads or writes at instrumentation time — for *every*
+    /// clone of this tool.
     ///
     /// Returning `true` lets a host runner reuse one compiled trace
     /// across many engines running clones of the tool (SuperPin's
@@ -31,8 +32,12 @@ pub trait Pintool: Sized + Send {
     /// host-side optimization only: each engine's code cache still
     /// accounts the compile, so simulated reports are unchanged. The
     /// conservative default is `false`.
-    fn instrumentation_is_shareable(&self, trace: &Trace) -> bool {
-        let _ = trace;
+    ///
+    /// The instructions come from a freshly discovered trace or from a
+    /// peer's compiled one, whichever the engine holds; both list the
+    /// same [`InstRef`]s for the same trace.
+    fn instrumentation_is_shareable(&self, insts: impl Iterator<Item = InstRef> + Clone) -> bool {
+        let _ = insts;
         false
     }
 

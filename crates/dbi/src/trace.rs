@@ -8,6 +8,7 @@
 
 use superpin_isa::{DecodeError, Inst};
 use superpin_vm::mem::AddressSpace;
+use superpin_vm::process::Process;
 use superpin_vm::VmError;
 
 /// Upper bound on basic blocks per trace (Pin uses similar small limits).
@@ -61,6 +62,7 @@ impl BasicBlock {
 pub struct Trace {
     entry: u64,
     bbls: Vec<BasicBlock>,
+    cut: bool,
 }
 
 impl Trace {
@@ -75,7 +77,7 @@ impl Trace {
     }
 
     /// Iterates every instruction of the trace in order.
-    pub fn insts(&self) -> impl Iterator<Item = &InstRef> {
+    pub fn insts(&self) -> impl Iterator<Item = &InstRef> + Clone {
         self.bbls.iter().flat_map(|bbl| bbl.insts().iter())
     }
 
@@ -89,6 +91,14 @@ impl Trace {
     pub fn fallthrough(&self) -> u64 {
         let tail = self.bbls.last().expect("traces are non-empty").tail();
         tail.addr + tail.size
+    }
+
+    /// Whether the split point ended the trace (see
+    /// [`discover_trace_split`]): it then stops just before the split,
+    /// at [`fallthrough`](Trace::fallthrough), where it would otherwise
+    /// have gone on.
+    pub fn cut(&self) -> bool {
+        self.cut
     }
 }
 
@@ -141,7 +151,8 @@ pub fn discover_trace(mem: &AddressSpace, entry: u64) -> Result<Trace, VmError> 
 /// SuperPin slices set the split to their boundary pc (paper §4.4): the
 /// signature detector then fires at a block head, before any
 /// block-granularity instrumentation of the boundary block has run, which
-/// keeps block-counting tools exact across slice boundaries.
+/// keeps block-counting tools exact across slice boundaries. A trace the
+/// split ends is marked [`cut`](Trace::cut).
 ///
 /// # Errors
 ///
@@ -152,6 +163,33 @@ pub fn discover_trace_split(
     split: Option<u64>,
 ) -> Result<Trace, VmError> {
     discover_trace_with(|pc| decode_guest(mem, pc), entry, split)
+}
+
+/// [`discover_trace_split`] through `process`'s decode cache
+/// ([`Process::fetch_decoded`]): the same trace, decoding only words no
+/// earlier fetch in this process, or in the one it was forked from,
+/// decoded.
+///
+/// # Errors
+///
+/// Propagates fetch errors.
+pub fn discover_trace_decoded(
+    process: &mut Process,
+    entry: u64,
+    split: Option<u64>,
+) -> Result<Trace, VmError> {
+    discover_trace_with(
+        |pc| {
+            let (inst, size) = process.fetch_decoded(pc)?;
+            Ok(InstRef {
+                addr: pc,
+                inst,
+                size,
+            })
+        },
+        entry,
+        split,
+    )
 }
 
 /// [`discover_trace_split`] over an arbitrary instruction source.
@@ -173,6 +211,7 @@ pub fn discover_trace_with(
     let mut current = Vec::new();
     let mut pc = entry;
     let mut total = 0usize;
+    let mut cut = false;
 
     loop {
         if split == Some(pc) && total > 0 {
@@ -181,6 +220,7 @@ pub fn discover_trace_with(
                     insts: std::mem::take(&mut current),
                 });
             }
+            cut = true;
             break;
         }
         let inst_ref = fetch(pc)?;
@@ -205,14 +245,13 @@ pub fn discover_trace_with(
         }
     }
 
-    Ok(Trace { entry, bbls })
+    Ok(Trace { entry, bbls, cut })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use superpin_isa::asm::assemble;
-    use superpin_vm::process::Process;
 
     fn mem_for(src: &str) -> (AddressSpace, u64) {
         let program = assemble(src).expect("assemble");

@@ -923,7 +923,7 @@ fn quiet_slots(program: &Program, knobs: Knobs, entry: u64) -> Vec<(u64, bool)> 
     let mut inserter = Inserter::new();
     probe.instrument_trace(&trace, &mut inserter);
     let mut cache = CodeCache::new();
-    let (id, _) = cache.compile(&trace, inserter, &CostModel::default());
+    let (id, _) = cache.compile(&trace, None, inserter, &CostModel::default());
     let compiled = cache.trace(id);
     compiled
         .insts

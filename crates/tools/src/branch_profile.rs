@@ -4,7 +4,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::sync::Mutex;
 use superpin::{SharedMem, SuperTool};
-use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
+use superpin_dbi::{IArg, IPoint, Inserter, InstRef, Pintool, Trace};
 use superpin_isa::{Inst, Program};
 
 /// Counts for one branch site.
@@ -77,7 +77,7 @@ impl Pintool for BranchProfile {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
         // Calls depend only on the trace; all state is touched at
         // analysis time, so clones instrument identically.
         true

@@ -17,7 +17,7 @@
 
 use std::fmt;
 use superpin::{AreaId, AutoMerge, SharedMem, SuperTool};
-use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
+use superpin_dbi::{IArg, IPoint, Inserter, InstRef, Pintool, Trace};
 use superpin_isa::Program;
 
 /// Cache geometry (direct-mapped).
@@ -194,7 +194,7 @@ impl Pintool for DCache {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
         // Calls depend only on the trace; all state is touched at
         // analysis time, so clones instrument identically.
         true

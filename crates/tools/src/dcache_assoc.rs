@@ -21,7 +21,7 @@
 
 use crate::dcache::DCacheResult;
 use superpin::{AreaId, AutoMerge, SharedMem, SuperTool};
-use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
+use superpin_dbi::{IArg, IPoint, Inserter, InstRef, Pintool, Trace};
 use superpin_isa::Program;
 
 /// Geometry of the set-associative cache.
@@ -291,7 +291,7 @@ impl Pintool for AssocDCache {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
         // Calls depend only on the trace; all state is touched at
         // analysis time, so clones instrument identically.
         true

@@ -7,7 +7,7 @@
 //! granularity."
 
 use superpin::{AreaId, AutoMerge, SharedMem, SuperTool};
-use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
+use superpin_dbi::{IPoint, Inserter, InstRef, Pintool, Trace};
 use superpin_isa::Program;
 
 /// `icount1`: a counter increment before every instruction, inlined
@@ -47,7 +47,7 @@ impl Pintool for ICount1 {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
         // Calls depend only on the trace; all state is touched at
         // analysis time, so clones instrument identically.
         true
@@ -109,7 +109,7 @@ impl Pintool for ICount2 {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
         // Calls depend only on the trace; all state is touched at
         // analysis time, so clones instrument identically.
         true

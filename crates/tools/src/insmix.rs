@@ -1,7 +1,7 @@
 //! Dynamic instruction-mix profiling (Pin's `insmix` shape).
 
 use superpin::{AreaId, AutoMerge, SharedMem, SuperTool};
-use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
+use superpin_dbi::{IPoint, Inserter, InstRef, Pintool, Trace};
 use superpin_isa::{Inst, Program};
 
 /// Instruction categories tracked by [`InsMix`].
@@ -147,7 +147,7 @@ impl Pintool for InsMix {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
         // Calls depend only on the trace; all state is touched at
         // analysis time, so clones instrument identically.
         true

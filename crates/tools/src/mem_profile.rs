@@ -5,7 +5,7 @@
 //! words to the area and [`superpin::AutoMerge::Add`] combines them.
 
 use superpin::{AreaId, AutoMerge, SharedMem, SuperTool};
-use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
+use superpin_dbi::{IArg, IPoint, Inserter, InstRef, Pintool, Trace};
 use superpin_isa::Program;
 
 /// Aggregated memory-operation totals.
@@ -77,7 +77,7 @@ impl Pintool for MemProfile {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
         // Calls depend only on the trace; all state is touched at
         // analysis time, so clones instrument identically.
         true

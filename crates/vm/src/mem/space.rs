@@ -4,6 +4,7 @@ use super::page::{PageFrame, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 /// Classification of a mapped region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -159,10 +160,14 @@ pub struct AddressSpace {
     /// [`unmap`]: AddressSpace::unmap
     cow_pending: BTreeSet<u64>,
     stats: MemStats,
-    /// Bumped on every write into a [`RegionKind::Code`] region, so a
-    /// DBI engine can detect self-modifying code and invalidate its
-    /// translations.
+    /// Bumped on every write into a [`RegionKind::Code`] region, and on
+    /// mapping or unmapping one, so a DBI engine can detect
+    /// self-modifying code and invalidate its translations.
     code_version: u64,
+    /// Who else holds exactly this code: replaced wherever
+    /// `code_version` is bumped, and shared by [`fork`](AddressSpace::fork)
+    /// and `clone`.
+    code_identity: CodeIdentity,
     /// Optional budget for *dynamic* memory (the `brk` heap plus
     /// anonymous `mmap` regions), in bytes. `None` (the default) never
     /// fails an allocation; `Some(limit)` makes `brk` grows and `mmap`s
@@ -178,6 +183,31 @@ pub struct AddressSpace {
     /// consumer drains it at every code-version mismatch.
     code_write_log: Option<Vec<(u64, usize)>>,
 }
+
+/// The identity of an address space's code, compared in O(1).
+///
+/// Every space starts with a fresh identity, [`fork`](AddressSpace::fork)
+/// and `clone` share it, and every change to the code — a write into a
+/// [`RegionKind::Code`] region, or mapping or unmapping one — replaces
+/// it with a fresh one. Two spaces whose identities are equal therefore
+/// hold the same code regions with the same bytes. Identities are
+/// compared by address: a live identity is never reused.
+#[derive(Clone, Debug)]
+pub struct CodeIdentity(Arc<()>);
+
+impl CodeIdentity {
+    fn new() -> CodeIdentity {
+        CodeIdentity(Arc::new(()))
+    }
+}
+
+impl PartialEq for CodeIdentity {
+    fn eq(&self, other: &CodeIdentity) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for CodeIdentity {}
 
 /// Base address for hint-less anonymous mappings.
 const MMAP_BASE: u64 = 0x2000_0000;
@@ -275,6 +305,7 @@ impl AddressSpace {
             cow_pending: BTreeSet::new(),
             stats: MemStats::default(),
             code_version: 0,
+            code_identity: CodeIdentity::new(),
             mem_limit: None,
             code_write_log: None,
         }
@@ -309,10 +340,48 @@ impl AddressSpace {
         self.pages.len() as u64 * PAGE_SIZE as u64
     }
 
-    /// Monotonic counter bumped by every write into a code region.
-    /// Translation caches compare it to detect self-modifying code.
+    /// Monotonic counter bumped by every write into a code region and by
+    /// mapping or unmapping one. Translation caches compare it to detect
+    /// self-modifying code.
     pub fn code_version(&self) -> u64 {
         self.code_version
+    }
+
+    /// The identity of this space's code. Two spaces with equal
+    /// identities hold identical code regions with identical bytes, so a
+    /// translation made in one is valid in the other.
+    pub fn code_identity(&self) -> &CodeIdentity {
+        &self.code_identity
+    }
+
+    /// The [`code_identity`](AddressSpace::code_identity), if it vouches
+    /// for the bytes of `[start, end)`: only when code regions cover the
+    /// whole range. Writes anywhere else leave the identity as it is.
+    pub fn code_identity_over(&self, start: u64, end: u64) -> Option<&CodeIdentity> {
+        let mut covered = start;
+        for region in self
+            .regions
+            .iter()
+            .skip_while(|region| region.end() <= start)
+        {
+            if region.start > covered || region.kind != RegionKind::Code {
+                return None;
+            }
+            covered = region.end();
+            if covered >= end {
+                return Some(&self.code_identity);
+            }
+        }
+        None
+    }
+
+    /// Records that the code changed: bumps
+    /// [`code_version`](AddressSpace::code_version) and takes a fresh
+    /// [`code_identity`](AddressSpace::code_identity), which no other
+    /// space holds.
+    fn code_changed(&mut self) {
+        self.code_version += 1;
+        self.code_identity = CodeIdentity::new();
     }
 
     /// Enables (or with `false` disables and discards) the code-write
@@ -400,7 +469,9 @@ impl AddressSpace {
         }
     }
 
-    /// Maps a page-aligned region.
+    /// Maps a page-aligned region. Mapping a [`RegionKind::Code`] region
+    /// bumps [`code_version`](AddressSpace::code_version), as unmapping
+    /// one does.
     ///
     /// # Errors
     ///
@@ -418,6 +489,9 @@ impl AddressSpace {
         }
         self.regions.push(candidate);
         self.regions.sort_by_key(|region| region.start);
+        if kind == RegionKind::Code {
+            self.code_changed();
+        }
         Ok(())
     }
 
@@ -488,7 +562,7 @@ impl AddressSpace {
             .ok_or(MemError::NoSuchMapping { addr: start })?;
         let region = self.regions.remove(pos);
         if region.kind == RegionKind::Code {
-            self.code_version += 1;
+            self.code_changed();
         }
         self.release_pages(region.start, region.end());
         Ok(())
@@ -672,7 +746,7 @@ impl AddressSpace {
                 Some(region) => region.kind == RegionKind::Code,
             };
             if is_code {
-                self.code_version += 1;
+                self.code_changed();
                 if let Some(log) = &mut self.code_write_log {
                     log.push((addr, chunk));
                 }
@@ -934,6 +1008,33 @@ mod tests {
         assert!(space.is_mapped(b));
         // Hinted mapping at an occupied address fails.
         assert!(space.map_anonymous(Some(a), 1).is_err());
+    }
+
+    #[test]
+    fn the_code_identity_vouches_only_for_code_regions() {
+        let page = PAGE_SIZE as u64;
+        let mut space = AddressSpace::new(0x10_0000);
+        space
+            .map_region(0x1000, 2 * page, RegionKind::Code)
+            .expect("code");
+        space
+            .map_region(0x3000, page, RegionKind::Code)
+            .expect("code");
+        space
+            .map_region(0x4000, page, RegionKind::Data)
+            .expect("data");
+        let identity = space.code_identity().clone();
+        assert_eq!(space.code_identity_over(0x1000, 0x1010), Some(&identity));
+        // Two adjoining code regions cover a range across both.
+        assert_eq!(space.code_identity_over(0x2ff8, 0x3008), Some(&identity));
+        assert_eq!(space.code_identity_over(0x3ff8, 0x4008), None);
+        assert_eq!(space.code_identity_over(0x4000, 0x4008), None);
+        assert_eq!(space.code_identity_over(0x0ff8, 0x1008), None);
+        // Data writes keep the identity; a code write replaces it.
+        space.write_u64(0x4000, 1).expect("data write");
+        assert_eq!(space.code_identity(), &identity);
+        space.write_u64(0x1000, 1).expect("code write");
+        assert_ne!(space.code_identity(), &identity);
     }
 
     #[test]
@@ -1227,6 +1328,50 @@ mod tests {
                     }
                 }
             }
+
+            /// The code identity is replaced exactly when `code_version`
+            /// moves, a fork shares its parent's, and spaces that share
+            /// one hold the same code.
+            #[test]
+            fn prop_code_identity_moves_exactly_with_code_version(
+                ops in proptest::collection::vec((0u8..13, any::<u64>(), any::<u64>()), 40..400),
+            ) {
+                let mut spaces = vec![fresh()];
+                for (step, (kind, a, b)) in ops.into_iter().enumerate() {
+                    let before: Vec<(u64, CodeIdentity)> = spaces
+                        .iter()
+                        .map(|space| (space.code_version(), space.code_identity().clone()))
+                        .collect();
+                    let op = apply(&mut spaces, kind, a, b);
+                    for (space, (version, identity)) in spaces.iter().zip(&before) {
+                        prop_assert_eq!(
+                            space.code_version() != *version,
+                            space.code_identity() != identity,
+                            "step {}: {}", step, op
+                        );
+                    }
+                    for child in &spaces[before.len()..] {
+                        prop_assert!(before.iter().any(|(_, id)| id == child.code_identity()));
+                    }
+                    for (i, space) in spaces.iter().enumerate() {
+                        for other in &spaces[i + 1..] {
+                            if space.code_identity() == other.code_identity() {
+                                prop_assert_eq!(code_of(space), code_of(other), "step {}", step);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+
+        /// Every code region of `space` with its bytes.
+        fn code_of(space: &AddressSpace) -> Vec<(Region, Result<Vec<u8>, MemError>)> {
+            space
+                .regions()
+                .iter()
+                .filter(|region| region.kind == RegionKind::Code)
+                .map(|region| (*region, space.read_bytes(region.start, region.len as usize)))
+                .collect()
         }
 
         /// The hits the model relies on really happen, and stop when

@@ -72,7 +72,7 @@ fn memory_only_loop_counter_triggers_false_positive() {
     // parking exactly at the loop head with memory counter == 5.
     master.run_until_syscall(1 + 5 * 6).expect("advance master");
     let master_insts_at_boundary = master.inst_count();
-    let sig = Signature::capture(&master);
+    let sig = Signature::capture(&mut master);
 
     slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
     slice.advance(u64::MAX / 8, 0).expect("advance");
@@ -161,7 +161,7 @@ fn register_loop_counter_does_not_false_positive() {
 
     master.run_until_syscall(1 + 5 * 2).expect("advance master");
     let truth = master.inst_count();
-    let sig = Signature::capture(&master);
+    let sig = Signature::capture(&mut master);
     slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
     slice.advance(u64::MAX / 8, 0).expect("advance");
     assert_eq!(slice.end_reason(), Some(SliceEnd::SignatureDetected));

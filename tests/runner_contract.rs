@@ -10,7 +10,7 @@ use superpin::{
     AdmissionDecision, AreaId, AutoMerge, FailPlan, NondetEvent, SharedMem, Site, SiteMode,
     SuperPinConfig, SuperPinReport, SuperPinRunner, SuperTool,
 };
-use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
+use superpin_dbi::{AdoptionCounts, IPoint, Inserter, InstRef, Pintool, Trace};
 use superpin_replay::{record_run, replay_run, verify_replay, ReplayLog, RunRecipe};
 use superpin_tools::{ICount1, ICount2};
 use superpin_vm::process::Process;
@@ -140,7 +140,7 @@ impl Pintool for Twin {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _trace: &Trace) -> bool {
+    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
         true
     }
 }
@@ -395,4 +395,37 @@ fn inlined_counts_report_exactly_what_plain_closures_do() {
             }
         }
     }
+}
+
+#[test]
+fn slices_adopt_published_traces_on_code_identity() {
+    // `churn_t1`'s timeslice: many short slices, each with a cold cache
+    // that misses on traces its peers have already published.
+    let churn = || SuperPinConfig::scaled(100, superpin_replay::recipe::time_scale_for(SCALE));
+    let run_counted = |cfg: SuperPinConfig| {
+        let (mut runner, tool, shared) = runner(cfg);
+        runner.start().expect("start");
+        while runner.step_serial().expect("epoch") {}
+        let report = runner.finish().expect("finish");
+        (report, tool.total(&shared), runner.adoption_counts())
+    };
+    let (serial, count_serial, adoptions_serial) = run_counted(churn());
+    let (pooled, count_pooled, adoptions_pooled) = run_counted(churn().with_threads(4));
+    assert_eq!(serial, pooled, "threads=4 changed the report");
+    assert_eq!(count_serial, count_pooled);
+    assert_eq!(
+        adoptions_serial, adoptions_pooled,
+        "threads=4 changed how misses were served"
+    );
+    // Host-side only, so no report can show it: a miss on a published
+    // template adopts it on code identity unless this slice's boundary
+    // shapes the trace. A fall back to rediscovery moves these.
+    assert_eq!(
+        adoptions_serial,
+        AdoptionCounts {
+            by_identity: 606,
+            rediscovered: 177,
+        },
+        "identity adoption degraded"
+    );
 }
