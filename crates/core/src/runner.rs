@@ -509,7 +509,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
         let mut attempt: u64 = 0;
         let mut slice = loop {
             let checked = self.fault.is_some() && attempt <= self.cfg.max_slice_retries as u64;
-            match SliceRuntime::spawn_checked(
+            match SliceRuntime::spawn(
                 num,
                 self.master.process(),
                 &self.tool_template,
@@ -581,7 +581,6 @@ impl<T: SuperTool> SuperPinRunner<T> {
                 gov.release(num);
             }
             slice.tool_mut().inner.on_slice_end(num, &self.shared);
-            slice.set_merged();
             self.sig_stats.absorb(&slice.tool().sig_stats);
             let adoptions = slice.engine().adoption_counts();
             self.adoptions.by_identity += adoptions.by_identity;
@@ -1005,7 +1004,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
     /// ([`Engine::adoption_counts`](superpin_dbi::Engine::adoption_counts)).
     /// Host-side only: the report is the same whichever route a miss
     /// took, so these are the numbers that show whether slices adopt on
-    /// code identity or rediscover.
+    /// their code version or compile.
     pub fn adoption_counts(&self) -> AdoptionCounts {
         self.adoptions
     }

@@ -226,7 +226,6 @@ pub struct SliceRuntime<T: SuperTool> {
     /// Cycles consumed beyond a previous advance's budget (engine traces
     /// complete atomically); repaid before new work runs.
     debt: u64,
-    merged: bool,
     /// Instructions the master executed in this slice's span — known
     /// exactly once the slice wakes (the master already ran it natively).
     /// Feeds the epoch planner's completion prediction.
@@ -243,36 +242,22 @@ impl<T: SuperTool> SliceRuntime<T> {
     /// trampoline in/out (private VM stack), bubble release, fresh tool
     /// clone (reset + slice-begin hooks), and a cold engine.
     ///
-    /// The returned slice is [`SliceState::Sleeping`] until
-    /// [`wake`](SliceRuntime::wake) delivers its boundary and records.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SpError::Mem`] if trampoline or bubble setup fails.
-    pub fn spawn(
-        num: u32,
-        master: &Process,
-        tool_template: &T,
-        bubble: &Bubble,
-        cfg: &SuperPinConfig,
-        now_cycles: u64,
-    ) -> Result<SliceRuntime<T>, SpError> {
-        SliceRuntime::spawn_checked(num, master, tool_template, bubble, cfg, now_cycles, None)
-    }
-
-    /// Like [`spawn`](SliceRuntime::spawn), but with `Some(chaos_key)`
-    /// the fork consults the master's armed
+    /// With `Some(chaos_key)` the fork consults the master's armed
     /// [`Site::VmForkCow`](superpin_fault::Site::VmForkCow) failpoint
     /// (see [`Process::try_fork`](superpin_vm::process::Process::try_fork)).
     /// The runner retries with a fresh key on injected failure, and
     /// with `None` — an unchecked fork — once its retries are spent.
     ///
+    /// The returned slice is [`SliceState::Sleeping`] until
+    /// [`wake`](SliceRuntime::wake) delivers its boundary and records.
+    ///
     /// # Errors
     ///
     /// Returns [`SpError::Vm`] with
     /// [`VmError::FaultInjected`](superpin_vm::VmError::FaultInjected)
-    /// when the failpoint fires, or [`SpError::Mem`] on setup failure.
-    pub fn spawn_checked(
+    /// when the failpoint fires, or [`SpError::Mem`] if trampoline or
+    /// bubble setup fails.
+    pub fn spawn(
         num: u32,
         master: &Process,
         tool_template: &T,
@@ -337,7 +322,6 @@ impl<T: SuperTool> SliceRuntime<T> {
             records_played: 0,
             cow_charged: 0,
             debt: 0,
-            merged: false,
             span_insts: None,
             last_active_cycles: now_cycles,
         })
@@ -384,11 +368,6 @@ impl<T: SuperTool> SliceRuntime<T> {
         &self.engine
     }
 
-    /// Whether the in-order merge has run.
-    pub fn merged(&self) -> bool {
-        self.merged
-    }
-
     /// Hands the slice the trace registry published at the last barrier
     /// for the next epoch (see [`Engine::enter_epoch`]). The runner does
     /// so at fork and at every barrier; the registry is immutable, so
@@ -420,12 +399,6 @@ impl<T: SuperTool> SliceRuntime<T> {
             insts_done: self.engine.process().inst_count(),
             insts_total: self.span_insts.unwrap_or(0),
         }
-    }
-
-    /// Marks the merge as done (set by the runner after calling the
-    /// tool's slice-end function).
-    pub fn set_merged(&mut self) {
-        self.merged = true;
     }
 
     /// Mutable access to the slice's tool wrapper.
@@ -666,7 +639,6 @@ impl<T: SuperTool> Clone for SliceRuntime<T> {
             records_played: self.records_played,
             cow_charged: self.cow_charged,
             debt: self.debt,
-            merged: self.merged,
             span_insts: self.span_insts,
             last_active_cycles: self.last_active_cycles,
         }
@@ -735,11 +707,16 @@ mod tests {
         SuperPinConfig::paper_default()
     }
 
+    /// Slice 1 of `process`, spawned unchecked at time 0.
+    fn spawned(process: &Process, bubble: &Bubble) -> SliceRuntime<TestCount> {
+        SliceRuntime::spawn(1, process, &TestCount::default(), bubble, &cfg(), 0, None)
+            .expect("spawn")
+    }
+
     #[test]
     fn spawn_sleeps_until_woken() {
         let (process, bubble) = master("main:\n li r1, 5\n exit 0\n");
-        let slice = SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
-            .expect("spawn");
+        let slice = spawned(&process, &bubble);
         assert_eq!(slice.state(), SliceState::Sleeping);
         assert_eq!(slice.num(), 1);
         // The slice released the bubble; the master still holds it.
@@ -750,8 +727,7 @@ mod tests {
     #[test]
     fn slice_runs_to_program_exit_via_playback() {
         let (mut process, bubble) = master("main:\n li r1, 5\n li r2, 6\n exit 3\n");
-        let mut slice = SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
-            .expect("spawn");
+        let mut slice = spawned(&process, &bubble);
         // Master runs to completion, recording its (only) syscall.
         process.run_until_syscall(u64::MAX).expect("run");
         let record = process.do_syscall(0).expect("exit syscall");
@@ -773,8 +749,7 @@ mod tests {
         // Master: 10-iteration countdown; boundary captured at iteration 5.
         let src = "main:\n li r1, 10\nloop:\n subi r1, r1, 1\n bne r1, r0, loop\n exit 0\n";
         let (mut process, bubble) = master(src);
-        let mut slice = SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
-            .expect("spawn");
+        let mut slice = spawned(&process, &bubble);
         // Advance the master 1 + 2*5 instructions: li + 5×(subi,bne);
         // pc is now at `subi` with r1 == 5.
         process.run_until_syscall(11).expect("run");
@@ -800,8 +775,7 @@ mod tests {
         // every iteration but escalates only when the counter matches.
         let src = "main:\n li r1, 50\nloop:\n subi r1, r1, 1\n bne r1, r0, loop\n exit 0\n";
         let (mut process, bubble) = master(src);
-        let mut slice = SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
-            .expect("spawn");
+        let mut slice = spawned(&process, &bubble);
         process.run_until_syscall(1 + 2 * 40).expect("run");
         let sig = Signature::capture(&mut process);
         slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
@@ -825,8 +799,7 @@ mod tests {
         // first getpid only (next slice forced at the second).
         let src = "main:\n li r0, 9\n syscall\n li r0, 9\n syscall\n exit 0\n";
         let (mut process, bubble) = master(src);
-        let mut slice = SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
-            .expect("spawn");
+        let mut slice = spawned(&process, &bubble);
         process.run_until_syscall(u64::MAX).expect("run to sys1");
         let rec1 = process.do_syscall(0).expect("sys1");
         slice.wake(Boundary::SyscallEnd, vec![rec1], 0);
@@ -842,8 +815,7 @@ mod tests {
         // Slice reaches a syscall but has no record for it.
         let src = "main:\n li r0, 9\n syscall\n exit 0\n";
         let (mut process, bubble) = master(src);
-        let mut slice = SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
-            .expect("spawn");
+        let mut slice = spawned(&process, &bubble);
         // Wake with a signature boundary that will never match before the
         // syscall.
         process.run_until_syscall(u64::MAX).expect("run");
@@ -859,8 +831,7 @@ mod tests {
     fn record_mismatch_is_detected() {
         let src = "main:\n li r0, 9\n syscall\n exit 0\n";
         let (mut process, bubble) = master(src);
-        let mut slice = SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
-            .expect("spawn");
+        let mut slice = spawned(&process, &bubble);
         process.run_until_syscall(u64::MAX).expect("run");
         let mut rec = process.do_syscall(0).expect("sys");
         rec.number = superpin_vm::kernel::SyscallNo::Read; // corrupt
@@ -890,8 +861,7 @@ mod tests {
             .mem
             .write_u64(program_data + 4096, 9)
             .expect("touch");
-        let mut slice = SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
-            .expect("spawn");
+        let mut slice = spawned(&process, &bubble);
         // Keep an extra fork alive so page frames stay shared even after
         // the master's own writes copy them (in the real run, many slices
         // hold references simultaneously).
@@ -911,8 +881,7 @@ mod tests {
     fn woken_loop_slice() -> SliceRuntime<TestCount> {
         let src = "main:\n li r1, 10\nloop:\n subi r1, r1, 1\n bne r1, r0, loop\n exit 0\n";
         let (mut process, bubble) = master(src);
-        let slice = SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
-            .expect("spawn");
+        let slice = spawned(&process, &bubble);
         process.run_until_syscall(11).expect("run");
         let sig = Signature::capture(&mut process);
         let mut slice = slice;
@@ -926,9 +895,7 @@ mod tests {
                    loop:\n subi r1, r1, 1\n bne r1, r0, loop\n exit 0\n";
         for shared_code_cache in [true, false] {
             let (mut process, bubble) = master(src);
-            let mut slice =
-                SliceRuntime::spawn(1, &process, &TestCount::default(), &bubble, &cfg(), 0)
-                    .expect("spawn");
+            let mut slice = spawned(&process, &bubble);
             // The boundary is the loop head, four iterations in.
             process.run_until_syscall(3 + 2 * 4).expect("run");
             let sig = Signature::capture(&mut process);

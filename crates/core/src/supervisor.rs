@@ -303,7 +303,7 @@ mod tests {
         let mut process = superpin_vm::process::Process::load(1, &program).expect("load");
         let bubble = crate::bubble::Bubble::reserve(&mut process.mem).expect("bubble");
         let cfg = crate::config::SuperPinConfig::paper_default();
-        let slice = SliceRuntime::spawn(1, &process, &Nop, &bubble, &cfg, 0).expect("spawn");
+        let slice = SliceRuntime::spawn(1, &process, &Nop, &bubble, &cfg, 0, None).expect("spawn");
 
         let mut sup: SliceSupervisor<Nop> = SliceSupervisor::new(8, 2);
         sup.guard(&slice);
@@ -354,7 +354,8 @@ mod tests {
         let mut process = superpin_vm::process::Process::load(1, &program).expect("load");
         let bubble = crate::bubble::Bubble::reserve(&mut process.mem).expect("bubble");
         let cfg = crate::config::SuperPinConfig::paper_default();
-        let mut live = SliceRuntime::spawn(1, &process, &Nop, &bubble, &cfg, 0).expect("spawn");
+        let mut live =
+            SliceRuntime::spawn(1, &process, &Nop, &bubble, &cfg, 0, None).expect("spawn");
         live.wake(Boundary::ProgramExit, Vec::new(), 0);
 
         // Two supervisors guard the same wake-time state; only `sup` is

@@ -10,7 +10,6 @@ use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 use superpin_analysis::{LiveMap, RegSet};
 use superpin_isa::{Inst, Reg};
-use superpin_vm::mem::CodeIdentity;
 
 /// Hasher for trace-entry keys. Entries are guest addresses — already
 /// well distributed — so the default SipHash's per-lookup cost (it
@@ -322,11 +321,12 @@ pub struct CompiledTrace<T> {
     /// Whether the split point cut the source trace short
     /// ([`Trace::cut`]).
     pub cut: bool,
-    /// The identity of the code the source trace was discovered in, when
-    /// it lies wholly in code regions; `None` otherwise. An engine whose
-    /// process holds the same identity would discover the same
-    /// instructions at [`entry`](CompiledTrace::entry).
-    pub code: Option<CodeIdentity>,
+    /// The [`code_version`](superpin_vm::mem::AddressSpace::code_version)
+    /// the source trace was discovered at, when it lies wholly in code
+    /// regions; `None` otherwise. An engine whose process is at the same
+    /// version would discover the same instructions at
+    /// [`entry`](CompiledTrace::entry).
+    pub code: Option<u64>,
 }
 
 impl<T> CompiledTrace<T> {
@@ -595,8 +595,8 @@ impl<T> CodeCache<T> {
     /// Compiles a discovered trace plus the tool's collected
     /// instrumentation and inserts it. Returns the new trace's slab id
     /// and the number of instructions compiled (for JIT cost accounting).
-    /// `code` is recorded as [`CompiledTrace::code`]: pass the identity
-    /// of the code the trace was discovered in only when it vouches for
+    /// `code` is recorded as [`CompiledTrace::code`]: pass the code
+    /// version the trace was discovered at only when it vouches for
     /// every instruction of the trace.
     ///
     /// Every call is lowered against `cost` here ([`LoweredCall`]), so
@@ -613,7 +613,7 @@ impl<T> CodeCache<T> {
     pub fn compile(
         &mut self,
         trace: &Trace,
-        code: Option<CodeIdentity>,
+        code: Option<u64>,
         inserter: Inserter<T>,
         cost: &CostModel,
     ) -> (u32, usize)

@@ -9,7 +9,7 @@ use crate::inserter::{CallCtx, EngineCtl, IPoint, Inserter};
 use crate::registry::{Entry, TraceRegistry};
 use crate::spill::ClobberViolation;
 use crate::tool::Pintool;
-use crate::trace::{discover_trace_decoded, Trace};
+use crate::trace::discover_trace_decoded;
 use std::fmt;
 use std::sync::Arc;
 use superpin_analysis::{SoundnessOracle, SuperblockPlan};
@@ -76,11 +76,11 @@ pub struct EngineStats {
 /// host takes another route to the same translation.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct AdoptionCounts {
-    /// Misses that adopted a published template on its code identity
-    /// alone, without rediscovering the trace.
+    /// Misses that adopted a published template on its code version
+    /// alone, without discovering the trace.
     pub by_identity: u64,
-    /// Misses on a published template that the identity could not vouch
-    /// for, which rediscovered the trace (and may still have adopted it).
+    /// Misses on a published template that the code version could not
+    /// vouch for, which discovered the trace and compiled it.
     pub rediscovered: u64,
 }
 
@@ -288,13 +288,13 @@ impl<T: Pintool + 'static> Engine<T> {
 
     /// Starts an epoch reading `registry`, the traces published at the
     /// last barrier. The engine adopts a published template instead of
-    /// re-instrumenting when its tool certifies the trace shareable
-    /// ([`Pintool::instrumentation_is_shareable`]) and its own discovery
-    /// would produce the same instructions: at once when the template's
-    /// code identity is this process's (see
-    /// [`compile_miss`](Engine::compile_miss)), after rediscovering and
-    /// comparing the trace otherwise. Simulated cycles are charged
-    /// exactly as for a compile. Compiles not yet drained by
+    /// instrumenting when its tool certifies the trace shareable
+    /// ([`Pintool::instrumentation_is_shareable`]) and the template's
+    /// code version is this process's, so its own discovery would
+    /// produce the same instructions (see
+    /// [`compile_miss`](Engine::compile_miss)); it compiles the trace
+    /// otherwise. Simulated cycles are charged exactly as for a
+    /// compile. Compiles not yet drained by
     /// [`take_fresh_traces`](Engine::take_fresh_traces) are carried
     /// over.
     pub fn enter_epoch(&mut self, registry: Arc<TraceRegistry<T>>) {
@@ -538,12 +538,12 @@ impl<T: Pintool + 'static> Engine<T> {
         }
     }
 
-    /// Forms, instruments (or adopts) and inserts the trace entered at
+    /// Adopts, or forms, instruments and compiles, the trace entered at
     /// `pc` after a cache miss, returning its slab id.
     ///
-    /// A published template whose code identity vouches for it is
+    /// A published template whose code version vouches for it is
     /// adopted at once ([`vouched_template`](Engine::vouched_template)).
-    /// Anything else is rediscovered ([`rediscover`](Engine::rediscover)).
+    /// Anything else is compiled here ([`compile_trace`](Engine::compile_trace)).
     /// Both routes charge the same simulated cycles.
     ///
     /// Kept out of line: a miss is rare next to the dispatch loop in
@@ -560,7 +560,7 @@ impl<T: Pintool + 'static> Engine<T> {
                 let count = template.insts.len();
                 (self.cache.adopt(template), count, per_inst)
             }
-            None => self.rediscover(pc)?,
+            None => self.compile_trace(pc)?,
         };
         let jit = count as u64 * per_inst;
         self.stats.cycles.jit += jit;
@@ -569,23 +569,23 @@ impl<T: Pintool + 'static> Engine<T> {
     }
 
     /// The registry's template for `pc`, if this engine may adopt it
-    /// without rediscovering the trace. Discovery here would reproduce
-    /// it exactly when:
+    /// without discovering the trace. Discovery here would reproduce it
+    /// exactly when:
     ///
-    /// - it was discovered in code this process holds too (equal
-    ///   [`CodeIdentity`](superpin_vm::mem::CodeIdentity), see
-    ///   [`CompiledTrace::code`]);
+    /// - it was discovered in code this process holds too (an equal
+    ///   [`code_version`](superpin_vm::mem::AddressSpace::code_version),
+    ///   see [`CompiledTrace::code`]);
     /// - this engine's split point does not fall strictly inside it;
     /// - it ended naturally, or the split that cut it is this engine's.
     ///
     /// The tool must also certify the template's own instructions
-    /// shareable, as it would the rediscovered trace's. A template the
-    /// identity cannot vouch for is counted and left to
-    /// [`rediscover`](Engine::rediscover).
+    /// shareable, as it would a discovered trace's. A template the
+    /// version cannot vouch for is counted and left to
+    /// [`compile_trace`](Engine::compile_trace).
     fn vouched_template(&mut self, pc: u64) -> Option<Arc<CompiledTrace<T>>> {
         let template = self.sharing.as_ref()?.registry.template(pc)?;
         let split = self.split_point;
-        let vouched = template.code.as_ref() == Some(self.process.mem.code_identity())
+        let vouched = template.code == Some(self.process.mem.code_version())
             && !split.is_some_and(|split| pc < split && split < template.fallthrough)
             && (!template.cut || split == Some(template.fallthrough))
             && !self.cache.has_clobber_bug()
@@ -597,45 +597,23 @@ impl<T: Pintool + 'static> Engine<T> {
         template
     }
 
-    /// Discovers the trace entered at `pc`, then adopts the registry's
-    /// template if it is instruction for instruction the same, or
-    /// instruments and compiles it. Returns the slab id, the
-    /// instructions charged and the JIT price per instruction.
-    fn rediscover(&mut self, pc: u64) -> Result<(u32, usize, u64), VmError> {
+    /// Discovers, instruments and compiles the trace entered at `pc`.
+    /// Returns the slab id, the instructions charged and the JIT price
+    /// per instruction.
+    fn compile_trace(&mut self, pc: u64) -> Result<(u32, usize, u64), VmError> {
         // Discovery routes through the process decode cache: a forked
-        // slice inherits its master's decoded pages, so re-discovering a
+        // slice inherits its master's decoded pages, so discovering a
         // trace the master already walked decodes nothing.
         let trace = discover_trace_decoded(&mut self.process, pc, self.split_point)?;
         let per_inst = self.jit_rate(pc);
-        // Template sharing: when a peer engine published this exact trace
-        // with certified-pure instrumentation, adopt its compiled form
-        // instead of re-instrumenting. Guarded by an
-        // instruction-for-instruction comparison against the trace *this*
-        // engine just discovered, so SMC divergence or a different slice
-        // boundary falls through to a private compile.
         let shareable = self.sharing.is_some()
             && !self.cache.has_clobber_bug()
             && self
                 .tool
                 .instrumentation_is_shareable(trace.insts().copied());
-        let template = self
-            .sharing
-            .as_ref()
-            .filter(|_| shareable)
-            .and_then(|sharing| sharing.registry.template(pc))
-            .filter(|template| template_matches(template, &trace))
-            .cloned();
-        if let Some(template) = template {
-            let count = template.insts.len();
-            return Ok((self.cache.adopt(template), count, per_inst));
-        }
         let mut inserter = Inserter::new();
         self.tool.instrument_trace(&trace, &mut inserter);
-        let code = self
-            .process
-            .mem
-            .code_identity_over(pc, trace.fallthrough())
-            .cloned();
+        let code = self.process.mem.code_version_over(pc, trace.fallthrough());
         let (id, count) = self.cache.compile(&trace, code, inserter, &self.cost);
         // Kept for the barrier: what a peer can adopt, and with the
         // shared charge on, the bare membership it pays less for.
@@ -993,14 +971,6 @@ pub fn cycles_to_ns(cycles: u64) -> u64 {
     ((cycles as u128) * 10 / 22) as u64
 }
 
-/// Whether a shared template is instruction-for-instruction identical to
-/// the trace this engine just discovered. Anything else — self-modified
-/// code, a different slice-boundary truncation — fails the comparison
-/// and the engine compiles privately.
-fn template_matches<T>(template: &CompiledTrace<T>, trace: &Trace) -> bool {
-    template.insts.len() == trace.num_insts() && template.inst_refs().eq(trace.insts().copied())
-}
-
 /// Effective address of a load/store (0 for anything else).
 fn mem_effective_address(process: &Process, inst: Inst) -> u64 {
     match inst {
@@ -1018,7 +988,7 @@ mod tests {
     use super::*;
     use crate::inserter::{IArg, IPoint};
     use crate::tool::NullTool;
-    use crate::trace::InstRef;
+    use crate::trace::{InstRef, Trace};
     use superpin_isa::asm::assemble;
 
     fn process_for(src: &str) -> Process {
@@ -1286,28 +1256,20 @@ mod tests {
 
     #[test]
     fn a_published_trace_is_adopted_only_after_the_barrier() {
+        // Peers are forks of one process, as SuperPin slices are: only
+        // they share a code version.
+        let parent = process_for(LOOP_100);
+        let peer = |pid| Engine::new(parent.fork(pid), ICount1::default());
         let empty = Arc::new(TraceRegistry::new());
-        let mut a = run_sharing(
-            Engine::new(process_for(LOOP_100), ICount1::default()),
-            &empty,
-            false,
-        );
+        let mut a = run_sharing(peer(2), &empty, false);
         let fresh = a.take_fresh_traces();
         assert!(!fresh.is_empty() && fresh.iter().all(|(_, t)| t.is_some()));
         assert!(a.take_fresh_traces().is_empty(), "a drain empties");
 
         // Before the barrier B reads the registry A's compiles are not in.
-        let mut before = run_sharing(
-            Engine::new(process_for(LOOP_100), ICount1::default()),
-            &empty,
-            false,
-        );
+        let mut before = run_sharing(peer(3), &empty, false);
         let published = empty.publish(fresh.iter().cloned());
-        let mut after = run_sharing(
-            Engine::new(process_for(LOOP_100), ICount1::default()),
-            &published,
-            false,
-        );
+        let mut after = run_sharing(peer(4), &published, false);
         for (pc, template) in &fresh {
             let template = template.as_ref().expect("shareable");
             assert!(Arc::ptr_eq(&resident(&mut a, *pc), template));
@@ -1326,22 +1288,19 @@ mod tests {
             engine.run_to_exit().expect("solo");
             engine.stats()
         };
+        // Forks of one process, so B's code version vouches for A's
+        // templates.
+        let parent = process_for(LOOP_100);
+        let peer = |pid| Engine::new(parent.fork(pid), ICount1::default());
         let empty = Arc::new(TraceRegistry::new());
-        let mut a = run_sharing(
-            Engine::new(process_for(LOOP_100), ICount1::default()),
-            &empty,
-            true,
-        );
+        let mut a = run_sharing(peer(2), &empty, true);
         assert_eq!(a.stats().shared_cache_adoptions, 0);
         assert!(a.stats().shared_cache_misses > 0, "the first compiler pays");
         assert_eq!(a.stats().cycles, solo.cycles);
         let published = empty.publish(a.take_fresh_traces());
 
-        let on = run_sharing(
-            Engine::new(process_for(LOOP_100), ICount1::default()),
-            &published,
-            true,
-        );
+        let on = run_sharing(peer(3), &published, true);
+        assert!(on.adoption_counts().by_identity > 0);
         let stats = on.stats();
         assert!(stats.shared_cache_adoptions > 0, "B must pay the check");
         assert_eq!(stats.shared_cache_misses, 0, "nothing new to claim");
@@ -1353,11 +1312,8 @@ mod tests {
 
         // Off, the registry only saves host work: B's stats are a solo
         // engine's, adopted templates and all.
-        let off = run_sharing(
-            Engine::new(process_for(LOOP_100), ICount1::default()),
-            &published,
-            false,
-        );
+        let off = run_sharing(peer(4), &published, false);
+        assert!(off.adoption_counts().by_identity > 0);
         assert_eq!(off.stats(), solo);
     }
 
@@ -1397,29 +1353,74 @@ mod tests {
         assert!(Arc::ptr_eq(&resident(&mut same, entry), &template(entry)));
 
         // A fork that rewrote the loop bound after the fork must run its
-        // own code: the rewritten trace is compiled, the untouched loop
-        // body still adopted after rediscovery.
+        // own code: its code version vouches for no template, so every
+        // trace is compiled as a solo engine on that code compiles it,
+        // the untouched loop body included.
         let patched = assemble(&LOOP_100.replace("li r1, 100", "li r1, 30")).expect("assemble");
+        let mut engine = Engine::new(rewritten(&parent, &patched), ICount1::default());
+        engine.enter_epoch(Arc::clone(&registry));
+        engine.run_to_exit().expect("run");
+        assert_eq!(engine.tool().count, native_count(&patched));
+        assert_eq!(engine.process().inst_count(), native_count(&patched));
+        assert_eq!(engine.adoption_counts().by_identity, 0);
+        assert!(engine.adoption_counts().rediscovered > 0);
+        let mut solo = Engine::new(
+            Process::load(1, &patched).expect("load"),
+            ICount1::default(),
+        );
+        solo.run_to_exit().expect("solo");
+        assert_eq!(engine.tool().count, solo.tool().count);
+        for pc in [entry, entry + LOOP_AT] {
+            let resident_trace = resident(&mut engine, pc);
+            assert!(!Arc::ptr_eq(&resident_trace, &template(pc)));
+            assert!(resident_trace
+                .inst_refs()
+                .eq(resident(&mut solo, pc).inst_refs()));
+        }
+    }
+
+    /// A fork of `parent` whose code has been overwritten by `program`'s.
+    fn rewritten(parent: &Process, program: &superpin_isa::Program) -> Process {
         let mut child = parent.fork(2);
         child
             .mem
-            .write(patched.code_base(), patched.code())
+            .write(program.code_base(), program.code())
             .expect("rewrite code");
-        let mut engine = Engine::new(child, ICount1::default());
-        engine.enter_epoch(Arc::clone(&registry));
-        engine.run_to_exit().expect("run");
-        let mut native = Process::load(1, &patched).expect("load");
+        child
+    }
+
+    /// `program`'s native instruction count.
+    fn native_count(program: &superpin_isa::Program) -> u64 {
+        let mut native = Process::load(1, program).expect("load");
         native.run(u64::MAX, 0).expect("native");
-        assert_eq!(engine.tool().count, native.inst_count());
-        assert_eq!(engine.process().inst_count(), native.inst_count());
-        assert_eq!(engine.adoption_counts().by_identity, 0);
-        assert!(engine.adoption_counts().rediscovered > 0);
-        assert!(!Arc::ptr_eq(
-            &resident(&mut engine, entry),
-            &template(entry)
-        ));
-        let body = entry + LOOP_AT;
-        assert!(Arc::ptr_eq(&resident(&mut engine, body), &template(body)));
+        native.inst_count()
+    }
+
+    #[test]
+    fn forks_that_rewrite_their_code_apart_never_share_a_template() {
+        // Both forks change their code once, from the same version: only
+        // a process-wide version keeps them apart.
+        let parent = process_for(LOOP_100);
+        let entry = parent.cpu.pc;
+        let [thirty, fifty] = ["li r1, 30", "li r1, 50"]
+            .map(|li| assemble(&LOOP_100.replace("li r1, 100", li)).expect("assemble"));
+        let mut publisher = run_sharing(
+            Engine::new(rewritten(&parent, &thirty), ICount1::default()),
+            &Arc::new(TraceRegistry::new()),
+            false,
+        );
+        assert_eq!(publisher.tool().count, native_count(&thirty));
+        let registry = published(&mut publisher);
+        let template = Arc::clone(registry.template(entry).expect("published"));
+
+        let mut other = run_sharing(
+            Engine::new(rewritten(&parent, &fifty), ICount1::default()),
+            &registry,
+            false,
+        );
+        assert_eq!(other.tool().count, native_count(&fifty));
+        assert_eq!(other.adoption_counts().by_identity, 0);
+        assert!(!Arc::ptr_eq(&resident(&mut other, entry), &template));
     }
 
     #[test]
@@ -1433,17 +1434,17 @@ mod tests {
         assert!(!template.cut && template.fallthrough > body + 16);
 
         let mut adopter = forked(&parent, split, &registry);
-        let mut rediscovered = forked(&parent, split, &empty);
+        let mut solo = forked(&parent, split, &empty);
         assert!(adopter.adoption_counts().rediscovered > 0);
-        assert_eq!(adopter.tool().count, rediscovered.tool().count);
-        assert_eq!(adopter.stats(), rediscovered.stats());
-        assert_eq!(adopter.cache_stats(), rediscovered.cache_stats());
+        assert_eq!(adopter.tool().count, solo.tool().count);
+        assert_eq!(adopter.stats(), solo.stats());
+        assert_eq!(adopter.cache_stats(), solo.cache_stats());
         let resident_body = resident(&mut adopter, body);
         assert!(!Arc::ptr_eq(&resident_body, &template));
         assert!(resident_body.cut && Some(resident_body.fallthrough) == split);
         assert!(resident_body
             .inst_refs()
-            .eq(resident(&mut rediscovered, body).inst_refs()));
+            .eq(resident(&mut solo, body).inst_refs()));
     }
 
     #[test]
@@ -1461,7 +1462,7 @@ mod tests {
         assert!(Arc::ptr_eq(&resident(&mut same, body), &template));
 
         // No split, or one past the cut: the trace goes on past the cut,
-        // so it is rediscovered and compiled as a solo engine would.
+        // so it is discovered and compiled as a solo engine would.
         for split in [None, Some(body + 24)] {
             let mut other = forked(&parent, split, &registry);
             let mut solo = forked(&parent, split, &empty);

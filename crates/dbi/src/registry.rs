@@ -17,9 +17,9 @@
 //!   publishing engine's tool certified it shareable
 //!   ([`Pintool::instrumentation_is_shareable`](crate::Pintool::instrumentation_is_shareable)).
 //!   An engine missing on that pc adopts it instead of re-instrumenting
-//!   (a host-side saving; the simulated charge is the same either way):
-//!   at once when the template's code identity vouches for it, after
-//!   rediscovering and comparing the trace otherwise (see
+//!   (a host-side saving; the simulated charge is the same either way)
+//!   when the template's code version vouches for it, and compiles the
+//!   trace otherwise (see
 //!   [`Engine::enter_epoch`](crate::Engine::enter_epoch)).
 //!
 //! [`publish`]: TraceRegistry::publish

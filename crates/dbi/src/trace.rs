@@ -6,7 +6,8 @@
 //! unconditional control transfer, a syscall, a block-count limit, or an
 //! instruction-count limit.
 
-use superpin_isa::{DecodeError, Inst};
+use superpin_isa::Inst;
+use superpin_vm::cpu::fetch_at;
 use superpin_vm::mem::AddressSpace;
 use superpin_vm::process::Process;
 use superpin_vm::VmError;
@@ -102,35 +103,6 @@ impl Trace {
     }
 }
 
-/// Decodes one instruction out of guest memory.
-///
-/// # Errors
-///
-/// Returns [`VmError::Mem`] for unmapped fetches, [`VmError::Decode`] for
-/// invalid encodings.
-pub fn decode_guest(mem: &AddressSpace, pc: u64) -> Result<InstRef, VmError> {
-    let mut buf = [0u8; 16];
-    mem.read(pc, &mut buf[..8])?;
-    match superpin_isa::decode(&buf[..8]) {
-        Ok((inst, size)) => Ok(InstRef {
-            addr: pc,
-            inst,
-            size: size as u64,
-        }),
-        Err(DecodeError::Truncated) => {
-            mem.read(pc + 8, &mut buf[8..])?;
-            let (inst, size) =
-                superpin_isa::decode(&buf).map_err(|source| VmError::Decode { pc, source })?;
-            Ok(InstRef {
-                addr: pc,
-                inst,
-                size: size as u64,
-            })
-        }
-        Err(source) => Err(VmError::Decode { pc, source }),
-    }
-}
-
 /// Discovers the trace starting at `entry` by decoding guest memory.
 ///
 /// Blocks end at any [`Inst::ends_basic_block`] instruction. The trace
@@ -162,7 +134,17 @@ pub fn discover_trace_split(
     entry: u64,
     split: Option<u64>,
 ) -> Result<Trace, VmError> {
-    discover_trace_with(|pc| decode_guest(mem, pc), entry, split)
+    discover_trace_with(
+        |pc| {
+            fetch_at(mem, pc).map(|(inst, size)| InstRef {
+                addr: pc,
+                inst,
+                size,
+            })
+        },
+        entry,
+        split,
+    )
 }
 
 /// [`discover_trace_split`] through `process`'s decode cache
@@ -195,7 +177,7 @@ pub fn discover_trace_decoded(
 /// [`discover_trace_split`] over an arbitrary instruction source.
 ///
 /// The fetch closure says where decoded instructions come from: a
-/// fresh guest-memory decode ([`decode_guest`]) or, in the engine, the
+/// fresh guest-memory decode ([`fetch_at`]) or, in the engine, the
 /// process's per-page decode cache. Both yield identical [`InstRef`]s
 /// for the same pc.
 ///
@@ -324,12 +306,12 @@ mod tests {
     }
 
     #[test]
-    fn decode_guest_reports_bad_code() {
+    fn discover_trace_reports_bad_code() {
         let (mut mem, entry) = mem_for("main:\n nop\n jmp main\n");
         mem.write(entry, &[0xff; 8]).expect("poison");
         assert!(matches!(
-            decode_guest(&mem, entry),
-            Err(VmError::Decode { .. })
+            discover_trace(&mem, entry),
+            Err(VmError::Decode { pc, .. }) if pc == entry
         ));
     }
 }

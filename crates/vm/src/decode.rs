@@ -9,18 +9,19 @@
 //!
 //! # Invalidation
 //!
-//! The cache is keyed on [`AddressSpace::code_version`], the monotonic
-//! counter the address space bumps on every write into (or unmap of) a
-//! [`RegionKind::Code`] region. Any mismatch clears the whole cache, so
-//! self-modifying code observes its new bytes on the very next fetch —
-//! the version is re-checked before *every* cached read, including
-//! mid-run, because a store can rewrite the instruction directly after
-//! itself.
+//! The cache is keyed on [`AddressSpace::code_version`], which every
+//! write into (or mapping or unmapping of) a [`RegionKind::Code`] region
+//! replaces with a value unique across the process, and which fork and
+//! clone copy: equal versions mean the same code in any two spaces. Any
+//! mismatch clears the whole cache, so self-modifying code observes its
+//! new bytes on the very next fetch — the version is re-checked before
+//! *every* cached read, including mid-run, because a store can rewrite
+//! the instruction directly after itself.
 //!
 //! # What is (not) cached
 //!
 //! Only pages inside `RegionKind::Code` regions are cached: writes
-//! elsewhere do not bump `code_version`, so caching a data page would go
+//! elsewhere do not change `code_version`, so caching a data page would go
 //! stale silently. Regions are page-aligned, so a page is either wholly
 //! code or not cacheable. Two deliberate holes fall back to a plain
 //! [`cpu::fetch_at`]:
@@ -28,7 +29,7 @@
 //! * a 16-byte `li` occupying the *last* word of a page — its payload
 //!   word lives on the next page, which may not be code;
 //! * faulting or undecodable words — mappings can change without a
-//!   `code_version` bump, so negative results are never memoized.
+//!   `code_version` change, so negative results are never memoized.
 
 use crate::cpu::{self, CpuState, ExecOutcome};
 use crate::error::VmError;

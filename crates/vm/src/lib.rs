@@ -13,12 +13,12 @@
 //!   a counted COW fault and copies it, exactly the cost SuperPin's fork
 //!   overhead analysis reasons about (paper §6.3).
 //! * [`cpu`] — the interpreter core executing `superpin-isa` instructions
-//!   fetched from guest memory, dispatching through a direct-threaded
-//!   opcode table.
+//!   fetched from guest memory, dispatching with one inlined `match`
+//!   ([`cpu::exec_decoded`]).
 //! * [`decode`] — per-page pre-decoded instruction streams keyed on the
-//!   code-page generation, so each instruction is decoded once rather
-//!   than once per execution; self-modifying code invalidates the cache
-//!   through the same `code_version` channel the DBI engine uses.
+//!   address space's code version, so each instruction is decoded once
+//!   rather than once per execution; self-modifying code invalidates the
+//!   cache through the same `code_version` channel the DBI engine uses.
 //! * [`kernel`] — an emulated kernel: `exit`, `write`, `read`, `open`,
 //!   `close`, `brk`, `mmap`, `munmap`, `gettime`, `getpid`, `getrandom`.
 //!   Every syscall execution produces a [`kernel::SyscallRecord`]

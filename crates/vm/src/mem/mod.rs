@@ -11,4 +11,4 @@ mod page;
 mod space;
 
 pub use page::{PageFrame, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
-pub use space::{AddressSpace, CodeIdentity, MemError, MemStats, Region, RegionKind};
+pub use space::{AddressSpace, MemError, MemStats, Region, RegionKind};

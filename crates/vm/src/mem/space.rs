@@ -4,7 +4,7 @@ use super::page::{PageFrame, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 use std::cell::Cell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Classification of a mapped region.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -132,9 +132,9 @@ pub struct MemStats {
 /// `pages` maps a page index to) so that a small direct-mapped software
 /// TLB can remember `page → slot` and answer the common single-page
 /// access without the region search and the `BTreeMap` walk. The TLB is
-/// a pure host-side memo: every observable (bytes, [`MemStats`],
-/// [`code_version`](AddressSpace::code_version), the code-write log) is
-/// what the untranslated path would have produced. See [`Tlb`] for the
+/// a pure host-side memo: every observable (bytes, [`MemStats`], when
+/// the [`code_version`](AddressSpace::code_version) changes, the
+/// code-write log) is what the untranslated path would have produced. See [`Tlb`] for the
 /// hit and invalidation rules.
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
@@ -160,14 +160,8 @@ pub struct AddressSpace {
     /// [`unmap`]: AddressSpace::unmap
     cow_pending: BTreeSet<u64>,
     stats: MemStats,
-    /// Bumped on every write into a [`RegionKind::Code`] region, and on
-    /// mapping or unmapping one, so a DBI engine can detect
-    /// self-modifying code and invalidate its translations.
+    /// See [`code_version`](AddressSpace::code_version).
     code_version: u64,
-    /// Who else holds exactly this code: replaced wherever
-    /// `code_version` is bumped, and shared by [`fork`](AddressSpace::fork)
-    /// and `clone`.
-    code_identity: CodeIdentity,
     /// Optional budget for *dynamic* memory (the `brk` heap plus
     /// anonymous `mmap` regions), in bytes. `None` (the default) never
     /// fails an allocation; `Some(limit)` makes `brk` grows and `mmap`s
@@ -178,36 +172,18 @@ pub struct AddressSpace {
     mem_limit: Option<u64>,
     /// When `Some`, every write into a code region is also logged as
     /// `(addr, len)` for a static↔dynamic soundness oracle to audit
-    /// alongside the [`code_version`](AddressSpace::code_version) bump.
+    /// alongside the [`code_version`](AddressSpace::code_version) change.
     /// `None` (the default) costs one branch per write. Bounded: the
     /// consumer drains it at every code-version mismatch.
     code_write_log: Option<Vec<(u64, usize)>>,
 }
 
-/// The identity of an address space's code, compared in O(1).
-///
-/// Every space starts with a fresh identity, [`fork`](AddressSpace::fork)
-/// and `clone` share it, and every change to the code — a write into a
-/// [`RegionKind::Code`] region, or mapping or unmapping one — replaces
-/// it with a fresh one. Two spaces whose identities are equal therefore
-/// hold the same code regions with the same bytes. Identities are
-/// compared by address: a live identity is never reused.
-#[derive(Clone, Debug)]
-pub struct CodeIdentity(Arc<()>);
-
-impl CodeIdentity {
-    fn new() -> CodeIdentity {
-        CodeIdentity(Arc::new(()))
-    }
-}
-
-impl PartialEq for CodeIdentity {
-    fn eq(&self, other: &CodeIdentity) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-}
-
-impl Eq for CodeIdentity {}
+/// Where every [`AddressSpace::code_version`] but a new space's 0 comes
+/// from: one counter for the whole process, so no two spaces ever reach
+/// the same version by changing their code independently. Taken with
+/// `Relaxed`: a version publishes no other data, and `fetch_add` alone
+/// hands each value out once.
+static NEXT_CODE_VERSION: AtomicU64 = AtomicU64::new(1);
 
 /// Base address for hint-less anonymous mappings.
 const MMAP_BASE: u64 = 0x2000_0000;
@@ -305,7 +281,6 @@ impl AddressSpace {
             cow_pending: BTreeSet::new(),
             stats: MemStats::default(),
             code_version: 0,
-            code_identity: CodeIdentity::new(),
             mem_limit: None,
             code_write_log: None,
         }
@@ -340,24 +315,28 @@ impl AddressSpace {
         self.pages.len() as u64 * PAGE_SIZE as u64
     }
 
-    /// Monotonic counter bumped by every write into a code region and by
-    /// mapping or unmapping one. Translation caches compare it to detect
-    /// self-modifying code.
+    /// The version of this space's code, compared in O(1).
+    ///
+    /// A new space starts at 0, holding no code. Every change to the
+    /// code — a write into a [`RegionKind::Code`] region, or mapping or
+    /// unmapping one — takes the next value of one process-wide counter,
+    /// and [`fork`](AddressSpace::fork) and `clone` copy it. Two spaces
+    /// with equal versions therefore hold the same code regions with the
+    /// same bytes: translation caches compare it to detect
+    /// self-modifying code, and a translation made in one space is valid
+    /// in any other at the same version.
+    ///
+    /// The values are host-only. Which value a change takes depends on
+    /// every other space in the process, so they are compared, never
+    /// recorded, printed or hashed into a digest.
     pub fn code_version(&self) -> u64 {
         self.code_version
     }
 
-    /// The identity of this space's code. Two spaces with equal
-    /// identities hold identical code regions with identical bytes, so a
-    /// translation made in one is valid in the other.
-    pub fn code_identity(&self) -> &CodeIdentity {
-        &self.code_identity
-    }
-
-    /// The [`code_identity`](AddressSpace::code_identity), if it vouches
+    /// The [`code_version`](AddressSpace::code_version), if it vouches
     /// for the bytes of `[start, end)`: only when code regions cover the
-    /// whole range. Writes anywhere else leave the identity as it is.
-    pub fn code_identity_over(&self, start: u64, end: u64) -> Option<&CodeIdentity> {
+    /// whole range. Writes anywhere else leave the version as it is.
+    pub fn code_version_over(&self, start: u64, end: u64) -> Option<u64> {
         let mut covered = start;
         for region in self
             .regions
@@ -369,19 +348,16 @@ impl AddressSpace {
             }
             covered = region.end();
             if covered >= end {
-                return Some(&self.code_identity);
+                return Some(self.code_version);
             }
         }
         None
     }
 
-    /// Records that the code changed: bumps
-    /// [`code_version`](AddressSpace::code_version) and takes a fresh
-    /// [`code_identity`](AddressSpace::code_identity), which no other
-    /// space holds.
+    /// Records that the code changed: takes a
+    /// [`code_version`](AddressSpace::code_version) no space has held.
     fn code_changed(&mut self) {
-        self.code_version += 1;
-        self.code_identity = CodeIdentity::new();
+        self.code_version = NEXT_CODE_VERSION.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Enables (or with `false` disables and discards) the code-write
@@ -1011,7 +987,7 @@ mod tests {
     }
 
     #[test]
-    fn the_code_identity_vouches_only_for_code_regions() {
+    fn the_code_version_vouches_only_for_code_regions() {
         let page = PAGE_SIZE as u64;
         let mut space = AddressSpace::new(0x10_0000);
         space
@@ -1023,18 +999,18 @@ mod tests {
         space
             .map_region(0x4000, page, RegionKind::Data)
             .expect("data");
-        let identity = space.code_identity().clone();
-        assert_eq!(space.code_identity_over(0x1000, 0x1010), Some(&identity));
+        let version = space.code_version();
+        assert_eq!(space.code_version_over(0x1000, 0x1010), Some(version));
         // Two adjoining code regions cover a range across both.
-        assert_eq!(space.code_identity_over(0x2ff8, 0x3008), Some(&identity));
-        assert_eq!(space.code_identity_over(0x3ff8, 0x4008), None);
-        assert_eq!(space.code_identity_over(0x4000, 0x4008), None);
-        assert_eq!(space.code_identity_over(0x0ff8, 0x1008), None);
-        // Data writes keep the identity; a code write replaces it.
+        assert_eq!(space.code_version_over(0x2ff8, 0x3008), Some(version));
+        assert_eq!(space.code_version_over(0x3ff8, 0x4008), None);
+        assert_eq!(space.code_version_over(0x4000, 0x4008), None);
+        assert_eq!(space.code_version_over(0x0ff8, 0x1008), None);
+        // Data writes keep the version; a code write changes it.
         space.write_u64(0x4000, 1).expect("data write");
-        assert_eq!(space.code_identity(), &identity);
+        assert_eq!(space.code_version(), version);
         space.write_u64(0x1000, 1).expect("code write");
-        assert_ne!(space.code_identity(), &identity);
+        assert_ne!(space.code_version(), version);
     }
 
     #[test]
@@ -1277,10 +1253,9 @@ mod tests {
             }
         }
 
-        fn observables(space: &mut AddressSpace) -> (MemStats, u64, Vec<(u64, usize)>, u64, usize) {
+        fn observables(space: &mut AddressSpace) -> (MemStats, Vec<(u64, usize)>, u64, usize) {
             (
                 space.stats(),
-                space.code_version(),
                 space.take_code_writes(),
                 space.content_digest(),
                 space.resident_pages(),
@@ -1300,6 +1275,10 @@ mod tests {
                     for twin in &twins {
                         twin.tlb.flush();
                     }
+                    let versions = |spaces: &[AddressSpace]| -> Vec<u64> {
+                        spaces.iter().map(AddressSpace::code_version).collect()
+                    };
+                    let (before, twins_before) = (versions(&spaces), versions(&twins));
                     let got = apply(&mut spaces, kind, a, b);
                     let want = apply(&mut twins, kind, a, b);
                     prop_assert_eq!(&got, &want, "step {}", step);
@@ -1312,7 +1291,15 @@ mod tests {
                     }
                     for (space, twin) in spaces.iter().zip(&twins) {
                         prop_assert_eq!(space.stats(), twin.stats(), "step {}: {}", step, got);
-                        prop_assert_eq!(space.code_version(), twin.code_version());
+                    }
+                    // Versions are unique across the process, so a space
+                    // and its twin agree on whether theirs moved.
+                    for (i, (space, twin)) in spaces.iter().zip(&twins).take(before.len()).enumerate() {
+                        prop_assert_eq!(
+                            space.code_version() != before[i],
+                            twin.code_version() != twins_before[i],
+                            "step {}: {}", step, got
+                        );
                     }
                 }
                 for (space, twin) in spaces.iter_mut().zip(&mut twins) {
@@ -1329,33 +1316,32 @@ mod tests {
                 }
             }
 
-            /// The code identity is replaced exactly when `code_version`
-            /// moves, a fork shares its parent's, and spaces that share
-            /// one hold the same code.
+            /// A fork keeps its parent's code version, a step that
+            /// changes a space's code changes its version, and spaces at
+            /// equal versions hold the same code.
             #[test]
-            fn prop_code_identity_moves_exactly_with_code_version(
+            fn prop_equal_code_versions_hold_equal_code(
                 ops in proptest::collection::vec((0u8..13, any::<u64>(), any::<u64>()), 40..400),
             ) {
                 let mut spaces = vec![fresh()];
                 for (step, (kind, a, b)) in ops.into_iter().enumerate() {
-                    let before: Vec<(u64, CodeIdentity)> = spaces
+                    let before: Vec<(u64, _)> = spaces
                         .iter()
-                        .map(|space| (space.code_version(), space.code_identity().clone()))
+                        .map(|space| (space.code_version(), code_of(space)))
                         .collect();
                     let op = apply(&mut spaces, kind, a, b);
-                    for (space, (version, identity)) in spaces.iter().zip(&before) {
-                        prop_assert_eq!(
-                            space.code_version() != *version,
-                            space.code_identity() != identity,
-                            "step {}: {}", step, op
-                        );
+                    for (space, (version, code)) in spaces.iter().zip(&before) {
+                        if code_of(space) != *code {
+                            prop_assert_ne!(space.code_version(), *version, "step {}: {}", step, op);
+                        }
                     }
-                    for child in &spaces[before.len()..] {
-                        prop_assert!(before.iter().any(|(_, id)| id == child.code_identity()));
+                    if let Some(child) = spaces.get(before.len()) {
+                        let who = (a >> 56) as usize % before.len();
+                        prop_assert_eq!(child.code_version(), spaces[who].code_version());
                     }
                     for (i, space) in spaces.iter().enumerate() {
                         for other in &spaces[i + 1..] {
-                            if space.code_identity() == other.code_identity() {
+                            if space.code_version() == other.code_version() {
                                 prop_assert_eq!(code_of(space), code_of(other), "step {}", step);
                             }
                         }
@@ -1398,7 +1384,7 @@ mod tests {
             assert!(!hit(&space, CODE).expect("filled").write_ok);
             let version = space.code_version();
             space.write_u64(CODE, 4).expect("code write");
-            assert_eq!(space.code_version(), version + 1);
+            assert_ne!(space.code_version(), version);
             // A fork shares every frame: the parent's write translation
             // survives (`fork` takes `&self`) but cannot be used until
             // the frame is private again, and the child starts empty.

@@ -65,7 +65,7 @@ fn memory_only_loop_counter_triggers_false_positive() {
 
     // Slice 1 forks at program start.
     let mut slice =
-        SliceRuntime::spawn(1, &master, &Count::default(), &bubble, &cfg, 0).expect("spawn");
+        SliceRuntime::spawn(1, &master, &Count::default(), &bubble, &cfg, 0, None).expect("spawn");
     assert_eq!(slice.state(), SliceState::Sleeping);
 
     // Master runs 2 instructions (la) + 5 full iterations (6 insts each),
@@ -113,7 +113,7 @@ fn quick_match_rejected_by_full_comparison_runs_to_true_boundary() {
     let bubble = Bubble::reserve(&mut master.mem).expect("bubble");
     let cfg = SuperPinConfig::paper_default();
     let mut slice =
-        SliceRuntime::spawn(1, &master, &Count::default(), &bubble, &cfg, 0).expect("spawn");
+        SliceRuntime::spawn(1, &master, &Count::default(), &bubble, &cfg, 0, None).expect("spawn");
 
     // Master stops at the loop head with r3 == 5; r1/sp are loop-invariant.
     master.run_until_syscall(1 + 5 * 2).expect("advance master");
@@ -157,7 +157,7 @@ fn register_loop_counter_does_not_false_positive() {
     let bubble = Bubble::reserve(&mut master.mem).expect("bubble");
     let cfg = SuperPinConfig::paper_default();
     let mut slice =
-        SliceRuntime::spawn(1, &master, &Count::default(), &bubble, &cfg, 0).expect("spawn");
+        SliceRuntime::spawn(1, &master, &Count::default(), &bubble, &cfg, 0, None).expect("spawn");
 
     master.run_until_syscall(1 + 5 * 2).expect("advance master");
     let truth = master.inst_count();
