@@ -82,7 +82,7 @@ use crate::master::{MasterEvent, MasterRuntime};
 use crate::record::{AdmissionDecision as Admission, NondetEvent, RunMode, RunProbe, SliceProbe};
 use crate::report::{SliceReport, SuperPinReport, TimeBreakdown};
 use crate::shared::SharedMem;
-use crate::signature::{Signature, SignatureStats};
+use crate::signature::{QuickRegsMemo, SignatureStats};
 use crate::slice::{Boundary, SliceRuntime, SliceState, SpSliceTool};
 use crate::supervisor::{SliceSupervisor, Verdict};
 use std::collections::VecDeque;
@@ -179,6 +179,8 @@ pub struct SuperPinRunner<T: SuperTool> {
     live: VecDeque<Box<SliceRuntime<T>>>,
     finished: Vec<SliceReport>,
     sig_stats: SignatureStats,
+    /// The quick-check registers chosen at earlier timeout boundaries.
+    quick_regs: QuickRegsMemo,
     now: u64,
     last_fork: u64,
     master_insts_at_last_fork: u64,
@@ -258,6 +260,7 @@ impl<T: SuperTool> SuperPinRunner<T> {
             live: VecDeque::new(),
             finished: Vec::new(),
             sig_stats: SignatureStats::default(),
+            quick_regs: QuickRegsMemo::default(),
             now: 0,
             last_fork: 0,
             master_insts_at_last_fork: 0,
@@ -583,8 +586,8 @@ impl<T: SuperTool> SuperPinRunner<T> {
             slice.tool_mut().inner.on_slice_end(num, &self.shared);
             self.sig_stats.absorb(&slice.tool().sig_stats);
             let adoptions = slice.engine().adoption_counts();
-            self.adoptions.by_identity += adoptions.by_identity;
-            self.adoptions.rediscovered += adoptions.rediscovered;
+            self.adoptions.adopted += adoptions.adopted;
+            self.adoptions.compiled += adoptions.compiled;
             self.finished.push(SliceReport {
                 num,
                 insts: slice.engine().process().inst_count(),
@@ -657,9 +660,9 @@ impl<T: SuperTool> SuperPinRunner<T> {
                 }
             }
             PendingFork::Timer => {
-                let signature = Signature::capture(self.master.process_mut());
+                let signature = self.quick_regs.capture(self.master.process_mut());
                 self.forks_on_timeout += 1;
-                self.fork_slice(Some(Boundary::Signature(Box::new(signature))))?;
+                self.fork_slice(Some(Boundary::Signature(Arc::new(signature))))?;
             }
         }
         Ok(())

@@ -11,8 +11,10 @@
 //! (`INS_InsertThenCall`), verifying the architectural state and then the
 //! top-of-stack state.
 
-use superpin_dbi::trace::{discover_trace_decoded, Trace};
+use std::collections::HashMap;
+use superpin_dbi::trace::{fetch_decoded, InstRef, TraceSlot};
 use superpin_isa::{Reg, NUM_REGS};
+use superpin_vm::mem::{PAGE_MASK, PAGE_SIZE};
 use superpin_vm::process::Process;
 use superpin_vm::VmError;
 
@@ -55,16 +57,37 @@ impl Signature {
 
     /// Captures a signature with explicitly chosen quick-check registers.
     ///
-    /// Stack addresses wrap at 2^64 exactly as the detector's
-    /// [`IArg::StackWord`](superpin_dbi::IArg::StackWord) arguments do,
-    /// so capture and detection read the same words whatever the
-    /// guest's SP.
+    /// Word `i` of the stack is `mem[sp + 8·i]`, 0 where unmapped, with
+    /// the address wrapping at 2^64, exactly as the detector's
+    /// [`IArg::StackWord`](superpin_dbi::IArg::StackWord) arguments read
+    /// it, so capture and detection see the same words whatever the
+    /// guest's SP. The words are read a page at a time: mapping is
+    /// decided per page, so one read of the words wholly inside a page
+    /// answers as reading each would, and a word straddling a page end
+    /// (or 2^64) is read on its own.
     pub fn capture_with_quick_regs(process: &Process, quick_regs: [Reg; 2]) -> Signature {
         let regs = process.cpu.regs.snapshot();
         let sp = process.cpu.regs.get(Reg::SP);
-        let stack = (0..STACK_WORDS as u64)
-            .map(|i| process.mem.read_u64(sp.wrapping_add(8 * i)).unwrap_or(0))
-            .collect();
+        let mut stack = vec![0; STACK_WORDS];
+        let mut bytes = [0u8; 8 * STACK_WORDS];
+        let mut i = 0;
+        while i < STACK_WORDS {
+            let addr = sp.wrapping_add(8 * i as u64);
+            let in_page = (PAGE_SIZE - (addr & PAGE_MASK) as usize) / 8;
+            let run = in_page.min(STACK_WORDS - i);
+            if run == 0 {
+                stack[i] = process.mem.read_u64(addr).unwrap_or(0);
+                i += 1;
+                continue;
+            }
+            let bytes = &mut bytes[..8 * run];
+            if process.mem.read(addr, bytes).is_ok() {
+                for (word, le) in stack[i..i + run].iter_mut().zip(bytes.chunks_exact(8)) {
+                    *word = u64::from_le_bytes(le.try_into().expect("eight bytes"));
+                }
+            }
+            i += run;
+        }
         Signature {
             pc: process.cpu.pc,
             regs,
@@ -97,20 +120,26 @@ impl Signature {
 /// blocks. The code is read through the process's decode cache.
 pub fn infer_quick_regs(process: &mut Process) -> [Reg; 2] {
     let pc = process.cpu.pc;
-    infer_quick_regs_from(pc, |pc| discover_trace_decoded(process, pc, None))
+    infer_quick_regs_from(pc, &mut TraceSlot::default(), fetch_decoded(process)).0
 }
 
-/// [`infer_quick_regs`] scanning from `pc` over the traces `discover`
-/// forms.
+/// [`infer_quick_regs`] scanning from `pc` over the traces formed in
+/// `slot` from the instructions `fetch` yields. Also returns the hull
+/// `[lowest entry, highest fall-through)` of the traces scanned, or
+/// `None` when a discovery failed and ended the scan.
 fn infer_quick_regs_from(
     mut pc: u64,
-    mut discover: impl FnMut(u64) -> Result<Trace, VmError>,
-) -> [Reg; 2] {
+    slot: &mut TraceSlot,
+    mut fetch: impl FnMut(u64) -> Result<InstRef, VmError>,
+) -> ([Reg; 2], Option<(u64, u64)>) {
     let mut writes = [0u32; NUM_REGS];
+    let mut hull = Some((pc, pc));
     for _ in 0..QUICK_SCAN_BLOCKS {
-        let Ok(trace) = discover(pc) else {
+        let Ok(trace) = slot.discover_with(&mut fetch, pc, None) else {
+            hull = None;
             break;
         };
+        hull = hull.map(|(lo, hi)| (lo.min(trace.entry()), hi.max(trace.fallthrough())));
         // Registers written inside loop bodies are the ones "highly
         // likely to change over loop iterations" (paper §4.4); weight
         // blocks ending in a backward branch accordingly.
@@ -137,11 +166,11 @@ fn infer_quick_regs_from(
         }
     }
 
-    let mut ranked: Vec<usize> = (0..NUM_REGS).collect();
+    let mut ranked: [usize; NUM_REGS] = std::array::from_fn(|i| i);
     ranked.sort_by_key(|&i| std::cmp::Reverse(writes[i]));
     let first_ok = writes[ranked[0]] > 0;
     let second_ok = writes[ranked[1]] > 0;
-    match (first_ok, second_ok) {
+    let regs = match (first_ok, second_ok) {
         (true, true) => [Reg::new(ranked[0] as u8), Reg::new(ranked[1] as u8)],
         (true, false) => {
             let primary = Reg::new(ranked[0] as u8);
@@ -153,6 +182,46 @@ fn infer_quick_regs_from(
             [primary, fallback]
         }
         _ => DEFAULT_QUICK_REGS,
+    };
+    (regs, hull)
+}
+
+/// The quick-check registers a run has already chosen, by boundary pc
+/// and [`code_version`](superpin_vm::mem::AddressSpace::code_version).
+///
+/// A third of a sliced run's timeouts land on a boundary pc an earlier
+/// one already scanned. The choice is a function of the code the scan
+/// read, so it is kept only when every trace scanned lies in code
+/// regions — which the version vouches for — and reused while the
+/// version stays the same. A scan that read anything else, or failed,
+/// is made again at every capture. Host-only: the signatures it yields
+/// are the ones [`Signature::capture`] would.
+#[derive(Debug, Default)]
+pub struct QuickRegsMemo {
+    known: HashMap<(u64, u64), [Reg; 2]>,
+    /// Where the scans form their traces.
+    slot: TraceSlot,
+}
+
+impl QuickRegsMemo {
+    /// [`Signature::capture`], choosing the quick-check registers from
+    /// the memo when it can.
+    pub fn capture(&mut self, process: &mut Process) -> Signature {
+        let key = (process.cpu.pc, process.mem.code_version());
+        let quick_regs = match self.known.get(&key) {
+            Some(&regs) => regs,
+            None => {
+                let (regs, hull) =
+                    infer_quick_regs_from(key.0, &mut self.slot, fetch_decoded(process));
+                let in_code = hull
+                    .is_some_and(|(lo, hi)| process.mem.code_version_over(lo, hi) == Some(key.1));
+                if in_code {
+                    self.known.insert(key, regs);
+                }
+                regs
+            }
+        };
+        Signature::capture_with_quick_regs(process, quick_regs)
     }
 }
 
@@ -294,22 +363,26 @@ mod tests {
         assert_eq!(quick[1], DEFAULT_QUICK_REGS[0]);
     }
 
+    /// A xorshift stream: the seeded source of the property tests.
+    fn xorshift(mut seed: u64) -> impl FnMut() -> u64 {
+        move || {
+            seed ^= seed << 13;
+            seed ^= seed >> 7;
+            seed ^= seed << 17;
+            seed
+        }
+    }
+
     /// Capture reads code through the decode cache, warm from running or
     /// inherited by a fork; a scan of raw memory must pick the same
     /// registers, so the signature is the same.
     #[test]
     fn capture_through_the_decode_cache_equals_raw_memory_discovery() {
-        use superpin_dbi::trace::discover_trace;
+        use superpin_vm::cpu::fetch_at;
         use superpin_vm::process::RunExit;
         use superpin_workloads::{find, Scale};
 
-        let mut seed = 0x9e37_79b9_7f4a_7c15_u64;
-        let mut next = move || {
-            seed ^= seed << 13;
-            seed ^= seed >> 7;
-            seed ^= seed << 17;
-            seed
-        };
+        let mut next = xorshift(0x9e37_79b9_7f4a_7c15);
         for guest in ["gcc", "mcf", "crafty"] {
             let program = find(guest).expect("catalog guest").build(Scale::Tiny);
             let mut process = Process::load(1, &program).expect("load");
@@ -317,9 +390,15 @@ mod tests {
             while points < 40 {
                 let mut fork = process.fork(2);
                 for process in [&mut process, &mut fork] {
-                    let raw = infer_quick_regs_from(process.cpu.pc, |pc| {
-                        discover_trace(&process.mem, pc)
-                    });
+                    let raw = |pc| {
+                        fetch_at(&process.mem, pc).map(|(inst, size)| InstRef {
+                            addr: pc,
+                            inst,
+                            size,
+                        })
+                    };
+                    let (raw, _) =
+                        infer_quick_regs_from(process.cpu.pc, &mut TraceSlot::default(), raw);
                     let expected = Signature::capture_with_quick_regs(process, raw);
                     assert_eq!(Signature::capture(process), expected, "{guest}");
                 }
@@ -331,6 +410,128 @@ mod tests {
             }
             assert!(points >= 20, "{guest} exited after {points} points");
         }
+    }
+
+    /// The signature as first stated: quick-check registers from a fresh
+    /// scan, and each stack word read on its own.
+    fn per_word_capture(process: &mut Process) -> Signature {
+        let quick_regs = infer_quick_regs(process);
+        let sp = process.cpu.regs.get(Reg::SP);
+        let regs = process.cpu.regs.snapshot();
+        Signature {
+            pc: process.cpu.pc,
+            regs,
+            stack: (0..STACK_WORDS as u64)
+                .map(|i| process.mem.read_u64(sp.wrapping_add(8 * i)).unwrap_or(0))
+                .collect(),
+            quick_regs,
+            quick_vals: [regs[quick_regs[0].index()], regs[quick_regs[1].index()]],
+        }
+    }
+
+    /// The memoised, page-run capture equals the per-word one with a
+    /// fresh scan: at random points of three guests, and there under
+    /// every awkward stack pointer — 8 bytes below a page end, unaligned,
+    /// unaligned below the end of the stack with nothing mapped past it,
+    /// on an unmapped page, and close enough to 2^64 to wrap.
+    #[test]
+    fn memoised_page_run_capture_equals_a_per_word_fresh_capture() {
+        use superpin_vm::process::RunExit;
+        use superpin_workloads::{find, Scale};
+
+        let mut next = xorshift(0x2545_f491_4f6c_dd1d);
+        for guest in ["gcc", "mcf", "crafty"] {
+            let program = find(guest).expect("catalog guest").build(Scale::Tiny);
+            let mut process = Process::load(1, &program).expect("load");
+            let mut memo = QuickRegsMemo::default();
+            let mut points = 0u64;
+            loop {
+                let sp = process.cpu.regs.get(Reg::SP);
+                let page_end = (sp | PAGE_MASK) + 1;
+                let unmapped = (1..)
+                    .map(|k| 0x4000_0000_0000 + k * PAGE_SIZE as u64)
+                    .find(|&addr| !process.mem.is_mapped(addr))
+                    .expect("an unmapped page");
+                let stack_end = process
+                    .mem
+                    .regions()
+                    .iter()
+                    .find(|region| region.contains(sp))
+                    .expect("SP is mapped")
+                    .end();
+                assert!(!process.mem.is_mapped(stack_end));
+                let sps = [
+                    sp,
+                    page_end - 8,
+                    sp + 1 + next() % 7,
+                    stack_end - 8 * (1 + next() % 99) - (1 + next() % 7),
+                    unmapped + 8 * (next() % 512),
+                    0u64.wrapping_sub(1 + next() % 800),
+                ];
+                for sp in sps {
+                    let mut probe = process.clone();
+                    // Something to see in the last words below the end.
+                    probe
+                        .mem
+                        .write_u64(stack_end - 16, 0x5151_5151_5151_5151)
+                        .expect("poke the stack");
+                    probe.cpu.regs.set(Reg::SP, sp);
+                    let want = per_word_capture(&mut probe.clone());
+                    assert_eq!(memo.capture(&mut probe), want, "{guest} sp {sp:#x}");
+                }
+                points += 1;
+                let steps = 1 + next() % 400;
+                if let RunExit::Exited(_) = process.run(steps, 0).expect("run") {
+                    break;
+                }
+                if points == 60 {
+                    break;
+                }
+            }
+            assert!(points >= 20, "{guest} exited after {points} points");
+            // Guests revisit their loops, so some boundaries recur and the
+            // memo answers them.
+            assert!(
+                (memo.known.len() as u64) < points,
+                "{guest}: {} scans kept for {points} points",
+                memo.known.len()
+            );
+        }
+    }
+
+    /// A code write between two captures at one pc moves the code
+    /// version, so the memo must scan again and see the new code.
+    #[test]
+    fn a_code_write_between_captures_at_one_pc_is_scanned_again() {
+        let src = "main:\nloop:\n addi r5, r5, 1\n add r6, r6, r5\n bne r5, r7, loop\n exit 0\n";
+        let program = assemble(src).expect("assemble");
+        let rewritten =
+            assemble(&src.replace("add r6, r6, r5", "add r9, r9, r5")).expect("assemble");
+        let mut process = Process::load(1, &program).expect("load");
+        let mut memo = QuickRegsMemo::default();
+        let first = memo.capture(&mut process);
+        assert_eq!(first, per_word_capture(&mut process.clone()));
+        assert_eq!(memo.capture(&mut process), first, "a hit on unchanged code");
+        assert_eq!(memo.known.len(), 1);
+
+        process
+            .mem
+            .write(rewritten.code_base(), rewritten.code())
+            .expect("rewrite code");
+        let second = memo.capture(&mut process);
+        assert_eq!(second, per_word_capture(&mut process.clone()));
+        assert_eq!((first.pc, second.pc), (process.cpu.pc, process.cpu.pc));
+        assert!(
+            first.quick_regs.contains(&Reg::R6),
+            "{:?}",
+            first.quick_regs
+        );
+        assert!(
+            second.quick_regs.contains(&Reg::R9),
+            "{:?}",
+            second.quick_regs
+        );
+        assert_eq!(memo.known.len(), 2);
     }
 
     #[test]

@@ -8,6 +8,7 @@ use crate::signature::{Signature, SignatureStats, STACK_WORDS};
 use crate::trampoline;
 use std::collections::VecDeque;
 use std::sync::Arc;
+use superpin_dbi::cache::CompiledTrace;
 use superpin_dbi::cache::DEFAULT_CAPACITY_INSTS;
 use superpin_dbi::registry::Entry;
 use superpin_dbi::{
@@ -22,8 +23,9 @@ use superpin_vm::process::Process;
 #[derive(Clone, Debug)]
 pub enum Boundary {
     /// End when the recorded state signature matches at its pc
-    /// (timeout-created boundary, paper §4.3/§4.4).
-    Signature(Box<Signature>),
+    /// (timeout-created boundary, paper §4.3/§4.4). Shared with the
+    /// detector the woken slice instruments.
+    Signature(Arc<Signature>),
     /// End after consuming the final syscall record (the next slice was
     /// forced at that syscall, paper §4.2).
     SyscallEnd,
@@ -71,6 +73,9 @@ pub struct SpSliceTool<T: SuperTool> {
     detect: Option<Arc<Signature>>,
     /// Detection statistics for this slice.
     pub sig_stats: SignatureStats,
+    /// Where the user tool inserts each trace's calls before they are
+    /// absorbed: drained by every absorb, and kept for the next trace.
+    inner_calls: Inserter<T>,
     slice_num: u32,
     /// Armed chaos registry for the signature failpoints
     /// ([`Site::CoreSignatureQuickMiss`] /
@@ -106,17 +111,20 @@ impl<T: SuperTool> SpSliceTool<T> {
 
 impl<T: SuperTool> Pintool for SpSliceTool<T> {
     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
+        // Room for the detector and a call per instruction, reserved
+        // once in each list before anything is inserted.
+        inserter.reserve(trace.num_insts() + 1);
+        self.inner_calls.reserve(trace.num_insts());
         // Detection first: a boundary hit must short-circuit the user
         // tool's calls for that instruction (it belongs to the next
         // slice).
-        if let Some(sig) = self.detect.clone() {
+        if let Some(sig) = &self.detect {
             if trace.insts().any(|iref| iref.addr == sig.pc) {
-                insert_detection(inserter, &sig);
+                insert_detection(inserter, sig);
             }
         }
-        let mut inner_inserter = Inserter::new();
-        self.inner.instrument_trace(trace, &mut inner_inserter);
-        inserter.absorb(inner_inserter, |wrapper: &mut SpSliceTool<T>| {
+        self.inner.instrument_trace(trace, &mut self.inner_calls);
+        inserter.absorb(&mut self.inner_calls, |wrapper: &mut SpSliceTool<T>| {
             &mut wrapper.inner
         });
     }
@@ -135,6 +143,29 @@ impl<T: SuperTool> Pintool for SpSliceTool<T> {
             None => true,
         };
         boundary_free && self.inner.instrumentation_is_shareable(insts)
+    }
+
+    fn template_is_shareable(&self, template: &CompiledTrace<Self>) -> bool {
+        // The boundary test above, by binary search: the slots are
+        // sorted and cover `[entry, fallthrough)` back to back, so an
+        // instruction ends at the boundary exactly when the next one
+        // starts there or it is the last. A boundary outside that range
+        // touches no slot, and most templates are decided there.
+        let boundary_free = match &self.detect {
+            Some(sig) => {
+                !(template.entry..=template.fallthrough).contains(&sig.pc)
+                    || (sig.pc != template.fallthrough
+                        && template
+                            .insts
+                            .binary_search_by_key(&sig.pc, |slot| slot.addr)
+                            .is_err())
+            }
+            None => true,
+        };
+        boundary_free
+            && self
+                .inner
+                .instrumentation_is_shareable(template.inst_refs())
     }
 
     fn on_syscall(&mut self, record: &SyscallRecord) {
@@ -158,7 +189,8 @@ fn insert_detection<T: SuperTool>(inserter: &mut Inserter<SpSliceTool<T>>, sig: 
         IArg::RegValue(sig.quick_regs[0]),
         IArg::RegValue(sig.quick_regs[1]),
     ];
-    let mut then_args: Vec<IArg> = Reg::all().map(IArg::RegValue).collect();
+    let mut then_args = Vec::with_capacity(NUM_REGS + STACK_WORDS);
+    then_args.extend(Reg::all().map(IArg::RegValue));
     then_args.extend((0..STACK_WORDS as u32).map(IArg::StackWord));
 
     inserter.insert_if_then_call(
@@ -293,6 +325,7 @@ impl<T: SuperTool> SliceRuntime<T> {
             inner,
             detect: None,
             sig_stats: SignatureStats::default(),
+            inner_calls: Inserter::default(),
             slice_num: num,
             chaos: None,
             chaos_salt: 0,
@@ -422,7 +455,7 @@ impl<T: SuperTool> SliceRuntime<T> {
             // detector fires before any block-granularity instrumentation
             // of the boundary block (keeps icount2-style tools exact).
             self.engine.set_split_point(Some(sig.pc));
-            self.engine.tool_mut().detect = Some(Arc::new((**sig).clone()));
+            self.engine.tool_mut().detect = Some(Arc::clone(sig));
         }
         self.records = records.into();
         self.boundary = Some(boundary);
@@ -756,7 +789,7 @@ mod tests {
         let master_insts_so_far = process.inst_count();
         let sig = Signature::capture(&mut process);
 
-        slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
+        slice.wake(Boundary::Signature(Arc::new(sig)), vec![], 0);
         slice.advance(u64::MAX / 8, 7).expect("advance");
         assert_eq!(slice.state(), SliceState::Done);
         assert_eq!(slice.end_reason(), Some(SliceEnd::SignatureDetected));
@@ -778,7 +811,7 @@ mod tests {
         let mut slice = spawned(&process, &bubble);
         process.run_until_syscall(1 + 2 * 40).expect("run");
         let sig = Signature::capture(&mut process);
-        slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
+        slice.wake(Boundary::Signature(Arc::new(sig)), vec![], 0);
         slice.advance(u64::MAX / 8, 0).expect("advance");
         let stats = slice.tool().sig_stats;
         assert_eq!(stats.detections, 1);
@@ -822,7 +855,7 @@ mod tests {
         process.do_syscall(0).expect("sys");
         process.run_until_syscall(u64::MAX).expect("run to exit");
         let sig = Signature::capture(&mut process);
-        slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
+        slice.wake(Boundary::Signature(Arc::new(sig)), vec![], 0);
         let err = slice.advance(u64::MAX / 8, 0).unwrap_err();
         assert!(matches!(err, SpError::SliceDiverged { slice: 1, .. }));
     }
@@ -885,7 +918,7 @@ mod tests {
         process.run_until_syscall(11).expect("run");
         let sig = Signature::capture(&mut process);
         let mut slice = slice;
-        slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
+        slice.wake(Boundary::Signature(Arc::new(sig)), vec![], 0);
         slice
     }
 
@@ -900,7 +933,7 @@ mod tests {
             process.run_until_syscall(3 + 2 * 4).expect("run");
             let sig = Signature::capture(&mut process);
             let boundary = sig.pc;
-            slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
+            slice.wake(Boundary::Signature(Arc::new(sig)), vec![], 0);
             slice.engine.set_shared_code_cache(shared_code_cache);
             slice.enter_epoch(Arc::new(TraceRegistry::new()));
             slice.advance(u64::MAX / 8, 0).expect("advance");
@@ -913,7 +946,7 @@ mod tests {
             // which only the shared charge has a use for — never how.
             let start = boundary - 16; // `li` is two words
             for pc in [boundary, start] {
-                assert_eq!(registry.contains(pc), shared_code_cache, "{pc:#x}");
+                assert_eq!(registry.entry(pc).is_some(), shared_code_cache, "{pc:#x}");
                 assert!(registry.template(pc).is_none(), "{pc:#x}");
             }
             let others: Vec<u64> = fresh
@@ -924,6 +957,34 @@ mod tests {
             assert_eq!(others.len(), 1, "main's trace");
             assert!(registry.template(others[0]).is_some());
         }
+    }
+
+    /// The template test searches where the discovered-trace test
+    /// scans: for every boundary from before a trace to past its end,
+    /// mid-`li` words included, both must answer alike.
+    #[test]
+    fn a_template_is_shareable_exactly_when_its_instructions_are() {
+        use superpin_dbi::{discover_trace, CodeCache, CostModel};
+        let src = "main:\n li r1, 5\n addi r2, r2, 1\n li r3, 7\n bne r1, r0, main\n exit 0\n";
+        let (process, bubble) = master(src);
+        let mut slice = spawned(&process, &bubble);
+        let entry = process.cpu.pc;
+        let trace = discover_trace(&process.mem, entry).expect("trace");
+        let mut cache: CodeCache<SpSliceTool<TestCount>> = CodeCache::new();
+        let (id, _) = cache.compile(&trace, None, &mut Inserter::new(), &CostModel::default());
+        let template = Arc::clone(cache.trace(id));
+        let sig =
+            Signature::capture_with_quick_regs(&process, crate::signature::DEFAULT_QUICK_REGS);
+        let tool = slice.tool_mut();
+        let mut kept = 0;
+        for pc in (entry - 16..=template.fallthrough + 16).step_by(8) {
+            tool.detect = Some(Arc::new(Signature { pc, ..sig.clone() }));
+            let scanned = tool.instrumentation_is_shareable(template.inst_refs());
+            assert_eq!(tool.template_is_shareable(&template), scanned, "{pc:#x}");
+            kept += usize::from(!scanned);
+        }
+        // Every slot start and the fall-through keep the template private.
+        assert_eq!(kept, template.insts.len() + 1);
     }
 
     #[test]

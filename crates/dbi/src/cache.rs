@@ -1,7 +1,9 @@
 //! The code cache: compiled, instrumented traces keyed by entry address.
 
 use crate::cost::CostModel;
-use crate::inserter::{AnalysisFn, Call, CounterFn, IArg, IPoint, Inserter, PredicateFn};
+use crate::inserter::{
+    AnalysisFn, Call, CounterFn, Counters, Guarded, IArg, IPoint, Inserter, PredicateFn,
+};
 use crate::spill::{required_saves, ClobberViolation};
 use crate::trace::{InstRef, Trace};
 use std::collections::HashMap;
@@ -47,6 +49,11 @@ pub(crate) type EntryMap<V> = HashMap<u64, V, BuildHasherDefault<EntryHasher>>;
 /// code footprint") take wholesale flushes and recompile, raising their
 /// compilation overhead exactly as in the paper.
 pub const DEFAULT_CAPACITY_INSTS: usize = 65_536;
+
+/// Traces a new cache has room for before its index and slab grow. A
+/// `churn_t1` slice fills its cold cache with about thirty, so one
+/// allocation each covers it.
+const INITIAL_TRACES: usize = 32;
 
 /// One argument of a lowered call: everything [`IArg`] can name that is
 /// fixed by the instruction and the insertion point is already a value.
@@ -167,6 +174,21 @@ pub enum LoweredCall<T> {
     },
 }
 
+impl<T> LoweredCall<T> {
+    /// Whether any argument of the call is [`LoweredArg::MemAddr`].
+    fn reads_mem_addr(&self) -> bool {
+        match self {
+            LoweredCall::Count { .. } => false,
+            LoweredCall::Plain { args, .. } => args.reads_mem_addr(),
+            LoweredCall::IfThen {
+                pred_args,
+                then_args,
+                ..
+            } => pred_args.reads_mem_addr() || then_args.reads_mem_addr(),
+        }
+    }
+}
+
 /// One analysis call as compiled into the cache: the tool's routine,
 /// lowered, plus the register save/restore plan the compiler chose for it.
 pub struct InsertedCall<T> {
@@ -262,26 +284,114 @@ pub(crate) struct OpenRun {
 }
 
 /// The run [`CodeCache::compile`] has open while it lays a trace out.
-struct Fold<T> {
-    counter: CounterFn<T>,
+/// Empty while `run.calls` is 0.
+struct Fold {
+    /// The inserter's index of the run's accessor.
+    counter: u32,
     run: OpenRun,
     saves: RegSet,
     elided: RegSet,
 }
 
-impl<T> Fold<T> {
-    /// The one op that writes the run to its counter.
-    fn close(self) -> InsertedCall<T> {
-        InsertedCall {
-            call: LoweredCall::Count {
-                counter: self.counter,
-                n: self.run.n,
-                cost: self.run.cost,
-                calls: self.run.calls,
-            },
-            saves: self.saves,
-            elided: self.elided,
+impl Fold {
+    const EMPTY: Fold = Fold {
+        counter: 0,
+        run: OpenRun {
+            counter: 0,
+            calls: 0,
+            n: 0,
+            cost: 0,
+        },
+        saves: RegSet::EMPTY,
+        elided: RegSet::EMPTY,
+    };
+}
+
+/// A trace's call array as [`CodeCache::compile`] lays it out, in
+/// execution order, folding counts: a run closes right before any other
+/// routine (it may read a counter) and where a count names another
+/// counter; otherwise it stays open across lists and slots.
+struct Layout<'a, T> {
+    /// The inserter's counter accessors, by the index counts name.
+    accessors: Counters<'a, T>,
+    calls: Vec<InsertedCall<T>>,
+    /// The trace's counters.
+    counters: Vec<CounterFn<T>>,
+    open: Fold,
+}
+
+impl<T> Layout<'_, T> {
+    /// Where the next call lands in the array.
+    fn at(&self) -> u32 {
+        u32::try_from(self.calls.len()).expect("calls fit u32")
+    }
+
+    /// The run open right now: what a trace exit here settles.
+    fn open_run(&self) -> OpenRun {
+        self.open.run
+    }
+
+    /// Writes the open run, if any, as the one op that adds it to its
+    /// counter.
+    fn close(&mut self) {
+        if self.open.run.calls != 0 {
+            let fold = std::mem::replace(&mut self.open, Fold::EMPTY);
+            self.calls.push(InsertedCall {
+                call: LoweredCall::Count {
+                    counter: Arc::clone(self.accessors.get(fold.counter)),
+                    n: fold.run.n,
+                    cost: fold.run.cost,
+                    calls: fold.run.calls,
+                },
+                saves: fold.saves,
+                elided: fold.elided,
+            });
         }
+    }
+
+    /// Lays out the next routine of the trace, a flush point.
+    fn call(&mut self, inserted: InsertedCall<T>) {
+        self.close();
+        self.calls.push(inserted);
+    }
+
+    /// Lays out the next count of the trace: `n` added to the counter of
+    /// the inserter's accessor `counter`, charged `cost`, with `saves`
+    /// and `elided` planned as for a call.
+    fn count(&mut self, counter: u32, n: u64, cost: u64, saves: RegSet, elided: RegSet) {
+        let fold = &mut self.open;
+        if fold.run.calls != 0 && fold.counter == counter {
+            fold.run.calls += 1;
+            fold.run.n += n;
+            fold.run.cost += cost;
+            fold.saves = fold.saves.union(saves);
+            fold.elided = fold.elided.intersect(elided);
+            return;
+        }
+        self.close();
+        let accessor = self.accessors.get(counter);
+        let index = match self
+            .counters
+            .iter()
+            .position(|known| Arc::ptr_eq(known, accessor))
+        {
+            Some(index) => index,
+            None => {
+                self.counters.push(Arc::clone(accessor));
+                self.counters.len() - 1
+            }
+        };
+        self.open = Fold {
+            counter,
+            run: OpenRun {
+                counter: u32::try_from(index).expect("counters fit u32"),
+                calls: 1,
+                n,
+                cost,
+            },
+            saves,
+            elided,
+        };
     }
 }
 
@@ -453,8 +563,8 @@ impl<T> CodeCache<T> {
     /// An empty cache bounded at `capacity_insts` cached instructions.
     pub fn with_capacity(capacity_insts: usize) -> CodeCache<T> {
         CodeCache {
-            index: EntryMap::default(),
-            slab: Vec::new(),
+            index: EntryMap::with_capacity_and_hasher(INITIAL_TRACES, Default::default()),
+            slab: Vec::with_capacity(INITIAL_TRACES),
             resident_insts: 0,
             capacity_insts: capacity_insts.max(1),
             stats: CacheStats::default(),
@@ -593,11 +703,12 @@ impl<T> CodeCache<T> {
     }
 
     /// Compiles a discovered trace plus the tool's collected
-    /// instrumentation and inserts it. Returns the new trace's slab id
-    /// and the number of instructions compiled (for JIT cost accounting).
-    /// `code` is recorded as [`CompiledTrace::code`]: pass the code
-    /// version the trace was discovered at only when it vouches for
-    /// every instruction of the trace.
+    /// instrumentation and inserts it, draining `inserter` for the next
+    /// trace. Returns the new trace's slab id and the number of
+    /// instructions compiled (for JIT cost accounting). `code` is
+    /// recorded as [`CompiledTrace::code`]: pass the code version the
+    /// trace was discovered at only when it vouches for every
+    /// instruction of the trace.
     ///
     /// Every call is lowered against `cost` here ([`LoweredCall`]), so
     /// the executor adds pre-summed charges and, for all-static argument
@@ -608,229 +719,205 @@ impl<T> CodeCache<T> {
     /// each list is recorded for the executor to settle at a trace exit.
     /// An `icount1` trace compiles to an empty call array.
     ///
+    /// The layout is one pass over the slots. The calls are put in
+    /// `(address, point)` order first — a stable sort, so each slot's
+    /// before- and after-list keep the order the tool inserted them in,
+    /// whatever order it visited the slots in; tools that insert slot by
+    /// slot skip the sort — and then each slot takes its calls off the
+    /// front, straight into the pre-sized arrays.
+    ///
     /// If inserting would exceed capacity, the whole cache is flushed
     /// first (Pin's wholesale-flush policy).
     pub fn compile(
         &mut self,
         trace: &Trace,
         code: Option<u64>,
-        inserter: Inserter<T>,
+        inserter: &mut Inserter<T>,
         cost: &CostModel,
     ) -> (u32, usize)
     where
         T: 'static,
     {
-        let mut insts: Vec<CompiledInst> = trace
+        // Trace discovery only moves forward, so slots are sorted by
+        // address, and calls in address order meet their slots in turn.
+        debug_assert!(trace
             .insts()
-            .map(|iref| CompiledInst {
+            .zip(trace.insts().skip(1))
+            .all(|(a, b)| a.addr < b.addr));
+        let (pending, accessors) = inserter.parts();
+        let order = |(addr, point, _): &(u64, IPoint, Call<T>)| (*addr, *point == IPoint::After);
+        if !pending.is_sorted_by_key(order) {
+            pending.sort_by_key(order);
+        }
+        // Counts to one counter with nothing between them fold away
+        // entirely (icount1); otherwise every call may need an entry.
+        let mut first = None;
+        let folds_away = pending.iter().all(|(_, _, call)| match call {
+            Call::Count { counter, .. } => first.get_or_insert(*counter) == counter,
+            _ => false,
+        });
+        let len = trace.num_insts();
+        let mut hot = Vec::with_capacity(len);
+        let mut insts = Vec::with_capacity(len);
+        let mut layout = Layout {
+            accessors,
+            calls: Vec::with_capacity(if folds_away { 0 } else { pending.len() }),
+            counters: Vec::new(),
+            open: Fold::EMPTY,
+        };
+        let arg_cost = |args: &[IArg]| args.len() as u64 * cost.analysis_arg;
+        let mut pending = pending.drain(..);
+        for iref in trace.insts() {
+            // The slot's runs of calls, read off the keys still pending.
+            // Calls before them aim at addresses outside the trace and
+            // are dropped, mirroring Pin: instrumentation only applies to
+            // the trace being compiled.
+            let rest = pending.as_slice();
+            let [dropped, split, end] = [
+                (iref.addr, false),
+                (iref.addr, true),
+                (iref.addr + 1, false),
+            ]
+            .map(|key| rest.iter().take_while(|call| order(call) < key).count());
+            let runs = [split - dropped, end - split];
+            if dropped > 0 {
+                pending.nth(dropped - 1);
+            }
+            let mut slot = CompiledInst {
                 addr: iref.addr,
                 needs_mem_ea: false,
                 calls: [0; 3],
                 open: [OpenRun::default(); 2],
-            })
-            .collect();
-        // Trace discovery only moves forward, so slots are sorted by
-        // address and each call finds its slot by binary search.
-        debug_assert!(insts.windows(2).all(|pair| pair[0].addr < pair[1].addr));
-        // Each slot's `(before, after)` lists, laid out flat at the end.
-        let mut lists: Vec<[Vec<InsertedCall<T>>; 2]> =
-            insts.iter().map(|_| [Vec::new(), Vec::new()]).collect();
-
-        let irefs: Vec<InstRef> = trace.insts().copied().collect();
-        for (addr, point, call) in inserter.into_calls() {
-            if let Ok(index) = insts.binary_search_by_key(&addr, |slot| slot.addr) {
-                let slot = &mut insts[index];
-                let iref = &irefs[index];
-                // Live registers at the insertion point: before-calls see
-                // the instruction's own reads as live; after-calls see
-                // its live-out set. Unknown liveness saves everything.
-                let live = match &self.liveness {
-                    None => RegSet::ALL,
-                    Some(map) => match point {
-                        IPoint::Before => map.live_before(addr),
-                        IPoint::After => map.live_after(addr),
-                    },
-                };
-                let mut saves = required_saves(live);
-                if let Some(bug) = self.clobber_bug {
-                    saves.remove(bug);
-                }
-                // Refined interprocedural liveness (superblock plan):
-                // saved registers the refined map proves dead are
-                // annotated `elided`. `saves` itself is untouched — it
-                // is the cost basis.
-                let refined_live = self.refined.as_ref().map(|map| match point {
-                    IPoint::Before => map.live_before(addr),
-                    IPoint::After => map.live_after(addr),
-                });
-                let elided = match refined_live {
-                    None => RegSet::EMPTY,
-                    Some(refined) => saves.minus(required_saves(refined)),
-                };
-                // Invocation cost: call/return plus one save/restore per
-                // clobbered register the compiler decided to preserve.
-                // With no liveness installed the full clobber set is
-                // saved and this equals the flat `analysis_call`.
-                let invoke =
-                    cost.analysis_call_base + saves.len() as u64 * cost.save_restore_per_reg;
-                let arg_cost = |args: &[IArg]| args.len() as u64 * cost.analysis_arg;
-                let call = match call {
-                    Call::Count { counter, n } => LoweredCall::Count {
-                        counter,
-                        n,
-                        cost: invoke,
-                        calls: 1,
-                    },
-                    Call::Plain { func, args } => LoweredCall::Plain {
-                        func,
-                        cost: invoke + arg_cost(&args),
-                        args: ArgPlan::lower(&args, iref, point),
-                    },
-                    Call::IfThen {
-                        pred,
-                        pred_args,
-                        then,
-                        then_args,
-                    } => LoweredCall::IfThen {
-                        pred,
-                        pred_cost: cost.inline_if_check + arg_cost(&pred_args),
-                        pred_args: ArgPlan::lower(&pred_args, iref, point),
-                        then,
-                        then_cost: invoke + arg_cost(&then_args),
-                        then_args: ArgPlan::lower(&then_args, iref, point),
-                    },
-                };
-                slot.needs_mem_ea |= match &call {
-                    LoweredCall::Count { .. } => false,
-                    LoweredCall::Plain { args, .. } => args.reads_mem_addr(),
-                    LoweredCall::IfThen {
-                        pred_args,
-                        then_args,
-                        ..
-                    } => pred_args.reads_mem_addr() || then_args.reads_mem_addr(),
-                };
-                let list = &mut lists[index][usize::from(point == IPoint::After)];
-                if cfg!(debug_assertions) {
-                    // Clobber-safety verifier: every planned save set
-                    // must cover the live clobbered registers.
-                    let missing = required_saves(live).minus(saves);
-                    if !missing.is_empty() {
-                        self.violations.push(ClobberViolation {
-                            addr,
-                            point,
-                            call_index: list.len(),
-                            missing,
-                            live,
-                        });
-                    }
-                    // With elision, what is actually restored is
-                    // `saves − elided`; it must still cover the
-                    // refined requirement.
-                    if let Some(refined) = refined_live {
-                        let missing = required_saves(refined).minus(saves.minus(elided));
-                        if !missing.is_empty() {
-                            self.violations.push(ClobberViolation {
-                                addr,
-                                point,
-                                call_index: list.len(),
-                                missing,
-                                live: refined,
-                            });
+            };
+            for (list, point) in [IPoint::Before, IPoint::After].into_iter().enumerate() {
+                slot.calls[list] = layout.at();
+                for (call_index, (_, _, call)) in pending.by_ref().take(runs[list]).enumerate() {
+                    let (saves, elided) = self.plan_saves(iref.addr, point, call_index);
+                    // Invocation cost: call/return plus one save/restore
+                    // per clobbered register the compiler decided to
+                    // preserve. With no liveness installed the full
+                    // clobber set is saved and this equals the flat
+                    // `analysis_call`.
+                    let invoke =
+                        cost.analysis_call_base + saves.len() as u64 * cost.save_restore_per_reg;
+                    let call = match call {
+                        Call::Count { counter, n } => {
+                            layout.count(counter, n, invoke, saves, elided);
+                            continue;
                         }
-                    }
-                }
-                list.push(InsertedCall {
-                    call,
-                    saves,
-                    elided,
-                });
-            }
-            // Calls aimed at addresses outside the trace are dropped,
-            // mirroring Pin: instrumentation only applies to the trace
-            // being compiled.
-        }
-
-        // Lay the lists out in execution order, folding counts: a run
-        // closes right before any other routine (it may read a counter)
-        // and where a count names another counter; otherwise it stays
-        // open across lists and slots.
-        let mut calls = Vec::with_capacity(lists.iter().flatten().map(Vec::len).sum());
-        let mut counters: Vec<CounterFn<T>> = Vec::new();
-        let mut open: Option<Fold<T>> = None;
-        let at = |calls: &Vec<InsertedCall<T>>| u32::try_from(calls.len()).expect("calls fit u32");
-        for (slot, lists) in insts.iter_mut().zip(lists) {
-            for (point, list) in lists.into_iter().enumerate() {
-                slot.calls[point] = at(&calls);
-                for inserted in list {
-                    let LoweredCall::Count {
-                        counter,
-                        n,
-                        cost,
-                        calls: members,
-                    } = &inserted.call
-                    else {
-                        calls.extend(open.take().map(Fold::close));
-                        calls.push(inserted);
-                        continue;
+                        Call::Plain { func, args } => LoweredCall::Plain {
+                            func,
+                            cost: invoke + arg_cost(&args),
+                            args: ArgPlan::lower(&args, iref, point),
+                        },
+                        Call::IfThen(guarded) => {
+                            let Guarded {
+                                pred,
+                                pred_args,
+                                then,
+                                then_args,
+                            } = *guarded;
+                            LoweredCall::IfThen {
+                                pred,
+                                pred_cost: cost.inline_if_check + arg_cost(&pred_args),
+                                pred_args: ArgPlan::lower(&pred_args, iref, point),
+                                then,
+                                then_cost: invoke + arg_cost(&then_args),
+                                then_args: ArgPlan::lower(&then_args, iref, point),
+                            }
+                        }
                     };
-                    match &mut open {
-                        Some(fold) if Arc::ptr_eq(&fold.counter, counter) => {
-                            fold.run.calls += members;
-                            fold.run.n += n;
-                            fold.run.cost += cost;
-                            fold.saves = fold.saves.union(inserted.saves);
-                            fold.elided = fold.elided.intersect(inserted.elided);
-                        }
-                        _ => {
-                            calls.extend(open.take().map(Fold::close));
-                            let index = counters
-                                .iter()
-                                .position(|known| Arc::ptr_eq(known, counter))
-                                .unwrap_or_else(|| {
-                                    counters.push(Arc::clone(counter));
-                                    counters.len() - 1
-                                });
-                            open = Some(Fold {
-                                counter: Arc::clone(counter),
-                                run: OpenRun {
-                                    counter: u32::try_from(index).expect("counters fit u32"),
-                                    calls: *members,
-                                    n: *n,
-                                    cost: *cost,
-                                },
-                                saves: inserted.saves,
-                                elided: inserted.elided,
-                            });
-                        }
-                    }
+                    slot.needs_mem_ea |= call.reads_mem_addr();
+                    layout.call(InsertedCall {
+                        call,
+                        saves,
+                        elided,
+                    });
                 }
-                slot.open[point] = open.as_ref().map_or_else(OpenRun::default, |fold| fold.run);
+                slot.open[list] = layout.open_run();
             }
-            slot.calls[2] = at(&calls);
-        }
-
-        let hot = irefs
-            .iter()
-            .zip(&insts)
-            .map(|(iref, slot)| HotSlot {
+            slot.calls[2] = layout.at();
+            hot.push(HotSlot {
                 inst: iref.inst,
                 size: u8::try_from(iref.size).expect("an instruction is 8 or 16 bytes"),
                 quiet: slot.calls[0] == slot.calls[2] && !slot.needs_mem_ea,
-            })
-            .collect();
-        let count = insts.len();
+            });
+            insts.push(slot);
+        }
+        drop(pending);
         let id = self.adopt(Arc::new(CompiledTrace {
             entry: trace.entry(),
             hot,
             insts,
-            calls,
-            counters,
+            calls: layout.calls,
+            counters: layout.counters,
             fallthrough: trace.fallthrough(),
             num_bbls: trace.bbls().len(),
             cut: trace.cut(),
             code,
         }));
-        (id, count)
+        (id, len)
+    }
+
+    /// Plans the register saves of the `call_index`-th call of the
+    /// `point` list at `addr`: the clobbered registers live there, and
+    /// those the refined liveness proves dead (`elided`). Debug builds
+    /// check the plan here (the clobber-safety verifier).
+    fn plan_saves(&mut self, addr: u64, point: IPoint, call_index: usize) -> (RegSet, RegSet) {
+        // Live registers at the insertion point: before-calls see the
+        // instruction's own reads as live; after-calls see its live-out
+        // set. Unknown liveness saves everything.
+        let live = match &self.liveness {
+            None => RegSet::ALL,
+            Some(map) => match point {
+                IPoint::Before => map.live_before(addr),
+                IPoint::After => map.live_after(addr),
+            },
+        };
+        let mut saves = required_saves(live);
+        if let Some(bug) = self.clobber_bug {
+            saves.remove(bug);
+        }
+        // Refined interprocedural liveness (superblock plan): saved
+        // registers the refined map proves dead are annotated `elided`.
+        // `saves` itself is untouched — it is the cost basis.
+        let refined_live = self.refined.as_ref().map(|map| match point {
+            IPoint::Before => map.live_before(addr),
+            IPoint::After => map.live_after(addr),
+        });
+        let elided = match refined_live {
+            None => RegSet::EMPTY,
+            Some(refined) => saves.minus(required_saves(refined)),
+        };
+        if cfg!(debug_assertions) {
+            // Clobber-safety verifier: every planned save set must cover
+            // the live clobbered registers.
+            let missing = required_saves(live).minus(saves);
+            if !missing.is_empty() {
+                self.violations.push(ClobberViolation {
+                    addr,
+                    point,
+                    call_index,
+                    missing,
+                    live,
+                });
+            }
+            // With elision, what is actually restored is `saves −
+            // elided`; it must still cover the refined requirement.
+            if let Some(refined) = refined_live {
+                let missing = required_saves(refined).minus(saves.minus(elided));
+                if !missing.is_empty() {
+                    self.violations.push(ClobberViolation {
+                        addr,
+                        point,
+                        call_index,
+                        missing,
+                        live: refined,
+                    });
+                }
+            }
+        }
+        (saves, elided)
     }
 
     /// Inserts a compiled trace — fresh out of
@@ -895,7 +982,7 @@ mod tests {
 
     fn compile_bare(cache: &mut CodeCache<u64>, trace: &Trace) -> u32 {
         cache
-            .compile(trace, None, Inserter::new(), &CostModel::default())
+            .compile(trace, None, &mut Inserter::new(), &CostModel::default())
             .0
     }
 
@@ -910,7 +997,7 @@ mod tests {
         inserter.insert_call(0xdead, IPoint::Before, |t, _, _| *t += 1, vec![]);
 
         let mut cache: CodeCache<u64> = CodeCache::new();
-        let (id, count) = cache.compile(&trace, None, inserter, &CostModel::default());
+        let (id, count) = cache.compile(&trace, None, &mut inserter, &CostModel::default());
         let compiled = cache.trace(id);
         assert_eq!(count, 3);
         assert_eq!(compiled.before(1).len(), 1);
@@ -945,7 +1032,7 @@ mod tests {
 
         let cost = CostModel::default();
         let mut cache: CodeCache<u64> = CodeCache::new();
-        let (id, _) = cache.compile(&trace, None, inserter, &cost);
+        let (id, _) = cache.compile(&trace, None, &mut inserter, &cost);
         let compiled = cache.trace(id);
         let plan = |call: &InsertedCall<u64>| match &call.call {
             LoweredCall::Plain { args, cost, .. } => (args.clone(), *cost),
@@ -995,7 +1082,7 @@ mod tests {
                 cache.set_liveness(Arc::clone(liveness));
                 cache.set_refined_liveness(Arc::clone(liveness));
             }
-            let (id, _) = cache.compile(&trace, None, inserter, &cost);
+            let (id, _) = cache.compile(&trace, None, &mut inserter, &cost);
             let compiled = cache.trace(id);
             for index in 0..compiled.insts.len() {
                 for list in [compiled.before(index), compiled.after(index)] {
@@ -1027,9 +1114,9 @@ mod tests {
         let trace = trace_for("main:\n nop\n nop\n nop\n jmp main\n");
         let addrs: Vec<u64> = trace.insts().map(|iref| iref.addr).collect();
         let cost = CostModel::default();
-        let compile = |inserter: Inserter<Two>| {
+        let compile = |mut inserter: Inserter<Two>| {
             let mut cache: CodeCache<Two> = CodeCache::new();
-            let (id, _) = cache.compile(&trace, None, inserter, &cost);
+            let (id, _) = cache.compile(&trace, None, &mut inserter, &cost);
             Arc::clone(cache.trace(id))
         };
         let run = |counter, calls: u32, n| OpenRun {
@@ -1251,7 +1338,7 @@ mod tests {
         inserter.insert_count(addrs[2], IPoint::Before, 1, count);
         inserter.insert_count(addrs[3], IPoint::Before, 1, count);
         let mut cache: CodeCache<u64> = CodeCache::new();
-        let (id, _) = cache.compile(&trace, None, inserter, &CostModel::default());
+        let (id, _) = cache.compile(&trace, None, &mut inserter, &CostModel::default());
         let compiled = cache.trace(id);
         // The plain call closes the first count run inside slot 1's
         // after-list; the second run stays open to the trace exit, so

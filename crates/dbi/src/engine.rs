@@ -9,7 +9,7 @@ use crate::inserter::{CallCtx, EngineCtl, IPoint, Inserter};
 use crate::registry::{Entry, TraceRegistry};
 use crate::spill::ClobberViolation;
 use crate::tool::Pintool;
-use crate::trace::discover_trace_decoded;
+use crate::trace::TraceSlot;
 use std::fmt;
 use std::sync::Arc;
 use superpin_analysis::{SoundnessOracle, SuperblockPlan};
@@ -78,10 +78,27 @@ pub struct EngineStats {
 pub struct AdoptionCounts {
     /// Misses that adopted a published template on its code version
     /// alone, without discovering the trace.
-    pub by_identity: u64,
+    pub adopted: u64,
     /// Misses on a published template that the code version could not
     /// vouch for, which discovered the trace and compiled it.
-    pub rediscovered: u64,
+    pub compiled: u64,
+}
+
+/// Where an engine forms each trace it compiles and where its tool
+/// inserts the trace's calls: `compile` drains the inserter and keeps
+/// its capacity and counter accessors, and the slot keeps its vectors.
+struct Compiling<T> {
+    traces: TraceSlot,
+    inserter: Inserter<T>,
+}
+
+impl<T> Default for Compiling<T> {
+    fn default() -> Compiling<T> {
+        Compiling {
+            traces: TraceSlot::default(),
+            inserter: Inserter::default(),
+        }
+    }
 }
 
 /// Why [`Engine::run`] returned.
@@ -185,6 +202,11 @@ pub struct Engine<T: Pintool> {
     /// Where dynamic argument lists are evaluated: one buffer re-used by
     /// every call, so no execution allocates.
     scratch: Vec<u64>,
+    /// Where [`compile_trace`](Engine::compile_trace) forms and
+    /// instruments every trace, refilled by the next compile. Boxed: a
+    /// miss is rare, and the fields the dispatch loop reads stay as close
+    /// together as they were without it.
+    compiling: Box<Compiling<T>>,
     /// How misses on published templates went (host-side only).
     adoptions: AdoptionCounts,
 }
@@ -210,6 +232,7 @@ impl<T: Pintool + Clone> Clone for Engine<T> {
             fault_dispatches: self.fault_dispatches,
             oracle: self.oracle.clone(),
             scratch: Vec::new(),
+            compiling: Box::default(),
             adoptions: self.adoptions,
         }
     }
@@ -255,6 +278,7 @@ impl<T: Pintool + 'static> Engine<T> {
             fault_dispatches: 0,
             oracle: None,
             scratch: Vec::new(),
+            compiling: Box::default(),
             adoptions: AdoptionCounts::default(),
         }
     }
@@ -541,10 +565,12 @@ impl<T: Pintool + 'static> Engine<T> {
     /// Adopts, or forms, instruments and compiles, the trace entered at
     /// `pc` after a cache miss, returning its slab id.
     ///
-    /// A published template whose code version vouches for it is
-    /// adopted at once ([`vouched_template`](Engine::vouched_template)).
-    /// Anything else is compiled here ([`compile_trace`](Engine::compile_trace)).
-    /// Both routes charge the same simulated cycles.
+    /// The registry is probed once: its entry for `pc` gives both the
+    /// membership the shared JIT charge reads and the template a miss
+    /// may adopt. A template its code version vouches for is adopted at
+    /// once ([`vouches_for`](Engine::vouches_for)); anything else is
+    /// compiled here ([`compile_trace`](Engine::compile_trace)). Both
+    /// routes charge the same simulated cycles.
     ///
     /// Kept out of line: a miss is rare next to the dispatch loop in
     /// [`run`](Engine::run), and with this body inlined that loop ran
@@ -553,14 +579,27 @@ impl<T: Pintool + 'static> Engine<T> {
     fn compile_miss(&mut self, pc: u64, spent: &mut u64) -> Result<u32, VmError> {
         // A miss always routes through the dispatcher into the JIT.
         self.pending_dispatch = true;
-        let (id, count, per_inst) = match self.vouched_template(pc) {
+        let published = self
+            .sharing
+            .as_ref()
+            .and_then(|sharing| sharing.registry.entry(pc));
+        let in_registry = published.is_some();
+        let template = published.and_then(Option::as_ref);
+        let has_template = template.is_some();
+        let vouched = template
+            .filter(|template| self.vouches_for(pc, template))
+            .map(Arc::clone);
+        let (id, count, per_inst) = match vouched {
             Some(template) => {
-                self.adoptions.by_identity += 1;
-                let per_inst = self.jit_rate(pc);
+                self.adoptions.adopted += 1;
+                let per_inst = self.jit_rate(pc, in_registry);
                 let count = template.insts.len();
                 (self.cache.adopt(template), count, per_inst)
             }
-            None => self.compile_trace(pc)?,
+            None => {
+                self.adoptions.compiled += u64::from(has_template);
+                self.compile_trace(pc, in_registry)?
+            }
         };
         let jit = count as u64 * per_inst;
         self.stats.cycles.jit += jit;
@@ -568,9 +607,9 @@ impl<T: Pintool + 'static> Engine<T> {
         Ok(id)
     }
 
-    /// The registry's template for `pc`, if this engine may adopt it
-    /// without discovering the trace. Discovery here would reproduce it
-    /// exactly when:
+    /// Whether this engine may adopt `template`, the registry's entry
+    /// for `pc`, without discovering the trace. Discovery here would
+    /// reproduce it exactly when:
     ///
     /// - it was discovered in code this process holds too (an equal
     ///   [`code_version`](superpin_vm::mem::AddressSpace::code_version),
@@ -578,43 +617,36 @@ impl<T: Pintool + 'static> Engine<T> {
     /// - this engine's split point does not fall strictly inside it;
     /// - it ended naturally, or the split that cut it is this engine's.
     ///
-    /// The tool must also certify the template's own instructions
-    /// shareable, as it would a discovered trace's. A template the
-    /// version cannot vouch for is counted and left to
-    /// [`compile_trace`](Engine::compile_trace).
-    fn vouched_template(&mut self, pc: u64) -> Option<Arc<CompiledTrace<T>>> {
-        let template = self.sharing.as_ref()?.registry.template(pc)?;
+    /// The tool must also certify the template shareable
+    /// ([`Pintool::template_is_shareable`]), as it would a discovered
+    /// trace.
+    fn vouches_for(&self, pc: u64, template: &CompiledTrace<T>) -> bool {
         let split = self.split_point;
-        let vouched = template.code == Some(self.process.mem.code_version())
+        template.code == Some(self.process.mem.code_version())
             && !split.is_some_and(|split| pc < split && split < template.fallthrough)
             && (!template.cut || split == Some(template.fallthrough))
             && !self.cache.has_clobber_bug()
-            && self.tool.instrumentation_is_shareable(template.inst_refs());
-        let template = vouched.then(|| Arc::clone(template));
-        if template.is_none() {
-            self.adoptions.rediscovered += 1;
-        }
-        template
+            && self.tool.template_is_shareable(template)
     }
 
-    /// Discovers, instruments and compiles the trace entered at `pc`.
-    /// Returns the slab id, the instructions charged and the JIT price
-    /// per instruction.
-    fn compile_trace(&mut self, pc: u64) -> Result<(u32, usize, u64), VmError> {
+    /// Discovers, instruments and compiles the trace entered at `pc`,
+    /// whose registry membership is `in_registry`. Returns the slab id,
+    /// the instructions charged and the JIT price per instruction.
+    fn compile_trace(&mut self, pc: u64, in_registry: bool) -> Result<(u32, usize, u64), VmError> {
         // Discovery routes through the process decode cache: a forked
         // slice inherits its master's decoded pages, so discovering a
         // trace the master already walked decodes nothing.
-        let trace = discover_trace_decoded(&mut self.process, pc, self.split_point)?;
-        let per_inst = self.jit_rate(pc);
+        let Compiling { traces, inserter } = &mut *self.compiling;
+        let trace = traces.discover_decoded(&mut self.process, pc, self.split_point)?;
         let shareable = self.sharing.is_some()
             && !self.cache.has_clobber_bug()
             && self
                 .tool
                 .instrumentation_is_shareable(trace.insts().copied());
-        let mut inserter = Inserter::new();
-        self.tool.instrument_trace(&trace, &mut inserter);
+        self.tool.instrument_trace(trace, inserter);
         let code = self.process.mem.code_version_over(pc, trace.fallthrough());
-        let (id, count) = self.cache.compile(&trace, code, inserter, &self.cost);
+        let (id, count) = self.cache.compile(trace, code, inserter, &self.cost);
+        let per_inst = self.jit_rate(pc, in_registry);
         // Kept for the barrier: what a peer can adopt, and with the
         // shared charge on, the bare membership it pays less for.
         match &mut self.sharing {
@@ -628,15 +660,16 @@ impl<T: Pintool + 'static> Engine<T> {
     }
 
     /// The simulated JIT price per instruction of the trace entered at
-    /// `pc`. With the shared code cache on, a trace in the registry — or
-    /// one this engine already compiled this epoch, say before a cache
-    /// flush — costs only the consistency check. Whether the host then
-    /// adopts a template or compiles does not enter into it, so both
-    /// routes cost the same simulated cycles.
-    fn jit_rate(&mut self, pc: u64) -> u64 {
+    /// `pc`, which the registry holds when `in_registry`. With the shared
+    /// code cache on, a trace in the registry — or one this engine
+    /// already compiled this epoch, say before a cache flush — costs
+    /// only the consistency check. Whether the host then adopts a
+    /// template or compiles does not enter into it, so both routes cost
+    /// the same simulated cycles.
+    fn jit_rate(&mut self, pc: u64, in_registry: bool) -> u64 {
         match &self.sharing {
             Some(sharing) if self.shared_code_cache => {
-                if sharing.registry.contains(pc) || sharing.fresh.contains_key(&pc) {
+                if in_registry || sharing.fresh.contains_key(&pc) {
                     self.stats.shared_cache_adoptions += 1;
                     self.cost.shared_cache_check
                 } else {
@@ -1300,7 +1333,7 @@ mod tests {
         let published = empty.publish(a.take_fresh_traces());
 
         let on = run_sharing(peer(3), &published, true);
-        assert!(on.adoption_counts().by_identity > 0);
+        assert!(on.adoption_counts().adopted > 0);
         let stats = on.stats();
         assert!(stats.shared_cache_adoptions > 0, "B must pay the check");
         assert_eq!(stats.shared_cache_misses, 0, "nothing new to claim");
@@ -1313,7 +1346,7 @@ mod tests {
         // Off, the registry only saves host work: B's stats are a solo
         // engine's, adopted templates and all.
         let off = run_sharing(peer(4), &published, false);
-        assert!(off.adoption_counts().by_identity > 0);
+        assert!(off.adoption_counts().adopted > 0);
         assert_eq!(off.stats(), solo);
     }
 
@@ -1348,8 +1381,8 @@ mod tests {
 
         // A fork that kept the code adopts every template on identity.
         let mut same = forked(&parent, None, &registry);
-        assert_eq!(same.adoption_counts().rediscovered, 0);
-        assert!(same.adoption_counts().by_identity > 0);
+        assert_eq!(same.adoption_counts().compiled, 0);
+        assert!(same.adoption_counts().adopted > 0);
         assert!(Arc::ptr_eq(&resident(&mut same, entry), &template(entry)));
 
         // A fork that rewrote the loop bound after the fork must run its
@@ -1362,8 +1395,8 @@ mod tests {
         engine.run_to_exit().expect("run");
         assert_eq!(engine.tool().count, native_count(&patched));
         assert_eq!(engine.process().inst_count(), native_count(&patched));
-        assert_eq!(engine.adoption_counts().by_identity, 0);
-        assert!(engine.adoption_counts().rediscovered > 0);
+        assert_eq!(engine.adoption_counts().adopted, 0);
+        assert!(engine.adoption_counts().compiled > 0);
         let mut solo = Engine::new(
             Process::load(1, &patched).expect("load"),
             ICount1::default(),
@@ -1419,7 +1452,7 @@ mod tests {
             false,
         );
         assert_eq!(other.tool().count, native_count(&fifty));
-        assert_eq!(other.adoption_counts().by_identity, 0);
+        assert_eq!(other.adoption_counts().adopted, 0);
         assert!(!Arc::ptr_eq(&resident(&mut other, entry), &template));
     }
 
@@ -1435,7 +1468,7 @@ mod tests {
 
         let mut adopter = forked(&parent, split, &registry);
         let mut solo = forked(&parent, split, &empty);
-        assert!(adopter.adoption_counts().rediscovered > 0);
+        assert!(adopter.adoption_counts().compiled > 0);
         assert_eq!(adopter.tool().count, solo.tool().count);
         assert_eq!(adopter.stats(), solo.stats());
         assert_eq!(adopter.cache_stats(), solo.cache_stats());
@@ -1458,7 +1491,7 @@ mod tests {
         assert!(template.cut && template.fallthrough == cut_at);
 
         let mut same = forked(&parent, Some(cut_at), &registry);
-        assert_eq!(same.adoption_counts().rediscovered, 0);
+        assert_eq!(same.adoption_counts().compiled, 0);
         assert!(Arc::ptr_eq(&resident(&mut same, body), &template));
 
         // No split, or one past the cut: the trace goes on past the cut,
@@ -1466,7 +1499,7 @@ mod tests {
         for split in [None, Some(body + 24)] {
             let mut other = forked(&parent, split, &registry);
             let mut solo = forked(&parent, split, &empty);
-            assert!(other.adoption_counts().rediscovered > 0);
+            assert!(other.adoption_counts().compiled > 0);
             assert_eq!(other.stats(), solo.stats());
             assert_eq!(other.cache_stats(), solo.cache_stats());
             assert_eq!(other.tool().count, solo.tool().count);

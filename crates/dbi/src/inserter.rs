@@ -135,25 +135,31 @@ pub enum Call<T> {
     },
     /// `INS_InsertIfCall` + `INS_InsertThenCall`: a cheap inlined
     /// predicate guarding an expensive call (paper §4.4 uses this pair
-    /// for signature detection).
-    IfThen {
-        /// The inlined quick predicate.
-        pred: PredicateFn<T>,
-        /// Predicate arguments.
-        pred_args: Vec<IArg>,
-        /// The expensive guarded routine.
-        then: AnalysisFn<T>,
-        /// Then-call arguments.
-        then_args: Vec<IArg>,
-    },
-    /// [`Inserter::insert_count`]: add `n` to the counter `counter`
-    /// projects to.
+    /// for signature detection). Boxed, so the call kinds a trace holds
+    /// many of stay small to collect and move.
+    IfThen(Box<Guarded<T>>),
+    /// [`Inserter::insert_count`]: add `n` to the counter the
+    /// inserter's `counter`-th accessor projects to. Counts name their
+    /// accessor by index, so collecting, absorbing and compiling one
+    /// moves no reference count.
     Count {
-        /// The counter accessor.
-        counter: CounterFn<T>,
+        /// Index of the accessor in the inserter that holds the call.
+        counter: u32,
         /// What each execution adds.
         n: u64,
     },
+}
+
+/// The predicate and routine of a [`Call::IfThen`].
+pub struct Guarded<T> {
+    /// The inlined quick predicate.
+    pub pred: PredicateFn<T>,
+    /// Predicate arguments.
+    pub pred_args: Vec<IArg>,
+    /// The expensive guarded routine.
+    pub then: AnalysisFn<T>,
+    /// Then-call arguments.
+    pub then_args: Vec<IArg>,
 }
 
 impl<T> Clone for Call<T> {
@@ -163,19 +169,14 @@ impl<T> Clone for Call<T> {
                 func: Arc::clone(func),
                 args: args.clone(),
             },
-            Call::IfThen {
-                pred,
-                pred_args,
-                then,
-                then_args,
-            } => Call::IfThen {
-                pred: Arc::clone(pred),
-                pred_args: pred_args.clone(),
-                then: Arc::clone(then),
-                then_args: then_args.clone(),
-            },
+            Call::IfThen(guarded) => Call::IfThen(Box::new(Guarded {
+                pred: Arc::clone(&guarded.pred),
+                pred_args: guarded.pred_args.clone(),
+                then: Arc::clone(&guarded.then),
+                then_args: guarded.then_args.clone(),
+            })),
             Call::Count { counter, n } => Call::Count {
-                counter: Arc::clone(counter),
+                counter: *counter,
                 n: *n,
             },
         }
@@ -186,14 +187,10 @@ impl<T> fmt::Debug for Call<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Call::Plain { args, .. } => f.debug_struct("Plain").field("args", args).finish(),
-            Call::IfThen {
-                pred_args,
-                then_args,
-                ..
-            } => f
+            Call::IfThen(guarded) => f
                 .debug_struct("IfThen")
-                .field("pred_args", pred_args)
-                .field("then_args", then_args)
+                .field("pred_args", &guarded.pred_args)
+                .field("then_args", &guarded.then_args)
                 .finish(),
             Call::Count { n, .. } => f.debug_struct("Count").field("n", n).finish(),
         }
@@ -202,12 +199,44 @@ impl<T> fmt::Debug for Call<T> {
 
 /// Collects instrumentation for one trace while a tool's
 /// `instrument_trace` hook runs.
+///
+/// An inserter can serve one trace after another: the compiler drains
+/// its calls ([`CodeCache::compile`](crate::CodeCache::compile)) and
+/// [`absorb`](Inserter::absorb) drains the inner one's, and both keep
+/// their capacity and their counter accessors. An engine and the slice
+/// wrapper each own one, so instrumenting a trace allocates neither a
+/// call list nor an accessor once they are warm.
 pub struct Inserter<T> {
-    calls: Vec<(u64, IPoint, Call<T>)>,
-    /// One shared accessor per distinct counter `fn` handed to
-    /// [`insert_count`](Inserter::insert_count), so the compiler can
-    /// fold consecutive counts to the same counter by pointer.
-    counters: Vec<(CounterPtr<T>, CounterFn<T>)>,
+    calls: Calls<T>,
+    /// The counter accessors [`Call::Count`] indexes, one per distinct
+    /// counter, so the compiler folds consecutive counts to the same
+    /// counter by index. Each is found again by where it came from.
+    counters: Vec<(CounterKey<T>, CounterFn<T>)>,
+}
+
+/// An inserter's calls: each with the address and point it attaches
+/// to, in the order the tool inserted them.
+pub(crate) type Calls<T> = Vec<(u64, IPoint, Call<T>)>;
+
+/// Where an [`Inserter`]'s counter accessor came from.
+enum CounterKey<T> {
+    /// A counter `fn` handed to [`insert_count`](Inserter::insert_count).
+    Fn(CounterPtr<T>),
+    /// An inner inserter's accessor composed with a projection by
+    /// [`absorb`](Inserter::absorb): the inner accessor's address and the
+    /// projection's. The composed accessor holds a clone of the inner
+    /// one, so no other accessor can take that address while the entry
+    /// lives.
+    Absorbed(usize, usize),
+}
+
+impl<T> Clone for CounterKey<T> {
+    fn clone(&self) -> CounterKey<T> {
+        match *self {
+            CounterKey::Fn(counter) => CounterKey::Fn(counter),
+            CounterKey::Absorbed(inner, project) => CounterKey::Absorbed(inner, project),
+        }
+    }
 }
 
 impl<T> Default for Inserter<T> {
@@ -216,6 +245,51 @@ impl<T> Default for Inserter<T> {
             calls: Vec::new(),
             counters: Vec::new(),
         }
+    }
+}
+
+impl<T> Clone for Inserter<T> {
+    fn clone(&self) -> Inserter<T> {
+        Inserter {
+            calls: self.calls.clone(),
+            counters: self.counters.clone(),
+        }
+    }
+}
+
+impl<T> Inserter<T> {
+    /// The index of the accessor `key` names, made by `make` the first
+    /// time.
+    fn counter(&mut self, key: CounterKey<T>, make: impl FnOnce() -> CounterFn<T>) -> u32 {
+        let known = self
+            .counters
+            .iter()
+            .position(|(known, _)| match (known, &key) {
+                (CounterKey::Fn(a), CounterKey::Fn(b)) => std::ptr::fn_addr_eq(*a, *b),
+                (CounterKey::Absorbed(a, p), CounterKey::Absorbed(b, q)) => (a, p) == (b, q),
+                _ => false,
+            });
+        let index = known.unwrap_or_else(|| {
+            self.counters.push((key, make()));
+            self.counters.len() - 1
+        });
+        u32::try_from(index).expect("counters fit u32")
+    }
+
+    /// The collected calls, for the compiler to order and drain, and
+    /// the counter accessors their counts index.
+    pub(crate) fn parts(&mut self) -> (&mut Calls<T>, Counters<'_, T>) {
+        (&mut self.calls, Counters(&self.counters))
+    }
+}
+
+/// An inserter's counter accessors, by the index [`Call::Count`] names.
+pub(crate) struct Counters<'a, T>(&'a [(CounterKey<T>, CounterFn<T>)]);
+
+impl<'a, T> Counters<'a, T> {
+    /// The accessor `index` names.
+    pub(crate) fn get(&self, index: u32) -> &'a CounterFn<T> {
+        &self.0[index as usize].1
     }
 }
 
@@ -268,12 +342,12 @@ impl<T: 'static> Inserter<T> {
         self.calls.push((
             addr,
             point,
-            Call::IfThen {
+            Call::IfThen(Box::new(Guarded {
                 pred: Arc::new(pred),
                 pred_args,
                 then: Arc::new(then),
                 then_args,
-            },
+            })),
         ));
     }
 
@@ -307,19 +381,15 @@ impl<T: 'static> Inserter<T> {
         n: u64,
         counter: fn(&mut T) -> &mut u64,
     ) {
-        let known = self
-            .counters
-            .iter()
-            .find(|(known, _)| std::ptr::fn_addr_eq(*known, counter));
-        let counter = match known {
-            Some((_, shared)) => Arc::clone(shared),
-            None => {
-                let shared = counter_fn(counter);
-                self.counters.push((counter, Arc::clone(&shared)));
-                shared
-            }
-        };
-        self.calls.push((addr, point, Call::Count { counter, n }));
+        let index = self.counter(CounterKey::Fn(counter), || counter_fn(counter));
+        self.calls
+            .push((addr, point, Call::Count { counter: index, n }));
+    }
+
+    /// Makes room for `additional` more calls, so a tool that knows how
+    /// many it will insert grows the list once.
+    pub fn reserve(&mut self, additional: usize) {
+        self.calls.reserve(additional);
     }
 
     /// Number of calls collected.
@@ -332,25 +402,21 @@ impl<T: 'static> Inserter<T> {
         self.calls.is_empty()
     }
 
-    /// Drains the collected calls (used by the compiler).
-    pub(crate) fn into_calls(self) -> Vec<(u64, IPoint, Call<T>)> {
-        self.calls
-    }
-
-    /// Re-homes every call collected for an inner tool type `U` onto this
-    /// inserter's tool type `T`, through a projection.
+    /// Moves every call collected for an inner tool type `U` onto this
+    /// inserter's tool type `T`, through a projection, leaving `inner`
+    /// empty for the next trace.
     ///
     /// This is how wrapper tools compose: SuperPin's slice wrapper runs
     /// the user tool's `instrument_trace` into an `Inserter<U>`, then
     /// absorbs it so the user's analysis routines see `&mut U` while the
     /// engine drives `&mut T`. Each distinct counter accessor is composed
-    /// with `project` once, so the compiler still folds the absorbed
-    /// counts per counter. A flush through a composed accessor is a chain
-    /// of four indirect calls: the composed closure, `project`, the inner
-    /// `Arc<dyn Fn>`, and the tool's `fn`.
-    pub fn absorb<U: 'static>(&mut self, inner: Inserter<U>, project: fn(&mut T) -> &mut U) {
-        let mut composed: Vec<(CounterFn<U>, CounterFn<T>)> = Vec::new();
-        for (addr, point, call) in inner.into_calls() {
+    /// with `project` once and kept, so the compiler still folds the
+    /// absorbed counts per counter. A flush through a composed accessor
+    /// is a chain of four indirect calls: the composed closure,
+    /// `project`, the inner `Arc<dyn Fn>`, and the tool's `fn`.
+    pub fn absorb<U: 'static>(&mut self, inner: &mut Inserter<U>, project: fn(&mut T) -> &mut U) {
+        self.calls.reserve(inner.calls.len());
+        for (addr, point, call) in inner.calls.drain(..) {
             let mapped = match call {
                 Call::Plain { func, args } => Call::Plain {
                     func: Arc::new(move |t: &mut T, ctx: &CallCtx<'_>, ctl: &mut EngineCtl| {
@@ -358,33 +424,33 @@ impl<T: 'static> Inserter<T> {
                     }) as AnalysisFn<T>,
                     args,
                 },
-                Call::IfThen {
-                    pred,
-                    pred_args,
-                    then,
-                    then_args,
-                } => Call::IfThen {
-                    pred: Arc::new(move |t: &mut T, ctx: &CallCtx<'_>| pred(project(t), ctx))
-                        as PredicateFn<T>,
-                    pred_args,
-                    then: Arc::new(move |t: &mut T, ctx: &CallCtx<'_>, ctl: &mut EngineCtl| {
-                        then(project(t), ctx, ctl)
-                    }) as AnalysisFn<T>,
-                    then_args,
-                },
+                Call::IfThen(guarded) => {
+                    let Guarded {
+                        pred,
+                        pred_args,
+                        then,
+                        then_args,
+                    } = *guarded;
+                    Call::IfThen(Box::new(Guarded {
+                        pred: Arc::new(move |t: &mut T, ctx: &CallCtx<'_>| pred(project(t), ctx))
+                            as PredicateFn<T>,
+                        pred_args,
+                        then: Arc::new(move |t: &mut T, ctx: &CallCtx<'_>, ctl: &mut EngineCtl| {
+                            then(project(t), ctx, ctl)
+                        }) as AnalysisFn<T>,
+                        then_args,
+                    }))
+                }
                 Call::Count { counter, n } => {
-                    let known = composed
-                        .iter()
-                        .find(|(inner, _)| Arc::ptr_eq(inner, &counter));
-                    let counter = match known {
-                        Some((_, outer)) => Arc::clone(outer),
-                        None => {
-                            let accessor = Arc::clone(&counter);
-                            let outer = counter_fn(move |t: &mut T| accessor(project(t)));
-                            composed.push((counter, Arc::clone(&outer)));
-                            outer
-                        }
-                    };
+                    let accessor = &inner.counters[counter as usize].1;
+                    let key = CounterKey::Absorbed(
+                        Arc::as_ptr(accessor).cast::<()>() as usize,
+                        project as usize,
+                    );
+                    let counter = self.counter(key, || {
+                        let accessor = Arc::clone(accessor);
+                        counter_fn(move |t: &mut T| accessor(project(t)))
+                    });
                     Call::Count { counter, n }
                 }
             };
@@ -415,9 +481,9 @@ mod tests {
             vec![],
         );
         assert_eq!(inserter.len(), 2);
-        let calls = inserter.into_calls();
+        let (calls, _) = inserter.parts();
         assert_eq!(calls[0].0, 0x10);
-        assert!(matches!(calls[1].2, Call::IfThen { .. }));
+        assert!(matches!(calls[1].2, Call::IfThen(_)));
     }
 
     #[test]
@@ -431,8 +497,9 @@ mod tests {
 
         let mut outer: Inserter<Wrapper> = Inserter::new();
         outer.insert_call(0x10, IPoint::Before, |t, _, _| t.own += 1, vec![]);
-        outer.absorb(inner, |w| &mut w.inner);
+        outer.absorb(&mut inner, |w| &mut w.inner);
         assert_eq!(outer.len(), 2);
+        assert!(inner.is_empty(), "absorbing drains the inner inserter");
 
         let mut wrapper = Wrapper {
             inner: Counter::default(),
@@ -443,7 +510,7 @@ mod tests {
             args: &[],
         };
         let mut ctl = EngineCtl::default();
-        for (_, _, call) in outer.into_calls() {
+        for (_, _, call) in outer.parts().0.drain(..) {
             if let Call::Plain { func, .. } = call {
                 func(&mut wrapper, &ctx, &mut ctl);
             }
@@ -463,21 +530,24 @@ mod tests {
             inner: Two,
         }
         let a: fn(&mut Two) -> &mut u64 = |t| &mut t.a;
+        let b: fn(&mut Two) -> &mut u64 = |t| &mut t.b;
         let mut inner: Inserter<Two> = Inserter::new();
-        inner.insert_count(0x10, IPoint::Before, 1, a);
-        inner.insert_count(0x18, IPoint::Before, 2, |t| &mut t.b);
-        inner.insert_count(0x18, IPoint::After, 3, a);
         let mut outer: Inserter<Wrapper> = Inserter::new();
-        outer.absorb(inner, |w| &mut w.inner);
-
-        let counters: Vec<(CounterFn<Wrapper>, u64)> = outer
-            .into_calls()
-            .into_iter()
-            .map(|(_, _, call)| match call {
-                Call::Count { counter, n } => (counter, n),
-                other => panic!("not a count: {other:?}"),
-            })
-            .collect();
+        let mut absorbed = |inner: &mut Inserter<Two>| {
+            outer.absorb(inner, |w| &mut w.inner);
+            let (calls, counters) = outer.parts();
+            calls
+                .drain(..)
+                .map(|(_, _, call)| match call {
+                    Call::Count { counter, n } => (Arc::clone(counters.get(counter)), n),
+                    other => panic!("not a count: {other:?}"),
+                })
+                .collect::<Vec<(CounterFn<Wrapper>, u64)>>()
+        };
+        inner.insert_count(0x10, IPoint::Before, 1, a);
+        inner.insert_count(0x18, IPoint::Before, 2, b);
+        inner.insert_count(0x18, IPoint::After, 3, a);
+        let counters = absorbed(&mut inner);
         // One composed accessor per counter `fn`, shared by its counts.
         assert!(Arc::ptr_eq(&counters[0].0, &counters[2].0));
         assert!(!Arc::ptr_eq(&counters[0].0, &counters[1].0));
@@ -488,6 +558,12 @@ mod tests {
             *counter(&mut wrapper) += n;
         }
         assert_eq!((wrapper.inner.a, wrapper.inner.b), (4, 2));
+
+        // The next trace through the same pair of inserters reuses both
+        // accessors.
+        inner.insert_count(0x20, IPoint::Before, 5, b);
+        let next = absorbed(&mut inner);
+        assert!(Arc::ptr_eq(&next[0].0, &counters[1].0));
     }
 
     #[test]

@@ -45,15 +45,16 @@ impl<T> TraceRegistry<T> {
         }
     }
 
-    /// Whether some engine published the trace entered at `pc`.
-    pub fn contains(&self, pc: u64) -> bool {
-        self.entries.contains_key(&pc)
+    /// The entry published for the trace entered at `pc`, if any: both
+    /// answers from one probe.
+    pub fn entry(&self, pc: u64) -> Option<&Entry<T>> {
+        self.entries.get(&pc)
     }
 
     /// The shareable compiled trace entered at `pc`, if one was
     /// published.
     pub fn template(&self, pc: u64) -> Option<&Arc<CompiledTrace<T>>> {
-        self.entries.get(&pc)?.as_ref()
+        self.entry(pc)?.as_ref()
     }
 
     /// Number of published traces.
@@ -116,7 +117,7 @@ mod tests {
         let process = Process::load(1, &program).expect("load");
         let trace = discover_trace(&process.mem, process.cpu.pc).expect("trace");
         let mut cache = CodeCache::with_capacity(1 << 10);
-        let (id, _) = cache.compile(&trace, None, Inserter::new(), &CostModel::default());
+        let (id, _) = cache.compile(&trace, None, &mut Inserter::new(), &CostModel::default());
         Arc::clone(cache.trace(id))
     }
 
@@ -124,7 +125,7 @@ mod tests {
     fn a_membership_only_entry_gains_a_template_and_is_never_replaced() {
         let empty = Arc::new(TraceRegistry::new());
         let members = empty.publish([(0x10, None)]);
-        assert!(members.contains(0x10));
+        assert!(members.entry(0x10).is_some());
         assert!(members.template(0x10).is_none());
 
         let first = compiled();

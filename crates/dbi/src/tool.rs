@@ -1,5 +1,6 @@
 //! The Pintool trait.
 
+use crate::cache::CompiledTrace;
 use crate::inserter::Inserter;
 use crate::trace::{InstRef, Trace};
 use superpin_vm::kernel::SyscallRecord;
@@ -39,6 +40,16 @@ pub trait Pintool: Sized + Send {
     fn instrumentation_is_shareable(&self, insts: impl Iterator<Item = InstRef> + Clone) -> bool {
         let _ = insts;
         false
+    }
+
+    /// [`instrumentation_is_shareable`](Pintool::instrumentation_is_shareable)
+    /// for a peer's compiled trace. The default hands the question the
+    /// template's instructions one by one; a tool whose answer turns on
+    /// where a few addresses fall can instead search the template's
+    /// slots, which are sorted by address and cover `[entry,
+    /// fallthrough)` back to back.
+    fn template_is_shareable(&self, template: &CompiledTrace<Self>) -> bool {
+        self.instrumentation_is_shareable(template.inst_refs())
     }
 
     /// Observe a serviced (or played-back) syscall.

@@ -160,18 +160,23 @@ pub fn discover_trace_decoded(
     entry: u64,
     split: Option<u64>,
 ) -> Result<Trace, VmError> {
-    discover_trace_with(
-        |pc| {
-            let (inst, size) = process.fetch_decoded(pc)?;
-            Ok(InstRef {
-                addr: pc,
-                inst,
-                size,
-            })
-        },
-        entry,
-        split,
-    )
+    let mut slot = TraceSlot::default();
+    slot.discover_decoded(process, entry, split)?;
+    Ok(slot.into_trace())
+}
+
+/// Fetches through `process`'s decode cache
+/// ([`Process::fetch_decoded`]), as [`InstRef`]s: the instruction
+/// source [`TraceSlot::discover_decoded`] discovers from.
+pub fn fetch_decoded(process: &mut Process) -> impl FnMut(u64) -> Result<InstRef, VmError> + '_ {
+    |pc| {
+        let (inst, size) = process.fetch_decoded(pc)?;
+        Ok(InstRef {
+            addr: pc,
+            inst,
+            size,
+        })
+    }
 }
 
 /// [`discover_trace_split`] over an arbitrary instruction source.
@@ -185,49 +190,135 @@ pub fn discover_trace_decoded(
 ///
 /// Propagates fetch errors.
 pub fn discover_trace_with(
-    mut fetch: impl FnMut(u64) -> Result<InstRef, VmError>,
+    fetch: impl FnMut(u64) -> Result<InstRef, VmError>,
     entry: u64,
     split: Option<u64>,
 ) -> Result<Trace, VmError> {
-    let mut bbls = Vec::new();
-    let mut current = Vec::new();
-    let mut pc = entry;
-    let mut total = 0usize;
-    let mut cut = false;
+    let mut slot = TraceSlot::default();
+    slot.discover_with(fetch, entry, split)?;
+    Ok(slot.into_trace())
+}
 
-    loop {
-        if split == Some(pc) && total > 0 {
-            if !current.is_empty() {
-                bbls.push(BasicBlock {
-                    insts: std::mem::take(&mut current),
-                });
-            }
-            cut = true;
-            break;
-        }
-        let inst_ref = fetch(pc)?;
-        current.push(inst_ref);
-        total += 1;
-        pc += inst_ref.size;
+/// Where one discovery after another forms its trace. The last trace's
+/// vectors are emptied and refilled rather than dropped, so once warm a
+/// discovery allocates nothing: the engine forms every trace it compiles
+/// in one slot, and the signature recorder every trace it scans.
+#[derive(Clone, Debug, Default)]
+pub struct TraceSlot {
+    trace: Option<Trace>,
+    /// The last trace's block vectors, waiting to be refilled. An empty
+    /// slot has no capacity.
+    spare: [Vec<InstRef>; MAX_BBLS_PER_TRACE],
+}
 
-        let ends_block = inst_ref.inst.ends_basic_block();
-        if ends_block {
-            let continues = matches!(inst_ref.inst, Inst::Branch { .. });
-            bbls.push(BasicBlock {
-                insts: std::mem::take(&mut current),
-            });
-            if !continues || bbls.len() >= MAX_BBLS_PER_TRACE || total >= MAX_INSTS_PER_TRACE {
-                break;
-            }
-        } else if total >= MAX_INSTS_PER_TRACE {
-            bbls.push(BasicBlock {
-                insts: std::mem::take(&mut current),
-            });
-            break;
-        }
+impl TraceSlot {
+    /// [`discover_trace_decoded`] into this slot.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fetch errors.
+    pub fn discover_decoded(
+        &mut self,
+        process: &mut Process,
+        entry: u64,
+        split: Option<u64>,
+    ) -> Result<&Trace, VmError> {
+        self.discover_with(fetch_decoded(process), entry, split)
     }
 
-    Ok(Trace { entry, bbls, cut })
+    /// [`discover_trace_with`] into this slot: the one place with the
+    /// termination rule.
+    ///
+    /// # Errors
+    ///
+    /// Propagates fetch errors; the slot then holds no trace a caller
+    /// can see, and the next discovery starts over.
+    pub fn discover_with(
+        &mut self,
+        mut fetch: impl FnMut(u64) -> Result<InstRef, VmError>,
+        entry: u64,
+        split: Option<u64>,
+    ) -> Result<&Trace, VmError> {
+        let trace = self.trace.get_or_insert_with(|| Trace {
+            entry,
+            bbls: Vec::with_capacity(MAX_BBLS_PER_TRACE),
+            cut: false,
+        });
+        let spare = &mut self.spare;
+        for bbl in trace.bbls.drain(..) {
+            stash(spare, bbl.insts);
+        }
+        // A block never holds more than a trace does, so a buffer made
+        // that large never grows.
+        let mut fresh = || match spare.iter_mut().find(|insts| insts.capacity() > 0) {
+            Some(insts) => {
+                let mut insts = std::mem::take(insts);
+                insts.clear();
+                insts
+            }
+            None => Vec::with_capacity(MAX_INSTS_PER_TRACE),
+        };
+        trace.entry = entry;
+        trace.cut = false;
+        // A buffer is taken only when an instruction needs one, so
+        // ending a block takes none for a block that never starts.
+        let mut current = Vec::new();
+        let mut pc = entry;
+        let mut total = 0usize;
+
+        loop {
+            if split == Some(pc) && total > 0 {
+                if !current.is_empty() {
+                    trace.bbls.push(BasicBlock {
+                        insts: std::mem::take(&mut current),
+                    });
+                }
+                trace.cut = true;
+                break;
+            }
+            let inst_ref = fetch(pc)?;
+            if current.capacity() == 0 {
+                current = fresh();
+            }
+            current.push(inst_ref);
+            total += 1;
+            pc += inst_ref.size;
+
+            let ends_block = inst_ref.inst.ends_basic_block();
+            if ends_block {
+                let continues = matches!(inst_ref.inst, Inst::Branch { .. });
+                trace.bbls.push(BasicBlock {
+                    insts: std::mem::take(&mut current),
+                });
+                if !continues
+                    || trace.bbls.len() >= MAX_BBLS_PER_TRACE
+                    || total >= MAX_INSTS_PER_TRACE
+                {
+                    break;
+                }
+            } else if total >= MAX_INSTS_PER_TRACE {
+                trace.bbls.push(BasicBlock {
+                    insts: std::mem::take(&mut current),
+                });
+                break;
+            }
+        }
+        // Every way out of the loop has moved `current` into a block.
+        debug_assert_eq!(current.capacity(), 0);
+        Ok(trace)
+    }
+
+    /// The trace the last successful discovery formed.
+    fn into_trace(self) -> Trace {
+        self.trace.expect("a discovery succeeded")
+    }
+}
+
+/// Keeps `insts` in the first empty slot of `spare`.
+fn stash(spare: &mut [Vec<InstRef>], insts: Vec<InstRef>) {
+    if let Some(slot) = spare.iter_mut().find(|slot| slot.capacity() == 0) {
+        *slot = insts;
+    }
 }
 
 #[cfg(test)]
@@ -303,6 +394,35 @@ mod tests {
         assert_eq!(trace.num_insts(), 2);
         // li is 16 bytes, jmp 8.
         assert_eq!(trace.fallthrough(), entry + 24);
+    }
+
+    #[test]
+    fn a_slot_rediscovers_what_a_fresh_discovery_finds() {
+        let (mem, entry) =
+            mem_for("main:\n beq r1, r2, main\n nop\n beq r3, r4, main\n nop\n nop\n jmp main\n");
+        let fetch = |pc| {
+            fetch_at(&mem, pc).map(|(inst, size)| InstRef {
+                addr: pc,
+                inst,
+                size,
+            })
+        };
+        let mut slot = TraceSlot::default();
+        // Three blocks, fewer, a split, a failed fetch, then three again:
+        // whatever the slot held before must not show.
+        let starts = [
+            (entry, None),
+            (entry + 24, None),
+            (entry, Some(entry + 16)),
+            (0xdead_0000, None),
+            (entry + 8, None),
+            (entry, None),
+        ];
+        for (start, split) in starts {
+            let fresh = discover_trace_split(&mem, start, split).ok();
+            let reused = slot.discover_with(fetch, start, split).ok().cloned();
+            assert_eq!(reused, fresh, "{start:#x} {split:?}");
+        }
     }
 
     #[test]

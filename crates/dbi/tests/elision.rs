@@ -114,7 +114,7 @@ fn compile_plans_minimal_save_sets() {
     }
     let mut cache: CodeCache<u64> = CodeCache::new();
     cache.set_liveness(live);
-    let (id, _) = cache.compile(&trace, None, inserter, &CostModel::default());
+    let (id, _) = cache.compile(&trace, None, &mut inserter, &CostModel::default());
     let compiled = cache.trace(id);
 
     // Before `subi` (the loop head) live = {r8, r0}: only r0 of the
@@ -135,7 +135,7 @@ fn compile_plans_minimal_save_sets() {
     let mut conservative: CodeCache<u64> = CodeCache::new();
     let mut inserter: Inserter<u64> = Inserter::new();
     inserter.insert_call(program.entry(), IPoint::Before, |t, _, _| *t += 1, vec![]);
-    let (id, _) = conservative.compile(&trace, None, inserter, &CostModel::default());
+    let (id, _) = conservative.compile(&trace, None, &mut inserter, &CostModel::default());
     let compiled = conservative.trace(id);
     assert_eq!(compiled.before(0)[0].saves, analysis_clobbers());
 }
@@ -196,7 +196,7 @@ fn compile_instrumented(
     if let Some(refined) = refined {
         cache.set_refined_liveness(Arc::clone(refined));
     }
-    let (id, _) = cache.compile(trace, None, inserter, &CostModel::default());
+    let (id, _) = cache.compile(trace, None, &mut inserter, &CostModel::default());
     assert_eq!(cache.clobber_violations(), &[], "at {:#x}", trace.entry());
     Arc::clone(cache.trace(id))
 }

@@ -78,6 +78,9 @@ struct Probe {
     /// Insert counts as plain closures instead of inlined counts (the
     /// twin).
     plain_counts: bool,
+    /// Visit the slots last to first, and each slot's after-list before
+    /// its before-list; every list keeps its own order.
+    reversed: bool,
     log: Vec<Seen>,
     runs: [u64; 10],
     counters: [u64; 2],
@@ -225,9 +228,17 @@ fn specs(iref: &InstRef, call_words: u64) -> (Vec<Spec>, Vec<Spec>) {
 
 impl Pintool for Probe {
     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
-        for iref in trace.insts() {
+        let mut slots: Vec<&InstRef> = trace.insts().collect();
+        if self.reversed {
+            slots.reverse();
+        }
+        for iref in slots {
             let (before, after) = specs(iref, self.knobs.call_words);
-            for (point, list) in [(IPoint::Before, before), (IPoint::After, after)] {
+            let mut lists = [(IPoint::Before, before), (IPoint::After, after)];
+            if self.reversed {
+                lists.reverse();
+            }
+            for (point, list) in lists {
                 for spec in list {
                     match spec {
                         Spec::Count(which, n) if self.plain_counts => inserter.insert_call(
@@ -718,6 +729,28 @@ proptest! {
             assert_observations(&clone, End::Exit(exit_code), &want);
         }
     }
+
+    /// The compiler lays calls out by slot and point whatever order the
+    /// tool inserted them in: a probe that visits the slots last to
+    /// first, after-lists first, keeping each list's own order, sees
+    /// every callback in the same order with the same counters, and is
+    /// charged the same cycles, as the in-order probe.
+    #[test]
+    fn prop_insertion_order_across_slots_changes_nothing(
+        program in arb_program(),
+        knobs in arb_knobs(),
+    ) {
+        let (in_order, end) = run_with_twin(&program, knobs);
+        let mut reversed = probe_engine(&program, knobs, 1 << 16, false);
+        reversed.tool_mut().reversed = true;
+        prop_assert_eq!(End::of(reversed.run_to_exit()), end);
+        let (got, want) = (reversed.tool(), in_order.tool());
+        prop_assert_eq!(&got.log, &want.log);
+        prop_assert_eq!(got.runs, want.runs);
+        prop_assert_eq!(got.counters, want.counters);
+        prop_assert_eq!(reversed.stats(), in_order.stats());
+        prop_assert_eq!(reversed.cache_stats(), in_order.cache_stats());
+    }
 }
 
 /// Runs `engine` to exit in `budget`-cycle `run` calls, servicing
@@ -923,7 +956,7 @@ fn quiet_slots(program: &Program, knobs: Knobs, entry: u64) -> Vec<(u64, bool)> 
     let mut inserter = Inserter::new();
     probe.instrument_trace(&trace, &mut inserter);
     let mut cache = CodeCache::new();
-    let (id, _) = cache.compile(&trace, None, inserter, &CostModel::default());
+    let (id, _) = cache.compile(&trace, None, &mut inserter, &CostModel::default());
     let compiled = cache.trace(id);
     compiled
         .insts

@@ -7,6 +7,7 @@
 //! case, we may trigger a false positive match on the first iteration
 //! rather than a subsequent iteration."
 
+use std::sync::Arc;
 use superpin::bubble::Bubble;
 use superpin::signature::Signature;
 use superpin::slice::{Boundary, SliceEnd, SliceRuntime, SliceState};
@@ -74,7 +75,7 @@ fn memory_only_loop_counter_triggers_false_positive() {
     let master_insts_at_boundary = master.inst_count();
     let sig = Signature::capture(&mut master);
 
-    slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
+    slice.wake(Boundary::Signature(Arc::new(sig)), vec![], 0);
     slice.advance(u64::MAX / 8, 0).expect("advance");
     assert_eq!(slice.state(), SliceState::Done);
     assert_eq!(slice.end_reason(), Some(SliceEnd::SignatureDetected));
@@ -120,7 +121,7 @@ fn quick_match_rejected_by_full_comparison_runs_to_true_boundary() {
     let truth = master.inst_count();
     let sig = Signature::capture_with_quick_regs(&master, [Reg::R1, Reg::SP]);
 
-    slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
+    slice.wake(Boundary::Signature(Arc::new(sig)), vec![], 0);
     slice.advance(u64::MAX / 8, 0).expect("advance");
     assert_eq!(slice.end_reason(), Some(SliceEnd::SignatureDetected));
 
@@ -162,7 +163,7 @@ fn register_loop_counter_does_not_false_positive() {
     master.run_until_syscall(1 + 5 * 2).expect("advance master");
     let truth = master.inst_count();
     let sig = Signature::capture(&mut master);
-    slice.wake(Boundary::Signature(Box::new(sig)), vec![], 0);
+    slice.wake(Boundary::Signature(Arc::new(sig)), vec![], 0);
     slice.advance(u64::MAX / 8, 0).expect("advance");
     assert_eq!(slice.end_reason(), Some(SliceEnd::SignatureDetected));
     assert_eq!(slice.tool().inner.count, truth, "no false positive");

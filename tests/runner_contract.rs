@@ -398,7 +398,7 @@ fn inlined_counts_report_exactly_what_plain_closures_do() {
 }
 
 #[test]
-fn slices_adopt_published_traces_on_code_identity() {
+fn slices_adopt_published_traces_on_code_version() {
     // `churn_t1`'s timeslice: many short slices, each with a cold cache
     // that misses on traces its peers have already published.
     let churn = || SuperPinConfig::scaled(100, superpin_replay::recipe::time_scale_for(SCALE));
@@ -418,14 +418,15 @@ fn slices_adopt_published_traces_on_code_identity() {
         "threads=4 changed how misses were served"
     );
     // Host-side only, so no report can show it: a miss on a published
-    // template adopts it on code identity unless this slice's boundary
-    // shapes the trace. A fall back to rediscovery moves these.
+    // template adopts it when the code version vouches for it, and
+    // compiles the trace itself only where this slice's boundary shapes
+    // it. A miss that compiles what it could have adopted moves these.
     assert_eq!(
         adoptions_serial,
         AdoptionCounts {
-            by_identity: 606,
-            rediscovered: 177,
+            adopted: 606,
+            compiled: 177,
         },
-        "identity adoption degraded"
+        "adoption on the code version degraded"
     );
 }
