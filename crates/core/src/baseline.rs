@@ -2,8 +2,7 @@
 //! traditional (serial) Pin.
 
 use crate::error::SpError;
-use std::sync::Arc;
-use superpin_dbi::{CostModel, Engine, EngineStats, LiveMap, Pintool};
+use superpin_dbi::{CostModel, Engine, EngineStats, Pintool};
 use superpin_vm::process::Process;
 use superpin_vm::ptrace::{Controller, StopReason};
 
@@ -109,32 +108,12 @@ pub fn run_pin_with_cost<T: Pintool + 'static>(
     tool: T,
     cost: &CostModel,
 ) -> Result<PinReport<T>, SpError> {
-    run_pin_configured(process, tool, cost, None)
-}
-
-/// [`run_pin`] with an explicit cost model and optional static liveness.
-/// When liveness is supplied, the engine elides save/restores of
-/// registers proven dead at each insertion point; instrumentation
-/// results are unchanged, only modeled analysis cycles shrink.
-///
-/// # Errors
-///
-/// Propagates guest errors.
-pub fn run_pin_configured<T: Pintool + 'static>(
-    process: Process,
-    tool: T,
-    cost: &CostModel,
-    liveness: Option<Arc<LiveMap>>,
-) -> Result<PinReport<T>, SpError> {
     let mut engine = Engine::with_config(
         process,
         tool,
         *cost,
         superpin_dbi::cache::DEFAULT_CAPACITY_INSTS,
     );
-    if let Some(live) = liveness {
-        engine.set_liveness(live);
-    }
     let (exit_code, cycles) = engine.run_to_exit()?;
     let stats = engine.stats();
     let cache = engine.cache_stats();

@@ -2,7 +2,7 @@
 
 use std::sync::Arc;
 use superpin_analysis::{SoundnessOracle, SuperblockPlan};
-use superpin_dbi::{CostModel, LiveMap, CYCLES_PER_SEC};
+use superpin_dbi::{CostModel, CYCLES_PER_SEC};
 use superpin_fault::FailPlan;
 use superpin_sched::{Machine, Policy};
 
@@ -54,15 +54,6 @@ pub struct SuperPinConfig {
     /// published at the last epoch barrier) pays a consistency-check cost
     /// instead of the full JIT cost.
     pub shared_code_cache: bool,
-    /// Static liveness for the guest program. When present, every
-    /// slice's engine elides save/restores of registers proven dead at
-    /// each insertion point (see
-    /// [`Engine::set_liveness`](superpin_dbi::Engine::set_liveness)),
-    /// shrinking modeled analysis overhead without changing what the
-    /// instrumentation observes. `None` keeps the conservative
-    /// full-clobber-set spill, which charges exactly the legacy flat
-    /// [`CostModel::analysis_call`] rate.
-    pub liveness: Option<Arc<LiveMap>>,
     /// Superblock plan from whole-program analysis (`--plan on`): the
     /// refined interprocedural liveness every slice engine installs to
     /// annotate the saved registers each call could leave unrestored
@@ -132,7 +123,6 @@ impl SuperPinConfig {
             time_scale: 1.0,
             adaptive_estimate: None,
             shared_code_cache: false,
-            liveness: None,
             plan: None,
             oracle: None,
             threads: 1,
@@ -175,13 +165,6 @@ impl SuperPinConfig {
     /// Sets the syscall-record budget (`-spsysrecs`).
     pub fn with_max_sysrecs(mut self, max_sysrecs: usize) -> SuperPinConfig {
         self.max_sysrecs = max_sysrecs;
-        self
-    }
-
-    /// Installs static liveness so slice engines elide save/restores of
-    /// dead registers (see [`SuperPinConfig::liveness`]).
-    pub fn with_liveness(mut self, liveness: Arc<LiveMap>) -> SuperPinConfig {
-        self.liveness = Some(liveness);
         self
     }
 

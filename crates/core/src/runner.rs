@@ -14,9 +14,8 @@
 //! # One epoch
 //!
 //! Virtual time advances in quanta, batched into **epochs** planned by
-//! [`EpochPlanner`](superpin_sched::EpochPlanner): spans of quanta over
-//! which the runnable set — and with it every per-quantum budget — is
-//! frozen. `step_epoch` takes the control step (fork triggers, governed
+//! [`EpochPlanner`]: spans of quanta over which the runnable set — and
+//! with it every per-quantum budget — is frozen. `step_epoch` takes the control step (fork triggers, governed
 //! admission), fixes the runnable set and its budgets in one scan of
 //! the slice queue, plans the epoch, and runs three strictly ordered
 //! phases:

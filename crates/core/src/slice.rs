@@ -275,7 +275,7 @@ impl<T: SuperTool> SliceRuntime<T> {
     /// clone (reset + slice-begin hooks), and a cold engine.
     ///
     /// With `Some(chaos_key)` the fork consults the master's armed
-    /// [`Site::VmForkCow`](superpin_fault::Site::VmForkCow) failpoint
+    /// [`Site::VmForkCow`] failpoint
     /// (see [`Process::try_fork`](superpin_vm::process::Process::try_fork)).
     /// The runner retries with a fresh key on injected failure, and
     /// with `None` — an unchecked fork — once its retries are spent.
@@ -333,9 +333,6 @@ impl<T: SuperTool> SliceRuntime<T> {
         };
         let mut engine = Engine::with_config(process, tool, cfg.cost, DEFAULT_CAPACITY_INSTS);
         engine.set_shared_code_cache(cfg.shared_code_cache);
-        if let Some(live) = &cfg.liveness {
-            engine.set_liveness(Arc::clone(live));
-        }
         if let Some(plan) = &cfg.plan {
             engine.set_plan(Arc::clone(plan));
         }
@@ -646,9 +643,10 @@ impl<T: SuperTool> SliceRuntime<T> {
     /// A deep, injection-free copy of this slice for supervisor
     /// checkpointing. Page frames are materialized (private copies, no
     /// COW sharing with the live slice — pure host-memory hygiene; the
-    /// deterministic `cow_pending` accounting is cloned as-is), and the
-    /// chaos registry is stripped so a replay from the checkpoint runs
-    /// fault-free by construction.
+    /// deterministic COW accounting, the space's fork generation and
+    /// per-page stamps, is cloned as-is), and the chaos registry is
+    /// stripped so a replay from the checkpoint runs fault-free by
+    /// construction.
     pub fn checkpoint(&self) -> SliceRuntime<T> {
         let mut copy = self.clone();
         copy.engine.process_mut().mem.materialize();

@@ -4,7 +4,7 @@ use crate::cost::CostModel;
 use crate::inserter::{
     AnalysisFn, Call, CounterFn, Counters, Guarded, IArg, IPoint, Inserter, PredicateFn,
 };
-use crate::spill::{required_saves, ClobberViolation};
+use crate::spill::{analysis_clobbers, required_saves, ClobberViolation};
 use crate::trace::{InstRef, Trace};
 use std::collections::HashMap;
 use std::fmt;
@@ -136,9 +136,9 @@ pub enum LoweredCall<T> {
         counter: CounterFn<T>,
         /// What the folded counts add, summed.
         n: u64,
-        /// Their charges, summed. Each is `analysis_call_base + |saves|
-        /// · save_restore_per_reg`: the charge of a plain call with no
-        /// arguments, so inlining moves no simulated cycle.
+        /// Their charges, summed. Each is `analysis_call`: the charge of
+        /// a plain call with no arguments, so inlining moves no simulated
+        /// cycle.
         cost: u64,
         /// How many counts were folded; each is one
         /// [`analysis_calls`](crate::EngineStats::analysis_calls).
@@ -148,9 +148,8 @@ pub enum LoweredCall<T> {
     Plain {
         /// The analysis routine.
         func: AnalysisFn<T>,
-        /// `analysis_call_base + |saves| · save_restore_per_reg +
-        /// |args| · analysis_arg`: the charge before tool-requested
-        /// extra cycles.
+        /// `analysis_call + |args| · analysis_arg`: the charge before
+        /// tool-requested extra cycles.
         cost: u64,
         /// Its arguments.
         args: ArgPlan,
@@ -190,28 +189,24 @@ impl<T> LoweredCall<T> {
 }
 
 /// One analysis call as compiled into the cache: the tool's routine,
-/// lowered, plus the register save/restore plan the compiler chose for it.
+/// lowered, plus the saved registers a superblock plan proves dead
+/// there. Every call saves and restores the whole clobber set
+/// ([`analysis_clobbers`]), inside the flat
+/// [`analysis_call`](CostModel::analysis_call) charge.
 pub struct InsertedCall<T> {
     /// The analysis call.
     pub call: LoweredCall<T>,
-    /// Clobbered registers bracketed with a save/restore around this
-    /// call. Without liveness information this is the full clobber set
-    /// ([`crate::spill::analysis_clobbers`]); with a
-    /// [`LiveMap`] installed, registers dead at the insertion point are
-    /// elided. A folded count carries the union of its members' sets
-    /// and the intersection of their `elided` sets, so `saves − elided`
-    /// still covers what every member needs.
-    pub saves: RegSet,
-    /// Subset of `saves` additionally proven dead by the *refined*
-    /// interprocedural liveness of a superblock plan
+    /// Clobbered registers proven dead by the *refined* interprocedural
+    /// liveness of a superblock plan
     /// ([`CodeCache::set_refined_liveness`]): registers whose restore a
     /// code generator could skip. A statically verified annotation, not
-    /// a runtime saving: `elided ⊆ saves` by construction, the debug
-    /// clobber verifier checks that `saves − elided` still covers every
-    /// register the refined map keeps live, and the executor never
-    /// reads it, because analysis routines never touch guest registers.
-    /// `saves` stays the cost basis, so charged cycles are identical
-    /// with a plan on or off.
+    /// a runtime saving: `elided ⊆ analysis_clobbers()` by construction,
+    /// the debug clobber verifier checks that the saves left after it
+    /// still cover every register the refined map keeps live, and the
+    /// executor never reads it, because analysis routines never touch
+    /// guest registers. Charged cycles are identical with a plan on or
+    /// off. A folded count carries the intersection of its members'
+    /// sets, so what it still restores covers what every member needs.
     pub elided: RegSet,
 }
 
@@ -224,7 +219,6 @@ impl<T> fmt::Debug for InsertedCall<T> {
         };
         f.debug_struct("InsertedCall")
             .field("call", &kind)
-            .field("saves", &self.saves)
             .field("elided", &self.elided)
             .finish()
     }
@@ -289,7 +283,6 @@ struct Fold {
     /// The inserter's index of the run's accessor.
     counter: u32,
     run: OpenRun,
-    saves: RegSet,
     elided: RegSet,
 }
 
@@ -302,7 +295,6 @@ impl Fold {
             n: 0,
             cost: 0,
         },
-        saves: RegSet::EMPTY,
         elided: RegSet::EMPTY,
     };
 }
@@ -343,7 +335,6 @@ impl<T> Layout<'_, T> {
                     cost: fold.run.cost,
                     calls: fold.run.calls,
                 },
-                saves: fold.saves,
                 elided: fold.elided,
             });
         }
@@ -356,15 +347,14 @@ impl<T> Layout<'_, T> {
     }
 
     /// Lays out the next count of the trace: `n` added to the counter of
-    /// the inserter's accessor `counter`, charged `cost`, with `saves`
-    /// and `elided` planned as for a call.
-    fn count(&mut self, counter: u32, n: u64, cost: u64, saves: RegSet, elided: RegSet) {
+    /// the inserter's accessor `counter`, charged `cost`, with `elided`
+    /// planned as for a call.
+    fn count(&mut self, counter: u32, n: u64, cost: u64, elided: RegSet) {
         let fold = &mut self.open;
         if fold.run.calls != 0 && fold.counter == counter {
             fold.run.calls += 1;
             fold.run.n += n;
             fold.run.cost += cost;
-            fold.saves = fold.saves.union(saves);
             fold.elided = fold.elided.intersect(elided);
             return;
         }
@@ -389,7 +379,6 @@ impl<T> Layout<'_, T> {
                 n,
                 cost,
             },
-            saves,
             elided,
         };
     }
@@ -515,9 +504,6 @@ pub struct CodeCache<T> {
     resident_insts: usize,
     capacity_insts: usize,
     stats: CacheStats,
-    /// Static liveness used to elide save/restores of dead registers
-    /// around analysis calls; `None` saves the full clobber set.
-    liveness: Option<Arc<LiveMap>>,
     /// Interprocedurally refined liveness from a superblock plan.
     /// Registers in a call's save set that this map proves dead are
     /// annotated [`InsertedCall::elided`] without changing the charged
@@ -568,28 +554,18 @@ impl<T> CodeCache<T> {
             resident_insts: 0,
             capacity_insts: capacity_insts.max(1),
             stats: CacheStats::default(),
-            liveness: None,
             refined: None,
             clobber_bug: None,
             violations: Vec::new(),
         }
     }
 
-    /// Installs static liveness for the guest program. Subsequent
-    /// compilations elide save/restores of registers proven dead at each
-    /// insertion point. Must be installed while the cache is cold (or
-    /// after a flush): already-compiled traces keep their conservative
-    /// save sets.
-    pub fn set_liveness(&mut self, liveness: Arc<LiveMap>) {
-        self.liveness = Some(liveness);
-    }
-
     /// Installs the superblock plan's interprocedurally refined
-    /// liveness. Registers a call must *save* (per the conservative
-    /// map) but that the refined map proves dead are marked
-    /// [`InsertedCall::elided`], while the charged cost still covers
-    /// the full save set. Like [`CodeCache::set_liveness`], install
-    /// while cold.
+    /// liveness. Clobbered registers every call saves but that the
+    /// refined map proves dead are marked [`InsertedCall::elided`],
+    /// while the charged cost still covers the full save set. Install
+    /// while the cache is cold (or after a flush): already-compiled
+    /// traces keep their annotations.
     pub fn set_refined_liveness(&mut self, refined: Arc<LiveMap>) {
         self.refined = Some(refined);
     }
@@ -792,22 +768,15 @@ impl<T> CodeCache<T> {
             for (list, point) in [IPoint::Before, IPoint::After].into_iter().enumerate() {
                 slot.calls[list] = layout.at();
                 for (call_index, (_, _, call)) in pending.by_ref().take(runs[list]).enumerate() {
-                    let (saves, elided) = self.plan_saves(iref.addr, point, call_index);
-                    // Invocation cost: call/return plus one save/restore
-                    // per clobbered register the compiler decided to
-                    // preserve. With no liveness installed the full
-                    // clobber set is saved and this equals the flat
-                    // `analysis_call`.
-                    let invoke =
-                        cost.analysis_call_base + saves.len() as u64 * cost.save_restore_per_reg;
+                    let elided = self.plan_saves(iref.addr, point, call_index);
                     let call = match call {
                         Call::Count { counter, n } => {
-                            layout.count(counter, n, invoke, saves, elided);
+                            layout.count(counter, n, cost.analysis_call, elided);
                             continue;
                         }
                         Call::Plain { func, args } => LoweredCall::Plain {
                             func,
-                            cost: invoke + arg_cost(&args),
+                            cost: cost.analysis_call + arg_cost(&args),
                             args: ArgPlan::lower(&args, iref, point),
                         },
                         Call::IfThen(guarded) => {
@@ -822,17 +791,13 @@ impl<T> CodeCache<T> {
                                 pred_cost: cost.inline_if_check + arg_cost(&pred_args),
                                 pred_args: ArgPlan::lower(&pred_args, iref, point),
                                 then,
-                                then_cost: invoke + arg_cost(&then_args),
+                                then_cost: cost.analysis_call + arg_cost(&then_args),
                                 then_args: ArgPlan::lower(&then_args, iref, point),
                             }
                         }
                     };
                     slot.needs_mem_ea |= call.reads_mem_addr();
-                    layout.call(InsertedCall {
-                        call,
-                        saves,
-                        elided,
-                    });
+                    layout.call(InsertedCall { call, elided });
                 }
                 slot.open[list] = layout.open_run();
             }
@@ -860,27 +825,14 @@ impl<T> CodeCache<T> {
     }
 
     /// Plans the register saves of the `call_index`-th call of the
-    /// `point` list at `addr`: the clobbered registers live there, and
-    /// those the refined liveness proves dead (`elided`). Debug builds
-    /// check the plan here (the clobber-safety verifier).
-    fn plan_saves(&mut self, addr: u64, point: IPoint, call_index: usize) -> (RegSet, RegSet) {
-        // Live registers at the insertion point: before-calls see the
-        // instruction's own reads as live; after-calls see its live-out
-        // set. Unknown liveness saves everything.
-        let live = match &self.liveness {
-            None => RegSet::ALL,
-            Some(map) => match point {
-                IPoint::Before => map.live_before(addr),
-                IPoint::After => map.live_after(addr),
-            },
-        };
-        let mut saves = required_saves(live);
+    /// `point` list at `addr` — the clobber set, less an injected bug —
+    /// and returns those the refined liveness proves dead (`elided`).
+    /// Debug builds check the plan here (the clobber-safety verifier).
+    fn plan_saves(&mut self, addr: u64, point: IPoint, call_index: usize) -> RegSet {
+        let mut saves = analysis_clobbers();
         if let Some(bug) = self.clobber_bug {
             saves.remove(bug);
         }
-        // Refined interprocedural liveness (superblock plan): saved
-        // registers the refined map proves dead are annotated `elided`.
-        // `saves` itself is untouched — it is the cost basis.
         let refined_live = self.refined.as_ref().map(|map| match point {
             IPoint::Before => map.live_before(addr),
             IPoint::After => map.live_after(addr),
@@ -890,16 +842,16 @@ impl<T> CodeCache<T> {
             Some(refined) => saves.minus(required_saves(refined)),
         };
         if cfg!(debug_assertions) {
-            // Clobber-safety verifier: every planned save set must cover
-            // the live clobbered registers.
-            let missing = required_saves(live).minus(saves);
+            // Clobber-safety verifier: every planned save set must hold
+            // the whole clobber set.
+            let missing = analysis_clobbers().minus(saves);
             if !missing.is_empty() {
                 self.violations.push(ClobberViolation {
                     addr,
                     point,
                     call_index,
                     missing,
-                    live,
+                    live: RegSet::ALL,
                 });
             }
             // With elision, what is actually restored is `saves −
@@ -917,7 +869,7 @@ impl<T> CodeCache<T> {
                 }
             }
         }
-        (saves, elided)
+        elided
     }
 
     /// Inserts a compiled trace — fresh out of
@@ -1069,40 +1021,54 @@ mod tests {
         let live = superpin_analysis::LiveMap::compute(&program).expect("liveness");
         let live = Arc::new(live);
         let cost = CostModel::default();
-        for liveness in [None, Some(live)] {
-            let mut inserter: Inserter<u64> = Inserter::new();
-            for iref in trace.insts() {
-                for point in [IPoint::Before, IPoint::After] {
-                    inserter.insert_count(iref.addr, point, 3, |t| t);
-                    inserter.insert_call(iref.addr, point, |t, _, _| *t += 3, vec![]);
+        // A plan only annotates and an injected save-set bug is only the
+        // verifier's to see: neither moves a charge off the flat
+        // `analysis_call`.
+        for plan in [None, Some(&live)] {
+            for bug in [None, Some(Reg::R0)] {
+                let mut inserter: Inserter<u64> = Inserter::new();
+                for iref in trace.insts() {
+                    for point in [IPoint::Before, IPoint::After] {
+                        inserter.insert_count(iref.addr, point, 3, |t| t);
+                        inserter.insert_call(iref.addr, point, |t, _, _| *t += 3, vec![]);
+                    }
                 }
-            }
-            let mut cache: CodeCache<u64> = CodeCache::new();
-            if let Some(liveness) = &liveness {
-                cache.set_liveness(Arc::clone(liveness));
-                cache.set_refined_liveness(Arc::clone(liveness));
-            }
-            let (id, _) = cache.compile(&trace, None, &mut inserter, &cost);
-            let compiled = cache.trace(id);
-            for index in 0..compiled.insts.len() {
-                for list in [compiled.before(index), compiled.after(index)] {
-                    let [count, plain] = list else {
-                        panic!("one count and one plain call per point")
-                    };
-                    let LoweredCall::Count { n: 3, cost, .. } = count.call else {
-                        panic!("the count comes first")
-                    };
-                    let LoweredCall::Plain {
-                        cost: plain_cost, ..
-                    } = plain.call
-                    else {
-                        panic!("then the plain call")
-                    };
-                    assert_eq!(cost, plain_cost);
-                    assert_eq!((count.saves, count.elided), (plain.saves, plain.elided));
+                let mut cache: CodeCache<u64> = CodeCache::new();
+                if let Some(plan) = plan {
+                    cache.set_refined_liveness(Arc::clone(plan));
                 }
+                if let Some(bug) = bug {
+                    cache.inject_clobber_bug(bug);
+                }
+                let (id, _) = cache.compile(&trace, None, &mut inserter, &cost);
+                let compiled = cache.trace(id);
+                for index in 0..compiled.insts.len() {
+                    for list in [compiled.before(index), compiled.after(index)] {
+                        let [count, plain] = list else {
+                            panic!("one count and one plain call per point")
+                        };
+                        let LoweredCall::Count {
+                            n: 3,
+                            cost: count_cost,
+                            ..
+                        } = count.call
+                        else {
+                            panic!("the count comes first")
+                        };
+                        let LoweredCall::Plain {
+                            cost: plain_cost, ..
+                        } = plain.call
+                        else {
+                            panic!("then the plain call")
+                        };
+                        let case = format!("plan {} bug {bug:?}", plan.is_some());
+                        assert_eq!(count_cost, cost.analysis_call, "{case}");
+                        assert_eq!(plain_cost, cost.analysis_call, "{case}");
+                        assert_eq!(count.elided, plain.elided);
+                    }
+                }
+                assert!(!compiled.insts.iter().any(|slot| slot.needs_mem_ea));
             }
-            assert!(!compiled.insts.iter().any(|slot| slot.needs_mem_ea));
         }
     }
 

@@ -66,19 +66,10 @@ pub struct CostModel {
     /// cache on; see [`Engine::set_shared_code_cache`](crate::Engine::set_shared_code_cache).
     pub shared_cache_check: u64,
     /// Base cost of invoking one inserted analysis call (register
-    /// save/restore + call + return). Kept as the *conservative* total:
-    /// it must equal `analysis_call_base` plus a full save/restore of
-    /// every register in [`crate::spill::analysis_clobbers`], which is
-    /// what the engine charges when no liveness information is
-    /// installed (see [`Engine::set_liveness`](crate::Engine::set_liveness)).
+    /// save/restore + call + return), one flat price for every call: a
+    /// call saves the whole of [`crate::spill::analysis_clobbers`]
+    /// wherever it sits.
     pub analysis_call: u64,
-    /// Call/return/frame part of an analysis-call invocation, excluding
-    /// register spills.
-    pub analysis_call_base: u64,
-    /// Cost of saving and later restoring one clobbered register around
-    /// an analysis call. Liveness-driven elision skips this charge for
-    /// registers proven dead at the insertion point.
-    pub save_restore_per_reg: u64,
     /// Additional cost per argument materialized for an analysis call.
     pub analysis_arg: u64,
     /// Cost of an inlined `insert_if_call` quick check (paper §4.4: "This
@@ -107,8 +98,6 @@ impl CostModel {
             compile_per_inst: 64,
             shared_cache_check: 4,
             analysis_call: 10,
-            analysis_call_base: 6,
-            save_restore_per_reg: 1,
             analysis_arg: 1,
             inline_if_check: 2,
             syscall: 250,
@@ -134,20 +123,6 @@ mod tests {
         assert_eq!(secs_to_cycles(1.0), CYCLES_PER_SEC);
         let secs = cycles_to_secs(CYCLES_PER_SEC / 2);
         assert!((secs - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn conservative_spill_charge_equals_legacy_analysis_call() {
-        // Without liveness the engine saves every register an analysis
-        // call clobbers; that conservative charge must equal the
-        // historical flat `analysis_call` so elision-off runs are
-        // bit-identical to the pre-elision model.
-        let m = CostModel::paper_default();
-        let clobbers = crate::spill::analysis_clobbers().len() as u64;
-        assert_eq!(
-            m.analysis_call_base + clobbers * m.save_restore_per_reg,
-            m.analysis_call
-        );
     }
 
     #[test]

@@ -315,9 +315,8 @@ impl<T: Pintool + 'static> Engine<T> {
     /// instrumenting when its tool certifies the trace shareable
     /// ([`Pintool::instrumentation_is_shareable`]) and the template's
     /// code version is this process's, so its own discovery would
-    /// produce the same instructions (see
-    /// [`compile_miss`](Engine::compile_miss)); it compiles the trace
-    /// otherwise. Simulated cycles are charged exactly as for a
+    /// produce the same instructions (the miss path, `compile_miss`); it
+    /// compiles the trace otherwise. Simulated cycles are charged exactly as for a
     /// compile. Compiles not yet drained by
     /// [`take_fresh_traces`](Engine::take_fresh_traces) are carried
     /// over.
@@ -345,19 +344,6 @@ impl<T: Pintool + 'static> Engine<T> {
         // function of the simulation alone.
         fresh.sort_unstable_by_key(|&(pc, _)| pc);
         fresh
-    }
-
-    /// Installs static liveness for the guest program (see
-    /// [`CodeCache::set_liveness`]): save/restores of registers proven
-    /// dead at an insertion point are elided, shrinking each analysis
-    /// call's charge from the conservative
-    /// [`CostModel::analysis_call`] to
-    /// [`CostModel::analysis_call_base`] plus
-    /// [`CostModel::save_restore_per_reg`] per live clobbered register.
-    /// Call execution itself is unchanged, so instrumentation results
-    /// (e.g. icounts) are identical with or without liveness.
-    pub fn set_liveness(&mut self, liveness: Arc<superpin_analysis::LiveMap>) {
-        self.cache.set_liveness(liveness);
     }
 
     /// Installs a superblock plan: its refined interprocedural liveness

@@ -357,8 +357,7 @@ impl<T: 'static> Inserter<T> {
     /// calling it.
     ///
     /// The simulated charge is that of a plain call with no arguments
-    /// (`analysis_call_base` plus one save/restore per preserved
-    /// register), and it counts as one
+    /// (the flat `analysis_call`), and it counts as one
     /// [`analysis_calls`](crate::EngineStats::analysis_calls); only the
     /// host side changes. Between two *flush points* — any other
     /// analysis routine, a count to a different counter, a trace exit —

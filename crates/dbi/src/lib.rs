@@ -69,8 +69,9 @@ pub use spill::{analysis_clobbers, ClobberViolation};
 pub use tool::{NullTool, Pintool};
 pub use trace::{discover_trace, discover_trace_decoded, BasicBlock, InstRef, Trace, TraceSlot};
 
-// Re-exported so DBI consumers can build and install liveness without
-// depending on `superpin-analysis` directly.
+// Re-exported so DBI consumers can build and install a superblock plan
+// or a soundness oracle without depending on `superpin-analysis`
+// directly.
 pub use superpin_analysis::{
     LiveMap, PlanKnobs, ProgramAnalysis, RegSet, SoundnessOracle, SuperblockPlan,
 };

@@ -1,27 +1,24 @@
 //! Register save/restore planning for analysis calls.
 //!
 //! Invoking an inserted analysis routine clobbers a fixed set of guest
-//! registers (the call's scratch/argument registers). The compiler must
-//! bracket every call with spills of the clobbered registers that are
-//! *live* at the insertion point; registers proven dead there need no
-//! save/restore, which is the paper's motivation for keeping inserted
-//! calls cheap ("register save/restore + call + return" in the cost
-//! model).
+//! registers (the call's scratch/argument registers). The compiler
+//! brackets every call with spills of the whole set; the paper's flat
+//! per-call price ("register save/restore + call + return") is
+//! [`analysis_call`](crate::CostModel::analysis_call).
 //!
 //! Two consumers are built on this module:
 //!
-//! * **Elision** — [`CodeCache::compile`](crate::cache::CodeCache::compile)
-//!   intersects the clobber set with a [`LiveMap`](superpin_analysis::LiveMap)
-//!   (when one is installed via
-//!   [`Engine::set_liveness`](crate::Engine::set_liveness)) so the engine
-//!   charges [`save_restore_per_reg`](crate::CostModel::save_restore_per_reg)
-//!   only for registers that are actually live. Without liveness the full
-//!   clobber set is saved, which by construction costs exactly the legacy
-//!   flat [`analysis_call`](crate::CostModel::analysis_call).
+//! * **Refined elision** — with a superblock plan installed
+//!   ([`Engine::set_plan`](crate::Engine::set_plan)),
+//!   [`CodeCache::compile`](crate::cache::CodeCache::compile) marks the
+//!   saved registers the plan's refined liveness proves dead as
+//!   [`elided`](crate::cache::InsertedCall::elided): an annotation a code
+//!   generator could act on, which moves no charged cycle.
 //! * **Verification** — in debug/test builds the compiler re-checks every
-//!   planned save set against the rule `saves ⊇ clobbers ∩ live` and
-//!   records a [`ClobberViolation`] for each inserted call that would
-//!   corrupt a live register.
+//!   planned save set: it must hold every clobbered register, and what
+//!   is left after `elided` must cover the clobbered registers the
+//!   refined map keeps live. It records a [`ClobberViolation`] for each
+//!   inserted call that would corrupt a live register.
 
 use std::fmt;
 use superpin_analysis::RegSet;
@@ -50,7 +47,9 @@ pub struct ClobberViolation {
     pub call_index: usize,
     /// Clobbered-and-live registers the save set fails to cover.
     pub missing: RegSet,
-    /// The full live set at the insertion point.
+    /// The live set the check assumed: the refined map's at the
+    /// insertion point, or [`RegSet::ALL`] for the check that every
+    /// clobbered register is saved.
     pub live: RegSet,
 }
 

@@ -262,7 +262,7 @@ pub mod collection {
     use super::{Strategy, TestRng};
     use std::ops::Range;
 
-    /// Inclusive-exclusive length bounds accepted by [`vec`]; built
+    /// Inclusive-exclusive length bounds accepted by [`vec()`]; built
     /// from a bare `usize` (exact length) or a `Range<usize>`.
     #[derive(Clone, Copy, Debug)]
     pub struct SizeRange {

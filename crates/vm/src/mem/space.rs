@@ -2,7 +2,7 @@
 
 use super::page::{PageFrame, PAGE_MASK, PAGE_SHIFT, PAGE_SIZE};
 use std::cell::Cell;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -134,8 +134,8 @@ pub struct MemStats {
 /// access without the region search and the `BTreeMap` walk. The TLB is
 /// a pure host-side memo: every observable (bytes, [`MemStats`], when
 /// the [`code_version`](AddressSpace::code_version) changes, the
-/// code-write log) is what the untranslated path would have produced. See [`Tlb`] for the
-/// hit and invalidation rules.
+/// code-write log) is what the untranslated path would have produced.
+/// The private `Tlb` type's docs give the hit and invalidation rules.
 #[derive(Clone, Debug)]
 pub struct AddressSpace {
     regions: Vec<Region>,
@@ -143,22 +143,23 @@ pub struct AddressSpace {
     pages: BTreeMap<u64, u32>,
     /// Frame slab; `None` marks a slot on the `free_slots` list.
     frames: Vec<Option<PageFrame>>,
+    /// Per slot of `frames`, the `fork_generation` at which its page
+    /// became private to this side: first touched, or written since.
+    private_at: Vec<u64>,
     free_slots: Vec<u32>,
     tlb: Tlb,
     brk: u64,
     heap_base: u64,
     /// Next address tried for hint-less `mmap`.
     mmap_cursor: u64,
-    /// Page indices still write-shared since the last fork boundary on
-    /// this side: the first write to each charges one COW fault (see
-    /// [`MemStats::cow_copies`]). Populated for the child by [`fork`]
-    /// and for the parent by [`mark_cow_shared`]; drained by writes,
-    /// [`unmap`] and `brk` shrinks.
+    /// Fork boundaries this side has crossed: [`fork`] (on the child)
+    /// and [`mark_cow_shared`] each start a new generation. A resident
+    /// page whose `private_at` is older is still write-shared, and its
+    /// first write charges one COW fault (see [`MemStats::cow_copies`]).
     ///
     /// [`fork`]: AddressSpace::fork
     /// [`mark_cow_shared`]: AddressSpace::mark_cow_shared
-    /// [`unmap`]: AddressSpace::unmap
-    cow_pending: BTreeSet<u64>,
+    fork_generation: u64,
     stats: MemStats,
     /// See [`code_version`](AddressSpace::code_version).
     code_version: u64,
@@ -199,7 +200,7 @@ struct TlbEntry {
     /// The page's slot in the frame slab.
     slot: u32,
     /// Set only by a completed write to a non-code page: the page is then
-    /// resident and no longer COW-pending, so a later write owes no fault
+    /// resident and private to this generation, so a later write owes no fault
     /// and bumps no version. Exclusivity of the frame is *not* cached —
     /// a write hit re-proves it with [`PageFrame::get_mut`], because
     /// `fork(&self)` and `clone` share frames without touching this side.
@@ -209,11 +210,11 @@ struct TlbEntry {
 /// Direct-mapped `page → slot` memo over the frame slab.
 ///
 /// An entry is valid as long as `pages[page] == slot`, which only page
-/// removal breaks; `write_ok` additionally needs the page to stay out of
-/// `cow_pending` and its region to stay non-code. So the whole table is
-/// flushed by what removes pages (`unmap`, a shrinking `set_brk`) and by
-/// both operations that refill `cow_pending` (`fork`, on the child, and
-/// `mark_cow_shared`). Mapping a region or growing the heap flushes
+/// removal breaks; `write_ok` additionally needs the page to stay private
+/// to the current `fork_generation` and its region to stay non-code. So
+/// the whole table is flushed by what removes pages (`unmap`, a
+/// shrinking `set_brk`) and by both operations that start a generation
+/// (`fork`, on the child, and `mark_cow_shared`). Mapping a region or growing the heap flushes
 /// nothing: a new region overlaps no old one, so it cannot change what
 /// any resident page is. Cells make the fill possible from
 /// `read(&self)`; an address space is owned by one thread at a time (it
@@ -273,12 +274,13 @@ impl AddressSpace {
             regions: Vec::new(),
             pages: BTreeMap::new(),
             frames: Vec::new(),
+            private_at: Vec::new(),
             free_slots: Vec::new(),
             tlb: Tlb::new(),
             brk: heap_base,
             heap_base,
             mmap_cursor: MMAP_BASE,
-            cow_pending: BTreeSet::new(),
+            fork_generation: 0,
             stats: MemStats::default(),
             code_version: 0,
             mem_limit: None,
@@ -410,26 +412,28 @@ impl AddressSpace {
     /// Copy-on-write duplicate of this space. O(resident pages); no page
     /// contents are copied until one side writes.
     ///
-    /// Every page resident at the fork becomes COW-pending in the child:
-    /// its first write there charges one [`MemStats::cow_copies`] fault.
-    /// The *parent's* pending set is untouched because `fork` takes
-    /// `&self`; a supervisor that wants parent-side fork faults calls
+    /// Every page resident at the fork is write-shared in the child (it
+    /// starts a new fork generation): its first write there charges one
+    /// [`MemStats::cow_copies`] fault. The *parent's* pages are untouched
+    /// because `fork` takes `&self`; a supervisor that wants parent-side
+    /// fork faults calls
     /// [`mark_cow_shared`](AddressSpace::mark_cow_shared) as well.
     pub fn fork(&self) -> AddressSpace {
         let mut child = self.clone();
         child.reset_stats();
-        child.cow_pending = child.pages.keys().copied().collect();
+        child.fork_generation += 1;
         child.tlb.flush();
         child
     }
 
-    /// Marks every resident page COW-pending on *this* side, as a real
+    /// Marks every resident page write-shared on *this* side, as a real
     /// `fork(2)` does when it write-protects the parent's mappings. The
     /// SuperPin runner calls this on the master at each slice fork so the
     /// master's subsequent first-writes charge fork overhead exactly like
-    /// the child's — deterministically, whatever the sibling does.
+    /// the child's — deterministically, whatever the sibling does. O(1):
+    /// it starts a new fork generation.
     pub fn mark_cow_shared(&mut self) {
-        self.cow_pending = self.pages.keys().copied().collect();
+        self.fork_generation += 1;
         self.tlb.flush();
     }
 
@@ -547,17 +551,15 @@ impl AddressSpace {
     /// Discards the resident pages of the page-aligned range
     /// `[start, end)` and every translation with them.
     fn release_pages(&mut self, start: u64, end: u64) {
-        let keys: Vec<u64> = self
+        let released: Vec<(u64, u32)> = self
             .pages
             .range(page_index(start)..page_index(end))
-            .map(|(&index, _)| index)
+            .map(|(&page, &slot)| (page, slot))
             .collect();
-        for key in keys {
-            if let Some(slot) = self.pages.remove(&key) {
-                self.frames[slot as usize] = None;
-                self.free_slots.push(slot);
-            }
-            self.cow_pending.remove(&key);
+        for (page, slot) in released {
+            self.pages.remove(&page);
+            self.frames[slot as usize] = None;
+            self.free_slots.push(slot);
         }
         self.tlb.flush();
     }
@@ -739,15 +741,17 @@ impl AddressSpace {
             };
             // `make_mut` still copies the frame when a sibling shares it
             // (memory isolation), but the *charge* comes from the
-            // deterministic pending set, not the Arc refcount.
+            // deterministic fork generation, not the Arc refcount.
             let (bytes, _copied) = self.frames[slot as usize]
                 .as_mut()
                 .expect("a mapped page's slot holds its frame")
                 .make_mut();
             bytes[offset..offset + chunk].copy_from_slice(&data[..chunk]);
-            if self.cow_pending.remove(&page) {
-                self.stats.cow_copies += 1;
-            }
+            // A page private since before this side's last fork boundary
+            // is still write-shared: its first write copies it.
+            let private_at =
+                std::mem::replace(&mut self.private_at[slot as usize], self.fork_generation);
+            self.stats.cow_copies += u64::from(private_at < self.fork_generation);
             self.tlb.cell(page).set(TlbEntry {
                 page,
                 slot,
@@ -759,18 +763,17 @@ impl AddressSpace {
         Ok(())
     }
 
+    /// Puts a freshly touched page's frame in a slot, private to the
+    /// current fork generation.
     fn alloc_slot(&mut self, frame: PageFrame) -> u32 {
-        match self.free_slots.pop() {
-            Some(slot) => {
-                self.frames[slot as usize] = Some(frame);
-                slot
-            }
-            None => {
-                let slot = u32::try_from(self.frames.len()).expect("under 2^32 resident pages");
-                self.frames.push(Some(frame));
-                slot
-            }
-        }
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.frames.push(None);
+            self.private_at.push(0);
+            u32::try_from(self.frames.len() - 1).expect("under 2^32 resident pages")
+        });
+        self.frames[slot as usize] = Some(frame);
+        self.private_at[slot as usize] = self.fork_generation;
+        slot
     }
 
     /// Reads a little-endian u64.
@@ -944,6 +947,44 @@ mod tests {
         };
         assert_eq!(run(true), run(false));
         assert_eq!(run(true), (1, 1));
+    }
+
+    #[test]
+    fn a_page_released_after_a_fork_is_touched_again_as_a_minor_fault() {
+        let heap_base = 0x0100_0000;
+        let page = PAGE_SIZE as u64;
+        let mut parent = AddressSpace::new(heap_base);
+        let anon = parent.map_anonymous(None, page).expect("map");
+        parent.set_brk(heap_base + 2 * page);
+        for addr in [anon, heap_base, heap_base + page] {
+            parent.write_u64(addr, 1).expect("write");
+        }
+        let mut child = parent.fork();
+        let faults = |space: &AddressSpace| (space.stats().minor_faults, space.stats().cow_copies);
+
+        // Released by `unmap`, mapped again, touched again: a fresh page.
+        child.unmap(anon).expect("unmap");
+        let remapped = child.map_anonymous(Some(anon), page).expect("map");
+        assert_eq!(remapped, anon);
+        child.write_u64(anon, 2).expect("write");
+        assert_eq!(faults(&child), (1, 0));
+
+        // Released by a brk shrink, and its frame slot taken by another
+        // page before it is touched again.
+        let freed = child.pages[&page_index(heap_base + page)];
+        child.set_brk(heap_base + page);
+        let other = child.map_anonymous(None, page).expect("map");
+        child.write_u64(other, 3).expect("write");
+        assert_eq!(child.pages[&page_index(other)], freed);
+        child.set_brk(heap_base + 2 * page);
+        child.write_u64(heap_base + page, 4).expect("write");
+        assert_eq!(faults(&child), (3, 0));
+        assert_eq!(child.read_u64(heap_base + page).expect("read"), 4);
+
+        // The page still shared since the fork charges its copy.
+        child.write_u64(heap_base, 5).expect("write");
+        assert_eq!(faults(&child), (3, 1));
+        assert_eq!(parent.read_u64(heap_base + page).expect("read"), 1);
     }
 
     #[test]
@@ -1394,7 +1435,7 @@ mod tests {
             space.write_u64(DATA, 5).expect("write");
             assert_eq!(child.read_u64(DATA).expect("read"), 1);
             assert_eq!(space.read_u64(DATA).expect("read"), 5);
-            // Everything that refills the pending set or moves regions
+            // Everything that starts a fork generation or moves regions
             // empties the table.
             space.mark_cow_shared();
             assert!(hit(&space, DATA).is_none());

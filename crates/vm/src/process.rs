@@ -32,7 +32,6 @@ pub enum RunExit {
 /// instrumentation slices from the master application.
 #[derive(Clone, Debug)]
 pub struct Process {
-    pid: u64,
     /// Architectural CPU state.
     pub cpu: CpuState,
     /// The process's virtual memory.
@@ -82,7 +81,6 @@ impl Process {
         cpu.regs.set(Reg::FP, STACK_TOP - 64);
 
         Ok(Process {
-            pid,
             cpu,
             mem,
             kernel: KernelState::new(pid),
@@ -95,7 +93,7 @@ impl Process {
 
     /// Process id.
     pub fn pid(&self) -> u64 {
-        self.pid
+        self.kernel.pid
     }
 
     /// Exit code, if the process has exited.
@@ -118,12 +116,16 @@ impl Process {
     /// frames until one side writes. Fault counters and the instruction
     /// count start at zero in the child.
     pub fn fork(&self, child_pid: u64) -> Process {
-        let mut child = self.clone();
-        child.pid = child_pid;
-        child.kernel.pid = child_pid;
-        child.mem = self.mem.fork();
-        child.inst_count = 0;
-        child
+        let mut kernel = self.kernel.clone();
+        kernel.pid = child_pid;
+        Process {
+            mem: self.mem.fork(),
+            kernel,
+            inst_count: 0,
+            fault: self.fault.clone(),
+            decode: self.decode.clone(),
+            ..*self
+        }
     }
 
     /// Arms (or with `None` disarms) chaos fault injection on this
