@@ -5,11 +5,15 @@
 //! timeslice boundary". When a new slice is forked, it records a
 //! *signature* of the master's state at the boundary: the architectural
 //! register file plus the top 100 words of the stack. The *previous*
-//! slice then instruments exactly that instruction pointer with a cheap
+//! slice then checks exactly that instruction pointer with a cheap
 //! inlined two-register check (`INS_InsertIfCall`); only when the quick
 //! check matches does the expensive full comparison run
 //! (`INS_InsertThenCall`), verifying the architectural state and then the
-//! top-of-stack state.
+//! top-of-stack state. The engine runs that check at the entry of the
+//! trace the boundary heads
+//! ([`SpSliceTool`](crate::slice::SpSliceTool)'s
+//! [`probe_boundary`](superpin_dbi::Pintool::probe_boundary)) and charges
+//! it as the if/then call.
 
 use std::collections::HashMap;
 use superpin_dbi::trace::{fetch_decoded, InstRef, TraceSlot};
@@ -107,9 +111,19 @@ impl Signature {
         regs.len() == NUM_REGS && self.regs[..] == *regs
     }
 
-    /// Whether a stack snapshot matches.
-    pub fn stack_match(&self, stack: &[u64]) -> bool {
-        stack.len() == self.stack.len() && self.stack[..] == *stack
+    /// Whether `process`'s top stack words are the recorded ones. Word
+    /// `i` is read as the capture and the detector's
+    /// [`IArg::StackWord`](superpin_dbi::IArg::StackWord) read it:
+    /// `mem[sp + 8·i]`, 0 where unmapped, the address wrapping at 2^64.
+    /// Reading stops at the first word that differs.
+    pub fn stack_matches(&self, process: &Process) -> bool {
+        let sp = process.cpu.regs.get(Reg::SP);
+        self.stack.len() == STACK_WORDS
+            && self
+                .stack
+                .iter()
+                .zip(0u64..)
+                .all(|(&word, i)| process.mem.read_u64(sp.wrapping_add(8 * i)).unwrap_or(0) == word)
     }
 }
 
@@ -287,7 +301,7 @@ mod tests {
         use superpin_dbi::{Engine, IArg, IPoint, Inserter, Pintool, Trace};
         use superpin_vm::mem::RegionKind;
 
-        /// Records the stack words the detector's then-call would see.
+        /// Records the stack words `IArg::StackWord` arguments read.
         #[derive(Clone, Default)]
         struct StackArgs {
             seen: Option<Vec<u64>>,
@@ -323,6 +337,8 @@ mod tests {
         // bytes of word 1.
         assert_eq!(sig.stack[..2], [0, 0]);
         assert_eq!(sig.stack[2], 0x1001 << 8);
+        // The detector's stack stage reads the same words.
+        assert!(sig.stack_matches(&process));
 
         let mut engine = Engine::new(process, StackArgs::default());
         engine.run(u64::MAX / 4).expect("run to the stop");
@@ -543,8 +559,17 @@ mod tests {
         let mut wrong = regs;
         wrong[4] ^= 1;
         assert!(!sig.regs_match(&wrong));
-        assert!(sig.stack_match(&sig.stack.clone()));
-        assert!(!sig.stack_match(&sig.stack[1..]));
+        assert!(sig.stack_matches(&process));
+        // The deepest mapped word of the hundred decides too.
+        let sp = process.cpu.regs.get(Reg::SP);
+        let deepest = (0..STACK_WORDS as u64)
+            .rev()
+            .map(|i| sp + 8 * i)
+            .find(|&addr| process.mem.is_mapped(addr + 7))
+            .expect("sp is mapped");
+        let word = process.mem.read_u64(deepest).expect("mapped");
+        process.mem.write_u64(deepest, word ^ 1).expect("poke");
+        assert!(!sig.stack_matches(&process));
     }
 
     #[test]

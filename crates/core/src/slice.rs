@@ -12,7 +12,7 @@ use superpin_dbi::cache::CompiledTrace;
 use superpin_dbi::cache::DEFAULT_CAPACITY_INSTS;
 use superpin_dbi::registry::Entry;
 use superpin_dbi::{
-    Engine, EngineStop, IArg, IPoint, Inserter, InstRef, Pintool, Trace, TraceRegistry,
+    BoundaryProbe, Engine, EngineStop, Inserter, InstRef, Pintool, Trace, TraceRegistry,
 };
 use superpin_fault::{FailpointRegistry, Site};
 use superpin_isa::{Reg, NUM_REGS};
@@ -24,7 +24,7 @@ use superpin_vm::process::Process;
 pub enum Boundary {
     /// End when the recorded state signature matches at its pc
     /// (timeout-created boundary, paper §4.3/§4.4). Shared with the
-    /// detector the woken slice instruments.
+    /// woken slice's detector.
     Signature(Arc<Signature>),
     /// End after consuming the final syscall record (the next slice was
     /// forced at that syscall, paper §4.2).
@@ -63,7 +63,8 @@ pub enum SliceState {
 }
 
 /// The tool actually installed in a slice's engine: the user's
-/// [`SuperTool`] plus SuperPin's own signature-detection instrumentation.
+/// [`SuperTool`] plus SuperPin's own signature detector, which the engine
+/// runs at the boundary trace's entry ([`Pintool::probe_boundary`]).
 #[derive(Clone)]
 pub struct SpSliceTool<T: SuperTool> {
     /// The user tool (slice-local clone).
@@ -103,26 +104,24 @@ impl<T: SuperTool> SpSliceTool<T> {
     pub fn injected_faults(&self) -> u64 {
         self.injected_faults
     }
-
-    fn chaos_key(&self, ordinal: u64) -> u64 {
-        ((self.slice_num as u64) << 32) ^ ordinal ^ (self.chaos_salt << 56)
-    }
 }
+
+/// Arguments of the detector's inlined quick check: the two quick
+/// registers.
+const QUICK_ARGS: usize = 2;
+
+/// Arguments of the detector's full check: every register and the top
+/// [`STACK_WORDS`] stack words.
+const FULL_ARGS: usize = NUM_REGS + STACK_WORDS;
 
 impl<T: SuperTool> Pintool for SpSliceTool<T> {
     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
-        // Room for the detector and a call per instruction, reserved
-        // once in each list before anything is inserted.
-        inserter.reserve(trace.num_insts() + 1);
+        // Room for a call per instruction, reserved once in each list
+        // before anything is inserted. The boundary detector is no call:
+        // the engine runs it at the boundary trace's entry
+        // (`probe_boundary`).
+        inserter.reserve(trace.num_insts());
         self.inner_calls.reserve(trace.num_insts());
-        // Detection first: a boundary hit must short-circuit the user
-        // tool's calls for that instruction (it belongs to the next
-        // slice).
-        if let Some(sig) = &self.detect {
-            if trace.insts().any(|iref| iref.addr == sig.pc) {
-                insert_detection(inserter, sig);
-            }
-        }
         self.inner.instrument_trace(trace, &mut self.inner_calls);
         inserter.absorb(&mut self.inner_calls, |wrapper: &mut SpSliceTool<T>| {
             &mut wrapper.inner
@@ -131,15 +130,15 @@ impl<T: SuperTool> Pintool for SpSliceTool<T> {
 
     fn instrumentation_is_shareable(&self, insts: impl Iterator<Item = InstRef> + Clone) -> bool {
         // The boundary is the one slice-specific thing about a trace: the
-        // detector instruments the boundary pc, and the split point cuts
-        // traces short just before it. Traces that hold the boundary pc
-        // or the instruction ahead of it stay private, so a peer is never
-        // handed a trace shaped by another slice's boundary. Everything
-        // else defers to the user tool's own certification.
+        // split point cuts traces short just before it, so a trace that
+        // holds it past its head, or ends at it, is shaped by this
+        // slice's boundary and stays private. Either way one of its
+        // instructions ends at the boundary. The trace the boundary
+        // heads is the one any slice forms there, and the detector runs
+        // outside it. Everything else defers to the user tool's own
+        // certification.
         let boundary_free = match &self.detect {
-            Some(sig) => !insts
-                .clone()
-                .any(|iref| iref.addr == sig.pc || iref.addr + iref.size == sig.pc),
+            Some(sig) => !insts.clone().any(|iref| iref.addr + iref.size == sig.pc),
             None => true,
         };
         boundary_free && self.inner.instrumentation_is_shareable(insts)
@@ -149,11 +148,12 @@ impl<T: SuperTool> Pintool for SpSliceTool<T> {
         // The boundary test above, by binary search: the slots are
         // sorted and cover `[entry, fallthrough)` back to back, so an
         // instruction ends at the boundary exactly when the next one
-        // starts there or it is the last. A boundary outside that range
-        // touches no slot, and most templates are decided there.
+        // starts there or it is the last. A boundary outside
+        // `(entry, fallthrough]` ends no slot, and most templates are
+        // decided there.
         let boundary_free = match &self.detect {
             Some(sig) => {
-                !(template.entry..=template.fallthrough).contains(&sig.pc)
+                !(template.entry + 1..=template.fallthrough).contains(&sig.pc)
                     || (sig.pc != template.fallthrough
                         && template
                             .insts
@@ -168,6 +168,59 @@ impl<T: SuperTool> Pintool for SpSliceTool<T> {
                 .instrumentation_is_shareable(template.inst_refs())
     }
 
+    /// The two-stage signature detector at the boundary pc (paper §4.4):
+    /// an inlined quick check of the two likely-to-change registers
+    /// (`INS_InsertIfCall`), escalating to the full comparison of every
+    /// register and the top stack words (`INS_InsertThenCall`) only on a
+    /// quick match. It is charged as that if/then call, whose full check
+    /// takes every register and stack word as an argument; the stack
+    /// itself is read only once the registers match.
+    #[inline]
+    fn probe_boundary(&mut self, process: &Process) -> BoundaryProbe {
+        let Some(sig) = &self.detect else {
+            return BoundaryProbe::default();
+        };
+        let (slice, salt) = (u64::from(self.slice_num), self.chaos_salt);
+        let (chaos, injected) = (&self.chaos, &mut self.injected_faults);
+        let mut injects = |site: Site, ordinal: u64| {
+            let key = (slice << 32) ^ ordinal ^ (salt << 56);
+            let fired = chaos.as_ref().is_some_and(|chaos| chaos.fire(site, key));
+            *injected += u64::from(fired);
+            fired
+        };
+        let stats = &mut self.sig_stats;
+        let regs = &process.cpu.regs;
+        let mut probe = BoundaryProbe {
+            if_check: Some(QUICK_ARGS),
+            ..BoundaryProbe::default()
+        };
+        stats.quick_checks += 1;
+        // Failpoint: suppress a genuine quick match, so the slice sails
+        // past its true boundary (manufactured runaway).
+        if !sig.quick_match(regs.get(sig.quick_regs[0]), regs.get(sig.quick_regs[1]))
+            || injects(Site::CoreSignatureQuickMiss, stats.quick_checks)
+        {
+            return probe;
+        }
+        stats.full_checks += 1;
+        // Full architectural comparison: one compare per register.
+        let mut extra = NUM_REGS as u64;
+        // Failpoint: pretend the full comparison rejected, skipping the
+        // stack stage entirely (manufactured runaway with a skewed check
+        // mix).
+        if sig.regs_match(&regs.snapshot())
+            && !injects(Site::CoreSignatureFullMismatch, stats.full_checks)
+        {
+            stats.stack_checks += 1;
+            // Top-of-stack comparison: one compare per word.
+            extra += STACK_WORDS as u64;
+            probe.stop = sig.stack_matches(process);
+            stats.detections += u64::from(probe.stop);
+        }
+        probe.then_call = Some((FULL_ARGS, extra));
+        probe
+    }
+
     fn on_syscall(&mut self, record: &SyscallRecord) {
         self.inner.on_syscall(record);
     }
@@ -175,71 +228,6 @@ impl<T: SuperTool> Pintool for SpSliceTool<T> {
     fn name(&self) -> &'static str {
         "superpin-slice"
     }
-}
-
-/// Inserts the two-stage signature detector at the boundary pc:
-/// an inlined quick check of the two likely-to-change registers
-/// (`INS_InsertIfCall`), escalating to the full architectural + stack
-/// comparison (`INS_InsertThenCall`) only on a quick match (paper §4.4).
-fn insert_detection<T: SuperTool>(inserter: &mut Inserter<SpSliceTool<T>>, sig: &Arc<Signature>) {
-    let quick_sig = Arc::clone(sig);
-    let full_sig = Arc::clone(sig);
-
-    let pred_args = vec![
-        IArg::RegValue(sig.quick_regs[0]),
-        IArg::RegValue(sig.quick_regs[1]),
-    ];
-    let mut then_args = Vec::with_capacity(NUM_REGS + STACK_WORDS);
-    then_args.extend(Reg::all().map(IArg::RegValue));
-    then_args.extend((0..STACK_WORDS as u32).map(IArg::StackWord));
-
-    inserter.insert_if_then_call(
-        sig.pc,
-        IPoint::Before,
-        move |tool: &mut SpSliceTool<T>, ctx| {
-            tool.sig_stats.quick_checks += 1;
-            if !quick_sig.quick_match(ctx.arg(0), ctx.arg(1)) {
-                return false;
-            }
-            // Failpoint: suppress a genuine quick match, so the slice
-            // sails past its true boundary (manufactured runaway).
-            if let Some(chaos) = tool.chaos.clone() {
-                let key = tool.chaos_key(tool.sig_stats.quick_checks);
-                if chaos.fire(Site::CoreSignatureQuickMiss, key) {
-                    tool.injected_faults += 1;
-                    return false;
-                }
-            }
-            true
-        },
-        pred_args,
-        move |tool: &mut SpSliceTool<T>, ctx, ctl| {
-            tool.sig_stats.full_checks += 1;
-            // Full architectural comparison: one compare per register.
-            ctl.charge_cycles(NUM_REGS as u64);
-            let (regs, stack) = ctx.args.split_at(NUM_REGS);
-            if full_sig.regs_match(regs) {
-                // Failpoint: pretend the full comparison rejected, skipping
-                // the stack stage entirely (manufactured runaway with a
-                // skewed check mix).
-                if let Some(chaos) = tool.chaos.clone() {
-                    let key = tool.chaos_key(tool.sig_stats.full_checks);
-                    if chaos.fire(Site::CoreSignatureFullMismatch, key) {
-                        tool.injected_faults += 1;
-                        return;
-                    }
-                }
-                tool.sig_stats.stack_checks += 1;
-                // Top-of-stack comparison: one compare per word.
-                ctl.charge_cycles(STACK_WORDS as u64);
-                if full_sig.stack_match(stack) {
-                    tool.sig_stats.detections += 1;
-                    ctl.request_stop();
-                }
-            }
-        },
-        then_args,
-    );
 }
 
 /// A running instrumented timeslice.
@@ -448,9 +436,10 @@ impl<T: SuperTool> SliceRuntime<T> {
         debug_assert_eq!(self.state, SliceState::Sleeping);
         self.wake_cycles = Some(now_cycles);
         if let Boundary::Signature(sig) = &boundary {
-            // Boundary-pc instructions must head their own blocks so the
-            // detector fires before any block-granularity instrumentation
-            // of the boundary block (keeps icount2-style tools exact).
+            // The split point makes the boundary pc head every trace that
+            // holds it; the engine runs the detector at each entry of
+            // that trace, before any instrumentation of the boundary
+            // block (keeps icount2-style tools exact).
             self.engine.set_split_point(Some(sig.pc));
             self.engine.tool_mut().detect = Some(Arc::clone(sig));
         }
@@ -691,6 +680,7 @@ impl<T: SuperTool> std::fmt::Debug for SliceRuntime<T> {
 mod tests {
     use super::*;
     use crate::shared::SharedMem;
+    use superpin_dbi::IPoint;
     use superpin_isa::asm::assemble;
 
     /// Minimal icount1-style SuperTool for slice tests.
@@ -939,14 +929,15 @@ mod tests {
 
             let fresh = slice.take_fresh_traces();
             let registry = Arc::new(TraceRegistry::new()).publish(fresh.iter().cloned());
-            // The loop trace holds the detector and `start`'s is cut
-            // short by the split: peers learn that they were compiled —
-            // which only the shared charge has a use for — never how.
+            // `start`'s trace is cut short by the split: peers learn that
+            // it was compiled — which only the shared charge has a use
+            // for — never how.
             let start = boundary - 16; // `li` is two words
-            for pc in [boundary, start] {
-                assert_eq!(registry.entry(pc).is_some(), shared_code_cache, "{pc:#x}");
-                assert!(registry.template(pc).is_none(), "{pc:#x}");
-            }
+            assert_eq!(registry.entry(start).is_some(), shared_code_cache);
+            assert!(registry.template(start).is_none());
+            // The loop trace the boundary heads is the one any slice
+            // forms there; the detector runs outside it, at its entry.
+            assert!(registry.template(boundary).is_some());
             let others: Vec<u64> = fresh
                 .iter()
                 .map(|&(pc, _)| pc)
@@ -981,8 +972,9 @@ mod tests {
             assert_eq!(tool.template_is_shareable(&template), scanned, "{pc:#x}");
             kept += usize::from(!scanned);
         }
-        // Every slot start and the fall-through keep the template private.
-        assert_eq!(kept, template.insts.len() + 1);
+        // Every slot start past the head, and the fall-through, keep the
+        // template private: an instruction ends at each.
+        assert_eq!(kept, template.insts.len());
     }
 
     #[test]
@@ -1042,5 +1034,99 @@ mod tests {
             replay.engine().process().mem.stats(),
             reference.engine().process().mem.stats()
         );
+    }
+
+    /// A loop that reaches each of its labels a different way: `fall`
+    /// by falling through mid-block, `odd` by a branch taken from
+    /// mid-trace, `func` through `jalr`, `after` right after a syscall,
+    /// and `loop` by the loop's back edge.
+    const FIVE_WAYS: &str = "main:\n li r1, 6\n li r7, 1\n\
+        loop:\n addi r2, r2, 1\n\
+        fall:\n addi r3, r3, 2\n and r4, r1, r7\n bne r4, r0, odd\n addi r2, r2, 3\n jmp join\n\
+        odd:\n addi r3, r3, 1\n\
+        join:\n la r5, func\n jalr ra, 0(r5)\n li r0, 9\n syscall\n\
+        after:\n addi r6, r6, 1\n subi r1, r1, 1\n bne r1, r0, loop\n exit 0\n\
+        func:\n addi r8, r8, 1\n ret\n";
+
+    /// Runs `process` natively, servicing its syscalls, until its pc is
+    /// at `pc` for the `visit`-th time; returns the syscall records.
+    fn run_to_visit(process: &mut Process, pc: u64, visit: u32) -> Vec<SyscallRecord> {
+        let mut records = Vec::new();
+        let mut seen = 0;
+        loop {
+            if process.cpu.pc == pc {
+                seen += 1;
+                if seen == visit {
+                    return records;
+                }
+            }
+            if process.run_until_syscall(1).expect("run")
+                == superpin_vm::process::RunExit::SyscallEntry
+            {
+                records.push(process.do_syscall(0).expect("syscall"));
+            }
+        }
+    }
+
+    /// Wakes a slice of `FIVE_WAYS` on the boundary at `label`'s
+    /// `visit`-th visit and runs it in quanta of `budget` cycles until it
+    /// detects. Returns the master's instruction count at the boundary
+    /// and the slice.
+    fn detect_at(label: &str, visit: u32, budget: u64) -> (u64, SliceRuntime<TestCount>) {
+        let program = assemble(FIVE_WAYS).expect("assemble");
+        let pc = program.symbol(label).expect("label").addr;
+        let (mut process, bubble) = master(FIVE_WAYS);
+        let mut slice = spawned(&process, &bubble);
+        let records = run_to_visit(&mut process, pc, visit);
+        let sig = Signature::capture(&mut process);
+        slice.wake(Boundary::Signature(Arc::new(sig)), records, 0);
+        for quantum in 0..100_000 {
+            if slice.state() != SliceState::Running {
+                break;
+            }
+            slice.advance(budget, quantum).expect("advance");
+        }
+        assert_eq!(
+            slice.end_reason(),
+            Some(SliceEnd::SignatureDetected),
+            "{label}"
+        );
+        (process.inst_count(), slice)
+    }
+
+    #[test]
+    fn the_boundary_is_detected_however_the_guest_reaches_it() {
+        // Each way's instruction count, quick checks and analysis cycles
+        // as recorded when the detector was an if/then call compiled into
+        // the boundary trace; every way escalates once and detects.
+        for (label, visit, budget, insts, quick_checks, analysis) in [
+            // By fall-through: the split cuts the `loop` trace short.
+            ("fall", 4, u64::MAX / 8, 47, 4, 728),
+            // By the branch taken from the middle of the `fall` trace.
+            ("odd", 2, u64::MAX / 8, 65, 2, 900),
+            ("func", 4, u64::MAX / 8, 54, 4, 798),
+            // One trace a quantum: every entry follows a budget stop.
+            ("loop", 4, 1, 46, 4, 718),
+            // Right after the `getpid` is played back.
+            ("after", 4, u64::MAX / 8, 58, 4, 838),
+        ] {
+            let (master_insts, slice) = detect_at(label, visit, budget);
+            assert_eq!(master_insts, insts, "{label}");
+            assert_eq!(slice.engine().process().inst_count(), insts, "{label}");
+            assert_eq!(slice.tool().inner.count, insts, "{label}");
+            let expected = SignatureStats {
+                quick_checks,
+                full_checks: 1,
+                stack_checks: 1,
+                detections: 1,
+            };
+            assert_eq!(slice.tool().sig_stats, expected, "{label}");
+            let stats = slice.engine().stats();
+            assert_eq!(
+                (stats.if_checks, stats.then_calls, stats.cycles.analysis),
+                (quick_checks, 1, analysis),
+                "{label}"
+            );
+        }
     }
 }

@@ -741,7 +741,6 @@ impl<T> CodeCache<T> {
             counters: Vec::new(),
             open: Fold::EMPTY,
         };
-        let arg_cost = |args: &[IArg]| args.len() as u64 * cost.analysis_arg;
         let mut pending = pending.drain(..);
         for iref in trace.insts() {
             // The slot's runs of calls, read off the keys still pending.
@@ -776,7 +775,7 @@ impl<T> CodeCache<T> {
                         }
                         Call::Plain { func, args } => LoweredCall::Plain {
                             func,
-                            cost: cost.analysis_call + arg_cost(&args),
+                            cost: cost.call(args.len()),
                             args: ArgPlan::lower(&args, iref, point),
                         },
                         Call::IfThen(guarded) => {
@@ -788,10 +787,10 @@ impl<T> CodeCache<T> {
                             } = *guarded;
                             LoweredCall::IfThen {
                                 pred,
-                                pred_cost: cost.inline_if_check + arg_cost(&pred_args),
+                                pred_cost: cost.if_check(pred_args.len()),
                                 pred_args: ArgPlan::lower(&pred_args, iref, point),
                                 then,
-                                then_cost: cost.analysis_call + arg_cost(&then_args),
+                                then_cost: cost.call(then_args.len()),
                                 then_args: ArgPlan::lower(&then_args, iref, point),
                             }
                         }

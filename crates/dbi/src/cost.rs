@@ -106,6 +106,17 @@ impl CostModel {
             ptrace_stop: 2,
         }
     }
+
+    /// The charge of an analysis call that reads `args` arguments,
+    /// before any cycles the routine charges itself.
+    pub fn call(&self, args: usize) -> u64 {
+        self.analysis_call + args as u64 * self.analysis_arg
+    }
+
+    /// The charge of an inlined if-check that reads `args` arguments.
+    pub fn if_check(&self, args: usize) -> u64 {
+        self.inline_if_check + args as u64 * self.analysis_arg
+    }
 }
 
 impl Default for CostModel {

@@ -111,9 +111,10 @@ pub enum EngineStop {
     SyscallEntry,
     /// The guest exited with this code.
     Exited(i64),
-    /// An analysis routine requested a stop (`SP_EndSlice`, signature
-    /// detection). The pending instruction has *not* executed if the stop
-    /// came from a before-call.
+    /// An analysis routine requested a stop (`SP_EndSlice`), or the
+    /// tool's boundary probe detected the slice boundary
+    /// ([`Pintool::probe_boundary`]). The pending instruction has *not*
+    /// executed if the stop came from the probe or a before-call.
     ToolStop,
     /// The guest executed `halt`.
     Halted,
@@ -292,9 +293,11 @@ impl<T: Pintool + 'static> Engine<T> {
         self.fault_salt = salt;
     }
 
-    /// Sets the trace split point. Must be set before the affected code
-    /// compiles (SuperPin sets it when a slice wakes, while the slice's
-    /// cache is still cold).
+    /// Sets the trace split point: it heads every trace that holds it,
+    /// and each entry of such a trace runs the tool's boundary probe
+    /// ([`Pintool::probe_boundary`]). Must be set before the affected
+    /// code compiles (SuperPin sets it when a slice wakes, while the
+    /// slice's cache is still cold).
     pub fn set_split_point(&mut self, split: Option<u64>) {
         self.split_point = split;
     }
@@ -516,6 +519,8 @@ impl<T: Pintool + 'static> Engine<T> {
                 tool: &mut self.tool,
                 scratch: &mut self.scratch,
                 oracle: self.oracle.as_deref(),
+                cost: &self.cost,
+                split_point: self.split_point,
                 tally: Tally::default(),
             };
             let exit = exec.run(self.cache.trace(id));
@@ -754,10 +759,14 @@ struct Executor<'a, T> {
     tool: &'a mut T,
     scratch: &'a mut Vec<u64>,
     oracle: Option<&'a SoundnessOracle>,
+    cost: &'a CostModel,
+    /// The engine's split point: the one address whose trace entry runs
+    /// the tool's boundary probe, and which only ever heads a trace.
+    split_point: Option<u64>,
     tally: Tally,
 }
 
-impl<'a, T> Executor<'a, T> {
+impl<'a, T: Pintool> Executor<'a, T> {
     /// Executes `trace` until it exits, then books what the exit point
     /// fixes: the instructions retired and the run of counts the
     /// compiler left open there ([`CompiledInst`](crate::cache::CompiledInst)).
@@ -767,7 +776,15 @@ impl<'a, T> Executor<'a, T> {
     /// stopping call is a flush point, so its run was written just
     /// before it. Either way the counts reach the tool before anything
     /// outside can observe it.
+    ///
+    /// A trace entered at the split point first runs the tool's
+    /// boundary probe, where the first call of its head's before-list
+    /// would run; a detection stops before anything else in the trace,
+    /// with no count run open yet.
     fn run(&mut self, trace: &'a CompiledTrace<T>) -> Result<TraceExit, VmError> {
+        if self.split_point == Some(trace.entry) && self.probe_boundary() {
+            return Ok(TraceExit::Stop(EngineStop::ToolStop));
+        }
         let (index, point, exit) = self.run_trace(trace);
         let after = point == IPoint::After;
         self.tally.insts = index as u64 + u64::from(after);
@@ -780,6 +797,23 @@ impl<'a, T> Executor<'a, T> {
             }
         }
         exit
+    }
+
+    /// Runs the tool's boundary probe and charges what it ran, as
+    /// [`CodeCache::compile`] prices a lowered if/then call; returns
+    /// whether it asked to stop.
+    #[inline]
+    fn probe_boundary(&mut self) -> bool {
+        let probe = self.tool.probe_boundary(self.process);
+        if let Some(args) = probe.if_check {
+            self.tally.if_checks += 1;
+            self.tally.analysis += self.cost.if_check(args);
+        }
+        if let Some((args, extra)) = probe.then_call {
+            self.tally.then_calls += 1;
+            self.tally.analysis += self.cost.call(args) + extra;
+        }
+        probe.stop
     }
 
     /// Executes `trace` until it exits. Returns where control left —
@@ -795,6 +829,14 @@ impl<'a, T> Executor<'a, T> {
     ) -> (usize, IPoint, Result<TraceExit, VmError>) {
         for (index, hot) in trace.hot.iter().enumerate() {
             debug_assert_eq!(trace.insts[index].addr, self.process.cpu.pc, "trace desync");
+            // The boundary probe runs only at a trace's entry, so the
+            // split point must never be reached mid-trace.
+            debug_assert!(
+                index == 0 || self.split_point != Some(trace.insts[index].addr),
+                "split point {:#x} reached at slot {index} of the trace at {:#x}",
+                trace.insts[index].addr,
+                trace.entry
+            );
             let leave = |point, exit| (index, point, exit);
             let stop = |point, stop| leave(point, Ok(TraceExit::Stop(stop)));
 
@@ -874,9 +916,8 @@ impl<'a, T> Executor<'a, T> {
     /// Runs a call list; returns `true` if a stop was requested.
     ///
     /// A stop request short-circuits the remaining calls in the list:
-    /// when SuperPin's signature detector (inserted ahead of the user
-    /// tool's calls) fires at a slice boundary, the user tool must not
-    /// observe the boundary instruction — it belongs to the next slice.
+    /// once a routine ends the slice (`SP_EndSlice`), the calls after it
+    /// must not observe the instruction.
     ///
     /// A count here is a whole folded run: one write through its
     /// accessor, charged for every count it holds.

@@ -66,7 +66,7 @@ pub use inserter::{
 };
 pub use registry::TraceRegistry;
 pub use spill::{analysis_clobbers, ClobberViolation};
-pub use tool::{NullTool, Pintool};
+pub use tool::{BoundaryProbe, NullTool, Pintool};
 pub use trace::{discover_trace, discover_trace_decoded, BasicBlock, InstRef, Trace, TraceSlot};
 
 // Re-exported so DBI consumers can build and install a superblock plan

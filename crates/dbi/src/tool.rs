@@ -4,6 +4,26 @@ use crate::cache::CompiledTrace;
 use crate::inserter::Inserter;
 use crate::trace::{InstRef, Trace};
 use superpin_vm::kernel::SyscallRecord;
+use superpin_vm::process::Process;
+
+/// What one [`Pintool::probe_boundary`] call ran. The engine charges it
+/// exactly as it charges a lowered if/then call
+/// ([`Inserter::insert_if_then_call`]) with these argument counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct BoundaryProbe {
+    /// The inlined check ran, reading this many arguments: one
+    /// [`if_checks`](crate::EngineStats::if_checks), charged
+    /// [`CostModel::if_check`](crate::CostModel::if_check).
+    pub if_check: Option<usize>,
+    /// The guarded call ran, reading this many arguments and charging
+    /// these extra cycles: one
+    /// [`then_calls`](crate::EngineStats::then_calls), charged
+    /// [`CostModel::call`](crate::CostModel::call) plus the extra.
+    pub then_call: Option<(usize, u64)>,
+    /// Stop before the trace's first instruction executes
+    /// ([`EngineStop::ToolStop`](crate::EngineStop::ToolStop)).
+    pub stop: bool,
+}
 
 /// A plug-in analysis tool, the analogue of a Pintool.
 ///
@@ -50,6 +70,25 @@ pub trait Pintool: Sized + Send {
     /// fallthrough)` back to back.
     fn template_is_shareable(&self, template: &CompiledTrace<Self>) -> bool {
         self.instrumentation_is_shareable(template.inst_refs())
+    }
+
+    /// SuperPin's slice-boundary detector (paper §4.4), run by the engine
+    /// each time a trace is entered at its split point
+    /// ([`Engine::set_split_point`](crate::Engine::set_split_point)),
+    /// after the entry's dispatch and before the trace's first
+    /// instruction, with the guest state as that instruction would see
+    /// it. The split point heads every trace that holds it, so this is
+    /// every time the guest reaches it. What the probe reports running is
+    /// charged as the if/then call it stands for, and a `stop` ends the
+    /// run before the instruction executes.
+    ///
+    /// The default runs nothing. It is the one hook a tool gets outside
+    /// its inserted calls, and exists for the slice wrapper alone: the
+    /// detector belongs to SuperPin, not to the tool it wraps.
+    #[inline]
+    fn probe_boundary(&mut self, process: &Process) -> BoundaryProbe {
+        let _ = process;
+        BoundaryProbe::default()
     }
 
     /// Observe a serviced (or played-back) syscall.

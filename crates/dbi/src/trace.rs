@@ -121,7 +121,7 @@ pub fn discover_trace(mem: &AddressSpace, entry: u64) -> Result<Trace, VmError> 
 /// before `split`, so that address always begins its own trace/block.
 ///
 /// SuperPin slices set the split to their boundary pc (paper §4.4): the
-/// signature detector then fires at a block head, before any
+/// signature detector then runs at a trace head, before any
 /// block-granularity instrumentation of the boundary block has run, which
 /// keeps block-counting tools exact across slice boundaries. A trace the
 /// split ends is marked [`cut`](Trace::cut).

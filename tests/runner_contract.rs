@@ -418,15 +418,69 @@ fn slices_adopt_published_traces_on_code_version() {
         "threads=4 changed how misses were served"
     );
     // Host-side only, so no report can show it: a miss on a published
-    // template adopts it when the code version vouches for it, and
-    // compiles the trace itself only where this slice's boundary shapes
+    // template adopts it when the code version vouches for it. Two kinds
+    // of trace stay private: the cut trace that ends at a slice's
+    // boundary is published as membership only, and a peer's template
+    // that holds this slice's boundary past its head, or ends at it, is
+    // compiled again here. The trace a boundary heads is published and
+    // adopted like any other: the detector runs at its entry, outside
     // it. A miss that compiles what it could have adopted moves these.
     assert_eq!(
         adoptions_serial,
         AdoptionCounts {
-            adopted: 606,
-            compiled: 177,
+            adopted: 689,
+            compiled: 114,
         },
         "adoption on the code version degraded"
     );
+}
+
+#[test]
+fn the_boundary_detector_charges_what_its_if_then_call_did() {
+    // `churn_t1`'s timeslice, with only the two signature failpoints
+    // armed: each fires at this seed, a retried slice replays from its
+    // checkpoint, and the retries show where the keys fell.
+    let plan = Site::ALL
+        .into_iter()
+        .fold(FailPlan::new(5, 0.1), |plan, site| {
+            plan.with_site(site, SiteMode::Off)
+        })
+        .with_site(Site::CoreSignatureQuickMiss, SiteMode::Inherit)
+        .with_site(Site::CoreSignatureFullMismatch, SiteMode::Inherit);
+    for threads in [1, 4] {
+        let cfg = SuperPinConfig::scaled(100, superpin_replay::recipe::time_scale_for(SCALE))
+            .with_threads(threads)
+            .with_supervision()
+            .with_chaos(plan);
+        let (report, _) = run(cfg);
+        let summed = |field: fn(&superpin_dbi::EngineStats) -> u64| {
+            report
+                .slices
+                .iter()
+                .map(|slice| field(&slice.engine))
+                .sum::<u64>()
+        };
+        let stats = report.sig_stats;
+        // Recorded when the detector was an if/then call compiled into
+        // the boundary trace: a quick check is one `if_checks` at
+        // `inline_if_check + 2·analysis_arg`, a full check one
+        // `then_calls` at `analysis_call + 116·analysis_arg`, plus 16
+        // cycles for the registers and 100 more at the stack stage.
+        assert_eq!(
+            (
+                [
+                    stats.quick_checks,
+                    stats.full_checks,
+                    stats.stack_checks,
+                    stats.detections
+                ],
+                summed(|engine| engine.if_checks),
+                summed(|engine| engine.then_calls),
+                summed(|engine| engine.cycles.analysis),
+                report.slice_retries,
+            ),
+            ([199, 89, 85, 85], 199, 89, 215_064, 20),
+            "t{threads}"
+        );
+    }
 }
