@@ -174,7 +174,9 @@ impl<T: SuperTool> Pintool for SpSliceTool<T> {
     /// register and the top stack words (`INS_InsertThenCall`) only on a
     /// quick match. It is charged as that if/then call, whose full check
     /// takes every register and stack word as an argument; the stack
-    /// itself is read only once the registers match.
+    /// itself is read only once the registers match. It reads registers
+    /// and stack words only, never the user tool's counters, which may
+    /// still be pending here ([`Pintool::probe_boundary`]).
     #[inline]
     fn probe_boundary(&mut self, process: &Process) -> BoundaryProbe {
         let Some(sig) = &self.detect else {

@@ -2,7 +2,7 @@
 
 use crate::cost::CostModel;
 use crate::inserter::{
-    AnalysisFn, Call, CounterFn, Counters, Guarded, IArg, IPoint, Inserter, PredicateFn,
+    AnalysisFn, Call, CounterFn, CounterId, Counters, Guarded, IArg, IPoint, Inserter, PredicateFn,
 };
 use crate::spill::{analysis_clobbers, required_saves, ClobberViolation};
 use crate::trace::{InstRef, Trace};
@@ -256,14 +256,14 @@ pub struct CompiledInst {
     pub(crate) calls: [u32; 3],
     /// The run of counts still open at the end of the before-calls and
     /// at the end of the after-calls: what a trace exit at that point
-    /// settles.
+    /// adds to the engine's pending run.
     pub(crate) open: [OpenRun; 2],
 }
 
-/// Counts executed since the last flush point and not yet written to
-/// their counter. Between two flush points — a non-count call, a
-/// counter switch, a trace exit — the counts a trace executes are fixed
-/// at compile time, so each point of a trace has one. Empty when `calls`
+/// Counts a trace executed since its last non-count call or counter
+/// switch and not yet written to their counter. Between two such
+/// points and a trace exit the counts a trace executes are fixed at
+/// compile time, so each point of a trace has one. Empty when `calls`
 /// is 0.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct OpenRun {
@@ -308,7 +308,7 @@ struct Layout<'a, T> {
     accessors: Counters<'a, T>,
     calls: Vec<InsertedCall<T>>,
     /// The trace's counters.
-    counters: Vec<CounterFn<T>>,
+    counters: Vec<(CounterId, CounterFn<T>)>,
     open: Fold,
 }
 
@@ -330,7 +330,7 @@ impl<T> Layout<'_, T> {
             let fold = std::mem::replace(&mut self.open, Fold::EMPTY);
             self.calls.push(InsertedCall {
                 call: LoweredCall::Count {
-                    counter: Arc::clone(self.accessors.get(fold.counter)),
+                    counter: Arc::clone(&self.accessors.get(fold.counter).1),
                     n: fold.run.n,
                     cost: fold.run.cost,
                     calls: fold.run.calls,
@@ -359,15 +359,11 @@ impl<T> Layout<'_, T> {
             return;
         }
         self.close();
-        let accessor = self.accessors.get(counter);
-        let index = match self
-            .counters
-            .iter()
-            .position(|known| Arc::ptr_eq(known, accessor))
-        {
+        let (id, accessor) = self.accessors.get(counter);
+        let index = match self.counters.iter().position(|(known, _)| known == id) {
             Some(index) => index,
             None => {
-                self.counters.push(Arc::clone(accessor));
+                self.counters.push((*id, Arc::clone(accessor)));
                 self.counters.len() - 1
             }
         };
@@ -411,8 +407,12 @@ pub struct CompiledTrace<T> {
     /// Every slot's calls, slot by slot, before-calls first.
     pub(crate) calls: Vec<InsertedCall<T>>,
     /// The distinct counters the trace's counts write, named by
-    /// [`OpenRun::counter`].
-    pub(crate) counters: Vec<CounterFn<T>>,
+    /// [`OpenRun::counter`], each with its id: the tool's counter `fn`
+    /// and the projection it was absorbed through, equal in every engine
+    /// (a template adopted from a peer carries the peer's accessor). The
+    /// engine keys its pending run on the id, so exits of its own traces
+    /// and of adopted ones add to one run.
+    pub(crate) counters: Vec<(CounterId, CounterFn<T>)>,
     /// Continuation address if the last instruction falls through.
     pub fallthrough: u64,
     /// Number of basic blocks the source trace had.
@@ -692,8 +692,11 @@ impl<T> CodeCache<T> {
     /// exactly like a plain call with no arguments, then folded: each run
     /// of counts to one counter becomes one [`LoweredCall::Count`] where
     /// the run closes inside a list, and the run still open at the end of
-    /// each list is recorded for the executor to settle at a trace exit.
-    /// An `icount1` trace compiles to an empty call array.
+    /// each list is recorded for the executor to add, at a trace exit
+    /// there, to the engine's pending run, which reaches the counter at
+    /// the engine's next flush point
+    /// ([`Inserter::insert_count`]). An `icount1` trace compiles to an
+    /// empty call array.
     ///
     /// The layout is one pass over the slots. The calls are put in
     /// `(address, point)` order first — a stable sort, so each slot's
@@ -1101,7 +1104,7 @@ mod tests {
             let index = compiled
                 .counters
                 .iter()
-                .position(|c| Arc::ptr_eq(c, counter));
+                .position(|(_, c)| Arc::ptr_eq(c, counter));
             (index.expect("a known counter"), *n, *calls)
         };
 

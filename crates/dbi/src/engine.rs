@@ -5,7 +5,7 @@ use crate::cache::{
     DEFAULT_CAPACITY_INSTS,
 };
 use crate::cost::CostModel;
-use crate::inserter::{CallCtx, EngineCtl, IPoint, Inserter};
+use crate::inserter::{CallCtx, CounterFn, CounterId, EngineCtl, IPoint, Inserter};
 use crate::registry::{Entry, TraceRegistry};
 use crate::spill::ClobberViolation;
 use crate::tool::Pintool;
@@ -210,6 +210,9 @@ pub struct Engine<T: Pintool> {
     compiling: Box<Compiling<T>>,
     /// How misses on published templates went (host-side only).
     adoptions: AdoptionCounts,
+    /// The counts trace exits settled and no flush point has written
+    /// yet; 0 whenever [`run`](Engine::run) is not on the stack.
+    pending: PendingRun<T>,
 }
 
 impl<T: Pintool + Clone> Clone for Engine<T> {
@@ -235,6 +238,7 @@ impl<T: Pintool + Clone> Clone for Engine<T> {
             scratch: Vec::new(),
             compiling: Box::default(),
             adoptions: self.adoptions,
+            pending: PendingRun::default(),
         }
     }
 }
@@ -281,6 +285,7 @@ impl<T: Pintool + 'static> Engine<T> {
             scratch: Vec::new(),
             compiling: Box::default(),
             adoptions: AdoptionCounts::default(),
+            pending: PendingRun::default(),
         }
     }
 
@@ -447,10 +452,24 @@ impl<T: Pintool + 'static> Engine<T> {
     /// entered, so the engine may overshoot by up to one trace's cost
     /// (bounded by [`crate::trace::MAX_INSTS_PER_TRACE`]).
     ///
+    /// Counts that trace exits settled wait in one pending run, which
+    /// is written to the tool before every other analysis routine, before
+    /// every compile or adoption, and here on every return, an error
+    /// included: whatever sees the tool from outside `run` sees exact
+    /// counts ([`Inserter::insert_count`]).
+    ///
     /// # Errors
     ///
     /// Propagates guest execution errors.
     pub fn run(&mut self, budget: u64) -> Result<RunResult, VmError> {
+        let result = self.dispatch(budget);
+        self.pending.flush(&mut self.tool);
+        result
+    }
+
+    /// [`run`](Engine::run)'s dispatch loop, leaving the counts of the
+    /// last trace exits pending.
+    fn dispatch(&mut self, budget: u64) -> Result<RunResult, VmError> {
         if let Some(code) = self.process.exited() {
             return Ok(RunResult {
                 stop: EngineStop::Exited(code),
@@ -487,7 +506,11 @@ impl<T: Pintool + 'static> Engine<T> {
             let pc = self.process.cpu.pc;
             let id = match self.cache.lookup(from, pc) {
                 Some(id) => id,
-                None => self.compile_miss(pc, &mut spent)?,
+                None => {
+                    // The tool instruments, or certifies a template, next.
+                    self.pending.flush(&mut self.tool);
+                    self.compile_miss(pc, &mut spent)?
+                }
             };
             from = Some(id);
             if self.pending_dispatch {
@@ -517,6 +540,7 @@ impl<T: Pintool + 'static> Engine<T> {
             let mut exec = Executor {
                 process: &mut self.process,
                 tool: &mut self.tool,
+                pending: &mut self.pending,
                 scratch: &mut self.scratch,
                 oracle: self.oracle.as_deref(),
                 cost: &self.cost,
@@ -738,6 +762,62 @@ impl<T: Pintool + 'static> Engine<T> {
     }
 }
 
+/// The counts trace exits settled since the last flush point, not yet
+/// written to their counter. One per engine: a trace exit adds its open
+/// run here instead of calling the counter accessor, and the sum reaches
+/// the tool at the next flush point — another analysis routine, a
+/// compile or adoption, the return from [`Engine::run`].
+///
+/// The run is keyed by the counter's [`CounterId`], not by accessor:
+/// every slice wrapper composes its own accessor and an adopted template
+/// carries a peer's, yet all of them name one counter, so exits of own
+/// and adopted traces add to the run without switching it. After a
+/// flush the id and accessor stay, holding 0, so the next `run` adds to
+/// them without cloning the accessor again.
+struct PendingRun<T> {
+    /// The counter the run is for; [`CounterId::NONE`] before the first.
+    id: CounterId,
+    accessor: Option<CounterFn<T>>,
+    n: u64,
+}
+
+impl<T> Default for PendingRun<T> {
+    fn default() -> PendingRun<T> {
+        PendingRun {
+            id: CounterId::NONE,
+            accessor: None,
+            n: 0,
+        }
+    }
+}
+
+impl<T> PendingRun<T> {
+    /// Adds `n` for the counter `(id, accessor)` names; a run pending
+    /// for another counter is written out first.
+    #[inline]
+    fn add(&mut self, (id, accessor): &(CounterId, CounterFn<T>), n: u64, tool: &mut T) {
+        if self.id == *id {
+            self.n += n;
+        } else {
+            self.flush(tool);
+            self.id = *id;
+            self.accessor = Some(Arc::clone(accessor));
+            self.n = n;
+        }
+    }
+
+    /// Writes the pending counts, if any, to their counter.
+    #[inline]
+    fn flush(&mut self, tool: &mut T) {
+        if self.n != 0 {
+            if let Some(accessor) = &self.accessor {
+                *accessor(tool) += self.n;
+            }
+            self.n = 0;
+        }
+    }
+}
+
 /// What one trace execution adds to [`EngineStats`], accumulated in
 /// registers and booked once per trace.
 #[derive(Clone, Copy, Default)]
@@ -757,6 +837,9 @@ struct Tally {
 struct Executor<'a, T> {
     process: &'a mut Process,
     tool: &'a mut T,
+    /// The engine's pending count run: trace exits add to it, and every
+    /// other routine flushes it first.
+    pending: &'a mut PendingRun<T>,
     scratch: &'a mut Vec<u64>,
     oracle: Option<&'a SoundnessOracle>,
     cost: &'a CostModel,
@@ -769,18 +852,20 @@ struct Executor<'a, T> {
 impl<'a, T: Pintool> Executor<'a, T> {
     /// Executes `trace` until it exits, then books what the exit point
     /// fixes: the instructions retired and the run of counts the
-    /// compiler left open there ([`CompiledInst`](crate::cache::CompiledInst)).
-    /// A syscall, `halt` or guest fault leaves before the instruction
-    /// retires and settles the before-list run; a taken exit or the trace
-    /// end settles the after-list run. A tool stop settles none: the
-    /// stopping call is a flush point, so its run was written just
-    /// before it. Either way the counts reach the tool before anything
-    /// outside can observe it.
+    /// compiler left open there ([`CompiledInst`](crate::cache::CompiledInst)),
+    /// which goes to the pending run. A syscall, `halt` or guest fault
+    /// leaves before the instruction retires and settles the before-list
+    /// run; a taken exit or the trace end settles the after-list run. A
+    /// tool stop settles none: the stopping call flushed the pending run
+    /// and had the trace's own run written just before it. Either way
+    /// the counts reach the tool before anything outside `Engine::run`
+    /// can observe it.
     ///
     /// A trace entered at the split point first runs the tool's
     /// boundary probe, where the first call of its head's before-list
     /// would run; a detection stops before anything else in the trace,
-    /// with no count run open yet.
+    /// with no count run of the trace open yet. The probe is not a flush
+    /// point: counts of earlier traces may still be pending.
     fn run(&mut self, trace: &'a CompiledTrace<T>) -> Result<TraceExit, VmError> {
         if self.split_point == Some(trace.entry) && self.probe_boundary() {
             return Ok(TraceExit::Stop(EngineStop::ToolStop));
@@ -791,7 +876,8 @@ impl<'a, T: Pintool> Executor<'a, T> {
         if !matches!(exit, Ok(TraceExit::Stop(EngineStop::ToolStop))) {
             let run = trace.insts[index].open[usize::from(after)];
             if run.calls != 0 {
-                *trace.counters[run.counter as usize](self.tool) += run.n;
+                let counter = &trace.counters[run.counter as usize];
+                self.pending.add(counter, run.n, self.tool);
                 self.tally.analysis += run.cost;
                 self.tally.calls += u64::from(run.calls);
             }
@@ -920,7 +1006,8 @@ impl<'a, T: Pintool> Executor<'a, T> {
     /// must not observe the instruction.
     ///
     /// A count here is a whole folded run: one write through its
-    /// accessor, charged for every count it holds.
+    /// accessor, charged for every count it holds. Any other routine
+    /// may read a counter, so the pending run is flushed before it.
     ///
     /// Forced inline: out of line, the call and the tally it then keeps
     /// in memory cost a tenth of `dbi.pin_minst_per_s` under `icount1`.
@@ -946,6 +1033,7 @@ impl<'a, T: Pintool> Executor<'a, T> {
                     false
                 }
                 LoweredCall::Plain { func, cost, args } => {
+                    self.pending.flush(self.tool);
                     let mut ctl = EngineCtl::default();
                     let args = eval_args(args, self.scratch, self.process, mem_ea, taken);
                     func(self.tool, &CallCtx { pc, args }, &mut ctl);
@@ -961,6 +1049,7 @@ impl<'a, T: Pintool> Executor<'a, T> {
                     then_cost,
                     then_args,
                 } => {
+                    self.pending.flush(self.tool);
                     let mut ctl = EngineCtl::default();
                     self.tally.if_checks += 1;
                     self.tally.analysis += pred_cost;
@@ -1537,6 +1626,123 @@ mod tests {
                 .inst_refs()
                 .eq(resident(&mut solo, body).inst_refs()));
         }
+    }
+
+    thread_local! {
+        /// Calls of [`counted`] on this thread: one per write through
+        /// any accessor composed over it.
+        static ACCESSOR_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// The counter `fn` of [`Counted`], which counts its own calls.
+    fn counted(tool: &mut Counted) -> &mut u64 {
+        ACCESSOR_CALLS.with(|calls| calls.set(calls.get() + 1));
+        &mut tool.count
+    }
+
+    /// One inlined count per instruction, as `ICount1`.
+    #[derive(Clone, Default)]
+    struct Counted {
+        count: u64,
+    }
+
+    impl Pintool for Counted {
+        fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
+            for iref in trace.insts() {
+                inserter.insert_count(iref.addr, IPoint::Before, 1, counted);
+            }
+        }
+        fn instrumentation_is_shareable(
+            &self,
+            _insts: impl Iterator<Item = InstRef> + Clone,
+        ) -> bool {
+            true
+        }
+    }
+
+    /// A slice-style wrapper: its tool instruments into the wrapper's
+    /// own inserter, absorbed through a projection, so every wrapper
+    /// composes its own accessor.
+    #[derive(Clone, Default)]
+    struct Wrapper {
+        inner: Counted,
+        inner_calls: Inserter<Counted>,
+    }
+
+    impl Pintool for Wrapper {
+        fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
+            self.inner.instrument_trace(trace, &mut self.inner_calls);
+            inserter.absorb(&mut self.inner_calls, |wrapper: &mut Wrapper| {
+                &mut wrapper.inner
+            });
+        }
+        fn instrumentation_is_shareable(
+            &self,
+            _insts: impl Iterator<Item = InstRef> + Clone,
+        ) -> bool {
+            true
+        }
+    }
+
+    #[test]
+    fn counter_identity_is_equal_across_engines() {
+        // Each iteration runs three traces: the loop head, `f`, and the
+        // rest of the loop.
+        let src = "main:\n li r1, 40\nloop:\n call f\n subi r1, r1, 1\n bne r1, r0, loop\n \
+                   exit 0\nf:\n addi r2, r2, 1\n ret\n";
+        let parent = process_for(src);
+        let entry = parent.cpu.pc;
+        let peer = |pid| Engine::new(parent.fork(pid), Wrapper::default());
+        let mut publisher = run_sharing(peer(2), &Arc::new(TraceRegistry::new()), false);
+        // Only `f` is published: the adopter compiles the loop itself
+        // and adopts `f`, whose template carries the publisher's
+        // accessor.
+        let fresh = publisher.take_fresh_traces();
+        let is_f = |template: &Option<Arc<CompiledTrace<Wrapper>>>| {
+            let template = template.as_ref().expect("shareable");
+            template
+                .hot
+                .iter()
+                .any(|hot| matches!(hot.inst, Inst::Jalr { .. }))
+        };
+        let f = fresh.iter().find(|(_, t)| is_f(t)).expect("f compiled").0;
+        let registry =
+            Arc::new(TraceRegistry::new()).publish(fresh.into_iter().filter(|(_, t)| is_f(t)));
+
+        ACCESSOR_CALLS.with(|calls| calls.set(0));
+        let mut adopter = run_sharing(peer(3), &registry, false);
+        let calls = ACCESSOR_CALLS.with(std::cell::Cell::get);
+        assert_eq!(adopter.adoption_counts().adopted, 1);
+        assert_eq!(adopter.tool().inner.count, adopter.process().inst_count());
+        assert_eq!(adopter.tool().inner.count, publisher.tool().inner.count);
+        // One write per flush point: a compile or adoption after some
+        // exit, and the return at the exit syscall. Keyed by accessor,
+        // the run would switch twice an iteration.
+        let compiled = adopter.cache_stats().traces_compiled;
+        assert!(
+            calls <= compiled + 1,
+            "{calls} accessor calls for {compiled} compiles"
+        );
+
+        // The adopted template and the adopter's own traces carry
+        // different accessors for one counter, under one id ...
+        let own = resident(&mut adopter, entry);
+        let adopted = resident(&mut adopter, f);
+        let (own_id, own_accessor) = &own.counters[0];
+        let (adopted_id, adopted_accessor) = &adopted.counters[0];
+        assert!(!Arc::ptr_eq(own_accessor, adopted_accessor));
+        assert_eq!(own_id, adopted_id);
+        assert_eq!(resident(&mut publisher, entry).counters[0].0, *own_id);
+        // ... so their exits add to one pending run without switching it.
+        let mut tool = Wrapper::default();
+        let mut pending = PendingRun::default();
+        pending.add(&own.counters[0], 2, &mut tool);
+        pending.add(&adopted.counters[0], 3, &mut tool);
+        let accessor = pending.accessor.as_ref().expect("pending");
+        assert!(Arc::ptr_eq(accessor, own_accessor), "the run switched");
+        assert_eq!((pending.n, tool.inner.count), (5, 0));
+        pending.flush(&mut tool);
+        assert_eq!((pending.n, tool.inner.count), (0, 5));
     }
 
     #[test]

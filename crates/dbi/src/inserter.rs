@@ -114,9 +114,6 @@ pub type PredicateFn<T> = Arc<dyn Fn(&mut T, &CallCtx<'_>) -> bool + Send + Sync
 /// state onto the `u64` a count adds to.
 pub type CounterFn<T> = Arc<dyn Fn(&mut T) -> &mut u64 + Send + Sync>;
 
-/// The counter `fn` a tool hands to [`Inserter::insert_count`].
-type CounterPtr<T> = fn(&mut T) -> &mut u64;
-
 /// Boxes a closure as a [`CounterFn`]. The bound is what gives the
 /// closure its higher-ranked signature (the returned borrow lives as
 /// long as the argument's).
@@ -210,33 +207,40 @@ pub struct Inserter<T> {
     calls: Calls<T>,
     /// The counter accessors [`Call::Count`] indexes, one per distinct
     /// counter, so the compiler folds consecutive counts to the same
-    /// counter by index. Each is found again by where it came from.
-    counters: Vec<(CounterKey<T>, CounterFn<T>)>,
+    /// counter by index. Each is found again by its [`CounterId`].
+    counters: Vec<(CounterId, CounterFn<T>)>,
 }
 
 /// An inserter's calls: each with the address and point it attaches
 /// to, in the order the tool inserted them.
 pub(crate) type Calls<T> = Vec<(u64, IPoint, Call<T>)>;
 
-/// Where an [`Inserter`]'s counter accessor came from.
-enum CounterKey<T> {
-    /// A counter `fn` handed to [`insert_count`](Inserter::insert_count).
-    Fn(CounterPtr<T>),
-    /// An inner inserter's accessor composed with a projection by
-    /// [`absorb`](Inserter::absorb): the inner accessor's address and the
-    /// projection's. The composed accessor holds a clone of the inner
-    /// one, so no other accessor can take that address while the entry
-    /// lives.
-    Absorbed(usize, usize),
+/// Which counter an accessor projects to. Two accessors with equal ids
+/// write the same `u64` of any one tool, whichever inserter composed
+/// them, so the engine adds counts bound for either into one pending
+/// run (see [`CompiledTrace::counters`](crate::CompiledTrace)). Two
+/// words, compared at every trace exit that settles counts.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct CounterId {
+    /// The address of the counter `fn` handed to
+    /// [`insert_count`](Inserter::insert_count): the same in every
+    /// engine. For an accessor absorbed twice (a wrapper of a wrapper),
+    /// the address of the composed accessor it was absorbed from,
+    /// private to the inserter that composed it: that accessor is held
+    /// by the one composed over it, so no other can take its address
+    /// while either lives, and a heap address is never a `fn`'s.
+    counter: usize,
+    /// The [`absorb`](Inserter::absorb) projection's address; 0 for a
+    /// counter inserted directly.
+    projection: usize,
 }
 
-impl<T> Clone for CounterKey<T> {
-    fn clone(&self) -> CounterKey<T> {
-        match *self {
-            CounterKey::Fn(counter) => CounterKey::Fn(counter),
-            CounterKey::Absorbed(inner, project) => CounterKey::Absorbed(inner, project),
-        }
-    }
+impl CounterId {
+    /// Names no counter: no `fn` or allocation lives at address 0.
+    pub(crate) const NONE: CounterId = CounterId {
+        counter: 0,
+        projection: 0,
+    };
 }
 
 impl<T> Default for Inserter<T> {
@@ -258,19 +262,12 @@ impl<T> Clone for Inserter<T> {
 }
 
 impl<T> Inserter<T> {
-    /// The index of the accessor `key` names, made by `make` the first
+    /// The index of the accessor `id` names, made by `make` the first
     /// time.
-    fn counter(&mut self, key: CounterKey<T>, make: impl FnOnce() -> CounterFn<T>) -> u32 {
-        let known = self
-            .counters
-            .iter()
-            .position(|(known, _)| match (known, &key) {
-                (CounterKey::Fn(a), CounterKey::Fn(b)) => std::ptr::fn_addr_eq(*a, *b),
-                (CounterKey::Absorbed(a, p), CounterKey::Absorbed(b, q)) => (a, p) == (b, q),
-                _ => false,
-            });
+    fn counter(&mut self, id: CounterId, make: impl FnOnce() -> CounterFn<T>) -> u32 {
+        let known = self.counters.iter().position(|(known, _)| *known == id);
         let index = known.unwrap_or_else(|| {
-            self.counters.push((key, make()));
+            self.counters.push((id, make()));
             self.counters.len() - 1
         });
         u32::try_from(index).expect("counters fit u32")
@@ -284,12 +281,12 @@ impl<T> Inserter<T> {
 }
 
 /// An inserter's counter accessors, by the index [`Call::Count`] names.
-pub(crate) struct Counters<'a, T>(&'a [(CounterKey<T>, CounterFn<T>)]);
+pub(crate) struct Counters<'a, T>(&'a [(CounterId, CounterFn<T>)]);
 
 impl<'a, T> Counters<'a, T> {
-    /// The accessor `index` names.
-    pub(crate) fn get(&self, index: u32) -> &'a CounterFn<T> {
-        &self.0[index as usize].1
+    /// The accessor `index` names, with its id.
+    pub(crate) fn get(&self, index: u32) -> &'a (CounterId, CounterFn<T>) {
+        &self.0[index as usize]
     }
 }
 
@@ -359,20 +356,30 @@ impl<T: 'static> Inserter<T> {
     /// The simulated charge is that of a plain call with no arguments
     /// (the flat `analysis_call`), and it counts as one
     /// [`analysis_calls`](crate::EngineStats::analysis_calls); only the
-    /// host side changes. Between two *flush points* — any other
-    /// analysis routine, a count to a different counter, a trace exit —
-    /// the counts a trace executes are fixed, so
+    /// host side changes. Within a trace, between any other analysis
+    /// routine, a count to a different counter and a trace exit, the
+    /// counts a trace executes are fixed, so
     /// [`CodeCache::compile`](crate::CodeCache::compile) sums them: one
-    /// write right before the routine or at the switch, and at each
-    /// trace exit the sum still open there, added once. The executor
-    /// does no per-instruction work for a count, and every other
-    /// routine, syscall hook, slice merge and checkpoint sees exactly the
-    /// count a per-instruction closure would have produced.
+    /// write right before the routine or at the switch, and at each trace
+    /// exit the sum still open there. The engine adds each exit's sum to
+    /// one pending run and writes it to the counter only at a *flush
+    /// point*: before any other analysis routine, before a trace is
+    /// compiled or adopted (`instrument_trace` may read the tool), and on
+    /// every return from [`Engine::run`](crate::Engine::run), an error
+    /// included. The executor does no per-instruction work for a count,
+    /// and every other routine, syscall hook, slice merge and checkpoint
+    /// sees exactly the count a per-instruction closure would have
+    /// produced. The one exception is
+    /// [`Pintool::probe_boundary`](crate::Pintool::probe_boundary), which
+    /// runs with counts still pending.
     ///
     /// `counter` must be a pure projection: it may run once per flush,
-    /// not once per execution. A counter whose target depends on a value
-    /// (say, a table indexed by opcode) or a routine that does more than
-    /// add stays an [`insert_call`](Inserter::insert_call).
+    /// not once per execution, and the engine writes a run of counts
+    /// through any accessor that names the same `fn` and projection —
+    /// possibly one a peer engine's wrapper composed. A counter whose
+    /// target depends on a value (say, a table indexed by opcode) or a
+    /// routine that does more than add stays an
+    /// [`insert_call`](Inserter::insert_call).
     pub fn insert_count(
         &mut self,
         addr: u64,
@@ -380,7 +387,11 @@ impl<T: 'static> Inserter<T> {
         n: u64,
         counter: fn(&mut T) -> &mut u64,
     ) {
-        let index = self.counter(CounterKey::Fn(counter), || counter_fn(counter));
+        let id = CounterId {
+            counter: counter as usize,
+            projection: 0,
+        };
+        let index = self.counter(id, || counter_fn(counter));
         self.calls
             .push((addr, point, Call::Count { counter: index, n }));
     }
@@ -410,9 +421,12 @@ impl<T: 'static> Inserter<T> {
     /// absorbs it so the user's analysis routines see `&mut U` while the
     /// engine drives `&mut T`. Each distinct counter accessor is composed
     /// with `project` once and kept, so the compiler still folds the
-    /// absorbed counts per counter. A flush through a composed accessor
-    /// is a chain of four indirect calls: the composed closure,
-    /// `project`, the inner `Arc<dyn Fn>`, and the tool's `fn`.
+    /// absorbed counts per counter. Its id is the tool's counter `fn` and
+    /// `project`, the same in every wrapper that absorbs that tool, so
+    /// an engine running its own traces and templates adopted from a
+    /// peer settles their counts into one pending run. A flush through a
+    /// composed accessor is a chain of four indirect calls: the composed
+    /// closure, `project`, the inner `Arc<dyn Fn>`, and the tool's `fn`.
     pub fn absorb<U: 'static>(&mut self, inner: &mut Inserter<U>, project: fn(&mut T) -> &mut U) {
         self.calls.reserve(inner.calls.len());
         for (addr, point, call) in inner.calls.drain(..) {
@@ -441,12 +455,15 @@ impl<T: 'static> Inserter<T> {
                     }))
                 }
                 Call::Count { counter, n } => {
-                    let accessor = &inner.counters[counter as usize].1;
-                    let key = CounterKey::Absorbed(
-                        Arc::as_ptr(accessor).cast::<()>() as usize,
-                        project as usize,
-                    );
-                    let counter = self.counter(key, || {
+                    let (inner_id, accessor) = &inner.counters[counter as usize];
+                    let id = CounterId {
+                        counter: match inner_id.projection {
+                            0 => inner_id.counter,
+                            _ => Arc::as_ptr(accessor).cast::<()>() as usize,
+                        },
+                        projection: project as usize,
+                    };
+                    let counter = self.counter(id, || {
                         let accessor = Arc::clone(accessor);
                         counter_fn(move |t: &mut T| accessor(project(t)))
                     });
@@ -538,7 +555,7 @@ mod tests {
             calls
                 .drain(..)
                 .map(|(_, _, call)| match call {
-                    Call::Count { counter, n } => (Arc::clone(counters.get(counter)), n),
+                    Call::Count { counter, n } => (Arc::clone(&counters.get(counter).1), n),
                     other => panic!("not a count: {other:?}"),
                 })
                 .collect::<Vec<(CounterFn<Wrapper>, u64)>>()

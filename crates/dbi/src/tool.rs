@@ -85,6 +85,13 @@ pub trait Pintool: Sized + Send {
     /// The default runs nothing. It is the one hook a tool gets outside
     /// its inserted calls, and exists for the slice wrapper alone: the
     /// detector belongs to SuperPin, not to the tool it wraps.
+    ///
+    /// The probe runs with inlined counts still pending: it is
+    /// deliberately not a flush point of
+    /// [`Inserter::insert_count`](crate::Inserter::insert_count), because
+    /// it runs at every entry of the boundary trace (about 1.8 M times a
+    /// `steady_t1` repetition). So it must not read an analysis counter;
+    /// registers, memory and its own state are exact.
     #[inline]
     fn probe_boundary(&mut self, process: &Process) -> BoundaryProbe {
         let _ = process;

@@ -222,17 +222,47 @@ pub fn step(cpu: &mut CpuState, mem: &mut AddressSpace) -> Result<ExecOutcome, V
     exec_decoded(cpu, mem, inst, size)
 }
 
+/// Loads the `width` bytes at `addr`, zero-extended. Each width reads a
+/// fixed-size array, so a TLB hit in [`AddressSpace::read`] is one bounds
+/// check and one move of a known length rather than a copy of run-time
+/// length; an access that straddles a page or misses the TLB takes
+/// `read`'s untranslated path.
+#[inline(always)]
 fn load(mem: &AddressSpace, addr: u64, width: MemWidth) -> Result<u64, VmError> {
-    let mut buf = [0u8; 8];
-    let n = width.bytes();
-    mem.read(addr, &mut buf[..n]).map_err(VmError::from)?;
-    Ok(u64::from_le_bytes(buf))
+    match width {
+        MemWidth::B => load_le(mem, addr, |bytes: [u8; 1]| u64::from(bytes[0])),
+        MemWidth::H => load_le(mem, addr, |bytes| u64::from(u16::from_le_bytes(bytes))),
+        MemWidth::W => load_le(mem, addr, |bytes| u64::from(u32::from_le_bytes(bytes))),
+        MemWidth::D => load_le(mem, addr, u64::from_le_bytes),
+    }
 }
 
+/// The `N` bytes at `addr`, widened to a `u64` by `widen`. The value is
+/// made here, not handed back as an array in a `Result`, which the
+/// optimizer took apart byte by byte and put together again.
+#[inline(always)]
+fn load_le<const N: usize>(
+    mem: &AddressSpace,
+    addr: u64,
+    widen: impl FnOnce([u8; N]) -> u64,
+) -> Result<u64, VmError> {
+    let mut buf = [0u8; N];
+    mem.read(addr, &mut buf)?;
+    Ok(widen(buf))
+}
+
+/// Stores the low `width` bytes of `value` at `addr`, each width as a
+/// fixed-size array ([`load`] has the why).
+#[inline(always)]
 fn store(mem: &mut AddressSpace, addr: u64, value: u64, width: MemWidth) -> Result<(), VmError> {
-    let bytes = value.to_le_bytes();
-    mem.write(addr, &bytes[..width.bytes()])
-        .map_err(VmError::from)
+    // The casts keep the low bytes: the truncation a narrow store is.
+    let stored = match width {
+        MemWidth::B => mem.write(addr, &(value as u8).to_le_bytes()),
+        MemWidth::H => mem.write(addr, &(value as u16).to_le_bytes()),
+        MemWidth::W => mem.write(addr, &(value as u32).to_le_bytes()),
+        MemWidth::D => mem.write(addr, &value.to_le_bytes()),
+    };
+    stored.map_err(VmError::from)
 }
 
 #[cfg(test)]
@@ -416,5 +446,174 @@ mod tests {
             err,
             VmError::Mem(crate::mem::MemError::Unmapped(0))
         ));
+    }
+
+    /// `load` and `store` at each fixed width against a byte-by-byte
+    /// model of the space: values, faults, residency, the code version
+    /// and its write log, and COW charges after a fork.
+    mod fixed_width {
+        use super::*;
+        use crate::mem::{MemError, PAGE_SIZE};
+        use proptest::prelude::*;
+        use std::collections::{BTreeMap, BTreeSet};
+
+        const PAGE: u64 = PAGE_SIZE as u64;
+        /// Two code pages, an unmapped page, three data pages, and
+        /// nothing mapped after them.
+        const CODE: u64 = 0x1000;
+        const DATA: u64 = 0x4000;
+        const END: u64 = DATA + 3 * PAGE;
+        const WIDTHS: [MemWidth; 4] = [MemWidth::B, MemWidth::H, MemWidth::W, MemWidth::D];
+
+        fn mapped(addr: u64) -> bool {
+            (CODE..CODE + 2 * PAGE).contains(&addr) || (DATA..END).contains(&addr)
+        }
+
+        fn is_code(addr: u64) -> bool {
+            (CODE..CODE + 2 * PAGE).contains(&addr)
+        }
+
+        /// The space one byte at a time: what was stored, every other
+        /// mapped byte 0.
+        #[derive(Default)]
+        struct Model {
+            bytes: BTreeMap<u64, u8>,
+            /// Pages any store reached: the resident ones.
+            touched: BTreeSet<u64>,
+            /// Resident at the last fork and not written since.
+            shared: BTreeSet<u64>,
+        }
+
+        impl Model {
+            fn load(&self, addr: u64, n: usize) -> Result<u64, u64> {
+                let mut value = 0;
+                for i in (0..n as u64).rev() {
+                    let at = addr.wrapping_add(i);
+                    value = value << 8 | u64::from(self.bytes.get(&at).copied().unwrap_or(0));
+                }
+                // The first unmapped byte is the one a fault names.
+                match (0..n as u64)
+                    .map(|i| addr.wrapping_add(i))
+                    .find(|&at| !mapped(at))
+                {
+                    Some(at) => Err(at),
+                    None => Ok(value),
+                }
+            }
+
+            /// Stores byte by byte up to the first unmapped one; returns
+            /// the code bytes written, the COW charges and minor faults
+            /// the store owes, and the fault.
+            fn store(
+                &mut self,
+                addr: u64,
+                n: usize,
+                value: u64,
+            ) -> (Vec<u64>, u64, u64, Result<(), u64>) {
+                let (mut code, mut cow, mut minor) = (Vec::new(), 0, 0);
+                for i in 0..n as u64 {
+                    let at = addr.wrapping_add(i);
+                    if !mapped(at) {
+                        return (code, cow, minor, Err(at));
+                    }
+                    let page = at / PAGE;
+                    minor += u64::from(self.touched.insert(page));
+                    cow += u64::from(self.shared.remove(&page));
+                    self.bytes.insert(at, (value >> (8 * i)) as u8);
+                    if is_code(at) {
+                        code.push(at);
+                    }
+                }
+                (code, cow, minor, Ok(()))
+            }
+        }
+
+        fn fresh() -> AddressSpace {
+            let mut mem = AddressSpace::new(0x0100_0000);
+            mem.map_region(CODE, 2 * PAGE, RegionKind::Code)
+                .expect("map code");
+            mem.map_region(DATA, 3 * PAGE, RegionKind::Data)
+                .expect("map data");
+            mem.log_code_writes(true);
+            mem
+        }
+
+        /// An address picked by `sel` from `a`: the last three bytes of
+        /// a mapped page (straddling into the next page, mapped or not),
+        /// anywhere in one, or around a region's edge.
+        fn address(sel: u8, a: u64) -> u64 {
+            let pages = [CODE, CODE + PAGE, DATA, DATA + PAGE, DATA + 2 * PAGE];
+            let page = pages[(a % 5) as usize];
+            match sel {
+                0 => page + PAGE - 3 + (a >> 8) % 3,
+                1 => page + (a >> 8) % PAGE,
+                _ => {
+                    let edges = [CODE, CODE + 2 * PAGE, DATA, END];
+                    edges[(a % 4) as usize] + (a >> 8) % 12 - 8
+                }
+            }
+        }
+
+        fn unmapped(at: u64) -> VmError {
+            VmError::Mem(MemError::Unmapped(at))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(64))]
+
+            #[test]
+            fn prop_fixed_width_access_matches_bytes(
+                ops in proptest::collection::vec((0u8..10, 0u8..3, any::<u64>(), any::<u64>()), 1..160),
+            ) {
+                let mut mem = fresh();
+                let mut model = Model::default();
+                // Forked-from spaces stay alive, so their frames are
+                // really shared with the one under test.
+                let mut parents = Vec::new();
+                for (step, (kind, sel, a, value)) in ops.into_iter().enumerate() {
+                    let width = WIDTHS[(value >> 62) as usize];
+                    let n = width.bytes();
+                    let addr = address(sel, a);
+                    let (version, stats) = (mem.code_version(), mem.stats());
+                    match kind {
+                        0..=3 => {
+                            let got = load(&mem, addr, width);
+                            let want = model.load(addr, n).map_err(unmapped);
+                            prop_assert_eq!(got, want, "step {} load {:#x} {:?}", step, addr, width);
+                            prop_assert_eq!(mem.code_version(), version);
+                            prop_assert_eq!(mem.stats(), stats, "a load takes no fault");
+                        }
+                        4..=8 => {
+                            let got = store(&mut mem, addr, value, width);
+                            let (code, cow, minor, want) = model.store(addr, n, value);
+                            prop_assert_eq!(got, want.map_err(unmapped), "step {} store {:#x}", step, addr);
+                            let written: Vec<u64> = mem
+                                .take_code_writes()
+                                .into_iter()
+                                .flat_map(|(at, len)| at..at + len as u64)
+                                .collect();
+                            prop_assert_eq!(&written, &code, "step {} code-write log", step);
+                            prop_assert_eq!(mem.code_version() != version, !code.is_empty());
+                            prop_assert_eq!(mem.stats().cow_copies - stats.cow_copies, cow, "step {}", step);
+                            prop_assert_eq!(mem.stats().minor_faults - stats.minor_faults, minor);
+                        }
+                        _ => {
+                            let child = mem.fork();
+                            parents.push(std::mem::replace(&mut mem, child));
+                            model.shared.clone_from(&model.touched);
+                        }
+                    }
+                    prop_assert_eq!(mem.resident_pages(), model.touched.len(), "step {}", step);
+                }
+                // Every mapped byte, untouched pages included.
+                for start in [CODE, DATA] {
+                    let len = if start == CODE { 2 * PAGE } else { 3 * PAGE };
+                    let bytes = mem.read_bytes(start, len as usize).expect("mapped");
+                    for (at, byte) in (start..start + len).zip(bytes) {
+                        prop_assert_eq!(byte, model.bytes.get(&at).copied().unwrap_or(0), "{:#x}", at);
+                    }
+                }
+            }
+        }
     }
 }

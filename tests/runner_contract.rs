@@ -484,3 +484,151 @@ fn the_boundary_detector_charges_what_its_if_then_call_did() {
         );
     }
 }
+
+/// A tool whose every other hook reads its inlined count: a plain
+/// routine, an if/then predicate and its then-call, and `on_syscall`
+/// each fold the count they see into `seen`. The twin it is checked
+/// against counts with a plain closure per instruction. It merges
+/// `[count, seen, reads]`.
+#[derive(Clone)]
+struct Watch {
+    plain_counts: bool,
+    count: u64,
+    seen: u64,
+    reads: u64,
+    area: AreaId,
+}
+
+fn watched(watch: &mut Watch) -> &mut u64 {
+    &mut watch.count
+}
+
+impl Watch {
+    fn new(plain_counts: bool, area: AreaId) -> Watch {
+        Watch {
+            plain_counts,
+            count: 0,
+            seen: 0,
+            reads: 0,
+            area,
+        }
+    }
+
+    /// Folds the count into `seen`, in order: the sequence of reads,
+    /// not only their sum, has to match.
+    fn read(&mut self, tag: u64) {
+        self.seen = (self.seen ^ self.count.wrapping_add(tag << 56)).wrapping_mul(0x100_0000_01b3);
+        self.reads += 1;
+    }
+}
+
+impl Pintool for Watch {
+    fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
+        for iref in trace.insts() {
+            if self.plain_counts {
+                inserter.insert_call(iref.addr, IPoint::Before, |t, _, _| t.count += 1, vec![]);
+            } else {
+                inserter.insert_count(iref.addr, IPoint::Before, 1, watched);
+            }
+            let word = iref.addr >> 3;
+            if word.is_multiple_of(7) {
+                inserter.insert_call(iref.addr, IPoint::Before, |t, _, _| t.read(1), vec![]);
+            }
+            if word.is_multiple_of(11) {
+                inserter.insert_if_then_call(
+                    iref.addr,
+                    IPoint::Before,
+                    |t, _| {
+                        t.read(2);
+                        t.count.is_multiple_of(3)
+                    },
+                    vec![],
+                    |t, _, _| t.read(3),
+                    vec![],
+                );
+            }
+        }
+    }
+
+    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
+        true
+    }
+
+    fn on_syscall(&mut self, _record: &superpin_vm::kernel::SyscallRecord) {
+        self.read(4);
+    }
+}
+
+impl SuperTool for Watch {
+    fn reset(&mut self, _slice_num: u32) {
+        self.count = 0;
+        self.seen = 0;
+        self.reads = 0;
+    }
+
+    fn on_slice_end(&mut self, _slice_num: u32, shared: &SharedMem) {
+        let area = shared.area(self.area);
+        area.add(0, self.count);
+        area.add(1, self.seen);
+        area.add(2, self.reads);
+    }
+}
+
+#[test]
+fn inlined_counts_are_exact_at_every_flush_point() {
+    let program = find(GUEST).expect("catalog guest").build(SCALE);
+    let native = run_native(Process::load(1, &program).expect("load"))
+        .expect("native")
+        .insts;
+    // Sliced, with templates adopted across slices: each slice's reads,
+    // in order, and its count.
+    for threads in [1, 4] {
+        let run_watch = |plain_counts| {
+            let shared = SharedMem::new();
+            let tool = Watch::new(plain_counts, shared.create_area(3, AutoMerge::Manual));
+            let area = tool.area;
+            let mut cfg = config().with_threads(threads);
+            cfg.shared_code_cache = true;
+            let report = run_tool(tool, &shared, cfg);
+            (report, shared.area(area).snapshot())
+        };
+        let (inlined, merged) = run_watch(false);
+        let (plain, plain_merged) = run_watch(true);
+        assert_eq!(inlined, plain, "inlined changed the report at t{threads}");
+        assert_eq!(
+            merged, plain_merged,
+            "a routine read another count at t{threads}"
+        );
+        assert_eq!(merged[0], native, "count at t{threads}");
+        assert!(merged[2] > 0, "nothing read the count");
+    }
+    // An engine run that ends in a guest fault returns what it counted:
+    // the count reaches the tool on the error return too.
+    // Twelve words of loop body: every routine runs in the loop.
+    let body = " nop\n".repeat(10);
+    let faulting = superpin_isa::asm::assemble(&format!(
+        "main:\n li r1, 50\nloop:\n subi r1, r1, 1\n{body} bne r1, r0, loop\n ld r2, 0(r0)\n exit 0\n"
+    ))
+    .expect("assemble");
+    let area = SharedMem::new().create_area(3, AutoMerge::Manual);
+    let [inlined, plain] = [false, true].map(|plain_counts| {
+        let process = Process::load(1, &faulting).expect("load");
+        let mut engine = superpin_dbi::Engine::new(process, Watch::new(plain_counts, area));
+        assert!(engine.run(u64::MAX / 4).is_err(), "the load faults");
+        // No routine at the load: what its trace counted since the last
+        // one is still pending when the fault ends the run.
+        let word = engine.process().cpu.pc >> 3;
+        assert!(!word.is_multiple_of(7) && !word.is_multiple_of(11));
+        let tool = engine.tool();
+        (
+            tool.count,
+            tool.seen,
+            tool.reads,
+            engine.process().inst_count(),
+        )
+    });
+    assert_eq!(inlined, plain, "the error return dropped counts");
+    // The faulting load's before-count ran; the load never retired.
+    assert_eq!(inlined.0, inlined.3 + 1);
+    assert!(inlined.2 >= 50, "the loop's routines never read the count");
+}
