@@ -94,7 +94,6 @@ pub mod record;
 pub mod report;
 pub mod runner;
 pub mod shared;
-pub mod signature;
 pub mod slice;
 pub mod supervisor;
 pub mod syscall_policy;
@@ -111,6 +110,7 @@ pub use report::{SliceReport, SuperPinReport, TimeBreakdown};
 pub use runner::{HostProfile, Runner, SuperPinRunner};
 pub use shared::{AreaId, AutoMerge, SharedArea, SharedMem};
 pub use signature::{Signature, SignatureStats};
-pub use slice::{Boundary, SliceEnd, SliceRuntime, SliceState, SpSliceTool};
+pub use slice::{Boundary, SliceEnd, SliceRuntime, SliceState};
 pub use superpin_analysis::{PlanKnobs, ProgramAnalysis, SoundnessOracle, SuperblockPlan};
+pub use superpin_dbi::signature;
 pub use superpin_fault::{FailPlan, FailpointRegistry, Site, SiteMode};

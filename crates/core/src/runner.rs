@@ -82,7 +82,7 @@ use crate::record::{AdmissionDecision as Admission, NondetEvent, RunMode, RunPro
 use crate::report::{SliceReport, SuperPinReport, TimeBreakdown};
 use crate::shared::SharedMem;
 use crate::signature::{QuickRegsMemo, SignatureStats};
-use crate::slice::{Boundary, SliceRuntime, SliceState, SpSliceTool};
+use crate::slice::{Boundary, SliceRuntime, SliceState};
 use crate::supervisor::{SliceSupervisor, Verdict};
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -198,7 +198,7 @@ pub struct SuperPinRunner<T: SuperTool> {
     /// membership sets the simulated JIT charge when the shared code
     /// cache is on (paper §8); its templates let slices adopt each
     /// other's compiled traces instead of re-instrumenting.
-    registry: Arc<TraceRegistry<SpSliceTool<T>>>,
+    registry: Arc<TraceRegistry<T>>,
     epochs: u64,
     host_profile: HostProfile,
     /// The merged slices' adoption counts, summed (see
@@ -582,8 +582,8 @@ impl<T: SuperTool> SuperPinRunner<T> {
             if let Some(gov) = &mut self.governor {
                 gov.release(num);
             }
-            slice.tool_mut().inner.on_slice_end(num, &self.shared);
-            self.sig_stats.absorb(&slice.tool().sig_stats);
+            slice.tool_mut().on_slice_end(num, &self.shared);
+            self.sig_stats.absorb(&slice.engine().signature_stats());
             let adoptions = slice.engine().adoption_counts();
             self.adoptions.adopted += adoptions.adopted;
             self.adoptions.compiled += adoptions.compiled;

@@ -1,21 +1,18 @@
-//! Instrumented timeslices: the slice-side tool wrapper and runtime.
+//! Instrumented timeslices: the slice runtime.
 
 use crate::api::SuperTool;
 use crate::bubble::Bubble;
 use crate::config::SuperPinConfig;
 use crate::error::SpError;
-use crate::signature::{Signature, SignatureStats, STACK_WORDS};
+use crate::signature::Signature;
 use crate::trampoline;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use superpin_dbi::cache::CompiledTrace;
 use superpin_dbi::cache::DEFAULT_CAPACITY_INSTS;
 use superpin_dbi::registry::Entry;
-use superpin_dbi::{
-    BoundaryProbe, Engine, EngineStop, Inserter, InstRef, Pintool, Trace, TraceRegistry,
-};
-use superpin_fault::{FailpointRegistry, Site};
-use superpin_isa::{Reg, NUM_REGS};
+use superpin_dbi::{Engine, EngineStop, TraceRegistry};
+use superpin_fault::FailpointRegistry;
+use superpin_isa::Reg;
 use superpin_vm::kernel::SyscallRecord;
 use superpin_vm::process::Process;
 
@@ -62,180 +59,13 @@ pub enum SliceState {
     Done,
 }
 
-/// The tool actually installed in a slice's engine: the user's
-/// [`SuperTool`] plus SuperPin's own signature detector, which the engine
-/// runs at the boundary trace's entry ([`Pintool::probe_boundary`]).
-#[derive(Clone)]
-pub struct SpSliceTool<T: SuperTool> {
-    /// The user tool (slice-local clone).
-    pub inner: T,
-    /// Boundary signature to detect, if this slice ends on a timeout
-    /// boundary.
-    detect: Option<Arc<Signature>>,
-    /// Detection statistics for this slice.
-    pub sig_stats: SignatureStats,
-    /// Where the user tool inserts each trace's calls before they are
-    /// absorbed: drained by every absorb, and kept for the next trace.
-    inner_calls: Inserter<T>,
-    slice_num: u32,
-    /// Armed chaos registry for the signature failpoints
-    /// ([`Site::CoreSignatureQuickMiss`] /
-    /// [`Site::CoreSignatureFullMismatch`]). `None` when injection is
-    /// off — the detector then takes exactly its legacy path.
-    chaos: Option<Arc<FailpointRegistry>>,
-    /// Retry salt mixed into every signature failpoint key (see
-    /// [`Engine::arm_fault_injection`]).
-    chaos_salt: u64,
-    /// Faults this tool has injected since it was last armed. The
-    /// supervisor reads this at every barrier: a poisoned slice is
-    /// rolled back in the *same* epoch the fault fired, before its
-    /// corrupted state can shift merge timing.
-    injected_faults: u64,
-}
-
-impl<T: SuperTool> SpSliceTool<T> {
-    /// The slice this tool instance belongs to.
-    pub fn slice_num(&self) -> u32 {
-        self.slice_num
-    }
-
-    /// Faults injected into this slice's signature detector since the
-    /// registry was last armed.
-    pub fn injected_faults(&self) -> u64 {
-        self.injected_faults
-    }
-}
-
-/// Arguments of the detector's inlined quick check: the two quick
-/// registers.
-const QUICK_ARGS: usize = 2;
-
-/// Arguments of the detector's full check: every register and the top
-/// [`STACK_WORDS`] stack words.
-const FULL_ARGS: usize = NUM_REGS + STACK_WORDS;
-
-impl<T: SuperTool> Pintool for SpSliceTool<T> {
-    fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
-        // Room for a call per instruction, reserved once in each list
-        // before anything is inserted. The boundary detector is no call:
-        // the engine runs it at the boundary trace's entry
-        // (`probe_boundary`).
-        inserter.reserve(trace.num_insts());
-        self.inner_calls.reserve(trace.num_insts());
-        self.inner.instrument_trace(trace, &mut self.inner_calls);
-        inserter.absorb(&mut self.inner_calls, |wrapper: &mut SpSliceTool<T>| {
-            &mut wrapper.inner
-        });
-    }
-
-    fn instrumentation_is_shareable(&self, insts: impl Iterator<Item = InstRef> + Clone) -> bool {
-        // The boundary is the one slice-specific thing about a trace: the
-        // split point cuts traces short just before it, so a trace that
-        // holds it past its head, or ends at it, is shaped by this
-        // slice's boundary and stays private. Either way one of its
-        // instructions ends at the boundary. The trace the boundary
-        // heads is the one any slice forms there, and the detector runs
-        // outside it. Everything else defers to the user tool's own
-        // certification.
-        let boundary_free = match &self.detect {
-            Some(sig) => !insts.clone().any(|iref| iref.addr + iref.size == sig.pc),
-            None => true,
-        };
-        boundary_free && self.inner.instrumentation_is_shareable(insts)
-    }
-
-    fn template_is_shareable(&self, template: &CompiledTrace<Self>) -> bool {
-        // The boundary test above, by binary search: the slots are
-        // sorted and cover `[entry, fallthrough)` back to back, so an
-        // instruction ends at the boundary exactly when the next one
-        // starts there or it is the last. A boundary outside
-        // `(entry, fallthrough]` ends no slot, and most templates are
-        // decided there.
-        let boundary_free = match &self.detect {
-            Some(sig) => {
-                !(template.entry + 1..=template.fallthrough).contains(&sig.pc)
-                    || (sig.pc != template.fallthrough
-                        && template
-                            .insts
-                            .binary_search_by_key(&sig.pc, |slot| slot.addr)
-                            .is_err())
-            }
-            None => true,
-        };
-        boundary_free
-            && self
-                .inner
-                .instrumentation_is_shareable(template.inst_refs())
-    }
-
-    /// The two-stage signature detector at the boundary pc (paper §4.4):
-    /// an inlined quick check of the two likely-to-change registers
-    /// (`INS_InsertIfCall`), escalating to the full comparison of every
-    /// register and the top stack words (`INS_InsertThenCall`) only on a
-    /// quick match. It is charged as that if/then call, whose full check
-    /// takes every register and stack word as an argument; the stack
-    /// itself is read only once the registers match. It reads registers
-    /// and stack words only, never the user tool's counters, which may
-    /// still be pending here ([`Pintool::probe_boundary`]).
-    #[inline]
-    fn probe_boundary(&mut self, process: &Process) -> BoundaryProbe {
-        let Some(sig) = &self.detect else {
-            return BoundaryProbe::default();
-        };
-        let (slice, salt) = (u64::from(self.slice_num), self.chaos_salt);
-        let (chaos, injected) = (&self.chaos, &mut self.injected_faults);
-        let mut injects = |site: Site, ordinal: u64| {
-            let key = (slice << 32) ^ ordinal ^ (salt << 56);
-            let fired = chaos.as_ref().is_some_and(|chaos| chaos.fire(site, key));
-            *injected += u64::from(fired);
-            fired
-        };
-        let stats = &mut self.sig_stats;
-        let regs = &process.cpu.regs;
-        let mut probe = BoundaryProbe {
-            if_check: Some(QUICK_ARGS),
-            ..BoundaryProbe::default()
-        };
-        stats.quick_checks += 1;
-        // Failpoint: suppress a genuine quick match, so the slice sails
-        // past its true boundary (manufactured runaway).
-        if !sig.quick_match(regs.get(sig.quick_regs[0]), regs.get(sig.quick_regs[1]))
-            || injects(Site::CoreSignatureQuickMiss, stats.quick_checks)
-        {
-            return probe;
-        }
-        stats.full_checks += 1;
-        // Full architectural comparison: one compare per register.
-        let mut extra = NUM_REGS as u64;
-        // Failpoint: pretend the full comparison rejected, skipping the
-        // stack stage entirely (manufactured runaway with a skewed check
-        // mix).
-        if sig.regs_match(&regs.snapshot())
-            && !injects(Site::CoreSignatureFullMismatch, stats.full_checks)
-        {
-            stats.stack_checks += 1;
-            // Top-of-stack comparison: one compare per word.
-            extra += STACK_WORDS as u64;
-            probe.stop = sig.stack_matches(process);
-            stats.detections += u64::from(probe.stop);
-        }
-        probe.then_call = Some((FULL_ARGS, extra));
-        probe
-    }
-
-    fn on_syscall(&mut self, record: &SyscallRecord) {
-        self.inner.on_syscall(record);
-    }
-
-    fn name(&self) -> &'static str {
-        "superpin-slice"
-    }
-}
-
-/// A running instrumented timeslice.
+/// A running instrumented timeslice: the user's tool, a clone of the
+/// registered one, in the slice's own engine ("their own copy of Pin and
+/// the Pintool", paper §4.5), which also runs SuperPin's boundary
+/// detector.
 pub struct SliceRuntime<T: SuperTool> {
     num: u32,
-    engine: Engine<SpSliceTool<T>>,
+    engine: Engine<T>,
     records: VecDeque<SyscallRecord>,
     boundary: Option<Boundary>,
     state: SliceState,
@@ -265,7 +95,7 @@ impl<T: SuperTool> SliceRuntime<T> {
     /// clone (reset + slice-begin hooks), and a cold engine.
     ///
     /// With `Some(chaos_key)` the fork consults the master's armed
-    /// [`Site::VmForkCow`] failpoint
+    /// [`Site::VmForkCow`](superpin_fault::Site::VmForkCow) failpoint
     /// (see [`Process::try_fork`](superpin_vm::process::Process::try_fork)).
     /// The runner retries with a fresh key on injected failure, and
     /// with `None` — an unchecked fork — once its retries are spent.
@@ -308,19 +138,9 @@ impl<T: SuperTool> SliceRuntime<T> {
         bubble.release(&mut process.mem)?;
         trampoline::resume(&mut process, frame)?;
 
-        let mut inner = tool_template.clone();
-        inner.reset(num);
-        inner.on_slice_begin(num);
-        let tool = SpSliceTool {
-            inner,
-            detect: None,
-            sig_stats: SignatureStats::default(),
-            inner_calls: Inserter::default(),
-            slice_num: num,
-            chaos: None,
-            chaos_salt: 0,
-            injected_faults: 0,
-        };
+        let mut tool = tool_template.clone();
+        tool.reset(num);
+        tool.on_slice_begin(num);
         let mut engine = Engine::with_config(process, tool, cfg.cost, DEFAULT_CAPACITY_INSTS);
         engine.set_shared_code_cache(cfg.shared_code_cache);
         if let Some(plan) = &cfg.plan {
@@ -384,7 +204,7 @@ impl<T: SuperTool> SliceRuntime<T> {
     }
 
     /// The slice's engine (statistics, process).
-    pub fn engine(&self) -> &Engine<SpSliceTool<T>> {
+    pub fn engine(&self) -> &Engine<T> {
         &self.engine
     }
 
@@ -394,14 +214,14 @@ impl<T: SuperTool> SliceRuntime<T> {
     /// what the slice compiles or adopts, and what it is charged
     /// (paper §8, [`crate::config::SuperPinConfig::shared_code_cache`]),
     /// is independent of host thread interleaving.
-    pub fn enter_epoch(&mut self, registry: Arc<TraceRegistry<SpSliceTool<T>>>) {
+    pub fn enter_epoch(&mut self, registry: Arc<TraceRegistry<T>>) {
         self.engine.enter_epoch(registry);
     }
 
     /// Drains the traces this slice compiled since the last barrier,
     /// sorted by pc, each with its template when shareable. The runner
     /// publishes them in slice order.
-    pub fn take_fresh_traces(&mut self) -> Vec<(u64, Entry<SpSliceTool<T>>)> {
+    pub fn take_fresh_traces(&mut self) -> Vec<(u64, Entry<T>)> {
         self.engine.take_fresh_traces()
     }
 
@@ -421,13 +241,13 @@ impl<T: SuperTool> SliceRuntime<T> {
         }
     }
 
-    /// Mutable access to the slice's tool wrapper.
-    pub fn tool_mut(&mut self) -> &mut SpSliceTool<T> {
+    /// Mutable access to the slice's tool.
+    pub fn tool_mut(&mut self) -> &mut T {
         self.engine.tool_mut()
     }
 
-    /// The slice's tool wrapper.
-    pub fn tool(&self) -> &SpSliceTool<T> {
+    /// The slice's tool.
+    pub fn tool(&self) -> &T {
         self.engine.tool()
     }
 
@@ -442,8 +262,7 @@ impl<T: SuperTool> SliceRuntime<T> {
             // holds it; the engine runs the detector at each entry of
             // that trace, before any instrumentation of the boundary
             // block (keeps icount2-style tools exact).
-            self.engine.set_split_point(Some(sig.pc));
-            self.engine.tool_mut().detect = Some(Arc::clone(sig));
+            self.engine.detect_boundary(Arc::clone(sig), self.num);
         }
         self.records = records.into();
         self.boundary = Some(boundary);
@@ -468,7 +287,7 @@ impl<T: SuperTool> SliceRuntime<T> {
         let budget = budget - repaid;
         let mut used = 0u64;
         while used < budget && self.state == SliceState::Running {
-            let detections_before = self.engine.tool().sig_stats.detections;
+            let detections_before = self.engine.signature_stats().detections;
             let result = self.engine.run(budget - used)?;
             used += result.cycles;
             match result.stop {
@@ -480,7 +299,7 @@ impl<T: SuperTool> SliceRuntime<T> {
                     // A stop is a boundary detection if the detector's
                     // hit counter moved; otherwise the user tool called
                     // the `SP_EndSlice` analogue.
-                    let end = if self.engine.tool().sig_stats.detections > detections_before {
+                    let end = if self.engine.signature_stats().detections > detections_before {
                         SliceEnd::SignatureDetected
                     } else {
                         SliceEnd::ToolEnded
@@ -578,18 +397,14 @@ impl<T: SuperTool> SliceRuntime<T> {
     /// replays a *different* point in the fault schedule instead of
     /// re-hitting the fault that condemned it. Resets the poison counter.
     pub fn arm_chaos(&mut self, registry: Option<Arc<FailpointRegistry>>, salt: u64) {
-        self.engine.arm_fault_injection(registry.clone(), salt);
-        let tool = self.engine.tool_mut();
-        tool.chaos = registry;
-        tool.chaos_salt = salt;
-        tool.injected_faults = 0;
+        self.engine.arm_fault_injection(registry, salt);
     }
 
-    /// Faults injected into this slice since chaos was last armed (the
-    /// supervisor's poison counter; see
-    /// [`SpSliceTool::injected_faults`]).
+    /// Faults injected into this slice's boundary detector since chaos
+    /// was last armed (the supervisor's poison counter; see
+    /// [`Engine::injected_faults`]).
     pub fn injected_faults(&self) -> u64 {
-        self.engine.tool().injected_faults
+        self.engine.injected_faults()
     }
 
     /// Virtual time of the slice's most recent advance — the memory
@@ -682,7 +497,9 @@ impl<T: SuperTool> std::fmt::Debug for SliceRuntime<T> {
 mod tests {
     use super::*;
     use crate::shared::SharedMem;
-    use superpin_dbi::IPoint;
+    use crate::signature::SignatureStats;
+    use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
+    use superpin_fault::{FailPlan, Site, SiteMode};
     use superpin_isa::asm::assemble;
 
     /// Minimal icount1-style SuperTool for slice tests.
@@ -702,10 +519,7 @@ mod tests {
                 );
             }
         }
-        fn instrumentation_is_shareable(
-            &self,
-            _insts: impl Iterator<Item = InstRef> + Clone,
-        ) -> bool {
+        fn instrumentation_is_shareable(&self) -> bool {
             true
         }
     }
@@ -763,7 +577,7 @@ mod tests {
         assert_eq!(slice.end_reason(), Some(SliceEnd::Exited));
         assert_eq!(slice.end_cycles(), Some(42));
         // Tool counted every dynamic instruction: li, li, (li, li, syscall).
-        assert_eq!(slice.tool().inner.count, 5);
+        assert_eq!(slice.tool().count, 5);
         assert_eq!(slice.records_played(), 1);
     }
 
@@ -785,8 +599,8 @@ mod tests {
         assert_eq!(slice.end_reason(), Some(SliceEnd::SignatureDetected));
         // The slice counted exactly the master's span — the boundary
         // instruction itself belongs to the next slice.
-        assert_eq!(slice.tool().inner.count, master_insts_so_far);
-        let stats = slice.tool().sig_stats;
+        assert_eq!(slice.tool().count, master_insts_so_far);
+        let stats = slice.engine().signature_stats();
         assert_eq!(stats.detections, 1);
         assert!(stats.quick_checks >= stats.full_checks);
         assert!(stats.full_checks >= 1);
@@ -803,7 +617,7 @@ mod tests {
         let sig = Signature::capture(&mut process);
         slice.wake(Boundary::Signature(Arc::new(sig)), vec![], 0);
         slice.advance(u64::MAX / 8, 0).expect("advance");
-        let stats = slice.tool().sig_stats;
+        let stats = slice.engine().signature_stats();
         assert_eq!(stats.detections, 1);
         assert_eq!(
             stats.quick_checks, 41,
@@ -830,7 +644,7 @@ mod tests {
         assert_eq!(slice.state(), SliceState::Done);
         assert_eq!(slice.end_reason(), Some(SliceEnd::RecordsExhausted));
         // li + syscall counted.
-        assert_eq!(slice.tool().inner.count, 2);
+        assert_eq!(slice.tool().count, 2);
     }
 
     #[test]
@@ -950,38 +764,8 @@ mod tests {
         }
     }
 
-    /// The template test searches where the discovered-trace test
-    /// scans: for every boundary from before a trace to past its end,
-    /// mid-`li` words included, both must answer alike.
-    #[test]
-    fn a_template_is_shareable_exactly_when_its_instructions_are() {
-        use superpin_dbi::{discover_trace, CodeCache, CostModel};
-        let src = "main:\n li r1, 5\n addi r2, r2, 1\n li r3, 7\n bne r1, r0, main\n exit 0\n";
-        let (process, bubble) = master(src);
-        let mut slice = spawned(&process, &bubble);
-        let entry = process.cpu.pc;
-        let trace = discover_trace(&process.mem, entry).expect("trace");
-        let mut cache: CodeCache<SpSliceTool<TestCount>> = CodeCache::new();
-        let (id, _) = cache.compile(&trace, None, &mut Inserter::new(), &CostModel::default());
-        let template = Arc::clone(cache.trace(id));
-        let sig =
-            Signature::capture_with_quick_regs(&process, crate::signature::DEFAULT_QUICK_REGS);
-        let tool = slice.tool_mut();
-        let mut kept = 0;
-        for pc in (entry - 16..=template.fallthrough + 16).step_by(8) {
-            tool.detect = Some(Arc::new(Signature { pc, ..sig.clone() }));
-            let scanned = tool.instrumentation_is_shareable(template.inst_refs());
-            assert_eq!(tool.template_is_shareable(&template), scanned, "{pc:#x}");
-            kept += usize::from(!scanned);
-        }
-        // Every slot start past the head, and the fall-through, keep the
-        // template private: an instruction ends at each.
-        assert_eq!(kept, template.insts.len());
-    }
-
     #[test]
     fn chaos_quick_miss_makes_slice_overrun_its_boundary() {
-        use superpin_fault::{FailPlan, SiteMode};
         let mut slice = woken_loop_slice();
         let plan = FailPlan::new(7, 0.0).with_site(Site::CoreSignatureQuickMiss, SiteMode::Always);
         slice.arm_chaos(Some(Arc::new(FailpointRegistry::new(plan))), 0);
@@ -990,19 +774,18 @@ mod tests {
         let err = slice.advance(u64::MAX / 8, 0).unwrap_err();
         assert!(matches!(err, SpError::SliceDiverged { slice: 1, .. }));
         assert!(slice.injected_faults() >= 1, "poison counter must move");
-        assert_eq!(slice.tool().sig_stats.detections, 0);
+        assert_eq!(slice.engine().signature_stats().detections, 0);
     }
 
     #[test]
     fn chaos_full_mismatch_skips_stack_stage() {
-        use superpin_fault::{FailPlan, SiteMode};
         let mut slice = woken_loop_slice();
         let plan =
             FailPlan::new(7, 0.0).with_site(Site::CoreSignatureFullMismatch, SiteMode::Nth(1));
         slice.arm_chaos(Some(Arc::new(FailpointRegistry::new(plan))), 0);
         let err = slice.advance(u64::MAX / 8, 0).unwrap_err();
         assert!(matches!(err, SpError::SliceDiverged { .. }));
-        let stats = slice.tool().sig_stats;
+        let stats = slice.engine().signature_stats();
         assert_eq!(slice.injected_faults(), 1);
         assert!(stats.full_checks >= 1);
         assert_eq!(stats.stack_checks, 0, "injection must skip the stack stage");
@@ -1019,7 +802,6 @@ mod tests {
         // and replay from the checkpoint with injection off.
         let mut victim = woken_loop_slice();
         let checkpoint = victim.checkpoint();
-        use superpin_fault::{FailPlan, SiteMode};
         let plan = FailPlan::new(7, 0.0).with_site(Site::CoreSignatureQuickMiss, SiteMode::Always);
         victim.arm_chaos(Some(Arc::new(FailpointRegistry::new(plan))), 0);
         victim.advance(u64::MAX / 8, 3).unwrap_err();
@@ -1029,13 +811,44 @@ mod tests {
         replay.advance(u64::MAX / 8, 3).expect("replay");
         assert_eq!(replay.end_reason(), Some(SliceEnd::SignatureDetected));
         assert_eq!(replay.end_cycles(), reference.end_cycles());
-        assert_eq!(replay.tool().inner.count, reference.tool().inner.count);
-        assert_eq!(replay.tool().sig_stats, reference.tool().sig_stats);
+        assert_eq!(replay.tool().count, reference.tool().count);
+        assert_eq!(
+            replay.engine().signature_stats(),
+            reference.engine().signature_stats()
+        );
         assert_eq!(replay.engine().stats(), reference.engine().stats());
         assert_eq!(
             replay.engine().process().mem.stats(),
             reference.engine().process().mem.stats()
         );
+    }
+
+    #[test]
+    fn a_checkpoint_strips_every_failpoint_one_arming_armed() {
+        let plan = [
+            Site::DbiEngineDispatch,
+            Site::CoreSignatureQuickMiss,
+            Site::CoreSignatureFullMismatch,
+        ]
+        .into_iter()
+        .fold(FailPlan::new(7, 0.0), |plan, site| {
+            plan.with_site(site, SiteMode::Always)
+        });
+        let mut armed = woken_loop_slice();
+        armed.arm_chaos(Some(Arc::new(FailpointRegistry::new(plan))), 0);
+        let mut checkpoint = armed.checkpoint();
+        // Armed, the first dispatch already fails.
+        let err = armed.advance(u64::MAX / 8, 3).unwrap_err();
+        assert!(matches!(
+            err,
+            SpError::Vm(superpin_vm::VmError::FaultInjected { .. })
+        ));
+        // The checkpoint neither fails a dispatch nor misses the
+        // boundary: stripping chaos reached the detector too.
+        checkpoint.advance(u64::MAX / 8, 3).expect("checkpoint");
+        assert_eq!(checkpoint.end_reason(), Some(SliceEnd::SignatureDetected));
+        assert_eq!(checkpoint.injected_faults(), 0);
+        assert_eq!(checkpoint.engine().signature_stats().detections, 1);
     }
 
     /// A loop that reaches each of its labels a different way: `fall`
@@ -1115,14 +928,14 @@ mod tests {
             let (master_insts, slice) = detect_at(label, visit, budget);
             assert_eq!(master_insts, insts, "{label}");
             assert_eq!(slice.engine().process().inst_count(), insts, "{label}");
-            assert_eq!(slice.tool().inner.count, insts, "{label}");
+            assert_eq!(slice.tool().count, insts, "{label}");
             let expected = SignatureStats {
                 quick_checks,
                 full_checks: 1,
                 stack_checks: 1,
                 detections: 1,
             };
-            assert_eq!(slice.tool().sig_stats, expected, "{label}");
+            assert_eq!(slice.engine().signature_stats(), expected, "{label}");
             let stats = slice.engine().stats();
             assert_eq!(
                 (stats.if_checks, stats.then_calls, stats.cycles.analysis),

@@ -15,7 +15,7 @@
 
 use crate::api::SuperTool;
 use crate::error::SpError;
-use crate::slice::{SliceRuntime, SpSliceTool};
+use crate::slice::SliceRuntime;
 use std::collections::HashMap;
 use std::sync::Arc;
 use superpin_dbi::TraceRegistry;
@@ -39,7 +39,7 @@ pub enum ReplayStep<T: SuperTool> {
     /// An epoch barrier: fresh traces drained (the condemned incarnation
     /// already published them, and a registry entry is never replaced)
     /// and this registry installed for the next epoch.
-    Snapshot(Arc<TraceRegistry<SpSliceTool<T>>>),
+    Snapshot(Arc<TraceRegistry<T>>),
     /// The memory governor flushed this slice's code cache at a barrier.
     /// Eviction changes cycle accounting (re-execution recompiles at
     /// full JIT cost), so a rebuilt slice must replay it at the same
@@ -167,7 +167,7 @@ impl<T: SuperTool> SliceSupervisor<T> {
     }
 
     /// Journals the trace registry a barrier handed the slice.
-    pub fn journal_snapshot(&mut self, num: u32, registry: Arc<TraceRegistry<SpSliceTool<T>>>) {
+    pub fn journal_snapshot(&mut self, num: u32, registry: Arc<TraceRegistry<T>>) {
         if let Some(guard) = self.guards.get_mut(&num) {
             guard.journal.push(ReplayStep::Snapshot(registry));
         }

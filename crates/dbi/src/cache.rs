@@ -407,9 +407,9 @@ pub struct CompiledTrace<T> {
     /// Every slot's calls, slot by slot, before-calls first.
     pub(crate) calls: Vec<InsertedCall<T>>,
     /// The distinct counters the trace's counts write, named by
-    /// [`OpenRun::counter`], each with its id: the tool's counter `fn`
-    /// and the projection it was absorbed through, equal in every engine
-    /// (a template adopted from a peer carries the peer's accessor). The
+    /// [`OpenRun::counter`], each with its id: the address of the tool's
+    /// counter `fn`, equal in every engine (a template adopted from a
+    /// peer carries the peer's accessor). The
     /// engine keys its pending run on the id, so exits of its own traces
     /// and of adopted ones add to one run.
     pub(crate) counters: Vec<(CounterId, CounterFn<T>)>,
@@ -417,9 +417,6 @@ pub struct CompiledTrace<T> {
     pub fallthrough: u64,
     /// Number of basic blocks the source trace had.
     pub num_bbls: usize,
-    /// Whether the split point cut the source trace short
-    /// ([`Trace::cut`]).
-    pub cut: bool,
     /// The [`code_version`](superpin_vm::mem::AddressSpace::code_version)
     /// the source trace was discovered at, when it lies wholly in code
     /// regions; `None` otherwise. An engine whose process is at the same
@@ -820,7 +817,6 @@ impl<T> CodeCache<T> {
             counters: layout.counters,
             fallthrough: trace.fallthrough(),
             num_bbls: trace.bbls().len(),
-            cut: trace.cut(),
             code,
         }));
         (id, len)

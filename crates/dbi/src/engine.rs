@@ -7,6 +7,7 @@ use crate::cache::{
 use crate::cost::CostModel;
 use crate::inserter::{CallCtx, CounterFn, CounterId, EngineCtl, IPoint, Inserter};
 use crate::registry::{Entry, TraceRegistry};
+use crate::signature::{Detector, Signature, SignatureStats, FULL_ARGS, QUICK_ARGS};
 use crate::spill::ClobberViolation;
 use crate::tool::Pintool;
 use crate::trace::TraceSlot;
@@ -112,9 +113,9 @@ pub enum EngineStop {
     /// The guest exited with this code.
     Exited(i64),
     /// An analysis routine requested a stop (`SP_EndSlice`), or the
-    /// tool's boundary probe detected the slice boundary
-    /// ([`Pintool::probe_boundary`]). The pending instruction has *not*
-    /// executed if the stop came from the probe or a before-call.
+    /// boundary detector found the slice boundary
+    /// ([`Engine::detect_boundary`]). The pending instruction has *not*
+    /// executed if the stop came from the detector or a before-call.
     ToolStop,
     /// The guest executed `halt`.
     Halted,
@@ -169,6 +170,11 @@ pub struct Engine<T: Pintool> {
     /// Trace formation ends just before this address (SuperPin slice
     /// boundaries; see [`crate::trace::discover_trace_split`]).
     split_point: Option<u64>,
+    /// SuperPin's slice-boundary detector, run at each entry of the
+    /// trace the split point heads (see [`Engine::detect_boundary`]).
+    /// Boxed, so the fields the dispatch loop reads stay as close
+    /// together as they were without it.
+    detector: Option<Box<Detector>>,
     /// The trace registry and this engine's fresh compiles (see
     /// [`Engine::enter_epoch`]). `None` keeps every compile private.
     sharing: Option<Sharing<T>>,
@@ -227,6 +233,7 @@ impl<T: Pintool + Clone> Clone for Engine<T> {
             cost: self.cost,
             stats: self.stats,
             split_point: self.split_point,
+            detector: self.detector.clone(),
             sharing: self.sharing.clone(),
             shared_code_cache: self.shared_code_cache,
             code_version_seen: self.code_version_seen,
@@ -274,6 +281,7 @@ impl<T: Pintool + 'static> Engine<T> {
             cost,
             stats: EngineStats::default(),
             split_point: None,
+            detector: None,
             sharing: None,
             shared_code_cache: false,
             code_version_seen,
@@ -290,21 +298,72 @@ impl<T: Pintool + 'static> Engine<T> {
     }
 
     /// Arms (or with `None` disarms) the [`Site::DbiEngineDispatch`]
-    /// failpoint. `salt` is mixed into every key; pass the retry attempt
-    /// so a recovered slice sees a fresh schedule (see
-    /// [`Engine::run`]'s dispatch path).
+    /// failpoint and the boundary detector's
+    /// [`Site::CoreSignatureQuickMiss`] and
+    /// [`Site::CoreSignatureFullMismatch`], and zeroes
+    /// [`injected_faults`](Engine::injected_faults). `salt` is mixed
+    /// into every key; pass the retry attempt so a recovered slice sees
+    /// a fresh schedule (see [`Engine::run`]'s dispatch path).
     pub fn arm_fault_injection(&mut self, registry: Option<Arc<FailpointRegistry>>, salt: u64) {
         self.fault = registry;
         self.fault_salt = salt;
+        if let Some(detector) = &mut self.detector {
+            detector.injected_faults = 0;
+        }
     }
 
-    /// Sets the trace split point: it heads every trace that holds it,
-    /// and each entry of such a trace runs the tool's boundary probe
-    /// ([`Pintool::probe_boundary`]). Must be set before the affected
-    /// code compiles (SuperPin sets it when a slice wakes, while the
-    /// slice's cache is still cold).
+    /// Sets the trace split point: it heads every trace that holds it.
+    /// Must be set before the affected code compiles (SuperPin sets it
+    /// when a slice wakes, while the slice's cache is still cold).
+    ///
+    /// A trace whose range `(entry, fallthrough]` holds the split point
+    /// was shaped by it, so it is never published as a template, and a
+    /// template whose range holds it is never adopted.
     pub fn set_split_point(&mut self, split: Option<u64>) {
         self.split_point = split;
+    }
+
+    /// Makes `signature`'s pc the split point and arms SuperPin's
+    /// slice-boundary detector (paper §4.4) for slice `slice`: each entry
+    /// of the trace the boundary heads first runs the two-stage check,
+    /// after the entry's dispatch and before the trace's first
+    /// instruction, with the guest state as that instruction would see
+    /// it. The split point heads every trace that holds it, so this is
+    /// every time the guest reaches it. The check is charged as the
+    /// if/then call it stands for: an inlined quick check of two
+    /// arguments ([`CostModel::if_check`]), and on a quick match a full
+    /// check of every register and stack word ([`CostModel::call`] plus
+    /// one cycle per compare it made). A detection ends the run with
+    /// [`EngineStop::ToolStop`] before the instruction executes.
+    ///
+    /// The check is not a flush point of [`Inserter::insert_count`]: it
+    /// runs with inlined counts still pending, and reads registers and
+    /// stack words only.
+    pub fn detect_boundary(&mut self, signature: Arc<Signature>, slice: u32) {
+        self.split_point = Some(signature.pc);
+        self.detector = Some(Box::new(Detector {
+            signature,
+            slice: u64::from(slice),
+            stats: SignatureStats::default(),
+            injected_faults: 0,
+        }));
+    }
+
+    /// What the boundary detector's checks have found so far.
+    pub fn signature_stats(&self) -> SignatureStats {
+        self.detector
+            .as_ref()
+            .map_or_else(SignatureStats::default, |detector| detector.stats)
+    }
+
+    /// Signature failpoints fired since the last
+    /// [`arm_fault_injection`](Engine::arm_fault_injection). A slice
+    /// supervisor reads this at every barrier: a poisoned slice is rolled
+    /// back in the same epoch the fault fired.
+    pub fn injected_faults(&self) -> u64 {
+        self.detector
+            .as_ref()
+            .map_or(0, |detector| detector.injected_faults)
     }
 
     /// Turns paper §8's shared code cache on for the simulated charge:
@@ -320,11 +379,12 @@ impl<T: Pintool + 'static> Engine<T> {
 
     /// Starts an epoch reading `registry`, the traces published at the
     /// last barrier. The engine adopts a published template instead of
-    /// instrumenting when its tool certifies the trace shareable
-    /// ([`Pintool::instrumentation_is_shareable`]) and the template's
-    /// code version is this process's, so its own discovery would
-    /// produce the same instructions (the miss path, `compile_miss`); it
-    /// compiles the trace otherwise. Simulated cycles are charged exactly as for a
+    /// instrumenting when its tool certifies its instrumentation
+    /// shareable ([`Pintool::instrumentation_is_shareable`]), the split
+    /// point lies outside the template's range and the template's code
+    /// version is this process's, so its own discovery would produce the
+    /// same instructions (the miss path, `compile_miss`); it compiles
+    /// the trace otherwise. Simulated cycles are charged exactly as for a
     /// compile. Compiles not yet drained by
     /// [`take_fresh_traces`](Engine::take_fresh_traces) are carried
     /// over.
@@ -533,6 +593,12 @@ impl<T: Pintool + 'static> Engine<T> {
                 self.pending_dispatch = false;
             }
             self.stats.traces_executed += 1;
+            if self.split_point == Some(pc) && self.check_boundary(&mut spent) {
+                return Ok(RunResult {
+                    stop: EngineStop::ToolStop,
+                    cycles: spent,
+                });
+            }
 
             // The trace stays borrowed from the cache while the executor
             // works on the engine's other fields; whatever it tallied is
@@ -543,7 +609,6 @@ impl<T: Pintool + 'static> Engine<T> {
                 pending: &mut self.pending,
                 scratch: &mut self.scratch,
                 oracle: self.oracle.as_deref(),
-                cost: &self.cost,
                 split_point: self.split_point,
                 tally: Tally::default(),
             };
@@ -622,26 +687,40 @@ impl<T: Pintool + 'static> Engine<T> {
         Ok(id)
     }
 
+    /// Runs the boundary detector at the split point, charging what it
+    /// ran to the stats and `spent`; returns whether it detected the
+    /// boundary.
+    #[inline]
+    fn check_boundary(&mut self, spent: &mut u64) -> bool {
+        let Some(detector) = &mut self.detector else {
+            return false;
+        };
+        let fault = self.fault.as_deref();
+        let (full, detected) = detector.check(&self.process, fault, self.fault_salt);
+        self.stats.if_checks += 1;
+        let mut analysis = self.cost.if_check(QUICK_ARGS);
+        if let Some(extra) = full {
+            self.stats.then_calls += 1;
+            analysis += self.cost.call(FULL_ARGS) + extra;
+        }
+        self.stats.cycles.analysis += analysis;
+        *spent += analysis;
+        detected
+    }
+
     /// Whether this engine may adopt `template`, the registry's entry
     /// for `pc`, without discovering the trace. Discovery here would
-    /// reproduce it exactly when:
-    ///
-    /// - it was discovered in code this process holds too (an equal
-    ///   [`code_version`](superpin_vm::mem::AddressSpace::code_version),
-    ///   see [`CompiledTrace::code`]);
-    /// - this engine's split point does not fall strictly inside it;
-    /// - it ended naturally, or the split that cut it is this engine's.
-    ///
-    /// The tool must also certify the template shareable
-    /// ([`Pintool::template_is_shareable`]), as it would a discovered
-    /// trace.
+    /// reproduce it exactly when it was discovered in code this process
+    /// holds too (an equal
+    /// [`code_version`](superpin_vm::mem::AddressSpace::code_version),
+    /// see [`CompiledTrace::code`]) and the split point lies outside it
+    /// ([`holds_split`]). The tool must also certify its instrumentation
+    /// shareable, as for a discovered trace.
     fn vouches_for(&self, pc: u64, template: &CompiledTrace<T>) -> bool {
-        let split = self.split_point;
         template.code == Some(self.process.mem.code_version())
-            && !split.is_some_and(|split| pc < split && split < template.fallthrough)
-            && (!template.cut || split == Some(template.fallthrough))
+            && !holds_split(self.split_point, pc, template.fallthrough)
             && !self.cache.has_clobber_bug()
-            && self.tool.template_is_shareable(template)
+            && self.tool.instrumentation_is_shareable()
     }
 
     /// Discovers, instruments and compiles the trace entered at `pc`,
@@ -655,9 +734,8 @@ impl<T: Pintool + 'static> Engine<T> {
         let trace = traces.discover_decoded(&mut self.process, pc, self.split_point)?;
         let shareable = self.sharing.is_some()
             && !self.cache.has_clobber_bug()
-            && self
-                .tool
-                .instrumentation_is_shareable(trace.insts().copied());
+            && !holds_split(self.split_point, pc, trace.fallthrough())
+            && self.tool.instrumentation_is_shareable();
         self.tool.instrument_trace(trace, inserter);
         let code = self.process.mem.code_version_over(pc, trace.fallthrough());
         let (id, count) = self.cache.compile(trace, code, inserter, &self.cost);
@@ -769,7 +847,7 @@ impl<T: Pintool + 'static> Engine<T> {
 /// compile or adoption, the return from [`Engine::run`].
 ///
 /// The run is keyed by the counter's [`CounterId`], not by accessor:
-/// every slice wrapper composes its own accessor and an adopted template
+/// every engine's inserter boxes its own accessor and an adopted template
 /// carries a peer's, yet all of them name one counter, so exits of own
 /// and adopted traces add to the run without switching it. After a
 /// flush the id and accessor stay, holding 0, so the next `run` adds to
@@ -842,9 +920,7 @@ struct Executor<'a, T> {
     pending: &'a mut PendingRun<T>,
     scratch: &'a mut Vec<u64>,
     oracle: Option<&'a SoundnessOracle>,
-    cost: &'a CostModel,
-    /// The engine's split point: the one address whose trace entry runs
-    /// the tool's boundary probe, and which only ever heads a trace.
+    /// The engine's split point, which only ever heads a trace.
     split_point: Option<u64>,
     tally: Tally,
 }
@@ -860,16 +936,7 @@ impl<'a, T: Pintool> Executor<'a, T> {
     /// and had the trace's own run written just before it. Either way
     /// the counts reach the tool before anything outside `Engine::run`
     /// can observe it.
-    ///
-    /// A trace entered at the split point first runs the tool's
-    /// boundary probe, where the first call of its head's before-list
-    /// would run; a detection stops before anything else in the trace,
-    /// with no count run of the trace open yet. The probe is not a flush
-    /// point: counts of earlier traces may still be pending.
     fn run(&mut self, trace: &'a CompiledTrace<T>) -> Result<TraceExit, VmError> {
-        if self.split_point == Some(trace.entry) && self.probe_boundary() {
-            return Ok(TraceExit::Stop(EngineStop::ToolStop));
-        }
         let (index, point, exit) = self.run_trace(trace);
         let after = point == IPoint::After;
         self.tally.insts = index as u64 + u64::from(after);
@@ -885,23 +952,6 @@ impl<'a, T: Pintool> Executor<'a, T> {
         exit
     }
 
-    /// Runs the tool's boundary probe and charges what it ran, as
-    /// [`CodeCache::compile`] prices a lowered if/then call; returns
-    /// whether it asked to stop.
-    #[inline]
-    fn probe_boundary(&mut self) -> bool {
-        let probe = self.tool.probe_boundary(self.process);
-        if let Some(args) = probe.if_check {
-            self.tally.if_checks += 1;
-            self.tally.analysis += self.cost.if_check(args);
-        }
-        if let Some((args, extra)) = probe.then_call {
-            self.tally.then_calls += 1;
-            self.tally.analysis += self.cost.call(args) + extra;
-        }
-        probe.stop
-    }
-
     /// Executes `trace` until it exits. Returns where control left —
     /// the slot, and whether before or after its instruction retired —
     /// and how.
@@ -915,7 +965,7 @@ impl<'a, T: Pintool> Executor<'a, T> {
     ) -> (usize, IPoint, Result<TraceExit, VmError>) {
         for (index, hot) in trace.hot.iter().enumerate() {
             debug_assert_eq!(trace.insts[index].addr, self.process.cpu.pc, "trace desync");
-            // The boundary probe runs only at a trace's entry, so the
+            // The boundary detector runs only at a trace's entry, so the
             // split point must never be reached mid-trace.
             debug_assert!(
                 index == 0 || self.split_point != Some(trace.insts[index].addr),
@@ -1115,6 +1165,15 @@ const _: () = {
     }
 };
 
+/// Whether `split` lies in `(entry, fallthrough]`, the range of a trace
+/// entered at `entry`: such a trace ends at the split or runs through
+/// it, so its shape is one engine's own, and it is neither published as
+/// a template nor adopted. A trace the split heads is the one any engine
+/// forms there.
+fn holds_split(split: Option<u64>, entry: u64, fallthrough: u64) -> bool {
+    split.is_some_and(|split| entry < split && split <= fallthrough)
+}
+
 /// Converts 2.2 GHz cycles to virtual nanoseconds.
 pub fn cycles_to_ns(cycles: u64) -> u64 {
     ((cycles as u128) * 10 / 22) as u64
@@ -1137,7 +1196,7 @@ mod tests {
     use super::*;
     use crate::inserter::{IArg, IPoint};
     use crate::tool::NullTool;
-    use crate::trace::{InstRef, Trace};
+    use crate::trace::Trace;
     use superpin_isa::asm::assemble;
 
     fn process_for(src: &str) -> Process {
@@ -1166,10 +1225,7 @@ mod tests {
         fn name(&self) -> &'static str {
             "icount1-test"
         }
-        fn instrumentation_is_shareable(
-            &self,
-            _insts: impl Iterator<Item = InstRef> + Clone,
-        ) -> bool {
+        fn instrumentation_is_shareable(&self) -> bool {
             true
         }
     }
@@ -1466,12 +1522,6 @@ mod tests {
         assert_eq!(off.stats(), solo);
     }
 
-    /// A loop whose body is one five-instruction trace at
-    /// [`LOOP_AT`] past the entry (after a 16-byte `li`).
-    const BODY: &str = "main:\n li r1, 20\nloop:\n addi r2, r2, 1\n addi r3, r3, 2\n \
-                        addi r4, r4, 3\n subi r1, r1, 1\n bne r1, r0, loop\n exit 0\n";
-    const LOOP_AT: u64 = 16;
-
     /// Runs a fork of `parent` to exit with `split`, reading `registry`.
     fn forked(
         parent: &Process,
@@ -1572,65 +1622,60 @@ mod tests {
         assert!(!Arc::ptr_eq(&resident(&mut other, entry), &template));
     }
 
+    /// A loop whose body trace, at [`LOOP_AT`] past the entry (after a
+    /// 16-byte `li`), holds a two-word `li` and runs on into the exit.
+    const BODY: &str = "main:\n li r1, 20\nloop:\n addi r2, r2, 1\n li r3, 7\n \
+                        subi r1, r1, 1\n bne r1, r0, loop\n exit 0\n";
+    const LOOP_AT: u64 = 16;
+
     #[test]
-    fn identity_adoption_falls_back_when_the_split_is_inside() {
+    fn a_trace_is_shared_exactly_when_the_split_is_outside_it() {
         let parent = process_for(BODY);
         let body = parent.cpu.pc + LOOP_AT;
-        let split = Some(body + 16);
+        let native = {
+            let mut native = parent.fork(9);
+            native.run(u64::MAX, 0).expect("native");
+            native.inst_count()
+        };
         let empty = Arc::new(TraceRegistry::new());
         let registry = published(&mut forked(&parent, None, &empty));
         let template = Arc::clone(registry.template(body).expect("published"));
-        assert!(!template.cut && template.fallthrough > body + 16);
+        let fallthrough = template.fallthrough;
+        // Every word from two before the entry to two past the
+        // fall-through, the `li`'s second word included.
+        let mut inside = 0;
+        for split in (body - 16..=fallthrough + 16).step_by(8) {
+            let outside = !(body < split && split <= fallthrough);
+            inside += usize::from(!outside);
+            // With an empty registry, the publisher compiles all it runs.
+            let mut publisher = forked(&parent, Some(split), &empty);
+            assert_eq!(publisher.tool().count, native, "{split:#x}");
+            let shared = published(&mut publisher).template(body).is_some();
+            assert_eq!(shared, outside, "published with the split at {split:#x}");
 
-        let mut adopter = forked(&parent, split, &registry);
-        let mut solo = forked(&parent, split, &empty);
-        assert!(adopter.adoption_counts().compiled > 0);
-        assert_eq!(adopter.tool().count, solo.tool().count);
-        assert_eq!(adopter.stats(), solo.stats());
-        assert_eq!(adopter.cache_stats(), solo.cache_stats());
-        let resident_body = resident(&mut adopter, body);
-        assert!(!Arc::ptr_eq(&resident_body, &template));
-        assert!(resident_body.cut && Some(resident_body.fallthrough) == split);
-        assert!(resident_body
-            .inst_refs()
-            .eq(resident(&mut solo, body).inst_refs()));
-    }
-
-    #[test]
-    fn identity_adoption_of_a_cut_template_needs_the_same_split() {
-        let parent = process_for(BODY);
-        let body = parent.cpu.pc + LOOP_AT;
-        let cut_at = body + 16;
-        let empty = Arc::new(TraceRegistry::new());
-        let registry = published(&mut forked(&parent, Some(cut_at), &empty));
-        let template = Arc::clone(registry.template(body).expect("published"));
-        assert!(template.cut && template.fallthrough == cut_at);
-
-        let mut same = forked(&parent, Some(cut_at), &registry);
-        assert_eq!(same.adoption_counts().compiled, 0);
-        assert!(Arc::ptr_eq(&resident(&mut same, body), &template));
-
-        // No split, or one past the cut: the trace goes on past the cut,
-        // so it is discovered and compiled as a solo engine would.
-        for split in [None, Some(body + 24)] {
-            let mut other = forked(&parent, split, &registry);
-            let mut solo = forked(&parent, split, &empty);
-            assert!(other.adoption_counts().compiled > 0);
-            assert_eq!(other.stats(), solo.stats());
-            assert_eq!(other.cache_stats(), solo.cache_stats());
-            assert_eq!(other.tool().count, solo.tool().count);
-            let resident_body = resident(&mut other, body);
-            assert!(!Arc::ptr_eq(&resident_body, &template));
-            assert!(resident_body.fallthrough > cut_at);
+            // An adopter takes the template or compiles what the
+            // publisher compiled, and is charged alike either way.
+            let mut adopter = forked(&parent, Some(split), &registry);
+            let resident_body = resident(&mut adopter, body);
+            let adopted = Arc::ptr_eq(&resident_body, &template);
+            assert_eq!(adopted, outside, "adopted with the split at {split:#x}");
             assert!(resident_body
                 .inst_refs()
-                .eq(resident(&mut solo, body).inst_refs()));
+                .eq(resident(&mut publisher, body).inst_refs()));
+            assert_eq!(adopter.tool().count, native, "{split:#x}");
+            assert_eq!(adopter.stats(), publisher.stats(), "{split:#x}");
+            assert_eq!(adopter.cache_stats(), publisher.cache_stats(), "{split:#x}");
         }
+        // Every word past the entry up to the fall-through.
+        assert_eq!(
+            inside,
+            usize::try_from((fallthrough - body) / 8).expect("fits")
+        );
     }
 
     thread_local! {
         /// Calls of [`counted`] on this thread: one per write through
-        /// any accessor composed over it.
+        /// any accessor boxing it.
         static ACCESSOR_CALLS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
     }
 
@@ -1652,34 +1697,7 @@ mod tests {
                 inserter.insert_count(iref.addr, IPoint::Before, 1, counted);
             }
         }
-        fn instrumentation_is_shareable(
-            &self,
-            _insts: impl Iterator<Item = InstRef> + Clone,
-        ) -> bool {
-            true
-        }
-    }
-
-    /// A slice-style wrapper: its tool instruments into the wrapper's
-    /// own inserter, absorbed through a projection, so every wrapper
-    /// composes its own accessor.
-    #[derive(Clone, Default)]
-    struct Wrapper {
-        inner: Counted,
-        inner_calls: Inserter<Counted>,
-    }
-
-    impl Pintool for Wrapper {
-        fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
-            self.inner.instrument_trace(trace, &mut self.inner_calls);
-            inserter.absorb(&mut self.inner_calls, |wrapper: &mut Wrapper| {
-                &mut wrapper.inner
-            });
-        }
-        fn instrumentation_is_shareable(
-            &self,
-            _insts: impl Iterator<Item = InstRef> + Clone,
-        ) -> bool {
+        fn instrumentation_is_shareable(&self) -> bool {
             true
         }
     }
@@ -1692,13 +1710,13 @@ mod tests {
                    exit 0\nf:\n addi r2, r2, 1\n ret\n";
         let parent = process_for(src);
         let entry = parent.cpu.pc;
-        let peer = |pid| Engine::new(parent.fork(pid), Wrapper::default());
+        let peer = |pid| Engine::new(parent.fork(pid), Counted::default());
         let mut publisher = run_sharing(peer(2), &Arc::new(TraceRegistry::new()), false);
         // Only `f` is published: the adopter compiles the loop itself
         // and adopts `f`, whose template carries the publisher's
         // accessor.
         let fresh = publisher.take_fresh_traces();
-        let is_f = |template: &Option<Arc<CompiledTrace<Wrapper>>>| {
+        let is_f = |template: &Option<Arc<CompiledTrace<Counted>>>| {
             let template = template.as_ref().expect("shareable");
             template
                 .hot
@@ -1713,8 +1731,8 @@ mod tests {
         let mut adopter = run_sharing(peer(3), &registry, false);
         let calls = ACCESSOR_CALLS.with(std::cell::Cell::get);
         assert_eq!(adopter.adoption_counts().adopted, 1);
-        assert_eq!(adopter.tool().inner.count, adopter.process().inst_count());
-        assert_eq!(adopter.tool().inner.count, publisher.tool().inner.count);
+        assert_eq!(adopter.tool().count, adopter.process().inst_count());
+        assert_eq!(adopter.tool().count, publisher.tool().count);
         // One write per flush point: a compile or adoption after some
         // exit, and the return at the exit syscall. Keyed by accessor,
         // the run would switch twice an iteration.
@@ -1724,25 +1742,28 @@ mod tests {
             "{calls} accessor calls for {compiled} compiles"
         );
 
-        // The adopted template and the adopter's own traces carry
-        // different accessors for one counter, under one id ...
+        // The adopted template and the adopter's own traces carry the
+        // accessors two inserters boxed for one counter `fn`, under one
+        // one-word id ...
         let own = resident(&mut adopter, entry);
         let adopted = resident(&mut adopter, f);
         let (own_id, own_accessor) = &own.counters[0];
         let (adopted_id, adopted_accessor) = &adopted.counters[0];
         assert!(!Arc::ptr_eq(own_accessor, adopted_accessor));
         assert_eq!(own_id, adopted_id);
+        let counter: fn(&mut Counted) -> &mut u64 = counted;
+        assert_eq!(*own_id, CounterId(counter as usize));
         assert_eq!(resident(&mut publisher, entry).counters[0].0, *own_id);
         // ... so their exits add to one pending run without switching it.
-        let mut tool = Wrapper::default();
+        let mut tool = Counted::default();
         let mut pending = PendingRun::default();
         pending.add(&own.counters[0], 2, &mut tool);
         pending.add(&adopted.counters[0], 3, &mut tool);
         let accessor = pending.accessor.as_ref().expect("pending");
         assert!(Arc::ptr_eq(accessor, own_accessor), "the run switched");
-        assert_eq!((pending.n, tool.inner.count), (5, 0));
+        assert_eq!((pending.n, tool.count), (5, 0));
         pending.flush(&mut tool);
-        assert_eq!((pending.n, tool.inner.count), (0, 5));
+        assert_eq!((pending.n, tool.count), (0, 5));
     }
 
     #[test]

@@ -114,13 +114,6 @@ pub type PredicateFn<T> = Arc<dyn Fn(&mut T, &CallCtx<'_>) -> bool + Send + Sync
 /// state onto the `u64` a count adds to.
 pub type CounterFn<T> = Arc<dyn Fn(&mut T) -> &mut u64 + Send + Sync>;
 
-/// Boxes a closure as a [`CounterFn`]. The bound is what gives the
-/// closure its higher-ranked signature (the returned borrow lives as
-/// long as the argument's).
-fn counter_fn<T>(accessor: impl Fn(&mut T) -> &mut u64 + Send + Sync + 'static) -> CounterFn<T> {
-    Arc::new(accessor)
-}
-
 /// One inserted call: plain, if/then guarded, or an inlined count.
 pub enum Call<T> {
     /// Unconditional analysis call.
@@ -137,8 +130,8 @@ pub enum Call<T> {
     IfThen(Box<Guarded<T>>),
     /// [`Inserter::insert_count`]: add `n` to the counter the
     /// inserter's `counter`-th accessor projects to. Counts name their
-    /// accessor by index, so collecting, absorbing and compiling one
-    /// moves no reference count.
+    /// accessor by index, so collecting and compiling one moves no
+    /// reference count.
     Count {
         /// Index of the accessor in the inserter that holds the call.
         counter: u32,
@@ -199,10 +192,9 @@ impl<T> fmt::Debug for Call<T> {
 ///
 /// An inserter can serve one trace after another: the compiler drains
 /// its calls ([`CodeCache::compile`](crate::CodeCache::compile)) and
-/// [`absorb`](Inserter::absorb) drains the inner one's, and both keep
-/// their capacity and their counter accessors. An engine and the slice
-/// wrapper each own one, so instrumenting a trace allocates neither a
-/// call list nor an accessor once they are warm.
+/// keeps its capacity and its counter accessors. An engine owns one, so
+/// instrumenting a trace allocates neither a call list nor an accessor
+/// once it is warm.
 pub struct Inserter<T> {
     calls: Calls<T>,
     /// The counter accessors [`Call::Count`] indexes, one per distinct
@@ -215,32 +207,18 @@ pub struct Inserter<T> {
 /// to, in the order the tool inserted them.
 pub(crate) type Calls<T> = Vec<(u64, IPoint, Call<T>)>;
 
-/// Which counter an accessor projects to. Two accessors with equal ids
-/// write the same `u64` of any one tool, whichever inserter composed
-/// them, so the engine adds counts bound for either into one pending
-/// run (see [`CompiledTrace::counters`](crate::CompiledTrace)). Two
-/// words, compared at every trace exit that settles counts.
+/// Which counter an accessor projects to: the address of the counter
+/// `fn` handed to [`insert_count`](Inserter::insert_count), the same in
+/// every engine. Two accessors with equal ids write the same `u64` of
+/// any one tool, whichever inserter boxed them, so the engine adds
+/// counts bound for either into one pending run (see
+/// [`CompiledTrace::counters`](crate::CompiledTrace)).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) struct CounterId {
-    /// The address of the counter `fn` handed to
-    /// [`insert_count`](Inserter::insert_count): the same in every
-    /// engine. For an accessor absorbed twice (a wrapper of a wrapper),
-    /// the address of the composed accessor it was absorbed from,
-    /// private to the inserter that composed it: that accessor is held
-    /// by the one composed over it, so no other can take its address
-    /// while either lives, and a heap address is never a `fn`'s.
-    counter: usize,
-    /// The [`absorb`](Inserter::absorb) projection's address; 0 for a
-    /// counter inserted directly.
-    projection: usize,
-}
+pub(crate) struct CounterId(pub(crate) usize);
 
 impl CounterId {
-    /// Names no counter: no `fn` or allocation lives at address 0.
-    pub(crate) const NONE: CounterId = CounterId {
-        counter: 0,
-        projection: 0,
-    };
+    /// Names no counter: no `fn` lives at address 0.
+    pub(crate) const NONE: CounterId = CounterId(0);
 }
 
 impl<T> Default for Inserter<T> {
@@ -262,17 +240,6 @@ impl<T> Clone for Inserter<T> {
 }
 
 impl<T> Inserter<T> {
-    /// The index of the accessor `id` names, made by `make` the first
-    /// time.
-    fn counter(&mut self, id: CounterId, make: impl FnOnce() -> CounterFn<T>) -> u32 {
-        let known = self.counters.iter().position(|(known, _)| *known == id);
-        let index = known.unwrap_or_else(|| {
-            self.counters.push((id, make()));
-            self.counters.len() - 1
-        });
-        u32::try_from(index).expect("counters fit u32")
-    }
-
     /// The collected calls, for the compiler to order and drain, and
     /// the counter accessors their counts index.
     pub(crate) fn parts(&mut self) -> (&mut Calls<T>, Counters<'_, T>) {
@@ -369,17 +336,16 @@ impl<T: 'static> Inserter<T> {
     /// included. The executor does no per-instruction work for a count,
     /// and every other routine, syscall hook, slice merge and checkpoint
     /// sees exactly the count a per-instruction closure would have
-    /// produced. The one exception is
-    /// [`Pintool::probe_boundary`](crate::Pintool::probe_boundary), which
-    /// runs with counts still pending.
+    /// produced. The one exception is the slice-boundary detector
+    /// ([`Engine::detect_boundary`](crate::Engine::detect_boundary)),
+    /// which runs with counts still pending.
     ///
     /// `counter` must be a pure projection: it may run once per flush,
     /// not once per execution, and the engine writes a run of counts
-    /// through any accessor that names the same `fn` and projection —
-    /// possibly one a peer engine's wrapper composed. A counter whose
-    /// target depends on a value (say, a table indexed by opcode) or a
-    /// routine that does more than add stays an
-    /// [`insert_call`](Inserter::insert_call).
+    /// through any accessor that names the same `fn` — possibly one a
+    /// peer engine boxed. A counter whose target depends on a value
+    /// (say, a table indexed by opcode) or a routine that does more than
+    /// add stays an [`insert_call`](Inserter::insert_call).
     pub fn insert_count(
         &mut self,
         addr: u64,
@@ -387,19 +353,16 @@ impl<T: 'static> Inserter<T> {
         n: u64,
         counter: fn(&mut T) -> &mut u64,
     ) {
-        let id = CounterId {
-            counter: counter as usize,
-            projection: 0,
-        };
-        let index = self.counter(id, || counter_fn(counter));
+        // One accessor per distinct counter `fn`, boxed the first time.
+        let id = CounterId(counter as usize);
+        let known = self.counters.iter().position(|(known, _)| *known == id);
+        let index = known.unwrap_or_else(|| {
+            self.counters.push((id, Arc::new(counter)));
+            self.counters.len() - 1
+        });
+        let index = u32::try_from(index).expect("counters fit u32");
         self.calls
             .push((addr, point, Call::Count { counter: index, n }));
-    }
-
-    /// Makes room for `additional` more calls, so a tool that knows how
-    /// many it will insert grows the list once.
-    pub fn reserve(&mut self, additional: usize) {
-        self.calls.reserve(additional);
     }
 
     /// Number of calls collected.
@@ -410,68 +373,6 @@ impl<T: 'static> Inserter<T> {
     /// Whether no calls were collected.
     pub fn is_empty(&self) -> bool {
         self.calls.is_empty()
-    }
-
-    /// Moves every call collected for an inner tool type `U` onto this
-    /// inserter's tool type `T`, through a projection, leaving `inner`
-    /// empty for the next trace.
-    ///
-    /// This is how wrapper tools compose: SuperPin's slice wrapper runs
-    /// the user tool's `instrument_trace` into an `Inserter<U>`, then
-    /// absorbs it so the user's analysis routines see `&mut U` while the
-    /// engine drives `&mut T`. Each distinct counter accessor is composed
-    /// with `project` once and kept, so the compiler still folds the
-    /// absorbed counts per counter. Its id is the tool's counter `fn` and
-    /// `project`, the same in every wrapper that absorbs that tool, so
-    /// an engine running its own traces and templates adopted from a
-    /// peer settles their counts into one pending run. A flush through a
-    /// composed accessor is a chain of four indirect calls: the composed
-    /// closure, `project`, the inner `Arc<dyn Fn>`, and the tool's `fn`.
-    pub fn absorb<U: 'static>(&mut self, inner: &mut Inserter<U>, project: fn(&mut T) -> &mut U) {
-        self.calls.reserve(inner.calls.len());
-        for (addr, point, call) in inner.calls.drain(..) {
-            let mapped = match call {
-                Call::Plain { func, args } => Call::Plain {
-                    func: Arc::new(move |t: &mut T, ctx: &CallCtx<'_>, ctl: &mut EngineCtl| {
-                        func(project(t), ctx, ctl)
-                    }) as AnalysisFn<T>,
-                    args,
-                },
-                Call::IfThen(guarded) => {
-                    let Guarded {
-                        pred,
-                        pred_args,
-                        then,
-                        then_args,
-                    } = *guarded;
-                    Call::IfThen(Box::new(Guarded {
-                        pred: Arc::new(move |t: &mut T, ctx: &CallCtx<'_>| pred(project(t), ctx))
-                            as PredicateFn<T>,
-                        pred_args,
-                        then: Arc::new(move |t: &mut T, ctx: &CallCtx<'_>, ctl: &mut EngineCtl| {
-                            then(project(t), ctx, ctl)
-                        }) as AnalysisFn<T>,
-                        then_args,
-                    }))
-                }
-                Call::Count { counter, n } => {
-                    let (inner_id, accessor) = &inner.counters[counter as usize];
-                    let id = CounterId {
-                        counter: match inner_id.projection {
-                            0 => inner_id.counter,
-                            _ => Arc::as_ptr(accessor).cast::<()>() as usize,
-                        },
-                        projection: project as usize,
-                    };
-                    let counter = self.counter(id, || {
-                        let accessor = Arc::clone(accessor);
-                        counter_fn(move |t: &mut T| accessor(project(t)))
-                    });
-                    Call::Count { counter, n }
-                }
-            };
-            self.calls.push((addr, point, mapped));
-        }
     }
 }
 
@@ -503,82 +404,41 @@ mod tests {
     }
 
     #[test]
-    fn absorb_projects_inner_tool() {
-        struct Wrapper {
-            inner: Counter,
-            own: u64,
-        }
-        let mut inner: Inserter<Counter> = Inserter::new();
-        inner.insert_call(0x10, IPoint::Before, |t, _, _| t.hits += 5, vec![]);
-
-        let mut outer: Inserter<Wrapper> = Inserter::new();
-        outer.insert_call(0x10, IPoint::Before, |t, _, _| t.own += 1, vec![]);
-        outer.absorb(&mut inner, |w| &mut w.inner);
-        assert_eq!(outer.len(), 2);
-        assert!(inner.is_empty(), "absorbing drains the inner inserter");
-
-        let mut wrapper = Wrapper {
-            inner: Counter::default(),
-            own: 0,
-        };
-        let ctx = CallCtx {
-            pc: 0x10,
-            args: &[],
-        };
-        let mut ctl = EngineCtl::default();
-        for (_, _, call) in outer.parts().0.drain(..) {
-            if let Call::Plain { func, .. } = call {
-                func(&mut wrapper, &ctx, &mut ctl);
-            }
-        }
-        assert_eq!(wrapper.own, 1);
-        assert_eq!(wrapper.inner.hits, 5);
-    }
-
-    #[test]
-    fn counts_share_one_accessor_per_counter_and_absorb_composes_it_once() {
+    fn counts_share_one_accessor_per_counter_fn() {
         #[derive(Default)]
         struct Two {
             a: u64,
             b: u64,
         }
-        struct Wrapper {
-            inner: Two,
-        }
         let a: fn(&mut Two) -> &mut u64 = |t| &mut t.a;
         let b: fn(&mut Two) -> &mut u64 = |t| &mut t.b;
-        let mut inner: Inserter<Two> = Inserter::new();
-        let mut outer: Inserter<Wrapper> = Inserter::new();
-        let mut absorbed = |inner: &mut Inserter<Two>| {
-            outer.absorb(inner, |w| &mut w.inner);
-            let (calls, counters) = outer.parts();
+        let mut inserter: Inserter<Two> = Inserter::new();
+        let drained = |inserter: &mut Inserter<Two>| {
+            let (calls, counters) = inserter.parts();
             calls
                 .drain(..)
                 .map(|(_, _, call)| match call {
                     Call::Count { counter, n } => (Arc::clone(&counters.get(counter).1), n),
                     other => panic!("not a count: {other:?}"),
                 })
-                .collect::<Vec<(CounterFn<Wrapper>, u64)>>()
+                .collect::<Vec<(CounterFn<Two>, u64)>>()
         };
-        inner.insert_count(0x10, IPoint::Before, 1, a);
-        inner.insert_count(0x18, IPoint::Before, 2, b);
-        inner.insert_count(0x18, IPoint::After, 3, a);
-        let counters = absorbed(&mut inner);
-        // One composed accessor per counter `fn`, shared by its counts.
+        inserter.insert_count(0x10, IPoint::Before, 1, a);
+        inserter.insert_count(0x18, IPoint::Before, 2, b);
+        inserter.insert_count(0x18, IPoint::After, 3, a);
+        let counters = drained(&mut inserter);
+        // One accessor per counter `fn`, shared by its counts.
         assert!(Arc::ptr_eq(&counters[0].0, &counters[2].0));
         assert!(!Arc::ptr_eq(&counters[0].0, &counters[1].0));
-        let mut wrapper = Wrapper {
-            inner: Two::default(),
-        };
+        let mut two = Two::default();
         for (counter, n) in &counters {
-            *counter(&mut wrapper) += n;
+            *counter(&mut two) += n;
         }
-        assert_eq!((wrapper.inner.a, wrapper.inner.b), (4, 2));
+        assert_eq!((two.a, two.b), (4, 2));
 
-        // The next trace through the same pair of inserters reuses both
-        // accessors.
-        inner.insert_count(0x20, IPoint::Before, 5, b);
-        let next = absorbed(&mut inner);
+        // The next trace through the same inserter reuses the accessor.
+        inserter.insert_count(0x20, IPoint::Before, 5, b);
+        let next = drained(&mut inserter);
         assert!(Arc::ptr_eq(&next[0].0, &counters[1].0));
     }
 

@@ -52,6 +52,7 @@ pub mod cost;
 pub mod engine;
 pub mod inserter;
 pub mod registry;
+pub mod signature;
 pub mod spill;
 pub mod tool;
 pub mod trace;
@@ -65,8 +66,9 @@ pub use inserter::{
     AnalysisFn, Call, CallCtx, CounterFn, EngineCtl, IArg, IPoint, Inserter, PredicateFn,
 };
 pub use registry::TraceRegistry;
+pub use signature::{Signature, SignatureStats};
 pub use spill::{analysis_clobbers, ClobberViolation};
-pub use tool::{BoundaryProbe, NullTool, Pintool};
+pub use tool::{NullTool, Pintool};
 pub use trace::{discover_trace, discover_trace_decoded, BasicBlock, InstRef, Trace, TraceSlot};
 
 // Re-exported so DBI consumers can build and install a superblock plan

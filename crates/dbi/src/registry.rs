@@ -14,8 +14,9 @@
 //!   consistency-check rate instead of the full JIT price. That is the
 //!   only use of a bare membership, so engines publish one only then.
 //! * **Template** — the compiled trace itself, present only if the
-//!   publishing engine's tool certified it shareable
-//!   ([`Pintool::instrumentation_is_shareable`](crate::Pintool::instrumentation_is_shareable)).
+//!   publishing engine's tool certified its instrumentation shareable
+//!   ([`Pintool::instrumentation_is_shareable`](crate::Pintool::instrumentation_is_shareable))
+//!   and the engine's split point lies outside the trace.
 //!   An engine missing on that pc adopts it instead of re-instrumenting
 //!   (a host-side saving; the simulated charge is the same either way)
 //!   when the template's code version vouches for it, and compiles the

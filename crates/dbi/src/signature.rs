@@ -9,14 +9,15 @@
 //! inlined two-register check (`INS_InsertIfCall`); only when the quick
 //! check matches does the expensive full comparison run
 //! (`INS_InsertThenCall`), verifying the architectural state and then the
-//! top-of-stack state. The engine runs that check at the entry of the
-//! trace the boundary heads
-//! ([`SpSliceTool`](crate::slice::SpSliceTool)'s
-//! [`probe_boundary`](superpin_dbi::Pintool::probe_boundary)) and charges
-//! it as the if/then call.
+//! top-of-stack state. The engine runs that check beside its split
+//! point, at each entry of the trace the boundary heads
+//! ([`Engine::detect_boundary`](crate::Engine::detect_boundary)), and
+//! charges it as the if/then call.
 
+use crate::trace::{fetch_decoded, InstRef, TraceSlot};
 use std::collections::HashMap;
-use superpin_dbi::trace::{fetch_decoded, InstRef, TraceSlot};
+use std::sync::Arc;
+use superpin_fault::{FailpointRegistry, Site};
 use superpin_isa::{Reg, NUM_REGS};
 use superpin_vm::mem::{PAGE_MASK, PAGE_SIZE};
 use superpin_vm::process::Process;
@@ -63,7 +64,7 @@ impl Signature {
     ///
     /// Word `i` of the stack is `mem[sp + 8·i]`, 0 where unmapped, with
     /// the address wrapping at 2^64, exactly as the detector's
-    /// [`IArg::StackWord`](superpin_dbi::IArg::StackWord) arguments read
+    /// [`IArg::StackWord`](crate::IArg::StackWord) arguments read
     /// it, so capture and detection see the same words whatever the
     /// guest's SP. The words are read a page at a time: mapping is
     /// decided per page, so one read of the words wholly inside a page
@@ -113,7 +114,7 @@ impl Signature {
 
     /// Whether `process`'s top stack words are the recorded ones. Word
     /// `i` is read as the capture and the detector's
-    /// [`IArg::StackWord`](superpin_dbi::IArg::StackWord) read it:
+    /// [`IArg::StackWord`](crate::IArg::StackWord) read it:
     /// `mem[sp + 8·i]`, 0 where unmapped, the address wrapping at 2^64.
     /// Reading stops at the first word that differs.
     pub fn stack_matches(&self, process: &Process) -> bool {
@@ -274,6 +275,100 @@ impl SignatureStats {
     }
 }
 
+/// Arguments of the detector's inlined quick check: the two quick
+/// registers.
+pub(crate) const QUICK_ARGS: usize = 2;
+
+/// Arguments of the detector's full check: every register and the top
+/// [`STACK_WORDS`] stack words.
+pub(crate) const FULL_ARGS: usize = NUM_REGS + STACK_WORDS;
+
+/// The slice-boundary detector an engine runs beside its split point
+/// ([`Engine::detect_boundary`](crate::Engine::detect_boundary)): the
+/// signature it looks for, and what its checks found.
+#[derive(Clone, Debug)]
+pub(crate) struct Detector {
+    pub(crate) signature: Arc<Signature>,
+    /// The slice whose boundary it is: the high half of every signature
+    /// failpoint key.
+    pub(crate) slice: u64,
+    pub(crate) stats: SignatureStats,
+    /// Signature failpoints fired since the engine was last armed.
+    pub(crate) injected_faults: u64,
+}
+
+impl Detector {
+    /// The two-stage check at the boundary pc (paper §4.4): an inlined
+    /// quick check of the two likely-to-change registers
+    /// (`INS_InsertIfCall`), escalating to the full comparison of every
+    /// register and then the top stack words (`INS_InsertThenCall`) only
+    /// on a quick match. The stack is read only once all registers
+    /// match.
+    ///
+    /// Returns the full check's extra cycles, one compare per register
+    /// and per stack word it read, if the quick check escalated, and
+    /// whether the boundary was detected. `fault` and `salt` arm the
+    /// [`Site::CoreSignatureQuickMiss`] and
+    /// [`Site::CoreSignatureFullMismatch`] failpoints, keyed by slice,
+    /// the stage's check ordinal and the salt.
+    #[inline]
+    pub(crate) fn check(
+        &mut self,
+        process: &Process,
+        fault: Option<&FailpointRegistry>,
+        salt: u64,
+    ) -> (Option<u64>, bool) {
+        let (sig, regs) = (&self.signature, &process.cpu.regs);
+        self.stats.quick_checks += 1;
+        if !sig.quick_match(regs.get(sig.quick_regs[0]), regs.get(sig.quick_regs[1])) {
+            return (None, false);
+        }
+        self.escalate(process, fault, salt)
+    }
+
+    /// The check past a quick match: about one in 165 on `steady_t1`,
+    /// so kept out of the dispatch loop.
+    #[cold]
+    #[inline(never)]
+    fn escalate(
+        &mut self,
+        process: &Process,
+        fault: Option<&FailpointRegistry>,
+        salt: u64,
+    ) -> (Option<u64>, bool) {
+        let (sig, slice, stats) = (&self.signature, self.slice, &mut self.stats);
+        let injected = &mut self.injected_faults;
+        let mut injects = |site: Site, ordinal: u64| {
+            let key = (slice << 32) ^ ordinal ^ (salt << 56);
+            let fired = fault.is_some_and(|fault| fault.fire(site, key));
+            *injected += u64::from(fired);
+            fired
+        };
+        // Failpoint: suppress a genuine quick match, so the slice sails
+        // past its true boundary (manufactured runaway).
+        if injects(Site::CoreSignatureQuickMiss, stats.quick_checks) {
+            return (None, false);
+        }
+        stats.full_checks += 1;
+        // Full architectural comparison: one compare per register.
+        let mut extra = NUM_REGS as u64;
+        let mut detected = false;
+        // Failpoint: pretend the full comparison rejected, skipping the
+        // stack stage entirely (manufactured runaway with a skewed check
+        // mix).
+        if sig.regs_match(&process.cpu.regs.snapshot())
+            && !injects(Site::CoreSignatureFullMismatch, stats.full_checks)
+        {
+            stats.stack_checks += 1;
+            // Top-of-stack comparison: one compare per word.
+            extra += STACK_WORDS as u64;
+            detected = sig.stack_matches(process);
+            stats.detections += u64::from(detected);
+        }
+        (Some(extra), detected)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,7 +393,7 @@ mod tests {
 
     #[test]
     fn capture_wraps_like_the_detector_near_the_top_of_memory() {
-        use superpin_dbi::{Engine, IArg, IPoint, Inserter, Pintool, Trace};
+        use crate::{Engine, IArg, IPoint, Inserter, Pintool, Trace};
         use superpin_vm::mem::RegionKind;
 
         /// Records the stack words `IArg::StackWord` arguments read.

@@ -1,29 +1,8 @@
 //! The Pintool trait.
 
-use crate::cache::CompiledTrace;
 use crate::inserter::Inserter;
-use crate::trace::{InstRef, Trace};
+use crate::trace::Trace;
 use superpin_vm::kernel::SyscallRecord;
-use superpin_vm::process::Process;
-
-/// What one [`Pintool::probe_boundary`] call ran. The engine charges it
-/// exactly as it charges a lowered if/then call
-/// ([`Inserter::insert_if_then_call`]) with these argument counts.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct BoundaryProbe {
-    /// The inlined check ran, reading this many arguments: one
-    /// [`if_checks`](crate::EngineStats::if_checks), charged
-    /// [`CostModel::if_check`](crate::CostModel::if_check).
-    pub if_check: Option<usize>,
-    /// The guarded call ran, reading this many arguments and charging
-    /// these extra cycles: one
-    /// [`then_calls`](crate::EngineStats::then_calls), charged
-    /// [`CostModel::call`](crate::CostModel::call) plus the extra.
-    pub then_call: Option<(usize, u64)>,
-    /// Stop before the trace's first instruction executes
-    /// ([`EngineStop::ToolStop`](crate::EngineStop::ToolStop)).
-    pub stop: bool,
-}
 
 /// A plug-in analysis tool, the analogue of a Pintool.
 ///
@@ -41,8 +20,7 @@ pub trait Pintool: Sized + Send {
     /// Inspect a newly compiled trace and insert analysis calls.
     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>);
 
-    /// Whether [`instrument_trace`](Pintool::instrument_trace) for the
-    /// trace made of `insts` (its instructions in order) is a pure
+    /// Whether [`instrument_trace`](Pintool::instrument_trace) is a pure
     /// function of the trace — same calls, in the same places, with no
     /// tool-state reads or writes at instrumentation time — for *every*
     /// clone of this tool.
@@ -52,50 +30,11 @@ pub trait Pintool: Sized + Send {
     /// slices), skipping redundant instrument+compile work. This is a
     /// host-side optimization only: each engine's code cache still
     /// accounts the compile, so simulated reports are unchanged. The
-    /// conservative default is `false`.
-    ///
-    /// The instructions come from a freshly discovered trace or from a
-    /// peer's compiled one, whichever the engine holds; both list the
-    /// same [`InstRef`]s for the same trace.
-    fn instrumentation_is_shareable(&self, insts: impl Iterator<Item = InstRef> + Clone) -> bool {
-        let _ = insts;
+    /// conservative default is `false`. Whether a given trace is shared
+    /// is then the engine's call: a trace its split point shaped stays
+    /// private ([`Engine::set_split_point`](crate::Engine::set_split_point)).
+    fn instrumentation_is_shareable(&self) -> bool {
         false
-    }
-
-    /// [`instrumentation_is_shareable`](Pintool::instrumentation_is_shareable)
-    /// for a peer's compiled trace. The default hands the question the
-    /// template's instructions one by one; a tool whose answer turns on
-    /// where a few addresses fall can instead search the template's
-    /// slots, which are sorted by address and cover `[entry,
-    /// fallthrough)` back to back.
-    fn template_is_shareable(&self, template: &CompiledTrace<Self>) -> bool {
-        self.instrumentation_is_shareable(template.inst_refs())
-    }
-
-    /// SuperPin's slice-boundary detector (paper §4.4), run by the engine
-    /// each time a trace is entered at its split point
-    /// ([`Engine::set_split_point`](crate::Engine::set_split_point)),
-    /// after the entry's dispatch and before the trace's first
-    /// instruction, with the guest state as that instruction would see
-    /// it. The split point heads every trace that holds it, so this is
-    /// every time the guest reaches it. What the probe reports running is
-    /// charged as the if/then call it stands for, and a `stop` ends the
-    /// run before the instruction executes.
-    ///
-    /// The default runs nothing. It is the one hook a tool gets outside
-    /// its inserted calls, and exists for the slice wrapper alone: the
-    /// detector belongs to SuperPin, not to the tool it wraps.
-    ///
-    /// The probe runs with inlined counts still pending: it is
-    /// deliberately not a flush point of
-    /// [`Inserter::insert_count`](crate::Inserter::insert_count), because
-    /// it runs at every entry of the boundary trace (about 1.8 M times a
-    /// `steady_t1` repetition). So it must not read an analysis counter;
-    /// registers, memory and its own state are exact.
-    #[inline]
-    fn probe_boundary(&mut self, process: &Process) -> BoundaryProbe {
-        let _ = process;
-        BoundaryProbe::default()
     }
 
     /// Observe a serviced (or played-back) syscall.

@@ -63,7 +63,6 @@ impl BasicBlock {
 pub struct Trace {
     entry: u64,
     bbls: Vec<BasicBlock>,
-    cut: bool,
 }
 
 impl Trace {
@@ -93,14 +92,6 @@ impl Trace {
         let tail = self.bbls.last().expect("traces are non-empty").tail();
         tail.addr + tail.size
     }
-
-    /// Whether the split point ended the trace (see
-    /// [`discover_trace_split`]): it then stops just before the split,
-    /// at [`fallthrough`](Trace::fallthrough), where it would otherwise
-    /// have gone on.
-    pub fn cut(&self) -> bool {
-        self.cut
-    }
 }
 
 /// Discovers the trace starting at `entry` by decoding guest memory.
@@ -123,8 +114,7 @@ pub fn discover_trace(mem: &AddressSpace, entry: u64) -> Result<Trace, VmError> 
 /// SuperPin slices set the split to their boundary pc (paper §4.4): the
 /// signature detector then runs at a trace head, before any
 /// block-granularity instrumentation of the boundary block has run, which
-/// keeps block-counting tools exact across slice boundaries. A trace the
-/// split ends is marked [`cut`](Trace::cut).
+/// keeps block-counting tools exact across slice boundaries.
 ///
 /// # Errors
 ///
@@ -242,7 +232,6 @@ impl TraceSlot {
         let trace = self.trace.get_or_insert_with(|| Trace {
             entry,
             bbls: Vec::with_capacity(MAX_BBLS_PER_TRACE),
-            cut: false,
         });
         let spare = &mut self.spare;
         for bbl in trace.bbls.drain(..) {
@@ -259,7 +248,6 @@ impl TraceSlot {
             None => Vec::with_capacity(MAX_INSTS_PER_TRACE),
         };
         trace.entry = entry;
-        trace.cut = false;
         // A buffer is taken only when an instruction needs one, so
         // ending a block takes none for a block that never starts.
         let mut current = Vec::new();
@@ -273,7 +261,6 @@ impl TraceSlot {
                         insts: std::mem::take(&mut current),
                     });
                 }
-                trace.cut = true;
                 break;
             }
             let inst_ref = fetch(pc)?;

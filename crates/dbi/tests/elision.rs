@@ -15,6 +15,7 @@ use superpin_dbi::{
     LoweredCall, Pintool, ProgramAnalysis, Trace,
 };
 use superpin_isa::asm::assemble;
+#[cfg(debug_assertions)]
 use superpin_isa::Reg;
 use superpin_vm::process::Process;
 use superpin_workloads::Scale;

@@ -7,7 +7,7 @@
 
 use crate::dcache::{DCache, DCacheConfig, DCacheResult};
 use superpin::{SharedMem, SuperTool};
-use superpin_dbi::{IArg, IPoint, Inserter, InstRef, Pintool, Trace};
+use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
 use superpin_isa::Program;
 
 /// Direct-mapped instruction-cache simulator with cross-slice
@@ -58,7 +58,7 @@ impl Pintool for ICache {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
+    fn instrumentation_is_shareable(&self) -> bool {
         // Calls depend only on the trace; all state is touched at
         // analysis time, so clones instrument identically.
         true

@@ -5,7 +5,7 @@
 //! run in slice order, the concatenated trace equals the serial trace.
 
 use superpin::{SharedMem, SuperTool};
-use superpin_dbi::{IArg, IPoint, Inserter, InstRef, Pintool, Trace};
+use superpin_dbi::{IArg, IPoint, Inserter, Pintool, Trace};
 use superpin_isa::Program;
 
 /// Traces every executed instruction address into a per-slice buffer.
@@ -51,7 +51,7 @@ impl Pintool for ITrace {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
+    fn instrumentation_is_shareable(&self) -> bool {
         // Calls depend only on the trace; all state is touched at
         // analysis time, so clones instrument identically.
         true

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 use std::sync::Mutex;
 use superpin::{SharedMem, SuperTool};
-use superpin_dbi::{IPoint, Inserter, InstRef, Pintool, Trace};
+use superpin_dbi::{IPoint, Inserter, Pintool, Trace};
 use superpin_isa::Program;
 
 /// Granularity of the sample histogram (bytes of code per bucket).
@@ -76,7 +76,7 @@ impl Pintool for Sampler {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
+    fn instrumentation_is_shareable(&self) -> bool {
         // Calls depend only on the trace; all state is touched at
         // analysis time, so clones instrument identically.
         true

@@ -83,7 +83,7 @@ fn memory_only_loop_counter_triggers_false_positive() {
     // The false positive: the slice matched on its FIRST arrival at the
     // loop head (after 1 instruction) instead of the master's true
     // boundary (31 instructions in).
-    let counted = slice.tool().inner.count;
+    let counted = slice.tool().count;
     assert!(
         counted < master_insts_at_boundary,
         "expected premature detection: slice counted {counted}, true span {master_insts_at_boundary}"
@@ -125,7 +125,7 @@ fn quick_match_rejected_by_full_comparison_runs_to_true_boundary() {
     slice.advance(u64::MAX / 8, 0).expect("advance");
     assert_eq!(slice.end_reason(), Some(SliceEnd::SignatureDetected));
 
-    let stats = slice.tool().sig_stats;
+    let stats = slice.engine().signature_stats();
     assert_eq!(stats.detections, 1, "exactly one true detection");
     assert!(
         stats.full_checks > stats.detections,
@@ -135,7 +135,7 @@ fn quick_match_rejected_by_full_comparison_runs_to_true_boundary() {
         stats.detections
     );
     assert_eq!(
-        slice.tool().inner.count,
+        slice.tool().count,
         truth,
         "every premature quick match was rejected by the full comparison"
     );
@@ -166,5 +166,5 @@ fn register_loop_counter_does_not_false_positive() {
     slice.wake(Boundary::Signature(Arc::new(sig)), vec![], 0);
     slice.advance(u64::MAX / 8, 0).expect("advance");
     assert_eq!(slice.end_reason(), Some(SliceEnd::SignatureDetected));
-    assert_eq!(slice.tool().inner.count, truth, "no false positive");
+    assert_eq!(slice.tool().count, truth, "no false positive");
 }

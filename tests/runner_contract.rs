@@ -10,7 +10,7 @@ use superpin::{
     AdmissionDecision, AreaId, AutoMerge, FailPlan, NondetEvent, SharedMem, Site, SiteMode,
     SuperPinConfig, SuperPinReport, SuperPinRunner, SuperTool,
 };
-use superpin_dbi::{AdoptionCounts, IPoint, Inserter, InstRef, Pintool, Trace};
+use superpin_dbi::{AdoptionCounts, IPoint, Inserter, Pintool, Trace};
 use superpin_replay::{record_run, replay_run, verify_replay, ReplayLog, RunRecipe};
 use superpin_tools::{ICount1, ICount2};
 use superpin_vm::process::Process;
@@ -140,7 +140,7 @@ impl Pintool for Twin {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
+    fn instrumentation_is_shareable(&self) -> bool {
         true
     }
 }
@@ -360,7 +360,7 @@ fn inlined_counts_report_exactly_what_plain_closures_do() {
         };
         for shape in [Shape::ICount1, Shape::ICount2, Shape::Mixed] {
             // The shipped tool where there is one, the inlined twin
-            // otherwise; the slice wrapper absorbs either.
+            // otherwise; each slice's engine runs either directly.
             let shared = SharedMem::new();
             let (inlined, merged) = match shape {
                 Shape::ICount1 => {
@@ -550,7 +550,7 @@ impl Pintool for Watch {
         }
     }
 
-    fn instrumentation_is_shareable(&self, _insts: impl Iterator<Item = InstRef> + Clone) -> bool {
+    fn instrumentation_is_shareable(&self) -> bool {
         true
     }
 
