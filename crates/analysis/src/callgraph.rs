@@ -114,16 +114,6 @@ impl CallGraph {
         }
     }
 
-    /// All functions, keyed by entry address.
-    pub fn funcs(&self) -> &BTreeMap<u64, FuncInfo> {
-        &self.funcs
-    }
-
-    /// The function at `entry`, if one was recovered there.
-    pub fn func(&self, entry: u64) -> Option<&FuncInfo> {
-        self.funcs.get(&entry)
-    }
-
     /// Function entries transitively callable from the program entry.
     pub fn reachable_funcs(&self) -> BTreeSet<u64> {
         let mut seen = BTreeSet::new();

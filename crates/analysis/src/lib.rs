@@ -69,4 +69,4 @@ pub use plan::{OracleViolation, PlanKnobs, ProgramAnalysis, SoundnessOracle, Sup
 pub use reaching::{loader_defined, DefSite, ReachingDefs};
 pub use regset::RegSet;
 pub use smc::SmcRegions;
-pub use targets::{resolve_targets, StoreSummary, TargetResolution, TargetSet, Value};
+pub use targets::{StoreSummary, TargetResolution, TargetSet, Value};

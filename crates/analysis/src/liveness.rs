@@ -268,14 +268,4 @@ impl LiveMap {
     pub fn live_after(&self, addr: u64) -> RegSet {
         self.after.get(&addr).copied().unwrap_or(RegSet::ALL)
     }
-
-    /// Number of instructions covered.
-    pub fn len(&self) -> usize {
-        self.before.len()
-    }
-
-    /// True if no instructions are covered.
-    pub fn is_empty(&self) -> bool {
-        self.before.is_empty()
-    }
 }

@@ -69,19 +69,9 @@ impl LoopNest {
         LoopNest { loops, depth }
     }
 
-    /// The discovered loops, in header order.
-    pub fn loops(&self) -> &[NaturalLoop] {
-        &self.loops
-    }
-
     /// Loop nesting depth of `block` (0 = not in any natural loop).
     pub fn depth(&self, block: BlockId) -> u32 {
         self.depth[block]
-    }
-
-    /// The deepest nesting level in the program.
-    pub fn max_depth(&self) -> u32 {
-        self.depth.iter().copied().max().unwrap_or(0)
     }
 
     /// True if `block` is a loop header.

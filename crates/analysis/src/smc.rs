@@ -106,19 +106,9 @@ impl SmcRegions {
         ((addr / SMC_PAGE)..=((end - 1) / SMC_PAGE)).all(|p| self.pages.contains(&p))
     }
 
-    /// Flagged page indices.
-    pub fn pages(&self) -> impl Iterator<Item = u64> + '_ {
-        self.pages.iter().copied()
-    }
-
     /// True if no page is flagged.
     pub fn is_empty(&self) -> bool {
         self.pages.is_empty()
-    }
-
-    /// Number of flagged pages.
-    pub fn len(&self) -> usize {
-        self.pages.len()
     }
 
     /// True if an unbounded store degraded the analysis to "every

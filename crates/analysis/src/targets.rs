@@ -55,7 +55,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use superpin_isa::{AluOp, Inst, MemWidth, Program, Reg, NUM_REGS};
 
-use crate::cfg::{AnalysisError, BlockId, Cfg, Terminator};
+use crate::cfg::{BlockId, Cfg, Terminator};
 
 /// Maximum cardinality of an exact [`Value::Set`] before it widens to
 /// a strided range.
@@ -1018,12 +1018,6 @@ impl<'a> Solver<'a> {
     fn reached(&self) -> Vec<bool> {
         self.reached.clone()
     }
-}
-
-/// Convenience: builds the CFG and resolves the whole program.
-pub fn resolve_targets(program: &Program) -> Result<TargetResolution, AnalysisError> {
-    let cfg = Cfg::build(program)?;
-    Ok(TargetResolution::compute(program, &cfg))
 }
 
 #[cfg(test)]

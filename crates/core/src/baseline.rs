@@ -3,8 +3,7 @@
 
 use crate::error::SpError;
 use superpin_dbi::{CostModel, Engine, EngineStats, Pintool};
-use superpin_vm::process::Process;
-use superpin_vm::ptrace::{Controller, StopReason};
+use superpin_vm::process::{Process, RunExit};
 
 /// Result of a native (uninstrumented) run.
 #[derive(Clone, Debug)]
@@ -35,32 +34,32 @@ pub fn run_native(process: Process) -> Result<NativeReport, SpError> {
 /// # Errors
 ///
 /// Propagates guest errors.
-pub fn run_native_with_cost(process: Process, cost: &CostModel) -> Result<NativeReport, SpError> {
-    let mut controller = Controller::new(process);
+pub fn run_native_with_cost(
+    mut process: Process,
+    cost: &CostModel,
+) -> Result<NativeReport, SpError> {
     let mut syscalls = 0u64;
     let mut kernel_cycles = 0u64;
     let exit_code = loop {
-        match controller.resume(u64::MAX / 4)? {
-            StopReason::SyscallEntry => {
-                let app_cycles = controller.process().inst_count() * cost.native_cpi;
-                let record =
-                    controller.step_over_syscall(superpin_dbi::cycles_to_ns(app_cycles))?;
+        match process.run_until_syscall(u64::MAX / 4)? {
+            RunExit::SyscallEntry => {
+                let app_cycles = process.inst_count() * cost.native_cpi;
+                let record = process.do_syscall(superpin_dbi::cycles_to_ns(app_cycles))?;
                 syscalls += 1;
                 kernel_cycles += cost.syscall;
                 if let Some(code) = record.exited {
                     break code;
                 }
             }
-            StopReason::Exited(code) => break code,
-            StopReason::Halted => {
+            RunExit::Exited(code) => break code,
+            RunExit::Halted => {
                 return Err(SpError::Vm(superpin_vm::VmError::UnexpectedHalt {
-                    pc: controller.process().cpu.pc,
+                    pc: process.cpu.pc,
                 }))
             }
-            StopReason::Timeout => {}
+            RunExit::BudgetExhausted => {}
         }
     };
-    let process = controller.into_process();
     let insts = process.inst_count();
     Ok(NativeReport {
         exit_code,

@@ -52,22 +52,26 @@ impl Bubble {
     }
 
     /// Base address.
-    pub fn base(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn base(&self) -> u64 {
         self.base
     }
 
     /// Length in bytes.
-    pub fn len(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> u64 {
         self.len
     }
 
     /// Whether the bubble is zero-sized (never true for reserved bubbles).
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Whether `addr` falls inside the bubble range.
-    pub fn contains(&self, addr: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn contains(&self, addr: u64) -> bool {
         addr >= self.base && addr < self.base + self.len
     }
 

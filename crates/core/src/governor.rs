@@ -87,11 +87,6 @@ impl MemoryGovernor {
         }
     }
 
-    /// The configured budget in simulated bytes.
-    pub fn budget(&self) -> u64 {
-        self.budget
-    }
-
     /// Records an observed usage sample, updating the high-water mark.
     pub fn observe(&mut self, usage: u64) {
         self.peak_resident_bytes = self.peak_resident_bytes.max(usage);

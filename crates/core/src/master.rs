@@ -1,10 +1,15 @@
 //! The master application + control process (paper §4.2–§4.3).
 //!
-//! The master runs the application *natively* (uninstrumented) under a
-//! ptrace-style [`Controller`]. The control logic here decides, at each
-//! syscall stop, whether to record the syscall's effects for later slice
-//! playback or to force a new timeslice; timeouts are handled by the
-//! runner between quanta (the analogue of the timer process, §4.3).
+//! SuperPin's control process "monitors the application via the ptrace
+//! mechanism" (§4.2). [`MasterRuntime`] is that process: it runs the
+//! application *natively* (uninstrumented) with
+//! [`Process::run_until_syscall`], so it stops at every syscall entry and
+//! whenever its instruction budget runs out (the virtual-time analogue of
+//! the timer signal, §4.3), and counts both kinds of stop in
+//! [`PtraceStats`] for the "ptrace overhead" accounting (§6.3). At each
+//! syscall stop it decides whether to record the syscall's effects for
+//! later slice playback or to force a new timeslice; timeouts are handled
+//! by the runner between quanta.
 
 use crate::config::SuperPinConfig;
 use crate::error::SpError;
@@ -13,8 +18,16 @@ use crate::syscall_policy::{classify, SyscallAction};
 use superpin_dbi::cycles_to_ns;
 use superpin_isa::Reg;
 use superpin_vm::kernel::{SyscallNo, SyscallRecord};
-use superpin_vm::process::Process;
-use superpin_vm::ptrace::{Controller, PtraceStats, StopReason};
+use superpin_vm::process::{Process, RunExit};
+
+/// The master's stop counters, for ptrace-overhead accounting.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct PtraceStats {
+    /// Stops at syscall entries.
+    pub syscall_stops: u64,
+    /// Stops due to budget (timer) expiry.
+    pub timeout_stops: u64,
+}
 
 /// What the master's advance surfaced to the runner.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -31,7 +44,8 @@ pub enum MasterEvent {
 
 /// The master application runtime.
 pub struct MasterRuntime {
-    controller: Controller,
+    process: Process,
+    ptrace: PtraceStats,
     /// Records accumulated since the last fork (the pending slice's
     /// playback queue).
     span_records: Vec<SyscallRecord>,
@@ -47,7 +61,8 @@ impl MasterRuntime {
     /// Wraps a loaded master process.
     pub fn new(process: Process) -> MasterRuntime {
         MasterRuntime {
-            controller: Controller::new(process),
+            process,
+            ptrace: PtraceStats::default(),
             span_records: Vec::new(),
             span_recordable: 0,
             cow_charged: 0,
@@ -59,13 +74,13 @@ impl MasterRuntime {
 
     /// The master process.
     pub fn process(&self) -> &Process {
-        self.controller.process()
+        &self.process
     }
 
     /// Mutable master process (the runner marks its pages COW-pending at
     /// each fork and installs the chaos registry).
     pub fn process_mut(&mut self) -> &mut Process {
-        self.controller.process_mut()
+        &mut self.process
     }
 
     /// Whether the application has exited.
@@ -80,7 +95,7 @@ impl MasterRuntime {
 
     /// Ptrace stop statistics.
     pub fn ptrace_stats(&self) -> PtraceStats {
-        self.controller.stats()
+        self.ptrace
     }
 
     /// Total syscalls serviced.
@@ -122,17 +137,21 @@ impl MasterRuntime {
             if inst_budget == 0 {
                 break;
             }
-            let before = self.process().inst_count();
-            let reason = self.controller.resume(inst_budget)?;
-            used += (self.process().inst_count() - before) * cost.native_cpi;
-            match reason {
-                StopReason::Timeout => break,
-                StopReason::SyscallEntry => {
+            let before = self.process.inst_count();
+            let exit = self.process.run_until_syscall(inst_budget)?;
+            used += (self.process.inst_count() - before) * cost.native_cpi;
+            match exit {
+                RunExit::BudgetExhausted => {
+                    self.ptrace.timeout_stops += 1;
+                    break;
+                }
+                RunExit::SyscallEntry => {
+                    self.ptrace.syscall_stops += 1;
                     used += cost.ptrace_stop;
-                    let raw = self.process().cpu.regs.get(Reg::R0);
+                    let raw = self.process.cpu.regs.get(Reg::R0);
                     let number =
                         SyscallNo::from_raw(raw).ok_or(superpin_vm::VmError::BadSyscall {
-                            pc: self.process().cpu.pc,
+                            pc: self.process.cpu.pc,
                             number: raw,
                         })?;
                     let action = classify(number, cfg.max_sysrecs > 0);
@@ -149,19 +168,19 @@ impl MasterRuntime {
                         return Ok((used, MasterEvent::Exited));
                     }
                 }
-                StopReason::Exited(_) => {
+                RunExit::Exited(_) => {
                     self.exited = true;
                     return Ok((used, MasterEvent::Exited));
                 }
-                StopReason::Halted => {
+                RunExit::Halted => {
                     return Err(SpError::Vm(superpin_vm::VmError::UnexpectedHalt {
-                        pc: self.process().cpu.pc,
+                        pc: self.process.cpu.pc,
                     }))
                 }
             }
         }
         // Charge master-side copy-on-write faults taken this advance.
-        let cow = self.process().mem.stats().cow_copies;
+        let cow = self.process.mem.stats().cow_copies;
         let delta = cow - self.cow_charged;
         if delta > 0 {
             used += delta * cost.cow_fault;
@@ -188,7 +207,7 @@ impl MasterRuntime {
         cfg: &SuperPinConfig,
         mode: &mut RunMode,
     ) -> Result<u64, SpError> {
-        let pc = self.process().cpu.pc;
+        let pc = self.process.cpu.pc;
         let replayed = mode.replayed(
             "master syscall",
             "a syscall",
@@ -201,7 +220,7 @@ impl MasterRuntime {
         let record = match replayed {
             Some(record) => {
                 let record = record?;
-                let regs = &self.process().cpu.regs;
+                let regs = &self.process.cpu.regs;
                 let live_number = regs.get(Reg::R0);
                 let live_args = [
                     regs.get(Reg::R1),
@@ -220,13 +239,11 @@ impl MasterRuntime {
                         ),
                     });
                 }
-                self.controller.playback_syscall(&record)?;
+                self.process.playback_syscall(&record)?;
                 record
             }
             None => {
-                let record = self
-                    .controller
-                    .step_over_syscall(cycles_to_ns(now_cycles))?;
+                let record = self.process.do_syscall(cycles_to_ns(now_cycles))?;
                 mode.record(|| NondetEvent::Syscall(record.clone()));
                 record
             }
@@ -316,6 +333,54 @@ mod tests {
         assert_eq!(event, MasterEvent::None);
         assert_eq!(used, 10);
         assert_eq!(m.process().inst_count(), 10);
+    }
+
+    #[test]
+    fn stops_at_each_syscall() {
+        let mut m = master("main:\n li r0, 9\n syscall\n li r0, 9\n syscall\n exit 0\n");
+        let (_, event) = m
+            .advance(u64::MAX / 8, 0, &cfg(), &mut RunMode::Live)
+            .expect("advance");
+        assert_eq!(event, MasterEvent::Exited);
+        // Two getpids and the exit.
+        let stops = PtraceStats {
+            syscall_stops: 3,
+            timeout_stops: 0,
+        };
+        assert_eq!(m.ptrace_stats(), stops);
+    }
+
+    #[test]
+    fn timeout_stop_counts() {
+        let config = cfg();
+        let insts = |n: u64| n * config.cost.native_cpi;
+        let mut m = master(
+            "main:\n li r0, 9\n syscall\n li r1, 1000\nloop:\n subi r1, r1, 1\n bne r1, r0, loop\n exit 0\n",
+        );
+        let advance = |m: &mut MasterRuntime, budget| {
+            m.advance(budget, 0, &config, &mut RunMode::Live)
+                .expect("advance")
+                .1
+        };
+        // The getpid's stop and service spend the budget: the master
+        // stops at the syscall, but running out afterwards is no stop.
+        assert_eq!(advance(&mut m, insts(2)), MasterEvent::None);
+        assert_eq!(m.syscall_count(), 1);
+        let stops = |syscall_stops, timeout_stops| PtraceStats {
+            syscall_stops,
+            timeout_stops,
+        };
+        assert_eq!(m.ptrace_stats(), stops(1, 0));
+        assert_eq!(advance(&mut m, insts(10)), MasterEvent::None);
+        assert_eq!(advance(&mut m, insts(10)), MasterEvent::None);
+        assert_eq!(m.ptrace_stats(), stops(1, 2));
+        // A budget too small for one instruction runs nothing.
+        assert_eq!(advance(&mut m, 0), MasterEvent::None);
+        assert_eq!(m.ptrace_stats(), stops(1, 2));
+        // Running to completion: the exit is a syscall stop.
+        assert_eq!(advance(&mut m, u64::MAX / 8), MasterEvent::Exited);
+        assert_eq!(m.ptrace_stats(), stops(2, 2));
+        assert_eq!(m.process().exited(), Some(0));
     }
 
     #[test]

@@ -114,11 +114,6 @@ pub enum RunMode {
 }
 
 impl RunMode {
-    /// Whether this run replays from a log.
-    pub fn is_replay(&self) -> bool {
-        matches!(self, RunMode::Replay(_))
-    }
-
     /// The record side of a decision point: appends `event()` to the
     /// recording; free in every other mode (the event is never built).
     pub fn record(&mut self, event: impl FnOnce() -> NondetEvent) {

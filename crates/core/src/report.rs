@@ -1,9 +1,9 @@
 //! Run reports: the data behind every figure in the paper's §6.
 
+use crate::master::PtraceStats;
 use crate::signature::SignatureStats;
 use crate::slice::SliceEnd;
 use superpin_dbi::{CacheStats, EngineStats};
-use superpin_vm::ptrace::PtraceStats;
 
 /// Per-slice results.
 ///
@@ -125,10 +125,5 @@ impl SuperPinReport {
     /// Number of slices.
     pub fn slice_count(&self) -> usize {
         self.slices.len()
-    }
-
-    /// Slowdown of this run relative to a native run of `native_cycles`.
-    pub fn slowdown_vs(&self, native_cycles: u64) -> f64 {
-        self.total_cycles as f64 / native_cycles.max(1) as f64
     }
 }

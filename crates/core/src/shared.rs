@@ -48,11 +48,6 @@ impl SharedArea {
         }
     }
 
-    /// The merge mode declared at creation.
-    pub fn auto_merge(&self) -> AutoMerge {
-        self.auto
-    }
-
     /// Number of words.
     pub fn len(&self) -> usize {
         self.words.lock().expect("mutex poisoned").len()
@@ -152,7 +147,8 @@ impl SharedMem {
     }
 
     /// Number of registered areas.
-    pub fn area_count(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn area_count(&self) -> usize {
         self.areas.lock().expect("mutex poisoned").len()
     }
 

@@ -427,7 +427,8 @@ pub struct CompiledTrace<T> {
 
 impl<T> CompiledTrace<T> {
     /// The trace's instructions in order, as discovery produced them.
-    pub fn inst_refs(&self) -> impl Iterator<Item = InstRef> + Clone + '_ {
+    #[cfg(test)]
+    pub(crate) fn inst_refs(&self) -> impl Iterator<Item = InstRef> + Clone + '_ {
         self.insts.iter().zip(&self.hot).map(|(slot, hot)| InstRef {
             addr: slot.addr,
             inst: hot.inst,
@@ -567,10 +568,8 @@ impl<T> CodeCache<T> {
         self.refined = Some(refined);
     }
 
-    /// Test hook: omit `reg` from every save set the compiler plans, so
-    /// the debug-build clobber-safety verifier has a deliberate bug to
-    /// catch. Never use outside negative tests.
-    pub fn inject_clobber_bug(&mut self, reg: Reg) {
+    /// See [`Engine::inject_clobber_bug`](crate::Engine::inject_clobber_bug).
+    pub(crate) fn inject_clobber_bug(&mut self, reg: Reg) {
         self.clobber_bug = Some(reg);
     }
 
@@ -582,7 +581,7 @@ impl<T> CodeCache<T> {
     }
 
     /// Whether a deliberate clobber bug is armed
-    /// ([`inject_clobber_bug`](CodeCache::inject_clobber_bug)). A bugged
+    /// ([`Engine::inject_clobber_bug`](crate::Engine::inject_clobber_bug)). A bugged
     /// cache compiles differently from its peers, so its traces must not
     /// be shared across engines.
     pub fn has_clobber_bug(&self) -> bool {
@@ -595,13 +594,9 @@ impl<T> CodeCache<T> {
     }
 
     /// Number of cached traces.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.index.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
     }
 
     /// Drops every trace and, with them, every link and every id handed
@@ -920,7 +915,7 @@ impl<T> CodeCache<T> {
 mod tests {
     use super::*;
     use crate::inserter::IPoint;
-    use crate::trace::{discover_trace, discover_trace_split};
+    use crate::trace::{discover_trace, fetch_decoded, TraceSlot};
     use superpin_isa::asm::assemble;
     use superpin_vm::process::Process;
 
@@ -1230,15 +1225,22 @@ mod tests {
 
     #[test]
     fn recompiling_an_entry_keeps_links_to_it_true() {
-        let (process, [t1, t2, _]) = three_traces();
+        let (mut process, [t1, t2, _]) = three_traces();
         let mut cache: CodeCache<u64> = CodeCache::new();
         let a = compile_bare(&mut cache, &t1);
         let b = compile_bare(&mut cache, &t2);
         assert_eq!(cache.lookup(Some(b), t1.entry()), Some(a));
         assert_eq!(cache.lookup(Some(a), t2.entry()), Some(b));
         // Same entry, different shape: split before the third nop.
-        let split = discover_trace_split(&process.mem, t1.entry(), Some(t1.entry() + 16))
-            .expect("split trace");
+        let mut slot = TraceSlot::default();
+        let split = slot
+            .discover_with(
+                fetch_decoded(&mut process),
+                t1.entry(),
+                Some(t1.entry() + 16),
+            )
+            .expect("split trace")
+            .clone();
         assert_eq!(split.num_insts(), 2);
         let again = compile_bare(&mut cache, &split);
         // The link b→main now reaches the new trace, which starts with no

@@ -32,7 +32,8 @@ pub fn cycles_to_secs(cycles: u64) -> f64 {
 }
 
 /// Converts seconds of virtual time to cycles.
-pub fn secs_to_cycles(secs: f64) -> u64 {
+#[cfg(test)]
+pub(crate) fn secs_to_cycles(secs: f64) -> u64 {
     (secs * CYCLES_PER_SEC as f64) as u64
 }
 

@@ -10,7 +10,7 @@ use crate::registry::{Entry, TraceRegistry};
 use crate::signature::{Detector, Signature, SignatureStats, FULL_ARGS, QUICK_ARGS};
 use crate::spill::ClobberViolation;
 use crate::tool::Pintool;
-use crate::trace::TraceSlot;
+use crate::trace::{fetch_decoded, TraceSlot};
 use std::fmt;
 use std::sync::Arc;
 use superpin_analysis::{SoundnessOracle, SuperblockPlan};
@@ -168,7 +168,7 @@ pub struct Engine<T: Pintool> {
     cost: CostModel,
     stats: EngineStats,
     /// Trace formation ends just before this address (SuperPin slice
-    /// boundaries; see [`crate::trace::discover_trace_split`]).
+    /// boundaries; see [`TraceSlot::discover_with`]).
     split_point: Option<u64>,
     /// SuperPin's slice-boundary detector, run at each entry of the
     /// trace the split point heads (see [`Engine::detect_boundary`]).
@@ -442,8 +442,9 @@ impl<T: Pintool + 'static> Engine<T> {
         self.cache.clobber_violations()
     }
 
-    /// Test hook: plant a deliberate save-set bug for the clobber
-    /// verifier to catch (see [`CodeCache::inject_clobber_bug`]).
+    /// Test hook: omit `reg` from every save set the compiler plans, so
+    /// the debug-build clobber-safety verifier has a deliberate bug to
+    /// catch. Never use outside negative tests.
     pub fn inject_clobber_bug(&mut self, reg: superpin_isa::Reg) {
         self.cache.inject_clobber_bug(reg);
     }
@@ -731,7 +732,7 @@ impl<T: Pintool + 'static> Engine<T> {
         // slice inherits its master's decoded pages, so discovering a
         // trace the master already walked decodes nothing.
         let Compiling { traces, inserter } = &mut *self.compiling;
-        let trace = traces.discover_decoded(&mut self.process, pc, self.split_point)?;
+        let trace = traces.discover_with(fetch_decoded(&mut self.process), pc, self.split_point)?;
         let shareable = self.sharing.is_some()
             && !self.cache.has_clobber_bug()
             && !holds_split(self.split_point, pc, trace.fallthrough())

@@ -366,12 +366,14 @@ impl<T: 'static> Inserter<T> {
     }
 
     /// Number of calls collected.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.calls.len()
     }
 
     /// Whether no calls were collected.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.calls.is_empty()
     }
 }

@@ -58,7 +58,7 @@ pub mod tool;
 pub mod trace;
 
 pub use cache::{ArgPlan, CacheStats, CodeCache, InsertedCall, LoweredArg, LoweredCall};
-pub use cost::{cycles_to_secs, secs_to_cycles, CostModel, CYCLES_PER_SEC};
+pub use cost::{cycles_to_secs, CostModel, CYCLES_PER_SEC};
 pub use engine::{
     cycles_to_ns, AdoptionCounts, CycleBreakdown, Engine, EngineStats, EngineStop, RunResult,
 };
@@ -69,7 +69,7 @@ pub use registry::TraceRegistry;
 pub use signature::{Signature, SignatureStats};
 pub use spill::{analysis_clobbers, ClobberViolation};
 pub use tool::{NullTool, Pintool};
-pub use trace::{discover_trace, discover_trace_decoded, BasicBlock, InstRef, Trace, TraceSlot};
+pub use trace::{discover_trace, BasicBlock, InstRef, Trace, TraceSlot};
 
 // Re-exported so DBI consumers can build and install a superblock plan
 // or a soundness oracle without depending on `superpin-analysis`

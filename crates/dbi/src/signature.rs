@@ -133,7 +133,7 @@ impl Signature {
 /// first. Falls back to [`DEFAULT_QUICK_REGS`] when fewer than two
 /// distinct written registers are found within [`QUICK_SCAN_BLOCKS`]
 /// blocks. The code is read through the process's decode cache.
-pub fn infer_quick_regs(process: &mut Process) -> [Reg; 2] {
+fn infer_quick_regs(process: &mut Process) -> [Reg; 2] {
     let pc = process.cpu.pc;
     infer_quick_regs_from(pc, &mut TraceSlot::default(), fetch_decoded(process)).0
 }

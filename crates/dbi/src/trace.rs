@@ -94,70 +94,33 @@ impl Trace {
     }
 }
 
-/// Discovers the trace starting at `entry` by decoding guest memory.
-///
-/// Blocks end at any [`Inst::ends_basic_block`] instruction. The trace
-/// continues past *conditional* branches (their fall-through starts the
-/// next block) and stops at unconditional transfers, syscalls, `halt`,
-/// or the size limits.
+/// Discovers the trace starting at `entry` by decoding guest memory
+/// afresh ([`fetch_at`]), with no split point: the convenience tests and
+/// tools' checks use to see the trace an engine would form.
 ///
 /// # Errors
 ///
 /// Propagates decode/fetch errors.
 pub fn discover_trace(mem: &AddressSpace, entry: u64) -> Result<Trace, VmError> {
-    discover_trace_split(mem, entry, None)
-}
-
-/// [`discover_trace`] with an optional *split point*: the trace ends just
-/// before `split`, so that address always begins its own trace/block.
-///
-/// SuperPin slices set the split to their boundary pc (paper §4.4): the
-/// signature detector then runs at a trace head, before any
-/// block-granularity instrumentation of the boundary block has run, which
-/// keeps block-counting tools exact across slice boundaries.
-///
-/// # Errors
-///
-/// Propagates decode/fetch errors.
-pub fn discover_trace_split(
-    mem: &AddressSpace,
-    entry: u64,
-    split: Option<u64>,
-) -> Result<Trace, VmError> {
-    discover_trace_with(
-        |pc| {
-            fetch_at(mem, pc).map(|(inst, size)| InstRef {
-                addr: pc,
-                inst,
-                size,
-            })
-        },
-        entry,
-        split,
-    )
-}
-
-/// [`discover_trace_split`] through `process`'s decode cache
-/// ([`Process::fetch_decoded`]): the same trace, decoding only words no
-/// earlier fetch in this process, or in the one it was forked from,
-/// decoded.
-///
-/// # Errors
-///
-/// Propagates fetch errors.
-pub fn discover_trace_decoded(
-    process: &mut Process,
-    entry: u64,
-    split: Option<u64>,
-) -> Result<Trace, VmError> {
-    let mut slot = TraceSlot::default();
-    slot.discover_decoded(process, entry, split)?;
-    Ok(slot.into_trace())
+    TraceSlot::default()
+        .discover_with(
+            |pc| {
+                fetch_at(mem, pc).map(|(inst, size)| InstRef {
+                    addr: pc,
+                    inst,
+                    size,
+                })
+            },
+            entry,
+            None,
+        )
+        .cloned()
 }
 
 /// Fetches through `process`'s decode cache
-/// ([`Process::fetch_decoded`]), as [`InstRef`]s: the instruction
-/// source [`TraceSlot::discover_decoded`] discovers from.
+/// ([`Process::fetch_decoded`]), as [`InstRef`]s: the same instructions
+/// a fresh decode ([`fetch_at`]) yields, decoding only words no earlier
+/// fetch in this process, or in the one it was forked from, decoded.
 pub fn fetch_decoded(process: &mut Process) -> impl FnMut(u64) -> Result<InstRef, VmError> + '_ {
     |pc| {
         let (inst, size) = process.fetch_decoded(pc)?;
@@ -167,26 +130,6 @@ pub fn fetch_decoded(process: &mut Process) -> impl FnMut(u64) -> Result<InstRef
             size,
         })
     }
-}
-
-/// [`discover_trace_split`] over an arbitrary instruction source.
-///
-/// The fetch closure says where decoded instructions come from: a
-/// fresh guest-memory decode ([`fetch_at`]) or, in the engine, the
-/// process's per-page decode cache. Both yield identical [`InstRef`]s
-/// for the same pc.
-///
-/// # Errors
-///
-/// Propagates fetch errors.
-pub fn discover_trace_with(
-    fetch: impl FnMut(u64) -> Result<InstRef, VmError>,
-    entry: u64,
-    split: Option<u64>,
-) -> Result<Trace, VmError> {
-    let mut slot = TraceSlot::default();
-    slot.discover_with(fetch, entry, split)?;
-    Ok(slot.into_trace())
 }
 
 /// Where one discovery after another forms its trace. The last trace's
@@ -202,22 +145,24 @@ pub struct TraceSlot {
 }
 
 impl TraceSlot {
-    /// [`discover_trace_decoded`] into this slot.
+    /// Discovers the trace starting at `entry` into this slot: the one
+    /// place with the termination rule.
     ///
-    /// # Errors
+    /// Blocks end at any [`Inst::ends_basic_block`] instruction. The
+    /// trace continues past *conditional* branches (their fall-through
+    /// starts the next block) and stops at unconditional transfers,
+    /// syscalls, `halt`, or the size limits. With a *split point* the
+    /// trace also ends just before `split`, so that address always
+    /// begins its own trace and block: SuperPin slices split at their
+    /// boundary pc (paper §4.4), so the signature detector runs at a
+    /// trace head, before any block-granularity instrumentation of the
+    /// boundary block has run, which keeps block-counting tools exact
+    /// across slice boundaries.
     ///
-    /// Propagates fetch errors.
-    pub fn discover_decoded(
-        &mut self,
-        process: &mut Process,
-        entry: u64,
-        split: Option<u64>,
-    ) -> Result<&Trace, VmError> {
-        self.discover_with(fetch_decoded(process), entry, split)
-    }
-
-    /// [`discover_trace_with`] into this slot: the one place with the
-    /// termination rule.
+    /// `fetch` says where decoded instructions come from: a fresh
+    /// guest-memory decode ([`fetch_at`]) or, in the engine, the
+    /// process's per-page decode cache ([`fetch_decoded`]). Both yield
+    /// identical [`InstRef`]s for the same pc.
     ///
     /// # Errors
     ///
@@ -293,11 +238,6 @@ impl TraceSlot {
         // Every way out of the loop has moved `current` into a block.
         debug_assert_eq!(current.capacity(), 0);
         Ok(trace)
-    }
-
-    /// The trace the last successful discovery formed.
-    fn into_trace(self) -> Trace {
-        self.trace.expect("a discovery succeeded")
     }
 }
 
@@ -406,7 +346,10 @@ mod tests {
             (entry, None),
         ];
         for (start, split) in starts {
-            let fresh = discover_trace_split(&mem, start, split).ok();
+            let fresh = TraceSlot::default()
+                .discover_with(fetch, start, split)
+                .ok()
+                .cloned();
             let reused = slot.discover_with(fetch, start, split).ok().cloned();
             assert_eq!(reused, fresh, "{start:#x} {split:?}");
         }

@@ -16,10 +16,13 @@ fn process(src: &str) -> Process {
 #[derive(Clone, Default)]
 struct ICount {
     count: u64,
+    /// `(entry, fallthrough)` of every trace instrumented, in order.
+    traces: Vec<(u64, u64)>,
 }
 
 impl Pintool for ICount {
     fn instrument_trace(&mut self, trace: &Trace, inserter: &mut Inserter<Self>) {
+        self.traces.push((trace.entry(), trace.fallthrough()));
         for iref in trace.insts() {
             inserter.insert_call(iref.addr, IPoint::Before, |t, _, _| t.count += 1, vec![]);
         }
@@ -61,15 +64,32 @@ fn split_point_partitions_counts_exactly() {
 
     // Split in the middle of the loop body: the `nop` at loop+8.
     let program = assemble(src).expect("assemble");
-    let split = program.entry() + 16 + 8;
-    let mut engine = Engine::new(process(src), ICount::default());
-    engine.set_split_point(Some(split));
-    engine.run_to_exit().expect("run");
-    assert_eq!(engine.tool().count, truth, "split must not change counts");
+    let head = program.entry() + 16;
+    let split = head + 8;
+    let run = |split| {
+        let mut engine = Engine::new(process(src), ICount::default());
+        engine.set_split_point(split);
+        engine.run_to_exit().expect("run");
+        engine.into_parts().1
+    };
+    let with_split = run(Some(split));
+    assert_eq!(with_split.count, truth, "split must not change counts");
 
-    // And the split point indeed heads its own trace.
-    let trace = discover_trace(&engine.process().mem, program.entry() + 16).expect("trace");
-    let _ = trace; // discovery without split spans the block
+    // And the split point indeed heads its own trace: the trace from
+    // `loop` ends at it, and the one after starts there. Without the
+    // split, the trace from `loop` spans past it.
+    let ends_at = |tool: &ICount, entry| {
+        tool.traces
+            .iter()
+            .find(|&&(at, _)| at == entry)
+            .map(|&(_, fallthrough)| fallthrough)
+    };
+    assert_eq!(ends_at(&with_split, head), Some(split));
+    assert!(ends_at(&with_split, split).is_some_and(|end| end > split));
+    let without = run(None);
+    assert_eq!(without.count, truth);
+    assert!(ends_at(&without, head).is_some_and(|end| end > split));
+    assert_eq!(ends_at(&without, split), None);
 }
 
 #[test]

@@ -88,7 +88,8 @@ impl Site {
     }
 
     /// Parses a dotted site name.
-    pub fn from_name(name: &str) -> Option<Site> {
+    #[cfg(test)]
+    pub(crate) fn from_name(name: &str) -> Option<Site> {
         Site::ALL.into_iter().find(|s| s.name() == name)
     }
 
@@ -223,11 +224,6 @@ impl FailpointRegistry {
         }
     }
 
-    /// The plan this registry was built from.
-    pub fn plan(&self) -> &FailPlan {
-        &self.plan
-    }
-
     /// Evaluates the site: should this event fault?
     ///
     /// `key` must be derived from deterministic simulation state (slice
@@ -253,17 +249,20 @@ impl FailpointRegistry {
     }
 
     /// How many times the site has been evaluated.
-    pub fn evals(&self, site: Site) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn evals(&self, site: Site) -> u64 {
         self.evals[site as usize].load(Ordering::Relaxed)
     }
 
     /// How many times the site has fired.
-    pub fn hits(&self, site: Site) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn hits(&self, site: Site) -> u64 {
         self.hits[site as usize].load(Ordering::Relaxed)
     }
 
     /// Total fired faults across all sites.
-    pub fn total_hits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn total_hits(&self) -> u64 {
         Site::ALL.into_iter().map(|s| self.hits(s)).sum()
     }
 }

@@ -130,7 +130,8 @@ impl ProgramBuilder {
     }
 
     /// The address the *next* emitted instruction will occupy.
-    pub fn here(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn here(&self) -> u64 {
         CODE_BASE + self.cursor
     }
 
@@ -169,50 +170,10 @@ impl ProgramBuilder {
         })
     }
 
-    /// `rd := rs1 - rs2`.
-    pub fn sub(&mut self, rd: Reg, rs1: Reg, rs2: Reg) -> &mut Self {
-        self.inst(Inst::Alu {
-            op: AluOp::Sub,
-            rd,
-            rs1,
-            rs2,
-        })
-    }
-
-    /// `rd := rs1 * rs2`.
-    pub fn mul(&mut self, rd: Reg, rs1: Reg, rs2: Reg) -> &mut Self {
-        self.inst(Inst::Alu {
-            op: AluOp::Mul,
-            rd,
-            rs1,
-            rs2,
-        })
-    }
-
     /// `rd := rs1 ^ rs2`.
     pub fn xor(&mut self, rd: Reg, rs1: Reg, rs2: Reg) -> &mut Self {
         self.inst(Inst::Alu {
             op: AluOp::Xor,
-            rd,
-            rs1,
-            rs2,
-        })
-    }
-
-    /// `rd := rs1 & rs2`.
-    pub fn and(&mut self, rd: Reg, rs1: Reg, rs2: Reg) -> &mut Self {
-        self.inst(Inst::Alu {
-            op: AluOp::And,
-            rd,
-            rs1,
-            rs2,
-        })
-    }
-
-    /// `rd := rs1 | rs2`.
-    pub fn or(&mut self, rd: Reg, rs1: Reg, rs2: Reg) -> &mut Self {
-        self.inst(Inst::Alu {
-            op: AluOp::Or,
             rd,
             rs1,
             rs2,
@@ -237,16 +198,6 @@ impl ProgramBuilder {
     /// `rd := rs1 - imm` (encoded as `addi` with a negated immediate).
     pub fn subi(&mut self, rd: Reg, rs1: Reg, imm: i32) -> &mut Self {
         self.addi(rd, rs1, imm.wrapping_neg())
-    }
-
-    /// `rd := rs1 * imm`.
-    pub fn muli(&mut self, rd: Reg, rs1: Reg, imm: i32) -> &mut Self {
-        self.inst(Inst::AluImm {
-            op: AluOp::Mul,
-            rd,
-            rs1,
-            imm,
-        })
     }
 
     /// `rd := rs1 & imm`.
@@ -395,21 +346,6 @@ impl ProgramBuilder {
         self.branch(BranchKind::Ne, rs1, rs2, label)
     }
 
-    /// Branch if signed less-than.
-    pub fn blt(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
-        self.branch(BranchKind::Lt, rs1, rs2, label)
-    }
-
-    /// Branch if signed greater-or-equal.
-    pub fn bge(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
-        self.branch(BranchKind::Ge, rs1, rs2, label)
-    }
-
-    /// Branch if unsigned less-than.
-    pub fn bltu(&mut self, rs1: Reg, rs2: Reg, label: &str) -> &mut Self {
-        self.branch(BranchKind::Ltu, rs1, rs2, label)
-    }
-
     /// Raw syscall instruction (caller sets up `r0`–`r5`).
     pub fn syscall(&mut self) -> &mut Self {
         self.inst(Inst::Syscall)
@@ -464,11 +400,6 @@ impl ProgramBuilder {
         self.bss_len += len;
         self.data_symbols.push((name.to_owned(), addr));
         addr
-    }
-
-    /// Number of instructions emitted so far.
-    pub fn inst_count(&self) -> usize {
-        self.insts.len()
     }
 
     /// Resolves labels and produces the final [`Program`].
@@ -647,5 +578,37 @@ mod tests {
         assert_eq!(b.here(), CODE_BASE + 24);
         b.la(Reg::R1, "main");
         assert_eq!(b.here(), CODE_BASE + 40);
+    }
+
+    proptest::proptest! {
+        /// `here()` always equals the address the next instruction
+        /// decodes at, over runs of 8-byte `nop`s and 16-byte `li`s.
+        #[test]
+        fn prop_here_tracks_layout(
+            insts in proptest::collection::vec(
+                (proptest::prelude::any::<bool>(), proptest::prelude::any::<i64>()),
+                1..40,
+            ),
+        ) {
+            let mut b = ProgramBuilder::new();
+            b.label("main");
+            let mut expected_addrs = Vec::new();
+            for &(li, imm) in &insts {
+                expected_addrs.push(b.here());
+                if li {
+                    b.li(Reg::R1, imm);
+                } else {
+                    b.nop();
+                }
+            }
+            b.exit(0);
+            let program = b.build().expect("build");
+            let addrs: Vec<u64> = program
+                .instructions()
+                .take(insts.len())
+                .map(|(addr, _)| addr)
+                .collect();
+            proptest::prop_assert_eq!(addrs, expected_addrs);
+        }
     }
 }

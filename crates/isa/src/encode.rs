@@ -16,7 +16,7 @@
 //! bytes 4-7   32-bit immediate / absolute target
 //! ```
 
-use crate::inst::{AluOp, BranchKind, Inst, MemWidth, Opcode};
+use crate::inst::{AluOp, BranchKind, Inst, MemWidth};
 use crate::reg::Reg;
 use std::fmt;
 
@@ -48,6 +48,45 @@ impl fmt::Display for DecodeError {
 }
 
 impl std::error::Error for DecodeError {}
+
+/// Top-level opcode byte used by the binary encoding.
+#[repr(u8)]
+enum Opcode {
+    Nop = 0x00,
+    Alu = 0x01,
+    AluImm = 0x02,
+    Li = 0x03,
+    Mov = 0x04,
+    Ld = 0x05,
+    St = 0x06,
+    Jmp = 0x07,
+    Jal = 0x08,
+    Jalr = 0x09,
+    Branch = 0x0a,
+    Syscall = 0x0b,
+    Halt = 0x0c,
+}
+
+impl Opcode {
+    fn from_byte(b: u8) -> Option<Opcode> {
+        Some(match b {
+            0x00 => Opcode::Nop,
+            0x01 => Opcode::Alu,
+            0x02 => Opcode::AluImm,
+            0x03 => Opcode::Li,
+            0x04 => Opcode::Mov,
+            0x05 => Opcode::Ld,
+            0x06 => Opcode::St,
+            0x07 => Opcode::Jmp,
+            0x08 => Opcode::Jal,
+            0x09 => Opcode::Jalr,
+            0x0a => Opcode::Branch,
+            0x0b => Opcode::Syscall,
+            0x0c => Opcode::Halt,
+            _ => return None,
+        })
+    }
+}
 
 fn pack(op: Opcode, sub: u8, r1: u8, r2: u8, r3: u8, imm: u32) -> u64 {
     (op as u64)

@@ -231,51 +231,6 @@ impl AluOp {
     }
 }
 
-/// Top-level opcode byte used by the binary encoding.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-#[repr(u8)]
-#[allow(missing_docs)] // one-to-one with the documented `Inst` variants
-pub enum Opcode {
-    Nop = 0x00,
-    Alu = 0x01,
-    AluImm = 0x02,
-    Li = 0x03,
-    Mov = 0x04,
-    Ld = 0x05,
-    St = 0x06,
-    Jmp = 0x07,
-    Jal = 0x08,
-    Jalr = 0x09,
-    Branch = 0x0a,
-    Syscall = 0x0b,
-    Halt = 0x0c,
-}
-
-impl Opcode {
-    /// Number of opcodes; dispatch tables indexed by opcode byte are
-    /// `[_; Opcode::COUNT]`.
-    pub const COUNT: usize = 13;
-
-    pub(crate) fn from_byte(b: u8) -> Option<Opcode> {
-        Some(match b {
-            0x00 => Opcode::Nop,
-            0x01 => Opcode::Alu,
-            0x02 => Opcode::AluImm,
-            0x03 => Opcode::Li,
-            0x04 => Opcode::Mov,
-            0x05 => Opcode::Ld,
-            0x06 => Opcode::St,
-            0x07 => Opcode::Jmp,
-            0x08 => Opcode::Jal,
-            0x09 => Opcode::Jalr,
-            0x0a => Opcode::Branch,
-            0x0b => Opcode::Syscall,
-            0x0c => Opcode::Halt,
-            _ => return None,
-        })
-    }
-}
-
 /// A decoded virtual-ISA instruction.
 ///
 /// Control-transfer targets are *absolute* virtual addresses; the assembler
@@ -350,26 +305,6 @@ impl Inst {
         }
     }
 
-    /// The opcode of this instruction, usable as a dense index into
-    /// dispatch tables of size [`Opcode::COUNT`].
-    pub fn opcode(self) -> Opcode {
-        match self {
-            Inst::Nop => Opcode::Nop,
-            Inst::Alu { .. } => Opcode::Alu,
-            Inst::AluImm { .. } => Opcode::AluImm,
-            Inst::Li { .. } => Opcode::Li,
-            Inst::Mov { .. } => Opcode::Mov,
-            Inst::Ld { .. } => Opcode::Ld,
-            Inst::St { .. } => Opcode::St,
-            Inst::Jmp { .. } => Opcode::Jmp,
-            Inst::Jal { .. } => Opcode::Jal,
-            Inst::Jalr { .. } => Opcode::Jalr,
-            Inst::Branch { .. } => Opcode::Branch,
-            Inst::Syscall => Opcode::Syscall,
-            Inst::Halt => Opcode::Halt,
-        }
-    }
-
     /// Whether this instruction ends a basic block (any control transfer,
     /// syscall, or halt).
     pub fn ends_basic_block(self) -> bool {
@@ -385,7 +320,8 @@ impl Inst {
     }
 
     /// Whether this is a control-transfer instruction.
-    pub fn is_control_flow(self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_control_flow(self) -> bool {
         matches!(
             self,
             Inst::Jmp { .. } | Inst::Jal { .. } | Inst::Jalr { .. } | Inst::Branch { .. }

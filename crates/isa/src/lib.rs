@@ -54,7 +54,7 @@ mod reg;
 pub use builder::{BuildError, ProgramBuilder};
 pub use disasm::disassemble;
 pub use encode::{decode, encode, DecodeError, INST_BYTES};
-pub use inst::{AluOp, BranchKind, Inst, MemWidth, Opcode};
+pub use inst::{AluOp, BranchKind, Inst, MemWidth};
 pub use program::{Program, ProgramError, Section, Symbol};
 pub use reg::{Reg, NUM_REGS};
 

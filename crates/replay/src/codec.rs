@@ -9,6 +9,7 @@
 //! ([`crate::json`]) all walk.
 
 use crate::wire::{wire_enum, wire_struct, wire_table, CodecError, Reader, Wire};
+use superpin::master::PtraceStats;
 use superpin::{
     AdmissionDecision, NondetEvent, SignatureStats, SliceEnd, SliceReport, SuperPinReport,
     TimeBreakdown,
@@ -17,7 +18,6 @@ use superpin_dbi::{CacheStats, CycleBreakdown, EngineStats};
 use superpin_fault::{FailPlan, SiteMode, SITE_COUNT};
 use superpin_isa::Reg;
 use superpin_vm::kernel::{MapOp, MemDelta, SyscallNo, SyscallRecord};
-use superpin_vm::ptrace::PtraceStats;
 use superpin_workloads::Scale;
 
 wire_struct!(SyscallRecord {

@@ -20,7 +20,7 @@ use crate::container::FrameDamage;
 use crate::wal::{
     commit_sequence, salvage, WAL_FRAME_COMMIT, WAL_FRAME_END, WAL_FRAME_HEADER, WAL_FRAME_RECORD,
 };
-use crate::wire::{from_bytes, to_bytes, wire_enum, wire_struct, CodecError, Reader, Wire};
+use crate::wire::{from_bytes, to_bytes, wire_enum, wire_struct, CodecError, Wire};
 
 /// Everything needed to rebuild a fleet run's inputs: the job-spec
 /// text verbatim plus the CLI knobs that shape scheduling. The
@@ -46,15 +46,6 @@ impl FleetRecipe {
     /// Appends the recipe's wire form (the journal's header frame).
     pub fn encode_into(&self, out: &mut Vec<u8>) {
         self.put(out);
-    }
-
-    /// Decodes a recipe written by [`FleetRecipe::encode_into`].
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] describing the first malformed field.
-    pub fn decode_from(reader: &mut Reader) -> Result<FleetRecipe, CodecError> {
-        FleetRecipe::get(reader)
     }
 }
 
@@ -315,6 +306,7 @@ pub fn recover_fleet_wal(bytes: &[u8]) -> Result<FleetRecovery, CodecError> {
 mod tests {
     use super::*;
     use crate::container::{encode_frame, SPWAL};
+    use crate::wire::Reader;
     use superpin_fault::SITE_COUNT;
 
     fn recipe() -> FleetRecipe {
@@ -371,10 +363,7 @@ mod tests {
         assert_eq!(RoundFrame::decode(&frame.encode()), Ok(frame));
         let mut bytes = Vec::new();
         recipe().encode_into(&mut bytes);
-        assert_eq!(
-            FleetRecipe::decode_from(&mut Reader::new(&bytes)),
-            Ok(recipe())
-        );
+        assert_eq!(FleetRecipe::get(&mut Reader::new(&bytes)), Ok(recipe()));
     }
 
     /// The 44 GB abort: count and length fields of `0xFFFF_FFFF`,

@@ -68,8 +68,8 @@ fn fields(table: &impl Fields<Value>) -> Vec<(&'static str, Value)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use superpin::master::PtraceStats;
     use superpin::{SliceEnd, SliceReport, TimeBreakdown};
-    use superpin_vm::ptrace::PtraceStats;
 
     fn base() -> SuperPinReport {
         SuperPinReport {

@@ -87,9 +87,9 @@ impl ReplayLog {
 mod tests {
     use super::*;
     use crate::wire::to_bytes;
+    use superpin::master::PtraceStats;
     use superpin::{AdmissionDecision, FailPlan, TimeBreakdown};
     use superpin_fault::SITE_COUNT;
-    use superpin_vm::ptrace::PtraceStats;
     use superpin_workloads::Scale;
 
     fn empty_report() -> SuperPinReport {

@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use crate::wire::{wire_struct, CodecError, Reader, Wire};
+use crate::wire::wire_struct;
 use superpin::{FailPlan, ProgramAnalysis, SuperPinConfig};
 use superpin_analysis::AnalysisError;
 use superpin_dbi::CYCLES_PER_SEC;
@@ -153,20 +153,6 @@ impl RunRecipe {
         }
         Ok(cfg)
     }
-
-    /// Encodes the recipe.
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        self.put(out);
-    }
-
-    /// Decodes a recipe.
-    ///
-    /// # Errors
-    ///
-    /// [`CodecError`] naming the first malformed field.
-    pub fn decode(reader: &mut Reader<'_>) -> Result<RunRecipe, CodecError> {
-        RunRecipe::get(reader)
-    }
 }
 
 wire_struct!(RunRecipe {
@@ -190,6 +176,7 @@ wire_struct!(RunRecipe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wire::{Reader, Wire};
 
     #[test]
     fn recipe_round_trips_with_all_options() {
@@ -203,9 +190,9 @@ mod tests {
         recipe.tag = "pr8-test".to_string();
 
         let mut out = Vec::new();
-        recipe.encode(&mut out);
+        recipe.put(&mut out);
         let mut reader = Reader::new(&out);
-        assert_eq!(RunRecipe::decode(&mut reader).unwrap(), recipe);
+        assert_eq!(RunRecipe::get(&mut reader).unwrap(), recipe);
         assert_eq!(reader.remaining(), 0);
     }
 
@@ -213,8 +200,8 @@ mod tests {
     fn minimal_recipe_round_trips() {
         let recipe = RunRecipe::standard("vortex", Scale::Tiny);
         let mut out = Vec::new();
-        recipe.encode(&mut out);
-        assert_eq!(RunRecipe::decode(&mut Reader::new(&out)).unwrap(), recipe);
+        recipe.put(&mut out);
+        assert_eq!(RunRecipe::get(&mut Reader::new(&out)).unwrap(), recipe);
     }
 
     #[test]

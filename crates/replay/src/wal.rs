@@ -246,17 +246,20 @@ impl WalWriter {
     }
 
     /// Frames appended so far (header and commits included).
-    pub fn frames(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn frames(&self) -> u64 {
         self.frames
     }
 
     /// Commit markers appended so far.
-    pub fn commits(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn commits(&self) -> u64 {
         self.commits
     }
 
     /// fsyncs performed so far.
-    pub fn syncs(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn syncs(&self) -> u64 {
         self.syncs
     }
 

@@ -77,8 +77,8 @@ fn sample_wal() -> Vec<u8> {
 }
 
 fn sample_splog() -> Vec<u8> {
+    use superpin::master::PtraceStats;
     use superpin::{AdmissionDecision, NondetEvent, SuperPinReport, TimeBreakdown};
-    use superpin_vm::ptrace::PtraceStats;
     let report = SuperPinReport {
         total_cycles: 10,
         master_exit_cycles: 8,

@@ -49,12 +49,14 @@ impl FleetQueue {
     }
 
     /// Number of members currently queued.
-    pub fn len(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn len(&self) -> usize {
         self.members.len()
     }
 
     /// Whether the queue has no members.
-    pub fn is_empty(&self) -> bool {
+    #[cfg(test)]
+    pub(crate) fn is_empty(&self) -> bool {
         self.members.is_empty()
     }
 
@@ -111,7 +113,8 @@ impl FleetQueue {
     }
 
     /// The member's current virtual timestamp (`None` if not queued).
-    pub fn vtime(&self, id: u32) -> Option<u128> {
+    #[cfg(test)]
+    pub(crate) fn vtime(&self, id: u32) -> Option<u128> {
         self.members.iter().find(|m| m.id == id).map(|m| m.vtime)
     }
 }

@@ -52,13 +52,9 @@ impl QuantumScheduler {
     }
 
     /// The machine being scheduled.
-    pub fn machine(&self) -> &Machine {
+    #[cfg(test)]
+    pub(crate) fn machine(&self) -> &Machine {
         &self.machine
-    }
-
-    /// The active policy.
-    pub fn policy(&self) -> Policy {
-        self.policy
     }
 
     /// Per-quantum throughput split for `n` runnable tasks: the first

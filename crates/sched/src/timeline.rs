@@ -1,7 +1,5 @@
 //! Labelled time-segment recording.
 
-use std::collections::BTreeMap;
-
 /// Records labelled, non-overlapping time segments for one actor (the
 /// master, a slice, …). Adjacent segments with the same label coalesce.
 ///
@@ -52,22 +50,15 @@ impl Timeline {
             .sum()
     }
 
-    /// Totals for every label.
-    pub fn totals(&self) -> BTreeMap<&'static str, u64> {
-        let mut map = BTreeMap::new();
-        for &(start, end, label) in &self.segments {
-            *map.entry(label).or_insert(0) += end - start;
-        }
-        map
-    }
-
     /// End time of the last segment (0 if empty).
-    pub fn end(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn end(&self) -> u64 {
         self.segments.last().map(|&(_, end, _)| end).unwrap_or(0)
     }
 
     /// The raw segments.
-    pub fn segments(&self) -> &[(u64, u64, &'static str)] {
+    #[cfg(test)]
+    pub(crate) fn segments(&self) -> &[(u64, u64, &'static str)] {
         &self.segments
     }
 }
@@ -106,14 +97,13 @@ mod tests {
     }
 
     #[test]
-    fn totals_map() {
+    fn totals_per_label() {
         let mut t = Timeline::new();
         t.push(0, 4, "a");
         t.push(4, 6, "b");
         t.push(6, 10, "a");
-        let totals = t.totals();
-        assert_eq!(totals["a"], 8);
-        assert_eq!(totals["b"], 2);
+        assert_eq!(t.total("a"), 8);
+        assert_eq!(t.total("b"), 2);
     }
 
     #[test]

@@ -156,8 +156,8 @@ impl ServiceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use superpin::master::PtraceStats;
     use superpin::TimeBreakdown;
-    use superpin_vm::ptrace::PtraceStats;
 
     fn outcome(tenant: &str) -> JobOutcome {
         JobOutcome {

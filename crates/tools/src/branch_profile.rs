@@ -18,7 +18,8 @@ pub struct BranchSiteStats {
 
 impl BranchSiteStats {
     /// Fraction taken in [0, 1].
-    pub fn taken_ratio(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn taken_ratio(&self) -> f64 {
         let total = self.taken + self.not_taken;
         if total == 0 {
             0.0

@@ -128,11 +128,6 @@ impl DCache {
         }
     }
 
-    /// The cache geometry.
-    pub fn config(&self) -> DCacheConfig {
-        self.cfg
-    }
-
     /// Slice-local (or serial-mode) totals before reconciliation.
     pub fn local_result(&self) -> DCacheResult {
         DCacheResult {

@@ -78,7 +78,8 @@ pub struct LruCache {
 
 impl LruCache {
     /// An empty cache.
-    pub fn new(cfg: AssocDCacheConfig) -> LruCache {
+    #[cfg(test)]
+    pub(crate) fn new(cfg: AssocDCacheConfig) -> LruCache {
         LruCache {
             cfg,
             sets: vec![Vec::new(); cfg.num_sets],
@@ -119,12 +120,14 @@ impl LruCache {
     }
 
     /// Simulates one access by byte address.
-    pub fn access(&mut self, addr: u64) -> bool {
+    #[cfg(test)]
+    pub(crate) fn access(&mut self, addr: u64) -> bool {
         self.access_line(addr / self.cfg.line_bytes)
     }
 
     /// Totals so far.
-    pub fn result(&self) -> DCacheResult {
+    #[cfg(test)]
+    pub(crate) fn result(&self) -> DCacheResult {
         DCacheResult {
             hits: self.hits,
             misses: self.misses,
@@ -177,11 +180,6 @@ impl AssocDCache {
             misses_area: shared.create_area(1, AutoMerge::Manual),
             state_area: shared.create_area(cfg.num_sets * cfg.ways, AutoMerge::Manual),
         }
-    }
-
-    /// The geometry.
-    pub fn config(&self) -> AssocDCacheConfig {
-        self.cfg
     }
 
     /// Merged totals from shared memory.

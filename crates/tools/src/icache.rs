@@ -25,11 +25,6 @@ impl ICache {
         }
     }
 
-    /// The cache geometry.
-    pub fn config(&self) -> DCacheConfig {
-        self.inner.config()
-    }
-
     /// Slice-local (or serial-mode) totals before reconciliation.
     pub fn local_result(&self) -> DCacheResult {
         self.inner.local_result()

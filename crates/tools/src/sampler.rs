@@ -41,7 +41,8 @@ impl Sampler {
     }
 
     /// Per-slice sample budget.
-    pub fn sample_budget(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn sample_budget(&self) -> u64 {
         self.sample_budget
     }
 

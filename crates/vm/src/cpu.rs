@@ -70,20 +70,9 @@ pub enum ExecOutcome {
     Halt,
 }
 
-/// Fetches and decodes the instruction at `cpu.pc` from guest memory.
-///
-/// # Errors
-///
-/// Returns [`VmError::Mem`] for unmapped fetches or [`VmError::Decode`]
-/// for invalid encodings.
-pub fn fetch(cpu: &CpuState, mem: &AddressSpace) -> Result<(Inst, u64), VmError> {
-    fetch_at(mem, cpu.pc)
-}
-
-/// Fetches and decodes the instruction at an arbitrary address.
-///
-/// This is [`fetch`] without the CPU: the decode cache uses it to
-/// pre-decode whole pages independent of the current program counter.
+/// Fetches and decodes the instruction at an arbitrary address, not
+/// only at the program counter: the decode cache uses it to pre-decode
+/// whole pages.
 ///
 /// # Errors
 ///
@@ -218,7 +207,7 @@ pub fn exec_decoded(
 ///
 /// Propagates fetch, decode, and memory errors.
 pub fn step(cpu: &mut CpuState, mem: &mut AddressSpace) -> Result<ExecOutcome, VmError> {
-    let (inst, size) = fetch(cpu, mem)?;
+    let (inst, size) = fetch_at(mem, cpu.pc)?;
     exec_decoded(cpu, mem, inst, size)
 }
 

@@ -102,15 +102,9 @@ impl DecodeCache {
     }
 
     /// Number of pages currently cached (test/diagnostic aid).
-    pub fn cached_pages(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn cached_pages(&self) -> usize {
         self.pages.len()
-    }
-
-    /// Drops every cached page (the `code_version` key makes this
-    /// automatic on self-modifying code; this is for tests).
-    pub fn clear(&mut self) {
-        self.pages.clear();
-        self.last = 0;
     }
 
     /// Index into `pages` for `page_idx`, if cached. The last-hit memo

@@ -68,12 +68,14 @@ impl FdTable {
     }
 
     /// Pre-populates a named file (test and workload setup).
-    pub fn put_file(&mut self, name: &str, data: Vec<u8>) {
+    #[cfg(test)]
+    pub(crate) fn put_file(&mut self, name: &str, data: Vec<u8>) {
         self.files.insert(name.to_owned(), data);
     }
 
     /// The current contents of a named file, if it exists.
-    pub fn file(&self, name: &str) -> Option<&[u8]> {
+    #[cfg(test)]
+    pub(crate) fn file(&self, name: &str) -> Option<&[u8]> {
         self.files.get(name).map(Vec::as_slice)
     }
 

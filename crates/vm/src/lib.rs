@@ -25,9 +25,9 @@
 //!   capturing its register result and memory side effects, which is what
 //!   makes SuperPin's record-and-playback mechanism (paper §4.2) possible.
 //! * [`process`] — a process = CPU state + address space + kernel state;
-//!   supports `fork`.
-//! * [`ptrace`] — run-until-event control of a process, mirroring how the
-//!   SuperPin control process supervises the master application.
+//!   supports `fork`, and runs until its next syscall entry
+//!   ([`process::Process::run_until_syscall`]), which is how the SuperPin
+//!   control process supervises the master application.
 //!
 //! # Example
 //!
@@ -50,7 +50,6 @@ pub mod decode;
 pub mod kernel;
 pub mod mem;
 pub mod process;
-pub mod ptrace;
 
 mod error;
 

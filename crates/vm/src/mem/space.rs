@@ -296,13 +296,14 @@ impl AddressSpace {
     }
 
     /// The dynamic-memory budget, if one is set.
-    pub fn mem_limit(&self) -> Option<u64> {
+    #[cfg(test)]
+    pub(crate) fn mem_limit(&self) -> Option<u64> {
         self.mem_limit
     }
 
     /// Bytes currently committed to dynamic memory: the page-aligned
     /// `brk` heap plus every anonymous `mmap` region. This is the
-    /// quantity charged against [`mem_limit`](AddressSpace::mem_limit).
+    /// quantity charged against [`mem_limit`](AddressSpace::set_mem_limit).
     pub fn dynamic_bytes(&self) -> u64 {
         self.regions
             .iter()
@@ -384,7 +385,8 @@ impl AddressSpace {
     }
 
     /// Current program break.
-    pub fn brk(&self) -> u64 {
+    #[cfg(test)]
+    pub(crate) fn brk(&self) -> u64 {
         self.brk
     }
 
@@ -400,7 +402,8 @@ impl AddressSpace {
     }
 
     /// Number of resident (allocated) pages.
-    pub fn resident_pages(&self) -> usize {
+    #[cfg(test)]
+    pub(crate) fn resident_pages(&self) -> usize {
         self.pages.len()
     }
 
@@ -485,7 +488,7 @@ impl AddressSpace {
     ///
     /// With a hint, fails like [`map_region`](Self::map_region). Without a
     /// hint, only alignment errors are possible (the search skips used
-    /// space). With a [`mem_limit`](AddressSpace::mem_limit) set, a
+    /// space). With a [`mem_limit`](AddressSpace::set_mem_limit) set, a
     /// request past the budget fails with [`MemError::OutOfMemory`].
     pub fn map_anonymous(&mut self, hint: Option<u64>, len: u64) -> Result<u64, MemError> {
         let len = page_align_up(len.max(1));
@@ -565,7 +568,7 @@ impl AddressSpace {
     }
 
     /// Budget-checked [`set_brk`](AddressSpace::set_brk): a grow past the
-    /// [`mem_limit`](AddressSpace::mem_limit) fails without changing any
+    /// [`mem_limit`](AddressSpace::set_mem_limit) fails without changing any
     /// state, so the kernel can hand the guest an errno. Shrinks and
     /// unbudgeted spaces never fail. The infallible `set_brk` remains the
     /// replay path — a recorded successful `brk` re-applies unchecked.

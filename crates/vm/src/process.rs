@@ -135,16 +135,6 @@ impl Process {
         self.fault = registry;
     }
 
-    /// The armed fault registry, if any.
-    pub fn fault_registry(&self) -> Option<&Arc<FailpointRegistry>> {
-        self.fault.as_ref()
-    }
-
-    /// The native run loop's decode cache (diagnostics/tests).
-    pub fn decode_cache(&self) -> &DecodeCache {
-        &self.decode
-    }
-
     /// Fetches and decodes the instruction at `pc` through the decode
     /// cache — equivalent to [`cpu::fetch_at`] on this process's memory,
     /// just memoized. A DBI engine's trace discovery uses this so a

@@ -5,7 +5,7 @@
 //! cargo run --release --example disassemble [benchmark]
 //! ```
 
-use superpin::baseline::run_pin;
+use superpin::baseline::{run_native, run_pin};
 use superpin_isa::disassemble;
 use superpin_tools::BblCount;
 use superpin_vm::process::Process;
@@ -22,6 +22,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Profile block executions under traditional Pin.
     let pin = run_pin(Process::load(1, &program)?, BblCount::new())?;
     let blocks = pin.tool.local_blocks();
+    // Instrumentation must not change what runs.
+    let native = run_native(Process::load(1, &program)?)?;
+    assert_eq!(
+        pin.insts, native.insts,
+        "Pin must execute exactly the native instruction count"
+    );
 
     // Print the listing from `main` on, annotating block heads with
     // their execution counts.
