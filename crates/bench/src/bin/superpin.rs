@@ -43,7 +43,7 @@ use superpin::SuperPinReport;
 use superpin_dbi::cycles_to_secs;
 use superpin_replay::recipe::{time_scale_for, RunRecipe};
 use superpin_tools::{lookup, tool_names};
-use superpin_workloads::{find, Scale};
+use superpin_workloads::Scale;
 
 /// The switches that shape what this binary does with a run, not the
 /// run itself (that is the [`RunRecipe`]).
@@ -57,7 +57,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: superpin [-sp 0|1] [-spmsec MSEC] [-spmp N] [-spsysrecs N] [-threads N] [-gantt] \
          [--chaos-seed N] [--chaos-rate F] [--watchdog-factor K] [--mem-budget BYTES[k|m|g]] \
-         [--plan on|off] -t TOOL -- BENCHMARK [tiny|small|medium|large]\n\
+         -t TOOL -- BENCHMARK [tiny|small|medium|large]\n\
          tools: {}",
         tool_names().collect::<Vec<_>>().join(" ")
     );
@@ -80,7 +80,8 @@ fn parse_args() -> (Options, RunRecipe) {
 /// and a chaos plan when either chaos flag is given (`--chaos-rate`
 /// without `--chaos-seed` defaults the seed to 1, and vice versa the
 /// rate to 0.01). The tool must be in the tool table, and have a serial
-/// Pin form when `-sp 0` asks for one.
+/// Pin form when `-sp 0` asks for one; the benchmark must be in the
+/// workload catalog.
 fn parse_options(args: &[String]) -> Result<(Options, RunRecipe), ArgError> {
     let mut options = Options {
         sp: true,
@@ -114,9 +115,6 @@ fn parse_options(args: &[String]) -> Result<(Options, RunRecipe), ArgError> {
                 }
                 recipe.watchdog_factor = factor;
             }
-            "--plan" => {
-                recipe.plan = args.switch("--plan", &["on", "1"], &["off", "0"], "on|off")?
-            }
             "--mem-budget" => recipe.mem_budget = Some(args.bytes("--mem-budget")?),
             "-t" => recipe.tool = args.text("-t")?.to_owned(),
             "--" => after_dashes.extend(args.by_ref()),
@@ -139,6 +137,12 @@ fn parse_options(args: &[String]) -> Result<(Options, RunRecipe), ArgError> {
         Some(_) => {}
     }
     recipe.name = after_dashes[0].to_owned();
+    if recipe.spec().is_none() {
+        return Err(ArgError::Rule(format!(
+            "unknown benchmark `{}`",
+            recipe.name
+        )));
+    }
     if let Some(&scale) = after_dashes.get(1) {
         recipe.scale = Scale::parse(scale).ok_or_else(|| ArgError::InvalidValue {
             flag: "BENCHMARK scale",
@@ -203,10 +207,7 @@ fn print_summary(report: &SuperPinReport, options: &Options, recipe: &RunRecipe)
 
 fn main() {
     let (options, recipe) = parse_args();
-    let Some(spec) = find(&recipe.name) else {
-        eprintln!("unknown benchmark `{}`", recipe.name);
-        std::process::exit(2);
-    };
+    let spec = recipe.spec().expect("parse_options checked the benchmark");
     let program = spec.build(recipe.scale);
     println!(
         "{} @ {:?}: {} static instructions",
@@ -329,17 +330,6 @@ mod tests {
         ]))
         .expect_err("non-numeric budget must be rejected");
         assert!(err.to_string().contains("--mem-budget"), "{err}");
-    }
-
-    #[test]
-    fn plan_flags_parse() {
-        let options = parse_options(&args(&["--plan", "on", "-t", "icount2", "--", "gcc"]));
-        assert!(options.expect("parse").1.plan);
-        let (_, defaults) = parse_options(&args(&["-t", "icount2", "--", "gcc"])).expect("parse");
-        assert!(!defaults.plan);
-        assert!(
-            parse_options(&args(&["--plan", "sideways", "-t", "icount2", "--", "gcc"])).is_err()
-        );
     }
 
     #[test]

@@ -110,6 +110,14 @@ fn a_rejected_tool_is_a_usage_error_with_nothing_on_stdout() {
             &["-sp", "0", "-t", "sampler", "--", "gcc", "tiny"][..],
             "superpin: sampler requires -sp 1 (it is a SuperPin tool)",
         ),
+        (
+            &["-t", "icount1", "--", "nope", "tiny"][..],
+            "superpin: unknown benchmark `nope`",
+        ),
+        (
+            &["--plan", "on", "-t", "icount2", "--", "gcc"][..],
+            "superpin: unknown flag `--plan`",
+        ),
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_superpin"))
             .args(args)
@@ -119,6 +127,10 @@ fn a_rejected_tool_is_a_usage_error_with_nothing_on_stdout() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: stderr: {stderr}");
         assert_eq!(stderr.lines().next(), Some(message), "{args:?}");
+        assert!(
+            stderr.contains("\nusage: superpin "),
+            "{args:?}: stderr: {stderr}"
+        );
         assert!(out.stdout.is_empty(), "{args:?}: the run started");
     }
 }

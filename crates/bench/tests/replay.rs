@@ -51,7 +51,7 @@ fn record_and_replay(name: &str, threads: usize, chaos: Option<FailPlan>) {
     let log = recorded_log(name, threads, chaos);
     let program = log.recipe.program().expect("catalog workload");
     let shared = SharedMem::new();
-    let cfg = log.recipe.config(&program, threads, false).expect("config");
+    let cfg = log.recipe.config(threads, false);
     let unrecorded = run_superpin(&program, ICount1::new(&shared), &shared, cfg, name);
     assert_eq!(
         unrecorded,

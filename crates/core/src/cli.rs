@@ -260,7 +260,14 @@ mod tests {
                 .starts_with("`--chaos-rate` is a probability"));
         }
         assert_eq!(args.switch("-sp", &["1"], &["0"], "0|1"), Ok(true));
-        assert!(args.switch("--plan", &["on"], &["off"], "on|off").is_err());
+        assert_eq!(
+            args.switch("-sp", &["1"], &["0"], "0|1"),
+            Err(ArgError::InvalidValue {
+                flag: "-sp",
+                value: "sideways".to_owned(),
+                expected: "0|1",
+            })
+        );
         assert_eq!(args.bytes("--mem-budget"), Ok(64 << 20));
         assert_eq!(args.text("--tag"), Err(ArgError::MissingValue("--tag")));
         assert_eq!(args.next(), None);

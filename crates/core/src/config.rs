@@ -54,12 +54,14 @@ pub struct SuperPinConfig {
     /// published at the last epoch barrier) pays a consistency-check cost
     /// instead of the full JIT cost.
     pub shared_code_cache: bool,
-    /// Superblock plan from whole-program analysis (`--plan on`): the
-    /// refined interprocedural liveness every slice engine installs to
-    /// annotate the saved registers each call could leave unrestored
-    /// (see [`Engine::set_plan`](superpin_dbi::Engine::set_plan)).
-    /// Traces are still formed at every cache miss, and reports are
-    /// bit-identical with the plan on or off.
+    /// Superblock plan from whole-program analysis: the refined
+    /// interprocedural liveness every slice engine installs to annotate
+    /// the saved registers each call could leave unrestored (see
+    /// [`Engine::set_plan`](superpin_dbi::Engine::set_plan)). Traces
+    /// are still formed at every cache miss, and reports are
+    /// bit-identical with the plan on or off. Library-only: no front
+    /// end sets it, and perfbench's `analysis.plan_wall_ratio` is its
+    /// one caller outside the tests.
     pub plan: Option<Arc<SuperblockPlan>>,
     /// Static↔dynamic soundness oracle. When present, every slice
     /// engine cross-validates dynamic indirect transfers and code

@@ -60,7 +60,7 @@ pub struct Format {
 pub const SPLOG: Format = Format {
     name: "SPLOG",
     magic: b"SPLOG",
-    version: 3,
+    version: 4,
     kinds: &["header", "event", "report", "end"],
     end: 0x04,
 };

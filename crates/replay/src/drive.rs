@@ -18,9 +18,6 @@ use superpin_vm::process::Process;
 pub enum ReplayError {
     /// The recipe names a workload the catalog does not have.
     UnknownWorkload(String),
-    /// Whole-program analysis failed while building the run's
-    /// superblock plan.
-    Analysis(String),
     /// The simulation failed (a replay that departs from its log
     /// surfaces here as [`SpError::ReplayDivergence`]).
     Sim(SpError),
@@ -33,9 +30,6 @@ impl fmt::Display for ReplayError {
         match self {
             ReplayError::UnknownWorkload(name) => {
                 write!(f, "workload `{name}` is not in the catalog")
-            }
-            ReplayError::Analysis(detail) => {
-                write!(f, "whole-program analysis failed: {detail}")
             }
             ReplayError::Sim(err) => write!(f, "{err}"),
             ReplayError::Codec(err) => write!(f, "{err}"),
@@ -72,7 +66,7 @@ impl From<CodecError> for ReplayError {
 ///
 /// # Errors
 ///
-/// Unknown workloads, analysis failures, and simulator setup errors.
+/// Unknown workloads and simulator setup errors.
 pub fn build_runner<T: SuperTool>(
     recipe: &RunRecipe,
     threads: usize,
@@ -83,9 +77,7 @@ pub fn build_runner<T: SuperTool>(
     let program = recipe
         .program()
         .ok_or_else(|| ReplayError::UnknownWorkload(recipe.name.clone()))?;
-    let cfg = recipe
-        .config(&program, threads, replaying)
-        .map_err(|e| ReplayError::Analysis(e.to_string()))?;
+    let cfg = recipe.config(threads, replaying);
     let process = Process::load(1, &program).map_err(SpError::from)?;
     Ok(SuperPinRunner::new(process, tool, shared.clone(), cfg)?)
 }

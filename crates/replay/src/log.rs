@@ -162,12 +162,12 @@ mod tests {
             Err(CodecError::BadHeader { .. })
         ));
 
-        // v2 recipes carried plan knobs; there is no v2 reader.
-        let v2 = [&bytes[..5], &2u16.to_le_bytes(), &bytes[7..]].concat();
-        let Err(CodecError::BadHeader { detail }) = ReplayLog::decode(&v2) else {
-            panic!("a v2 log must be a bad header");
+        // v3 recipes carried the plan flag; there is no v3 reader.
+        let v3 = [&bytes[..5], &3u16.to_le_bytes(), &bytes[7..]].concat();
+        let Err(CodecError::BadHeader { detail }) = ReplayLog::decode(&v3) else {
+            panic!("a v3 log must be a bad header");
         };
-        assert_eq!(detail, "SPLOG version 2, this build reads 3 — re-record");
+        assert_eq!(detail, "SPLOG version 3, this build reads 4 — re-record");
 
         // Cutting mid-frame, or at the last frame boundary.
         for cut in [bytes.len() - 5, bytes.len() - 9] {

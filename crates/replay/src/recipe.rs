@@ -17,11 +17,8 @@
 //! run's configuration is built, so a replay rebuilds exactly the run
 //! that was recorded.
 
-use std::sync::Arc;
-
 use crate::wire::wire_struct;
-use superpin::{FailPlan, ProgramAnalysis, SuperPinConfig};
-use superpin_analysis::AnalysisError;
+use superpin::{FailPlan, SuperPinConfig};
 use superpin_dbi::CYCLES_PER_SEC;
 use superpin_isa::Program;
 use superpin_workloads::{find, Scale, WorkloadSpec};
@@ -68,9 +65,6 @@ pub struct RunRecipe {
     pub mem_budget: Option<u64>,
     /// Whether supervision was enabled (explicitly or implied by chaos).
     pub supervise: bool,
-    /// Whether the run installed the superblock plan (whole-program
-    /// refined liveness).
-    pub plan: bool,
     /// Free-form provenance tag (git describe, CI run id, …).
     pub tag: String,
 }
@@ -93,7 +87,6 @@ impl RunRecipe {
             max_slice_retries: 2,
             mem_budget: None,
             supervise: false,
-            plan: false,
             tag: String::new(),
         }
     }
@@ -109,25 +102,13 @@ impl RunRecipe {
             .map(|spec| spec.build_with_input(self.scale, self.input))
     }
 
-    /// Builds the run configuration for `program` (the recipe's own
-    /// [`program`](RunRecipe::program)). `threads` overrides the
-    /// recorded thread count (report equality across thread counts is
-    /// the contract being exercised). With `replaying`, chaos is
-    /// stripped but supervision stays on if the recorded run had it —
-    /// checkpoint retention is report-visible under a memory budget, so
-    /// the replay must supervise identically. With `plan`, the
-    /// whole-program analysis installs both the superblock plan and the
-    /// soundness oracle.
-    ///
-    /// # Errors
-    ///
-    /// Whole-program analysis failures (only with `plan`).
-    pub fn config(
-        &self,
-        program: &Program,
-        threads: usize,
-        replaying: bool,
-    ) -> Result<SuperPinConfig, AnalysisError> {
+    /// Builds the run configuration from the recipe's knobs. `threads`
+    /// overrides the recorded thread count (report equality across
+    /// thread counts is the contract being exercised). With
+    /// `replaying`, chaos is stripped but supervision stays on if the
+    /// recorded run had it — checkpoint retention is report-visible
+    /// under a memory budget, so the replay must supervise identically.
+    pub fn config(&self, threads: usize, replaying: bool) -> SuperPinConfig {
         let mut cfg = SuperPinConfig::scaled(self.spmsec, time_scale_for(self.scale))
             .with_max_slices(self.spmp)
             .with_max_sysrecs(self.spsysrecs)
@@ -145,13 +126,7 @@ impl RunRecipe {
         if self.supervise || self.chaos.is_some() {
             cfg = cfg.with_supervision();
         }
-        if self.plan {
-            let analysis = ProgramAnalysis::compute(program)?;
-            cfg = cfg
-                .with_plan(Arc::new(analysis.plan(Default::default())))
-                .with_oracle(Arc::new(analysis.oracle()));
-        }
-        Ok(cfg)
+        cfg
     }
 }
 
@@ -169,7 +144,6 @@ wire_struct!(RunRecipe {
     max_slice_retries,
     mem_budget,
     supervise,
-    plan,
     tag,
 });
 
@@ -186,7 +160,6 @@ mod tests {
         recipe.chaos = Some(FailPlan::new(3, 0.05));
         recipe.mem_budget = Some(64 << 20);
         recipe.supervise = true;
-        recipe.plan = true;
         recipe.tag = "pr8-test".to_string();
 
         let mut out = Vec::new();
@@ -208,30 +181,14 @@ mod tests {
     fn replay_config_strips_chaos_but_keeps_supervision() {
         let mut recipe = RunRecipe::standard("gcc", Scale::Tiny);
         recipe.chaos = Some(FailPlan::new(2, 0.02));
-        let program = recipe.program().expect("catalog workload");
-        let live = recipe.config(&program, 4, false).expect("config");
+        let live = recipe.config(4, false);
         assert!(live.chaos.is_some());
         assert!(live.supervision_enabled());
-        let replay = recipe.config(&program, 1, true).expect("config");
+        let replay = recipe.config(1, true);
         assert!(replay.chaos.is_none());
         assert!(replay.supervision_enabled());
         assert_eq!(replay.threads, 1);
         assert_eq!(replay.timeslice_cycles, live.timeslice_cycles);
-    }
-
-    #[test]
-    fn plan_installs_the_plan_and_the_oracle_together() {
-        let mut recipe = RunRecipe::standard("gcc", Scale::Tiny);
-        let program = recipe.program().expect("catalog workload");
-        for replaying in [false, true] {
-            let off = recipe.config(&program, 1, replaying).expect("config");
-            assert!(off.plan.is_none() && off.oracle.is_none());
-        }
-        recipe.plan = true;
-        for replaying in [false, true] {
-            let on = recipe.config(&program, 1, replaying).expect("config");
-            assert!(on.plan.is_some() && on.oracle.is_some());
-        }
     }
 
     #[test]

@@ -49,7 +49,7 @@ fn usage() -> ! {
          \x20      spin-serve --replay WAL [--threads N] [--emit-reports PATH]\n\
          job file lines: `tenant NAME weight=N [budget=BYTES]` and\n\
          `job tenant=NAME workload=NAME [scale=S] [tool=T] [arrive=CYCLES] \
-         [mem-budget=BYTES] [chaos-rate=F] [plan=on|off]`"
+         [mem-budget=BYTES] [chaos-rate=F]`"
     );
     std::process::exit(2);
 }

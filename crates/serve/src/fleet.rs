@@ -301,7 +301,6 @@ impl<'a> Fleet<'a> {
                 (own, clamped) => own.or(clamped),
             },
             chaos: base_chaos.map(|plan| plan.for_tenant(tenant)),
-            plan: spec.plan,
             ..RunRecipe::standard(&spec.workload, spec.scale)
         };
         // Each job owns its tool's fresh `SharedMem`: jobs never share
@@ -311,8 +310,7 @@ impl<'a> Fleet<'a> {
             .runner(&recipe, recipe.threads, false)
             .map_err(|err| match err {
                 ReplayError::Sim(source) => FleetError::Job { job: id, source },
-                // Workloads are validated at parse, and the catalog
-                // analyses cleanly.
+                // Workloads are validated at parse.
                 other => panic!("job {id}: {other}"),
             })?;
 

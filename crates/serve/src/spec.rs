@@ -7,7 +7,7 @@
 //! tenant NAME weight=N [budget=BYTES[k|m|g]]
 //! job tenant=NAME workload=NAME [scale=tiny|small|medium|large]
 //!     [tool=NAME] [arrive=CYCLES] [mem-budget=BYTES[k|m|g]]
-//!     [chaos-rate=F] [plan=on|off]
+//!     [chaos-rate=F]
 //! ```
 //!
 //! A tenant must be declared before its first job references it. Job
@@ -53,8 +53,6 @@ pub struct JobSpec {
     pub mem_budget: Option<u64>,
     /// Optional per-job chaos-rate override of the fleet plan.
     pub chaos_rate: Option<f64>,
-    /// Whether to compute and install the whole-program superblock plan.
-    pub plan: bool,
 }
 
 /// A parsed job file.
@@ -316,7 +314,6 @@ pub fn parse_jobs(text: &str) -> Result<JobFile, SpecError> {
                 let mut arrive = 0u64;
                 let mut mem_budget = None;
                 let mut chaos_rate = None;
-                let mut plan = false;
                 for (key, value) in fields(line, &tokens[1..])? {
                     match key.as_str() {
                         "tenant" => {
@@ -384,27 +381,13 @@ pub fn parse_jobs(text: &str) -> Result<JobFile, SpecError> {
                             }
                             chaos_rate = Some(rate);
                         }
-                        "plan" => {
-                            plan = match value.as_str() {
-                                "on" | "1" => true,
-                                "off" | "0" => false,
-                                _ => {
-                                    return Err(SpecError::InvalidValue {
-                                        line,
-                                        field: "plan",
-                                        value,
-                                        expected: "on|off",
-                                    })
-                                }
-                            };
-                        }
                         _ => {
                             return Err(SpecError::InvalidValue {
                                 line,
                                 field: "job field",
                                 value: key,
                                 expected: "tenant=, workload=, scale=, tool=, arrive=, \
-                                           mem-budget=, chaos-rate=, or plan=",
+                                           mem-budget=, or chaos-rate=",
                             })
                         }
                     }
@@ -423,7 +406,6 @@ pub fn parse_jobs(text: &str) -> Result<JobFile, SpecError> {
                     arrive,
                     mem_budget,
                     chaos_rate,
-                    plan,
                 });
             }
             other => {
@@ -480,7 +462,7 @@ mod tests {
              tenant beta weight=1\n\n\
              job tenant=alpha workload={w}\n\
              job tenant=beta workload={w} scale=tiny tool=icount1 arrive=500 \
-             mem-budget=64k chaos-rate=0.5 plan=off\n",
+             mem-budget=64k chaos-rate=0.5\n",
             w = workload()
         );
         let file = parse_jobs(&text).expect("parses");
@@ -588,6 +570,19 @@ mod tests {
             Err(SpecError::ChaosRateOutOfRange {
                 line: 2,
                 value: 1.5
+            })
+        );
+        let text = format!(
+            "tenant a weight=1\njob tenant=a workload={} plan=on\n",
+            workload()
+        );
+        assert_eq!(
+            parse_jobs(&text),
+            Err(SpecError::InvalidValue {
+                line: 2,
+                field: "job field",
+                value: "plan".to_owned(),
+                expected: "tenant=, workload=, scale=, tool=, arrive=, mem-budget=, or chaos-rate=",
             })
         );
         assert_eq!(

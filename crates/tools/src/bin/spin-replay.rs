@@ -63,8 +63,6 @@ record options:
   --chaos-rate <r>     fault rate in [0,1] (default 0.01 when armed)
   --mem-budget <bytes> arm the memory governor; k/m/g suffixes (64m)
   --supervise          arm the slice supervisor (implied by chaos)
-  --plan               install the superblock plan (refined liveness)
-                       and the soundness oracle
   --tag <str>          free-form provenance tag stored in the header
 
 replay options:
@@ -147,7 +145,6 @@ fn parse_record_args(args: &[String]) -> Result<RecordArgs, ArgError> {
             "--chaos-rate" => chaos_rate = Some(args.probability("--chaos-rate")?),
             "--mem-budget" => recipe.mem_budget = Some(args.bytes("--mem-budget")?),
             "--supervise" => recipe.supervise = true,
-            "--plan" => recipe.plan = true,
             "--tag" => recipe.tag = args.text("--tag")?.to_owned(),
             "--emit-report" => emit_report = Some(args.text("--emit-report")?.to_owned()),
             name if !name.starts_with('-') && recipe.name.is_empty() => {

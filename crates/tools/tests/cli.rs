@@ -138,7 +138,7 @@ fn a_cross_tool_diff_runs_the_differ() {
 }
 
 #[test]
-fn an_unknown_tool_is_a_usage_error_and_records_nothing() {
+fn an_unknown_tool_or_flag_is_a_usage_error_and_records_nothing() {
     let path = log_path("unknown-tool");
     let out = spin_replay(&["record", "gcc", "-t", "dcache", "-o", &path]);
     let stderr = String::from_utf8_lossy(&out.stderr);
@@ -146,6 +146,11 @@ fn an_unknown_tool_is_a_usage_error_and_records_nothing() {
     assert!(
         stderr.starts_with("spin-replay: unknown tool `dcache`"),
         "{stderr}"
+    );
+    assert!(!std::path::Path::new(&path).exists(), "nothing is recorded");
+    assert_usage_error(
+        &["record", "gcc", "-o", &path, "--plan"],
+        "unknown flag `--plan`",
     );
     assert!(!std::path::Path::new(&path).exists(), "nothing is recorded");
 }
